@@ -37,7 +37,10 @@ def _parse_grid(text):
         if ":" not in item:
             raise ConfigError("grid entries look like d:delta, got %r" % item)
         d, delta = item.split(":", 1)
-        grid.append((int(d), int(delta)))
+        try:
+            grid.append((int(d), int(delta)))
+        except ValueError:
+            raise ConfigError("grid entries need integers d:delta, got %r" % item) from None
     return grid
 
 
@@ -66,7 +69,10 @@ def _parse_pivot(text):
     parts = text.split(",")
     if len(parts) != 2:
         raise ConfigError("--pivot looks like s,t or all, got %r" % text)
-    return [(int(parts[0]), int(parts[1]))]
+    try:
+        return [(int(parts[0]), int(parts[1]))]
+    except ValueError:
+        raise ConfigError("--pivot needs integers s,t, got %r" % text) from None
 
 
 def _write(path, text):

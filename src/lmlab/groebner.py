@@ -4,14 +4,39 @@ The engine works on denominator-cleared integer coefficient dicts
 (fraction-free reduction with periodic content normalization), which keeps
 the hot loops on machine/big ints instead of Fraction objects.  Public
 results are monic polynomials with exact rational cofactor certificates.
+
+Pairs (Gebauer & Moeller, JSC 1988).  A pair (i, j), i < j, of basis
+entries waits in a heap keyed by (sugar, i, j) and is selected smallest key
+first.  It stores its lcm, the lcm's degree and its support mask (Bachmann &
+Schoenemann's short exponent vector: bit k set iff variable k occurs) when
+it is created.  Masks reject most divisibility candidates, here and in the
+reducer scan of the normal form, before the exact test.  When entry h joins:
+
+- criterion B drops a waiting pair (i, j) if lt(h) divides lcm(i, j) and
+  that lcm differs from lcm(i, h) and from lcm(j, h);
+- criterion M drops the new pair (g, h) if another lcm(g', h) properly
+  divides lcm(g, h); new pairs with equal lcms are all kept;
+- the product criterion drops (g, h) if lt(g) and lt(h) are coprime.
+
+A new pair's sugar is at least that of the pair whose reduction produced
+it, so sugar never decreases along the selection order.  A run bounded by b
+therefore stops in the state every run passes through after its pairs of
+sugar <= b, and `BuchbergerRun.advance` resumes from there: advancing one
+run through bounds 2, 3, 4 gives exactly the bases of fresh bounded runs.
+Each call to `advance` (and each `buchberger` call) has its own timeout_s
+budget, counted from its start; a step that times out keeps the pair it was
+reducing, so the run stays consistent.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
+from operator import itemgetter
 
 from .poly import (
     Block,
@@ -24,6 +49,7 @@ from .poly import (
 )
 
 __all__ = [
+    "BuchbergerRun",
     "GBTimeout",
     "Ideal",
     "MembershipCertificate",
@@ -121,6 +147,25 @@ def _mono_divides(a, b):
     return True
 
 
+def _mask(e):
+    """Support bitmask: bit k is set iff variable k occurs in e.
+
+    If a divides b then _mask(a) & ~_mask(b) == 0, so a nonzero value rejects
+    a divisor candidate before the exact test.
+    """
+    m = 0
+    for k, x in enumerate(e):
+        if x:
+            m |= 1 << k
+    return m
+
+
+def _reducer(entry):
+    """(lt, lc, terms, mask of lt) for an (lt, lc, terms, ...) entry."""
+    lt, lc, terms = entry[:3]
+    return lt, lc, terms, _mask(lt)
+
+
 class _Engine:
     """Shared monomial-key memo plus deadline bookkeeping for one computation."""
 
@@ -156,7 +201,11 @@ class _Engine:
     # -- fraction-free full normal form
 
     def nf(self, terms, reducers):
-        """Normal form of an integer term dict against (lt, lc, terms) reducers."""
+        """Normal form of an integer term dict against `_reducer` tuples.
+
+        The first reducer in list order whose leading term divides the
+        current term is used; the mask test only skips non-divisors.
+        """
         work = dict(terms)
         done = set()
         key = self.key
@@ -173,15 +222,16 @@ class _Engine:
                     bk, best = ke, e
             if best is None:
                 break
+            outside = ~_mask(best)
             hit = None
             for red in reducers:
-                if _mono_divides(red[0], best):
+                if not red[3] & outside and _mono_divides(red[0], best):
                     hit = red
                     break
             if hit is None:
                 done.add(best)
                 continue
-            lte, ltc, td = hit
+            lte, ltc, td, _ = hit
             c = work[best]
             g0 = gcd(c, ltc)
             mw = ltc // g0
@@ -202,8 +252,7 @@ class _Engine:
                 work = _primitive(work)
         return _primitive(work)
 
-    def spoly(self, e1, c1, t1, e2, c2, t2):
-        lcm_exp = _mono_lcm(e1, e2)
+    def spoly(self, lcm_exp, e1, c1, t1, e2, c2, t2):
         g0 = gcd(c1, c2)
         m1 = c2 // g0
         m2 = c1 // g0
@@ -226,102 +275,147 @@ class _Engine:
 # ------------------------------------------------------------- buchberger
 
 
-def _update(f, G, B, ih, eng):
-    """Gebauer-Moeller pair update; G active indices, B dict pair -> sugar."""
-    lt_h, _, _, sug_h = f[ih]
-    deg = sum
+class BuchbergerRun:
+    """One Buchberger computation that advances through rising degree bounds.
 
-    def pair_sugar(i, j):
-        lti, _, _, si = f[i]
-        ltj, _, _, sj = f[j]
-        l = _mono_lcm(lti, ltj)
-        return max(si + deg(l) - deg(lti), sj + deg(l) - deg(ltj))
+    `entries` lists every basis element found, as (lt, lc, terms, sugar);
+    `active` holds the indices of those whose leading term no later element
+    divides.  Advancing to bound b leaves exactly the state a fresh run
+    bounded by b ends in (see the module docstring), and advancing further
+    continues it.
+    """
 
-    C = sorted(G)
-    D = []
-    lcm_h = {ig: _mono_lcm(lt_h, f[ig][0]) for ig in G}
-    while C:
-        ig = C.pop(0)
-        coprime = _mono_mul(lt_h, f[ig][0]) == lcm_h[ig]
-        divided = any(
-            _mono_divides(lcm_h[ip], lcm_h[ig]) and lcm_h[ip] != lcm_h[ig]
-            for ip in C
-        ) or any(
-            _mono_divides(lcm_h[ip], lcm_h[ig]) and lcm_h[ip] != lcm_h[ig]
-            for ip in D
-        )
-        if coprime or not divided:
-            D.append(ig)
-    E = [ig for ig in D if _mono_mul(lt_h, f[ig][0]) != lcm_h[ig]]
+    def __init__(self, ideal, order=None):
+        ring = ideal.ring if order is None else ideal.ring.with_order(order)
+        eng = _Engine(ring.exp_key)
+        seen = set()
+        seeds = []
+        for g in ideal.generators:
+            terms, _ = _int_clear(g.cast(ring))
+            if not terms:
+                continue
+            fro = frozenset(terms.items())
+            if fro in seen:
+                continue
+            seen.add(fro)
+            seeds.append(terms)
+        # seed deterministically, biggest leading term first
+        seeds.sort(key=lambda t: eng.key(eng.lead(t)), reverse=True)
+        self.ring = ring
+        self.eng = eng
+        self.entries = []
+        self.active = set()
+        self._seeds = seeds
+        self._lt_info = []  # (mask, degree) of each entry's leading term
+        self._pairs = {}  # live pair (i, j) -> (lcm, lcm degree, lcm mask)
+        self._queue = []  # (sugar, i, j); pairs no longer live are skipped
+        self._reducers = None
 
-    B_new = {}
-    for (i, j), sug in sorted(B.items()):
-        lti, ltj = f[i][0], f[j][0]
-        l = _mono_lcm(lti, ltj)
-        if (
-            not _mono_divides(lt_h, l)
-            or _mono_lcm(lti, lt_h) == l
-            or _mono_lcm(ltj, lt_h) == l
-        ):
-            B_new[(i, j)] = sug
-    for ig in sorted(E):
-        i, j = min(ig, ih), max(ig, ih)
-        B_new[(i, j)] = pair_sugar(i, j)
+    @property
+    def partial(self):
+        """True iff pairs above the last degree bound are still waiting."""
+        return bool(self._pairs)
 
-    G_new = {ig for ig in G if not _mono_divides(lt_h, f[ig][0])}
-    G_new.add(ih)
-    return G_new, B_new
+    def advance(self, degree_bound=None, timeout_s=None):
+        """Process every pair of sugar <= degree_bound (all if None).
 
+        timeout_s budgets this step alone.  On GBTimeout the pair being
+        reduced stays queued, so the run can be advanced again.  Returns the
+        reduced basis as a tuple of monic polynomials, and the partial flag.
+        """
+        eng = self.eng
+        eng.deadline = _deadline(timeout_s)
+        for terms in self._seeds:
+            lt = eng.lead(terms)
+            self._add((lt, terms[lt], terms, max(sum(e) for e in terms)))
+        self._seeds = []
+        f, pairs, queue = self.entries, self._pairs, self._queue
+        while queue:
+            sug, i, j = queue[0]
+            pair = pairs.get((i, j))
+            if pair is None:
+                heapq.heappop(queue)
+                continue
+            eng.check_time(every=1)
+            if degree_bound is not None and sug > degree_bound:
+                break
+            lti, lci, ti, _ = f[i]
+            ltj, lcj, tj, _ = f[j]
+            h = eng.spoly(pair[0], lti, lci, ti, ltj, lcj, tj)
+            if h:
+                if self._reducers is None:
+                    self._reducers = [_reducer(f[g]) for g in sorted(self.active)]
+                h = eng.nf(h, self._reducers)
+            heapq.heappop(queue)
+            del pairs[(i, j)]
+            if h:
+                lt = eng.lead(h)
+                self._add((lt, h[lt], h, sug))
+        kept = _interreduce([f[i] for i in sorted(self.active)], eng)
+        return tuple(_to_poly(self.ring, en[2]) for en in kept), self.partial
 
-def _groebner_int(int_gens, eng, degree_bound=None):
-    """Run Buchberger; return (entries list, active index list, partial flag)."""
-    f = []
-    seen = {}
-    seeds = []
-    for terms in int_gens:
-        if not terms:
-            continue
-        fro = frozenset(terms.items())
-        if fro in seen:
-            continue
-        seen[fro] = True
-        seeds.append(terms)
-    # seed deterministically, biggest leading term first
-    seeds.sort(key=lambda t: eng.key(eng.lead(t)), reverse=True)
-
-    G = set()
-    B = {}
-    partial = False
-    for terms in seeds:
-        lt = eng.lead(terms)
-        entry = (lt, terms[lt], terms, max(sum(e) for e in terms))
+    def _add(self, entry):
+        """Append an entry and apply the Gebauer-Moeller update for it."""
+        f, info, pairs = self.entries, self._lt_info, self._pairs
         ih = len(f)
+        lt_h, _, _, sug_h = entry
+        m_h = _mask(lt_h)
+        d_h = sum(lt_h)
         f.append(entry)
-        G, B = _update(f, G, B, ih, eng)
+        info.append((m_h, d_h))
 
-    while B:
-        eng.check_time(every=1)
-        (i, j) = min(B, key=lambda ij: (B[ij], ij))
-        sug = B.pop((i, j))
-        if degree_bound is not None and sug > degree_bound:
-            partial = True
-            continue
-        lti, lci, ti, _ = f[i]
-        ltj, lcj, tj, _ = f[j]
-        s = eng.spoly(lti, lci, ti, ltj, lcj, tj)
-        if not s:
-            continue
-        reducers = [f[g][:3] for g in sorted(G)]
-        h = eng.nf(s, reducers)
-        if not h:
-            continue
-        lt = eng.lead(h)
-        entry = (lt, h[lt], h, sug)
-        ih = len(f)
-        f.append(entry)
-        G, B = _update(f, G, B, ih, eng)
+        # criterion B: drop (i, j) if lt_h divides its lcm and differs from
+        # the lcms of (i, h) and (j, h); the lcm of (i, h) divides lcm(i, j),
+        # so equal degree means equal lcm
+        dead = []
+        for (i, j), (l, dl, ml) in pairs.items():
+            if m_h & ~ml or d_h > dl or not _mono_divides(lt_h, l):
+                continue
+            if (
+                sum(_mono_lcm(f[i][0], lt_h)) != dl
+                and sum(_mono_lcm(f[j][0], lt_h)) != dl
+            ):
+                dead.append((i, j))
+        for ij in dead:
+            del pairs[ij]
 
-    return f, sorted(G), partial
+        # criterion M: the pair (g, h) is kept iff no other lcm properly
+        # divides lcm(g, h).  That set does not depend on the order of the
+        # tests.  A proper divisor has smaller degree, and if one exists, one
+        # that no lcm properly divides exists too, so each degree is tested
+        # against the minimal lcms of smaller degree.  Coprime pairs (product
+        # criterion) serve as divisors and are then dropped; pairs with equal
+        # lcms are all kept.
+        cands = []
+        for ig in self.active:
+            m_g = info[ig][0]
+            l = _mono_lcm(lt_h, f[ig][0])
+            cands.append((sum(l), ig, l, m_g | m_h, not m_g & m_h))
+        cands.sort()
+        minimal = []
+        queue = self._queue
+        for dl, group in groupby(cands, key=itemgetter(0)):
+            fresh = []
+            for _, ig, l, ml, coprime in group:
+                if any(
+                    not mm & ~ml and _mono_divides(lm, l) for lm, mm in minimal
+                ):
+                    continue
+                fresh.append((l, ml))
+                if coprime:
+                    continue
+                sug = max(f[ig][3] + dl - info[ig][1], sug_h + dl - d_h)
+                pairs[(ig, ih)] = (l, dl, ml)
+                heapq.heappush(queue, (sug, ig, ih))
+            minimal += fresh
+
+        self.active = {
+            ig
+            for ig in self.active
+            if m_h & ~info[ig][0] or not _mono_divides(lt_h, f[ig][0])
+        }
+        self.active.add(ih)
+        self._reducers = None
 
 
 def _interreduce(entries, eng):
@@ -335,7 +429,7 @@ def _interreduce(entries, eng):
     while changed:
         changed = False
         for idx in range(len(kept)):
-            others = [kept[k][:3] for k in range(len(kept)) if k != idx]
+            others = [_reducer(kept[k]) for k in range(len(kept)) if k != idx]
             t = eng.nf(kept[idx][2], others)
             if t != kept[idx][2]:
                 changed = True
@@ -355,16 +449,7 @@ def buchberger(ideal, order=None, degree_bound=None, timeout_s=None):
     basis is flagged partial: sound for certifying membership on reduction to
     zero, never for non-membership.  Returns (tuple of monic polys, partial).
     """
-    ring = ideal.ring if order is None else ideal.ring.with_order(order)
-    eng = _Engine(ring.exp_key, _deadline(timeout_s))
-    int_gens = []
-    for g in ideal.generators:
-        terms, _ = _int_clear(g.cast(ring))
-        int_gens.append(terms)
-    f, active, partial = _groebner_int(int_gens, eng, degree_bound)
-    kept = _interreduce([f[i] for i in active], eng)
-    basis = tuple(_to_poly(ring, en[2]) for en in kept)
-    return basis, partial
+    return BuchbergerRun(ideal, order).advance(degree_bound, timeout_s)
 
 
 # ------------------------------------------------------------ certificates

@@ -81,6 +81,20 @@ def test_suite_rejects_bad_delta():
     assert out.returncode == 64
 
 
+def test_suite_rejects_non_integer_grid():
+    out = run_cli("suite", "--grid", "x:1")
+    assert out.returncode == 64
+    assert "x:1" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_verify_rejects_non_integer_pivot():
+    out = run_cli("verify", "za1", "--d", "5", "--delta", "1", "--pivot", "a,b")
+    assert out.returncode == 64
+    assert "a,b" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_verify_command_exit_zero(tmp_path):
     report = tmp_path / "rep.json"
     out = run_cli(

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from lmlab.groebner import (
+    BuchbergerRun,
+    GBTimeout,
     Ideal,
     buchberger,
     eliminate,
@@ -21,7 +23,15 @@ from lmlab.groebner import (
     write_ideal_text,
 )
 from lmlab.lattice import normal_form
-from lmlab.localmodel import build_U_ideals, trace_form, z_matrix, z_ring
+from lmlab.localmodel import (
+    _y_elimination_map,
+    build_naive_chart_ideal,
+    build_U_ideals,
+    trace_form,
+    x_ring,
+    z_matrix,
+    z_ring,
+)
 from lmlab.poly import Lex, ParseError, PolyMatrix, PolyRing, minors, parse_poly
 
 
@@ -247,11 +257,55 @@ def test_degree_truncated_gb_is_partial_and_sound():
     R = PolyRing(["x", "y"], Lex())
     I = Ideal(R, ["x^3 - y", "x*y - 1"])
     basis, partial = buchberger(I, degree_bound=2)
-    full, _ = buchberger(I)
+    full, full_partial = buchberger(I)
     assert partial
+    assert not full_partial
     for g in basis:
         ok, _ = ideal_member(g, I)
         assert ok
+    run = BuchbergerRun(I)
+    assert run.advance(2) == (basis, True)
+    assert run.advance() == (full, False)
+
+
+def _x_ring_ideal(d, delta):
+    nf = normal_form(d, delta)
+    elim_y = _y_elimination_map(nf)
+    return Ideal(x_ring(nf), [elim_y(g) for g in build_naive_chart_ideal(nf).ideal.generators])
+
+
+def test_resumed_run_matches_fresh_bounded_runs():
+    HI = _x_ring_ideal(5, 1)
+    run = BuchbergerRun(HI)
+    for bound in (2, 3, 4, None):
+        fresh = buchberger(HI, degree_bound=bound)
+        assert run.advance(bound) == fresh
+    assert not run.partial
+
+
+def test_resumed_step_times_out_and_can_go_on():
+    HI = _x_ring_ideal(5, 1)
+    run = BuchbergerRun(HI)
+    run.advance(2)
+    with pytest.raises(GBTimeout):
+        run.advance(3, timeout_s=1e-9)
+    # the timed-out step lost no pair: the run still reaches the fresh result
+    assert run.advance(3) == buchberger(HI, degree_bound=3)
+
+
+def test_complete_mode_reports_timeout_of_a_resumed_step(monkeypatch):
+    import lmlab.localmodel as localmodel
+
+    class TinyResumeBudget(BuchbergerRun):
+        def advance(self, degree_bound=None, timeout_s=None):
+            if self.entries:
+                timeout_s = 1e-9
+            return super().advance(degree_bound, timeout_s)
+
+    monkeypatch.setattr(localmodel, "BuchbergerRun", TinyResumeBudget)
+    report = localmodel.verify_presentation(normal_form(5, 1), mode="complete")
+    assert report.status == "timeout"
+    assert "surjectivity_max_bound" not in report.details
 
 
 # -- .ideal serialization
@@ -304,8 +358,6 @@ def test_gb_is_reduced():
 
 
 def test_timeout_raises_and_is_typed():
-    from lmlab.groebner import GBTimeout
-
     nf = normal_form(7, 3)
     _, small = build_U_ideals(nf)
     with pytest.raises(GBTimeout):
