@@ -369,7 +369,7 @@ class BuchbergerRun:
         # so equal degree means equal lcm
         dead = []
         for (i, j), (l, dl, ml) in pairs.items():
-            if m_h & ~ml or d_h > dl or not _mono_divides(lt_h, l):
+            if m_h & ~ml or not _mono_divides(lt_h, l):
                 continue
             if (
                 sum(_mono_lcm(f[i][0], lt_h)) != dl
