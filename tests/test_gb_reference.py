@@ -307,9 +307,12 @@ _orders = st.sampled_from([Lex(), GrevLex(), Block(["x"]), Block(["y", "z"], Lex
 @given(
     gens=st.lists(_polys, min_size=1, max_size=4),
     order=_orders,
-    bound=st.sampled_from([None, 2, 3, 4]),
+    bound=st.integers(2, 6),
 )
 def test_same_run_on_small_ideals(gens, order, bound):
+    # a degree bound keeps every draw fast: unbounded lex runs on random
+    # ideals of this size can take minutes in either engine.  Many draws
+    # still complete below the bound (partial False).
     R = PolyRing(["x", "y", "z"], order)
     ideal = Ideal(R, [R.poly({e: Fraction(c) for e, c in g.items()}) for g in gens])
     assert_same_run(ideal, degree_bound=bound)
