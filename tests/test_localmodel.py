@@ -1,6 +1,8 @@
 """Chart presentations of the local model and the section that proves them."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,8 +21,26 @@ from lmlab.localmodel import (
     verify_presentation,
 )
 from lmlab.poly import PolyRing, RingMap, parse_poly
+from lmlab.suite import report_payload, run_check, strip_timings
 
 GRID = [(5, 1), (5, 2), (6, 1), (6, 2), (6, 3), (7, 2), (7, 3)]
+
+ZA1_SOUND_GOLDEN = Path(__file__).parent / "data" / "za1_sound_golden.json"
+
+
+def za1_sound_payloads():
+    """strip_timings JSON of za1 sound on 5:1, 5:2, 6:1 at seeds 7 and 11.
+
+    tests/data/za1_sound_golden.json holds this text; it gates changes to za1
+    that must keep its reports byte-identical.  Rewrite it only for an
+    intended report change, with ``PYTHONPATH=src python tests/test_localmodel.py``.
+    """
+    out = {}
+    for seed in (7, 11):
+        for d, delta in ((5, 1), (5, 2), (6, 1)):
+            reports = run_check("za1", d, delta, mode="sound", seed=seed)
+            out["%d:%d seed %d" % (d, delta, seed)] = strip_timings(report_payload(reports))
+    return json.dumps(out, sort_keys=True, indent=2) + "\n"
 
 
 def test_naive_generator_count_5_1():
@@ -178,6 +198,10 @@ def test_presentation_sound(d, delta):
     assert rep.details["reduced_to_zero"] == rep.details["generators"]
 
 
+def test_za1_sound_reports_match_golden():
+    assert za1_sound_payloads() == ZA1_SOUND_GOLDEN.read_text()
+
+
 def test_presentation_complete_5_1():
     rep = verify_presentation(normal_form(5, 1), mode="complete")
     assert rep.status == "pass"
@@ -224,3 +248,7 @@ def test_timeout_surfaces_in_report():
     rep = verify_presentation(normal_form(6, 2), mode="sound", timeout_s=1e-9)
     assert rep.status == "timeout"
     assert "timeout" in rep.details
+
+
+if __name__ == "__main__":
+    ZA1_SOUND_GOLDEN.write_text(za1_sound_payloads())
