@@ -24,7 +24,7 @@ from .groebner import (
     reduce_poly,
 )
 from .lattice import LatticeError, q1_form, q2_form
-from .localmodel import ChartPresentation, _roles
+from .localmodel import ChartPresentation
 from .poly import PolyError, PolyRing, RingMap
 from .report import FAIL, PASS, Stopwatch, TIMEOUT, VerificationReport
 
@@ -81,7 +81,6 @@ def build_B_blowup_charts(timeout_s=None):
         ring=r1,
         ideal=Ideal(r1, [r1.var("u") * r1.var("v") - r1.var("pi")]),
         provenance="first blow-up chart of the basic scheme (y = 1)",
-        variable_roles=_roles(r1),
     )
     r2 = PolyRing(["pi", "w1", "w2", "y"])
     chart2 = ChartPresentation(
@@ -89,7 +88,6 @@ def build_B_blowup_charts(timeout_s=None):
         ring=r2,
         ideal=Ideal(r2, [r2.var("w1") * r2.var("w2") * r2.var("y") ** 2 + r2.var("pi")]),
         provenance="second blow-up chart of the basic scheme (x = 1)",
-        variable_roles=_roles(r2),
     )
 
     map1 = RingMap(
@@ -174,7 +172,6 @@ def build_DT_blowup_chart(nf, s, t, timeout_s=None):
         ring=amb,
         ideal=Ideal(amb, rel + [amb_eq]),
         provenance="strict transform chart in homogeneous coordinates",
-        variable_roles=_roles(amb),
     )
 
     free = [bu(i, t) for i in range(1, delta + 1) if i != s]
@@ -200,7 +197,6 @@ def build_DT_blowup_chart(nf, s, t, timeout_s=None):
         ring=red,
         ideal=Ideal(red, [red_eq]),
         provenance="reduced blow-up chart: single equation 4 pi + z^2 * rowsum * colsum",
-        variable_roles=_roles(red),
     )
 
     dependent = [bu(i, j) for i in range(1, delta + 1) for j in range(1, m + 1)
@@ -261,7 +257,6 @@ def build_M_chart(nf, s, t, timeout_s=None):
         ring=full,
         ideal=Ideal(full, [eq] + kgens),
         provenance="resolution chart with the full coordinate-relation ideal",
-        variable_roles=_roles(full),
     )
 
     lam_r = red.var("lambda")
@@ -279,7 +274,6 @@ def build_M_chart(nf, s, t, timeout_s=None):
             ],
         ),
         provenance="reduced resolution chart: hypersurface plus pins",
-        variable_roles=_roles(red),
     )
 
     removed = ["x_%d" % i for i in nf.DeltaC] + ["y_%d" % j for j in nf.Delta]

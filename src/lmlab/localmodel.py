@@ -9,8 +9,9 @@ All charts live over Q[pi, ...] with the special fiber at pi = 0.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 # buchberger is not called here, but bench/test_bench.py requires this module
 # to bind it so that the tracer's re-binding coverage is exercised
@@ -48,10 +49,6 @@ class ChartPresentation:
     ring: PolyRing
     ideal: Ideal
     provenance: str
-    variable_roles: dict = field(default_factory=dict)
-
-    def role(self, var):
-        return self.variable_roles.get(var, "matrix-entry")
 
 
 @dataclass(frozen=True)
@@ -160,18 +157,6 @@ def int_matrix(ring, rows):
     return PolyMatrix.from_rows([[ring.const(v) for v in row] for row in rows])
 
 
-def _roles(ring):
-    roles = {}
-    for v in ring.variables:
-        if v == "pi":
-            roles[v] = "base"
-        elif v in ("u", "v", "w1", "w2", "lambda") or v.startswith("lambda"):
-            roles[v] = "multiplier"
-        else:
-            roles[v] = "matrix-entry"
-    return roles
-
-
 # ------------------------------------------------------------ naive chart
 
 
@@ -212,7 +197,6 @@ def build_naive_chart_ideal(nf):
         ring=ring,
         ideal=Ideal(ring, gens),
         provenance="naive chart relations on (X, Y) for d=%d, delta=%d" % (nf.d, nf.delta),
-        variable_roles=_roles(ring),
     )
 
 
@@ -262,14 +246,12 @@ def build_U_ideals(nf):
         ring=ring,
         ideal=Ideal(ring, mins + [quad]),
         provenance="reduced chart of the local model: rank-one locus plus trace quadric",
-        variable_roles=_roles(ring),
     )
     small = ChartPresentation(
         name="u-naive-small[%d,%d]" % (nf.d, nf.delta),
         ring=ring,
         ideal=Ideal(ring, mins + [quad * e for e in Z.entries]),
         provenance="reduced presentation of the naive chart in the Z variables",
-        variable_roles=_roles(ring),
     )
     return U, small
 
@@ -295,7 +277,6 @@ def build_DT_ideal(nf, timeout_s=None):
         ring=ring,
         ideal=Ideal(ring, gens),
         provenance="determinantal chart with the -4 pi normalization",
-        variable_roles=_roles(ring),
     )
     U, _ = build_U_ideals(nf)
     if not ideal_equal(DT.ideal, U.ideal, timeout_s=timeout_s):
@@ -371,14 +352,78 @@ def _rank_one_samples(nf, count, seed):
     return samples
 
 
+def _mat_mul(A, B):
+    """A B for matrices given as lists of rows; zero entries of A are skipped."""
+    cols = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col) if a) for col in cols] for row in A]
+
+
+def _mat_add(A, B, c=1):
+    """A + c B for matrices given as lists of rows."""
+    return [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def _naive_relation_values(nf, X, pi):
+    """The generators of build_naive_chart_ideal at (pi, X, Y = -X^t).
+
+    Yields the entries of every relation but Y + X^t, which vanishes there,
+    and the minors of X only: those of Y = -X^t are the same, transposed.
+    """
+    Xt = [list(col) for col in zip(*X)]
+    Y = [[-v for v in row] for row in Xt]
+    Yt = [[-v for v in row] for row in X]
+    SX = _mat_mul(_mat_add(nf.S1, nf.S2, pi), X)
+    sy = _mat_mul(_mat_add(nf.S2, nf.S1, pi), Y)
+    relations = (
+        _mat_mul(Xt, Y),
+        _mat_add(_mat_mul(Xt, _mat_mul(nf.S1, X)), SX, -2 * pi),
+        _mat_add(_mat_mul(Xt, _mat_mul(nf.S2, X)), SX, 2),
+        _mat_add(_mat_mul(Yt, _mat_mul(nf.S1, Y)), sy, 2),
+        _mat_add(_mat_mul(Yt, _mat_mul(nf.S2, Y)), sy, -2 * pi),
+    )
+    for M in relations:
+        for row in M:
+            yield from row
+    for r, r2 in combinations(X, 2):
+        for j, j2 in combinations(range(len(r)), 2):
+            yield r[j] * r2[j2] - r[j2] * r2[j]
+
+
+def _oracle_failures(nf, psi, count, seed):
+    """The number of rank-one samples at which psi does not kill the naive chart.
+
+    Each sample is Z = a b^t with pi = -T(Z)/2.  The section is evaluated once
+    there, into the numeric matrix X of its x-images; Y = -X^t, as
+    block_substitution defines it.  The relations of build_naive_chart_ideal
+    are then evaluated on (pi, X, Y) with exact fractions.  psi is a ring
+    map, so a relation is nonzero at (pi, X, Y) exactly when psi of that
+    generator is nonzero at the sample: the count equals that of evaluating
+    every image psi(g).
+    """
+    d, delta, m = nf.d, nf.delta, nf.d - nf.delta
+    T = trace_form(nf, psi.target)
+    x_images = [[psi.images["x_%d_%d" % (a, b)] for b in range(1, d + 1)]
+                for a in range(1, d + 1)]
+    bad = 0
+    for a, b in _rank_one_samples(nf, count, seed):
+        assign = {"z_%d_%d" % (i, j): a[i - 1] * b[j - 1]
+                  for i in range(1, delta + 1) for j in range(1, m + 1)}
+        assign["pi"] = 0
+        pi = assign["pi"] = -T.evaluate(assign) / 2
+        X = [[img.evaluate(assign) for img in row] for row in x_images]
+        if any(_naive_relation_values(nf, X, pi)):
+            bad += 1
+    return bad
+
+
 def verify_presentation(nf, mode="sound", timeout_s=None, seed=7, oracle_samples=20):
     """Check that the section kills the naive chart ideal, then some.
 
     sound: every generator maps into (minors, (T+2pi) Z) by Groebner
-    reduction, and a seeded rank-one evaluation oracle re-checks each image
-    exactly.  complete: additionally certify surjectivity of the section by
-    degree-truncated certificates and contract the naive ideal onto the Z
-    subring by elimination.
+    reduction, and a seeded rank-one evaluation oracle re-checks the images
+    exactly (see _oracle_failures).  complete: additionally certify
+    surjectivity of the section by degree-truncated certificates and contract
+    the naive ideal onto the Z subring by elimination.
     """
     sw = Stopwatch()
     instance = {"d": nf.d, "delta": nf.delta, "mode": mode}
@@ -386,15 +431,12 @@ def verify_presentation(nf, mode="sound", timeout_s=None, seed=7, oracle_samples
     naive = build_naive_chart_ideal(nf)
     psi = block_substitution(nf)
     _, small = build_U_ideals(nf)
-    zr = small.ring
 
     try:
         basis = small.ideal.gb(timeout_s=timeout_s)
-        images = []
         reduced_zero = 0
         for g in naive.ideal.generators:
             img = psi(g)
-            images.append(img)
             if img.is_zero:
                 reduced_zero += 1
                 continue
@@ -410,18 +452,7 @@ def verify_presentation(nf, mode="sound", timeout_s=None, seed=7, oracle_samples
         report.details["reduced_to_zero"] = reduced_zero
 
         if report.status == PASS:
-            delta, m = nf.delta, nf.d - nf.delta
-            T = trace_form(nf, zr)
-            bad = 0
-            for a, b in _rank_one_samples(nf, oracle_samples, seed):
-                assign = {"z_%d_%d" % (i, j): a[i - 1] * b[j - 1]
-                          for i in range(1, delta + 1) for j in range(1, m + 1)}
-                assign["pi"] = 0
-                assign["pi"] = -T.evaluate(assign) / 2
-                for img in images:
-                    if img.evaluate(assign) != 0:
-                        bad += 1
-                        break
+            bad = _oracle_failures(nf, psi, oracle_samples, seed)
             report.details["oracle_samples"] = oracle_samples
             if bad:
                 report.status = FAIL

@@ -23,7 +23,7 @@ from .groebner import (
     reduce_poly,
 )
 from .lattice import LatticeError, q1_form, q2_form
-from .localmodel import ChartPresentation, _roles
+from .localmodel import ChartPresentation
 from .poly import PolyRing, RingMap
 from .report import FAIL, PASS, Stopwatch, TIMEOUT, VerificationReport
 
@@ -83,7 +83,6 @@ def build_linked_chart_ideal(nf, i, j):
         ideal=Ideal(ring, gens),
         provenance="pinned chart of the linked quadric; Q2 is the halved form, "
         "so displayed equations match up to the unit 2",
-        variable_roles=_roles(ring),
     )
     return LinkedChart(chart=chart, u_var="u", v_var="v", pin_x=i, pin_y=j, q1=q1, q2=q2)
 
@@ -101,7 +100,6 @@ def build_basic_scheme():
         ideal=Ideal(ring, gens),
         provenance="four-variable model of the linked quadric singularities "
         "(S, T renamed w1, w2 to avoid the Gram-matrix name clash)",
-        variable_roles=_roles(ring),
     )
 
 

@@ -1,14 +1,20 @@
 """Chart presentations of the local model and the section that proves them."""
 
 import json
+import random
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 from lmlab.groebner import Ideal, ideal_contains, ideal_equal, ideal_member, quotient
 from lmlab.lattice import normal_form
+import lmlab.localmodel
 from lmlab.localmodel import (
+    _naive_relation_values,
+    _oracle_failures,
+    _rank_one_samples,
     big_ring,
     block_layout,
     block_substitution,
@@ -200,6 +206,101 @@ def test_presentation_sound(d, delta):
 
 def test_za1_sound_reports_match_golden():
     assert za1_sound_payloads() == ZA1_SOUND_GOLDEN.read_text()
+
+
+# ------------------------------------------------------- za1 rank-one oracle
+
+
+def reference_oracle_failures(nf, images, oracle_samples, seed):
+    """The per-image oracle that verify_presentation ran before the matrix-level
+    one, copied unchanged: every image psi(g) is evaluated at every sample."""
+    _, small = build_U_ideals(nf)
+    zr = small.ring
+    delta, m = nf.delta, nf.d - nf.delta
+    T = trace_form(nf, zr)
+    bad = 0
+    for a, b in _rank_one_samples(nf, oracle_samples, seed):
+        assign = {"z_%d_%d" % (i, j): a[i - 1] * b[j - 1]
+                  for i in range(1, delta + 1) for j in range(1, m + 1)}
+        assign["pi"] = 0
+        assign["pi"] = -T.evaluate(assign) / 2
+        for img in images:
+            if img.evaluate(assign) != 0:
+                bad += 1
+                break
+    return bad
+
+
+def corrupted_section(nf, kind="diagonal"):
+    """block_substitution made wrong while Y = -X^t still holds.
+
+    diagonal: pi is added at the first diagonal x entry that is not a Z
+    position (and so subtracted at its y entry), which breaks rank one.
+    scaled: every image is doubled, which keeps rank one and X^t Y = 0 but
+    breaks the four S-relations.
+    """
+    psi = block_substitution(nf)
+    images = dict(psi.images)
+    if kind == "diagonal":
+        z_positions = set(block_layout(nf).z_dict.values())
+        a = next(a for a in range(1, nf.d + 1) if (a, a) not in z_positions)
+        pi = psi.target.var("pi")
+        images["x_%d_%d" % (a, a)] = images["x_%d_%d" % (a, a)] + pi
+        images["y_%d_%d" % (a, a)] = images["y_%d_%d" % (a, a)] - pi
+    else:
+        images = {v: img * 2 if v != "pi" else img for v, img in images.items()}
+    return RingMap(psi.source, psi.target, images)
+
+
+@pytest.mark.parametrize("d,delta", [(5, 1), (6, 2), (6, 3)])
+def test_matrix_relations_are_the_naive_generators(d, delta):
+    # at generic points (pi, X, -X^t) only the generators Y + X^t vanish,
+    # so equal value sets mean the oracle evaluates exactly the generators
+    nf = normal_form(d, delta)
+    gens = build_naive_chart_ideal(nf).ideal.generators
+    rng = random.Random(100 * d + delta)
+    for _ in range(2):
+        pi = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        X = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)]
+             for _ in range(d)]
+        point = {"pi": pi}
+        for a in range(d):
+            for b in range(d):
+                point["x_%d_%d" % (a + 1, b + 1)] = X[a][b]
+                point["y_%d_%d" % (b + 1, a + 1)] = -X[a][b]
+        expected = {g.evaluate(point) for g in gens} - {0}
+        assert set(_naive_relation_values(nf, X, pi)) - {0} == expected
+
+
+@lru_cache(maxsize=None)
+def section_and_images(d, delta, corrupt):
+    nf = normal_form(d, delta)
+    psi = corrupted_section(nf, corrupt) if corrupt else block_substitution(nf)
+    return psi, [psi(g) for g in build_naive_chart_ideal(nf).ideal.generators]
+
+
+@pytest.mark.parametrize("corrupt", [None, "diagonal", "scaled"])
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("d,delta", [(5, 1), (5, 2), (6, 2)])
+def test_matrix_oracle_matches_per_image_oracle(d, delta, seed, corrupt):
+    nf = normal_form(d, delta)
+    psi, images = section_and_images(d, delta, corrupt)
+    bad = _oracle_failures(nf, psi, 20, seed)
+    assert bad == reference_oracle_failures(nf, images, 20, seed)
+    assert (bad > 0) == (corrupt is not None)
+
+
+def test_oracle_fail_branch(monkeypatch):
+    # with every reduction forced to zero only the oracle can catch the section
+    monkeypatch.setattr(
+        lmlab.localmodel, "reduce_poly", lambda p, basis, timeout_s=None: (p.ring.zero(), [])
+    )
+    monkeypatch.setattr(lmlab.localmodel, "block_substitution", corrupted_section)
+    rep = verify_presentation(normal_form(5, 1), mode="sound")
+    assert rep.status == "fail"
+    assert rep.details["reduced_to_zero"] == rep.details["generators"]
+    assert rep.details["oracle_samples"] == 20
+    assert rep.details["oracle_failures"] > 0
 
 
 def test_presentation_complete_5_1():
