@@ -409,8 +409,9 @@ def exceptional_locus(nf, s, t, timeout_s=None):
         report.details["locus_is_product_chart"] = ok_locus
         report.details["free_variables"] = free_dim
         if not ok_locus:
+            basis = list(with_lam.gb(timeout_s=timeout_s))
             for g in expected_ideal.generators:
-                r, _ = reduce_poly(g, list(with_lam.gb(timeout_s=timeout_s)))
+                r, _ = reduce_poly(g, basis, timeout_s=timeout_s)
                 if not r.is_zero:
                     report.details["witness"] = str(r)
                     break

@@ -26,6 +26,14 @@ run through bounds 2, 3, 4 gives exactly the bases of fresh bounded runs.
 Each call to `advance` (and each `buchberger` call) has its own timeout_s
 budget, counted from its start; a step that times out keeps the pair it was
 reducing, so the run stays consistent.
+
+Reduction.  `reduce_poly` and the Buchberger loop share `_Engine.nf`.  The
+integer form of a basis polynomial is computed once and kept on it
+(`_prepared`), so reductions against one cached basis prepare it once.  The
+first reducer in list order that divides the current term is used, and zero
+basis entries never reduce.  With cofactors tracked, nf keeps
+M * p = sum(C_i g_i) + r and never divides out content, which would rescale
+M and every C_i.
 """
 
 from __future__ import annotations
@@ -124,11 +132,9 @@ def _primitive(terms):
     return {e: v // g for e, v in terms.items()}
 
 
-def _to_poly(ring, terms, monic=True):
-    if not terms:
-        return ring.zero()
-    p = Polynomial(ring, {e: Fraction(v) for e, v in terms.items()})
-    return p.monic() if monic else p
+def _to_poly(ring, terms, scale=1):
+    """The polynomial scale * terms of an integer term dict."""
+    return Polynomial(ring, {e: Fraction(v) * scale for e, v in terms.items() if v})
 
 
 def _mono_mul(a, b):
@@ -200,16 +206,21 @@ class _Engine:
 
     # -- fraction-free full normal form
 
-    def nf(self, terms, reducers):
+    def nf(self, terms, reducers, cofactors=None):
         """Normal form of an integer term dict against `_reducer` tuples.
 
         The first reducer in list order whose leading term divides the
-        current term is used; the mask test only skips non-divisors.
+        current term is used; the mask test only skips non-divisors.  With
+        `cofactors`, one dict per reducer, the loop also records the
+        multipliers: it returns (result, M) with
+        M * terms = sum(C_i * reducer_i) + result, and never removes content,
+        which would have to rescale M and every C_i.
         """
         work = dict(terms)
         done = set()
         key = self.key
         steps = 0
+        M = 1
         while True:
             self.check_time()
             best = None
@@ -223,15 +234,13 @@ class _Engine:
             if best is None:
                 break
             outside = ~_mask(best)
-            hit = None
-            for red in reducers:
+            for hit, red in enumerate(reducers):
                 if not red[3] & outside and _mono_divides(red[0], best):
-                    hit = red
                     break
-            if hit is None:
+            else:
                 done.add(best)
                 continue
-            lte, ltc, td, _ = hit
+            lte, ltc, td, _ = red
             c = work[best]
             g0 = gcd(c, ltc)
             mw = ltc // g0
@@ -247,10 +256,21 @@ class _Engine:
                     work[ne] = s
                 else:
                     work.pop(ne, None)
-            steps += 1
-            if steps % 64 == 0:
-                work = _primitive(work)
-        return _primitive(work)
+            if cofactors is None:
+                steps += 1
+                if steps % 64 == 0:
+                    work = _primitive(work)
+                continue
+            if mw != 1:
+                M *= mw
+                for cd in cofactors:
+                    for k2 in cd:
+                        cd[k2] *= mw
+            cd = cofactors[hit]
+            cd[shift] = cd.get(shift, 0) + mg
+        if cofactors is None:
+            return _primitive(work)
+        return work, M
 
     def spoly(self, lcm_exp, e1, c1, t1, e2, c2, t2):
         g0 = gcd(c1, c2)
@@ -352,7 +372,7 @@ class BuchbergerRun:
                 lt = eng.lead(h)
                 self._add((lt, h[lt], h, sug))
         kept = _interreduce([f[i] for i in sorted(self.active)], eng)
-        return tuple(_to_poly(self.ring, en[2]) for en in kept), self.partial
+        return tuple(_to_poly(self.ring, en[2]).monic() for en in kept), self.partial
 
     def _add(self, entry):
         """Append an entry and apply the Gebauer-Moeller update for it."""
@@ -475,89 +495,47 @@ class MembershipCertificate:
         return self.residue.is_zero
 
 
+def _prepared(b):
+    """(reducer, scale) of a basis polynomial, memoised on it.
+
+    reducer is (lt, lc, terms, mask of lt) of b's integer form and scale the
+    rational r with b = r * (integer form).  A zero b gets mask -1, which no
+    term's mask contains, so it never reduces.
+    """
+    if b._int is None:
+        terms, r = _int_clear(b)
+        if terms:
+            lt = max(terms, key=b.ring.exp_key)
+            b._int = ((lt, terms[lt], terms, _mask(lt)), r)
+        else:
+            b._int = ((None, 0, terms, -1), r)
+    return b._int
+
+
 def reduce_poly(p, basis, timeout_s=None):
     """Full normal form plus certificate against an ordered basis list.
 
     Divisor selection is first-match in list order; the normal form has no
     term divisible by any basis leading term.
     """
-    basis = list(basis)
+    basis = tuple(basis)
     ring = p.ring
     for b in basis:
         if b.ring != ring:
             raise PolyError("ring mismatch between polynomial and basis")
+    prepared = [_prepared(b) for b in basis]
     eng = _Engine(ring.exp_key, _deadline(timeout_s))
-    reducers = []
-    scales = []
-    for b in basis:
-        if b.is_zero:
-            reducers.append(None)
-            scales.append(Fraction(1))
-            continue
-        terms, r = _int_clear(b)
-        lt = eng.lead(terms)
-        reducers.append((lt, terms[lt], terms))
-        scales.append(r)
-
     pt, pr = _int_clear(p)
-    # tracked fraction-free reduction: M * p_int = sum(C_i g_i) + R
-    work = dict(pt)
-    cof = [dict() for _ in basis]
-    M = 1
-    done = set()
-    key = eng.key
-    while True:
-        eng.check_time()
-        best = None
-        bk = None
-        for e in work:
-            if e in done:
-                continue
-            ke = key(e)
-            if bk is None or ke > bk:
-                bk, best = ke, e
-        if best is None:
-            break
-        hit = -1
-        for idx, red in enumerate(reducers):
-            if red is not None and _mono_divides(red[0], best):
-                hit = idx
-                break
-        if hit < 0:
-            done.add(best)
-            continue
-        lte, ltc, td = reducers[hit]
-        c = work[best]
-        g0 = gcd(c, ltc)
-        mw = ltc // g0
-        mg = c // g0
-        if mw != 1:
-            M *= mw
-            for k2 in work:
-                work[k2] *= mw
-            for cd in cof:
-                for k2 in cd:
-                    cd[k2] *= mw
-        shift = tuple(a - b for a, b in zip(best, lte))
-        cof[hit][shift] = cof[hit].get(shift, 0) + mg
-        for ge, gc in td.items():
-            ne = _mono_mul(ge, shift)
-            s = work.get(ne, 0) - mg * gc
-            if s:
-                work[ne] = s
-            else:
-                work.pop(ne, None)
-
-    # p = pr * p_int; cofactor against original b_i needs the 1/scale_i
-    cofactors = []
-    for cd, r in zip(cof, scales):
-        q = Polynomial(ring, {e: Fraction(v) for e, v in cd.items() if v})
-        cofactors.append(q * (pr / (M * r)))
-    residue = Polynomial(ring, {e: Fraction(v) for e, v in work.items() if v}) * (
-        pr / M
+    # tracked fraction-free reduction: M * p_int = sum(C_i g_i) + R, and
+    # p = pr * p_int, so the cofactor of b_i = r_i * g_i is pr * C_i / (M r_i)
+    cof = [{} for _ in basis]
+    work, M = eng.nf(pt, [red for red, _ in prepared], cof)
+    cofactors = tuple(
+        _to_poly(ring, cd, pr / (M * r)) if cd else ring.zero()
+        for cd, (_, r) in zip(cof, prepared)
     )
-    cert = MembershipCertificate(tuple(basis), tuple(cofactors), residue)
-    return residue, cert
+    residue = _to_poly(ring, work, pr / M)
+    return residue, MembershipCertificate(basis, cofactors, residue)
 
 
 # ------------------------------------------------------------------ ideals
@@ -585,7 +563,7 @@ class Ideal:
         if self._gb is None:
             basis, _ = buchberger(self, timeout_s=timeout_s)
             for g in self.generators:
-                r, _ = reduce_poly(g, basis)
+                r, _ = reduce_poly(g, basis, timeout_s=timeout_s)
                 if not r.is_zero:
                     raise PolyError("internal error: generator fails to reduce")
             self._gb = basis
@@ -663,8 +641,8 @@ def intersect(I, J, timeout_s=None):
     return Ideal(I.ring, [g.cast(I.ring) for g in E.generators])
 
 
-def _exact_div(h, f):
-    r, cert = reduce_poly(h, [f])
+def _exact_div(h, f, timeout_s=None):
+    r, cert = reduce_poly(h, [f], timeout_s=timeout_s)
     if not r.is_zero:
         raise PolyError("inexact division in ideal quotient")
     return cert.cofactors[0]
@@ -676,7 +654,7 @@ def quotient(I, f, timeout_s=None):
     if f.is_zero:
         raise PolyError("quotient by zero")
     J = intersect(I, Ideal(I.ring, [f]), timeout_s=timeout_s)
-    gens = [_exact_div(h, f) for h in J.generators]
+    gens = [_exact_div(h, f, timeout_s) for h in J.generators]
     return Ideal(I.ring, gens)
 
 

@@ -27,7 +27,6 @@ class LatticeNormalForm:
     case_tag: int
     n: int
     r: int
-    r_prime: int
     Delta: tuple
     DeltaC: tuple
     S1: tuple
@@ -42,12 +41,6 @@ class LatticeNormalForm:
     @property
     def delta_star(self):
         return min(self.delta, self.d - self.delta)
-
-    def s1_entry(self, i, j):
-        return self.S1[i - 1][j - 1]
-
-    def s2_entry(self, i, j):
-        return self.S2[i - 1][j - 1]
 
     def delta_pos(self, i):
         """1-based position of global index i inside sorted Delta."""
@@ -78,7 +71,6 @@ def normal_form(d, delta):
     case = _case_tag(d, delta)
     n = d // 2
     r = delta // 2
-    r_prime = r if delta % 2 == 0 else r + 1
 
     S1 = [[0] * d for _ in range(d)]
     S2 = [[0] * d for _ in range(d)]
@@ -122,7 +114,6 @@ def normal_form(d, delta):
         case_tag=case,
         n=n,
         r=r,
-        r_prime=r_prime,
         Delta=Delta,
         DeltaC=DeltaC,
         S1=tuple(tuple(row) for row in S1),

@@ -251,12 +251,13 @@ class PolyRing:
 class Polynomial:
     """Immutable sparse polynomial: dict from exponent tuple to nonzero Fraction."""
 
-    __slots__ = ("ring", "terms", "_st")
+    __slots__ = ("ring", "terms", "_st", "_int")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
         self._st = None
+        self._int = None  # integer form, memoised by lmlab.groebner
 
     # -- basic structure
 

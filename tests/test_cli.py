@@ -13,7 +13,13 @@ from lmlab.suite import SuiteConfig, run_suite, strip_timings
 def run_cli(*args, env=None):
     import os
 
+    import lmlab
+
     full_env = dict(os.environ)
+    # the child imports the same lmlab as this process, also when pytest put
+    # src/ on sys.path itself
+    src = os.path.dirname(os.path.dirname(lmlab.__file__))
+    full_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, full_env.get("PYTHONPATH")]))
     if env:
         full_env.update(env)
     return subprocess.run(

@@ -1,10 +1,15 @@
-"""The Buchberger engine against a reference copy of its earlier pair layer.
+"""The Groebner engine against reference copies of its earlier code.
 
-The reference below is the pair update and selection loop the engine had
+The first reference is the pair update and selection loop the engine had
 before its pairs were kept in a heap with cached lcms and support masks,
 copied unchanged together with the reduction it called.  The engine must
 process the same pairs in the same order, so it must end with the same entry
 list, the same active set and the same partial flag.
+
+The second is `reduce_poly` as it was before it shared the engine's
+reduction loop and memoised the integer form of each basis polynomial,
+copied unchanged.  Both select the first divisor in list order, so the
+residue and every cofactor must be equal.
 """
 
 import time
@@ -15,11 +20,26 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import lmlab.groebner as groebner
 from lmlab.blowup import build_M_chart
-from lmlab.groebner import BuchbergerRun, GBTimeout, Ideal, _int_clear
+from lmlab.groebner import (
+    BuchbergerRun,
+    GBTimeout,
+    Ideal,
+    MembershipCertificate,
+    _deadline,
+    _int_clear,
+    buchberger,
+)
 from lmlab.lattice import normal_form
-from lmlab.localmodel import _y_elimination_map, build_naive_chart_ideal, build_U_ideals, x_ring
-from lmlab.poly import Block, GrevLex, Lex, PolyRing
+from lmlab.localmodel import (
+    _y_elimination_map,
+    block_substitution,
+    build_naive_chart_ideal,
+    build_U_ideals,
+    x_ring,
+)
+from lmlab.poly import Block, GrevLex, Lex, PolyError, PolyRing, Polynomial
 
 GRID = [(5, 1), (5, 2), (6, 1), (6, 2), (6, 3), (7, 2), (7, 3)]
 
@@ -261,6 +281,91 @@ def reference(ideal, order=None, degree_bound=None):
     return _groebner_int(int_gens, eng, degree_bound)
 
 
+def reduce_poly(p, basis, timeout_s=None):
+    """Full normal form plus certificate against an ordered basis list.
+
+    Divisor selection is first-match in list order; the normal form has no
+    term divisible by any basis leading term.
+    """
+    basis = list(basis)
+    ring = p.ring
+    for b in basis:
+        if b.ring != ring:
+            raise PolyError("ring mismatch between polynomial and basis")
+    eng = _Engine(ring.exp_key, _deadline(timeout_s))
+    reducers = []
+    scales = []
+    for b in basis:
+        if b.is_zero:
+            reducers.append(None)
+            scales.append(Fraction(1))
+            continue
+        terms, r = _int_clear(b)
+        lt = eng.lead(terms)
+        reducers.append((lt, terms[lt], terms))
+        scales.append(r)
+
+    pt, pr = _int_clear(p)
+    # tracked fraction-free reduction: M * p_int = sum(C_i g_i) + R
+    work = dict(pt)
+    cof = [dict() for _ in basis]
+    M = 1
+    done = set()
+    key = eng.key
+    while True:
+        eng.check_time()
+        best = None
+        bk = None
+        for e in work:
+            if e in done:
+                continue
+            ke = key(e)
+            if bk is None or ke > bk:
+                bk, best = ke, e
+        if best is None:
+            break
+        hit = -1
+        for idx, red in enumerate(reducers):
+            if red is not None and _mono_divides(red[0], best):
+                hit = idx
+                break
+        if hit < 0:
+            done.add(best)
+            continue
+        lte, ltc, td = reducers[hit]
+        c = work[best]
+        g0 = gcd(c, ltc)
+        mw = ltc // g0
+        mg = c // g0
+        if mw != 1:
+            M *= mw
+            for k2 in work:
+                work[k2] *= mw
+            for cd in cof:
+                for k2 in cd:
+                    cd[k2] *= mw
+        shift = tuple(a - b for a, b in zip(best, lte))
+        cof[hit][shift] = cof[hit].get(shift, 0) + mg
+        for ge, gc in td.items():
+            ne = _mono_mul(ge, shift)
+            s = work.get(ne, 0) - mg * gc
+            if s:
+                work[ne] = s
+            else:
+                work.pop(ne, None)
+
+    # p = pr * p_int; cofactor against original b_i needs the 1/scale_i
+    cofactors = []
+    for cd, r in zip(cof, scales):
+        q = Polynomial(ring, {e: Fraction(v) for e, v in cd.items() if v})
+        cofactors.append(q * (pr / (M * r)))
+    residue = Polynomial(ring, {e: Fraction(v) for e, v in work.items() if v}) * (
+        pr / M
+    )
+    cert = MembershipCertificate(tuple(basis), tuple(cofactors), residue)
+    return residue, cert
+
+
 # -------------------------------------------------------------------- tests
 
 
@@ -316,3 +421,71 @@ def test_same_run_on_small_ideals(gens, order, bound):
     R = PolyRing(["x", "y", "z"], order)
     ideal = Ideal(R, [R.poly({e: Fraction(c) for e, c in g.items()}) for g in gens])
     assert_same_run(ideal, degree_bound=bound)
+
+
+# ---------------------------------------------------------------- reduction
+
+
+def assert_same_reduction(p, basis):
+    want_r, want = reduce_poly(p, basis)
+    got_r, got = groebner.reduce_poly(p, basis)
+    assert got_r == want_r
+    assert got.basis == want.basis
+    assert len(got.cofactors) == len(want.cofactors)
+    assert all(a == b for a, b in zip(got.cofactors, want.cofactors))
+    assert got.verify(p)
+
+
+def test_same_reduction_of_za1_images():
+    nf = normal_form(6, 2)
+    psi = block_substitution(nf)
+    _, small = build_U_ideals(nf)
+    basis = list(small.ideal.gb())
+    images = [psi(g) for g in build_naive_chart_ideal(nf).ideal.generators]
+    images = [img for img in images if not img.is_zero]
+    # a variable added to each image leaves a nonzero residue
+    shifted = [img + img.ring.var(img.ring.variables[k % 5]) for k, img in enumerate(images[:40])]
+    for _ in range(2):  # the second pass reads the memoised basis
+        for p in images + shifted:
+            assert_same_reduction(p, basis)
+
+
+_coeffs = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 4))
+_qpolys = st.dictionaries(_exponents, _coeffs, min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    gens=st.lists(_qpolys, min_size=1, max_size=4),
+    order=_orders,
+    bound=st.integers(2, 5),
+    p=_qpolys,
+    q=_qpolys,
+)
+def test_same_reduction_against_reduced_bases(gens, order, bound, p, q):
+    R = PolyRing(["x", "y", "z"], order)
+    basis, _ = buchberger(Ideal(R, [R.poly(g) for g in gens]), degree_bound=bound)
+    basis = list(basis)
+    f = R.poly(p) * basis[-1] + R.poly(q)
+    for _ in range(2):
+        assert_same_reduction(f, basis)
+        assert_same_reduction(R.poly(p), basis)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    gens=st.lists(_qpolys, min_size=1, max_size=4),
+    picks=st.lists(st.integers(0, 4), min_size=1, max_size=7),
+    order=_orders,
+    p=_qpolys,
+    q=_qpolys,
+)
+def test_same_reduction_against_unreduced_lists(gens, picks, order, p, q):
+    # non-monic entries, repeated and zero ones: the cofactors depend on
+    # which entry is taken first
+    R = PolyRing(["x", "y", "z"], order)
+    pool = [R.poly(g) for g in gens] + [R.zero()]
+    basis = [pool[k % len(pool)] for k in picks]
+    f = R.poly(p) * pool[0] + R.poly(q)
+    for _ in range(2):
+        assert_same_reduction(f, basis)

@@ -1,6 +1,7 @@
 """Buchberger engine and ideal-operation tests."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -32,7 +33,7 @@ from lmlab.localmodel import (
     z_matrix,
     z_ring,
 )
-from lmlab.poly import Lex, ParseError, PolyMatrix, PolyRing, minors, parse_poly
+from lmlab.poly import Lex, ParseError, PolyError, PolyMatrix, PolyRing, minors, parse_poly
 
 
 def test_reduce_hand_buchberger_example():
@@ -362,6 +363,55 @@ def test_timeout_raises_and_is_typed():
     _, small = build_U_ideals(nf)
     with pytest.raises(GBTimeout):
         buchberger(small.ideal, timeout_s=1e-9)
+
+
+def test_budget_reaches_every_reduction(monkeypatch):
+    # the generator check of Ideal.gb and the exact divisions of quotient
+    # reduce with the caller's budget
+    import lmlab.groebner as groebner
+
+    real = groebner.reduce_poly
+    budgets = []
+
+    def spy(p, basis, timeout_s=None):
+        budgets.append(timeout_s)
+        return real(p, basis, timeout_s=timeout_s)
+
+    monkeypatch.setattr(groebner, "reduce_poly", spy)
+    R = PolyRing(["x", "y"])
+    I = Ideal(R, ["x^2 - y", "x*y - 1"])
+    I.gb(timeout_s=60)
+    assert budgets == [60, 60]
+    budgets.clear()
+    quotient(Ideal(R, ["x^2*y", "x*y^2"]), R.var("x"), timeout_s=60)
+    assert budgets and set(budgets) == {60}
+
+
+def test_basis_is_cleared_once_per_polynomial(monkeypatch):
+    import lmlab.groebner as groebner
+
+    real = groebner._int_clear
+    cleared = []
+
+    def counting(p):
+        cleared.append(p)
+        return real(p)
+
+    monkeypatch.setattr(groebner, "_int_clear", counting)
+    R = PolyRing(["x", "y", "z"])
+    basis = [parse_poly(g, R) for g in ("2*x^2 - 3*y", "x*y - 2*z", "0", "3*y^2 - 5*z")]
+    basis[1] = basis[1] * Fraction(1, 2)
+    ps = [parse_poly("x^3*y - %d*z^2 + y" % k, R) for k in range(5)]
+    for p in ps:
+        _, cert = reduce_poly(p, basis)
+        assert cert.verify(p)
+    assert len(cleared) == len(basis) + len(ps)
+    # a polynomial of the same variables under another order is still refused
+    other = PolyRing(["x", "y", "z"], Lex())
+    with pytest.raises(PolyError):
+        reduce_poly(ps[0].cast(other), basis)
+    with pytest.raises(PolyError):
+        reduce_poly(ps[0], basis + [parse_poly("x", other)])
 
 
 def test_ideal_file_rational_coefficients_roundtrip():
