@@ -34,12 +34,31 @@ first reducer in list order that divides the current term is used, and zero
 basis entries never reduce.  With cofactors tracked, nf keeps
 M * p = sum(C_i g_i) + r and never divides out content, which would rescale
 M and every C_i.
+
+Basis cache.  Inside a `basis_cache()` block, `buchberger` keeps the result
+of every complete run, keyed by the ring with its order and the set of the
+generators' primitive integer forms: the reduced basis is unique, so the
+generators' order, scaling and repetition do not matter.  Degree-bounded
+runs and runs that time out are never stored, and leaving the block
+restores the previous state.  The cache sits inside `buchberger` so that
+`Ideal.gb`, `eliminate`, `intersect`, `radical_member` and `krull_dim` all
+share it; `BuchbergerRun` used directly is not cached.  The suite opens one
+block per instance.
+
+Nonzerodivisors.  `is_nonzerodivisor(I, v)` needs no ideal quotient.  It
+homogenizes the grevlex basis of I with a fresh h and computes the reduced
+basis of I^h under graded reverse lex with v last and h next to last; v is a
+nonzerodivisor on R/I iff v divides none of its leading monomials (Bayer and
+Stillman: in(J : v) = in(J) : v for homogeneous J and v last; v is a
+nonzerodivisor on S/I^h iff on R/I).  v last is what the criterion needs;
+h next to last halves the run on the resolution charts against h after pi.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -48,12 +67,14 @@ from operator import itemgetter
 
 from .poly import (
     Block,
+    GrevLex,
     ParseError,
     PolyError,
     PolyRing,
     Polynomial,
     order_from_name,
     parse_poly,
+    _grevlex_positions,
 )
 
 __all__ = [
@@ -61,6 +82,7 @@ __all__ = [
     "GBTimeout",
     "Ideal",
     "MembershipCertificate",
+    "basis_cache",
     "buchberger",
     "reduce_poly",
     "ideal_member",
@@ -68,7 +90,7 @@ __all__ = [
     "ideal_contains",
     "eliminate",
     "quotient",
-    "saturate",
+    "is_nonzerodivisor",
     "radical_member",
     "intersect",
     "krull_dim",
@@ -322,6 +344,8 @@ class BuchbergerRun:
         # seed deterministically, biggest leading term first
         seeds.sort(key=lambda t: eng.key(eng.lead(t)), reverse=True)
         self.ring = ring
+        # the reduced basis of a complete run depends on nothing else
+        self.key = (ring, frozenset(seen))
         self.eng = eng
         self.entries = []
         self.active = set()
@@ -462,14 +486,41 @@ def _interreduce(entries, eng):
     return kept
 
 
+_cache = None  # key of a complete run -> its result, inside basis_cache()
+
+
+@contextmanager
+def basis_cache():
+    """Within the block, `buchberger` computes each complete basis once.
+
+    The block starts empty, and leaving it, also by an exception, restores
+    whatever was active before.
+    """
+    global _cache
+    saved, _cache = _cache, {}
+    try:
+        yield
+    finally:
+        _cache = saved
+
+
 def buchberger(ideal, order=None, degree_bound=None, timeout_s=None):
     """Reduced Groebner basis of the ideal under the given (or ring) order.
 
     With degree_bound set, S-pairs above the sugar bound are dropped and the
     basis is flagged partial: sound for certifying membership on reduction to
     zero, never for non-membership.  Returns (tuple of monic polys, partial).
+    Inside `basis_cache()` a complete basis is looked up by the ring and the
+    set of the generators' primitive integer forms; a run that times out
+    stores nothing.
     """
-    return BuchbergerRun(ideal, order).advance(degree_bound, timeout_s)
+    run = BuchbergerRun(ideal, order)
+    if degree_bound is not None or _cache is None:
+        return run.advance(degree_bound, timeout_s)
+    got = _cache.get(run.key)
+    if got is None:
+        got = _cache[run.key] = run.advance(None, timeout_s)
+    return got
 
 
 # ------------------------------------------------------------ certificates
@@ -658,14 +709,54 @@ def quotient(I, f, timeout_s=None):
     return Ideal(I.ring, gens)
 
 
-def saturate(I, f, timeout_s=None):
-    """(I : f^infinity), iterating the quotient to stabilization."""
-    current = Ideal(I.ring, I.generators)
-    while True:
-        nxt = quotient(current, f, timeout_s=timeout_s)
-        if ideal_contains(current, nxt, timeout_s=timeout_s):
-            return current
-        current = nxt
+@dataclass(frozen=True)
+class _RevLexLast:
+    """Graded reverse lex with the named variables weighted least, in turn.
+
+    `_RevLexLast(("v", "h"))` compares v last and h next to last; the other
+    variables keep their grevlex weights.  Private to `is_nonzerodivisor`.
+    """
+
+    last: tuple
+
+    def key_fn(self, variables):
+        rest = [i for i, x in enumerate(variables) if x not in self.last]
+        rev = tuple(variables.index(x) for x in self.last) + tuple(
+            rest[p] for p in _grevlex_positions([variables[i] for i in rest])
+        )
+
+        def key(exp):
+            return (sum(exp), tuple(-exp[p] for p in rev))
+
+        return key
+
+
+def is_nonzerodivisor(I, v, timeout_s=None):
+    """True iff the variable v is a nonzerodivisor on R/I.
+
+    Decided from the leading monomials of the complete reduced basis of the
+    homogenization I^h, without an ideal quotient; the module docstring
+    gives the argument.
+    """
+    v = v.cast(I.ring)
+    if len(v.terms) != 1 or v.total_degree() != 1 or v.lc() != 1:
+        raise PolyError("nonzerodivisor test needs a variable, got %s" % v)
+    (name,) = v.variables_used()
+    if isinstance(I.ring.order, GrevLex):
+        basis = I.gb(timeout_s=timeout_s)
+    else:
+        basis, _ = buchberger(I, order=GrevLex(), timeout_s=timeout_s)
+    h = _fresh_name(I.ring, "h")
+    ring = PolyRing(I.ring.variables + (h,), _RevLexLast((name, h)))
+    gens = []
+    for g in basis:
+        deg = g.total_degree()
+        gens.append(Polynomial(ring, {e + (deg - sum(e),): c for e, c in g.terms.items()}))
+    hbasis, partial = buchberger(Ideal(ring, gens), timeout_s=timeout_s)
+    if partial:
+        raise PolyError("internal error: partial basis in the nonzerodivisor test")
+    k = ring.index[name]
+    return not any(b.lm()[k] for b in hbasis)
 
 
 def radical_member(p, I, timeout_s=None):

@@ -5,6 +5,10 @@ chart), dt-equals-u (determinantal normalization), linked-fiber (special
 fiber of the linked quadric), b-blowup (basic-scheme blow-up multiplicities),
 quadbu-smooth (relative smoothness of blow-up charts), affine-chart,
 chart-match, exceptional (resolution charts), annihilator, flatness-dims.
+
+The checks of one instance run together, in one `basis_cache()` block, so
+that they share every Groebner basis they compute; `run_suite` runs one task
+per instance, and `--jobs` spreads the instances over worker processes.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ __all__ = [
     "CHECK_NAMES",
     "CHECK_ALIASES",
     "run_check",
+    "run_instance",
     "run_suite",
     "report_payload",
     "strip_timings",
@@ -283,13 +288,21 @@ def run_check(check, d, delta, mode="sound", timeout_s=None, seed=7, pivots=None
     return fn(nf, mode, timeout_s, seed)
 
 
-def _task(args):
-    check, d, delta, mode, timeout_s, seed = args
-    try:
-        reports = run_check(check, d, delta, mode, timeout_s, seed)
-    except Exception as exc:  # defensive: a crashed check is a failed check
-        reports = [_wrap_error(check, {"d": d, "delta": delta}, exc)]
-    return [r.to_dict() for r in reports]
+def run_instance(checks, d, delta, mode="sound", timeout_s=None, seed=7, pivots=None):
+    """Reports of the named checks at one instance, sharing one basis cache.
+
+    A check that raises gives one report built by `_wrap_error`.
+    """
+    from .groebner import basis_cache
+
+    reports = []
+    with basis_cache():
+        for check in checks:
+            try:
+                reports += run_check(check, d, delta, mode, timeout_s, seed, pivots)
+            except Exception as exc:  # defensive: a crashed check is a failed check
+                reports.append(_wrap_error(check, {"d": d, "delta": delta}, exc))
+    return reports
 
 
 def _sort_key(rep):
@@ -306,26 +319,25 @@ def run_suite(config):
     """Run the configured checks; returns (exit_code, payload dict)."""
     config.validate()
     tasks = [
-        (check, d, delta, config.mode, config.timeout_s, config.seed)
-        for check in config.checks
-        for (d, delta) in config.grid
+        (config.checks, d, delta, config.mode, config.timeout_s, config.seed)
+        for d, delta in config.grid
     ]
     if config.jobs > 1:
+        # a worker that dies breaks the pool: its instance, and every one
+        # still waiting, gets one error report per check
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            chunks = list(pool.map(_task, tasks))
+            futures = [pool.submit(run_instance, *task) for task in tasks]
+            chunks = []
+            for (d, delta), fut in zip(config.grid, futures):
+                try:
+                    chunks.append(fut.result())
+                except Exception as exc:
+                    instance = {"d": d, "delta": delta}
+                    chunks.append([_wrap_error(c, instance, exc) for c in config.checks])
     else:
-        chunks = [_task(t) for t in tasks]
-    reports = [r for chunk in chunks for r in chunk]
-    reports.sort(key=_sort_key)
-    summary = {"pass": 0, "fail": 0, "uncertified": 0, "timeout": 0}
-    for r in reports:
-        summary[r["status"]] += 1
-    payload = {
-        "version": REPORT_VERSION,
-        "config": config.to_dict(),
-        "reports": reports,
-        "summary": summary,
-    }
+        chunks = [run_instance(*task) for task in tasks]
+    payload = report_payload([r for chunk in chunks for r in chunk], config)
+    summary = payload["summary"]
     if summary["fail"]:
         code = 1
     elif summary["uncertified"] or summary["timeout"]:

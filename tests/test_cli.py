@@ -1,8 +1,12 @@
 """Command-line interface and report determinism tests."""
 
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
+
+import pytest
 
 from lmlab.groebner import read_ideal_text, write_ideal_text
 from lmlab.lattice import normal_form
@@ -101,6 +105,13 @@ def test_verify_rejects_non_integer_pivot():
     assert "Traceback" not in out.stderr
 
 
+def test_verify_rejects_out_of_range_pivot():
+    out = run_cli("verify", "blowup", "--d", "6", "--delta", "2", "--pivot", "9,9")
+    assert out.returncode == 64
+    assert "9,9" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_verify_command_exit_zero(tmp_path):
     report = tmp_path / "rep.json"
     out = run_cli(
@@ -160,3 +171,28 @@ def test_suite_parallel_matches_serial():
     # the config block records the worker count; report content must agree
     assert a["reports"] == b["reports"]
     assert a["summary"] == b["summary"]
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched check reaches the workers only when they are forked",
+)
+def test_suite_reports_a_crashed_worker(monkeypatch):
+    import lmlab.suite as suite
+
+    real = suite._CHECKS["b-blowup"]
+
+    def crash(nf, *args):
+        if (nf.d, nf.delta) == (5, 2):
+            os._exit(3)
+        return real(nf, *args)
+
+    monkeypatch.setitem(suite._CHECKS, "b-blowup", crash)
+    config = SuiteConfig(grid=[(5, 1), (5, 2)], checks=["dt-equals-u", "b-blowup"], jobs=2)
+    code, payload = run_suite(config)
+    assert code == 1
+    crashed = [r for r in payload["reports"] if r["instance"] == {"d": 5, "delta": 2}]
+    assert sorted(r["check"] for r in crashed) == ["b-blowup", "dt-equals-u"]
+    for r in crashed:
+        assert r["status"] == "fail"
+        assert "terminated abruptly" in r["details"]["error"]

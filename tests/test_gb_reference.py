@@ -10,6 +10,10 @@ The second is `reduce_poly` as it was before it shared the engine's
 reduction loop and memoised the integer form of each basis polynomial,
 copied unchanged.  Both select the first divisor in list order, so the
 residue and every cofactor must be equal.
+
+The third is the nonzerodivisor test the checks used before
+`is_nonzerodivisor`: v is a nonzerodivisor on R/I iff I contains (I : v).
+The two must give the same verdict.
 """
 
 import time
@@ -30,6 +34,9 @@ from lmlab.groebner import (
     _deadline,
     _int_clear,
     buchberger,
+    ideal_contains,
+    is_nonzerodivisor,
+    quotient,
 )
 from lmlab.lattice import normal_form
 from lmlab.localmodel import (
@@ -39,7 +46,8 @@ from lmlab.localmodel import (
     build_U_ideals,
     x_ring,
 )
-from lmlab.poly import Block, GrevLex, Lex, PolyError, PolyRing, Polynomial
+from lmlab.quadric import build_linked_chart_ideal
+from lmlab.poly import Block, GrevLex, Lex, PolyError, PolyRing, Polynomial, parse_poly
 
 GRID = [(5, 1), (5, 2), (6, 1), (6, 2), (6, 3), (7, 2), (7, 3)]
 
@@ -489,3 +497,78 @@ def test_same_reduction_against_unreduced_lists(gens, picks, order, p, q):
     f = R.poly(p) * pool[0] + R.poly(q)
     for _ in range(2):
         assert_same_reduction(f, basis)
+
+
+# ---------------------------------------------------------- nonzerodivisors
+
+
+def assert_same_nzd_verdict(ideal, v):
+    want = ideal_contains(ideal, quotient(ideal, v))
+    assert is_nonzerodivisor(ideal, v) == want
+    return want
+
+
+def with_zero_divisor(ideal, v):
+    """I + (v (x - 7)), x the first other variable: v becomes a zero divisor."""
+    ring = ideal.ring
+    x = ring.var(next(name for name in ring.variables if ring.var(name) != v))
+    return Ideal(ring, list(ideal.generators) + [v * (x - 7)])
+
+
+@pytest.mark.parametrize("d,delta", [inst for inst in GRID if inst[0] <= 6])
+def test_same_nzd_verdict_for_lambda_at_every_pivot(d, delta):
+    nf = normal_form(d, delta)
+    for s in nf.Delta:
+        for t in nf.DeltaC:
+            ideal = build_M_chart(nf, s, t).full.ideal
+            lam = ideal.ring.var("lambda")
+            assert assert_same_nzd_verdict(ideal, lam), (s, t)
+            assert not assert_same_nzd_verdict(with_zero_divisor(ideal, lam), lam), (s, t)
+
+
+@pytest.mark.parametrize("d,delta", GRID)
+def test_same_nzd_verdict_for_pi_on_linked_pins_and_flatness_chart(d, delta):
+    nf = normal_form(d, delta)
+    U, _ = build_U_ideals(nf)
+    ideals = [U.ideal]
+    ideals += [
+        build_linked_chart_ideal(nf, i, j).chart.ideal for i in nf.DeltaC for j in nf.Delta
+    ]
+    for ideal in ideals:
+        pi = ideal.ring.var("pi")
+        assert assert_same_nzd_verdict(ideal, pi)
+        assert not assert_same_nzd_verdict(with_zero_divisor(ideal, pi), pi)
+
+
+def test_same_nzd_verdict_on_unit_and_zero_ideal():
+    R = PolyRing(["x", "y"])
+    for gens in (["1"], ["2*x - 2*x + 3"], []):
+        assert assert_same_nzd_verdict(Ideal(R, gens), R.var("y"))
+
+
+def test_nzd_test_needs_a_variable():
+    R = PolyRing(["x", "y"])
+    for v in ("x + y", "2*x", "x*y"):
+        with pytest.raises(PolyError):
+            is_nonzerodivisor(Ideal(R, ["x^2"]), parse_poly(v, R))
+
+
+# multilinear, so that the reference's lex bases stay small
+_ml_exponents = st.tuples(*[st.integers(0, 1)] * 3)
+_ml_polys = st.dictionaries(_ml_exponents, st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    gens=st.lists(_ml_polys, min_size=1, max_size=3),
+    order=_orders,
+    k=st.integers(0, 2),
+    zero_divisor=st.booleans(),
+)
+def test_same_nzd_verdict_on_small_ideals(gens, order, k, zero_divisor):
+    R = PolyRing(["x", "y", "z"], order)
+    ideal = Ideal(R, [R.poly({e: Fraction(c) for e, c in g.items()}) for g in gens])
+    v = R.var(R.variables[k])
+    if zero_divisor:
+        ideal = with_zero_divisor(ideal, v)
+    assert_same_nzd_verdict(ideal, v)

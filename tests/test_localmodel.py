@@ -151,7 +151,6 @@ def test_block_layout_z_dict_case_I_verbatim():
     assert layout.z_dict[(1, 1)] == (3, 1)
     assert layout.z_dict[(1, 3)] == (3, 5)
     assert layout.z_dict[(2, 4)] == (4, 6)
-    assert layout.block_range("A") == ((3, 4), (3, 4))
 
 
 def test_block_layout_case_II_erased_column():
