@@ -236,10 +236,7 @@ def build_M_chart(nf, s, t, timeout_s=None):
     lambda Q1 times a flipped x.  Eliminating them must give exactly the
     reduced hypersurface lambda^2 Q2(x) Q1(y) + pi with the two pins.
     """
-    if s not in nf.Delta:
-        raise LatticeError("pivot s=%d is not an N position" % s)
-    if t not in nf.DeltaC:
-        raise LatticeError("pivot t=%d is not an M position" % t)
+    _pivot_to_z(nf, s, t)  # raises LatticeError for a pivot outside Delta x DeltaC
     d = nf.d
     full, red = m_chart_rings(nf)
     lam = full.var("lambda")
@@ -289,6 +286,11 @@ def build_M_chart(nf, s, t, timeout_s=None):
 
 
 def _pivot_to_z(nf, s, t):
+    """Positions of an M-chart pivot (s in Delta, t in DeltaC) in Z."""
+    if s not in nf.Delta:
+        raise LatticeError("pivot s=%d is not an N position" % s)
+    if t not in nf.DeltaC:
+        raise LatticeError("pivot t=%d is not an M position" % t)
     return nf.delta_pos(s), nf.deltac_pos(t)
 
 

@@ -137,23 +137,6 @@ def _exit_code(statuses):
     return EXIT_OK
 
 
-def _validate_pivots(checks, d, delta, pivots):
-    """A pivot outside a check's range is bad input, not a failed check."""
-    nf = normal_form(d, delta)
-    for s, t in pivots or ():
-        for check in checks:
-            if check == "quadbu-smooth":
-                ok = 1 <= s <= delta and 1 <= t <= d - delta
-            elif check in CHECK_ALIASES["blowup"]:
-                ok = s in nf.Delta and t in nf.DeltaC
-            else:
-                continue
-            if not ok:
-                raise ConfigError(
-                    "--pivot %d,%d is out of range for %s at %d:%d" % (s, t, check, d, delta)
-                )
-
-
 def cmd_verify(args):
     checks = _parse_checks(args.check)
     pivots = _parse_pivot(args.pivot)
@@ -165,7 +148,6 @@ def cmd_verify(args):
         seed=args.seed,
     )
     config.validate()
-    _validate_pivots(checks, args.d, args.delta, pivots)
     reports = run_instance(
         checks, args.d, args.delta, args.mode, args.timeout_s, args.seed, pivots
     )

@@ -18,7 +18,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .lattice import normal_form
+from .lattice import LatticeError, normal_form
 from .report import FAIL, PASS, Stopwatch, TIMEOUT, VerificationReport
 from .poly import PolyError
 
@@ -291,7 +291,9 @@ def run_check(check, d, delta, mode="sound", timeout_s=None, seed=7, pivots=None
 def run_instance(checks, d, delta, mode="sound", timeout_s=None, seed=7, pivots=None):
     """Reports of the named checks at one instance, sharing one basis cache.
 
-    A check that raises gives one report built by `_wrap_error`.
+    A check that raises gives one report built by `_wrap_error`, except a
+    `LatticeError` under explicit pivots: that is a pivot out of range, bad
+    input rather than a failed check, and it propagates to the caller.
     """
     from .groebner import basis_cache
 
@@ -301,6 +303,8 @@ def run_instance(checks, d, delta, mode="sound", timeout_s=None, seed=7, pivots=
             try:
                 reports += run_check(check, d, delta, mode, timeout_s, seed, pivots)
             except Exception as exc:  # defensive: a crashed check is a failed check
+                if pivots and isinstance(exc, LatticeError):
+                    raise
                 reports.append(_wrap_error(check, {"d": d, "delta": delta}, exc))
     return reports
 
@@ -318,9 +322,14 @@ def _sort_key(rep):
 def run_suite(config):
     """Run the configured checks; returns (exit_code, payload dict)."""
     config.validate()
+    grid = list(config.grid)
+    if config.jobs > 1:
+        # the larger d, then delta, the longer an instance runs: submitting
+        # the largest first keeps the longest task from starting last
+        grid.sort(reverse=True)
     tasks = [
         (config.checks, d, delta, config.mode, config.timeout_s, config.seed)
-        for d, delta in config.grid
+        for d, delta in grid
     ]
     if config.jobs > 1:
         # a worker that dies breaks the pool: its instance, and every one
@@ -328,7 +337,7 @@ def run_suite(config):
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             futures = [pool.submit(run_instance, *task) for task in tasks]
             chunks = []
-            for (d, delta), fut in zip(config.grid, futures):
+            for (d, delta), fut in zip(grid, futures):
                 try:
                     chunks.append(fut.result())
                 except Exception as exc:

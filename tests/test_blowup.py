@@ -112,6 +112,11 @@ def test_m_chart_pivot_validation():
         build_M_chart(nf, 1, 1)
     with pytest.raises(LatticeError):
         build_M_chart(nf, 3, 4)
+    # chart_match and linking_multipliers share the range check
+    with pytest.raises(LatticeError):
+        chart_match(nf, 9, 9)
+    with pytest.raises(LatticeError):
+        linking_multipliers(nf, 1, 1)
 
 
 @pytest.mark.parametrize("d,delta", [(5, 1), (6, 2)])

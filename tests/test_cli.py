@@ -105,10 +105,17 @@ def test_verify_rejects_non_integer_pivot():
     assert "Traceback" not in out.stderr
 
 
-def test_verify_rejects_out_of_range_pivot():
-    out = run_cli("verify", "blowup", "--d", "6", "--delta", "2", "--pivot", "9,9")
-    assert out.returncode == 64
-    assert "9,9" in out.stderr
+# chart-match and exceptional reject the pivot; affine-chart and
+# quadbu-smooth report it as a failed chart
+@pytest.mark.parametrize(
+    "check,code",
+    [("blowup", 64), ("chart-match", 64), ("exceptional", 64), ("affine-chart", 1), ("quadbu-smooth", 1)],
+)
+def test_verify_out_of_range_pivot(check, code):
+    out = run_cli("verify", check, "--d", "6", "--delta", "2", "--pivot", "9,9")
+    assert out.returncode == code
+    if code == 64:
+        assert "pivot s=9 is not an N position" in out.stderr
     assert "Traceback" not in out.stderr
 
 
@@ -196,3 +203,35 @@ def test_suite_reports_a_crashed_worker(monkeypatch):
     for r in crashed:
         assert r["status"] == "fail"
         assert "terminated abruptly" in r["details"]["error"]
+
+
+def test_suite_submits_largest_instances_first(monkeypatch):
+    import concurrent.futures
+
+    import lmlab.suite as suite
+
+    submitted = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, checks, d, delta, *rest):
+            submitted.append((d, delta))
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(checks, d, delta, *rest))
+            return fut
+
+    monkeypatch.setattr(suite, "ProcessPoolExecutor", InlinePool)
+    grid = [(5, 1), (6, 2), (5, 2), (6, 3)]
+    code, payload = run_suite(SuiteConfig(grid=grid, checks=["dt-equals-u"], jobs=2))
+    assert code == 0
+    assert submitted == [(6, 3), (6, 2), (5, 2), (5, 1)]
+    # the configured grid order is what the report records
+    assert payload["config"]["grid"] == ["5:1", "6:2", "5:2", "6:3"]
