@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .groebner import (
-    GBTimeout,
     Ideal,
     ideal_equal,
     ideal_member,
@@ -25,7 +24,7 @@ from .groebner import (
 from .lattice import LatticeError, q1_form, q2_form
 from .localmodel import ChartPresentation
 from .poly import PolyError, PolyRing, RingMap
-from .report import FAIL, PASS, Stopwatch, TIMEOUT, VerificationReport
+from .report import FAIL, checking
 
 __all__ = [
     "BlowupChart",
@@ -303,11 +302,9 @@ def chart_match(nf, s, t, timeout_s=None):
     dictionary maps the resolution equation into the blow-up chart ideal, and
     both composites are the identity modulo the respective ideals.
     """
-    sw = Stopwatch()
     sz, tz = _pivot_to_z(nf, s, t)
     instance = {"d": nf.d, "delta": nf.delta, "pivot": [s, t]}
-    report = VerificationReport("chart-match", instance, PASS)
-    try:
+    with checking("chart-match", instance) as report:
         bchart = build_DT_blowup_chart(nf, sz, tz, timeout_s=timeout_s)
         mchart = build_M_chart(nf, s, t, timeout_s=timeout_s)
         bring = bchart.chart.ring
@@ -377,10 +374,6 @@ def chart_match(nf, s, t, timeout_s=None):
             report.status = FAIL
             if not ok_fwd:
                 report.details["fwd_residue"] = str(r1)
-    except GBTimeout as exc:
-        report.status = TIMEOUT
-        report.details["timeout"] = str(exc)
-    report.runtime_ms = sw.ms()
     return report
 
 
@@ -392,10 +385,8 @@ def exceptional_locus(nf, s, t, timeout_s=None):
     (delta - 1) + (d - delta - 1) variables; lambda itself must be a
     nonzerodivisor on the chart.
     """
-    sw = Stopwatch()
     instance = {"d": nf.d, "delta": nf.delta, "pivot": [s, t]}
-    report = VerificationReport("exceptional", instance, PASS)
-    try:
+    with checking("exceptional", instance) as report:
         mchart = build_M_chart(nf, s, t, timeout_s=timeout_s)
         ring = mchart.full.ring
         lam = ring.var("lambda")
@@ -420,10 +411,6 @@ def exceptional_locus(nf, s, t, timeout_s=None):
         report.details["lambda_nonzerodivisor"] = ok_nzd
         if not (ok_locus and ok_nzd):
             report.status = FAIL
-    except GBTimeout as exc:
-        report.status = TIMEOUT
-        report.details["timeout"] = str(exc)
-    report.runtime_ms = sw.ms()
     return report
 
 
@@ -435,10 +422,8 @@ def linking_multipliers(nf, s, t, timeout_s=None):
     i(x) = u y and j(pi y) = v x must reduce to zero in the full chart ideal,
     together with u v = pi.
     """
-    sw = Stopwatch()
     instance = {"d": nf.d, "delta": nf.delta, "pivot": [s, t]}
-    report = VerificationReport("chart-match", instance, PASS)
-    try:
+    with checking("chart-match", instance) as report:
         mchart = build_M_chart(nf, s, t, timeout_s=timeout_s)
         ring = mchart.full.ring
         d = nf.d
@@ -470,8 +455,4 @@ def linking_multipliers(nf, s, t, timeout_s=None):
             report.status = FAIL
             report.details["failed_coordinates"] = failures
         report.unit_notes.append("u = -Q2(x) lambda, v = Q1(y) lambda")
-    except GBTimeout as exc:
-        report.status = TIMEOUT
-        report.details["timeout"] = str(exc)
-    report.runtime_ms = sw.ms()
     return report

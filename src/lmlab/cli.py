@@ -9,7 +9,7 @@ import sys
 from .groebner import Ideal, buchberger, read_ideal_text, write_ideal_text
 from .lattice import LatticeError, format_matrix, normal_form, quad_forms
 from .poly import ParseError, PolyError, PolyRing
-from .report import FAIL, PASS, TIMEOUT, UNCERTIFIED
+from .report import PASS
 from .suite import (
     CHECK_ALIASES,
     CHECK_NAMES,
@@ -17,6 +17,7 @@ from .suite import (
     SuiteConfig,
     default_timeout,
     dump_payload,
+    exit_code,
     report_payload,
     run_instance,
     run_suite,
@@ -24,7 +25,6 @@ from .suite import (
 
 EXIT_OK = 0
 EXIT_FAIL = 1
-EXIT_SOFT = 2
 EXIT_USAGE = 64
 
 
@@ -129,14 +129,6 @@ def cmd_gb(args):
     return EXIT_OK
 
 
-def _exit_code(statuses):
-    if FAIL in statuses:
-        return EXIT_FAIL
-    if UNCERTIFIED in statuses or TIMEOUT in statuses:
-        return EXIT_SOFT
-    return EXIT_OK
-
-
 def cmd_verify(args):
     checks = _parse_checks(args.check)
     pivots = _parse_pivot(args.pivot)
@@ -159,7 +151,7 @@ def cmd_verify(args):
         )
     if args.json:
         _write(args.json, dump_payload(payload))
-    return _exit_code({r["status"] for r in payload["reports"]})
+    return exit_code(payload["summary"])
 
 
 def cmd_suite(args):

@@ -15,10 +15,10 @@ from itertools import combinations
 
 # buchberger is not called here, but bench/test_bench.py requires this module
 # to bind it so that the tracer's re-binding coverage is exercised
-from .groebner import BuchbergerRun, GBTimeout, Ideal, buchberger, eliminate, \
+from .groebner import BuchbergerRun, Ideal, buchberger, eliminate, \
     ideal_equal, is_nonzerodivisor, quotient, reduce_poly  # noqa: F401
 from .poly import PolyError, PolyMatrix, PolyRing, RingMap
-from .report import FAIL, PASS, Stopwatch, TIMEOUT, UNCERTIFIED, VerificationReport
+from .report import FAIL, PASS, UNCERTIFIED, checking
 
 __all__ = [
     "ChartPresentation",
@@ -55,32 +55,24 @@ class ChartPresentation:
 class BlockLayout:
     """Block bookkeeping for the d x d matrix X and the Z dictionary.
 
-    Ranges are 1-based inclusive (lo, hi) pairs.  z_dict sends a Z position
-    (i, j) to the X position holding that entry; in the same-parity case this
-    realizes Z = [B1|B2] verbatim, in the mixed-parity case the erased
-    row/column index n+1 contributes the middle column of [B1'|E'|B2'].
+    Indices are 1-based.  z_dict sends a Z position (i, j) to the X position
+    holding that entry; in the same-parity case this realizes Z = [B1|B2]
+    verbatim, in the mixed-parity case the erased row/column index n+1
+    contributes the middle column of [B1'|E'|B2'].
     """
 
     parity_case: str
-    band: tuple
-    side_lo: tuple
-    side_hi: tuple
     erased: int
     z_dict: dict
 
 
 def block_layout(nf):
-    delta_a = nf.delta if nf.parity_case == "I" else nf.delta + 1
-    side = (nf.d - delta_a) // 2
     z_dict = {}
     for i, a in enumerate(nf.Delta, start=1):
         for j, b in enumerate(nf.DeltaC, start=1):
             z_dict[(i, j)] = (a, b)
     return BlockLayout(
         parity_case=nf.parity_case,
-        band=(side + 1, side + delta_a),
-        side_lo=(1, side),
-        side_hi=(side + delta_a + 1, nf.d),
         erased=nf.n + 1 if nf.parity_case == "II" else 0,
         z_dict=z_dict,
     )
@@ -411,14 +403,11 @@ def verify_presentation(nf, mode="sound", timeout_s=None, seed=7, oracle_samples
     surjectivity of the section by degree-truncated certificates and contract
     the naive ideal onto the Z subring by elimination.
     """
-    sw = Stopwatch()
     instance = {"d": nf.d, "delta": nf.delta, "mode": mode}
-    report = VerificationReport("za1", instance, PASS)
-    naive = build_naive_chart_ideal(nf)
-    psi = block_substitution(nf)
-    _, small = build_U_ideals(nf)
-
-    try:
+    with checking("za1", instance) as report:
+        naive = build_naive_chart_ideal(nf)
+        psi = block_substitution(nf)
+        _, small = build_U_ideals(nf)
         basis = small.ideal.gb(timeout_s=timeout_s)
         reduced_zero = 0
         for g in naive.ideal.generators:
@@ -446,11 +435,6 @@ def verify_presentation(nf, mode="sound", timeout_s=None, seed=7, oracle_samples
 
         if report.status == PASS and mode == "complete":
             _verify_complete(nf, psi, small, report, timeout_s)
-    except GBTimeout as exc:
-        report.status = TIMEOUT
-        report.details["timeout"] = str(exc)
-
-    report.runtime_ms = sw.ms()
     return report
 
 
@@ -557,10 +541,8 @@ def _verify_complete(nf, psi, small, report, timeout_s):
 
 def verify_annihilator(nf, timeout_s=None):
     """The annihilator of the trace quadric in the naive chart is (Z)."""
-    sw = Stopwatch()
     instance = {"d": nf.d, "delta": nf.delta}
-    report = VerificationReport("annihilator", instance, PASS)
-    try:
+    with checking("annihilator", instance) as report:
         _, small = build_U_ideals(nf)
         ring = small.ring
         T = trace_form(nf, ring)
@@ -572,20 +554,14 @@ def verify_annihilator(nf, timeout_s=None):
             # the computed annihilator generators are the witness
             report.details["annihilator"] = [str(g) for g in ann.generators]
             report.details["witness"] = str(ann.generators[0]) if ann.generators else "0"
-    except GBTimeout as exc:
-        report.status = TIMEOUT
-        report.details["timeout"] = str(exc)
-    report.runtime_ms = sw.ms()
     return report
 
 
-def flatness_and_dimension(cp, expected_rel_dim, timeout_s=None, check="flatness-dims"):
+def flatness_and_dimension(cp, expected_rel_dim, timeout_s=None):
     """pi-nonzerodivisor proxy for flatness plus the Krull dimension count."""
     from .groebner import krull_dim
 
-    sw = Stopwatch()
-    report = VerificationReport(check, {"chart": cp.name}, PASS)
-    try:
+    with checking("flatness-dims", {"chart": cp.name}) as report:
         ring = cp.ring
         flat = is_nonzerodivisor(cp.ideal, ring.var("pi"), timeout_s=timeout_s)
         dim = krull_dim(cp.ideal, timeout_s=timeout_s)
@@ -594,8 +570,4 @@ def flatness_and_dimension(cp, expected_rel_dim, timeout_s=None, check="flatness
         report.details["expected_dim"] = expected_rel_dim + 1
         if not flat or dim != expected_rel_dim + 1:
             report.status = FAIL
-    except GBTimeout as exc:
-        report.status = TIMEOUT
-        report.details["timeout"] = str(exc)
-    report.runtime_ms = sw.ms()
     return report

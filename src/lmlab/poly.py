@@ -291,13 +291,6 @@ class Polynomial:
     def coefficient(self, exp):
         return self.terms.get(tuple(exp), Fraction(0))
 
-    def constant_value(self):
-        if self.is_zero:
-            return Fraction(0)
-        if len(self.terms) == 1 and self.ring._zero_exp in self.terms:
-            return self.terms[self.ring._zero_exp]
-        raise PolyError("polynomial is not constant: %s" % self)
-
     def variables_used(self):
         used = set()
         for exp in self.terms:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groebner import (
-    GBTimeout,
     Ideal,
     ideal_contains,
     ideal_equal,
@@ -25,7 +24,7 @@ from .groebner import (
 from .lattice import LatticeError, q1_form, q2_form
 from .localmodel import ChartPresentation
 from .poly import PolyRing, RingMap
-from .report import FAIL, PASS, Stopwatch, TIMEOUT, VerificationReport
+from .report import FAIL, checking
 
 __all__ = [
     "LinkedChart",
@@ -122,10 +121,8 @@ def basic_scheme_map(nf, linked):
 
 def verify_linked_chart(nf, i, j, timeout_s=None):
     """Flatness proxy plus the B-map membership for one pinned chart."""
-    sw = Stopwatch()
     instance = {"d": nf.d, "delta": nf.delta, "pin_x": i, "pin_y": j}
-    report = VerificationReport("linked-fiber", instance, PASS)
-    try:
+    with checking("linked-fiber", instance) as report:
         linked = build_linked_chart_ideal(nf, i, j)
         ring = linked.chart.ring
         ideal = linked.chart.ideal
@@ -143,10 +140,6 @@ def verify_linked_chart(nf, i, j, timeout_s=None):
         report.details["b_map_member"] = mapped_ok
         if not (flat and mapped_ok):
             report.status = FAIL
-    except GBTimeout as exc:
-        report.status = TIMEOUT
-        report.details["timeout"] = str(exc)
-    report.runtime_ms = sw.ms()
     return report
 
 
@@ -158,13 +151,11 @@ def verify_fiber_decomposition(timeout_s=None):
     by its primary ideal (u^2, uv, v^2, u w1 + v w2) recovers F exactly, which
     encodes multiplicity 2 on the contracted component and 1 on the others.
     """
-    sw = Stopwatch()
-    report = VerificationReport("linked-fiber", {"scheme": "basic"}, PASS)
-    ring = PolyRing(["u", "v", "w1", "w2"])
-    u, v, w1, w2 = (ring.var(n) for n in ("u", "v", "w1", "w2"))
-    F = Ideal(ring, [u * w1 + v * w2, u * v])
-    rad = Ideal(ring, [u * w1, v * w2, u * v])
-    try:
+    with checking("linked-fiber", {"scheme": "basic"}) as report:
+        ring = PolyRing(["u", "v", "w1", "w2"])
+        u, v, w1, w2 = (ring.var(n) for n in ("u", "v", "w1", "w2"))
+        F = Ideal(ring, [u * w1 + v * w2, u * v])
+        rad = Ideal(ring, [u * w1, v * w2, u * v])
         ok_rad = (
             radical_member(u * w1, F, timeout_s=timeout_s)
             and radical_member(v * w2, F, timeout_s=timeout_s)
@@ -197,10 +188,6 @@ def verify_fiber_decomposition(timeout_s=None):
         report.unit_notes.append("div(pi) = 2(Z0) + (Z1) + (Z2) via the primary factor")
         if not (ok_rad and ok_primes and ok_primary):
             report.status = FAIL
-    except GBTimeout as exc:
-        report.status = TIMEOUT
-        report.details["timeout"] = str(exc)
-    report.runtime_ms = sw.ms()
     return report
 
 
@@ -208,9 +195,7 @@ def verify_divisor_multiplicities_on_blowup_charts(timeout_s=None):
     """Branch multiplicities of pi on the two blow-up charts of B."""
     from .blowup import build_B_blowup_charts
 
-    sw = Stopwatch()
-    report = VerificationReport("b-blowup", {"scheme": "basic"}, PASS)
-    try:
+    with checking("b-blowup", {"scheme": "basic"}) as report:
         chart1, chart2 = build_B_blowup_charts(timeout_s=timeout_s)
         r1 = chart1.ring
         ok1 = ideal_member(
@@ -227,10 +212,6 @@ def verify_divisor_multiplicities_on_blowup_charts(timeout_s=None):
         report.unit_notes.append("multiplicities (1,1,2): pi = u*v and pi = -w1*w2*y^2")
         if not (ok1 and ok2 and not_cubed):
             report.status = FAIL
-    except GBTimeout as exc:
-        report.status = TIMEOUT
-        report.details["timeout"] = str(exc)
-    report.runtime_ms = sw.ms()
     return report
 
 

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+
+from .groebner import GBTimeout
 
 PASS = "pass"
 FAIL = "fail"
@@ -37,9 +40,28 @@ class VerificationReport:
         return self.status == PASS
 
 
-class Stopwatch:
-    def __init__(self):
-        self.t0 = time.monotonic()
+def exception_status(exc):
+    """(status, details key) for a check ended by `exc`."""
+    if isinstance(exc, GBTimeout):
+        return TIMEOUT, "timeout"
+    return FAIL, "error"
 
-    def ms(self):
-        return int((time.monotonic() - self.t0) * 1000)
+
+@contextmanager
+def checking(check, instance):
+    """A `pass` report for one claim, timed and closed over its body.
+
+    The body fills in details and lowers the status.  A `GBTimeout` from the
+    body ends the claim with status `timeout` and `details["timeout"]`; any
+    other exception propagates.  `runtime_ms` is set on every exit, an early
+    `return` from inside the block included.
+    """
+    report = VerificationReport(check, instance, PASS)
+    t0 = time.monotonic()
+    try:
+        yield report
+    except GBTimeout as exc:
+        report.status, key = exception_status(exc)
+        report.details[key] = str(exc)
+    finally:
+        report.runtime_ms = int((time.monotonic() - t0) * 1000)

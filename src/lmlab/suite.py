@@ -19,8 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .lattice import LatticeError, normal_form
-from .report import FAIL, PASS, Stopwatch, TIMEOUT, VerificationReport
-from .poly import PolyError
+from .report import FAIL, VerificationReport, checking, exception_status
 
 __all__ = [
     "ConfigError",
@@ -32,30 +31,10 @@ __all__ = [
     "run_suite",
     "report_payload",
     "strip_timings",
+    "exit_code",
 ]
 
 REPORT_VERSION = "1"
-
-CHECK_NAMES = (
-    "za1",
-    "dt-equals-u",
-    "linked-fiber",
-    "b-blowup",
-    "quadbu-smooth",
-    "affine-chart",
-    "chart-match",
-    "exceptional",
-    "annihilator",
-    "flatness-dims",
-)
-
-# module-level CLI spellings for groups of checks
-CHECK_ALIASES = {
-    "linked-quadric": ("linked-fiber",),
-    "blowup": ("affine-chart", "chart-match", "exceptional"),
-    "blowup-smooth": ("quadbu-smooth",),
-    "all": CHECK_NAMES,
-}
 
 
 class ConfigError(Exception):
@@ -112,12 +91,8 @@ def default_timeout():
 
 
 def _wrap_error(check, instance, exc):
-    from .groebner import GBTimeout
-
-    status = TIMEOUT if isinstance(exc, GBTimeout) else FAIL
-    return VerificationReport(
-        check, instance, status, details={"error": str(exc)}
-    )
+    status, key = exception_status(exc)
+    return VerificationReport(check, instance, status, details={key: str(exc)})
 
 
 def _check_za1(nf, mode, timeout_s, seed):
@@ -129,15 +104,9 @@ def _check_za1(nf, mode, timeout_s, seed):
 def _check_dt_equals_u(nf, mode, timeout_s, seed):
     from .localmodel import build_DT_ideal
 
-    sw = Stopwatch()
-    instance = {"d": nf.d, "delta": nf.delta}
-    try:
+    with checking("dt-equals-u", {"d": nf.d, "delta": nf.delta}) as rep:
         build_DT_ideal(nf, timeout_s=timeout_s)
-        rep = VerificationReport("dt-equals-u", instance, PASS)
         rep.unit_notes.append("displayed sum equals 2*(trace quadric + 2 pi)")
-    except PolyError as exc:
-        rep = _wrap_error("dt-equals-u", instance, exc)
-    rep.runtime_ms = sw.ms()
     return [rep]
 
 
@@ -151,19 +120,13 @@ def _check_flatness_dims(nf, mode, timeout_s, seed):
     rep_u.instance.update({"d": nf.d, "delta": nf.delta})
     ring = U.ring
     cone = Ideal(ring, minors(z_matrix(nf, ring), 2))
-    sw = Stopwatch()
-    rep_c = VerificationReport(
-        "flatness-dims", {"d": nf.d, "delta": nf.delta, "chart": "segre-cone"}, PASS
-    )
-    try:
+    instance = {"d": nf.d, "delta": nf.delta, "chart": "segre-cone"}
+    with checking("flatness-dims", instance) as rep_c:
         dim = krull_dim(cone, timeout_s=timeout_s)
         rep_c.details["dim"] = dim
         rep_c.details["expected_dim"] = nf.d
         if dim != nf.d:
             rep_c.status = FAIL
-    except PolyError as exc:
-        rep_c = _wrap_error("flatness-dims", rep_c.instance, exc)
-    rep_c.runtime_ms = sw.ms()
     return [rep_u, rep_c]
 
 
@@ -204,17 +167,12 @@ def _check_quadbu_smooth(nf, mode, timeout_s, seed, pivots=None):
     todo = pivots or [(s, t) for s in range(1, nf.delta + 1) for t in range(1, m + 1)]
     for s, t in todo:
         instance = {"d": nf.d, "delta": nf.delta, "pivot": [s, t]}
-        sw = Stopwatch()
-        try:
+        with checking("quadbu-smooth", instance) as rep:
             bc = build_DT_blowup_chart(nf, s, t, timeout_s=timeout_s)
             tgt = model_target_for_chart(nf, bc)
-            rep = smooth_over_model(bc.chart, tgt, rel, timeout_s=timeout_s)
-            rep.check = "quadbu-smooth"
-            rep.instance = instance
-            rep.details["target"] = tgt.kind
-        except PolyError as exc:
-            rep = _wrap_error("quadbu-smooth", instance, exc)
-        rep.runtime_ms = sw.ms()
+            chart_rep = smooth_over_model(bc.chart, tgt, rel, timeout_s=timeout_s)
+            rep.status = chart_rep.status
+            rep.details.update(chart_rep.details, target=tgt.kind)
         reports.append(rep)
     return reports
 
@@ -231,14 +189,9 @@ def _check_affine_chart(nf, mode, timeout_s, seed, pivots=None):
     reports = []
     for s, t in _m_pivots(nf, pivots):
         instance = {"d": nf.d, "delta": nf.delta, "pivot": [s, t]}
-        sw = Stopwatch()
-        try:
+        with checking("affine-chart", instance) as rep:
             build_M_chart(nf, s, t, timeout_s=timeout_s)
-            rep = VerificationReport("affine-chart", instance, PASS)
             rep.details["elimination_equality"] = True
-        except PolyError as exc:
-            rep = _wrap_error("affine-chart", instance, exc)
-        rep.runtime_ms = sw.ms()
         reports.append(rep)
     return reports
 
@@ -278,6 +231,16 @@ _CHECKS = {
     "flatness-dims": _check_flatness_dims,
 }
 
+CHECK_NAMES = tuple(_CHECKS)
+
+# module-level CLI spellings for groups of checks
+CHECK_ALIASES = {
+    "linked-quadric": ("linked-fiber",),
+    "blowup": ("affine-chart", "chart-match", "exceptional"),
+    "blowup-smooth": ("quadbu-smooth",),
+    "all": CHECK_NAMES,
+}
+
 
 def run_check(check, d, delta, mode="sound", timeout_s=None, seed=7, pivots=None):
     """All reports for one named check at one grid instance."""
@@ -291,9 +254,11 @@ def run_check(check, d, delta, mode="sound", timeout_s=None, seed=7, pivots=None
 def run_instance(checks, d, delta, mode="sound", timeout_s=None, seed=7, pivots=None):
     """Reports of the named checks at one instance, sharing one basis cache.
 
-    A check that raises gives one report built by `_wrap_error`, except a
-    `LatticeError` under explicit pivots: that is a pivot out of range, bad
-    input rather than a failed check, and it propagates to the caller.
+    A timeout inside a claim is already that claim's `timeout` report.  Any
+    other exception ends its check with one report built by `_wrap_error`,
+    except a `LatticeError` under explicit pivots: that is a pivot out of
+    range, bad input rather than a failed check, and it propagates to the
+    caller.
     """
     from .groebner import basis_cache
 
@@ -346,14 +311,16 @@ def run_suite(config):
     else:
         chunks = [run_instance(*task) for task in tasks]
     payload = report_payload([r for chunk in chunks for r in chunk], config)
-    summary = payload["summary"]
+    return exit_code(payload["summary"]), payload
+
+
+def exit_code(summary):
+    """0 when every report passes, 1 on any fail, else 2 (uncertified or timeout)."""
     if summary["fail"]:
-        code = 1
-    elif summary["uncertified"] or summary["timeout"]:
-        code = 2
-    else:
-        code = 0
-    return code, payload
+        return 1
+    if summary["uncertified"] or summary["timeout"]:
+        return 2
+    return 0
 
 
 def report_payload(reports, config=None):

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .groebner import GBTimeout, Ideal, _fresh_name, ideal_member, krull_dim
+from .groebner import Ideal, _fresh_name, ideal_member, krull_dim
 from .localmodel import ChartPresentation
 from .poly import Block, PolyRing, RingMap, jacobian, minors
-from .report import FAIL, PASS, Stopwatch, TIMEOUT, VerificationReport
+from .report import FAIL, PASS, TIMEOUT, checking
 
 __all__ = [
     "CoverPiece",
@@ -203,16 +203,15 @@ def model_cover_for_chart(nf, bchart):
     return pieces
 
 
-def smooth_over_base(ideal, expected_dim=None, timeout_s=None, check="smooth-base"):
+def smooth_over_base(ideal, expected_dim=None, timeout_s=None):
     """Absolute Jacobian criterion over the coefficient field.
 
     With c = (number of variables) - dim V(I), the chart is smooth iff the
     ideal plus the c x c minors of the Jacobian of its reduced basis is the
     unit ideal.
     """
-    sw = Stopwatch()
-    report = VerificationReport(check, {"ring": ",".join(ideal.ring.variables)}, PASS)
-    try:
+    instance = {"ring": ",".join(ideal.ring.variables)}
+    with checking("smooth-base", instance) as report:
         basis = ideal.gb(timeout_s=timeout_s)
         dim = krull_dim(ideal, timeout_s=timeout_s)
         c = ideal.ring.nvars - dim
@@ -222,10 +221,8 @@ def smooth_over_base(ideal, expected_dim=None, timeout_s=None, check="smooth-bas
             report.details["expected_dim"] = expected_dim
             if dim != expected_dim:
                 report.status = FAIL
-                report.runtime_ms = sw.ms()
                 return report
         if c == 0:
-            report.runtime_ms = sw.ms()
             return report
         jac = jacobian(list(basis), list(ideal.ring.variables))
         mins = minors(jac, c)
@@ -236,14 +233,10 @@ def smooth_over_base(ideal, expected_dim=None, timeout_s=None, check="smooth-bas
             report.status = FAIL
             gb = total.gb(timeout_s=timeout_s)
             report.details["witness"] = str(gb[0]) if gb else "0"
-    except GBTimeout as exc:
-        report.status = TIMEOUT
-        report.details["timeout"] = str(exc)
-    report.runtime_ms = sw.ms()
     return report
 
 
-def smooth_over_model(chart, target, rel_dim, timeout_s=None, check="quadbu-smooth"):
+def smooth_over_model(chart, target, rel_dim, timeout_s=None):
     """Relative smoothness of a chart over a model ring.
 
     Adjoin the model variables by their assignments; then (i) the model
@@ -254,9 +247,7 @@ def smooth_over_model(chart, target, rel_dim, timeout_s=None, check="quadbu-smoo
     full-rank test certifies a smooth projection of the stated relative
     dimension.
     """
-    sw = Stopwatch()
-    report = VerificationReport(check, {"chart": chart.name}, PASS)
-    try:
+    with checking("quadbu-smooth", {"chart": chart.name}) as report:
         ext = target.map.target
         gens = [g.cast(ext) for g in chart.ideal.generators]
         for mv in target.model_vars:
@@ -291,10 +282,6 @@ def smooth_over_model(chart, target, rel_dim, timeout_s=None, check="quadbu-smoo
             if not ok_rank:
                 gb = total.gb(timeout_s=timeout_s)
                 report.details["witness"] = str(gb[0]) if gb else "0"
-    except GBTimeout as exc:
-        report.status = TIMEOUT
-        report.details["timeout"] = str(exc)
-    report.runtime_ms = sw.ms()
     return report
 
 
@@ -324,38 +311,29 @@ def smooth_on_cover(chart, pieces, rel_dim, timeout_s=None):
     the assignments of different pieces need not agree on overlaps.  A
     one-piece cover returns that piece's report unchanged.
     """
-    sw = Stopwatch()
-    report = VerificationReport("cover-smooth", {"chart": chart.name}, PASS)
-    report.details["pieces"] = len(pieces)
-    try:
+    with checking("cover-smooth", {"chart": chart.name}) as report:
+        report.details["pieces"] = len(pieces)
         one = chart.ring.one()
         cover = Ideal(chart.ring, list(chart.ideal.generators) + [p.h for p in pieces])
         ok, cert = ideal_member(one, cover, timeout_s=timeout_s)
         ok = ok and cert.verify(one)
-    except GBTimeout as exc:
-        report.status = TIMEOUT
-        report.details["timeout"] = str(exc)
-        report.runtime_ms = sw.ms()
-        return report
-    report.details["cover_unit"] = ok
-    if not ok:
-        report.status = FAIL
-        report.runtime_ms = sw.ms()
-        return report
-    piece_reports = [
-        smooth_over_model(_piece_chart(chart, p), p.target, rel_dim, timeout_s=timeout_s)
-        for p in pieces
-    ]
-    if len(piece_reports) == 1:
-        return piece_reports[0]
-    report.details["piece_reports"] = [
-        {"h": str(p.h), "target": p.target.kind, "status": r.status, **r.details}
-        for p, r in zip(pieces, piece_reports)
-    ]
-    statuses = {r.status for r in piece_reports}
-    if FAIL in statuses:
-        report.status = FAIL
-    elif statuses != {PASS}:
-        report.status = TIMEOUT
-    report.runtime_ms = sw.ms()
+        report.details["cover_unit"] = ok
+        if not ok:
+            report.status = FAIL
+            return report
+        piece_reports = [
+            smooth_over_model(_piece_chart(chart, p), p.target, rel_dim, timeout_s=timeout_s)
+            for p in pieces
+        ]
+        if len(piece_reports) == 1:
+            return piece_reports[0]
+        report.details["piece_reports"] = [
+            {"h": str(p.h), "target": p.target.kind, "status": r.status, **r.details}
+            for p, r in zip(pieces, piece_reports)
+        ]
+        statuses = {r.status for r in piece_reports}
+        if FAIL in statuses:
+            report.status = FAIL
+        elif statuses != {PASS}:
+            report.status = TIMEOUT
     return report

@@ -105,16 +105,18 @@ def test_verify_rejects_non_integer_pivot():
     assert "Traceback" not in out.stderr
 
 
-# chart-match and exceptional reject the pivot; affine-chart and
-# quadbu-smooth report it as a failed chart
+# every pivot check rejects an out-of-range pivot as bad input; quadbu-smooth
+# takes matrix indices, the resolution checks lattice positions
 @pytest.mark.parametrize(
     "check,code",
-    [("blowup", 64), ("chart-match", 64), ("exceptional", 64), ("affine-chart", 1), ("quadbu-smooth", 1)],
+    [("blowup", 64), ("chart-match", 64), ("exceptional", 64), ("affine-chart", 64), ("quadbu-smooth", 64)],
 )
 def test_verify_out_of_range_pivot(check, code):
     out = run_cli("verify", check, "--d", "6", "--delta", "2", "--pivot", "9,9")
     assert out.returncode == code
-    if code == 64:
+    if check == "quadbu-smooth":
+        assert "pivot (9,9) out of range for 2x4" in out.stderr
+    else:
         assert "pivot s=9 is not an N position" in out.stderr
     assert "Traceback" not in out.stderr
 
@@ -235,3 +237,34 @@ def test_suite_submits_largest_instances_first(monkeypatch):
     assert submitted == [(6, 3), (6, 2), (5, 2), (5, 1)]
     # the configured grid order is what the report records
     assert payload["config"]["grid"] == ["5:1", "6:2", "5:2", "6:3"]
+
+
+def test_every_check_reports_a_timeout_at_its_own_instance(monkeypatch):
+    from lmlab import groebner
+    from lmlab.suite import CHECK_NAMES, run_instance
+
+    def out_of_time(self, degree_bound=None, timeout_s=None):
+        raise groebner.GBTimeout(timeout_s)
+
+    monkeypatch.setattr(groebner.BuchbergerRun, "advance", out_of_time)
+    reports = run_instance(CHECK_NAMES, 5, 1, timeout_s=60)
+    assert len(reports) == 31
+    for rep in reports:
+        assert rep.status == "timeout"
+        assert "buchberger exceeded" in rep.details["timeout"]
+        assert "error" not in rep.details
+        assert (rep.instance["d"], rep.instance["delta"]) == (5, 1)
+    # each report keeps the keys that name its claim, and no two coincide
+    own_keys = sorted(
+        (rep.check, tuple(sorted(set(rep.instance) - {"d", "delta"}))) for rep in reports
+    )
+    assert own_keys == sorted(
+        [("za1", ("mode",)), ("dt-equals-u", ()), ("annihilator", ())]
+        + [("linked-fiber", ("scheme",)), ("b-blowup", ("scheme",))]
+        + [("linked-fiber", ("pin_x", "pin_y"))] * 4
+        + [("quadbu-smooth", ("pivot",)), ("affine-chart", ("pivot",))] * 4
+        + [("chart-match", ("pivot",)), ("chart-match", ("part", "pivot"))] * 4
+        + [("exceptional", ("pivot",))] * 4
+        + [("flatness-dims", ("chart",))] * 2
+    )
+    assert len({(r.check, json.dumps(r.instance, sort_keys=True)) for r in reports}) == 31
