@@ -11,7 +11,6 @@ model chart with the resolution by additional lines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .groebner import (
     Ideal,
@@ -37,9 +36,6 @@ __all__ = [
     "linking_multipliers",
 ]
 
-HALF = Fraction(1, 2)
-
-
 @dataclass(frozen=True)
 class BlowupChart:
     chart: ChartPresentation
@@ -55,13 +51,12 @@ class MChart:
     full: ChartPresentation
     reduced: ChartPresentation
     pivot: tuple
-    lambda_var: str
 
 
 # ----------------------------------------------- blow-up of the basic scheme
 
 
-def build_B_blowup_charts(timeout_s=None):
+def build_B_blowup_charts():
     """Both blow-up charts of the basic scheme, with substitution membership.
 
     Chart I is uv = pi with w1 = v x, w2 = -u x; chart II is w1 w2 y^2 = -pi
@@ -112,24 +107,18 @@ def build_B_blowup_charts(timeout_s=None):
     )
     for chart, fmap in ((chart1, map1), (chart2, map2)):
         for g in b.ideal.generators:
-            ok, _ = ideal_member(fmap(g), chart.ideal, timeout_s=timeout_s)
+            ok, _ = ideal_member(fmap(g), chart.ideal)
             if not ok:
                 raise PolyError(
                     "blow-up substitution fails to kill the basic scheme ideal on %s"
                     % chart.name
                 )
     # the blown-up center becomes principal: (w1, v) = (v) on I, (w2) on II
-    if not ideal_equal(
-        Ideal(r1, [map1("w1"), r1.var("v")]), Ideal(r1, [r1.var("v")]), timeout_s=timeout_s
-    ):
+    if not ideal_equal(Ideal(r1, [map1("w1"), r1.var("v")]), Ideal(r1, [r1.var("v")])):
         raise PolyError("center ideal not principal on chart I")
-    if not ideal_equal(
-        Ideal(r1, [map1("w2"), r1.var("u")]), Ideal(r1, [r1.var("u")]), timeout_s=timeout_s
-    ):
+    if not ideal_equal(Ideal(r1, [map1("w2"), r1.var("u")]), Ideal(r1, [r1.var("u")])):
         raise PolyError("center ideal not principal on chart I (dual form)")
-    if not ideal_equal(
-        Ideal(r2, [map2("u"), r2.var("w2")]), Ideal(r2, [r2.var("w2")]), timeout_s=timeout_s
-    ):
+    if not ideal_equal(Ideal(r2, [map2("u"), r2.var("w2")]), Ideal(r2, [r2.var("w2")])):
         raise PolyError("center ideal not principal on chart II")
     return chart1, chart2
 
@@ -137,7 +126,7 @@ def build_B_blowup_charts(timeout_s=None):
 # --------------------------------------------- blow-up charts of the chart
 
 
-def build_DT_blowup_chart(nf, s, t, timeout_s=None):
+def build_DT_blowup_chart(nf, s, t):
     """Blow-up chart of the determinantal chart at the pivot entry (s, t).
 
     Ambient form: homogeneous bu variables with bu_ij = bu_sj bu_it, the
@@ -199,9 +188,9 @@ def build_DT_blowup_chart(nf, s, t, timeout_s=None):
 
     dependent = [bu(i, j) for i in range(1, delta + 1) for j in range(1, m + 1)
                  if (i != s and j != t) or (i == s and j == t)]
-    E = eliminate(ambient.ideal, dependent, timeout_s=timeout_s)
+    E = eliminate(ambient.ideal, dependent)
     Ecast = Ideal(red, [g.cast(red) for g in E.generators])
-    if not ideal_equal(Ecast, reduced.ideal, timeout_s=timeout_s):
+    if not ideal_equal(Ecast, reduced.ideal):
         raise PolyError("ambient and reduced blow-up charts disagree at (%d,%d)" % (s, t))
     return BlowupChart(
         chart=reduced, ambient=ambient, pivot=(s, t), z_var=zv,
@@ -227,7 +216,7 @@ def m_chart_rings(nf):
     return full, red
 
 
-def build_M_chart(nf, s, t, timeout_s=None):
+def build_M_chart(nf, s, t):
     """Resolution chart pinned at x_s = 1 (s in Delta), y_t = 1 (t in DeltaC).
 
     The full ideal carries the eliminable coordinate relations: the M-side x
@@ -272,13 +261,13 @@ def build_M_chart(nf, s, t, timeout_s=None):
     )
 
     removed = ["x_%d" % i for i in nf.DeltaC] + ["y_%d" % j for j in nf.Delta]
-    E = eliminate(full_cp.ideal, removed, timeout_s=timeout_s)
+    E = eliminate(full_cp.ideal, removed)
     Ecast = Ideal(red, [g.cast(red) for g in E.generators])
-    if not ideal_equal(Ecast, red_cp.ideal, timeout_s=timeout_s):
+    if not ideal_equal(Ecast, red_cp.ideal):
         raise PolyError(
             "full/reduced resolution charts disagree after elimination at (%d,%d)" % (s, t)
         )
-    return MChart(full=full_cp, reduced=red_cp, pivot=(s, t), lambda_var="lambda")
+    return MChart(full=full_cp, reduced=red_cp, pivot=(s, t))
 
 
 # ------------------------------------------------------------- chart match
@@ -293,7 +282,7 @@ def _pivot_to_z(nf, s, t):
     return nf.delta_pos(s), nf.deltac_pos(t)
 
 
-def chart_match(nf, s, t, timeout_s=None):
+def chart_match(nf, s, t):
     """Three-way dictionary match between the two chart descriptions.
 
     D sends the pivot z to lambda, column entries to Delta x coordinates and
@@ -305,8 +294,8 @@ def chart_match(nf, s, t, timeout_s=None):
     sz, tz = _pivot_to_z(nf, s, t)
     instance = {"d": nf.d, "delta": nf.delta, "pivot": [s, t]}
     with checking("chart-match", instance) as report:
-        bchart = build_DT_blowup_chart(nf, sz, tz, timeout_s=timeout_s)
-        mchart = build_M_chart(nf, s, t, timeout_s=timeout_s)
+        bchart = build_DT_blowup_chart(nf, sz, tz)
+        mchart = build_M_chart(nf, s, t)
         bring = bchart.chart.ring
         mring = mchart.reduced.ring
 
@@ -326,24 +315,24 @@ def chart_match(nf, s, t, timeout_s=None):
             bwd["y_%d" % b] = bring.one() if j == tz else bring.var("bu_%d_%d" % (sz, j))
         Dinv = RingMap(mring, bring, bwd)
 
-        m_basis = mchart.reduced.ideal.gb(timeout_s=timeout_s)
+        m_basis = mchart.reduced.ideal.gb()
         b_eq = bchart.chart.ideal.generators[0]
         img = D(b_eq)
-        r1, _ = reduce_poly(img, list(m_basis), timeout_s=timeout_s)
+        r1, _ = reduce_poly(img, list(m_basis))
         ok_fwd = r1.is_zero
         # the explicit unit: D(blow-up equation) = 4 (pi + lambda^2 Q2 Q1) mod pins
         m_eq = mchart.reduced.ideal.generators[0]
         pins = Ideal(
             mring, [mring.var("x_%d" % s) - 1, mring.var("y_%d" % t) - 1]
         )
-        unit_ok = ideal_member(img - 4 * m_eq, pins, timeout_s=timeout_s)[0]
+        unit_ok = ideal_member(img - 4 * m_eq, pins)[0]
         if unit_ok:
             report.unit_notes.append("forward image equals 4*(chart equation) modulo pins")
 
-        b_basis = bchart.chart.ideal.gb(timeout_s=timeout_s)
+        b_basis = bchart.chart.ideal.gb()
         ok_bwd = True
         for g in mchart.reduced.ideal.generators:
-            r2, _ = reduce_poly(Dinv(g), list(b_basis), timeout_s=timeout_s)
+            r2, _ = reduce_poly(Dinv(g), list(b_basis))
             if not r2.is_zero:
                 ok_bwd = False
                 report.details["bwd_residue"] = str(r2)
@@ -352,7 +341,7 @@ def chart_match(nf, s, t, timeout_s=None):
         ok_comp = True
         for v in mring.variables:
             diff = D(Dinv(mring.var(v))) - mring.var(v)
-            r3, _ = reduce_poly(diff, list(m_basis), timeout_s=timeout_s)
+            r3, _ = reduce_poly(diff, list(m_basis))
             if not r3.is_zero:
                 ok_comp = False
                 report.details["composite_m_residue"] = str(r3)
@@ -360,7 +349,7 @@ def chart_match(nf, s, t, timeout_s=None):
         if ok_comp:
             for v in bring.variables:
                 diff = Dinv(D(bring.var(v))) - bring.var(v)
-                r4, _ = reduce_poly(diff, list(b_basis), timeout_s=timeout_s)
+                r4, _ = reduce_poly(diff, list(b_basis))
                 if not r4.is_zero:
                     ok_comp = False
                     report.details["composite_b_residue"] = str(r4)
@@ -377,7 +366,7 @@ def chart_match(nf, s, t, timeout_s=None):
     return report
 
 
-def exceptional_locus(nf, s, t, timeout_s=None):
+def exceptional_locus(nf, s, t):
     """The lambda = 0 locus is the product-of-projective-spaces chart.
 
     Adding lambda to the full ideal must give exactly (lambda, pi, all
@@ -387,7 +376,7 @@ def exceptional_locus(nf, s, t, timeout_s=None):
     """
     instance = {"d": nf.d, "delta": nf.delta, "pivot": [s, t]}
     with checking("exceptional", instance) as report:
-        mchart = build_M_chart(nf, s, t, timeout_s=timeout_s)
+        mchart = build_M_chart(nf, s, t)
         ring = mchart.full.ring
         lam = ring.var("lambda")
         with_lam = Ideal(ring, list(mchart.full.ideal.generators) + [lam])
@@ -396,25 +385,25 @@ def exceptional_locus(nf, s, t, timeout_s=None):
         expected += [ring.var("y_%d" % j) for j in nf.Delta]
         expected += [ring.var("x_%d" % s) - 1, ring.var("y_%d" % t) - 1]
         expected_ideal = Ideal(ring, expected)
-        ok_locus = ideal_equal(with_lam, expected_ideal, timeout_s=timeout_s)
+        ok_locus = ideal_equal(with_lam, expected_ideal)
         free_dim = (nf.delta - 1) + (nf.d - nf.delta - 1)
         report.details["locus_is_product_chart"] = ok_locus
         report.details["free_variables"] = free_dim
         if not ok_locus:
-            basis = list(with_lam.gb(timeout_s=timeout_s))
+            basis = list(with_lam.gb())
             for g in expected_ideal.generators:
-                r, _ = reduce_poly(g, basis, timeout_s=timeout_s)
+                r, _ = reduce_poly(g, basis)
                 if not r.is_zero:
                     report.details["witness"] = str(r)
                     break
-        ok_nzd = is_nonzerodivisor(mchart.full.ideal, lam, timeout_s=timeout_s)
+        ok_nzd = is_nonzerodivisor(mchart.full.ideal, lam)
         report.details["lambda_nonzerodivisor"] = ok_nzd
         if not (ok_locus and ok_nzd):
             report.status = FAIL
     return report
 
 
-def linking_multipliers(nf, s, t, timeout_s=None):
+def linking_multipliers(nf, s, t):
     """Coordinatewise linking identities with u = -Q2 lambda, v = Q1 lambda.
 
     The inclusion of the lattice into its dual flips indices, M coordinates
@@ -424,7 +413,7 @@ def linking_multipliers(nf, s, t, timeout_s=None):
     """
     instance = {"d": nf.d, "delta": nf.delta, "pivot": [s, t]}
     with checking("chart-match", instance) as report:
-        mchart = build_M_chart(nf, s, t, timeout_s=timeout_s)
+        mchart = build_M_chart(nf, s, t)
         ring = mchart.full.ring
         d = nf.d
         lam = ring.var("lambda")
@@ -433,21 +422,21 @@ def linking_multipliers(nf, s, t, timeout_s=None):
         q1y = q1_form(nf, ring, var="y")
         u = -q2x * lam
         v = q1y * lam
-        basis = mchart.full.ideal.gb(timeout_s=timeout_s)
+        basis = mchart.full.ideal.gb()
         failures = []
         for j in range(1, d + 1):
             flip = ring.var("x_%d" % (d + 1 - j))
             lhs = (pi * flip) if j in nf.Delta else flip
-            r, _ = reduce_poly(lhs - u * ring.var("y_%d" % j), list(basis), timeout_s=timeout_s)
+            r, _ = reduce_poly(lhs - u * ring.var("y_%d" % j), list(basis))
             if not r.is_zero:
                 failures.append("i(x)_%d" % j)
         for i in range(1, d + 1):
             flip = ring.var("y_%d" % (d + 1 - i))
             lhs = flip if i in nf.Delta else (pi * flip)
-            r, _ = reduce_poly(lhs - v * ring.var("x_%d" % i), list(basis), timeout_s=timeout_s)
+            r, _ = reduce_poly(lhs - v * ring.var("x_%d" % i), list(basis))
             if not r.is_zero:
                 failures.append("j(piy)_%d" % i)
-        r, _ = reduce_poly(u * v - pi, list(basis), timeout_s=timeout_s)
+        r, _ = reduce_poly(u * v - pi, list(basis))
         if not r.is_zero:
             failures.append("uv-pi")
         report.details["coordinates_checked"] = 2 * d + 1

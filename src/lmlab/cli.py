@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .groebner import Ideal, buchberger, read_ideal_text, write_ideal_text
+from .groebner import Ideal, buchberger, deadline, read_ideal_text, write_ideal_text
 from .lattice import LatticeError, format_matrix, normal_form, quad_forms
 from .poly import ParseError, PolyError, PolyRing
 from .report import PASS
@@ -113,7 +113,8 @@ def cmd_build(args):
     elif args.object == "u-naive-small":
         chart = build_U_ideals(nf)[1]
     else:
-        chart = build_DT_ideal(nf, timeout_s=args.timeout_s)
+        with deadline(args.timeout_s):
+            chart = build_DT_ideal(nf)
     _write(args.out, write_ideal_text(chart.ideal))
     return EXIT_OK
 
@@ -121,8 +122,9 @@ def cmd_build(args):
 def cmd_gb(args):
     with open(args.input, "r", encoding="utf-8") as fh:
         ideal = read_ideal_text(fh.read())
-    basis, partial = buchberger(ideal, timeout_s=args.timeout_s)
-    out = write_ideal_text(Ideal(ideal.ring, list(basis)), sort_generators=True)
+    with deadline(args.timeout_s):
+        basis, partial = buchberger(ideal)
+    out = write_ideal_text(Ideal(ideal.ring, list(basis)))
     _write(args.out, out)
     if partial:
         print("warning: partial basis (degree bound reached)", file=sys.stderr)
@@ -196,9 +198,12 @@ def build_parser():
         p.add_argument("--d", type=int, required=True, help="ambient dimension, d >= 5")
         p.add_argument("--delta", type=int, required=True, help="lattice invariant, 1 <= delta <= d/2")
 
-    def add_common(p):
+    def add_timeout(p):
         p.add_argument("--timeout-s", type=float, default=default_timeout(),
-                       help="per-operation Groebner budget (env LMLAB_TIMEOUT_S)")
+                       help="Groebner budget for each check (env LMLAB_TIMEOUT_S)")
+
+    def add_common(p):
+        add_timeout(p)
         p.add_argument("--seed", type=int, default=7)
 
     p = sub.add_parser("lattice", help="print the normal form data")
@@ -209,13 +214,13 @@ def build_parser():
     add_instance(p)
     p.add_argument("--object", choices=_OBJECTS, required=True)
     p.add_argument("--out", default="-", help="output path (default stdout)")
-    p.add_argument("--timeout-s", type=float, default=default_timeout())
+    add_timeout(p)
     p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("gb", help="reduced Groebner basis of a .ideal file")
     p.add_argument("input", help="input .ideal path")
     p.add_argument("--out", default="-")
-    p.add_argument("--timeout-s", type=float, default=default_timeout())
+    add_timeout(p)
     p.set_defaults(fn=cmd_gb)
 
     p = sub.add_parser("verify", help="run one named check at one instance")

@@ -23,9 +23,16 @@ it, so sugar never decreases along the selection order.  A run bounded by b
 therefore stops in the state every run passes through after its pairs of
 sugar <= b, and `BuchbergerRun.advance` resumes from there: advancing one
 run through bounds 2, 3, 4 gives exactly the bases of fresh bounded runs.
-Each call to `advance` (and each `buchberger` call) has its own timeout_s
-budget, counted from its start; a step that times out keeps the pair it was
-reducing, so the run stays consistent.
+A step that times out keeps the pair it was reducing, so the run stays
+consistent.
+
+Deadline.  Inside a `deadline(seconds)` block the Groebner operations
+(`buchberger`, `advance`, `reduce_poly` and everything built on them) share
+one budget, counted from the block's start: once it is spent, the next
+deadline check (before each S-pair, and every 256 steps of a reduction)
+raises GBTimeout.  A nested block can shorten the deadline but never extend
+it, and leaving a block restores the previous one.  The suite opens one
+block per named check and instance.
 
 Reduction.  `reduce_poly` and the Buchberger loop share `_Engine.nf`.  The
 integer form of a basis polynomial is computed once and kept on it
@@ -84,6 +91,7 @@ __all__ = [
     "MembershipCertificate",
     "basis_cache",
     "buchberger",
+    "deadline",
     "reduce_poly",
     "ideal_member",
     "ideal_equal",
@@ -102,16 +110,31 @@ __all__ = [
 class GBTimeout(PolyError):
     """Raised when a Groebner computation exceeds its deadline."""
 
-    def __init__(self, seconds, where="buchberger"):
-        super().__init__("%s exceeded the %.1f s budget" % (where, seconds))
-        self.seconds = seconds
-        self.where = where
+    def __init__(self, seconds):
+        super().__init__("buchberger exceeded the %.1f s budget" % seconds)
 
 
-def _deadline(timeout_s):
-    if timeout_s is None:
-        return None
-    return (time.monotonic() + timeout_s, float(timeout_s))
+_until = None  # (monotonic deadline, budget in s) inside deadline(), else None
+
+
+@contextmanager
+def deadline(seconds):
+    """Within the block, Groebner operations share a budget of `seconds`.
+
+    None sets no budget of its own.  Inside another block the earlier of the
+    two deadlines holds; leaving the block, also by an exception, restores
+    whatever was active before.
+    """
+    global _until
+    saved = _until
+    if seconds is not None:
+        until = time.monotonic() + seconds
+        if saved is None or until < saved[0]:
+            _until = (until, float(seconds))
+    try:
+        yield
+    finally:
+        _until = saved
 
 
 # ------------------------------------------------- integer representation
@@ -195,12 +218,11 @@ def _reducer(entry):
 
 
 class _Engine:
-    """Shared monomial-key memo plus deadline bookkeeping for one computation."""
+    """Shared monomial-key memo plus deadline checks for one computation."""
 
-    def __init__(self, key_fn, deadline=None):
+    def __init__(self, key_fn):
         self.key_fn = key_fn
         self.memo = {}
-        self.deadline = deadline
         self._tick = 0
 
     def key(self, e):
@@ -210,9 +232,10 @@ class _Engine:
         return got
 
     def check_time(self, every=256):
+        """Raise GBTimeout, every `every` calls, once the active deadline passed."""
         self._tick += 1
-        if self.deadline is not None and self._tick % every == 0:
-            until, seconds = self.deadline
+        if _until is not None and self._tick % every == 0:
+            until, seconds = _until
             if time.monotonic() > until:
                 raise GBTimeout(seconds)
 
@@ -360,15 +383,14 @@ class BuchbergerRun:
         """True iff pairs above the last degree bound are still waiting."""
         return bool(self._pairs)
 
-    def advance(self, degree_bound=None, timeout_s=None):
+    def advance(self, degree_bound=None):
         """Process every pair of sugar <= degree_bound (all if None).
 
-        timeout_s budgets this step alone.  On GBTimeout the pair being
-        reduced stays queued, so the run can be advanced again.  Returns the
-        reduced basis as a tuple of monic polynomials, and the partial flag.
+        On GBTimeout the pair being reduced stays queued, so the run can be
+        advanced again.  Returns the reduced basis as a tuple of monic
+        polynomials, and the partial flag.
         """
         eng = self.eng
-        eng.deadline = _deadline(timeout_s)
         for terms in self._seeds:
             lt = eng.lead(terms)
             self._add((lt, terms[lt], terms, max(sum(e) for e in terms)))
@@ -504,7 +526,7 @@ def basis_cache():
         _cache = saved
 
 
-def buchberger(ideal, order=None, degree_bound=None, timeout_s=None):
+def buchberger(ideal, order=None, degree_bound=None):
     """Reduced Groebner basis of the ideal under the given (or ring) order.
 
     With degree_bound set, S-pairs above the sugar bound are dropped and the
@@ -516,10 +538,10 @@ def buchberger(ideal, order=None, degree_bound=None, timeout_s=None):
     """
     run = BuchbergerRun(ideal, order)
     if degree_bound is not None or _cache is None:
-        return run.advance(degree_bound, timeout_s)
+        return run.advance(degree_bound)
     got = _cache.get(run.key)
     if got is None:
-        got = _cache[run.key] = run.advance(None, timeout_s)
+        got = _cache[run.key] = run.advance()
     return got
 
 
@@ -563,7 +585,7 @@ def _prepared(b):
     return b._int
 
 
-def reduce_poly(p, basis, timeout_s=None):
+def reduce_poly(p, basis):
     """Full normal form plus certificate against an ordered basis list.
 
     Divisor selection is first-match in list order; the normal form has no
@@ -575,7 +597,7 @@ def reduce_poly(p, basis, timeout_s=None):
         if b.ring != ring:
             raise PolyError("ring mismatch between polynomial and basis")
     prepared = [_prepared(b) for b in basis]
-    eng = _Engine(ring.exp_key, _deadline(timeout_s))
+    eng = _Engine(ring.exp_key)
     pt, pr = _int_clear(p)
     # tracked fraction-free reduction: M * p_int = sum(C_i g_i) + R, and
     # p = pr * p_int, so the cofactor of b_i = r_i * g_i is pr * C_i / (M r_i)
@@ -609,12 +631,12 @@ class Ideal:
         self.generators = tuple(gens)
         self._gb = None
 
-    def gb(self, timeout_s=None):
+    def gb(self):
         """Reduced Groebner basis under the ring order, cached."""
         if self._gb is None:
-            basis, _ = buchberger(self, timeout_s=timeout_s)
+            basis, _ = buchberger(self)
             for g in self.generators:
-                r, _ = reduce_poly(g, basis, timeout_s=timeout_s)
+                r, _ = reduce_poly(g, basis)
                 if not r.is_zero:
                     raise PolyError("internal error: generator fails to reduce")
             self._gb = basis
@@ -631,37 +653,37 @@ class Ideal:
         )
 
 
-def ideal_member(p, ideal, timeout_s=None):
+def ideal_member(p, ideal):
     """Membership via normal form against the cached reduced GB."""
-    basis = ideal.gb(timeout_s=timeout_s)
-    residue, cert = reduce_poly(p.cast(ideal.ring), list(basis), timeout_s=timeout_s)
+    basis = ideal.gb()
+    residue, cert = reduce_poly(p.cast(ideal.ring), list(basis))
     return residue.is_zero, cert
 
 
-def ideal_contains(big, small, timeout_s=None):
+def ideal_contains(big, small):
     """True iff every generator of `small` lies in `big`."""
-    basis = big.gb(timeout_s=timeout_s)
+    basis = big.gb()
     for g in small.generators:
-        r, _ = reduce_poly(g.cast(big.ring), list(basis), timeout_s=timeout_s)
+        r, _ = reduce_poly(g.cast(big.ring), list(basis))
         if not r.is_zero:
             return False
     return True
 
 
-def ideal_equal(I, J, timeout_s=None):
+def ideal_equal(I, J):
     if set(I.ring.variables) != set(J.ring.variables):
         raise PolyError("ideal comparison across different variable sets")
     Jc = Ideal(I.ring, [g.cast(I.ring) for g in J.generators]) if J.ring != I.ring else J
-    return ideal_contains(I, Jc, timeout_s) and ideal_contains(Jc, I, timeout_s)
+    return ideal_contains(I, Jc) and ideal_contains(Jc, I)
 
 
-def eliminate(I, vars_to_remove, timeout_s=None):
+def eliminate(I, vars_to_remove):
     """Generators of I intersected with the subring without the given variables."""
     removed = tuple(v for v in I.ring.variables if v in set(vars_to_remove))
     if not removed:
         return Ideal(I.ring, I.generators)
     order = Block(removed)
-    basis, _ = buchberger(I, order=order, timeout_s=timeout_s)
+    basis, _ = buchberger(I, order=order)
     sub = I.ring.restrict([v for v in I.ring.variables if v not in set(removed)])
     kept = []
     for g in basis:
@@ -679,7 +701,7 @@ def _fresh_name(ring, stem):
     return name
 
 
-def intersect(I, J, timeout_s=None):
+def intersect(I, J):
     """I cap J via the (t I + (1 - t) J) elimination trick."""
     if I.ring.variables != J.ring.variables:
         J = Ideal(I.ring, [g.cast(I.ring) for g in J.generators])
@@ -688,24 +710,24 @@ def intersect(I, J, timeout_s=None):
     tv = ext.var(t)
     gens = [tv * g.cast(ext) for g in I.generators]
     gens += [(ext.one() - tv) * g.cast(ext) for g in J.generators]
-    E = eliminate(Ideal(ext, gens), [t], timeout_s=timeout_s)
+    E = eliminate(Ideal(ext, gens), [t])
     return Ideal(I.ring, [g.cast(I.ring) for g in E.generators])
 
 
-def _exact_div(h, f, timeout_s=None):
-    r, cert = reduce_poly(h, [f], timeout_s=timeout_s)
+def _exact_div(h, f):
+    r, cert = reduce_poly(h, [f])
     if not r.is_zero:
         raise PolyError("inexact division in ideal quotient")
     return cert.cofactors[0]
 
 
-def quotient(I, f, timeout_s=None):
+def quotient(I, f):
     """(I : f) = {g : g f in I} via the intersection trick."""
     f = f.cast(I.ring)
     if f.is_zero:
         raise PolyError("quotient by zero")
-    J = intersect(I, Ideal(I.ring, [f]), timeout_s=timeout_s)
-    gens = [_exact_div(h, f, timeout_s) for h in J.generators]
+    J = intersect(I, Ideal(I.ring, [f]))
+    gens = [_exact_div(h, f) for h in J.generators]
     return Ideal(I.ring, gens)
 
 
@@ -731,7 +753,7 @@ class _RevLexLast:
         return key
 
 
-def is_nonzerodivisor(I, v, timeout_s=None):
+def is_nonzerodivisor(I, v):
     """True iff the variable v is a nonzerodivisor on R/I.
 
     Decided from the leading monomials of the complete reduced basis of the
@@ -743,23 +765,23 @@ def is_nonzerodivisor(I, v, timeout_s=None):
         raise PolyError("nonzerodivisor test needs a variable, got %s" % v)
     (name,) = v.variables_used()
     if isinstance(I.ring.order, GrevLex):
-        basis = I.gb(timeout_s=timeout_s)
+        basis = I.gb()
     else:
-        basis, _ = buchberger(I, order=GrevLex(), timeout_s=timeout_s)
+        basis, _ = buchberger(I, order=GrevLex())
     h = _fresh_name(I.ring, "h")
     ring = PolyRing(I.ring.variables + (h,), _RevLexLast((name, h)))
     gens = []
     for g in basis:
         deg = g.total_degree()
         gens.append(Polynomial(ring, {e + (deg - sum(e),): c for e, c in g.terms.items()}))
-    hbasis, partial = buchberger(Ideal(ring, gens), timeout_s=timeout_s)
+    hbasis, partial = buchberger(Ideal(ring, gens))
     if partial:
         raise PolyError("internal error: partial basis in the nonzerodivisor test")
     k = ring.index[name]
     return not any(b.lm()[k] for b in hbasis)
 
 
-def radical_member(p, I, timeout_s=None):
+def radical_member(p, I):
     """Rabinowitsch test: p in rad(I) iff 1 in I + (1 - t p)."""
     p = p.cast(I.ring)
     t = _fresh_name(I.ring, "t_rab")
@@ -767,13 +789,13 @@ def radical_member(p, I, timeout_s=None):
     tv = ext.var(t)
     gens = [g.cast(ext) for g in I.generators]
     gens.append(ext.one() - tv * p.cast(ext))
-    basis, _ = buchberger(Ideal(ext, gens), timeout_s=timeout_s)
+    basis, _ = buchberger(Ideal(ext, gens))
     return len(basis) == 1 and basis[0] == ext.one()
 
 
-def krull_dim(I, timeout_s=None):
+def krull_dim(I):
     """Dimension of V(I) over Q via independent sets modulo leading terms."""
-    basis = I.gb(timeout_s=timeout_s)
+    basis = I.gb()
     n = I.ring.nvars
     if not basis:
         return n
@@ -814,7 +836,7 @@ def krull_dim(I, timeout_s=None):
 IDEAL_HEADER = "# lmlab-ideal v1"
 
 
-def write_ideal_text(ideal, sort_generators=True):
+def write_ideal_text(ideal):
     """Canonical `.ideal` text: header, ring, order, one gen line each."""
     lines = [IDEAL_HEADER]
     lines.append("ring QQ [%s]" % ", ".join(ideal.ring.variables))
@@ -826,11 +848,8 @@ def write_ideal_text(ideal, sort_generators=True):
         )
     else:
         lines.append("order %s" % order.name)
-    gens = list(ideal.generators)
-    if sort_generators:
-        key = ideal.ring.exp_key
-        gens.sort(key=lambda g: key(g.lm()))
-    for g in gens:
+    key = ideal.ring.exp_key
+    for g in sorted(ideal.generators, key=lambda g: key(g.lm())):
         lines.append("gen %s" % g)
     return "\n".join(lines) + "\n"
 

@@ -234,7 +234,7 @@ def build_U_ideals(nf):
     return U, small
 
 
-def build_DT_ideal(nf, timeout_s=None):
+def build_DT_ideal(nf):
     """The determinantal chart: minors plus the full sum set to -4 pi.
 
     The displayed sum equals 2 T(Z), so the ideal must coincide with the
@@ -257,7 +257,7 @@ def build_DT_ideal(nf, timeout_s=None):
         provenance="determinantal chart with the -4 pi normalization",
     )
     U, _ = build_U_ideals(nf)
-    if not ideal_equal(DT.ideal, U.ideal, timeout_s=timeout_s):
+    if not ideal_equal(DT.ideal, U.ideal):
         raise PolyError("determinantal chart differs from the reduced chart ideal")
     return DT
 
@@ -394,7 +394,10 @@ def _oracle_failures(nf, psi, count, seed):
     return bad
 
 
-def verify_presentation(nf, mode="sound", timeout_s=None, seed=7, oracle_samples=20):
+ORACLE_SAMPLES = 20
+
+
+def verify_presentation(nf, mode="sound", seed=7):
     """Check that the section kills the naive chart ideal, then some.
 
     sound: every generator maps into (minors, (T+2pi) Z) by Groebner
@@ -408,14 +411,14 @@ def verify_presentation(nf, mode="sound", timeout_s=None, seed=7, oracle_samples
         naive = build_naive_chart_ideal(nf)
         psi = block_substitution(nf)
         _, small = build_U_ideals(nf)
-        basis = small.ideal.gb(timeout_s=timeout_s)
+        basis = small.ideal.gb()
         reduced_zero = 0
         for g in naive.ideal.generators:
             img = psi(g)
             if img.is_zero:
                 reduced_zero += 1
                 continue
-            r, _ = reduce_poly(img, list(basis), timeout_s=timeout_s)
+            r, _ = reduce_poly(img, list(basis))
             if r.is_zero:
                 reduced_zero += 1
             else:
@@ -427,14 +430,14 @@ def verify_presentation(nf, mode="sound", timeout_s=None, seed=7, oracle_samples
         report.details["reduced_to_zero"] = reduced_zero
 
         if report.status == PASS:
-            bad = _oracle_failures(nf, psi, oracle_samples, seed)
-            report.details["oracle_samples"] = oracle_samples
+            bad = _oracle_failures(nf, psi, ORACLE_SAMPLES, seed)
+            report.details["oracle_samples"] = ORACLE_SAMPLES
             if bad:
                 report.status = FAIL
                 report.details["oracle_failures"] = bad
 
         if report.status == PASS and mode == "complete":
-            _verify_complete(nf, psi, small, report, timeout_s)
+            _verify_complete(nf, psi, small, report)
     return report
 
 
@@ -459,7 +462,7 @@ def _z_to_x_map(nf, target):
     return RingMap(zr, target, images)
 
 
-def _verify_complete(nf, psi, small, report, timeout_s):
+def _verify_complete(nf, psi, small, report):
     xr = x_ring(nf)
     elim_y = _y_elimination_map(nf)
     to_x = _z_to_x_map(nf, xr)
@@ -489,12 +492,12 @@ def _verify_complete(nf, psi, small, report, timeout_s):
     for bound in (2, 3, 4):
         if not uncertified:
             break
-        basis, _ = run.advance(bound, timeout_s=timeout_s)
+        basis, _ = run.advance(bound)
         still = []
         for name, p in targets:
             if name in certified:
                 continue
-            r, _ = reduce_poly(p, list(basis), timeout_s=timeout_s)
+            r, _ = reduce_poly(p, list(basis))
             if r.is_zero:
                 certified[name] = bound
             else:
@@ -519,8 +522,8 @@ def _verify_complete(nf, psi, small, report, timeout_s):
 
     # contraction: eliminate every non-Z matrix entry, land inside the small ideal
     elim_vars = [name for name, _ in targets]
-    E = eliminate(HI, elim_vars, timeout_s=timeout_s)
-    basis = small.ideal.gb(timeout_s=timeout_s)
+    E = eliminate(HI, elim_vars)
+    basis = small.ideal.gb()
     z_of_x = {"x_%d_%d" % (a, b): "z_%d_%d" % (i, j)
               for (i, j), (a, b) in block_layout(nf).z_dict.items()}
     rename = RingMap(
@@ -530,7 +533,7 @@ def _verify_complete(nf, psi, small, report, timeout_s):
     )
     bad = []
     for g in E.generators:
-        r, _ = reduce_poly(rename(g), list(basis), timeout_s=timeout_s)
+        r, _ = reduce_poly(rename(g), list(basis))
         if not r.is_zero:
             bad.append(str(g))
     report.details["contraction_generators"] = len(E.generators)
@@ -539,7 +542,7 @@ def _verify_complete(nf, psi, small, report, timeout_s):
         report.details["contraction_failures"] = bad
 
 
-def verify_annihilator(nf, timeout_s=None):
+def verify_annihilator(nf):
     """The annihilator of the trace quadric in the naive chart is (Z)."""
     instance = {"d": nf.d, "delta": nf.delta}
     with checking("annihilator", instance) as report:
@@ -547,9 +550,9 @@ def verify_annihilator(nf, timeout_s=None):
         ring = small.ring
         T = trace_form(nf, ring)
         quad = T + 2 * ring.var("pi")
-        ann = quotient(small.ideal, quad, timeout_s=timeout_s)
+        ann = quotient(small.ideal, quad)
         zideal = Ideal(ring, [ring.var(v) for v in ring.variables if v != "pi"])
-        if not ideal_equal(ann, zideal, timeout_s=timeout_s):
+        if not ideal_equal(ann, zideal):
             report.status = FAIL
             # the computed annihilator generators are the witness
             report.details["annihilator"] = [str(g) for g in ann.generators]
@@ -557,14 +560,14 @@ def verify_annihilator(nf, timeout_s=None):
     return report
 
 
-def flatness_and_dimension(cp, expected_rel_dim, timeout_s=None):
+def flatness_and_dimension(cp, expected_rel_dim):
     """pi-nonzerodivisor proxy for flatness plus the Krull dimension count."""
     from .groebner import krull_dim
 
     with checking("flatness-dims", {"chart": cp.name}) as report:
         ring = cp.ring
-        flat = is_nonzerodivisor(cp.ideal, ring.var("pi"), timeout_s=timeout_s)
-        dim = krull_dim(cp.ideal, timeout_s=timeout_s)
+        flat = is_nonzerodivisor(cp.ideal, ring.var("pi"))
+        dim = krull_dim(cp.ideal)
         report.details["flat"] = flat
         report.details["dim"] = dim
         report.details["expected_dim"] = expected_rel_dim + 1

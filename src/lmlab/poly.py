@@ -208,9 +208,6 @@ class PolyRing:
         exp[self.index[name]] = 1
         return Polynomial(self, {tuple(exp): Fraction(1)})
 
-    def gens(self):
-        return [self.var(v) for v in self.variables]
-
     def poly(self, terms):
         clean = {}
         for exp, c in terms.items():
@@ -641,15 +638,6 @@ class PolyMatrix:
         cols = len(rows_of_entries[0])
         flat = [e for row in rows_of_entries for e in row]
         return cls(rows, cols, flat)
-
-    @classmethod
-    def zero(cls, ring, rows, cols):
-        return cls(rows, cols, [ring.zero() for _ in range(rows * cols)])
-
-    @classmethod
-    def identity(cls, ring, n):
-        m = [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
-        return cls.from_rows(m)
 
     def __getitem__(self, ij):
         i, j = ij

@@ -41,10 +41,6 @@ __all__ = [
 @dataclass(frozen=True)
 class LinkedChart:
     chart: ChartPresentation
-    u_var: str
-    v_var: str
-    pin_x: int
-    pin_y: int
     q1: object
     q2: object
 
@@ -83,7 +79,7 @@ def build_linked_chart_ideal(nf, i, j):
         provenance="pinned chart of the linked quadric; Q2 is the halved form, "
         "so displayed equations match up to the unit 2",
     )
-    return LinkedChart(chart=chart, u_var="u", v_var="v", pin_x=i, pin_y=j, q1=q1, q2=q2)
+    return LinkedChart(chart=chart, q1=q1, q2=q2)
 
 
 def build_basic_scheme():
@@ -119,21 +115,21 @@ def basic_scheme_map(nf, linked):
     )
 
 
-def verify_linked_chart(nf, i, j, timeout_s=None):
+def verify_linked_chart(nf, i, j):
     """Flatness proxy plus the B-map membership for one pinned chart."""
     instance = {"d": nf.d, "delta": nf.delta, "pin_x": i, "pin_y": j}
     with checking("linked-fiber", instance) as report:
         linked = build_linked_chart_ideal(nf, i, j)
         ring = linked.chart.ring
         ideal = linked.chart.ideal
-        flat = is_nonzerodivisor(ideal, ring.var("pi"), timeout_s=timeout_s)
+        flat = is_nonzerodivisor(ideal, ring.var("pi"))
         report.details["flat"] = flat
         b = build_basic_scheme()
         fmap = basic_scheme_map(nf, linked)
-        basis = ideal.gb(timeout_s=timeout_s)
+        basis = ideal.gb()
         mapped_ok = True
         for g in b.ideal.generators:
-            r, _ = reduce_poly(fmap(g), list(basis), timeout_s=timeout_s)
+            r, _ = reduce_poly(fmap(g), list(basis))
             if not r.is_zero:
                 mapped_ok = False
                 report.details["residue"] = str(r)
@@ -143,7 +139,7 @@ def verify_linked_chart(nf, i, j, timeout_s=None):
     return report
 
 
-def verify_fiber_decomposition(timeout_s=None):
+def verify_fiber_decomposition():
     """Special-fiber structure of B: radical, primes, and multiplicities.
 
     With F = (u w1 + v w2, u v) at pi = 0: the radical is (u w1, v w2, u v),
@@ -157,10 +153,10 @@ def verify_fiber_decomposition(timeout_s=None):
         F = Ideal(ring, [u * w1 + v * w2, u * v])
         rad = Ideal(ring, [u * w1, v * w2, u * v])
         ok_rad = (
-            radical_member(u * w1, F, timeout_s=timeout_s)
-            and radical_member(v * w2, F, timeout_s=timeout_s)
-            and ideal_member(u * v, F, timeout_s=timeout_s)[0]
-            and ideal_contains(rad, F, timeout_s=timeout_s)
+            radical_member(u * w1, F)
+            and radical_member(v * w2, F)
+            and ideal_member(u * v, F)[0]
+            and ideal_contains(rad, F)
         )
         report.details["radical_identity"] = ok_rad
         # explicit square certificate for u*w1
@@ -168,22 +164,18 @@ def verify_fiber_decomposition(timeout_s=None):
         if cert.is_zero:
             report.certificates.append("(u*w1)^2 = u*w1*(u*w1 + v*w2) - w1*w2*(u*v)")
         primes = intersect(
-            intersect(Ideal(ring, [u, v]), Ideal(ring, [w1, v]), timeout_s=timeout_s),
-            Ideal(ring, [w2, u]),
-            timeout_s=timeout_s,
+            intersect(Ideal(ring, [u, v]), Ideal(ring, [w1, v])), Ideal(ring, [w2, u])
         )
-        ok_primes = ideal_equal(rad, primes, timeout_s=timeout_s)
+        ok_primes = ideal_equal(rad, primes)
         report.details["prime_intersection"] = ok_primes
         primary = intersect(
             intersect(
                 Ideal(ring, [u**2, u * v, v**2, u * w1 + v * w2]),
                 Ideal(ring, [w1, v]),
-                timeout_s=timeout_s,
             ),
             Ideal(ring, [w2, u]),
-            timeout_s=timeout_s,
         )
-        ok_primary = ideal_equal(F, primary, timeout_s=timeout_s)
+        ok_primary = ideal_equal(F, primary)
         report.details["primary_intersection"] = ok_primary
         report.unit_notes.append("div(pi) = 2(Z0) + (Z1) + (Z2) via the primary factor")
         if not (ok_rad and ok_primes and ok_primary):
@@ -191,23 +183,21 @@ def verify_fiber_decomposition(timeout_s=None):
     return report
 
 
-def verify_divisor_multiplicities_on_blowup_charts(timeout_s=None):
+def verify_divisor_multiplicities_on_blowup_charts():
     """Branch multiplicities of pi on the two blow-up charts of B."""
     from .blowup import build_B_blowup_charts
 
     with checking("b-blowup", {"scheme": "basic"}) as report:
-        chart1, chart2 = build_B_blowup_charts(timeout_s=timeout_s)
+        chart1, chart2 = build_B_blowup_charts()
         r1 = chart1.ring
-        ok1 = ideal_member(
-            r1.var("pi") - r1.var("u") * r1.var("v"), chart1.ideal, timeout_s=timeout_s
-        )[0]
+        ok1 = ideal_member(r1.var("pi") - r1.var("u") * r1.var("v"), chart1.ideal)[0]
         report.details["chart_I_pi_eq_uv"] = ok1
         r2 = chart2.ring
         prod = r2.var("w1") * r2.var("w2") * r2.var("y") ** 2
-        ok2 = ideal_member(r2.var("pi") + prod, chart2.ideal, timeout_s=timeout_s)[0]
+        ok2 = ideal_member(r2.var("pi") + prod, chart2.ideal)[0]
         report.details["chart_II_pi_eq_-w1w2y2"] = ok2
         cube = Ideal(r2, list(chart2.ideal.generators) + [r2.var("y") ** 3])
-        not_cubed = not ideal_member(r2.var("pi"), cube, timeout_s=timeout_s)[0]
+        not_cubed = not ideal_member(r2.var("pi"), cube)[0]
         report.details["pi_not_in_y_cubed"] = not_cubed
         report.unit_notes.append("multiplicities (1,1,2): pi = u*v and pi = -w1*w2*y^2")
         if not (ok1 and ok2 and not_cubed):

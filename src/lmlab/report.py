@@ -35,11 +35,6 @@ class VerificationReport:
             "details": dict(self.details),
         }
 
-    @property
-    def ok(self):
-        return self.status == PASS
-
-
 def exception_status(exc):
     """(status, details key) for a check ended by `exc`."""
     if isinstance(exc, GBTimeout):

@@ -9,6 +9,8 @@ chart-match, exceptional (resolution charts), annihilator, flatness-dims.
 The checks of one instance run together, in one `basis_cache()` block, so
 that they share every Groebner basis they compute; `run_suite` runs one task
 per instance, and `--jobs` spreads the instances over worker processes.
+`timeout_s` is the Groebner budget of one named check at one instance: each
+check runs in its own `deadline()` block.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ class SuiteConfig:
     timeout_s: float = None
     seed: int = 7
     jobs: int = 1
-    output: str = None
 
     def validate(self):
         if not self.grid:
@@ -95,34 +96,34 @@ def _wrap_error(check, instance, exc):
     return VerificationReport(check, instance, status, details={key: str(exc)})
 
 
-def _check_za1(nf, mode, timeout_s, seed):
+def _check_za1(nf, mode, seed, pivots):
     from .localmodel import verify_presentation
 
-    return [verify_presentation(nf, mode=mode, timeout_s=timeout_s, seed=seed)]
+    return [verify_presentation(nf, mode=mode, seed=seed)]
 
 
-def _check_dt_equals_u(nf, mode, timeout_s, seed):
+def _check_dt_equals_u(nf, mode, seed, pivots):
     from .localmodel import build_DT_ideal
 
     with checking("dt-equals-u", {"d": nf.d, "delta": nf.delta}) as rep:
-        build_DT_ideal(nf, timeout_s=timeout_s)
+        build_DT_ideal(nf)
         rep.unit_notes.append("displayed sum equals 2*(trace quadric + 2 pi)")
     return [rep]
 
 
-def _check_flatness_dims(nf, mode, timeout_s, seed):
+def _check_flatness_dims(nf, mode, seed, pivots):
     from .groebner import Ideal, krull_dim
     from .localmodel import build_U_ideals, flatness_and_dimension, z_matrix
     from .poly import minors
 
     U, _ = build_U_ideals(nf)
-    rep_u = flatness_and_dimension(U, nf.d - 2, timeout_s=timeout_s)
+    rep_u = flatness_and_dimension(U, nf.d - 2)
     rep_u.instance.update({"d": nf.d, "delta": nf.delta})
     ring = U.ring
     cone = Ideal(ring, minors(z_matrix(nf, ring), 2))
     instance = {"d": nf.d, "delta": nf.delta, "chart": "segre-cone"}
     with checking("flatness-dims", instance) as rep_c:
-        dim = krull_dim(cone, timeout_s=timeout_s)
+        dim = krull_dim(cone)
         rep_c.details["dim"] = dim
         rep_c.details["expected_dim"] = nf.d
         if dim != nf.d:
@@ -130,34 +131,34 @@ def _check_flatness_dims(nf, mode, timeout_s, seed):
     return [rep_u, rep_c]
 
 
-def _check_annihilator(nf, mode, timeout_s, seed):
+def _check_annihilator(nf, mode, seed, pivots):
     from .localmodel import verify_annihilator
 
-    return [verify_annihilator(nf, timeout_s=timeout_s)]
+    return [verify_annihilator(nf)]
 
 
-def _check_linked_fiber(nf, mode, timeout_s, seed):
+def _check_linked_fiber(nf, mode, seed, pivots):
     from .quadric import verify_fiber_decomposition, verify_linked_chart
 
     reports = []
-    basic = verify_fiber_decomposition(timeout_s=timeout_s)
+    basic = verify_fiber_decomposition()
     basic.instance.update({"d": nf.d, "delta": nf.delta})
     reports.append(basic)
     for i in nf.DeltaC:
         for j in nf.Delta:
-            reports.append(verify_linked_chart(nf, i, j, timeout_s=timeout_s))
+            reports.append(verify_linked_chart(nf, i, j))
     return reports
 
 
-def _check_b_blowup(nf, mode, timeout_s, seed):
+def _check_b_blowup(nf, mode, seed, pivots):
     from .quadric import verify_divisor_multiplicities_on_blowup_charts
 
-    rep = verify_divisor_multiplicities_on_blowup_charts(timeout_s=timeout_s)
+    rep = verify_divisor_multiplicities_on_blowup_charts()
     rep.instance.update({"d": nf.d, "delta": nf.delta})
     return [rep]
 
 
-def _check_quadbu_smooth(nf, mode, timeout_s, seed, pivots=None):
+def _check_quadbu_smooth(nf, mode, seed, pivots):
     from .blowup import build_DT_blowup_chart
     from .verify import model_target_for_chart, smooth_over_model
 
@@ -168,54 +169,51 @@ def _check_quadbu_smooth(nf, mode, timeout_s, seed, pivots=None):
     for s, t in todo:
         instance = {"d": nf.d, "delta": nf.delta, "pivot": [s, t]}
         with checking("quadbu-smooth", instance) as rep:
-            bc = build_DT_blowup_chart(nf, s, t, timeout_s=timeout_s)
+            bc = build_DT_blowup_chart(nf, s, t)
             tgt = model_target_for_chart(nf, bc)
-            chart_rep = smooth_over_model(bc.chart, tgt, rel, timeout_s=timeout_s)
+            chart_rep = smooth_over_model(bc.chart, tgt, rel)
             rep.status = chart_rep.status
             rep.details.update(chart_rep.details, target=tgt.kind)
         reports.append(rep)
     return reports
 
 
-def _m_pivots(nf, pivots=None):
+def _m_pivots(nf, pivots):
     if pivots:
         return pivots
     return [(s, t) for s in nf.Delta for t in nf.DeltaC]
 
 
-def _check_affine_chart(nf, mode, timeout_s, seed, pivots=None):
+def _check_affine_chart(nf, mode, seed, pivots):
     from .blowup import build_M_chart
 
     reports = []
     for s, t in _m_pivots(nf, pivots):
         instance = {"d": nf.d, "delta": nf.delta, "pivot": [s, t]}
         with checking("affine-chart", instance) as rep:
-            build_M_chart(nf, s, t, timeout_s=timeout_s)
+            build_M_chart(nf, s, t)
             rep.details["elimination_equality"] = True
         reports.append(rep)
     return reports
 
 
-def _check_chart_match(nf, mode, timeout_s, seed, pivots=None):
+def _check_chart_match(nf, mode, seed, pivots):
     from .blowup import chart_match, linking_multipliers
 
     reports = []
     for s, t in _m_pivots(nf, pivots):
-        reports.append(chart_match(nf, s, t, timeout_s=timeout_s))
-        link = linking_multipliers(nf, s, t, timeout_s=timeout_s)
+        reports.append(chart_match(nf, s, t))
+        link = linking_multipliers(nf, s, t)
         link.instance = dict(link.instance)
         link.instance["part"] = "linking"
         reports.append(link)
     return reports
 
 
-def _check_exceptional(nf, mode, timeout_s, seed, pivots=None):
+def _check_exceptional(nf, mode, seed, pivots):
     from .blowup import exceptional_locus
 
-    return [
-        exceptional_locus(nf, s, t, timeout_s=timeout_s)
-        for s, t in _m_pivots(nf, pivots)
-    ]
+    return [exceptional_locus(nf, s, t) for s, t in _m_pivots(nf, pivots)]
 
 
 _CHECKS = {
@@ -243,12 +241,15 @@ CHECK_ALIASES = {
 
 
 def run_check(check, d, delta, mode="sound", timeout_s=None, seed=7, pivots=None):
-    """All reports for one named check at one grid instance."""
+    """All reports for one named check at one grid instance.
+
+    timeout_s budgets every Groebner operation of the check together.
+    """
+    from .groebner import deadline
+
     nf = normal_form(d, delta)
-    fn = _CHECKS[check]
-    if check in ("quadbu-smooth", "affine-chart", "chart-match", "exceptional"):
-        return fn(nf, mode, timeout_s, seed, pivots=pivots)
-    return fn(nf, mode, timeout_s, seed)
+    with deadline(timeout_s):
+        return _CHECKS[check](nf, mode, seed, pivots)
 
 
 def run_instance(checks, d, delta, mode="sound", timeout_s=None, seed=7, pivots=None):

@@ -203,7 +203,7 @@ def model_cover_for_chart(nf, bchart):
     return pieces
 
 
-def smooth_over_base(ideal, expected_dim=None, timeout_s=None):
+def smooth_over_base(ideal, expected_dim=None):
     """Absolute Jacobian criterion over the coefficient field.
 
     With c = (number of variables) - dim V(I), the chart is smooth iff the
@@ -212,8 +212,8 @@ def smooth_over_base(ideal, expected_dim=None, timeout_s=None):
     """
     instance = {"ring": ",".join(ideal.ring.variables)}
     with checking("smooth-base", instance) as report:
-        basis = ideal.gb(timeout_s=timeout_s)
-        dim = krull_dim(ideal, timeout_s=timeout_s)
+        basis = ideal.gb()
+        dim = krull_dim(ideal)
         c = ideal.ring.nvars - dim
         report.details["dim"] = dim
         report.details["codim"] = c
@@ -227,16 +227,16 @@ def smooth_over_base(ideal, expected_dim=None, timeout_s=None):
         jac = jacobian(list(basis), list(ideal.ring.variables))
         mins = minors(jac, c)
         total = Ideal(ideal.ring, list(ideal.generators) + mins)
-        ok, _ = ideal_member(ideal.ring.one(), total, timeout_s=timeout_s)
+        ok, _ = ideal_member(ideal.ring.one(), total)
         report.details["singular_locus_empty"] = ok
         if not ok:
             report.status = FAIL
-            gb = total.gb(timeout_s=timeout_s)
+            gb = total.gb()
             report.details["witness"] = str(gb[0]) if gb else "0"
     return report
 
 
-def smooth_over_model(chart, target, rel_dim, timeout_s=None):
+def smooth_over_model(chart, target, rel_dim):
     """Relative smoothness of a chart over a model ring.
 
     Adjoin the model variables by their assignments; then (i) the model
@@ -255,14 +255,12 @@ def smooth_over_model(chart, target, rel_dim, timeout_s=None):
         I_ext = Ideal(ext, gens)
         g = len(I_ext.generators)
 
-        ok_rel, rel_cert = ideal_member(
-            target.relation.cast(ext), I_ext, timeout_s=timeout_s
-        )
+        ok_rel, rel_cert = ideal_member(target.relation.cast(ext), I_ext)
         report.details["relation_member"] = ok_rel
         if not ok_rel:
             report.details["relation_residue"] = str(rel_cert.residue)
 
-        dim = krull_dim(I_ext, timeout_s=timeout_s)
+        dim = krull_dim(I_ext)
         ci = dim == ext.nvars - g
         report.details["complete_intersection"] = ci
         # the model scheme is a hypersurface in (pi, model vars), so its
@@ -275,12 +273,12 @@ def smooth_over_model(chart, target, rel_dim, timeout_s=None):
         jac = jacobian(list(I_ext.generators), fiber_vars)
         mins = minors(jac, g)
         total = Ideal(ext, list(I_ext.generators) + mins)
-        ok_rank, _ = ideal_member(ext.one(), total, timeout_s=timeout_s)
+        ok_rank, _ = ideal_member(ext.one(), total)
         report.details["full_rank"] = ok_rank
         if not (ok_rel and ci and ok_rank and actual_rel_dim == rel_dim):
             report.status = FAIL
             if not ok_rank:
-                gb = total.gb(timeout_s=timeout_s)
+                gb = total.gb()
                 report.details["witness"] = str(gb[0]) if gb else "0"
     return report
 
@@ -300,7 +298,7 @@ def _piece_chart(chart, piece):
     )
 
 
-def smooth_on_cover(chart, pieces, rel_dim, timeout_s=None):
+def smooth_on_cover(chart, pieces, rel_dim):
     """Relative smoothness over a model ring, certified on a Zariski cover.
 
     The chart passes iff (i) the pieces cover it: 1 lies in (chart ideal,
@@ -315,14 +313,14 @@ def smooth_on_cover(chart, pieces, rel_dim, timeout_s=None):
         report.details["pieces"] = len(pieces)
         one = chart.ring.one()
         cover = Ideal(chart.ring, list(chart.ideal.generators) + [p.h for p in pieces])
-        ok, cert = ideal_member(one, cover, timeout_s=timeout_s)
+        ok, cert = ideal_member(one, cover)
         ok = ok and cert.verify(one)
         report.details["cover_unit"] = ok
         if not ok:
             report.status = FAIL
             return report
         piece_reports = [
-            smooth_over_model(_piece_chart(chart, p), p.target, rel_dim, timeout_s=timeout_s)
+            smooth_over_model(_piece_chart(chart, p), p.target, rel_dim)
             for p in pieces
         ]
         if len(piece_reports) == 1:

@@ -193,22 +193,24 @@ def test_exceptional_locus_6_2_free_variables():
 
 def test_exceptional_witness_search_gets_the_budget(monkeypatch):
     import lmlab.blowup as blowup
+    import lmlab.groebner as groebner
 
     real = blowup.reduce_poly
     budgets = []
 
-    def spy(p, basis, timeout_s=None):
-        budgets.append(timeout_s)
-        return real(p, basis, timeout_s=timeout_s)
+    def spy(p, basis):
+        budgets.append(groebner._until[1])
+        return real(p, basis)
 
     nf = normal_form(5, 1)
     mchart = build_M_chart(nf, 3, 1)
-    monkeypatch.setattr(blowup, "build_M_chart", lambda nf, s, t, timeout_s=None: mchart)
+    monkeypatch.setattr(blowup, "build_M_chart", lambda nf, s, t: mchart)
     # a locus that compares unequal sends the check into its witness search,
     # one reduction per expected generator
     monkeypatch.setattr(blowup, "reduce_poly", spy)
-    monkeypatch.setattr(blowup, "ideal_equal", lambda I, J, timeout_s=None: False)
-    rep = exceptional_locus(nf, 3, 1, timeout_s=60)
+    monkeypatch.setattr(blowup, "ideal_equal", lambda I, J: False)
+    with groebner.deadline(60):
+        rep = exceptional_locus(nf, 3, 1)
     assert rep.status == "fail"
     assert budgets == [60] * (nf.d + 4)
 

@@ -243,8 +243,8 @@ def test_every_check_reports_a_timeout_at_its_own_instance(monkeypatch):
     from lmlab import groebner
     from lmlab.suite import CHECK_NAMES, run_instance
 
-    def out_of_time(self, degree_bound=None, timeout_s=None):
-        raise groebner.GBTimeout(timeout_s)
+    def out_of_time(self, degree_bound=None):
+        raise groebner.GBTimeout(60)
 
     monkeypatch.setattr(groebner.BuchbergerRun, "advance", out_of_time)
     reports = run_instance(CHECK_NAMES, 5, 1, timeout_s=60)
@@ -268,3 +268,24 @@ def test_every_check_reports_a_timeout_at_its_own_instance(monkeypatch):
         + [("flatness-dims", ("chart",))] * 2
     )
     assert len({(r.check, json.dumps(r.instance, sort_keys=True)) for r in reports}) == 31
+
+
+def test_budget_covers_every_operation_of_a_check(monkeypatch):
+    # building the naive chart spends the whole budget before za1's first
+    # Groebner operation; a budget per operation would let each one pass
+    import time
+
+    from lmlab import groebner, localmodel
+    from lmlab.suite import run_check
+
+    real = localmodel.build_naive_chart_ideal
+
+    def slow(nf):
+        time.sleep(0.1)
+        return real(nf)
+
+    monkeypatch.setattr(localmodel, "build_naive_chart_ideal", slow)
+    (rep,) = run_check("za1", 5, 1, timeout_s=0.05)
+    assert rep.status == "timeout"
+    assert rep.details["timeout"] == str(groebner.GBTimeout(0.05))
+    assert groebner._until is None

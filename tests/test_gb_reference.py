@@ -31,7 +31,6 @@ from lmlab.groebner import (
     GBTimeout,
     Ideal,
     MembershipCertificate,
-    _deadline,
     _int_clear,
     buchberger,
     ideal_contains,
@@ -289,7 +288,7 @@ def reference(ideal, order=None, degree_bound=None):
     return _groebner_int(int_gens, eng, degree_bound)
 
 
-def reduce_poly(p, basis, timeout_s=None):
+def reduce_poly(p, basis):
     """Full normal form plus certificate against an ordered basis list.
 
     Divisor selection is first-match in list order; the normal form has no
@@ -300,7 +299,7 @@ def reduce_poly(p, basis, timeout_s=None):
     for b in basis:
         if b.ring != ring:
             raise PolyError("ring mismatch between polynomial and basis")
-    eng = _Engine(ring.exp_key, _deadline(timeout_s))
+    eng = _Engine(ring.exp_key)
     reducers = []
     scales = []
     for b in basis:

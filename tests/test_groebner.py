@@ -11,6 +11,7 @@ from lmlab.groebner import (
     GBTimeout,
     Ideal,
     basis_cache,
+    deadline,
     buchberger,
     eliminate,
     ideal_contains,
@@ -283,8 +284,9 @@ def test_resumed_step_times_out_and_can_go_on():
     HI = _x_ring_ideal(5, 1)
     run = BuchbergerRun(HI)
     run.advance(2)
-    with pytest.raises(GBTimeout):
-        run.advance(3, timeout_s=1e-9)
+    # an inner block with a later deadline does not extend the outer one
+    with pytest.raises(GBTimeout), deadline(1e-9), deadline(60):
+        run.advance(3)
     # the timed-out step lost no pair: the run still reaches the fresh result
     assert run.advance(3) == buchberger(HI, degree_bound=3)
 
@@ -293,10 +295,11 @@ def test_complete_mode_reports_timeout_of_a_resumed_step(monkeypatch):
     import lmlab.localmodel as localmodel
 
     class TinyResumeBudget(BuchbergerRun):
-        def advance(self, degree_bound=None, timeout_s=None):
-            if self.entries:
-                timeout_s = 1e-9
-            return super().advance(degree_bound, timeout_s)
+        def advance(self, degree_bound=None):
+            if not self.entries:
+                return super().advance(degree_bound)
+            with deadline(1e-9):
+                return super().advance(degree_bound)
 
     monkeypatch.setattr(localmodel, "BuchbergerRun", TinyResumeBudget)
     report = localmodel.verify_presentation(normal_form(5, 1), mode="complete")
@@ -356,29 +359,31 @@ def test_gb_is_reduced():
 def test_timeout_raises_and_is_typed():
     nf = normal_form(7, 3)
     _, small = build_U_ideals(nf)
-    with pytest.raises(GBTimeout):
-        buchberger(small.ideal, timeout_s=1e-9)
+    with pytest.raises(GBTimeout), deadline(1e-9):
+        buchberger(small.ideal)
 
 
 def test_budget_reaches_every_reduction(monkeypatch):
     # the generator check of Ideal.gb and the exact divisions of quotient
-    # reduce with the caller's budget
+    # reduce under the enclosing deadline
     import lmlab.groebner as groebner
 
     real = groebner.reduce_poly
     budgets = []
 
-    def spy(p, basis, timeout_s=None):
-        budgets.append(timeout_s)
-        return real(p, basis, timeout_s=timeout_s)
+    def spy(p, basis):
+        budgets.append(groebner._until[1])
+        return real(p, basis)
 
     monkeypatch.setattr(groebner, "reduce_poly", spy)
     R = PolyRing(["x", "y"])
     I = Ideal(R, ["x^2 - y", "x*y - 1"])
-    I.gb(timeout_s=60)
+    with deadline(60):
+        I.gb()
     assert budgets == [60, 60]
     budgets.clear()
-    quotient(Ideal(R, ["x^2*y", "x*y^2"]), R.var("x"), timeout_s=60)
+    with deadline(60):
+        quotient(Ideal(R, ["x^2*y", "x*y^2"]), R.var("x"))
     assert budgets and set(budgets) == {60}
 
 
@@ -414,9 +419,9 @@ def _count_runs(monkeypatch):
     runs = []
     real = BuchbergerRun.advance
 
-    def counting(self, degree_bound=None, timeout_s=None):
+    def counting(self, degree_bound=None):
         runs.append(degree_bound)
-        return real(self, degree_bound, timeout_s)
+        return real(self, degree_bound)
 
     monkeypatch.setattr(BuchbergerRun, "advance", counting)
     return runs
@@ -455,9 +460,9 @@ def test_basis_cache_keeps_the_generator_check_of_every_ideal(monkeypatch):
     checked = []
     real = groebner.reduce_poly
 
-    def spy(p, basis, timeout_s=None):
+    def spy(p, basis):
         checked.append(p)
-        return real(p, basis, timeout_s=timeout_s)
+        return real(p, basis)
 
     monkeypatch.setattr(groebner, "reduce_poly", spy)
     with basis_cache():
@@ -494,8 +499,8 @@ def test_basis_cache_stores_nothing_after_a_timeout(monkeypatch):
     runs = _count_runs(monkeypatch)
     _, small = build_U_ideals(normal_form(5, 1))
     with basis_cache():
-        with pytest.raises(GBTimeout):
-            buchberger(small.ideal, timeout_s=1e-9)
+        with pytest.raises(GBTimeout), deadline(1e-9):
+            buchberger(small.ideal)
         basis, partial = buchberger(small.ideal)
         assert buchberger(small.ideal) == (basis, partial)
     assert len(runs) == 2

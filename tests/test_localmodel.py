@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lmlab.groebner import Ideal, ideal_contains, ideal_equal, ideal_member, quotient
+from lmlab.groebner import Ideal, deadline, ideal_contains, ideal_equal, ideal_member, quotient
 from lmlab.lattice import normal_form
 import lmlab.localmodel
 from lmlab.localmodel import (
@@ -292,7 +292,7 @@ def test_matrix_oracle_matches_per_image_oracle(d, delta, seed, corrupt):
 def test_oracle_fail_branch(monkeypatch):
     # with every reduction forced to zero only the oracle can catch the section
     monkeypatch.setattr(
-        lmlab.localmodel, "reduce_poly", lambda p, basis, timeout_s=None: (p.ring.zero(), [])
+        lmlab.localmodel, "reduce_poly", lambda p, basis: (p.ring.zero(), [])
     )
     monkeypatch.setattr(lmlab.localmodel, "block_substitution", corrupted_section)
     rep = verify_presentation(normal_form(5, 1), mode="sound")
@@ -345,7 +345,8 @@ def test_flatness_counterexample():
 
 
 def test_timeout_surfaces_in_report():
-    rep = verify_presentation(normal_form(6, 2), mode="sound", timeout_s=1e-9)
+    with deadline(1e-9):
+        rep = verify_presentation(normal_form(6, 2), mode="sound")
     assert rep.status == "timeout"
     assert "timeout" in rep.details
 

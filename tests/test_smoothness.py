@@ -171,45 +171,48 @@ def test_sum_of_other_shape_gets_no_cover():
 
 
 def test_cover_timeout_is_never_a_pass(monkeypatch):
-    # the unit-ideal membership of the cover gets the caller's budget and
-    # runs out of it here
+    # the unit-ideal membership of the cover runs under the caller's
+    # deadline and runs out of it here
+    import lmlab.groebner as groebner
     import lmlab.verify as verify
-    from lmlab.groebner import GBTimeout
 
     budgets = []
 
-    def out_of_time(p, ideal, timeout_s=None):
-        budgets.append(timeout_s)
-        raise GBTimeout(timeout_s)
+    def out_of_time(p, ideal):
+        budgets.append(groebner._until[1])
+        raise groebner.GBTimeout(groebner._until[1])
 
     monkeypatch.setattr(verify, "ideal_member", out_of_time)
     nf = normal_form(6, 3)
     bc = build_DT_blowup_chart(nf, 2, 2)
-    rep = smooth_on_cover(bc.chart, model_cover_for_chart(nf, bc), nf.d - 4,
-                          timeout_s=60)
+    with groebner.deadline(60):
+        rep = smooth_on_cover(bc.chart, model_cover_for_chart(nf, bc), nf.d - 4)
     assert budgets == [60]
     assert rep.status == "timeout"
     assert "timeout" in rep.details and "piece_reports" not in rep.details
 
 
 def test_timed_out_piece_is_never_a_pass(monkeypatch):
-    # every piece gets the caller's budget; the last one is starved here
+    # every piece runs under the caller's deadline; a nested block starves
+    # the last one here
+    import lmlab.groebner as groebner
     import lmlab.verify as verify
 
     real = verify.smooth_over_model
     budgets = []
 
-    def starve_last(chart, target, rel_dim, timeout_s=None):
-        budgets.append(timeout_s)
-        if len(budgets) == 3:
-            timeout_s = 1e-9
-        return real(chart, target, rel_dim, timeout_s=timeout_s)
+    def starve_last(chart, target, rel_dim):
+        budgets.append(groebner._until[1])
+        if len(budgets) < 3:
+            return real(chart, target, rel_dim)
+        with groebner.deadline(1e-9):
+            return real(chart, target, rel_dim)
 
     monkeypatch.setattr(verify, "smooth_over_model", starve_last)
     nf = normal_form(5, 2)
     bc = build_DT_blowup_chart(nf, 1, 2)
-    rep = smooth_on_cover(bc.chart, model_cover_for_chart(nf, bc), nf.d - 4,
-                          timeout_s=60)
+    with groebner.deadline(60):
+        rep = smooth_on_cover(bc.chart, model_cover_for_chart(nf, bc), nf.d - 4)
     assert budgets == [60, 60, 60]
     assert [r["status"] for r in rep.details["piece_reports"]] == ["pass", "pass", "timeout"]
     assert rep.status == "timeout"
