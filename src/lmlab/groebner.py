@@ -223,7 +223,7 @@ class _Engine:
     def __init__(self, key_fn):
         self.key_fn = key_fn
         self.memo = {}
-        self._tick = 0
+        self._tick = -1  # the first check reads the clock
 
     def key(self, e):
         got = self.memo.get(e)
@@ -232,7 +232,11 @@ class _Engine:
         return got
 
     def check_time(self, every=256):
-        """Raise GBTimeout, every `every` calls, once the active deadline passed."""
+        """Raise GBTimeout once the active deadline passed.
+
+        The clock is read on the first call and then every `every` calls, so
+        a short reduction on a fresh engine still looks at it.
+        """
         self._tick += 1
         if _until is not None and self._tick % every == 0:
             until, seconds = _until

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 # buchberger is not called here, but bench/test_bench.py requires this module
 # to bind it so that the tracer's re-binding coverage is exercised
@@ -341,8 +342,16 @@ def _mat_add(A, B, c=1):
     return [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
-def _naive_relation_values(nf, X, pi):
-    """The generators of build_naive_chart_ideal at (pi, X, Y = -X^t).
+def _naive_relation_values(nf, X, pi, L=1):
+    """The generators of build_naive_chart_ideal at (pi, X, Y = -X^t), times L^k.
+
+    X and pi are given as L X and L pi.  Each relation comes out multiplied by
+    the power of L that clears it: L^3 for X^t S1 X - 2 pi S X and
+    Y^t S2 Y - 2 pi sy (their quadratic terms use L S1 and L S2), L^2 for the
+    rest.  S X and sy are taken as (L S1 + L pi S2)(L X) and
+    (L S2 + L pi S1)(L Y), that is L^2 times their values.  With integer L X
+    and L pi every value is an integer, zero exactly when the relation is;
+    L = 1 gives the relations themselves.
 
     Yields the entries of every relation but Y + X^t, which vanishes there,
     and the minors of X only: those of Y = -X^t are the same, transposed.
@@ -350,14 +359,16 @@ def _naive_relation_values(nf, X, pi):
     Xt = [list(col) for col in zip(*X)]
     Y = [[-v for v in row] for row in Xt]
     Yt = [[-v for v in row] for row in X]
-    SX = _mat_mul(_mat_add(nf.S1, nf.S2, pi), X)
-    sy = _mat_mul(_mat_add(nf.S2, nf.S1, pi), Y)
+    LS1 = [[L * v for v in row] for row in nf.S1]
+    LS2 = [[L * v for v in row] for row in nf.S2]
+    SX = _mat_mul(_mat_add(LS1, nf.S2, pi), X)
+    sy = _mat_mul(_mat_add(LS2, nf.S1, pi), Y)
     relations = (
         _mat_mul(Xt, Y),
-        _mat_add(_mat_mul(Xt, _mat_mul(nf.S1, X)), SX, -2 * pi),
+        _mat_add(_mat_mul(Xt, _mat_mul(LS1, X)), SX, -2 * pi),
         _mat_add(_mat_mul(Xt, _mat_mul(nf.S2, X)), SX, 2),
         _mat_add(_mat_mul(Yt, _mat_mul(nf.S1, Y)), sy, 2),
-        _mat_add(_mat_mul(Yt, _mat_mul(nf.S2, Y)), sy, -2 * pi),
+        _mat_add(_mat_mul(Yt, _mat_mul(LS2, Y)), sy, -2 * pi),
     )
     for M in relations:
         for row in M:
@@ -372,11 +383,13 @@ def _oracle_failures(nf, psi, count, seed):
 
     Each sample is Z = a b^t with pi = -T(Z)/2.  The section is evaluated once
     there, into the numeric matrix X of its x-images; Y = -X^t, as
-    block_substitution defines it.  The relations of build_naive_chart_ideal
-    are then evaluated on (pi, X, Y) with exact fractions.  psi is a ring
-    map, so a relation is nonzero at (pi, X, Y) exactly when psi of that
-    generator is nonzero at the sample: the count equals that of evaluating
-    every image psi(g).
+    block_substitution defines it.  With L the lcm of the denominators of pi
+    and of X, the relations of build_naive_chart_ideal are then evaluated in
+    integers on (L pi, L X), each times a power of L (_naive_relation_values):
+    exact, and zero exactly when the relation is.  psi is a ring map, so a
+    relation is nonzero at (pi, X, Y) exactly when psi of that generator is
+    nonzero at the sample: the count equals that of evaluating every image
+    psi(g).
     """
     d, delta, m = nf.d, nf.delta, nf.d - nf.delta
     T = trace_form(nf, psi.target)
@@ -389,7 +402,10 @@ def _oracle_failures(nf, psi, count, seed):
         assign["pi"] = 0
         pi = assign["pi"] = -T.evaluate(assign) / 2
         X = [[img.evaluate(assign) for img in row] for row in x_images]
-        if any(_naive_relation_values(nf, X, pi)):
+        L = lcm(pi.denominator, *(v.denominator for row in X for v in row))
+        Xn = [[v.numerator * (L // v.denominator) for v in row] for row in X]
+        pn = pi.numerator * (L // pi.denominator)
+        if any(_naive_relation_values(nf, Xn, pn, L)):
             bad += 1
     return bad
 

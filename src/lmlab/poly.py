@@ -8,6 +8,7 @@ list.  All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 __all__ = [
     "PolyError",
@@ -409,20 +410,33 @@ class Polynomial:
         return Polynomial(self.ring, out)
 
     def evaluate(self, assignment):
-        """Evaluate at a rational point given as a dict from variable name."""
+        """Evaluate at a rational point given as a dict from variable name.
+
+        The sum is taken in integers, the point over one common denominator
+        and the coefficients over another; each term is brought to the top
+        degree by powers of the point's denominator, and one Fraction is built
+        at the end.
+        """
         vals = []
         for v in self.ring.variables:
             if v not in assignment:
                 raise UnknownVariableError(v)
             vals.append(Fraction(assignment[v]))
-        total = Fraction(0)
+        den = lcm(*(q.denominator for q in vals))
+        nums = [q.numerator * (den // q.denominator) for q in vals]
+        cden = lcm(*(c.denominator for c in self.terms.values()))
+        top = max(map(sum, self.terms), default=0)
+        den_pow = [den**k for k in range(top + 1)]
+        total = 0
         for exp, c in self.terms.items():
-            t = c
-            for val, e in zip(vals, exp):
+            t = c.numerator * (cden // c.denominator)
+            deg = 0
+            for n, e in zip(nums, exp):
                 if e:
-                    t *= val**e
-            total += t
-        return total
+                    t *= n**e
+                    deg += e
+            total += t * den_pow[top - deg]
+        return Fraction(total, cden * den_pow[top])
 
     def cast(self, ring):
         """Re-express in a ring containing all used variables (by name)."""

@@ -1,6 +1,7 @@
 """Buchberger engine and ideal-operation tests."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -361,6 +362,20 @@ def test_timeout_raises_and_is_typed():
     _, small = build_U_ideals(nf)
     with pytest.raises(GBTimeout), deadline(1e-9):
         buchberger(small.ideal)
+
+
+def test_short_reduction_reads_the_deadline():
+    # reduce_poly starts a fresh engine, and this reduction takes fewer steps
+    # than the engine's check interval: the first check must read the clock
+    R = PolyRing(["x", "y"])
+    basis = list(Ideal(R, ["x^2 - y", "x*y - 1"]).gb())
+    with pytest.raises(GBTimeout), deadline(1e-9):
+        time.sleep(0.001)
+        reduce_poly(parse_poly("x^3", R), basis)
+    # with the budget left, the same reduction gives its residue
+    with deadline(60):
+        r, _ = reduce_poly(parse_poly("x^3", R), basis)
+    assert r == R.one()
 
 
 def test_budget_reaches_every_reduction(monkeypatch):

@@ -1,6 +1,7 @@
 """Chart presentations of the local model and the section that proves them."""
 
 import json
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -269,6 +270,29 @@ def test_matrix_relations_are_the_naive_generators(d, delta):
                 point["y_%d_%d" % (b + 1, a + 1)] = -X[a][b]
         expected = {g.evaluate(point) for g in gens} - {0}
         assert set(_naive_relation_values(nf, X, pi)) - {0} == expected
+
+
+@pytest.mark.parametrize("d,delta", [(5, 1), (6, 2), (6, 3)])
+def test_integer_relations_are_scaled_fraction_relations(d, delta):
+    # on (L pi, L X) every relation comes out as an int, L^3 times its value
+    # for X^t S1 X - 2 pi S X and Y^t S2 Y - 2 pi sy and L^2 times it else
+    nf = normal_form(d, delta)
+    rng = random.Random(1000 * d + delta)
+    powers = [2, 3, 2, 2, 3]
+    for _ in range(3):
+        pi = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        X = [[Fraction(rng.choice([0, rng.randint(-9, 9)]), rng.randint(1, 6))
+              for _ in range(d)] for _ in range(d)]
+        L = math.lcm(pi.denominator, *(v.denominator for row in X for v in row))
+        Xn = [[int(v * L) for v in row] for row in X]
+        pn = int(pi * L)
+        exact = list(_naive_relation_values(nf, X, pi))
+        scaled = list(_naive_relation_values(nf, Xn, pn, L))
+        assert len(scaled) == len(exact)
+        assert all(type(v) is int for v in scaled)
+        ks = [k for k in powers for _ in range(d * d)]
+        ks += [2] * (len(exact) - len(ks))
+        assert scaled == [L**k * v for k, v in zip(ks, exact)]
 
 
 @lru_cache(maxsize=None)

@@ -153,6 +153,56 @@ def test_substitute_is_multiplicative(f, g):
     assert m(R.one()) == dst.one()
 
 
+# -- evaluation
+
+
+def reference_evaluate(p, assignment):
+    """Term-by-term Fraction evaluation, as Polynomial.evaluate did it before
+    it summed in integers over common denominators; copied unchanged."""
+    vals = []
+    for v in p.ring.variables:
+        if v not in assignment:
+            raise UnknownVariableError(v)
+        vals.append(Fraction(assignment[v]))
+    total = Fraction(0)
+    for exp, c in p.terms.items():
+        t = c
+        for val, e in zip(vals, exp):
+            if e:
+                t *= val**e
+        total += t
+    return total
+
+
+point_values = st.one_of(
+    st.integers(-7, 7),
+    st.fractions(min_value=-7, max_value=7, max_denominator=12),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(max_terms=6, max_exp=4), st.fixed_dictionaries(
+    {"x": point_values, "y": point_values, "pi": point_values}))
+def test_evaluate_matches_fraction_reference(f, point):
+    got = f.evaluate(point)
+    assert type(got) is Fraction
+    assert got == reference_evaluate(f, point)
+
+
+def test_evaluate_zero_constant_and_missing_variable():
+    R = ring("x", "y")
+    point = {"x": Fraction(-2, 3), "y": 0}
+    zero = R.zero().evaluate(point)
+    assert type(zero) is Fraction and zero == 0
+    const = R.const(Fraction(-5, 7)).evaluate(point)
+    assert type(const) is Fraction and const == Fraction(-5, 7)
+    p = parse_poly("1/2*x^2*y - 3*x + 1/5", R)
+    assert p.evaluate(point) == reference_evaluate(p, point) == Fraction(11, 5)
+    with pytest.raises(UnknownVariableError) as err:
+        p.evaluate({"x": 1})
+    assert err.value.name == "y"
+
+
 def test_jacobian_examples():
     R = ring("u", "v", "pi")
     J = jacobian([R.var("u") * R.var("v") - R.var("pi")], ["u", "v", "pi"])
