@@ -18,7 +18,6 @@ from .groebner import (
     ideal_member,
     eliminate,
     is_nonzerodivisor,
-    reduce_poly,
 )
 from .lattice import LatticeError, q1_form, q2_form
 from .localmodel import ChartPresentation
@@ -40,7 +39,6 @@ __all__ = [
 class BlowupChart:
     chart: ChartPresentation
     ambient: ChartPresentation
-    pivot: tuple
     z_var: str
     row_sum: object
     col_sum: object
@@ -50,7 +48,6 @@ class BlowupChart:
 class MChart:
     full: ChartPresentation
     reduced: ChartPresentation
-    pivot: tuple
 
 
 # ----------------------------------------------- blow-up of the basic scheme
@@ -193,7 +190,7 @@ def build_DT_blowup_chart(nf, s, t):
     if not ideal_equal(Ecast, reduced.ideal):
         raise PolyError("ambient and reduced blow-up charts disagree at (%d,%d)" % (s, t))
     return BlowupChart(
-        chart=reduced, ambient=ambient, pivot=(s, t), z_var=zv,
+        chart=reduced, ambient=ambient, z_var=zv,
         row_sum=row_sum, col_sum=col_sum,
     )
 
@@ -225,7 +222,7 @@ def build_M_chart(nf, s, t):
     reduced hypersurface lambda^2 Q2(x) Q1(y) + pi with the two pins.
     """
     _pivot_to_z(nf, s, t)  # raises LatticeError for a pivot outside Delta x DeltaC
-    d = nf.d
+    flip = nf.incl_flip
     full, red = m_chart_rings(nf)
     lam = full.var("lambda")
     q2x = q2_form(nf, full, var="x")
@@ -233,9 +230,9 @@ def build_M_chart(nf, s, t):
     eq = lam**2 * q2x * q1y + full.var("pi")
     kgens = [full.var("x_%d" % s) - 1, full.var("y_%d" % t) - 1]
     for i in nf.DeltaC:
-        kgens.append(full.var("x_%d" % i) + lam * q2x * full.var("y_%d" % (d + 1 - i)))
+        kgens.append(full.var("x_%d" % i) + lam * q2x * full.var("y_%d" % flip[i - 1]))
     for j in nf.Delta:
-        kgens.append(full.var("y_%d" % j) - lam * q1y * full.var("x_%d" % (d + 1 - j)))
+        kgens.append(full.var("y_%d" % j) - lam * q1y * full.var("x_%d" % flip[j - 1]))
     full_cp = ChartPresentation(
         name="m-chart-full[%d,%d]@x%d,y%d" % (nf.d, nf.delta, s, t),
         ring=full,
@@ -267,7 +264,7 @@ def build_M_chart(nf, s, t):
         raise PolyError(
             "full/reduced resolution charts disagree after elimination at (%d,%d)" % (s, t)
         )
-    return MChart(full=full_cp, reduced=red_cp, pivot=(s, t))
+    return MChart(full=full_cp, reduced=red_cp)
 
 
 # ------------------------------------------------------------- chart match
@@ -315,11 +312,9 @@ def chart_match(nf, s, t):
             bwd["y_%d" % b] = bring.one() if j == tz else bring.var("bu_%d_%d" % (sz, j))
         Dinv = RingMap(mring, bring, bwd)
 
-        m_basis = mchart.reduced.ideal.gb()
         b_eq = bchart.chart.ideal.generators[0]
         img = D(b_eq)
-        r1, _ = reduce_poly(img, list(m_basis))
-        ok_fwd = r1.is_zero
+        ok_fwd, fwd_cert = ideal_member(img, mchart.reduced.ideal)
         # the explicit unit: D(blow-up equation) = 4 (pi + lambda^2 Q2 Q1) mod pins
         m_eq = mchart.reduced.ideal.generators[0]
         pins = Ideal(
@@ -329,30 +324,26 @@ def chart_match(nf, s, t):
         if unit_ok:
             report.unit_notes.append("forward image equals 4*(chart equation) modulo pins")
 
-        b_basis = bchart.chart.ideal.gb()
         ok_bwd = True
         for g in mchart.reduced.ideal.generators:
-            r2, _ = reduce_poly(Dinv(g), list(b_basis))
-            if not r2.is_zero:
-                ok_bwd = False
-                report.details["bwd_residue"] = str(r2)
+            ok_bwd, cert = ideal_member(Dinv(g), bchart.chart.ideal)
+            if not ok_bwd:
+                report.details["bwd_residue"] = str(cert.residue)
                 break
 
         ok_comp = True
         for v in mring.variables:
             diff = D(Dinv(mring.var(v))) - mring.var(v)
-            r3, _ = reduce_poly(diff, list(m_basis))
-            if not r3.is_zero:
-                ok_comp = False
-                report.details["composite_m_residue"] = str(r3)
+            ok_comp, cert = ideal_member(diff, mchart.reduced.ideal)
+            if not ok_comp:
+                report.details["composite_m_residue"] = str(cert.residue)
                 break
         if ok_comp:
             for v in bring.variables:
                 diff = Dinv(D(bring.var(v))) - bring.var(v)
-                r4, _ = reduce_poly(diff, list(b_basis))
-                if not r4.is_zero:
-                    ok_comp = False
-                    report.details["composite_b_residue"] = str(r4)
+                ok_comp, cert = ideal_member(diff, bchart.chart.ideal)
+                if not ok_comp:
+                    report.details["composite_b_residue"] = str(cert.residue)
                     break
 
         report.details["forward"] = ok_fwd
@@ -362,7 +353,7 @@ def chart_match(nf, s, t):
         if not (ok_fwd and ok_bwd and ok_comp and unit_ok):
             report.status = FAIL
             if not ok_fwd:
-                report.details["fwd_residue"] = str(r1)
+                report.details["fwd_residue"] = str(fwd_cert.residue)
     return report
 
 
@@ -390,11 +381,10 @@ def exceptional_locus(nf, s, t):
         report.details["locus_is_product_chart"] = ok_locus
         report.details["free_variables"] = free_dim
         if not ok_locus:
-            basis = list(with_lam.gb())
             for g in expected_ideal.generators:
-                r, _ = reduce_poly(g, basis)
-                if not r.is_zero:
-                    report.details["witness"] = str(r)
+                ok, cert = ideal_member(g, with_lam)
+                if not ok:
+                    report.details["witness"] = str(cert.residue)
                     break
         ok_nzd = is_nonzerodivisor(mchart.full.ideal, lam)
         report.details["lambda_nonzerodivisor"] = ok_nzd
@@ -422,22 +412,19 @@ def linking_multipliers(nf, s, t):
         q1y = q1_form(nf, ring, var="y")
         u = -q2x * lam
         v = q1y * lam
-        basis = mchart.full.ideal.gb()
+        ideal = mchart.full.ideal
         failures = []
         for j in range(1, d + 1):
-            flip = ring.var("x_%d" % (d + 1 - j))
+            flip = ring.var("x_%d" % nf.incl_flip[j - 1])
             lhs = (pi * flip) if j in nf.Delta else flip
-            r, _ = reduce_poly(lhs - u * ring.var("y_%d" % j), list(basis))
-            if not r.is_zero:
+            if not ideal_member(lhs - u * ring.var("y_%d" % j), ideal)[0]:
                 failures.append("i(x)_%d" % j)
         for i in range(1, d + 1):
-            flip = ring.var("y_%d" % (d + 1 - i))
+            flip = ring.var("y_%d" % nf.incl_flip[i - 1])
             lhs = flip if i in nf.Delta else (pi * flip)
-            r, _ = reduce_poly(lhs - v * ring.var("x_%d" % i), list(basis))
-            if not r.is_zero:
+            if not ideal_member(lhs - v * ring.var("x_%d" % i), ideal)[0]:
                 failures.append("j(piy)_%d" % i)
-        r, _ = reduce_poly(u * v - pi, list(basis))
-        if not r.is_zero:
+        if not ideal_member(u * v - pi, ideal)[0]:
             failures.append("uv-pi")
         report.details["coordinates_checked"] = 2 * d + 1
         if failures:

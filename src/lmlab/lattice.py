@@ -25,13 +25,11 @@ class LatticeNormalForm:
     d: int
     delta: int
     case_tag: int
-    n: int
-    r: int
     Delta: tuple
     DeltaC: tuple
     S1: tuple
     S2: tuple
-    incl_flip: tuple
+    incl_flip: tuple  # incl_flip[i - 1]: the index the inclusion pairs with i
 
     @property
     def parity_case(self):
@@ -48,6 +46,19 @@ class LatticeNormalForm:
 
     def deltac_pos(self, j):
         return self.DeltaC.index(j) + 1
+
+    @property
+    def z_cells(self):
+        """((i, j), (a, b)) for each entry of Z = Delta x DeltaC, row by row.
+
+        Row i of Z is the i-th position a of Delta and column j the j-th
+        position b of DeltaC, so the entry z_i_j sits at X position (a, b).
+        """
+        return tuple(
+            ((i, j), (a, b))
+            for i, a in enumerate(self.Delta, start=1)
+            for j, b in enumerate(self.DeltaC, start=1)
+        )
 
 
 def _case_tag(d, delta):
@@ -112,8 +123,6 @@ def normal_form(d, delta):
         d=d,
         delta=delta,
         case_tag=case,
-        n=n,
-        r=r,
         Delta=Delta,
         DeltaC=DeltaC,
         S1=tuple(tuple(row) for row in S1),

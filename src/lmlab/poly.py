@@ -22,7 +22,6 @@ __all__ = [
     "PolyMatrix",
     "RingMap",
     "parse_poly",
-    "substitute",
     "jacobian",
     "minors",
 ]
@@ -152,13 +151,13 @@ class Block:
         )
 
 
-def order_from_name(token, eliminated=()):
+def order_from_name(token):
     if token == "lex":
         return Lex()
     if token == "grevlex":
         return GrevLex()
     if token == "block":
-        return Block(eliminated)
+        return Block(())
     raise PolyError("unknown monomial order %r" % token)
 
 
@@ -222,12 +221,12 @@ class PolyRing:
             return self
         return PolyRing(self.variables, order)
 
-    def extend(self, new_variables, order=None):
-        return PolyRing(self.variables + tuple(new_variables), order or self.order)
+    def extend(self, new_variables):
+        return PolyRing(self.variables + tuple(new_variables), self.order)
 
-    def restrict(self, keep, order=None):
+    def restrict(self, keep):
         kept = tuple(v for v in self.variables if v in set(keep))
-        return PolyRing(kept, order or GrevLex())
+        return PolyRing(kept, GrevLex())
 
     def __eq__(self, other):
         return (
@@ -807,10 +806,6 @@ class RingMap:
                 raise PolyError("image of %r lives in the wrong ring" % name)
         self._powers = {}
 
-    @classmethod
-    def identity(cls, ring):
-        return cls(ring, ring, {v: ring.var(v) for v in ring.variables})
-
     def _power(self, i, e):
         key = (i, e)
         got = self._powers.get(key)
@@ -838,8 +833,3 @@ class RingMap:
         if isinstance(p, str):
             p = self.source.var(p)
         return self.apply(p)
-
-
-def substitute(p, ring_map):
-    """Image of p under the homomorphism extending the variable assignment."""
-    return ring_map.apply(p)

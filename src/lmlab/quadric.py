@@ -19,7 +19,6 @@ from .groebner import (
     intersect,
     is_nonzerodivisor,
     radical_member,
-    reduce_poly,
 )
 from .lattice import LatticeError, q1_form, q2_form
 from .localmodel import ChartPresentation
@@ -126,13 +125,12 @@ def verify_linked_chart(nf, i, j):
         report.details["flat"] = flat
         b = build_basic_scheme()
         fmap = basic_scheme_map(nf, linked)
-        basis = ideal.gb()
         mapped_ok = True
         for g in b.ideal.generators:
-            r, _ = reduce_poly(fmap(g), list(basis))
-            if not r.is_zero:
+            ok, cert = ideal_member(fmap(g), ideal)
+            if not ok:
                 mapped_ok = False
-                report.details["residue"] = str(r)
+                report.details["residue"] = str(cert.residue)
         report.details["b_map_member"] = mapped_ok
         if not (flat and mapped_ok):
             report.status = FAIL

@@ -325,7 +325,7 @@ def exit_code(summary):
 
 
 def report_payload(reports, config=None):
-    reports = [r.to_dict() if isinstance(r, VerificationReport) else r for r in reports]
+    reports = [r.to_dict() for r in reports]
     reports.sort(key=_sort_key)
     summary = {"pass": 0, "fail": 0, "uncertified": 0, "timeout": 0}
     for r in reports:

@@ -86,7 +86,7 @@ def _model_images(kind, bchart, ext, twist_r=None, twist_c=None):
     return {"u": u, "x": -Fraction(1, 4) * row * col}
 
 
-def model_target_for_chart(nf, bchart, override_images=None):
+def model_target_for_chart(nf, bchart):
     """The standard model assignment for a blow-up chart of the local model.
 
     For delta_* >= 2 the target is u^2 x y = pi with u the pivot coordinate,
@@ -96,10 +96,7 @@ def model_target_for_chart(nf, bchart, override_images=None):
     """
     kind = "uxy" if nf.delta_star >= 2 else "ux"
     ext = bchart.chart.ring.extend(MODEL_VARS[kind])
-    images = _model_images(kind, bchart, ext)
-    if override_images:
-        images.update(override_images)
-    return _model_target(kind, ext, images)
+    return _model_target(kind, ext, _model_images(kind, bchart, ext))
 
 
 @dataclass(frozen=True)

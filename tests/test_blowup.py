@@ -195,19 +195,19 @@ def test_exceptional_witness_search_gets_the_budget(monkeypatch):
     import lmlab.blowup as blowup
     import lmlab.groebner as groebner
 
-    real = blowup.reduce_poly
+    real = blowup.ideal_member
     budgets = []
 
-    def spy(p, basis):
+    def spy(p, ideal):
         budgets.append(groebner._until[1])
-        return real(p, basis)
+        return real(p, ideal)
 
     nf = normal_form(5, 1)
     mchart = build_M_chart(nf, 3, 1)
     monkeypatch.setattr(blowup, "build_M_chart", lambda nf, s, t: mchart)
     # a locus that compares unequal sends the check into its witness search,
-    # one reduction per expected generator
-    monkeypatch.setattr(blowup, "reduce_poly", spy)
+    # one membership test per expected generator
+    monkeypatch.setattr(blowup, "ideal_member", spy)
     monkeypatch.setattr(blowup, "ideal_equal", lambda I, J: False)
     with groebner.deadline(60):
         rep = exceptional_locus(nf, 3, 1)

@@ -471,7 +471,7 @@ _qpolys = st.dictionaries(_exponents, _coeffs, min_size=1, max_size=3)
 )
 def test_same_reduction_against_reduced_bases(gens, order, bound, p, q):
     R = PolyRing(["x", "y", "z"], order)
-    basis, _ = buchberger(Ideal(R, [R.poly(g) for g in gens]), degree_bound=bound)
+    basis, _ = BuchbergerRun(Ideal(R, [R.poly(g) for g in gens])).advance(bound)
     basis = list(basis)
     f = R.poly(p) * basis[-1] + R.poly(q)
     for _ in range(2):

@@ -254,7 +254,7 @@ def test_certificate_soundness_random():
 def test_degree_truncated_gb_is_partial_and_sound():
     R = PolyRing(["x", "y"], Lex())
     I = Ideal(R, ["x^3 - y", "x*y - 1"])
-    basis, partial = buchberger(I, degree_bound=2)
+    basis, partial = BuchbergerRun(I).advance(2)
     full, full_partial = buchberger(I)
     assert partial
     assert not full_partial
@@ -276,7 +276,7 @@ def test_resumed_run_matches_fresh_bounded_runs():
     HI = _x_ring_ideal(5, 1)
     run = BuchbergerRun(HI)
     for bound in (2, 3, 4, None):
-        fresh = buchberger(HI, degree_bound=bound)
+        fresh = BuchbergerRun(HI).advance(bound)
         assert run.advance(bound) == fresh
     assert not run.partial
 
@@ -289,7 +289,7 @@ def test_resumed_step_times_out_and_can_go_on():
     with pytest.raises(GBTimeout), deadline(1e-9), deadline(60):
         run.advance(3)
     # the timed-out step lost no pair: the run still reaches the fresh result
-    assert run.advance(3) == buchberger(HI, degree_bound=3)
+    assert run.advance(3) == BuchbergerRun(HI).advance(3)
 
 
 def test_complete_mode_reports_timeout_of_a_resumed_step(monkeypatch):
@@ -499,14 +499,18 @@ def test_basis_cache_is_off_outside_the_block(monkeypatch):
 
 
 def test_basis_cache_never_stores_a_degree_bounded_run(monkeypatch):
-    runs = _count_runs(monkeypatch)
+    # a bounded run goes through BuchbergerRun, which the cache never sees:
+    # it neither fills the cache nor changes the basis buchberger returns
     I = Ideal(_CACHE_RING, _CACHE_GENS)
+    complete = buchberger(I)
+    runs = _count_runs(monkeypatch)
     with basis_cache():
-        bounded = buchberger(I, degree_bound=2)
-        assert buchberger(I, degree_bound=2) == bounded
-        complete = buchberger(I)
-        assert buchberger(I, degree_bound=2) == bounded
-    assert runs == [2, 2, None, 2]
+        bounded = BuchbergerRun(I).advance(2)
+        assert bounded[1] is True and bounded[0] != complete[0]
+        assert buchberger(I) == complete
+        assert BuchbergerRun(I).advance(2) == bounded
+        assert buchberger(I) == complete
+    assert runs == [2, None, 2]
     assert complete[1] is False
 
 

@@ -134,6 +134,23 @@ def test_quad_form_examples():
     assert q1 == ring.var("x_1") * ring.var("x_6") + ring.var("x_2") * ring.var("x_5")
 
 
-def test_incl_flip_is_global_reversal():
-    nf = normal_form(7, 3)
-    assert nf.incl_flip == tuple(8 - i for i in range(1, 8))
+@pytest.mark.parametrize("d,delta", GRID)
+def test_incl_flip_is_global_reversal(d, delta):
+    # GRID covers case tags 1-4 (see test_parity_table); the inclusion stays
+    # the global flip until it is derived from the Gram matrix
+    nf = normal_form(d, delta)
+    flip = nf.incl_flip
+    assert flip == tuple(d + 1 - i for i in range(1, d + 1))
+    assert all(flip[flip[i - 1] - 1] == i for i in range(1, d + 1))
+
+
+@pytest.mark.parametrize("d,delta", GRID)
+def test_z_cells_follow_delta_and_its_complement(d, delta):
+    nf = normal_form(d, delta)
+    cells = nf.z_cells
+    assert len(cells) == delta * (d - delta)
+    m = d - delta
+    for k, ((i, j), (a, b)) in enumerate(cells):
+        # row by row: row i of Z is Delta[i - 1], column j is DeltaC[j - 1]
+        assert (i, j) == (k // m + 1, k % m + 1)
+        assert (a, b) == (nf.Delta[i - 1], nf.DeltaC[j - 1])

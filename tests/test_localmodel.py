@@ -17,7 +17,6 @@ from lmlab.localmodel import (
     _oracle_failures,
     _rank_one_samples,
     big_ring,
-    block_layout,
     block_substitution,
     build_DT_ideal,
     build_naive_chart_ideal,
@@ -145,30 +144,29 @@ def test_quad_times_entry_in_U_ideal():
             assert ok
 
 
-def test_block_layout_z_dict_case_I_verbatim():
+def test_z_cells_case_I_verbatim():
     nf = normal_form(6, 2)
-    layout = block_layout(nf)
+    cells = dict(nf.z_cells)
     # Z = [B1|B2]: band rows, side columns in order
-    assert layout.z_dict[(1, 1)] == (3, 1)
-    assert layout.z_dict[(1, 3)] == (3, 5)
-    assert layout.z_dict[(2, 4)] == (4, 6)
+    assert cells[(1, 1)] == (3, 1)
+    assert cells[(1, 3)] == (3, 5)
+    assert cells[(2, 4)] == (4, 6)
 
 
-def test_block_layout_case_II_erased_column():
+def test_z_cells_case_II_erased_column():
     nf = normal_form(6, 3)
-    layout = block_layout(nf)
-    assert layout.parity_case == "II"
-    assert layout.erased == 4
-    # middle Z column is the erased X column
-    assert layout.z_dict[(1, 2)] == (2, 4)
+    cells = dict(nf.z_cells)
+    assert nf.parity_case == "II"
+    assert 4 not in nf.Delta
+    # middle Z column is the erased X column d // 2 + 1 = 4
+    assert cells[(1, 2)] == (2, 4)
 
 
 def test_psi_identity_on_z_positions():
     nf = normal_form(6, 2)
     psi = block_substitution(nf)
     br = big_ring(nf)
-    layout = block_layout(nf)
-    for (i, j), (a, b) in layout.z_dict.items():
+    for (i, j), (a, b) in nf.z_cells:
         assert psi(br.var("x_%d_%d" % (a, b))) == psi.target.var("z_%d_%d" % (i, j))
 
 
@@ -242,7 +240,7 @@ def corrupted_section(nf, kind="diagonal"):
     psi = block_substitution(nf)
     images = dict(psi.images)
     if kind == "diagonal":
-        z_positions = set(block_layout(nf).z_dict.values())
+        z_positions = {ab for _, ab in nf.z_cells}
         a = next(a for a in range(1, nf.d + 1) if (a, a) not in z_positions)
         pi = psi.target.var("pi")
         images["x_%d_%d" % (a, a)] = images["x_%d_%d" % (a, a)] + pi
@@ -315,9 +313,7 @@ def test_matrix_oracle_matches_per_image_oracle(d, delta, seed, corrupt):
 
 def test_oracle_fail_branch(monkeypatch):
     # with every reduction forced to zero only the oracle can catch the section
-    monkeypatch.setattr(
-        lmlab.localmodel, "reduce_poly", lambda p, basis: (p.ring.zero(), [])
-    )
+    monkeypatch.setattr(lmlab.localmodel, "ideal_member", lambda p, ideal: (True, None))
     monkeypatch.setattr(lmlab.localmodel, "block_substitution", corrupted_section)
     rep = verify_presentation(normal_form(5, 1), mode="sound")
     assert rep.status == "fail"

@@ -8,6 +8,7 @@ from lmlab.lattice import normal_form
 from lmlab.poly import PolyRing, RingMap
 from lmlab.verify import (
     ModelTarget,
+    _model_target,
     model_cover_for_chart,
     model_target_for_chart,
     smooth_on_cover,
@@ -62,9 +63,10 @@ def test_smooth_over_uxy_model_6_2_every_pivot():
 def test_negative_control_y_zero():
     nf = normal_form(6, 2)
     bc = build_DT_blowup_chart(nf, 1, 1)
-    tgt = model_target_for_chart(
-        nf, bc, override_images={"y": bc.chart.ring.zero()}
-    )
+    # the standard assignment with y sent to 0
+    std = model_target_for_chart(nf, bc)
+    images = dict(std.map.images, y=bc.chart.ring.zero())
+    tgt = _model_target(std.kind, std.map.target, images)
     rep = smooth_over_model(bc.chart, tgt, nf.d - 4)
     assert rep.status == "fail"
     assert not rep.details["relation_member"]

@@ -22,3 +22,42 @@ def test_no_timeout_parameter_outside_the_entry_points():
                 if "timeout_s" in names:
                     offenders.append("%s:%d" % (path.name, node.lineno))
     assert offenders == []
+
+
+def _is_d(node):
+    return (isinstance(node, ast.Name) and node.id == "d") or (
+        isinstance(node, ast.Attribute) and node.attr == "d"
+    )
+
+
+def test_inclusion_flip_is_computed_only_in_lattice():
+    # `d + 1 - x` (or `nf.d + 1 - x`) is the inclusion of the lattice into
+    # its dual; everything else reads it from LatticeNormalForm.incl_flip
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "lattice.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Sub)
+                and isinstance(node.left, ast.BinOp)
+                and isinstance(node.left.op, ast.Add)
+                and _is_d(node.left.left)
+                and isinstance(node.left.right, ast.Constant)
+                and node.left.right.value == 1
+            ):
+                offenders.append("%s:%d" % (path.name, node.lineno))
+    assert offenders == []
+
+
+def test_claim_modules_test_membership_through_ideal_member():
+    offenders = []
+    for name in ("blowup.py", "quadric.py", "verify.py"):
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and any(
+                alias.name == "reduce_poly" for alias in node.names
+            ):
+                offenders.append("%s:%d" % (name, node.lineno))
+    assert offenders == []
