@@ -1,9 +1,10 @@
 """Buchberger-based ideal arithmetic over Q.
 
-The engine works on denominator-cleared integer coefficient dicts
-(fraction-free reduction with periodic content normalization), which keeps
-the hot loops on machine/big ints instead of Fraction objects.  Public
-results are monic polynomials with exact rational cofactor certificates.
+The engine works on the integer numerators that `Polynomial.terms` holds
+(fraction-free reduction with periodic content normalization); a result is
+built from numerators and a denominator by the `Polynomial` constructor.
+Public results are monic polynomials with exact rational cofactor
+certificates.
 
 Pairs (Gebauer & Moeller, JSC 1988).  A pair (i, j), i < j, of basis
 entries waits in a heap keyed by (sugar, i, j) and is selected smallest key
@@ -34,19 +35,20 @@ raises GBTimeout.  A nested block can shorten the deadline but never extend
 it, and leaving a block restores the previous one.  The suite opens one
 block per named check and instance.
 
-Reduction.  `reduce_poly` and the Buchberger loop share `_Engine.nf`.  The
-integer form of a basis polynomial is computed once and kept on it
-(`_prepared`), so reductions against one cached basis prepare it once.  The
+Reduction.  `reduce_poly` and the Buchberger loop share `_Engine.nf`, which
+reduces numerators against (lt, lc, numerators, mask of lt) tuples.  The
 first reducer in list order that divides the current term is used, and zero
 basis entries never reduce.  With cofactors tracked, nf keeps
-M * p = sum(C_i g_i) + r and never divides out content, which would rescale
-M and every C_i.  Membership in an ideal is `ideal_member(p, I)`, against
-the cached `I.gb()`; `reduce_poly` on an explicit list is for bases that
-are not an ideal's, such as the partial bases of a bounded run.
+M * P = sum(C_i B_i) + R on the numerators and never divides out content,
+which would rescale M and every C_i.  Membership in an ideal is
+`ideal_member(p, I)`, against the cached `I.gb()`, whose reducer tuples are
+built once and cached beside it; `reduce_poly` on an explicit list is for
+bases that are not an ideal's, such as the partial bases of a bounded run.
 
 Basis cache.  Inside a `basis_cache()` block, `buchberger(ideal, order)`
 keeps the result of every run, keyed by the ring with its order and the set
-of the generators' primitive integer forms: the reduced basis is unique, so
+of the generators' primitive integer forms (numerators divided by their
+content, signed so the leading coefficient is positive): the reduced basis is unique, so
 the generators' order, scaling and repetition do not matter.  A run that
 times out is never stored, and leaving the block restores the previous
 state.  The cache sits inside `buchberger` so that `Ideal.gb`, `eliminate`,
@@ -70,7 +72,6 @@ import heapq
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import groupby
 from math import gcd
 from operator import itemgetter
@@ -140,33 +141,7 @@ def deadline(seconds):
         _until = saved
 
 
-# ------------------------------------------------- integer representation
-
-
-def _int_clear(p):
-    """Clear denominators and content; return (terms dict exp->int, scale).
-
-    scale is the rational r with p = r * (integer form); the integer form has
-    positive leading coefficient under p's ring order.
-    """
-    if p.is_zero:
-        return {}, Fraction(1)
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    terms = {e: int(c * den) for e, c in p.terms.items()}
-    g = 0
-    for v in terms.values():
-        g = gcd(g, v)
-    if g > 1:
-        terms = {e: v // g for e, v in terms.items()}
-    key = p.ring.exp_key
-    lead = max(terms, key=key)
-    sign = 1
-    if terms[lead] < 0:
-        sign = -1
-        terms = {e: -v for e, v in terms.items()}
-    return terms, Fraction(sign * g, den)
+# ------------------------------------------------------ integer forms
 
 
 def _primitive(terms):
@@ -178,11 +153,6 @@ def _primitive(terms):
         if g == 1:
             return terms
     return {e: v // g for e, v in terms.items()}
-
-
-def _to_poly(ring, terms, scale=1):
-    """The polynomial scale * terms of an integer term dict."""
-    return Polynomial(ring, {e: Fraction(v) * scale for e, v in terms.items() if v})
 
 
 def _mono_mul(a, b):
@@ -214,10 +184,20 @@ def _mask(e):
     return m
 
 
-def _reducer(entry):
-    """(lt, lc, terms, mask of lt) for an (lt, lc, terms, ...) entry."""
-    lt, lc, terms = entry[:3]
-    return lt, lc, terms, _mask(lt)
+def _divisors(basis):
+    """(lt, lc, numerators, mask of lt) of each basis polynomial, for nf.
+
+    A zero entry gets mask -1, which no term's mask contains, so it never
+    reduces.
+    """
+    out = []
+    for b in basis:
+        if b.is_zero:
+            out.append((None, 0, b.terms, -1))
+        else:
+            lt = b.lm()
+            out.append((lt, b.terms[lt], b.terms, _mask(lt)))
+    return out
 
 
 class _Engine:
@@ -259,7 +239,7 @@ class _Engine:
     # -- fraction-free full normal form
 
     def nf(self, terms, reducers, cofactors=None):
-        """Normal form of an integer term dict against `_reducer` tuples.
+        """Normal form of an integer term dict against (lt, lc, terms, mask) tuples.
 
         The first reducer in list order whose leading term divides the
         current term is used; the mask test only skips non-divisors.  With
@@ -351,8 +331,9 @@ class BuchbergerRun:
     """One Buchberger computation that advances through rising degree bounds.
 
     `entries` lists every basis element found, as (lt, lc, terms, sugar);
-    `active` holds the indices of those whose leading term no later element
-    divides.  Advancing to bound b leaves exactly the state a fresh run
+    `active` maps the index of each entry whose leading term no later entry
+    divides to its (lt, lc, terms, mask of lt), in index order: the reducers
+    of the next S-polynomial.  Advancing to bound b leaves exactly the state a fresh run
     bounded by b ends in (see the module docstring), and advancing further
     continues it.
     """
@@ -363,9 +344,11 @@ class BuchbergerRun:
         seen = set()
         seeds = []
         for g in ideal.generators:
-            terms, _ = _int_clear(g.cast(ring))
-            if not terms:
-                continue
+            # primitive, with a positive leading coefficient: the seeds, and
+            # so the cache key, ignore how each generator is scaled
+            terms = _primitive(g.cast(ring).terms)
+            if terms[eng.lead(terms)] < 0:
+                terms = {e: -v for e, v in terms.items()}
             fro = frozenset(terms.items())
             if fro in seen:
                 continue
@@ -378,12 +361,11 @@ class BuchbergerRun:
         self.key = (ring, frozenset(seen))
         self.eng = eng
         self.entries = []
-        self.active = set()
+        self.active = {}
         self._seeds = seeds
         self._lt_info = []  # (mask, degree) of each entry's leading term
         self._pairs = {}  # live pair (i, j) -> (lcm, lcm degree, lcm mask)
         self._queue = []  # (sugar, i, j); pairs no longer live are skipped
-        self._reducers = None
 
     @property
     def partial(self):
@@ -416,22 +398,20 @@ class BuchbergerRun:
             ltj, lcj, tj, _ = f[j]
             h = eng.spoly(pair[0], lti, lci, ti, ltj, lcj, tj)
             if h:
-                if self._reducers is None:
-                    self._reducers = [_reducer(f[g]) for g in sorted(self.active)]
-                h = eng.nf(h, self._reducers)
+                h = eng.nf(h, self.active.values())
             heapq.heappop(queue)
             del pairs[(i, j)]
             if h:
                 lt = eng.lead(h)
                 self._add((lt, h[lt], h, sug))
-        kept = _interreduce([f[i] for i in sorted(self.active)], eng)
-        return tuple(_to_poly(self.ring, en[2]).monic() for en in kept), self.partial
+        kept = _interreduce(self.active.values(), eng)
+        return tuple(Polynomial(self.ring, t, lc) for _, lc, t, _ in kept), self.partial
 
     def _add(self, entry):
         """Append an entry and apply the Gebauer-Moeller update for it."""
         f, info, pairs = self.entries, self._lt_info, self._pairs
         ih = len(f)
-        lt_h, _, _, sug_h = entry
+        lt_h, lc_h, t_h, sug_h = entry
         m_h = _mask(lt_h)
         d_h = sum(lt_h)
         f.append(entry)
@@ -483,35 +463,35 @@ class BuchbergerRun:
             minimal += fresh
 
         self.active = {
-            ig
-            for ig in self.active
-            if m_h & ~info[ig][0] or not _mono_divides(lt_h, f[ig][0])
+            ig: red
+            for ig, red in self.active.items()
+            if m_h & ~red[3] or not _mono_divides(lt_h, red[0])
         }
-        self.active.add(ih)
-        self._reducers = None
+        self.active[ih] = (lt_h, lc_h, t_h, m_h)
 
 
-def _interreduce(entries, eng):
-    """Minimalize leading terms, then fully reduce tails; canonical order."""
-    entries = sorted(entries, key=lambda en: eng.key(en[0]))
+def _interreduce(reducers, eng):
+    """Minimalize leading terms, then fully reduce tails; canonical order.
+
+    Takes and returns (lt, lc, terms, mask of lt) tuples.
+    """
     kept = []
-    for en in entries:
-        if not any(_mono_divides(k[0], en[0]) for k in kept):
-            kept.append(en)
+    for red in sorted(reducers, key=lambda red: eng.key(red[0])):
+        if not any(_mono_divides(k[0], red[0]) for k in kept):
+            kept.append(red)
     changed = True
     while changed:
         changed = False
         for idx in range(len(kept)):
-            others = [_reducer(kept[k]) for k in range(len(kept)) if k != idx]
-            t = eng.nf(kept[idx][2], others)
+            t = eng.nf(kept[idx][2], kept[:idx] + kept[idx + 1 :])
             if t != kept[idx][2]:
                 changed = True
                 if not t:
                     kept.pop(idx)
                     break
                 lt = eng.lead(t)
-                kept[idx] = (lt, t[lt], t, kept[idx][3])
-    kept.sort(key=lambda en: eng.key(en[0]))
+                kept[idx] = (lt, t[lt], t, _mask(lt))
+    kept.sort(key=lambda red: eng.key(red[0]))
     return kept
 
 
@@ -573,23 +553,6 @@ class MembershipCertificate:
         return self.residue.is_zero
 
 
-def _prepared(b):
-    """(reducer, scale) of a basis polynomial, memoised on it.
-
-    reducer is (lt, lc, terms, mask of lt) of b's integer form and scale the
-    rational r with b = r * (integer form).  A zero b gets mask -1, which no
-    term's mask contains, so it never reduces.
-    """
-    if b._int is None:
-        terms, r = _int_clear(b)
-        if terms:
-            lt = max(terms, key=b.ring.exp_key)
-            b._int = ((lt, terms[lt], terms, _mask(lt)), r)
-        else:
-            b._int = ((None, 0, terms, -1), r)
-    return b._int
-
-
 def reduce_poly(p, basis):
     """Full normal form plus certificate against an ordered basis list.
 
@@ -597,22 +560,26 @@ def reduce_poly(p, basis):
     term divisible by any basis leading term.
     """
     basis = tuple(basis)
-    ring = p.ring
     for b in basis:
-        if b.ring != ring:
+        if b.ring != p.ring:
             raise PolyError("ring mismatch between polynomial and basis")
-    prepared = [_prepared(b) for b in basis]
-    eng = _Engine(ring.exp_key)
-    pt, pr = _int_clear(p)
-    # tracked fraction-free reduction: M * p_int = sum(C_i g_i) + R, and
-    # p = pr * p_int, so the cofactor of b_i = r_i * g_i is pr * C_i / (M r_i)
+    return _reduce(p, basis, _divisors(basis))
+
+
+def _reduce(p, basis, divisors):
+    """`reduce_poly(p, basis)`, given `_divisors(basis)`."""
+    ring = p.ring
     cof = [{} for _ in basis]
-    work, M = eng.nf(pt, [red for red, _ in prepared], cof)
+    # tracked fraction-free reduction of the numerators: M * P = sum(C_i B_i)
+    # + R with p = P / den(p) and b_i = B_i / den(b_i), so the cofactor of
+    # b_i is C_i den(b_i) / (M den(p)) and the residue R / (M den(p))
+    work, M = _Engine(ring.exp_key).nf(p.terms, divisors, cof)
+    den = M * p.den
     cofactors = tuple(
-        _to_poly(ring, cd, pr / (M * r)) if cd else ring.zero()
-        for cd, (_, r) in zip(cof, prepared)
+        Polynomial(ring, {e: v * b.den for e, v in cd.items()}, den)
+        for cd, b in zip(cof, basis)
     )
-    residue = _to_poly(ring, work, pr / M)
+    residue = Polynomial(ring, work, den)
     return residue, MembershipCertificate(basis, cofactors, residue)
 
 
@@ -622,7 +589,7 @@ def reduce_poly(p, basis):
 class Ideal:
     """Generator list in a ring, with a cached reduced Groebner basis."""
 
-    __slots__ = ("ring", "generators", "_gb")
+    __slots__ = ("ring", "generators", "_gb", "_divisors")
 
     def __init__(self, ring, generators):
         gens = []
@@ -635,16 +602,21 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self._gb = None
+        self._divisors = None
 
     def gb(self):
-        """Reduced Groebner basis under the ring order, cached."""
+        """Reduced Groebner basis under the ring order, cached.
+
+        Its `_divisors` are cached beside it, so that the membership tests
+        against the ideal share them.
+        """
         if self._gb is None:
             basis, _ = buchberger(self)
             for g in self.generators:
                 r, _ = reduce_poly(g, basis)
                 if not r.is_zero:
                     raise PolyError("internal error: generator fails to reduce")
-            self._gb = basis
+            self._gb, self._divisors = basis, _divisors(basis)
         return self._gb
 
     def __repr__(self):
@@ -657,7 +629,7 @@ class Ideal:
 def ideal_member(p, ideal):
     """Membership via normal form against the cached reduced GB."""
     basis = ideal.gb()
-    residue, cert = reduce_poly(p.cast(ideal.ring), list(basis))
+    residue, cert = _reduce(p.cast(ideal.ring), basis, ideal._divisors)
     return residue.is_zero, cert
 
 
@@ -665,7 +637,7 @@ def ideal_contains(big, small):
     """True iff every generator of `small` lies in `big`."""
     basis = big.gb()
     for g in small.generators:
-        r, _ = reduce_poly(g.cast(big.ring), list(basis))
+        r, _ = _reduce(g.cast(big.ring), basis, big._divisors)
         if not r.is_zero:
             return False
     return True
@@ -774,7 +746,9 @@ def is_nonzerodivisor(I, v):
     gens = []
     for g in basis:
         deg = g.total_degree()
-        gens.append(Polynomial(ring, {e + (deg - sum(e),): c for e, c in g.terms.items()}))
+        gens.append(
+            Polynomial(ring, {e + (deg - sum(e),): c for e, c in g.terms.items()}, g.den)
+        )
     hbasis, _ = buchberger(Ideal(ring, gens))
     k = ring.index[name]
     return not any(b.lm()[k] for b in hbasis)

@@ -1,14 +1,18 @@
 """Sparse multivariate polynomials over Q with exact arbitrary-precision arithmetic.
 
-Coefficients are `fractions.Fraction` (always in lowest terms, positive
-denominator).  Monomials are exponent tuples aligned with the ring's variable
-list.  All values are immutable after construction and safe to share.
+A polynomial is integer numerators over one common denominator: `terms` maps
+each exponent tuple (aligned with the ring's variable list) to a nonzero int,
+and `den` is a positive int sharing no factor with all of them; the zero
+polynomial has den 1.  That form is canonical, so equal polynomials have equal
+`terms` and `den`, and all arithmetic runs on ints.  `coefficient`, `lc` and
+`sorted_terms` give the coefficients as `fractions.Fraction`.  All values are
+immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 __all__ = [
     "PolyError",
@@ -156,8 +160,6 @@ def order_from_name(token):
         return Lex()
     if token == "grevlex":
         return GrevLex()
-    if token == "block":
-        return Block(())
     raise PolyError("unknown monomial order %r" % token)
 
 
@@ -190,31 +192,33 @@ class PolyRing:
         return len(self.variables)
 
     def zero(self):
-        return Polynomial(self, {})
+        return Polynomial(self, {}, 1)
 
     def one(self):
-        return Polynomial(self, {self._zero_exp: Fraction(1)})
+        return Polynomial(self, {self._zero_exp: 1}, 1)
 
     def const(self, c):
         c = Fraction(c)
         if c == 0:
             return self.zero()
-        return Polynomial(self, {self._zero_exp: c})
+        return Polynomial(self, {self._zero_exp: c.numerator}, c.denominator)
 
     def var(self, name):
         if name not in self.index:
             raise UnknownVariableError(name)
         exp = [0] * self.nvars
         exp[self.index[name]] = 1
-        return Polynomial(self, {tuple(exp): Fraction(1)})
+        return Polynomial(self, {tuple(exp): 1}, 1)
 
     def poly(self, terms):
-        clean = {}
-        for exp, c in terms.items():
-            c = Fraction(c)
-            if c:
-                clean[tuple(exp)] = c
-        return Polynomial(self, clean)
+        """The polynomial of a dict from exponent to rational coefficient."""
+        coeffs = {tuple(exp): Fraction(c) for exp, c in terms.items()}
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        return Polynomial(
+            self,
+            {e: c.numerator * (den // c.denominator) for e, c in coeffs.items() if c},
+            den,
+        )
 
     def with_order(self, order):
         if order == self.order:
@@ -246,15 +250,27 @@ class PolyRing:
 
 
 class Polynomial:
-    """Immutable sparse polynomial: dict from exponent tuple to nonzero Fraction."""
+    """Immutable sparse polynomial: integer numerators `terms` over `den`.
 
-    __slots__ = ("ring", "terms", "_st", "_int")
+    The constructor makes the pair canonical (den > 0, no common factor of
+    den and all numerators, den 1 for zero); `terms` must map each exponent
+    to a nonzero int and `den` must be a nonzero int.
+    """
 
-    def __init__(self, ring, terms):
+    __slots__ = ("ring", "terms", "den", "_st")
+
+    def __init__(self, ring, terms, den):
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if den < 0:
+                g = -g
+            if g != 1:
+                terms = {e: v // g for e, v in terms.items()}
+                den //= g
         self.ring = ring
         self.terms = terms
+        self.den = den
         self._st = None
-        self._int = None  # integer form, memoised by lmlab.groebner
 
     # -- basic structure
 
@@ -262,23 +278,23 @@ class Polynomial:
     def is_zero(self):
         return not self.terms
 
-    def sorted_terms(self):
-        """Terms in descending ring order."""
+    def _sorted_exps(self):
         if self._st is None:
-            key = self.ring.exp_key
-            self._st = sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
+            self._st = sorted(self.terms, key=self.ring.exp_key, reverse=True)
         return self._st
 
-    def lt(self):
-        if not self.terms:
-            raise PolyError("zero polynomial has no leading term")
-        return self.sorted_terms()[0]
+    def sorted_terms(self):
+        """(exponent, Fraction coefficient) pairs in descending ring order."""
+        terms, den = self.terms, self.den
+        return [(e, Fraction(terms[e], den)) for e in self._sorted_exps()]
 
     def lm(self):
-        return self.lt()[0]
+        if not self.terms:
+            raise PolyError("zero polynomial has no leading term")
+        return self._sorted_exps()[0]
 
     def lc(self):
-        return self.lt()[1]
+        return Fraction(self.terms[self.lm()], self.den)
 
     def total_degree(self):
         if not self.terms:
@@ -286,7 +302,7 @@ class Polynomial:
         return max(sum(e) for e in self.terms)
 
     def coefficient(self, exp):
-        return self.terms.get(tuple(exp), Fraction(0))
+        return Fraction(self.terms.get(tuple(exp), 0), self.den)
 
     def variables_used(self):
         used = set()
@@ -311,26 +327,29 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        big, small = (self.terms, other.terms)
-        if len(big) < len(small):
+        big, small = self, other
+        if len(big.terms) < len(small.terms):
             big, small = small, big
-        out = dict(big)
-        for exp, c in small.items():
+        den = lcm(big.den, small.den)
+        mb, ms = den // big.den, den // small.den
+        out = {e: v * mb for e, v in big.terms.items()} if mb != 1 else dict(big.terms)
+        for exp, c in small.terms.items():
+            c *= ms
             s = out.get(exp)
             if s is None:
                 out[exp] = c
             else:
-                s = s + c
+                s += c
                 if s:
                     out[exp] = s
                 else:
                     del out[exp]
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -343,10 +362,12 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            if not other:
                 return self.ring.zero()
-            return Polynomial(self.ring, {e: k * c for e, k in self.terms.items()})
+            n = other.numerator
+            return Polynomial(
+                self.ring, {e: k * n for e, k in self.terms.items()}, self.den * other.denominator
+            )
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -361,12 +382,12 @@ class Polynomial:
                 if s is None:
                     out[exp] = c1 * c2
                 else:
-                    s = s + c1 * c2
+                    s += c1 * c2
                     if s:
                         out[exp] = s
                     else:
                         del out[exp]
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -385,10 +406,8 @@ class Polynomial:
     def monic(self):
         if self.is_zero:
             return self
-        c = self.lc()
-        if c == 1:
-            return self
-        return self * (Fraction(1) / c)
+        # (terms / den) / (terms[lm] / den) = terms / terms[lm]
+        return Polynomial(self.ring, self.terms, self.terms[self.lm()])
 
     # -- calculus and evaluation
 
@@ -396,25 +415,20 @@ class Polynomial:
         i = self.ring.index.get(varname)
         if i is None:
             raise UnknownVariableError(varname)
+        # distinct exponents with exp[i] > 0 have distinct derivatives
         out = {}
         for exp, c in self.terms.items():
             e = exp[i]
             if e:
-                nexp = exp[:i] + (e - 1,) + exp[i + 1 :]
-                s = out.get(nexp, Fraction(0)) + c * e
-                if s:
-                    out[nexp] = s
-                elif nexp in out:
-                    del out[nexp]
-        return Polynomial(self.ring, out)
+                out[exp[:i] + (e - 1,) + exp[i + 1 :]] = c * e
+        return Polynomial(self.ring, out, self.den)
 
     def evaluate(self, assignment):
         """Evaluate at a rational point given as a dict from variable name.
 
-        The sum is taken in integers, the point over one common denominator
-        and the coefficients over another; each term is brought to the top
-        degree by powers of the point's denominator, and one Fraction is built
-        at the end.
+        The sum is taken in integers over the point's common denominator;
+        each term is brought to the top degree by powers of that denominator,
+        and one Fraction is built at the end.
         """
         vals = []
         for v in self.ring.variables:
@@ -423,19 +437,17 @@ class Polynomial:
             vals.append(Fraction(assignment[v]))
         den = lcm(*(q.denominator for q in vals))
         nums = [q.numerator * (den // q.denominator) for q in vals]
-        cden = lcm(*(c.denominator for c in self.terms.values()))
         top = max(map(sum, self.terms), default=0)
         den_pow = [den**k for k in range(top + 1)]
         total = 0
-        for exp, c in self.terms.items():
-            t = c.numerator * (cden // c.denominator)
+        for exp, t in self.terms.items():
             deg = 0
             for n, e in zip(nums, exp):
                 if e:
                     t *= n**e
                     deg += e
             total += t * den_pow[top - deg]
-        return Fraction(total, cden * den_pow[top])
+        return Fraction(total, self.den * den_pow[top])
 
     def cast(self, ring):
         """Re-express in a ring containing all used variables (by name)."""
@@ -453,7 +465,7 @@ class Polynomial:
                         raise UnknownVariableError(self.ring.variables[i])
                     nexp[pos[i]] = e
             out[tuple(nexp)] = c
-        return Polynomial(ring, out)
+        return Polynomial(ring, out, self.den)
 
     # -- comparisons and printing
 
@@ -463,10 +475,14 @@ class Polynomial:
                 other = self.ring.const(other)
             else:
                 return NotImplemented
-        return self.ring.variables == other.ring.variables and self.terms == other.terms
+        return (
+            self.ring.variables == other.ring.variables
+            and self.den == other.den
+            and self.terms == other.terms
+        )
 
     def __hash__(self):
-        return hash((self.ring.variables, frozenset(self.terms.items())))
+        return hash((self.ring.variables, self.den, frozenset(self.terms.items())))
 
     def __str__(self):
         if self.is_zero:
@@ -820,14 +836,22 @@ class RingMap:
     def apply(self, p):
         if p.ring != self.source:
             raise PolyError("polynomial not in the map's source ring")
-        acc = self.target.zero()
+        # the image of each monomial, then their sum over one denominator
+        images = []
         for exp, c in p.terms.items():
-            t = self.target.const(c)
+            t = None
             for i, e in enumerate(exp):
                 if e:
-                    t = t * self._power(i, e)
-            acc = acc + t
-        return acc
+                    q = self._power(i, e)
+                    t = q if t is None else t * q
+            images.append((c, t if t is not None else self.target.one()))
+        den = lcm(*(t.den for _, t in images))
+        out = {}
+        for c, t in images:
+            k = c * (den // t.den)
+            for e, v in t.terms.items():
+                out[e] = out.get(e, 0) + k * v
+        return Polynomial(self.target, {e: v for e, v in out.items() if v}, den * p.den)
 
     def __call__(self, p):
         if isinstance(p, str):

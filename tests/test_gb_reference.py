@@ -8,8 +8,11 @@ list, the same active set and the same partial flag.
 
 The second is `reduce_poly` as it was before it shared the engine's
 reduction loop and memoised the integer form of each basis polynomial,
-copied unchanged.  Both select the first divisor in list order, so the
-residue and every cofactor must be equal.
+copied unchanged together with `_int_clear`, the conversion to primitive
+integer form it called; `_int_clear` reads the coefficients through
+`sorted_terms()` and the reference builds polynomials with `ring.poly`, since
+`Polynomial` no longer stores Fractions.  Both select the first divisor in
+list order, so the residue and every cofactor must be equal.
 
 The third is the nonzerodivisor test the checks used before
 `is_nonzerodivisor`: v is a nonzerodivisor on R/I iff I contains (I : v).
@@ -31,7 +34,6 @@ from lmlab.groebner import (
     GBTimeout,
     Ideal,
     MembershipCertificate,
-    _int_clear,
     buchberger,
     ideal_contains,
     is_nonzerodivisor,
@@ -281,6 +283,33 @@ def _groebner_int(int_gens, eng, degree_bound=None):
     return f, sorted(G), partial
 
 
+def _int_clear(p):
+    """Clear denominators and content; return (terms dict exp->int, scale).
+
+    scale is the rational r with p = r * (integer form); the integer form has
+    positive leading coefficient under p's ring order.
+    """
+    if p.is_zero:
+        return {}, Fraction(1)
+    coeffs = dict(p.sorted_terms())
+    den = 1
+    for c in coeffs.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    terms = {e: int(c * den) for e, c in coeffs.items()}
+    g = 0
+    for v in terms.values():
+        g = gcd(g, v)
+    if g > 1:
+        terms = {e: v // g for e, v in terms.items()}
+    key = p.ring.exp_key
+    lead = max(terms, key=key)
+    sign = 1
+    if terms[lead] < 0:
+        sign = -1
+        terms = {e: -v for e, v in terms.items()}
+    return terms, Fraction(sign * g, den)
+
+
 def reference(ideal, order=None, degree_bound=None):
     ring = ideal.ring if order is None else ideal.ring.with_order(order)
     eng = _Engine(ring.exp_key)
@@ -364,11 +393,9 @@ def reduce_poly(p, basis):
     # p = pr * p_int; cofactor against original b_i needs the 1/scale_i
     cofactors = []
     for cd, r in zip(cof, scales):
-        q = Polynomial(ring, {e: Fraction(v) for e, v in cd.items() if v})
+        q = ring.poly({e: Fraction(v) for e, v in cd.items() if v})
         cofactors.append(q * (pr / (M * r)))
-    residue = Polynomial(ring, {e: Fraction(v) for e, v in work.items() if v}) * (
-        pr / M
-    )
+    residue = ring.poly({e: Fraction(v) for e, v in work.items() if v}) * (pr / M)
     cert = MembershipCertificate(tuple(basis), tuple(cofactors), residue)
     return residue, cert
 

@@ -35,7 +35,7 @@ def lmlab_basis(ideal):
     assert not partial
     names = ideal.ring.variables
     return monic_set(
-        ({tuple(sorted(zip(names, e))): c for e, c in g.terms.items()}, g.lc())
+        ({tuple(sorted(zip(names, e))): c for e, c in g.sorted_terms()}, g.lc())
         for g in basis
     )
 
@@ -47,7 +47,7 @@ def sympy_basis(ideal):
     polys = [
         sympy.Poly.from_dict(
             {tuple(e[p] for p in pos): sympy.Rational(c.numerator, c.denominator)
-             for e, c in g.terms.items()},
+             for e, c in g.sorted_terms()},
             *gens, domain="QQ",
         )
         for g in ideal.generators

@@ -402,17 +402,17 @@ def test_budget_reaches_every_reduction(monkeypatch):
     assert budgets and set(budgets) == {60}
 
 
-def test_basis_is_cleared_once_per_polynomial(monkeypatch):
+def test_ideal_builds_its_reducers_once(monkeypatch):
     import lmlab.groebner as groebner
 
-    real = groebner._int_clear
-    cleared = []
+    real = groebner._divisors
+    built = []
 
-    def counting(p):
-        cleared.append(p)
-        return real(p)
+    def counting(basis):
+        built.append(len(basis))
+        return real(basis)
 
-    monkeypatch.setattr(groebner, "_int_clear", counting)
+    monkeypatch.setattr(groebner, "_divisors", counting)
     R = PolyRing(["x", "y", "z"])
     basis = [parse_poly(g, R) for g in ("2*x^2 - 3*y", "x*y - 2*z", "0", "3*y^2 - 5*z")]
     basis[1] = basis[1] * Fraction(1, 2)
@@ -420,7 +420,18 @@ def test_basis_is_cleared_once_per_polynomial(monkeypatch):
     for p in ps:
         _, cert = reduce_poly(p, basis)
         assert cert.verify(p)
-    assert len(cleared) == len(basis) + len(ps)
+    # an ideal's reducers are built with its basis, and the membership tests
+    # against it build none
+    I = Ideal(R, [g for g in basis if not g.is_zero])
+    built.clear()
+    I.gb()
+    assert built[-1] == len(I.gb())
+    built.clear()
+    for p in ps * 3:
+        member, cert = ideal_member(p, I)
+        assert cert.verify(p) and member == cert.residue.is_zero
+        assert ideal_contains(I, Ideal(R, [p])) == member
+    assert built == []
     # a polynomial of the same variables under another order is still refused
     other = PolyRing(["x", "y", "z"], Lex())
     with pytest.raises(PolyError):

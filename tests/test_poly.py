@@ -1,6 +1,7 @@
 """Parser, printing, and polynomial algebra tests."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,10 +11,13 @@ from lmlab.poly import (
     ParseError,
     PolyMatrix,
     PolyRing,
+    Polynomial,
     RingMap,
     UnknownVariableError,
+    coeff_str,
     jacobian,
     minors,
+    monomial_str,
     parse_poly,
 )
 
@@ -157,14 +161,15 @@ def test_substitute_is_multiplicative(f, g):
 
 def reference_evaluate(p, assignment):
     """Term-by-term Fraction evaluation, as Polynomial.evaluate did it before
-    it summed in integers over common denominators; copied unchanged."""
+    it summed in integers over common denominators; copied unchanged except
+    that it reads the Fraction coefficients through sorted_terms()."""
     vals = []
     for v in p.ring.variables:
         if v not in assignment:
             raise UnknownVariableError(v)
         vals.append(Fraction(assignment[v]))
     total = Fraction(0)
-    for exp, c in p.terms.items():
+    for exp, c in p.sorted_terms():
         t = c
         for val, e in zip(vals, exp):
             if e:
@@ -277,3 +282,199 @@ def test_grevlex_weights_pi_last():
     p = parse_poly("pi*z + z^2", R)
     assert p.lm() == (0, 2)
     assert str(p) == "z^2 + pi*z"
+
+
+# -- integer numerators over one denominator, against a Fraction reference
+
+
+class FractionPolynomial:
+    """A polynomial as a dict from exponent to nonzero Fraction.
+
+    The arithmetic, `monic`, `derivative`, `cast`, equality and printing are
+    Polynomial's as they were before it stored integer numerators over one
+    denominator, copied unchanged apart from building this class.
+    """
+
+    def __init__(self, ring, terms):
+        self.ring = ring
+        self.terms = terms
+
+    @classmethod
+    def of(cls, p):
+        return cls(p.ring, dict(p.sorted_terms()))
+
+    def sorted_terms(self):
+        key = self.ring.exp_key
+        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
+
+    def __add__(self, other):
+        big, small = (self.terms, other.terms)
+        if len(big) < len(small):
+            big, small = small, big
+        out = dict(big)
+        for exp, c in small.items():
+            s = out.get(exp)
+            if s is None:
+                out[exp] = c
+            else:
+                s = s + c
+                if s:
+                    out[exp] = s
+                else:
+                    del out[exp]
+        return FractionPolynomial(self.ring, out)
+
+    def __neg__(self):
+        return FractionPolynomial(self.ring, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            c = Fraction(other)
+            if not c:
+                return FractionPolynomial(self.ring, {})
+            return FractionPolynomial(self.ring, {e: k * c for e, k in self.terms.items()})
+        out = {}
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                exp = tuple(map(sum, zip(e1, e2)))
+                s = out.get(exp)
+                if s is None:
+                    out[exp] = c1 * c2
+                else:
+                    s = s + c1 * c2
+                    if s:
+                        out[exp] = s
+                    else:
+                        del out[exp]
+        return FractionPolynomial(self.ring, out)
+
+    def monic(self):
+        if not self.terms:
+            return self
+        c = self.sorted_terms()[0][1]
+        if c == 1:
+            return self
+        return self * (Fraction(1) / c)
+
+    def derivative(self, varname):
+        i = self.ring.index.get(varname)
+        out = {}
+        for exp, c in self.terms.items():
+            e = exp[i]
+            if e:
+                nexp = exp[:i] + (e - 1,) + exp[i + 1 :]
+                s = out.get(nexp, Fraction(0)) + c * e
+                if s:
+                    out[nexp] = s
+                elif nexp in out:
+                    del out[nexp]
+        return FractionPolynomial(self.ring, out)
+
+    def cast(self, ring):
+        pos = []
+        for v in self.ring.variables:
+            pos.append(ring.index.get(v, -1))
+        out = {}
+        for exp, c in self.terms.items():
+            nexp = [0] * ring.nvars
+            for i, e in enumerate(exp):
+                if e:
+                    nexp[pos[i]] = e
+            out[tuple(nexp)] = c
+        return FractionPolynomial(ring, out)
+
+    def __eq__(self, other):
+        return self.ring.variables == other.ring.variables and self.terms == other.terms
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        pieces = []
+        for exp, c in self.sorted_terms():
+            mono = monomial_str(self.ring, exp)
+            a = abs(c)
+            if mono == "1":
+                body = coeff_str(a)
+            elif a == 1:
+                body = mono
+            else:
+                body = "%s*%s" % (coeff_str(a), mono)
+            pieces.append(("-" if c < 0 else "+", body))
+        sign, body = pieces[0]
+        out = ("-" if sign == "-" else "") + body
+        for sign, body in pieces[1:]:
+            out += " %s %s" % (sign, body)
+        return out
+
+
+def assert_canonical(p):
+    assert type(p.den) is int and p.den > 0
+    assert all(type(v) is int and v for v in p.terms.values())
+    assert gcd(p.den, *p.terms.values()) == 1
+    if p.is_zero:
+        assert p.den == 1
+
+
+def assert_matches(p, ref):
+    assert_canonical(p)
+    assert FractionPolynomial.of(p) == ref
+    assert str(p) == str(ref)
+
+
+# negative numerators and denominators of several sizes, so that sums and
+# products meet unequal denominators and cancel some of them
+mixed_coeffs = st.fractions(min_value=-7, max_value=7, max_denominator=12).filter(bool)
+scalars = st.one_of(st.integers(-6, 6), mixed_coeffs)
+
+
+@st.composite
+def mixed_polys(draw):
+    R = PolyRing(["x", "y", "pi"])
+    exps = st.tuples(*[st.integers(0, 3)] * 3)
+    return R.poly(draw(st.dictionaries(exps, mixed_coeffs, max_size=5)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(st.tuples(*[st.integers(0, 2)] * 2), st.integers(-40, 40).filter(bool)),
+    st.integers(-36, 36).filter(bool),
+)
+def test_constructor_makes_the_pair_canonical(numerators, den):
+    R = PolyRing(["x", "y"])
+    p = Polynomial(R, numerators, den)
+    assert_canonical(p)
+    assert p == R.poly({e: Fraction(v, den) for e, v in numerators.items()})
+    assert all(p.coefficient(e) == Fraction(v, den) for e, v in numerators.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_polys(), mixed_polys(), scalars)
+def test_arithmetic_matches_fraction_reference(f, g, c):
+    rf, rg = FractionPolynomial.of(f), FractionPolynomial.of(g)
+    assert_matches(f, rf)
+    assert_matches(f + g, rf + rg)
+    assert_matches(f - g, rf - rg)
+    assert_matches(f * g, rf * rg)
+    assert_matches(f * c, rf * c)
+    assert_matches(c * f, rf * c)
+    assert_matches(-f, -rf)
+    assert_matches(f.monic(), rf.monic())
+    for v in f.ring.variables:
+        assert_matches(f.derivative(v), rf.derivative(v))
+    wide = PolyRing(["pi", "t", "y", "x"])
+    assert_matches(f.cast(wide), rf.cast(wide))
+    assert_matches(f.cast(wide).cast(f.ring), rf)
+    # equality and hash are those of the rational polynomial
+    assert (f == g) == (rf == rg)
+    same = (f + g) - g
+    assert same == f and hash(same) == hash(f)
+    if c:
+        assert (f * c) * (1 / Fraction(c)) == f
+    point = {"x": Fraction(-3, 4), "y": 2, "pi": Fraction(5, 6)}
+    assert f.evaluate(point) == reference_evaluate(f, point)
