@@ -48,14 +48,14 @@ bases that are not an ideal's, such as the partial bases of a bounded run.
 Basis cache.  Inside a `basis_cache()` block, `buchberger(ideal, order)`
 keeps the result of every run, keyed by the ring with its order and the set
 of the generators' primitive integer forms (numerators divided by their
-content, signed so the leading coefficient is positive): the reduced basis is unique, so
-the generators' order, scaling and repetition do not matter.  A run that
-times out is never stored, and leaving the block restores the previous
-state.  The cache sits inside `buchberger` so that `Ideal.gb`, `eliminate`,
-`intersect`, `radical_member` and `krull_dim` all share it.  `buchberger`
-always runs to completion; a degree-bounded run is only
-`BuchbergerRun(ideal).advance(bound)`, which is never cached.  The suite
-opens one block per instance.
+content, signed so that the leading coefficient is positive): the reduced
+basis is unique, so the generators' order, scaling and repetition do not
+matter.  A run that times out is never stored, and leaving the block
+restores the previous state.  The cache sits inside `buchberger` so that
+`Ideal.gb`, `eliminate`, `intersect`, `radical_member` and `krull_dim` all
+share it.  `buchberger` always runs to completion; a degree-bounded run is
+only `BuchbergerRun(ideal).advance(bound)`, which is never cached.  The
+suite opens one block per instance.
 
 Nonzerodivisors.  `is_nonzerodivisor(I, v)` needs no ideal quotient.  It
 homogenizes the grevlex basis of I with a fresh h and computes the reduced
@@ -79,11 +79,11 @@ from operator import itemgetter
 from .poly import (
     Block,
     GrevLex,
+    Lex,
     ParseError,
     PolyError,
     PolyRing,
     Polynomial,
-    order_from_name,
     parse_poly,
     _grevlex_positions,
 )
@@ -333,9 +333,9 @@ class BuchbergerRun:
     `entries` lists every basis element found, as (lt, lc, terms, sugar);
     `active` maps the index of each entry whose leading term no later entry
     divides to its (lt, lc, terms, mask of lt), in index order: the reducers
-    of the next S-polynomial.  Advancing to bound b leaves exactly the state a fresh run
-    bounded by b ends in (see the module docstring), and advancing further
-    continues it.
+    of the next S-polynomial.  Advancing to bound b leaves exactly the state
+    a fresh run bounded by b ends in (see the module docstring), and
+    advancing further continues it.
     """
 
     def __init__(self, ideal, order=None):
@@ -489,8 +489,9 @@ def _interreduce(reducers, eng):
                 if not t:
                     kept.pop(idx)
                     break
-                lt = eng.lead(t)
-                kept[idx] = (lt, t[lt], t, _mask(lt))
+                # no other leading term divides lt, so nf keeps it
+                lt, _, _, mask = kept[idx]
+                kept[idx] = (lt, t[lt], t, mask)
     kept.sort(key=lambda red: eng.key(red[0]))
     return kept
 
@@ -807,6 +808,8 @@ def krull_dim(I):
 # --------------------------------------------------------- .ideal format
 
 IDEAL_HEADER = "# lmlab-ideal v1"
+# the orders an order line names, alone or as the two parts of a block order
+_PLAIN_ORDERS = {order.name: order for order in (Lex(), GrevLex())}
 
 
 def write_ideal_text(ideal):
@@ -842,12 +845,16 @@ def read_ideal_text(text):
         raise ParseError("malformed order line: %r" % order_line, 2)
     tokens = order_line[len("order ") :].split()
     if tokens[0] == "block":
-        if len(tokens) != 4 or not (tokens[1].startswith("[") and tokens[1].endswith("]")):
+        if (
+            len(tokens) != 4
+            or not (tokens[1].startswith("[") and tokens[1].endswith("]"))
+            or not set(tokens[2:]) <= _PLAIN_ORDERS.keys()
+        ):
             raise ParseError("malformed block order: %r" % order_line, 2)
         elim = [v for v in tokens[1][1:-1].split(",") if v]
-        order = Block(elim, order_from_name(tokens[2]), order_from_name(tokens[3]))
-    elif tokens[0] in ("lex", "grevlex") and len(tokens) == 1:
-        order = order_from_name(tokens[0])
+        order = Block(elim, _PLAIN_ORDERS[tokens[2]], _PLAIN_ORDERS[tokens[3]])
+    elif tokens[0] in _PLAIN_ORDERS and len(tokens) == 1:
+        order = _PLAIN_ORDERS[tokens[0]]
     else:
         raise ParseError("unknown order token: %r" % order_line, 2)
     ring = PolyRing(variables, order)

@@ -29,7 +29,7 @@ class LatticeNormalForm:
     DeltaC: tuple
     S1: tuple
     S2: tuple
-    incl_flip: tuple  # incl_flip[i - 1]: the index the inclusion pairs with i
+    incl_flip: tuple  # incl_flip[i - 1]: the index the inclusion pairs with i (sigma)
 
     @property
     def parity_case(self):
@@ -118,7 +118,8 @@ def normal_form(d, delta):
     DeltaC = tuple(i for i in range(1, d + 1) if i not in set(Delta))
     if len(Delta) != delta:
         raise LatticeError("internal error: |Delta| != delta")
-    flip = tuple(d + 1 - i for i in range(1, d + 1))
+    # the inclusion pairs e_i with the one e_j of nonzero Gram entry (S1 + S2)[i][j]
+    flip = tuple(next(j + 1 for j in range(d) if S1[i][j] or S2[i][j]) for i in range(d))
     return LatticeNormalForm(
         d=d,
         delta=delta,

@@ -416,7 +416,7 @@ def verify_presentation(nf, mode="sound", seed=7):
                 report.details["oracle_failures"] = bad
 
         if report.status == PASS and mode == "complete":
-            _verify_complete(nf, psi, small, report)
+            _verify_complete(nf, naive, psi, small, report)
     return report
 
 
@@ -440,11 +440,10 @@ def _z_to_x_map(nf, target):
     return RingMap(zr, target, images)
 
 
-def _verify_complete(nf, psi, small, report):
+def _verify_complete(nf, naive, psi, small, report):
     xr = x_ring(nf)
     elim_y = _y_elimination_map(nf)
     to_x = _z_to_x_map(nf, xr)
-    naive = build_naive_chart_ideal(nf)
     H = []
     for g in naive.ideal.generators:
         h = elim_y(g)
@@ -459,9 +458,8 @@ def _verify_complete(nf, psi, small, report):
         for b in range(1, nf.d + 1):
             if (a, b) in z_positions:
                 continue
-            v = xr.var("x_%d_%d" % (a, b))
-            img = to_x(psi(big_ring(nf).var("x_%d_%d" % (a, b))))
-            targets.append(("x_%d_%d" % (a, b), v - img))
+            name = "x_%d_%d" % (a, b)
+            targets.append((name, xr.var(name) - to_x(psi.images[name])))
 
     certified = {}
     uncertified = [name for name, _ in targets]

@@ -155,14 +155,6 @@ class Block:
         )
 
 
-def order_from_name(token):
-    if token == "lex":
-        return Lex()
-    if token == "grevlex":
-        return GrevLex()
-    raise PolyError("unknown monomial order %r" % token)
-
-
 # ------------------------------------------------------------------ rings
 
 

@@ -1,5 +1,7 @@
 """Blow-up charts, resolution charts, and their matching."""
 
+import dataclasses
+
 import pytest
 
 from lmlab.blowup import (
@@ -223,7 +225,7 @@ def test_lambda_nonzerodivisor():
     assert ideal_equal(q, mc.full.ideal)
 
 
-@pytest.mark.parametrize("d,delta", [(5, 1), (6, 2)])
+@pytest.mark.parametrize("d,delta", [(5, 1), (6, 2), (6, 1), (6, 3)])
 def test_linking_multipliers(d, delta):
     nf = normal_form(d, delta)
     for s in nf.Delta:
@@ -263,9 +265,11 @@ def test_case_ii_chart_match_passes_reduced_level():
 
 
 def test_case_2_linking_failure_is_reported():
-    # d even, delta odd: the verbatim global-flip convention leaves exactly
-    # the two middle-pair coordinates unprovable; reported, never patched
+    # negative control for d even, delta odd: with the global flip in place
+    # of the inclusion read off the Gram matrix, exactly the two middle-pair
+    # coordinates are unprovable, and the check reports it
     nf = normal_form(6, 3)
+    nf = dataclasses.replace(nf, incl_flip=tuple(range(nf.d, 0, -1)))
     rep = linking_multipliers(nf, 2, 1)
     assert rep.status == "fail"
     assert set(rep.details["failed_coordinates"]) == {"i(x)_4", "j(piy)_3"}

@@ -69,6 +69,15 @@ def test_import_rejects_unknown_order(tmp_path):
     assert "order" in out.stderr
 
 
+def test_import_rejects_nested_block_order(tmp_path):
+    path = tmp_path / "nested.ideal"
+    path.write_text("# lmlab-ideal v1\nring QQ [x, y]\norder block [x] block lex\ngen x\n")
+    out = run_cli("gb", str(path))
+    assert out.returncode == 64
+    assert "block order" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_gb_command(tmp_path):
     src = tmp_path / "in.ideal"
     src.write_text(

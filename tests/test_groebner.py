@@ -330,6 +330,11 @@ def test_ideal_file_header_and_order_errors():
     bad_gen = "# lmlab-ideal v1\nring QQ [x, y]\norder lex\npoly x\n"
     with pytest.raises(ParseError):
         read_ideal_text(bad_gen)
+    # the two orders of a block order are lex or grevlex, never a block
+    for parts in ("block lex", "lex block", "grevlex sorted"):
+        nested = "# lmlab-ideal v1\nring QQ [x, y]\norder block [x] %s\ngen x\n" % parts
+        with pytest.raises(ParseError):
+            read_ideal_text(nested)
 
 
 def test_ideal_file_block_order_roundtrip():

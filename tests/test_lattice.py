@@ -136,11 +136,17 @@ def test_quad_form_examples():
 
 @pytest.mark.parametrize("d,delta", GRID)
 def test_incl_flip_is_global_reversal(d, delta):
-    # GRID covers case tags 1-4 (see test_parity_table); the inclusion stays
-    # the global flip until it is derived from the Gram matrix
+    # GRID covers case tags 1-4 (see test_parity_table).  The inclusion is
+    # sigma, read off the Gram matrix: the global reversal, except in case 2
+    # (d even, delta odd), whose middle pair n, n + 1 sits on the diagonal
     nf = normal_form(d, delta)
     flip = nf.incl_flip
-    assert flip == tuple(d + 1 - i for i in range(1, d + 1))
+    sigma = [d + 1 - i for i in range(1, d + 1)]
+    if nf.case_tag == 2:
+        n = d // 2
+        sigma[n - 1], sigma[n] = n, n + 1
+    assert flip == tuple(sigma)
+    assert all(nf.S1[i - 1][j - 1] + nf.S2[i - 1][j - 1] for i, j in enumerate(flip, 1))
     assert all(flip[flip[i - 1] - 1] == i for i in range(1, d + 1))
 
 

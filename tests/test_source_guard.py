@@ -61,3 +61,29 @@ def test_claim_modules_test_membership_through_ideal_member():
             ):
                 offenders.append("%s:%d" % (name, node.lineno))
     assert offenders == []
+
+
+def test_groebner_does_not_import_fractions():
+    # the engine reads Polynomial's integer numerators and denominator
+    tree = ast.parse((PACKAGE / "groebner.py").read_text(encoding="utf-8"))
+    offenders = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            offenders.append(node.lineno)
+        if isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names):
+            offenders.append(node.lineno)
+    assert offenders == []
+
+
+def test_private_polynomial_state_stays_in_poly():
+    from lmlab.poly import Polynomial
+
+    private = {name for name in Polynomial.__slots__ if name.startswith("_")}
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                offenders.append("%s:%d" % (path.name, node.lineno))
+    assert offenders == []
