@@ -363,7 +363,6 @@ class BuchbergerRun:
         self.entries = []
         self.active = {}
         self._seeds = seeds
-        self._lt_info = []  # (mask, degree) of each entry's leading term
         self._pairs = {}  # live pair (i, j) -> (lcm, lcm degree, lcm mask)
         self._queue = []  # (sugar, i, j); pairs no longer live are skipped
 
@@ -409,13 +408,12 @@ class BuchbergerRun:
 
     def _add(self, entry):
         """Append an entry and apply the Gebauer-Moeller update for it."""
-        f, info, pairs = self.entries, self._lt_info, self._pairs
+        f, pairs = self.entries, self._pairs
         ih = len(f)
         lt_h, lc_h, t_h, sug_h = entry
         m_h = _mask(lt_h)
         d_h = sum(lt_h)
         f.append(entry)
-        info.append((m_h, d_h))
 
         # criterion B: drop (i, j) if lt_h divides its lcm and differs from
         # the lcms of (i, h) and (j, h); the lcm of (i, h) divides lcm(i, j),
@@ -440,9 +438,8 @@ class BuchbergerRun:
         # criterion) serve as divisors and are then dropped; pairs with equal
         # lcms are all kept.
         cands = []
-        for ig in self.active:
-            m_g = info[ig][0]
-            l = _mono_lcm(lt_h, f[ig][0])
+        for ig, (lt_g, _, _, m_g) in self.active.items():
+            l = _mono_lcm(lt_h, lt_g)
             cands.append((sum(l), ig, l, m_g | m_h, not m_g & m_h))
         cands.sort()
         minimal = []
@@ -457,7 +454,7 @@ class BuchbergerRun:
                 fresh.append((l, ml))
                 if coprime:
                     continue
-                sug = max(f[ig][3] + dl - info[ig][1], sug_h + dl - d_h)
+                sug = max(f[ig][3] + dl - sum(f[ig][0]), sug_h + dl - d_h)
                 pairs[(ig, ih)] = (l, dl, ml)
                 heapq.heappush(queue, (sug, ig, ih))
             minimal += fresh

@@ -48,7 +48,7 @@ from lmlab.localmodel import (
     x_ring,
 )
 from lmlab.quadric import build_linked_chart_ideal
-from lmlab.poly import Block, GrevLex, Lex, PolyError, PolyRing, Polynomial, parse_poly
+from lmlab.poly import Block, GrevLex, Lex, PolyError, PolyRing, parse_poly
 
 GRID = [(5, 1), (5, 2), (6, 1), (6, 2), (6, 3), (7, 2), (7, 3)]
 
