@@ -6,12 +6,27 @@ built from numerators and a denominator by the `Polynomial` constructor.
 Public results are monic polynomials with exact rational cofactor
 certificates.
 
+Packed monomials (Monagan & Pearce, CASC 2007).  Inside the engine each
+exponent vector is one int: variable k occupies a field of w bits starting
+at bit k w, and the total degree sits above all n fields, from bit n w.  The
+top bit of every field is a guard that a packed monomial keeps clear, and
+`guard` is the int with every guard bit set.  Then a product or a shift is
+one `+` or `-`, the degree is `p >> n w`, and a divides b iff
+`not (b - a) & guard`: a field of b below that of a borrows, which sets its
+guard bit.  The lcm reads which field is larger off the guard bits of
+`(a | guard) - b`.  The width w is 16 bits unless twice the largest degree of
+the input does not fit below a guard; then it doubles until it does.  Every
+reduction step and S-polynomial checks that the degree of the terms it makes
+stays below 2^(w - 1); past that it raises PolyError, so no field ever wraps.
+Exponent tuples are packed and unpacked only at the edges: the seeds of a
+run, the reducers of a basis (`_divisors`), the polynomial that `_reduce`
+reduces, and the polynomials that `advance` and `_reduce` return.  The
+monomial order is `_Engine.key`, the ring's key of the unpacked vector,
+memoised on the packed int.
+
 Pairs (Gebauer & Moeller, JSC 1988).  A pair (i, j), i < j, of basis
 entries waits in a heap keyed by (sugar, i, j) and is selected smallest key
-first.  It stores its lcm, the lcm's degree and its support mask (Bachmann &
-Schoenemann's short exponent vector: bit k set iff variable k occurs) when
-it is created.  Masks reject most divisibility candidates, here and in the
-reducer scan of the normal form, before the exact test.  When entry h joins:
+first.  It stores its packed lcm when it is created.  When entry h joins:
 
 - criterion B drops a waiting pair (i, j) if lt(h) divides lcm(i, j) and
   that lcm differs from lcm(i, h) and from lcm(j, h);
@@ -36,9 +51,9 @@ it, and leaving a block restores the previous one.  The suite opens one
 block per named check and instance.
 
 Reduction.  `reduce_poly` and the Buchberger loop share `_Engine.nf`, which
-reduces numerators against (lt, lc, numerators, mask of lt) tuples.  The
-first reducer in list order that divides the current term is used, and zero
-basis entries never reduce.  With cofactors tracked, nf keeps
+reduces numerators against (lt, lc, numerators, top degree) tuples.  The
+first reducer in list order whose leading term passes the guard test is
+used, and zero basis entries never reduce.  With cofactors tracked, nf keeps
 M * P = sum(C_i B_i) + R on the numerators and never divides out content,
 which would rescale M and every C_i.  Membership in an ideal is
 `ideal_member(p, I)`, against the cached `I.gb()`, whose reducer tuples are
@@ -69,6 +84,7 @@ h next to last halves the run on the resolution charts against h after pi.
 from __future__ import annotations
 
 import heapq
+import struct
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -141,6 +157,89 @@ def deadline(seconds):
         _until = saved
 
 
+# ------------------------------------------------------ packed monomials
+
+_STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # widths struct packs
+_MIN_WIDTH = 16  # bits per field unless the input needs wider ones
+
+
+class _WideFields:
+    """`struct.Struct`'s `pack` and `unpack_from` for fields wider than 64 bits."""
+
+    def __init__(self, nvars, nbytes):
+        self.nvars, self.nbytes = nvars, nbytes
+
+    def pack(self, *exps):
+        return b"".join(x.to_bytes(self.nbytes, "little") for x in exps)
+
+    def unpack_from(self, data):
+        k = self.nbytes
+        return tuple(int.from_bytes(data[i : i + k], "little") for i in range(0, self.nvars * k, k))
+
+
+class _Packing:
+    """Exponent vectors of one ring as ints (see the module docstring).
+
+    Variable k occupies bits [k w, (k + 1) w) for the field width w, whose
+    top bit is a guard that a packed monomial keeps clear, and the total
+    degree sits above every field, from bit `nw`.  A ring without variables
+    keeps one empty field, so that `guard` is never 0.
+    """
+
+    def __init__(self, nvars, degree):
+        width = _MIN_WIDTH
+        while 2 * degree >= 1 << (width - 1):
+            width *= 2
+        fields = max(nvars, 1)
+        self.width = width
+        self.limit = (1 << (width - 1)) - 1  # largest degree a monomial may reach
+        self.nw = fields * width
+        self._all = (1 << self.nw) - 1  # every field
+        self._ones = self._all // ((1 << width) - 1)  # bit 0 of each field
+        self.guard = self._ones << (width - 1)
+        self._nbytes = (fields + 1) * width // 8  # the fields and the degree
+        code = _STRUCT_CODES.get(width)
+        if code:
+            self._fields = struct.Struct("<%d%s" % (nvars, code))
+        else:
+            self._fields = _WideFields(nvars, width // 8)
+
+    def holds(self, degree):
+        """True iff input of this degree fits with room to double: the rule
+        that chose the width."""
+        return 2 * degree <= self.limit
+
+    def overflow(self, degree):
+        return PolyError(
+            "degree %d overflows the %d-bit exponent fields" % (degree, self.width)
+        )
+
+    def monomial(self, e):
+        return int.from_bytes(self._fields.pack(*e), "little") | sum(e) << self.nw
+
+    def pack(self, terms):
+        """{exponent tuple: c} -> {packed int: c}; `monomial` on each key."""
+        enc, nw = self._fields.pack, self.nw
+        return {int.from_bytes(enc(*e), "little") | sum(e) << nw: c for e, c in terms.items()}
+
+    def unpack(self, terms):
+        """{packed int: c} -> {exponent tuple: c}."""
+        dec, nbytes = self._fields.unpack_from, self._nbytes
+        return {dec(m.to_bytes(nbytes, "little")): c for m, c in terms.items()}
+
+    def exponents(self, m):
+        return self._fields.unpack_from(m.to_bytes(self._nbytes, "little"))
+
+    def lcm(self, a, b):
+        guard, width = self.guard, self.width
+        m = ((a | guard) - b) & guard  # the guard of field k is set iff a_k >= b_k
+        m -= m >> (width - 1)  # the value bits of those fields
+        f = (a & m) | (b & (self._all ^ m))
+        # the top field of f * ones sums the fields; the sum is below 2^width
+        deg = (f * self._ones >> (self.nw - width)) & ((1 << width) - 1)
+        return f | deg << self.nw
+
+
 # ------------------------------------------------------ integer forms
 
 
@@ -155,63 +254,38 @@ def _primitive(terms):
     return {e: v // g for e, v in terms.items()}
 
 
-def _mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+def _divisors(ring, basis, degree=0):
+    """The packing of the basis and its (lt, lc, terms, top degree) reducers.
 
-
-def _mono_lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
-
-
-def _mono_divides(a, b):
-    # does a divide b
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
-def _mask(e):
-    """Support bitmask: bit k is set iff variable k occurs in e.
-
-    If a divides b then _mask(a) & ~_mask(b) == 0, so a nonzero value rejects
-    a divisor candidate before the exact test.
+    The fields hold twice the largest of `degree` and the degrees of the
+    basis.  A zero entry gets the leading term `guard`, which fails the guard
+    test against every monomial, so it never reduces.
     """
-    m = 0
-    for k, x in enumerate(e):
-        if x:
-            m |= 1 << k
-    return m
-
-
-def _divisors(basis):
-    """(lt, lc, numerators, mask of lt) of each basis polynomial, for nf.
-
-    A zero entry gets mask -1, which no term's mask contains, so it never
-    reduces.
-    """
+    pk = _Packing(ring.nvars, max([degree] + [b.total_degree() for b in basis]))
     out = []
     for b in basis:
         if b.is_zero:
-            out.append((None, 0, b.terms, -1))
+            out.append((pk.guard, 0, {}, 0))
         else:
-            lt = b.lm()
-            out.append((lt, b.terms[lt], b.terms, _mask(lt)))
-    return out
+            terms = pk.pack(b.terms)
+            lt = pk.monomial(b.lm())
+            out.append((lt, terms[lt], terms, max(terms) >> pk.nw))
+    return pk, out
 
 
 class _Engine:
-    """Shared monomial-key memo plus deadline checks for one computation."""
+    """Order-key memo, packing and deadline checks for one computation."""
 
-    def __init__(self, key_fn):
+    def __init__(self, key_fn, packing):
         self.key_fn = key_fn
+        self._packing = packing
         self.memo = {}
         self._tick = -1  # the first check reads the clock
 
-    def key(self, e):
-        got = self.memo.get(e)
+    def key(self, m):
+        got = self.memo.get(m)
         if got is None:
-            got = self.memo[e] = self.key_fn(e)
+            got = self.memo[m] = self.key_fn(self._packing.exponents(m))
         return got
 
     def check_time(self, every=256):
@@ -239,15 +313,17 @@ class _Engine:
     # -- fraction-free full normal form
 
     def nf(self, terms, reducers, cofactors=None):
-        """Normal form of an integer term dict against (lt, lc, terms, mask) tuples.
+        """Normal form of a packed integer term dict against reducers.
 
-        The first reducer in list order whose leading term divides the
-        current term is used; the mask test only skips non-divisors.  With
-        `cofactors`, one dict per reducer, the loop also records the
-        multipliers: it returns (result, M) with
+        A reducer is (lt, lc, terms, top degree of its terms).  The first
+        reducer in list order whose leading term divides the current term is
+        used.  With `cofactors`, one dict per reducer, the loop also records
+        the multipliers: it returns (result, M) with
         M * terms = sum(C_i * reducer_i) + result, and never removes content,
         which would have to rescale M and every C_i.
         """
+        pk = self._packing
+        guard, nw, limit = pk.guard, pk.nw, pk.limit
         work = dict(terms)
         done = set()
         key = self.key
@@ -265,14 +341,17 @@ class _Engine:
                     bk, best = ke, e
             if best is None:
                 break
-            outside = ~_mask(best)
             for hit, red in enumerate(reducers):
-                if not red[3] & outside and _mono_divides(red[0], best):
+                if not (best - red[0]) & guard:
                     break
             else:
                 done.add(best)
                 continue
-            lte, ltc, td, _ = red
+            lte, ltc, td, top = red
+            shift = best - lte
+            top += shift >> nw
+            if top > limit:
+                raise pk.overflow(top)
             c = work[best]
             g0 = gcd(c, ltc)
             mw = ltc // g0
@@ -280,9 +359,8 @@ class _Engine:
             if mw != 1:
                 for k2 in work:
                     work[k2] *= mw
-            shift = tuple(a - b for a, b in zip(best, lte))
             for ge, gc in td.items():
-                ne = _mono_mul(ge, shift)
+                ne = ge + shift
                 s = work.get(ne, 0) - mg * gc
                 if s:
                     work[ne] = s
@@ -304,18 +382,25 @@ class _Engine:
             return _primitive(work)
         return work, M
 
-    def spoly(self, lcm_exp, e1, c1, t1, e2, c2, t2):
+    def spoly(self, lcm, e1, c1, t1, e2, c2, t2):
+        pk = self._packing
+        nw = pk.nw
+        s1 = lcm - e1
+        s2 = lcm - e2
+        # fields below 2^(width - 1) add without a carry, so the degree of a
+        # sum is the sum of the degrees
+        top = max((max(t1) + s1) >> nw, (max(t2) + s2) >> nw)
+        if top > pk.limit:
+            raise pk.overflow(top)
         g0 = gcd(c1, c2)
         m1 = c2 // g0
         m2 = c1 // g0
-        s1 = tuple(a - b for a, b in zip(lcm_exp, e1))
-        s2 = tuple(a - b for a, b in zip(lcm_exp, e2))
         out = {}
         for ge, gc in t1.items():
-            ne = _mono_mul(ge, s1)
+            ne = ge + s1
             out[ne] = out.get(ne, 0) + m1 * gc
         for ge, gc in t2.items():
-            ne = _mono_mul(ge, s2)
+            ne = ge + s2
             s = out.get(ne, 0) - m2 * gc
             if s:
                 out[ne] = s
@@ -330,23 +415,24 @@ class _Engine:
 class BuchbergerRun:
     """One Buchberger computation that advances through rising degree bounds.
 
-    `entries` lists every basis element found, as (lt, lc, terms, sugar);
-    `active` maps the index of each entry whose leading term no later entry
-    divides to its (lt, lc, terms, mask of lt), in index order: the reducers
-    of the next S-polynomial.  Advancing to bound b leaves exactly the state
-    a fresh run bounded by b ends in (see the module docstring), and
-    advancing further continues it.
+    `entries` lists every basis element found, as (lt, lc, terms, sugar) in
+    packed form; `active` maps the index of each entry whose leading term no
+    later entry divides to its (lt, lc, terms, top degree) reducer, in index
+    order: the reducers of the next S-polynomial.  Advancing to bound b
+    leaves exactly the state a fresh run bounded by b ends in (see the module
+    docstring), and advancing further continues it.
     """
 
     def __init__(self, ideal, order=None):
         ring = ideal.ring if order is None else ideal.ring.with_order(order)
-        eng = _Engine(ring.exp_key)
+        pk = _Packing(ring.nvars, max((g.total_degree() for g in ideal.generators), default=0))
+        eng = _Engine(ring.exp_key, pk)
         seen = set()
         seeds = []
         for g in ideal.generators:
             # primitive, with a positive leading coefficient: the seeds, and
             # so the cache key, ignore how each generator is scaled
-            terms = _primitive(g.cast(ring).terms)
+            terms = _primitive(pk.pack(g.terms))
             if terms[eng.lead(terms)] < 0:
                 terms = {e: -v for e, v in terms.items()}
             fro = frozenset(terms.items())
@@ -358,12 +444,13 @@ class BuchbergerRun:
         seeds.sort(key=lambda t: eng.key(eng.lead(t)), reverse=True)
         self.ring = ring
         # the reduced basis of a complete run depends on nothing else
-        self.key = (ring, frozenset(seen))
+        self.key = (ring, pk.width, frozenset(seen))
         self.eng = eng
+        self._packing = pk
         self.entries = []
         self.active = {}
         self._seeds = seeds
-        self._pairs = {}  # live pair (i, j) -> (lcm, lcm degree, lcm mask)
+        self._pairs = {}  # live pair (i, j) -> its packed lcm
         self._queue = []  # (sugar, i, j); pairs no longer live are skipped
 
     @property
@@ -378,16 +465,16 @@ class BuchbergerRun:
         advanced again.  Returns the reduced basis as a tuple of monic
         polynomials, and the partial flag.
         """
-        eng = self.eng
+        eng, pk = self.eng, self._packing
         for terms in self._seeds:
             lt = eng.lead(terms)
-            self._add((lt, terms[lt], terms, max(sum(e) for e in terms)))
+            self._add((lt, terms[lt], terms, max(terms) >> pk.nw))
         self._seeds = []
         f, pairs, queue = self.entries, self._pairs, self._queue
         while queue:
             sug, i, j = queue[0]
-            pair = pairs.get((i, j))
-            if pair is None:
+            lcm = pairs.get((i, j))
+            if lcm is None:
                 heapq.heappop(queue)
                 continue
             eng.check_time(every=1)
@@ -395,7 +482,7 @@ class BuchbergerRun:
                 break
             lti, lci, ti, _ = f[i]
             ltj, lcj, tj, _ = f[j]
-            h = eng.spoly(pair[0], lti, lci, ti, ltj, lcj, tj)
+            h = eng.spoly(lcm, lti, lci, ti, ltj, lcj, tj)
             if h:
                 h = eng.nf(h, self.active.values())
             heapq.heappop(queue)
@@ -404,28 +491,24 @@ class BuchbergerRun:
                 lt = eng.lead(h)
                 self._add((lt, h[lt], h, sug))
         kept = _interreduce(self.active.values(), eng)
-        return tuple(Polynomial(self.ring, t, lc) for _, lc, t, _ in kept), self.partial
+        return tuple(Polynomial(self.ring, pk.unpack(t), lc) for _, lc, t, _ in kept), self.partial
 
     def _add(self, entry):
         """Append an entry and apply the Gebauer-Moeller update for it."""
-        f, pairs = self.entries, self._pairs
+        f, pairs, pk = self.entries, self._pairs, self._packing
+        guard, nw, lcm = pk.guard, pk.nw, pk.lcm
         ih = len(f)
         lt_h, lc_h, t_h, sug_h = entry
-        m_h = _mask(lt_h)
-        d_h = sum(lt_h)
+        d_h = lt_h >> nw
         f.append(entry)
 
         # criterion B: drop (i, j) if lt_h divides its lcm and differs from
-        # the lcms of (i, h) and (j, h); the lcm of (i, h) divides lcm(i, j),
-        # so equal degree means equal lcm
+        # the lcms of (i, h) and (j, h)
         dead = []
-        for (i, j), (l, dl, ml) in pairs.items():
-            if m_h & ~ml or not _mono_divides(lt_h, l):
+        for (i, j), l in pairs.items():
+            if (l - lt_h) & guard:
                 continue
-            if (
-                sum(_mono_lcm(f[i][0], lt_h)) != dl
-                and sum(_mono_lcm(f[j][0], lt_h)) != dl
-            ):
+            if lcm(f[i][0], lt_h) != l and lcm(f[j][0], lt_h) != l:
                 dead.append((i, j))
         for ij in dead:
             del pairs[ij]
@@ -435,61 +518,51 @@ class BuchbergerRun:
         # tests.  A proper divisor has smaller degree, and if one exists, one
         # that no lcm properly divides exists too, so each degree is tested
         # against the minimal lcms of smaller degree.  Coprime pairs (product
-        # criterion) serve as divisors and are then dropped; pairs with equal
-        # lcms are all kept.
+        # criterion: the lcm is the product) serve as divisors and are then
+        # dropped; pairs with equal lcms are all kept.
         cands = []
-        for ig, (lt_g, _, _, m_g) in self.active.items():
-            l = _mono_lcm(lt_h, lt_g)
-            cands.append((sum(l), ig, l, m_g | m_h, not m_g & m_h))
+        for ig, red in self.active.items():
+            l = lcm(lt_h, red[0])
+            cands.append((l >> nw, ig, l, l == lt_h + red[0]))
         cands.sort()
         minimal = []
         queue = self._queue
         for dl, group in groupby(cands, key=itemgetter(0)):
             fresh = []
-            for _, ig, l, ml, coprime in group:
-                if any(
-                    not mm & ~ml and _mono_divides(lm, l) for lm, mm in minimal
-                ):
+            for _, ig, l, coprime in group:
+                if any(not (l - lm) & guard for lm in minimal):
                     continue
-                fresh.append((l, ml))
+                fresh.append(l)
                 if coprime:
                     continue
-                sug = max(f[ig][3] + dl - sum(f[ig][0]), sug_h + dl - d_h)
-                pairs[(ig, ih)] = (l, dl, ml)
+                sug = max(f[ig][3] + dl - (f[ig][0] >> nw), sug_h + dl - d_h)
+                pairs[(ig, ih)] = l
                 heapq.heappush(queue, (sug, ig, ih))
             minimal += fresh
 
         self.active = {
-            ig: red
-            for ig, red in self.active.items()
-            if m_h & ~red[3] or not _mono_divides(lt_h, red[0])
+            ig: red for ig, red in self.active.items() if (red[0] - lt_h) & guard
         }
-        self.active[ih] = (lt_h, lc_h, t_h, m_h)
+        self.active[ih] = (lt_h, lc_h, t_h, max(t_h) >> nw)
 
 
 def _interreduce(reducers, eng):
     """Minimalize leading terms, then fully reduce tails; canonical order.
 
-    Takes and returns (lt, lc, terms, mask of lt) tuples.
+    Takes and returns (lt, lc, terms, top degree) reducers, in ascending
+    order of leading term.  No kept leading term divides another, so
+    reduction keeps every leading term, and one pass leaves each tail reduced
+    against all of them.
     """
+    guard, nw = eng._packing.guard, eng._packing.nw
     kept = []
     for red in sorted(reducers, key=lambda red: eng.key(red[0])):
-        if not any(_mono_divides(k[0], red[0]) for k in kept):
+        if all((red[0] - k[0]) & guard for k in kept):
             kept.append(red)
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(kept)):
-            t = eng.nf(kept[idx][2], kept[:idx] + kept[idx + 1 :])
-            if t != kept[idx][2]:
-                changed = True
-                if not t:
-                    kept.pop(idx)
-                    break
-                # no other leading term divides lt, so nf keeps it
-                lt, _, _, mask = kept[idx]
-                kept[idx] = (lt, t[lt], t, mask)
-    kept.sort(key=lambda red: eng.key(red[0]))
+    for idx in range(len(kept)):
+        lt = kept[idx][0]
+        t = eng.nf(kept[idx][2], kept[:idx] + kept[idx + 1 :])
+        kept[idx] = (lt, t[lt], t, max(t) >> nw)
     return kept
 
 
@@ -561,23 +634,29 @@ def reduce_poly(p, basis):
     for b in basis:
         if b.ring != p.ring:
             raise PolyError("ring mismatch between polynomial and basis")
-    return _reduce(p, basis, _divisors(basis))
+    return _reduce(p, basis, _divisors(p.ring, basis, p.total_degree()))
 
 
 def _reduce(p, basis, divisors):
-    """`reduce_poly(p, basis)`, given `_divisors(basis)`."""
+    """`reduce_poly(p, basis)`, given `_divisors` of the basis.
+
+    If p does not fit their packing, the basis is packed again, wider.
+    """
     ring = p.ring
+    pk, reducers = divisors
+    if not pk.holds(p.total_degree()):
+        pk, reducers = _divisors(ring, basis, p.total_degree())
     cof = [{} for _ in basis]
     # tracked fraction-free reduction of the numerators: M * P = sum(C_i B_i)
     # + R with p = P / den(p) and b_i = B_i / den(b_i), so the cofactor of
     # b_i is C_i den(b_i) / (M den(p)) and the residue R / (M den(p))
-    work, M = _Engine(ring.exp_key).nf(p.terms, divisors, cof)
+    work, M = _Engine(ring.exp_key, pk).nf(pk.pack(p.terms), reducers, cof)
     den = M * p.den
     cofactors = tuple(
-        Polynomial(ring, {e: v * b.den for e, v in cd.items()}, den)
+        Polynomial(ring, {e: v * b.den for e, v in pk.unpack(cd).items()}, den)
         for cd, b in zip(cof, basis)
     )
-    residue = Polynomial(ring, work, den)
+    residue = Polynomial(ring, pk.unpack(work), den)
     return residue, MembershipCertificate(basis, cofactors, residue)
 
 
@@ -610,11 +689,12 @@ class Ideal:
         """
         if self._gb is None:
             basis, _ = buchberger(self)
+            divisors = _divisors(self.ring, basis)
             for g in self.generators:
-                r, _ = reduce_poly(g, basis)
+                r, _ = _reduce(g, basis, divisors)
                 if not r.is_zero:
                     raise PolyError("internal error: generator fails to reduce")
-            self._gb, self._divisors = basis, _divisors(basis)
+            self._gb, self._divisors = basis, divisors
         return self._gb
 
     def __repr__(self):

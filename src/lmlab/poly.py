@@ -591,6 +591,11 @@ class _Parser:
         return p
 
     def factor(self):
+        # factor := '-' factor | atom ['^' int]: a leading minus binds looser
+        # than '^', so -x^2 is -(x^2)
+        if self.peek()[0] == "-":
+            self.take()
+            return -self.factor()
         p = self.atom()
         if self.peek()[0] == "^":
             self.take()
@@ -600,9 +605,6 @@ class _Parser:
 
     def atom(self):
         tok = self.peek()
-        if tok[0] == "-":
-            self.take()
-            return -self.atom()
         if tok[0] == "int":
             self.take()
             num = int(tok[1])

@@ -4,7 +4,8 @@ The first reference is the pair update and selection loop the engine had
 before its pairs were kept in a heap with cached lcms and support masks,
 copied unchanged together with the reduction it called.  The engine must
 process the same pairs in the same order, so it must end with the same entry
-list, the same active set and the same partial flag.
+list, the same active set and the same partial flag.  The engine's entries
+hold packed monomials, so they are decoded before the comparison.
 
 The second is `reduce_poly` as it was before it shared the engine's
 reduction loop and memoised the integer form of each basis polynomial,
@@ -407,7 +408,10 @@ def assert_same_run(ideal, order=None, degree_bound=None):
     f, active, partial = reference(ideal, order, degree_bound)
     run = BuchbergerRun(ideal, order)
     _, got_partial = run.advance(degree_bound)
-    assert run.entries == f
+    # the engine packs each exponent vector into an int; decode before comparing
+    pk = run._packing
+    entries = [(pk.exponents(lt), lc, pk.unpack(t), s) for lt, lc, t, s in run.entries]
+    assert entries == f
     assert sorted(run.active) == active
     assert got_partial == partial
     return run

@@ -321,6 +321,13 @@ def test_ideal_file_roundtrip():
     assert write_ideal_text(back) == text
 
 
+def test_ideal_file_reads_a_leading_minus_before_a_power():
+    ideal = read_ideal_text("# lmlab-ideal v1\nring QQ [x, y]\norder grevlex\ngen -x^2 + y\n")
+    x, y = ideal.ring.var("x"), ideal.ring.var("y")
+    assert ideal.generators == (y - x**2,)
+    assert read_ideal_text(write_ideal_text(ideal)).generators == ideal.generators
+
+
 def test_ideal_file_header_and_order_errors():
     with pytest.raises(ParseError):
         read_ideal_text("not an ideal file\n")
@@ -388,14 +395,14 @@ def test_budget_reaches_every_reduction(monkeypatch):
     # reduce under the enclosing deadline
     import lmlab.groebner as groebner
 
-    real = groebner.reduce_poly
+    real = groebner._reduce
     budgets = []
 
-    def spy(p, basis):
+    def spy(p, basis, divisors):
         budgets.append(groebner._until[1])
-        return real(p, basis)
+        return real(p, basis, divisors)
 
-    monkeypatch.setattr(groebner, "reduce_poly", spy)
+    monkeypatch.setattr(groebner, "_reduce", spy)
     R = PolyRing(["x", "y"])
     I = Ideal(R, ["x^2 - y", "x*y - 1"])
     with deadline(60):
@@ -413,9 +420,9 @@ def test_ideal_builds_its_reducers_once(monkeypatch):
     real = groebner._divisors
     built = []
 
-    def counting(basis):
+    def counting(ring, basis, degree=0):
         built.append(len(basis))
-        return real(basis)
+        return real(ring, basis, degree)
 
     monkeypatch.setattr(groebner, "_divisors", counting)
     R = PolyRing(["x", "y", "z"])
@@ -489,13 +496,13 @@ def test_basis_cache_ignores_generator_order_scale_and_duplicates(monkeypatch):
 def test_basis_cache_keeps_the_generator_check_of_every_ideal(monkeypatch):
     runs = _count_runs(monkeypatch)
     checked = []
-    real = groebner.reduce_poly
+    real = groebner._reduce
 
-    def spy(p, basis):
+    def spy(p, basis, divisors):
         checked.append(p)
-        return real(p, basis)
+        return real(p, basis, divisors)
 
-    monkeypatch.setattr(groebner, "reduce_poly", spy)
+    monkeypatch.setattr(groebner, "_reduce", spy)
     with basis_cache():
         for _ in range(2):
             Ideal(_CACHE_RING, _CACHE_GENS).gb()

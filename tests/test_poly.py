@@ -79,6 +79,17 @@ def test_print_parse_roundtrip_canonical():
         assert str(again) == str(p)
 
 
+def test_leading_minus_binds_looser_than_power():
+    R = ring("x", "y")
+    x, y = R.var("x"), R.var("y")
+    assert parse_poly("-x^2 + y", R) == -(x**2) + y
+    assert parse_poly("x*-y^2", R) == -(x * y**2)
+    assert parse_poly("-2^2*x", R) == -4 * x
+    assert parse_poly("(-x)^2", R) == x**2
+    assert parse_poly("--x^3", R) == x**3
+    assert parse_poly("-1/2*x^2", R) == x**2 * Fraction(-1, 2)
+
+
 # -- ring laws, exercised on random sparse polynomials
 
 coeffs = st.fractions(
@@ -94,6 +105,22 @@ def polys(draw, nvars=3, max_terms=4, max_exp=3):
         exp = tuple(draw(st.integers(0, max_exp)) for _ in range(nvars))
         terms[exp] = draw(coeffs)
     return R.poly(terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    polys(max_exp=1),
+    st.tuples(st.integers(2, 4), st.integers(0, 3), st.integers(0, 3)).filter(
+        lambda e: sum(e) >= 4
+    ),
+)
+def test_print_parse_roundtrip_with_negative_leading_power(rest, exp):
+    # the leading term -x^a*..., a >= 2, has larger degree than every term of
+    # rest, so the printed text starts with a minus and a squared variable
+    f = rest.ring.poly({exp: Fraction(-1)}) + rest
+    text = str(f)
+    assert text.startswith("-x^")
+    assert parse_poly(text, f.ring) == f
 
 
 @settings(max_examples=60, deadline=None)

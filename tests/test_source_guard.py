@@ -87,3 +87,40 @@ def test_private_polynomial_state_stays_in_poly():
             if isinstance(node, ast.Attribute) and node.attr in private:
                 offenders.append("%s:%d" % (path.name, node.lineno))
     assert offenders == []
+
+
+def test_packed_monomials_stay_inside_groebner():
+    # the engine packs exponent vectors at its edges; every other module, and
+    # every polynomial it returns, sees exponent tuples
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "groebner.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name in ("_packing", "_Packing"):
+                offenders.append("%s:%d" % (path.name, node.lineno))
+    assert offenders == []
+
+    from lmlab.groebner import Ideal, ideal_member, reduce_poly
+    from lmlab.poly import PolyRing, parse_poly
+
+    R = PolyRing(["x", "y", "z"])
+    I = Ideal(R, ["x^2 - y*z", "x*y - z^2", "y^3 - z"])
+    p = parse_poly("x^3*y + z", R)
+    _, cert = ideal_member(p, I)
+    polys = list(I.gb()) + [cert.residue] + list(cert.cofactors)
+    polys += list(reduce_poly(p, list(I.gb()))[1].cofactors)
+    assert all(type(e) is tuple and len(e) == 3 for f in polys for e in f.terms)
+
+
+def test_tuple_monomial_helpers_are_gone():
+    gone = {"_mono_mul", "_mono_lcm", "_mono_divides", "_mask"}
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "name", None) or getattr(node, "id", None)
+            name = name or getattr(node, "attr", None)
+            if name in gone:
+                offenders.append("%s:%d" % (path.name, node.lineno))
+    assert offenders == []
