@@ -187,6 +187,7 @@ class _Packing:
     """
 
     def __init__(self, nvars, degree):
+        # twice the input's degree must fit below a guard bit
         width = _MIN_WIDTH
         while 2 * degree >= 1 << (width - 1):
             width *= 2
@@ -205,8 +206,7 @@ class _Packing:
             self._fields = _WideFields(nvars, width // 8)
 
     def holds(self, degree):
-        """True iff input of this degree fits with room to double: the rule
-        that chose the width."""
+        """True iff the width rule admits input of this degree."""
         return 2 * degree <= self.limit
 
     def overflow(self, degree):
@@ -254,10 +254,10 @@ def _primitive(terms):
     return {e: v // g for e, v in terms.items()}
 
 
-def _divisors(ring, basis, degree=0):
+def _divisors(ring, basis, degree):
     """The packing of the basis and its (lt, lc, terms, top degree) reducers.
 
-    The fields hold twice the largest of `degree` and the degrees of the
+    The packing is chosen for the largest of `degree` and the degrees of the
     basis.  A zero entry gets the leading term `guard`, which fails the guard
     test against every monomial, so it never reduces.
     """
@@ -689,7 +689,7 @@ class Ideal:
         """
         if self._gb is None:
             basis, _ = buchberger(self)
-            divisors = _divisors(self.ring, basis)
+            divisors = _divisors(self.ring, basis, 0)
             for g in self.generators:
                 r, _ = _reduce(g, basis, divisors)
                 if not r.is_zero:
