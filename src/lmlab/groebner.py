@@ -159,12 +159,12 @@ def deadline(seconds):
 
 # ------------------------------------------------------ packed monomials
 
-_STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # widths struct packs
+_STRUCT_CODES = {16: "H", 32: "I", 64: "Q"}  # widths struct packs
 _MIN_WIDTH = 16  # bits per field unless the input needs wider ones
 
 
 class _WideFields:
-    """`struct.Struct`'s `pack` and `unpack_from` for fields wider than 64 bits."""
+    """`struct.Struct`'s `pack` and `unpack_from` for widths without a code."""
 
     def __init__(self, nvars, nbytes):
         self.nvars, self.nbytes = nvars, nbytes

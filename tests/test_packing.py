@@ -101,7 +101,7 @@ def test_width_is_chosen_from_the_input():
     assert groebner._Packing(3, 16383).width == 16
     assert groebner._Packing(3, 16384).width == 32
     assert groebner._Packing(3, 40000).width == 32
-    # beyond struct's widths the fields are converted one by one
+    # widths struct has no code for are converted field by field
     wide = groebner._Packing(2, 2**70)
     assert wide.width == 128
     e = (2**70, 5)
