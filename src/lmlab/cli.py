@@ -21,6 +21,7 @@ from .suite import (
     report_payload,
     run_instance,
     run_suite,
+    timeout_value,
 )
 
 EXIT_OK = 0
@@ -196,7 +197,7 @@ def build_parser():
         p.add_argument("--delta", type=int, required=True, help="lattice invariant, 1 <= delta <= d/2")
 
     def add_timeout(p):
-        p.add_argument("--timeout-s", type=float, default=default_timeout(),
+        p.add_argument("--timeout-s", type=timeout_value, default=default_timeout(),
                        help="Groebner budget for each check (env LMLAB_TIMEOUT_S)")
 
     def add_common(p):

@@ -728,13 +728,23 @@ def ideal_equal(I, J):
     return ideal_contains(I, Jc) and ideal_contains(Jc, I)
 
 
+def _basis_under(I, order):
+    """The reduced basis of I under `order`; the cached `I.gb()` if it is I's."""
+    if I.ring.order == order:
+        return I.gb()
+    return buchberger(I, order=order)[0]
+
+
 def eliminate(I, vars_to_remove):
-    """Generators of I intersected with the subring without the given variables."""
+    """Generators of I intersected with the subring without the given variables.
+
+    The basis is that of `Block(removed)`, the removed variables in ring
+    order; an ideal whose ring has that order already lends its `gb()`.
+    """
     removed = tuple(v for v in I.ring.variables if v in set(vars_to_remove))
     if not removed:
         return Ideal(I.ring, I.generators)
-    order = Block(removed)
-    basis, _ = buchberger(I, order=order)
+    basis = _basis_under(I, Block(removed))
     sub = I.ring.restrict([v for v in I.ring.variables if v not in set(removed)])
     kept = []
     for g in basis:
@@ -815,10 +825,7 @@ def is_nonzerodivisor(I, v):
     if len(v.terms) != 1 or v.total_degree() != 1 or v.lc() != 1:
         raise PolyError("nonzerodivisor test needs a variable, got %s" % v)
     (name,) = v.variables_used()
-    if isinstance(I.ring.order, GrevLex):
-        basis = I.gb()
-    else:
-        basis, _ = buchberger(I, order=GrevLex())
+    basis = _basis_under(I, GrevLex())
     h = _fresh_name(I.ring, "h")
     ring = PolyRing(I.ring.variables + (h,), _RevLexLast((name, h)))
     gens = []

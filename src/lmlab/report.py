@@ -10,7 +10,6 @@ from .groebner import GBTimeout
 
 PASS = "pass"
 FAIL = "fail"
-UNCERTIFIED = "uncertified"
 TIMEOUT = "timeout"
 
 

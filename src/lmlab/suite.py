@@ -26,6 +26,7 @@ from .report import FAIL, VerificationReport, checking, exception_status
 __all__ = [
     "ConfigError",
     "SuiteConfig",
+    "timeout_value",
     "CHECK_NAMES",
     "CHECK_ALIASES",
     "run_check",
@@ -69,6 +70,7 @@ class SuiteConfig:
             raise ConfigError("mode must be sound or complete")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        timeout_value(self.timeout_s)
 
     def to_dict(self):
         return {
@@ -81,14 +83,26 @@ class SuiteConfig:
         }
 
 
+def timeout_value(value):
+    """A Groebner budget in seconds: None, or a number > 0 (inf is no limit).
+
+    NaN, zero and negative budgets raise ConfigError: NaN would compare false
+    against every deadline, and the others would time out every check.
+    """
+    if value is None:
+        return None
+    try:
+        if float(value) > 0:
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError("the Groebner budget (--timeout-s, LMLAB_TIMEOUT_S) "
+                      "must be a number of seconds > 0, got %r" % (value,))
+
+
 def default_timeout():
     env = os.environ.get("LMLAB_TIMEOUT_S")
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            raise ConfigError("LMLAB_TIMEOUT_S must be a number, got %r" % env)
-    return None
+    return timeout_value(env) if env else None
 
 
 def _wrap_error(check, instance, exc):

@@ -170,6 +170,31 @@ def test_env_timeout_is_read():
     assert out.returncode == 64
 
 
+_BUDGET_COMMANDS = {
+    "build": ["build", "--d", "5", "--delta", "1", "--object", "dt"],
+    "gb": ["gb", "{ideal}"],
+    "verify": ["verify", "dt-equals-u", "--d", "5", "--delta", "1"],
+    "suite": ["suite", "--grid", "5:1", "--checks", "dt-equals-u"],
+}
+
+
+# a budget is unset or a number > 0: NaN would compare false against every
+# deadline, and zero or a negative budget would time out every check
+@pytest.mark.parametrize("budget", ["nan", "-1", "0", "env nan"])
+@pytest.mark.parametrize("command", sorted(_BUDGET_COMMANDS))
+def test_invalid_budget_exits_64(tmp_path, command, budget):
+    ideal = tmp_path / "in.ideal"
+    ideal.write_text("# lmlab-ideal v1\nring QQ [x, y]\norder lex\ngen x^2 - 1\n")
+    args = [a.format(ideal=ideal) for a in _BUDGET_COMMANDS[command]]
+    if budget == "env nan":
+        out = run_cli(*args, env={"LMLAB_TIMEOUT_S": "nan"})
+    else:
+        out = run_cli(*args, "--timeout-s", budget)
+    assert out.returncode == 64, (out.stdout, out.stderr)
+    assert "budget" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_suite_json_determinism(tmp_path):
     config = SuiteConfig(grid=[(5, 1)], checks=["dt-equals-u", "annihilator"], seed=7)
     code1, payload1 = run_suite(config)

@@ -32,11 +32,13 @@ from lmlab.localmodel import (
     build_naive_chart_ideal,
     build_U_ideals,
     trace_form,
+    verify_presentation,
     x_ring,
     z_matrix,
     z_ring,
 )
-from lmlab.poly import Lex, ParseError, PolyError, PolyMatrix, PolyRing, minors, parse_poly
+from lmlab.poly import Block, Lex, ParseError, PolyError, PolyMatrix, PolyRing, minors, parse_poly
+from lmlab.suite import run_check
 
 
 def test_reduce_hand_buchberger_example():
@@ -292,20 +294,39 @@ def test_resumed_step_times_out_and_can_go_on():
     assert run.advance(3) == BuchbergerRun(HI).advance(3)
 
 
-def test_complete_mode_reports_timeout_of_a_resumed_step(monkeypatch):
-    import lmlab.localmodel as localmodel
+def test_complete_mode_reports_timeout_of_its_elimination_basis(monkeypatch):
+    real = BuchbergerRun.advance
 
-    class TinyResumeBudget(BuchbergerRun):
-        def advance(self, degree_bound=None):
-            if not self.entries:
-                return super().advance(degree_bound)
-            with deadline(1e-9):
-                return super().advance(degree_bound)
+    def tiny_block_budget(self, degree_bound=None):
+        if not isinstance(self.ring.order, Block):
+            return real(self, degree_bound)
+        with deadline(1e-9):
+            return real(self, degree_bound)
 
-    monkeypatch.setattr(localmodel, "BuchbergerRun", TinyResumeBudget)
-    report = localmodel.verify_presentation(normal_form(5, 1), mode="complete")
+    monkeypatch.setattr(BuchbergerRun, "advance", tiny_block_budget)
+    report = verify_presentation(normal_form(5, 1), mode="complete")
     assert report.status == "timeout"
-    assert "surjectivity_max_bound" not in report.details
+    assert "timeout" in report.details
+    assert "surjectivity_certified" not in report.details
+
+
+def test_complete_mode_runs_one_elimination_basis(monkeypatch):
+    # outside basis_cache(): the grevlex basis of the small ideal, then the
+    # one block-order basis that decides surjectivity and the contraction
+    runs = _count_runs(monkeypatch)
+    (report,) = run_check("za1", 5, 1, mode="complete")
+    assert report.status == "pass"
+    assert runs == [None, None]
+
+
+def test_eliminate_reuses_the_basis_of_an_ideal_in_its_order(monkeypatch):
+    gens = ["x - y^2", "x*z - 1", "y*z - x"]
+    fresh = eliminate(Ideal(PolyRing(["x", "y", "z"]), gens), ["x"])
+    runs = _count_runs(monkeypatch)
+    I = Ideal(PolyRing(["x", "y", "z"], Block(["x"])), gens)
+    I.gb()
+    assert eliminate(I, ["x"]).generators == fresh.generators
+    assert runs == [None]
 
 
 # -- .ideal serialization

@@ -16,6 +16,7 @@ from lmlab.localmodel import (
     _naive_relation_values,
     _oracle_failures,
     _rank_one_samples,
+    _verify_complete,
     big_ring,
     block_substitution,
     build_DT_ideal,
@@ -27,6 +28,7 @@ from lmlab.localmodel import (
     verify_presentation,
 )
 from lmlab.poly import PolyRing, RingMap, parse_poly
+from lmlab.report import checking
 from lmlab.suite import report_payload, run_check, strip_timings
 
 GRID = [(5, 1), (5, 2), (6, 1), (6, 2), (6, 3), (7, 2), (7, 3)]
@@ -326,6 +328,29 @@ def test_presentation_complete_5_1():
     rep = verify_presentation(normal_form(5, 1), mode="complete")
     assert rep.status == "pass"
     assert rep.details["surjectivity_certified"] == rep.details["surjectivity_targets"]
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_complete_mode_fails_a_section_that_misses_one_entry(corrupt):
+    # the sound half would reject this section first, so the complete half
+    # is called on its own: x_1_1 - (psi(x_1_1) + 1) is not in the ideal
+    nf = normal_form(5, 1)
+    assert (1, 1) not in {ab for _, ab in nf.z_cells}
+    psi = block_substitution(nf)
+    if corrupt:
+        images = dict(psi.images, x_1_1=psi.images["x_1_1"] + 1)
+        psi = RingMap(psi.source, psi.target, images)
+    _, small = build_U_ideals(nf)
+    with checking("za1", {"d": 5, "delta": 1, "mode": "complete"}) as rep:
+        _verify_complete(nf, build_naive_chart_ideal(nf), psi, small, rep)
+    if corrupt:
+        assert rep.status == "fail"
+        assert rep.details["surjectivity_failures"] == ["x_1_1"]
+        assert "contraction_generators" not in rep.details
+    else:
+        assert rep.status == "pass"
+        assert "surjectivity_failures" not in rep.details
+        assert rep.details["contraction_generators"] > 0
 
 
 def test_annihilator_examples():
