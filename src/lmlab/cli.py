@@ -266,7 +266,7 @@ def main(argv=None):
     except PolyError as exc:
         print("error: %s" % exc, file=sys.stderr)
         code = EXIT_FAIL
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         code = EXIT_USAGE
     sys.exit(code)

@@ -20,13 +20,14 @@ reduction step and S-polynomial checks that the degree of the terms it makes
 stays below 2^(w - 1); past that it raises PolyError, so no field ever wraps.
 Exponent tuples are packed and unpacked only at the edges: the seeds of a
 run, the reducers of a basis (`_divisors`), the polynomial that `_reduce`
-reduces, and the polynomials that `advance` and `_reduce` return.  The
-monomial order is `_Engine.key`, the ring's key of the unpacked vector,
-memoised on the packed int.
+reduces, and the polynomials that `BuchbergerRun.complete` and `_reduce`
+return.  The monomial order is `_Engine.key`, the ring's key of the unpacked
+vector, memoised on the packed int.
 
 Pairs (Gebauer & Moeller, JSC 1988).  A pair (i, j), i < j, of basis
 entries waits in a heap keyed by (sugar, i, j) and is selected smallest key
-first.  It stores its packed lcm when it is created.  When entry h joins:
+first, until no pair is left.  It stores its packed lcm when it is created.
+When entry h joins:
 
 - criterion B drops a waiting pair (i, j) if lt(h) divides lcm(i, j) and
   that lcm differs from lcm(i, h) and from lcm(j, h);
@@ -34,21 +35,13 @@ first.  It stores its packed lcm when it is created.  When entry h joins:
   divides lcm(g, h); new pairs with equal lcms are all kept;
 - the product criterion drops (g, h) if lt(g) and lt(h) are coprime.
 
-A new pair's sugar is at least that of the pair whose reduction produced
-it, so sugar never decreases along the selection order.  A run bounded by b
-therefore stops in the state every run passes through after its pairs of
-sugar <= b, and `BuchbergerRun.advance` resumes from there: advancing one
-run through bounds 2, 3, 4 gives exactly the bases of fresh bounded runs.
-A step that times out keeps the pair it was reducing, so the run stays
-consistent.
-
 Deadline.  Inside a `deadline(seconds)` block the Groebner operations
-(`buchberger`, `advance`, `reduce_poly` and everything built on them) share
-one budget, counted from the block's start: once it is spent, the next
-deadline check (before each S-pair, and every 256 steps of a reduction)
-raises GBTimeout.  A nested block can shorten the deadline but never extend
-it, and leaving a block restores the previous one.  The suite opens one
-block per named check and instance.
+(`buchberger`, `reduce_poly` and everything built on them) share one budget,
+counted from the block's start: once it is spent, the next deadline check
+(before each S-pair, and every 256 steps of a reduction) raises GBTimeout and
+the computation is abandoned.  A nested block can shorten the deadline but
+never extend it, and leaving a block restores the previous one.  The suite
+opens one block per named check and instance.
 
 Reduction.  `reduce_poly` and the Buchberger loop share `_Engine.nf`, which
 reduces numerators against (lt, lc, numerators, top degree) tuples.  The
@@ -58,7 +51,7 @@ M * P = sum(C_i B_i) + R on the numerators and never divides out content,
 which would rescale M and every C_i.  Membership in an ideal is
 `ideal_member(p, I)`, against the cached `I.gb()`, whose reducer tuples are
 built once and cached beside it; `reduce_poly` on an explicit list is for
-bases that are not an ideal's, such as the partial bases of a bounded run.
+bases that are not an ideal's, such as a single divisor.
 
 Basis cache.  Inside a `basis_cache()` block, `buchberger(ideal, order)`
 keeps the result of every run, keyed by the ring with its order and the set
@@ -68,9 +61,7 @@ basis is unique, so the generators' order, scaling and repetition do not
 matter.  A run that times out is never stored, and leaving the block
 restores the previous state.  The cache sits inside `buchberger` so that
 `Ideal.gb`, `eliminate`, `intersect`, `radical_member` and `krull_dim` all
-share it.  `buchberger` always runs to completion; a degree-bounded run is
-only `BuchbergerRun(ideal).advance(bound)`, which is never cached.  The
-suite opens one block per instance.
+share it.  The suite opens one block per instance.
 
 Nonzerodivisors.  `is_nonzerodivisor(I, v)` needs no ideal quotient.  It
 homogenizes the grevlex basis of I with a fresh h and computes the reduced
@@ -100,12 +91,12 @@ from .poly import (
     PolyError,
     PolyRing,
     Polynomial,
+    UnknownVariableError,
     parse_poly,
     _grevlex_positions,
 )
 
 __all__ = [
-    "BuchbergerRun",
     "GBTimeout",
     "Ideal",
     "MembershipCertificate",
@@ -413,14 +404,12 @@ class _Engine:
 
 
 class BuchbergerRun:
-    """One Buchberger computation that advances through rising degree bounds.
+    """One Buchberger computation, run to completion by `complete`.
 
     `entries` lists every basis element found, as (lt, lc, terms, sugar) in
     packed form; `active` maps the index of each entry whose leading term no
     later entry divides to its (lt, lc, terms, top degree) reducer, in index
-    order: the reducers of the next S-polynomial.  Advancing to bound b
-    leaves exactly the state a fresh run bounded by b ends in (see the module
-    docstring), and advancing further continues it.
+    order: the reducers of the next S-polynomial.
     """
 
     def __init__(self, ideal, order=None):
@@ -443,7 +432,7 @@ class BuchbergerRun:
         # seed deterministically, biggest leading term first
         seeds.sort(key=lambda t: eng.key(eng.lead(t)), reverse=True)
         self.ring = ring
-        # the reduced basis of a complete run depends on nothing else
+        # the reduced basis depends on nothing else
         self.key = (ring, pk.width, frozenset(seen))
         self.eng = eng
         self._packing = pk
@@ -453,45 +442,26 @@ class BuchbergerRun:
         self._pairs = {}  # live pair (i, j) -> its packed lcm
         self._queue = []  # (sugar, i, j); pairs no longer live are skipped
 
-    @property
-    def partial(self):
-        """True iff pairs above the last degree bound are still waiting."""
-        return bool(self._pairs)
-
-    def advance(self, degree_bound=None):
-        """Process every pair of sugar <= degree_bound (all if None).
-
-        On GBTimeout the pair being reduced stays queued, so the run can be
-        advanced again.  Returns the reduced basis as a tuple of monic
-        polynomials, and the partial flag.
-        """
+    def complete(self):
+        """Process every pair; return the reduced basis as monic polynomials."""
         eng, pk = self.eng, self._packing
         for terms in self._seeds:
             lt = eng.lead(terms)
             self._add((lt, terms[lt], terms, max(terms) >> pk.nw))
-        self._seeds = []
         f, pairs, queue = self.entries, self._pairs, self._queue
         while queue:
-            sug, i, j = queue[0]
-            lcm = pairs.get((i, j))
+            sug, i, j = heapq.heappop(queue)
+            lcm = pairs.pop((i, j), None)
             if lcm is None:
-                heapq.heappop(queue)
                 continue
             eng.check_time(every=1)
-            if degree_bound is not None and sug > degree_bound:
-                break
-            lti, lci, ti, _ = f[i]
-            ltj, lcj, tj, _ = f[j]
-            h = eng.spoly(lcm, lti, lci, ti, ltj, lcj, tj)
-            if h:
-                h = eng.nf(h, self.active.values())
-            heapq.heappop(queue)
-            del pairs[(i, j)]
+            h = eng.spoly(lcm, *f[i][:3], *f[j][:3])
+            h = h and eng.nf(h, self.active.values())
             if h:
                 lt = eng.lead(h)
                 self._add((lt, h[lt], h, sug))
         kept = _interreduce(self.active.values(), eng)
-        return tuple(Polynomial(self.ring, pk.unpack(t), lc) for _, lc, t, _ in kept), self.partial
+        return tuple(Polynomial(self.ring, pk.unpack(t), lc) for _, lc, t, _ in kept)
 
     def _add(self, entry):
         """Append an entry and apply the Gebauer-Moeller update for it."""
@@ -587,18 +557,19 @@ def basis_cache():
 def buchberger(ideal, order=None):
     """Reduced Groebner basis of the ideal under the given (or ring) order.
 
-    Returns (tuple of monic polys, partial); the run is complete, so partial
-    is False.  Inside `basis_cache()` the basis is looked up by the ring and
-    the set of the generators' primitive integer forms; a run that times out
-    stores nothing.
+    Returns (tuple of monic polys, False).  Every run is complete, so the
+    second value is always False; it stays because the benchmark tracer
+    (`bench/tracer.py`) reads it.  Inside `basis_cache()` the basis is looked
+    up by the ring and the set of the generators' primitive integer forms; a
+    run that times out stores nothing.
     """
     run = BuchbergerRun(ideal, order)
     if _cache is None:
-        return run.advance()
+        return run.complete(), False
     got = _cache.get(run.key)
     if got is None:
-        got = _cache[run.key] = run.advance()
-    return got
+        got = _cache[run.key] = run.complete()
+    return got, False
 
 
 # ------------------------------------------------------------ certificates
@@ -929,28 +900,32 @@ def read_ideal_text(text):
         raise ParseError("malformed order line: %r" % order_line, 2)
     tokens = order_line[len("order ") :].split()
     if tokens[0] == "block":
+        elim = tokens[1][1:-1].split(",") if len(tokens) == 4 else []
         if (
             len(tokens) != 4
             or not (tokens[1].startswith("[") and tokens[1].endswith("]"))
             or not set(tokens[2:]) <= _PLAIN_ORDERS.keys()
+            or len(set(elim)) != len(elim) or not set(elim) <= set(variables)
         ):
-            raise ParseError("malformed block order: %r" % order_line, 2)
-        elim = [v for v in tokens[1][1:-1].split(",") if v]
+            raise ParseError("line 3: malformed block order: %r" % order_line, 2)
         order = Block(elim, _PLAIN_ORDERS[tokens[2]], _PLAIN_ORDERS[tokens[3]])
     elif tokens[0] in _PLAIN_ORDERS and len(tokens) == 1:
         order = _PLAIN_ORDERS[tokens[0]]
     else:
         raise ParseError("unknown order token: %r" % order_line, 2)
-    ring = PolyRing(variables, order)
+    try:
+        ring = PolyRing(variables, order)
+    except PolyError as exc:
+        raise ParseError("line 2: %s" % exc, 1) from exc
     gens = []
     for idx, ln in enumerate(lines[3:]):
         if not ln.startswith("gen "):
             raise ParseError("expected `gen` line, found %r" % ln, idx + 3)
         try:
             gens.append(parse_poly(ln[4:], ring))
-        except ParseError as exc:
+        except (ParseError, UnknownVariableError) as exc:
             raise ParseError(
-                "line %d, column %d: %s" % (idx + 4, exc.position + 1, exc),
+                "line %d, column %d: %s" % (idx + 4, exc.position + 1, exc.message),
                 exc.position,
             ) from exc
     return Ideal(ring, gens)

@@ -40,14 +40,15 @@ class PolyError(Exception):
 class ParseError(PolyError):
     def __init__(self, message, position):
         super().__init__("%s (at position %d)" % (message, position))
-        self.position = position
+        self.message, self.position = message, position
 
 
 class UnknownVariableError(PolyError):
     def __init__(self, name, position=None):
+        self.message = "unknown variable %r" % name
         at = "" if position is None else " (at position %d)" % position
-        super().__init__("unknown variable %r%s" % (name, at))
-        self.name = name
+        super().__init__(self.message + at)
+        self.name, self.position = name, position
 
 
 # ----------------------------------------------------------------- orders
@@ -612,6 +613,8 @@ class _Parser:
             if self.peek()[0] == "/":
                 self.take()
                 den = self.take("int")
+                if not int(den[1]):
+                    raise ParseError("zero denominator", den[2])
                 return self.ring.const(Fraction(num, int(den[1])))
             return self.ring.const(num)
         if tok[0] == "ident":

@@ -60,16 +60,9 @@ def test_criterion_02_za1_complete():
         rep = verify_presentation(normal_form(d, delta), mode="complete", seed=7)
         dt = time.monotonic() - t0
         assert dt <= 900.0, (d, delta, dt)
-        if rep.status == "uncertified":
-            # tolerated only with a logged degree-bound exhaustion
-            assert "degree_bound_exhausted" in rep.details
-        else:
-            assert rep.status == "pass", (d, delta, rep.details)
-            assert (
-                rep.details["surjectivity_certified"]
-                == rep.details["surjectivity_targets"]
-            )
-        ok = ok and rep.status in ("pass", "uncertified")
+        assert rep.status == "pass", (d, delta, rep.details)
+        assert rep.details["surjectivity_certified"] == rep.details["surjectivity_targets"]
+        ok = ok and rep.status == "pass"
     announce(2, "za1 complete mode on all of G", ok)
 
 

@@ -78,6 +78,46 @@ def test_import_rejects_nested_block_order(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+# malformed input to `lmlab gb`: a file that cannot be read as text, or a
+# ring, order or gen line that does not parse, exits 64 with one message
+_BAD_IDEALS = {
+    "directory": (None, "Is a directory"),
+    "not-utf8": (b"# lmlab-ideal v1\nring QQ [x]\norder lex\ngen \xff\n", "utf-8"),
+    "duplicate-variable": ("ring QQ [x, x]\norder lex\ngen x\n", "line 2: duplicate"),
+    "invalid-variable": ("ring QQ [x, 1y]\norder lex\ngen x\n", "line 2: invalid variable"),
+    "unknown-variable": (
+        "ring QQ [x, y]\norder lex\ngen z + 1\n",
+        "line 4, column 1: unknown variable 'z'",
+    ),
+    "zero-denominator": (
+        "ring QQ [x, y]\norder lex\ngen 1/0 + x\n",
+        "line 4, column 3: zero denominator",
+    ),
+    "block-of-a-non-variable": ("ring QQ [x, y]\norder block [z] lex lex\ngen x\n", "line 3"),
+    "empty-block": ("ring QQ [x, y]\norder block [] lex lex\ngen x\n", "line 3"),
+    "repeated-block": ("ring QQ [x, y]\norder block [x,x] lex lex\ngen x\n", "line 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_IDEALS))
+def test_malformed_ideal_input_exits_64(tmp_path, capsys, case):
+    from lmlab.cli import main
+
+    text, message = _BAD_IDEALS[case]
+    path = tmp_path / "in.ideal"
+    if text is None:
+        path.mkdir()
+    elif isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text("# lmlab-ideal v1\n" + text)
+    with pytest.raises(SystemExit) as exc:
+        main(["gb", str(path)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 64
+    assert err.startswith("error: ") and message in err, err
+
+
 def test_gb_command(tmp_path):
     src = tmp_path / "in.ideal"
     src.write_text(
@@ -277,10 +317,10 @@ def test_every_check_reports_a_timeout_at_its_own_instance(monkeypatch):
     from lmlab import groebner
     from lmlab.suite import CHECK_NAMES, run_instance
 
-    def out_of_time(self, degree_bound=None):
+    def out_of_time(self):
         raise groebner.GBTimeout(60)
 
-    monkeypatch.setattr(groebner.BuchbergerRun, "advance", out_of_time)
+    monkeypatch.setattr(groebner.BuchbergerRun, "complete", out_of_time)
     reports = run_instance(CHECK_NAMES, 5, 1, timeout_s=60)
     assert len(reports) == 31
     for rep in reports:

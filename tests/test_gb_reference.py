@@ -3,9 +3,12 @@
 The first reference is the pair update and selection loop the engine had
 before its pairs were kept in a heap with cached lcms and support masks,
 copied unchanged together with the reduction it called.  The engine must
-process the same pairs in the same order, so it must end with the same entry
-list, the same active set and the same partial flag.  The engine's entries
-hold packed monomials, so they are decoded before the comparison.
+process the same pairs in the same order, so a complete run must end with the
+same entry list and the same active set.  The engine's entries hold packed
+monomials, so they are decoded before the comparison.  Unbounded runs on
+random ideals can take minutes, so the random draws keep the reference's
+degree bound as a filter: a draw is kept only if the bounded reference run
+left no pair, that is, if it is the complete run.
 
 The second is `reduce_poly` as it was before it shared the engine's
 reduction loop and memoised the integer form of each basis polynomial,
@@ -25,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, reject, settings
 from hypothesis import strategies as st
 
 import lmlab.groebner as groebner
@@ -405,16 +408,21 @@ def reduce_poly(p, basis):
 
 
 def assert_same_run(ideal, order=None, degree_bound=None):
+    """The complete engine run equals the reference run.
+
+    A degree bound only filters the draws: a reference run that leaves a pair
+    above it is not complete, and the draw is rejected.
+    """
     f, active, partial = reference(ideal, order, degree_bound)
+    if partial:
+        reject()
     run = BuchbergerRun(ideal, order)
-    _, got_partial = run.advance(degree_bound)
+    run.complete()
     # the engine packs each exponent vector into an int; decode before comparing
     pk = run._packing
     entries = [(pk.exponents(lt), lc, pk.unpack(t), s) for lt, lc, t, s in run.entries]
     assert entries == f
     assert sorted(run.active) == active
-    assert got_partial == partial
-    return run
 
 
 @pytest.mark.parametrize("d,delta", GRID)
@@ -424,12 +432,16 @@ def test_same_run_on_U_and_small(d, delta):
     assert_same_run(small.ideal)
 
 
-def test_same_run_on_x_ring_ideal_at_bound_two():
+def test_same_run_on_x_ring_ideal_under_the_elimination_order():
+    # the basis that complete-mode za1 computes: Y = -X^t, then the block
+    # order on the non-Z entries in x_ring order
     nf = normal_form(5, 1)
     elim_y = _y_elimination_map(nf)
     H = [elim_y(g) for g in build_naive_chart_ideal(nf).ideal.generators]
-    run = assert_same_run(Ideal(x_ring(nf), H), degree_bound=2)
-    assert run.partial
+    z_entries = {"x_%d_%d" % ab for _, ab in nf.z_cells}
+    xr = x_ring(nf)
+    targets = [v for v in xr.variables if v != "pi" and v not in z_entries]
+    assert_same_run(Ideal(xr, H), order=Block(targets))
 
 
 def test_same_run_on_block_elimination_of_M_chart():
@@ -453,9 +465,6 @@ _orders = st.sampled_from([Lex(), GrevLex(), Block(["x"]), Block(["y", "z"], Lex
     bound=st.integers(2, 6),
 )
 def test_same_run_on_small_ideals(gens, order, bound):
-    # a degree bound keeps every draw fast: unbounded lex runs on random
-    # ideals of this size can take minutes in either engine.  Many draws
-    # still complete below the bound (partial False).
     R = PolyRing(["x", "y", "z"], order)
     ideal = Ideal(R, [R.poly({e: Fraction(c) for e, c in g.items()}) for g in gens])
     assert_same_run(ideal, degree_bound=bound)
@@ -502,8 +511,9 @@ _qpolys = st.dictionaries(_exponents, _coeffs, min_size=1, max_size=3)
 )
 def test_same_reduction_against_reduced_bases(gens, order, bound, p, q):
     R = PolyRing(["x", "y", "z"], order)
-    basis, _ = BuchbergerRun(Ideal(R, [R.poly(g) for g in gens])).advance(bound)
-    basis = list(basis)
+    ideal = Ideal(R, [R.poly(g) for g in gens])
+    assume(not reference(ideal, degree_bound=bound)[2])  # complete within the bound
+    basis = list(buchberger(ideal)[0])
     f = R.poly(p) * basis[-1] + R.poly(q)
     for _ in range(2):
         assert_same_reduction(f, basis)

@@ -8,7 +8,6 @@ import pytest
 
 import lmlab.groebner as groebner
 from lmlab.groebner import (
-    BuchbergerRun,
     GBTimeout,
     Ideal,
     basis_cache,
@@ -28,12 +27,9 @@ from lmlab.groebner import (
 )
 from lmlab.lattice import normal_form
 from lmlab.localmodel import (
-    _y_elimination_map,
-    build_naive_chart_ideal,
     build_U_ideals,
     trace_form,
     verify_presentation,
-    x_ring,
     z_matrix,
     z_ring,
 )
@@ -253,57 +249,16 @@ def test_certificate_soundness_random():
                 assert not all(a >= b for a, b in zip(term_exp, g.lm()))
 
 
-def test_degree_truncated_gb_is_partial_and_sound():
-    R = PolyRing(["x", "y"], Lex())
-    I = Ideal(R, ["x^3 - y", "x*y - 1"])
-    basis, partial = BuchbergerRun(I).advance(2)
-    full, full_partial = buchberger(I)
-    assert partial
-    assert not full_partial
-    for g in basis:
-        ok, _ = ideal_member(g, I)
-        assert ok
-    run = BuchbergerRun(I)
-    assert run.advance(2) == (basis, True)
-    assert run.advance() == (full, False)
-
-
-def _x_ring_ideal(d, delta):
-    nf = normal_form(d, delta)
-    elim_y = _y_elimination_map(nf)
-    return Ideal(x_ring(nf), [elim_y(g) for g in build_naive_chart_ideal(nf).ideal.generators])
-
-
-def test_resumed_run_matches_fresh_bounded_runs():
-    HI = _x_ring_ideal(5, 1)
-    run = BuchbergerRun(HI)
-    for bound in (2, 3, 4, None):
-        fresh = BuchbergerRun(HI).advance(bound)
-        assert run.advance(bound) == fresh
-    assert not run.partial
-
-
-def test_resumed_step_times_out_and_can_go_on():
-    HI = _x_ring_ideal(5, 1)
-    run = BuchbergerRun(HI)
-    run.advance(2)
-    # an inner block with a later deadline does not extend the outer one
-    with pytest.raises(GBTimeout), deadline(1e-9), deadline(60):
-        run.advance(3)
-    # the timed-out step lost no pair: the run still reaches the fresh result
-    assert run.advance(3) == BuchbergerRun(HI).advance(3)
-
-
 def test_complete_mode_reports_timeout_of_its_elimination_basis(monkeypatch):
-    real = BuchbergerRun.advance
+    real = groebner.BuchbergerRun.complete
 
-    def tiny_block_budget(self, degree_bound=None):
+    def tiny_block_budget(self):
         if not isinstance(self.ring.order, Block):
-            return real(self, degree_bound)
+            return real(self)
         with deadline(1e-9):
-            return real(self, degree_bound)
+            return real(self)
 
-    monkeypatch.setattr(BuchbergerRun, "advance", tiny_block_budget)
+    monkeypatch.setattr(groebner.BuchbergerRun, "complete", tiny_block_budget)
     report = verify_presentation(normal_form(5, 1), mode="complete")
     assert report.status == "timeout"
     assert "timeout" in report.details
@@ -316,7 +271,7 @@ def test_complete_mode_runs_one_elimination_basis(monkeypatch):
     runs = _count_runs(monkeypatch)
     (report,) = run_check("za1", 5, 1, mode="complete")
     assert report.status == "pass"
-    assert runs == [None, None]
+    assert runs == ["GrevLex", "Block"]
 
 
 def test_eliminate_reuses_the_basis_of_an_ideal_in_its_order(monkeypatch):
@@ -326,7 +281,7 @@ def test_eliminate_reuses_the_basis_of_an_ideal_in_its_order(monkeypatch):
     I = Ideal(PolyRing(["x", "y", "z"], Block(["x"])), gens)
     I.gb()
     assert eliminate(I, ["x"]).generators == fresh.generators
-    assert runs == [None]
+    assert runs == ["Block"]
 
 
 # -- .ideal serialization
@@ -394,6 +349,9 @@ def test_timeout_raises_and_is_typed():
     nf = normal_form(7, 3)
     _, small = build_U_ideals(nf)
     with pytest.raises(GBTimeout), deadline(1e-9):
+        buchberger(small.ideal)
+    # an inner block with a later deadline does not extend the outer one
+    with pytest.raises(GBTimeout), deadline(1e-9), deadline(60):
         buchberger(small.ideal)
 
 
@@ -474,15 +432,15 @@ def test_ideal_builds_its_reducers_once(monkeypatch):
 
 
 def _count_runs(monkeypatch):
-    """The degree bound of every BuchbergerRun.advance call, in order."""
+    """The order class name of every Buchberger run, in order."""
     runs = []
-    real = BuchbergerRun.advance
+    real = groebner.BuchbergerRun.complete
 
-    def counting(self, degree_bound=None):
-        runs.append(degree_bound)
-        return real(self, degree_bound)
+    def counting(self):
+        runs.append(type(self.ring.order).__name__)
+        return real(self)
 
-    monkeypatch.setattr(BuchbergerRun, "advance", counting)
+    monkeypatch.setattr(groebner.BuchbergerRun, "complete", counting)
     return runs
 
 
@@ -542,22 +500,6 @@ def test_basis_cache_is_off_outside_the_block(monkeypatch):
     assert len(runs) == 4
 
 
-def test_basis_cache_never_stores_a_degree_bounded_run(monkeypatch):
-    # a bounded run goes through BuchbergerRun, which the cache never sees:
-    # it neither fills the cache nor changes the basis buchberger returns
-    I = Ideal(_CACHE_RING, _CACHE_GENS)
-    complete = buchberger(I)
-    runs = _count_runs(monkeypatch)
-    with basis_cache():
-        bounded = BuchbergerRun(I).advance(2)
-        assert bounded[1] is True and bounded[0] != complete[0]
-        assert buchberger(I) == complete
-        assert BuchbergerRun(I).advance(2) == bounded
-        assert buchberger(I) == complete
-    assert runs == [2, None, 2]
-    assert complete[1] is False
-
-
 def test_basis_cache_stores_nothing_after_a_timeout(monkeypatch):
     runs = _count_runs(monkeypatch)
     _, small = build_U_ideals(normal_form(5, 1))
@@ -608,3 +550,7 @@ def test_ideal_file_gen_parse_error_has_line_and_column():
         read_ideal_text(text)
     assert "line 4" in str(err.value)
     assert "column" in str(err.value)
+    # the position is named once, not again for each wrapping
+    with pytest.raises(ParseError) as err:
+        read_ideal_text(text.replace("x ** y", "(x"))
+    assert str(err.value) == "line 4, column 3: expected ), found 'end' (at position 2)"

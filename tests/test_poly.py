@@ -56,6 +56,13 @@ def test_parse_error_carries_position():
     assert err.value.position == 4
 
 
+def test_zero_denominator_is_a_parse_error():
+    R = ring("x")
+    with pytest.raises(ParseError) as err:
+        parse_poly("x + 1/0", R)
+    assert err.value.position == 6
+
+
 def test_unknown_variable_named():
     R = ring("x")
     with pytest.raises(UnknownVariableError) as err:

@@ -8,19 +8,46 @@ import lmlab
 PACKAGE = Path(lmlab.__file__).parent
 
 
-def test_no_timeout_parameter_outside_the_entry_points():
-    # the Groebner budget is set once per check by groebner.deadline; only
-    # the suite and the command line take it as a parameter
+def _functions_taking(parameter, skip=()):
+    """`file:line` of every function in the package with that parameter."""
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name in ("suite.py", "cli.py"):
+        if path.name in skip:
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 args = node.args
                 names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-                if "timeout_s" in names:
+                if parameter in names:
                     offenders.append("%s:%d" % (path.name, node.lineno))
+    return offenders
+
+
+def test_no_timeout_parameter_outside_the_entry_points():
+    # the Groebner budget is set once per check by groebner.deadline; only
+    # the suite and the command line take it as a parameter
+    assert _functions_taking("timeout_s", skip=("suite.py", "cli.py")) == []
+
+
+def test_no_degree_bound_parameter():
+    # every Buchberger run is complete: nothing bounds a run by degree
+    assert _functions_taking("degree_bound") == []
+
+
+def test_groebner_defines_no_resumable_run():
+    # the engine defines no way to stop a run early (`partial`) or to resume
+    # it (`advance`)
+    tree = ast.parse((PACKAGE / "groebner.py").read_text(encoding="utf-8"))
+    offenders = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+            name = getattr(node, "id", None) or node.attr
+        else:
+            continue
+        if name in ("advance", "partial"):
+            offenders.append(node.lineno)
     assert offenders == []
 
 
