@@ -70,14 +70,12 @@ def build_B_blowup_charts():
         name="b-blowup-I",
         ring=r1,
         ideal=Ideal(r1, [r1.var("u") * r1.var("v") - r1.var("pi")]),
-        provenance="first blow-up chart of the basic scheme (y = 1)",
     )
     r2 = PolyRing(["pi", "w1", "w2", "y"])
     chart2 = ChartPresentation(
         name="b-blowup-II",
         ring=r2,
         ideal=Ideal(r2, [r2.var("w1") * r2.var("w2") * r2.var("y") ** 2 + r2.var("pi")]),
-        provenance="second blow-up chart of the basic scheme (x = 1)",
     )
 
     map1 = RingMap(
@@ -155,7 +153,6 @@ def build_DT_blowup_chart(nf, s, t):
         name="dt-blowup-ambient[%d,%d]@%d,%d" % (nf.d, nf.delta, s, t),
         ring=amb,
         ideal=Ideal(amb, rel + [amb_eq]),
-        provenance="strict transform chart in homogeneous coordinates",
     )
 
     free = [bu(i, t) for i in range(1, delta + 1) if i != s]
@@ -180,7 +177,6 @@ def build_DT_blowup_chart(nf, s, t):
         name="dt-blowup[%d,%d]@%d,%d" % (nf.d, nf.delta, s, t),
         ring=red,
         ideal=Ideal(red, [red_eq]),
-        provenance="reduced blow-up chart: single equation 4 pi + z^2 * rowsum * colsum",
     )
 
     dependent = [bu(i, j) for i in range(1, delta + 1) for j in range(1, m + 1)
@@ -237,7 +233,6 @@ def build_M_chart(nf, s, t):
         name="m-chart-full[%d,%d]@x%d,y%d" % (nf.d, nf.delta, s, t),
         ring=full,
         ideal=Ideal(full, [eq] + kgens),
-        provenance="resolution chart with the full coordinate-relation ideal",
     )
 
     lam_r = red.var("lambda")
@@ -254,7 +249,6 @@ def build_M_chart(nf, s, t):
                 red.var("y_%d" % t) - 1,
             ],
         ),
-        provenance="reduced resolution chart: hypersurface plus pins",
     )
 
     removed = ["x_%d" % i for i in nf.DeltaC] + ["y_%d" % j for j in nf.Delta]

@@ -886,19 +886,28 @@ def write_ideal_text(ideal):
 
 
 def read_ideal_text(text):
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != IDEAL_HEADER:
-        raise ParseError("missing `%s` header" % IDEAL_HEADER, 0)
+    """Parse `.ideal` text; a ParseError names the line and a column in it.
+
+    Lines are numbered from 1 as they stand in the text, blank ones included.
+    A header, ring or order error is at the column where the bad part starts
+    (0-based); a `gen` error is at its column in the polynomial text.
+    """
+    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1] != IDEAL_HEADER:
+        first = lines[0][0] if lines else 1
+        raise ParseError("line %d: missing `%s` header" % (first, IDEAL_HEADER), 0)
     if len(lines) < 3:
-        raise ParseError("truncated ideal file", 0)
-    ring_line, order_line = lines[1], lines[2]
+        raise ParseError("line %d: truncated ideal file" % (len(text.splitlines()) + 1), 0)
+    (ring_no, ring_line), (order_no, order_line) = lines[1], lines[2]
     if not (ring_line.startswith("ring QQ [") and ring_line.endswith("]")):
-        raise ParseError("malformed ring line: %r" % ring_line, 1)
+        raise ParseError("line %d: malformed ring line: %r" % (ring_no, ring_line), 0)
     inner = ring_line[len("ring QQ [") : -1].strip()
     variables = [v.strip() for v in inner.split(",")] if inner else []
     if not order_line.startswith("order "):
-        raise ParseError("malformed order line: %r" % order_line, 2)
-    tokens = order_line[len("order ") :].split()
+        raise ParseError("line %d: malformed order line: %r" % (order_no, order_line), 0)
+    spec = order_line[len("order ") :].lstrip()
+    at = len(order_line) - len(spec)
+    tokens = spec.split()
     if tokens[0] == "block":
         elim = tokens[1][1:-1].split(",") if len(tokens) == 4 else []
         if (
@@ -907,25 +916,25 @@ def read_ideal_text(text):
             or not set(tokens[2:]) <= _PLAIN_ORDERS.keys()
             or len(set(elim)) != len(elim) or not set(elim) <= set(variables)
         ):
-            raise ParseError("line 3: malformed block order: %r" % order_line, 2)
+            raise ParseError("line %d: malformed block order: %r" % (order_no, spec), at)
         order = Block(elim, _PLAIN_ORDERS[tokens[2]], _PLAIN_ORDERS[tokens[3]])
     elif tokens[0] in _PLAIN_ORDERS and len(tokens) == 1:
         order = _PLAIN_ORDERS[tokens[0]]
     else:
-        raise ParseError("unknown order token: %r" % order_line, 2)
+        raise ParseError("line %d: unknown order token: %r" % (order_no, spec), at)
     try:
         ring = PolyRing(variables, order)
     except PolyError as exc:
-        raise ParseError("line 2: %s" % exc, 1) from exc
+        raise ParseError("line %d: %s" % (ring_no, exc), 0) from exc
     gens = []
-    for idx, ln in enumerate(lines[3:]):
+    for n, ln in lines[3:]:
         if not ln.startswith("gen "):
-            raise ParseError("expected `gen` line, found %r" % ln, idx + 3)
+            raise ParseError("line %d: expected `gen` line, found %r" % (n, ln), 0)
         try:
             gens.append(parse_poly(ln[4:], ring))
         except (ParseError, UnknownVariableError) as exc:
             raise ParseError(
-                "line %d, column %d: %s" % (idx + 4, exc.position + 1, exc.message),
+                "line %d, column %d: %s" % (n, exc.position + 1, exc.message),
                 exc.position,
             ) from exc
     return Ideal(ring, gens)

@@ -4,6 +4,12 @@ Builds the naive chart ideal from the matrix relations, the reduced
 presentations in the Z variables, the determinantal chart cut out by the
 trace quadric, and the block-substitution section that proves them equal.
 All charts live over Q[pi, ...] with the special fiber at pi = 0.
+
+The naive relations on (X, Y) are defined once, in _naive_relations, over
+any ring.  A ring map commutes with them, so za1 evaluates that one function
+wherever it needs them: on the variables of the big ring for the naive
+ideal, on the section's images for sound mode, in integers for the rank-one
+oracle, and at Y = -X^t in x_ring for complete mode.
 """
 
 from __future__ import annotations
@@ -42,12 +48,11 @@ HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class ChartPresentation:
-    """A named affine chart: ring, ideal, and where its equations come from."""
+    """A named affine chart: its ring and ideal."""
 
     name: str
     ring: PolyRing
     ideal: Ideal
-    provenance: str
 
 
 # -------------------------------------------------------------- ring setup
@@ -86,13 +91,10 @@ def z_matrix(nf, ring):
     )
 
 
-def var_matrix(ring, stem, d):
-    return PolyMatrix.from_rows(
-        [
-            [ring.var("%s_%d_%d" % (stem, i, j)) for j in range(1, d + 1)]
-            for i in range(1, d + 1)
-        ]
-    )
+def named_matrix(entry, stem, d):
+    """The d x d matrix, as a list of rows, of entry("stem_a_b")."""
+    return [[entry("%s_%d_%d" % (stem, a, b)) for b in range(1, d + 1)]
+            for a in range(1, d + 1)]
 
 
 def antidiag(ring, size):
@@ -103,50 +105,73 @@ def antidiag(ring, size):
     return PolyMatrix.from_rows(rows)
 
 
-def int_matrix(ring, rows):
-    return PolyMatrix.from_rows([[ring.const(v) for v in row] for row in rows])
-
-
 # ------------------------------------------------------------ naive chart
 
 
-def build_naive_chart_ideal(nf):
-    """The naive chart ideal: matrix relations on the pair (X, Y).
+def _mat_mul(A, B):
+    """A B for matrices given as lists of rows; zero entries of A are skipped."""
+    cols = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col) if a) for col in cols] for row in A]
 
-    Generators, in order: entries of Y + X^t, entries of X^t Y, the 2x2
-    minors of X and of Y, entries of X^t S1 X - 2 pi S X, X^t S2 X + 2 S X,
-    Y^t S1 Y + 2 (S2 Y + pi S1 Y), Y^t S2 Y - 2 pi (S2 Y + pi S1 Y).
+
+def _mat_add(A, B, c=1):
+    """A + c B for matrices given as lists of rows."""
+    return [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def _entries(M):
+    return (v for row in M for v in row)
+
+
+def _minors2(M):
+    """The 2x2 minors of M, rows then columns in lexicographic order."""
+    for r, r2 in combinations(M, 2):
+        for j, j2 in combinations(range(len(r)), 2):
+            yield r[j] * r2[j2] - r[j2] * r2[j]
+
+
+def _naive_relations(nf, X, Y, pi, L=1):
+    """The naive chart relations on (pi, X, Y), in generator order.
+
+    X and Y are lists of rows over any ring that holds pi.  Yields the
+    entries of Y + X^t, of X^t Y, the 2x2 minors of X and of Y, then the
+    entries of X^t S1 X - 2 pi S X, X^t S2 X + 2 S X, Y^t S1 Y + 2 sy and
+    Y^t S2 Y - 2 pi sy, with S = S1 + pi S2 and sy = (S2 + pi S1) Y.  A ring
+    map commutes with it, so it gives the image of every generator wherever
+    X, Y and pi are sent.
+
+    Given (L X, L Y, L pi), each relation comes out times the power of L that
+    clears it: L for Y + X^t, L^3 for X^t S1 X - 2 pi S X and
+    Y^t S2 Y - 2 pi sy (their quadratic terms use L S1 and L S2), L^2 for the
+    rest.  With integer L X, L Y and L pi every value is an integer, zero
+    exactly when the relation is.
     """
-    from .poly import minors
+    Xt = [list(col) for col in zip(*X)]
+    Yt = [list(col) for col in zip(*Y)]
+    LS1 = [[L * v for v in row] for row in nf.S1]
+    LS2 = [[L * v for v in row] for row in nf.S2]
+    yield from _entries(_mat_add(Y, Xt))
+    yield from _entries(_mat_mul(Xt, Y))
+    yield from _minors2(X)
+    yield from _minors2(Y)
+    LS1X, S2X = _mat_mul(LS1, X), _mat_mul(nf.S2, X)
+    SX = _mat_add(LS1X, S2X, pi)
+    yield from _entries(_mat_add(_mat_mul(Xt, LS1X), SX, -2 * pi))
+    yield from _entries(_mat_add(_mat_mul(Xt, S2X), SX, 2))
+    LS2Y, S1Y = _mat_mul(LS2, Y), _mat_mul(nf.S1, Y)
+    sy = _mat_add(LS2Y, S1Y, pi)
+    yield from _entries(_mat_add(_mat_mul(Yt, S1Y), sy, 2))
+    yield from _entries(_mat_add(_mat_mul(Yt, LS2Y), sy, -2 * pi))
 
+
+def build_naive_chart_ideal(nf):
+    """The naive chart ideal: the relations of _naive_relations on (X, Y)."""
     ring = big_ring(nf)
-    d = nf.d
-    pi = ring.var("pi")
-    X = var_matrix(ring, "x", d)
-    Y = var_matrix(ring, "y", d)
-    S1 = int_matrix(ring, nf.S1)
-    S2 = int_matrix(ring, nf.S2)
-    S = S1 + S2 * pi
-    Xt = X.transpose()
-    Yt = Y.transpose()
-
-    gens = []
-    gens += (Y + Xt).entries
-    gens += (Xt * Y).entries
-    gens += minors(X, 2)
-    gens += minors(Y, 2)
-    gens += (Xt * S1 * X - (S * X) * (2 * pi)).entries
-    gens += (Xt * S2 * X + (S * X) * 2).entries
-    sy = S2 * Y + (S1 * Y) * pi
-    gens += (Yt * S1 * Y + sy * 2).entries
-    gens += (Yt * S2 * Y - sy * (2 * pi)).entries
-    gens = [g for g in gens if not g.is_zero]
-
+    X, Y = (named_matrix(ring.var, stem, nf.d) for stem in "xy")
     return ChartPresentation(
         name="u-naive[%d,%d]" % (nf.d, nf.delta),
         ring=ring,
-        ideal=Ideal(ring, gens),
-        provenance="naive chart relations on (X, Y) for d=%d, delta=%d" % (nf.d, nf.delta),
+        ideal=Ideal(ring, _naive_relations(nf, X, Y, ring.var("pi"))),
     )
 
 
@@ -201,13 +226,11 @@ def build_U_ideals(nf):
         name="u[%d,%d]" % (nf.d, nf.delta),
         ring=ring,
         ideal=Ideal(ring, mins + [quad]),
-        provenance="reduced chart of the local model: rank-one locus plus trace quadric",
     )
     small = ChartPresentation(
         name="u-naive-small[%d,%d]" % (nf.d, nf.delta),
         ring=ring,
         ideal=Ideal(ring, mins + [quad * e for e in Z.entries]),
-        provenance="reduced presentation of the naive chart in the Z variables",
     )
     return U, small
 
@@ -232,7 +255,6 @@ def build_DT_ideal(nf):
         name="dt[%d,%d]" % (nf.d, nf.delta),
         ring=ring,
         ideal=Ideal(ring, gens),
-        provenance="determinantal chart with the -4 pi normalization",
     )
     U, _ = build_U_ideals(nf)
     if not ideal_equal(DT.ideal, U.ideal):
@@ -295,70 +317,21 @@ def _rank_one_samples(nf, count, seed):
     return samples
 
 
-def _mat_mul(A, B):
-    """A B for matrices given as lists of rows; zero entries of A are skipped."""
-    cols = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col) if a) for col in cols] for row in A]
-
-
-def _mat_add(A, B, c=1):
-    """A + c B for matrices given as lists of rows."""
-    return [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def _naive_relation_values(nf, X, pi, L=1):
-    """The generators of build_naive_chart_ideal at (pi, X, Y = -X^t), times L^k.
-
-    X and pi are given as L X and L pi.  Each relation comes out multiplied by
-    the power of L that clears it: L^3 for X^t S1 X - 2 pi S X and
-    Y^t S2 Y - 2 pi sy (their quadratic terms use L S1 and L S2), L^2 for the
-    rest.  S X and sy are taken as (L S1 + L pi S2)(L X) and
-    (L S2 + L pi S1)(L Y), that is L^2 times their values.  With integer L X
-    and L pi every value is an integer, zero exactly when the relation is;
-    L = 1 gives the relations themselves.
-
-    Yields the entries of every relation but Y + X^t, which vanishes there,
-    and the minors of X only: those of Y = -X^t are the same, transposed.
-    """
-    Xt = [list(col) for col in zip(*X)]
-    Y = [[-v for v in row] for row in Xt]
-    Yt = [[-v for v in row] for row in X]
-    LS1 = [[L * v for v in row] for row in nf.S1]
-    LS2 = [[L * v for v in row] for row in nf.S2]
-    SX = _mat_mul(_mat_add(LS1, nf.S2, pi), X)
-    sy = _mat_mul(_mat_add(LS2, nf.S1, pi), Y)
-    relations = (
-        _mat_mul(Xt, Y),
-        _mat_add(_mat_mul(Xt, _mat_mul(LS1, X)), SX, -2 * pi),
-        _mat_add(_mat_mul(Xt, _mat_mul(nf.S2, X)), SX, 2),
-        _mat_add(_mat_mul(Yt, _mat_mul(nf.S1, Y)), sy, 2),
-        _mat_add(_mat_mul(Yt, _mat_mul(LS2, Y)), sy, -2 * pi),
-    )
-    for M in relations:
-        for row in M:
-            yield from row
-    for r, r2 in combinations(X, 2):
-        for j, j2 in combinations(range(len(r)), 2):
-            yield r[j] * r2[j2] - r[j2] * r2[j]
-
-
 def _oracle_failures(nf, psi, count, seed):
     """The number of rank-one samples at which psi does not kill the naive chart.
 
     Each sample is Z = a b^t with pi = -T(Z)/2.  The section is evaluated once
     there, into the numeric matrix X of its x-images; Y = -X^t, as
     block_substitution defines it.  With L the lcm of the denominators of pi
-    and of X, the relations of build_naive_chart_ideal are then evaluated in
-    integers on (L pi, L X), each times a power of L (_naive_relation_values):
-    exact, and zero exactly when the relation is.  psi is a ring map, so a
-    relation is nonzero at (pi, X, Y) exactly when psi of that generator is
-    nonzero at the sample: the count equals that of evaluating every image
-    psi(g).
+    and of X, _naive_relations is then evaluated in integers on
+    (L X, -(L X)^t, L pi): exact, and zero exactly when the relation is.  psi
+    is a ring map, so a relation is nonzero there exactly when psi of that
+    generator is nonzero at the sample: the count equals that of evaluating
+    every image psi(g).
     """
-    d, delta, m = nf.d, nf.delta, nf.d - nf.delta
+    delta, m = nf.delta, nf.d - nf.delta
     T = trace_form(nf, psi.target)
-    x_images = [[psi.images["x_%d_%d" % (a, b)] for b in range(1, d + 1)]
-                for a in range(1, d + 1)]
+    x_images = named_matrix(psi.images.__getitem__, "x", nf.d)
     bad = 0
     for a, b in _rank_one_samples(nf, count, seed):
         assign = {"z_%d_%d" % (i, j): a[i - 1] * b[j - 1]
@@ -368,8 +341,8 @@ def _oracle_failures(nf, psi, count, seed):
         X = [[img.evaluate(assign) for img in row] for row in x_images]
         L = lcm(pi.denominator, *(v.denominator for row in X for v in row))
         Xn = [[v.numerator * (L // v.denominator) for v in row] for row in X]
-        pn = pi.numerator * (L // pi.denominator)
-        if any(_naive_relation_values(nf, Xn, pn, L)):
+        Yn = [[-v for v in col] for col in zip(*Xn)]
+        if any(_naive_relations(nf, Xn, Yn, pi.numerator * (L // pi.denominator), L)):
             bad += 1
     return bad
 
@@ -391,9 +364,10 @@ def verify_presentation(nf, mode="sound", seed=7):
         naive = build_naive_chart_ideal(nf)
         psi = block_substitution(nf)
         _, small = build_U_ideals(nf)
+        X, Y = (named_matrix(psi.images.__getitem__, stem, nf.d) for stem in "xy")
+        images = _naive_relations(nf, X, Y, psi.images["pi"])
         reduced_zero = 0
-        for g in naive.ideal.generators:
-            img = psi(g)
+        for g, img in zip(naive.ideal.generators, images, strict=True):
             if img.is_zero:
                 reduced_zero += 1
                 continue
@@ -416,20 +390,8 @@ def verify_presentation(nf, mode="sound", seed=7):
                 report.details["oracle_failures"] = bad
 
         if report.status == PASS and mode == "complete":
-            _verify_complete(nf, naive, psi, small, report)
+            _verify_complete(nf, psi, small, report)
     return report
-
-
-def _y_elimination_map(nf):
-    """Linear pre-elimination of the Y block through Y = -X^t."""
-    source = big_ring(nf)
-    target = x_ring(nf)
-    images = {"pi": target.var("pi")}
-    for a in range(1, nf.d + 1):
-        for b in range(1, nf.d + 1):
-            images["x_%d_%d" % (a, b)] = target.var("x_%d_%d" % (a, b))
-            images["y_%d_%d" % (a, b)] = -target.var("x_%d_%d" % (b, a))
-    return RingMap(source, target, images)
 
 
 def _z_to_x_map(nf, target):
@@ -440,21 +402,23 @@ def _z_to_x_map(nf, target):
     return RingMap(zr, target, images)
 
 
-def _verify_complete(nf, naive, psi, small, report):
+def _verify_complete(nf, psi, small, report):
     """Surjectivity of the section and the contraction, from one basis.
 
-    H is the naive ideal with Y = -X^t, under the block order on the non-Z
-    entries in x_ring order, which is how `eliminate` orders them.  The
-    section is onto iff every target x_ab - psi(x_ab) lies in H, which a
-    complete basis decides; the same basis gives the contraction of H onto
-    Q[pi, Z] (the Elimination Theorem), which must lie in the small ideal.
+    H is the naive ideal with Y = -X^t, _naive_relations evaluated at
+    (X, -X^t) in x_ring, under the block order on the non-Z entries in x_ring
+    order, which is how `eliminate` orders them.  The section is onto iff
+    every target x_ab - psi(x_ab) lies in H, which a complete basis decides;
+    the same basis gives the contraction of H onto Q[pi, Z] (the Elimination
+    Theorem), which must lie in the small ideal.
     """
-    elim_y = _y_elimination_map(nf)
-    xr = elim_y.target
+    xr = x_ring(nf)
+    X = named_matrix(xr.var, "x", nf.d)
+    H = _naive_relations(nf, X, [[-v for v in col] for col in zip(*X)], xr.var("pi"))
     to_x = _z_to_x_map(nf, xr)
     z_of_x = {"x_%d_%d" % ab: "z_%d_%d" % ij for ij, ab in nf.z_cells}
     targets = [v for v in xr.variables if v != "pi" and v not in z_of_x]
-    HI = Ideal(xr.with_order(Block(targets)), [elim_y(g) for g in naive.ideal.generators])
+    HI = Ideal(xr.with_order(Block(targets)), H)
     report.details["x_ring_generators"] = len(HI.generators)
 
     failures = sorted(

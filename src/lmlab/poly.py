@@ -12,6 +12,7 @@ immutable after construction and safe to share.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 __all__ = [
@@ -758,21 +759,6 @@ def _det(m, rows, cols):
     return acc
 
 
-def _subsets(n, k):
-    # k-subsets of range(n) in lexicographic order
-    idx = list(range(k))
-    while True:
-        yield tuple(idx)
-        for i in reversed(range(k)):
-            if idx[i] != i + n - k:
-                break
-        else:
-            return
-        idx[i] += 1
-        for j in range(i + 1, k):
-            idx[j] = idx[j - 1] + 1
-
-
 def minors(m, k):
     """All k x k minors, row-index lexicographic then column-index lexicographic."""
     if k < 1 or k > min(m.rows, m.cols):
@@ -780,8 +766,8 @@ def minors(m, k):
             return []
         raise PolyError("minor size out of range")
     out = []
-    for rs in _subsets(m.rows, k):
-        for cs in _subsets(m.cols, k):
+    for rs in combinations(range(m.rows), k):
+        for cs in combinations(range(m.cols), k):
             out.append(_det(m, list(rs), list(cs)))
     return out
 

@@ -75,8 +75,6 @@ def build_linked_chart_ideal(nf, i, j):
         name="v[%d,%d]@x%d,y%d" % (nf.d, nf.delta, i, j),
         ring=ring,
         ideal=Ideal(ring, gens),
-        provenance="pinned chart of the linked quadric; Q2 is the halved form, "
-        "so displayed equations match up to the unit 2",
     )
     return LinkedChart(chart=chart, q1=q1, q2=q2)
 
@@ -92,8 +90,6 @@ def build_basic_scheme():
         name="basic-scheme",
         ring=ring,
         ideal=Ideal(ring, gens),
-        provenance="four-variable model of the linked quadric singularities "
-        "(S, T renamed w1, w2 to avoid the Gram-matrix name clash)",
     )
 
 

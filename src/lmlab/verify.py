@@ -291,7 +291,6 @@ def _piece_chart(chart, piece):
         name="%s on D(%s)" % (chart.name, piece.h),
         ring=ring,
         ideal=Ideal(ring, gens),
-        provenance="localization of %s" % chart.name,
     )
 
 

@@ -89,6 +89,10 @@ _BAD_IDEALS = {
         "ring QQ [x, y]\norder lex\ngen z + 1\n",
         "line 4, column 1: unknown variable 'z'",
     ),
+    "gen-after-blank-lines": (
+        "\nring QQ [x, y]\n\norder lex\ngen z\n",
+        "line 6, column 1: unknown variable 'z'",
+    ),
     "zero-denominator": (
         "ring QQ [x, y]\norder lex\ngen 1/0 + x\n",
         "line 4, column 3: zero denominator",

@@ -45,10 +45,11 @@ from lmlab.groebner import (
 )
 from lmlab.lattice import normal_form
 from lmlab.localmodel import (
-    _y_elimination_map,
+    _naive_relations,
     block_substitution,
     build_naive_chart_ideal,
     build_U_ideals,
+    named_matrix,
     x_ring,
 )
 from lmlab.quadric import build_linked_chart_ideal
@@ -436,10 +437,10 @@ def test_same_run_on_x_ring_ideal_under_the_elimination_order():
     # the basis that complete-mode za1 computes: Y = -X^t, then the block
     # order on the non-Z entries in x_ring order
     nf = normal_form(5, 1)
-    elim_y = _y_elimination_map(nf)
-    H = [elim_y(g) for g in build_naive_chart_ideal(nf).ideal.generators]
-    z_entries = {"x_%d_%d" % ab for _, ab in nf.z_cells}
     xr = x_ring(nf)
+    X = named_matrix(xr.var, "x", nf.d)
+    H = list(_naive_relations(nf, X, [[-v for v in col] for col in zip(*X)], xr.var("pi")))
+    z_entries = {"x_%d_%d" % ab for _, ab in nf.z_cells}
     targets = [v for v in xr.variables if v != "pi" and v not in z_entries]
     assert_same_run(Ideal(xr, H), order=Block(targets))
 

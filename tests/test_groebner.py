@@ -554,3 +554,35 @@ def test_ideal_file_gen_parse_error_has_line_and_column():
     with pytest.raises(ParseError) as err:
         read_ideal_text(text.replace("x ** y", "(x"))
     assert str(err.value) == "line 4, column 3: expected ), found 'end' (at position 2)"
+
+
+# lines are numbered as they stand in the file, blank lines included; a
+# header, ring or order error is at the 0-based column where the bad part
+# starts, and a `gen` error at its column in the polynomial
+_H = "# lmlab-ideal v1\n"
+_MISNUMBERED_IDEALS = {
+    "empty": ("", "line 1: missing `# lmlab-ideal v1` header", 0),
+    "no-header": ("\nnot an ideal file\n", "line 2: missing `# lmlab-ideal v1` header", 0),
+    "truncated": (_H + "\nring QQ [x]\n", "line 4: truncated ideal file", 0),
+    "ring": (_H + "\nring QQ x\norder lex\n", "line 3: malformed ring line: 'ring QQ x'", 0),
+    "ring-variables": (_H + "ring QQ [x, x]\n\norder lex\n", "line 2: duplicate", 0),
+    "order-line": (_H + "ring QQ [x]\n\nlex\n", "line 4: malformed order line: 'lex'", 0),
+    "order-token": (_H + "ring QQ [x, y]\norder lexx\n", "line 3: unknown order token: 'lexx'", 6),
+    "block": (
+        _H + "ring QQ [x]\n\norder  block [z] lex lex\n",
+        "line 4: malformed block order: 'block [z] lex lex'",
+        7,
+    ),
+    "gen-line": (_H + "ring QQ [x]\norder lex\n\nfoo x\n", "line 5: expected `gen` line", 0),
+    "gen": (_H + "\nring QQ [x, y]\n\norder lex\ngen x ** y\n", "line 6, column 4: expected", 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISNUMBERED_IDEALS))
+def test_ideal_file_errors_name_the_physical_line(case):
+    text, message, column = _MISNUMBERED_IDEALS[case]
+    with pytest.raises(ParseError) as err:
+        read_ideal_text(text)
+    assert str(err.value).startswith(message), str(err.value)
+    assert str(err.value).endswith("(at position %d)" % column)
+    assert err.value.position == column

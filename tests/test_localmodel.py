@@ -13,7 +13,7 @@ from lmlab.groebner import Ideal, deadline, ideal_contains, ideal_equal, ideal_m
 from lmlab.lattice import normal_form
 import lmlab.localmodel
 from lmlab.localmodel import (
-    _naive_relation_values,
+    _naive_relations,
     _oracle_failures,
     _rank_one_samples,
     _verify_complete,
@@ -23,9 +23,11 @@ from lmlab.localmodel import (
     build_naive_chart_ideal,
     build_U_ideals,
     flatness_and_dimension,
+    named_matrix,
     trace_form,
     verify_annihilator,
     verify_presentation,
+    x_ring,
 )
 from lmlab.poly import PolyRing, RingMap, parse_poly
 from lmlab.report import checking
@@ -252,46 +254,48 @@ def corrupted_section(nf, kind="diagonal"):
     return RingMap(psi.source, psi.target, images)
 
 
+def random_matrix(rng, d, den):
+    return [[Fraction(rng.choice([0, rng.randint(-9, 9)]), rng.randint(1, den))
+             for _ in range(d)] for _ in range(d)]
+
+
 @pytest.mark.parametrize("d,delta", [(5, 1), (6, 2), (6, 3)])
 def test_matrix_relations_are_the_naive_generators(d, delta):
-    # at generic points (pi, X, -X^t) only the generators Y + X^t vanish,
-    # so equal value sets mean the oracle evaluates exactly the generators
+    # at random points (pi, X, Y) the relations are the generators' values,
+    # generator by generator
     nf = normal_form(d, delta)
     gens = build_naive_chart_ideal(nf).ideal.generators
     rng = random.Random(100 * d + delta)
     for _ in range(2):
         pi = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        X = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)]
-             for _ in range(d)]
+        X, Y = random_matrix(rng, d, 4), random_matrix(rng, d, 4)
         point = {"pi": pi}
         for a in range(d):
             for b in range(d):
                 point["x_%d_%d" % (a + 1, b + 1)] = X[a][b]
-                point["y_%d_%d" % (b + 1, a + 1)] = -X[a][b]
-        expected = {g.evaluate(point) for g in gens} - {0}
-        assert set(_naive_relation_values(nf, X, pi)) - {0} == expected
+                point["y_%d_%d" % (a + 1, b + 1)] = Y[a][b]
+        assert list(_naive_relations(nf, X, Y, pi)) == [g.evaluate(point) for g in gens]
 
 
 @pytest.mark.parametrize("d,delta", [(5, 1), (6, 2), (6, 3)])
 def test_integer_relations_are_scaled_fraction_relations(d, delta):
-    # on (L pi, L X) every relation comes out as an int, L^3 times its value
-    # for X^t S1 X - 2 pi S X and Y^t S2 Y - 2 pi sy and L^2 times it else
+    # on (L X, L Y, L pi) every relation comes out as an int: L times its
+    # value for Y + X^t, L^3 for X^t S1 X - 2 pi S X and Y^t S2 Y - 2 pi sy,
+    # and L^2 for X^t Y, the minors and the other two S-relations
     nf = normal_form(d, delta)
     rng = random.Random(1000 * d + delta)
-    powers = [2, 3, 2, 2, 3]
+    minors = math.comb(d, 2) ** 2
+    ks = [1] * d * d + [2] * (d * d + 2 * minors)
+    ks += [k for k in (3, 2, 2, 3) for _ in range(d * d)]
     for _ in range(3):
         pi = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-        X = [[Fraction(rng.choice([0, rng.randint(-9, 9)]), rng.randint(1, 6))
-              for _ in range(d)] for _ in range(d)]
-        L = math.lcm(pi.denominator, *(v.denominator for row in X for v in row))
-        Xn = [[int(v * L) for v in row] for row in X]
-        pn = int(pi * L)
-        exact = list(_naive_relation_values(nf, X, pi))
-        scaled = list(_naive_relation_values(nf, Xn, pn, L))
-        assert len(scaled) == len(exact)
+        X, Y = random_matrix(rng, d, 6), random_matrix(rng, d, 6)
+        L = math.lcm(pi.denominator, *(v.denominator for M in (X, Y) for row in M for v in row))
+        Xn, Yn = ([[int(v * L) for v in row] for row in M] for M in (X, Y))
+        exact = list(_naive_relations(nf, X, Y, pi))
+        scaled = list(_naive_relations(nf, Xn, Yn, int(pi * L), L))
+        assert len(exact) == len(ks)
         assert all(type(v) is int for v in scaled)
-        ks = [k for k in powers for _ in range(d * d)]
-        ks += [2] * (len(exact) - len(ks))
         assert scaled == [L**k * v for k, v in zip(ks, exact)]
 
 
@@ -300,6 +304,43 @@ def section_and_images(d, delta, corrupt):
     nf = normal_form(d, delta)
     psi = corrupted_section(nf, corrupt) if corrupt else block_substitution(nf)
     return psi, [psi(g) for g in build_naive_chart_ideal(nf).ideal.generators]
+
+
+@pytest.mark.parametrize("corrupt", [None, "diagonal", "scaled"])
+@pytest.mark.parametrize("d,delta", [(5, 1), (5, 2), (6, 2)])
+def test_relations_commute_with_the_section(d, delta, corrupt):
+    # a ring map commutes with _naive_relations: evaluating it on the images
+    # of X, Y and pi gives psi of every generator, in order
+    nf = normal_form(d, delta)
+    psi, images = section_and_images(d, delta, corrupt)
+    X, Y = (named_matrix(psi.images.__getitem__, stem, d) for stem in "xy")
+    assert list(_naive_relations(nf, X, Y, psi.images["pi"])) == images
+
+
+@pytest.mark.parametrize("d,delta", GRID)
+def test_relations_at_y_equal_minus_x_transpose_and_none_is_zero(d, delta):
+    # on (X, -X^t) in x_ring, the relations are the generators mapped by
+    # Y = -X^t; and no big-ring relation is zero, so each generator of the
+    # naive ideal is one relation, in order
+    nf = normal_form(d, delta)
+    naive = build_naive_chart_ideal(nf)
+    big = naive.ring
+    X = named_matrix(big.var, "x", d)
+    Y = named_matrix(big.var, "y", d)
+    relations = list(_naive_relations(nf, X, Y, big.var("pi")))
+    assert not any(r.is_zero for r in relations)
+    assert relations == list(naive.ideal.generators)
+
+    xr = x_ring(nf)
+    images = {"pi": xr.var("pi")}
+    for a in range(1, d + 1):
+        for b in range(1, d + 1):
+            images["x_%d_%d" % (a, b)] = xr.var("x_%d_%d" % (a, b))
+            images["y_%d_%d" % (a, b)] = -xr.var("x_%d_%d" % (b, a))
+    y_to_minus_xt = RingMap(big, xr, images)
+    Xx = named_matrix(xr.var, "x", d)
+    at_minus_xt = _naive_relations(nf, Xx, [[-v for v in col] for col in zip(*Xx)], xr.var("pi"))
+    assert list(at_minus_xt) == [y_to_minus_xt(g) for g in naive.ideal.generators]
 
 
 @pytest.mark.parametrize("corrupt", [None, "diagonal", "scaled"])
@@ -342,7 +383,7 @@ def test_complete_mode_fails_a_section_that_misses_one_entry(corrupt):
         psi = RingMap(psi.source, psi.target, images)
     _, small = build_U_ideals(nf)
     with checking("za1", {"d": 5, "delta": 1, "mode": "complete"}) as rep:
-        _verify_complete(nf, build_naive_chart_ideal(nf), psi, small, rep)
+        _verify_complete(nf, psi, small, rep)
     if corrupt:
         assert rep.status == "fail"
         assert rep.details["surjectivity_failures"] == ["x_1_1"]
@@ -382,7 +423,6 @@ def test_flatness_counterexample():
         name="pi-torsion",
         ring=ring,
         ideal=Ideal(ring, ["pi*z_1_1"]),
-        provenance="flatness negative control",
     )
     rep = flatness_and_dimension(bad, 1)
     assert rep.status == "fail"

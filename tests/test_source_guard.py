@@ -153,3 +153,39 @@ def test_tuple_monomial_helpers_are_gone():
             if name in gone:
                 offenders.append("%s:%d" % (path.name, node.lineno))
     assert offenders == []
+
+
+def test_removed_chart_helpers_stay_gone():
+    # the naive relations have one definition, _naive_relations; the numeric
+    # copy, the Y = -X^t ring map and the constant-matrix and subset helpers
+    # that the old constructions needed are gone
+    gone = {"_naive_relation_values", "_y_elimination_map", "int_matrix", "_subsets"}
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "name", None) or getattr(node, "id", None)
+            name = name or getattr(node, "attr", None)
+            if name in gone:
+                offenders.append("%s:%d" % (path.name, node.lineno))
+    assert offenders == []
+
+
+def test_only_naive_relations_reads_the_gram_matrices_in_localmodel():
+    # S1 and S2 enter the za1 relations in one place, whatever ring they are
+    # evaluated in
+    tree = ast.parse((PACKAGE / "localmodel.py").read_text(encoding="utf-8"))
+    readers = set()
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Attribute) and node.attr in ("S1", "S2"):
+                    readers.add(func.name)
+    module_level = [
+        node.lineno
+        for stmt in tree.body
+        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Attribute) and node.attr in ("S1", "S2")
+    ]
+    assert readers == {"_naive_relations"}
+    assert module_level == []
