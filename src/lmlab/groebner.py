@@ -6,28 +6,45 @@ built from numerators and a denominator by the `Polynomial` constructor.
 Public results are monic polynomials with exact rational cofactor
 certificates.
 
-Packed monomials (Monagan & Pearce, CASC 2007).  Inside the engine each
-exponent vector is one int: variable k occupies a field of w bits starting
-at bit k w, and the total degree sits above all n fields, from bit n w.  The
-top bit of every field is a guard that a packed monomial keeps clear, and
-`guard` is the int with every guard bit set.  Then a product or a shift is
-one `+` or `-`, the degree is `p >> n w`, and a divides b iff
-`not (b - a) & guard`: a field of b below that of a borrows, which sets its
-guard bit.  The lcm reads which field is larger off the guard bits of
-`(a | guard) - b`.  The width w is 16 bits unless twice the largest degree of
-the input does not fit below a guard; then it doubles until it does.  Every
-reduction step and S-polynomial checks that the degree of the terms it makes
-stays below 2^(w - 1); past that it raises PolyError, so no field ever wraps.
-Exponent tuples are packed and unpacked only at the edges: the seeds of a
+Order words (Monagan & Pearce, CASC 2007).  Inside the engine each monomial
+is one int, its order word, whose integer order is the ring's monomial order,
+so the leading term of a term dict is its `max`.  The word has fields of w
+bits; the top bit of each is a guard bit that a monomial keeps clear, and
+M = 2^(w - 1) - 1 fills the rest.  Each order names its layout
+(`word_groups`, beside its `key_fn`), from the most significant field down:
+
+- lex: x_1, ..., x_n in ring order;
+- grevlex: the degree, then M - x for each variable from the smallest up
+  (grevlex is lex on (deg, -x_n, ..., -x_1); pi, always the smallest, first);
+- a block order: the fields of the order on the eliminated variables, then
+  those of the order on the others, each graded group with its own degree;
+- `_RevLexLast`: grevlex in its own order of comparison.
+
+Below them all, in the lowest field, sits the total degree: it cannot change
+the order, since the fields above decide every comparison of distinct
+monomials, and `word & dmask` reads it.  M - x is `M ^ x`, so XOR with `flip`
+(M in every complemented field) undoes the complements.  A product is one
+addition less the word of the monomial 1 (`one`, the complement mask), and
+a shift is `t + (b - a)`.  Divisibility and lcms run on exponent words: the
+order word XOR `flip`, masked to the variable fields and the total degree.
+Then a divides b iff `not (b - a) & guard`, since a field of b below that of a
+borrows and sets its guard bit; the lcm reads which field is larger off the
+guard bits of `(a | guard) - b`, and sums its fields for the degree.  The
+group degrees are filled in, by repacking, only when an lcm becomes the
+shift of an S-polynomial.  The width w is 16 bits unless twice the largest
+degree of the input does not fit below a guard; then it doubles until it
+does.  Every reduction step and S-polynomial checks that the degree of the
+terms it makes stays below 2^(w - 1); past that it raises PolyError, so no
+field ever wraps.  Exponent tuples are packed (`struct` and `itemgetter`, with
+the group degrees summed) and unpacked only at the edges: the seeds of a
 run, the reducers of a basis (`_divisors`), the polynomial that `_reduce`
-reduces, and the polynomials that `BuchbergerRun.complete` and `_reduce`
-return.  The monomial order is `_Engine.key`, the ring's key of the unpacked
-vector, memoised on the packed int.
+reduces, and the polynomials that `BuchbergerRun.complete` returns and
+certificates build.  Nothing in the engine reads the tuple key `exp_key`.
 
 Pairs (Gebauer & Moeller, JSC 1988).  A pair (i, j), i < j, of basis
 entries waits in a heap keyed by (sugar, i, j) and is selected smallest key
-first, until no pair is left.  It stores its packed lcm when it is created.
-When entry h joins:
+first, until no pair is left.  It stores the exponent word of its lcm when
+it is created.  When entry h joins:
 
 - criterion B drops a waiting pair (i, j) if lt(h) divides lcm(i, j) and
   that lcm differs from lcm(i, h) and from lcm(j, h);
@@ -44,14 +61,22 @@ never extend it, and leaving a block restores the previous one.  The suite
 opens one block per named check and instance.
 
 Reduction.  `reduce_poly` and the Buchberger loop share `_Engine.nf`, which
-reduces numerators against (lt, lc, numerators, top degree) tuples.  The
-first reducer in list order whose leading term passes the guard test is
-used, and zero basis entries never reduce.  With cofactors tracked, nf keeps
-M * P = sum(C_i B_i) + R on the numerators and never divides out content,
-which would rescale M and every C_i.  Membership in an ideal is
-`ideal_member(p, I)`, against the cached `I.gb()`, whose reducer tuples are
-built once and cached beside it; `reduce_poly` on an explicit list is for
-bases that are not an ideal's, such as a single divisor.
+reduces numerators against (exponent word of lt, lt, lc, numerators, top
+degree) reducers.  The first reducer in list order whose leading term passes
+the guard test is used, and zero basis entries (exponent word `never`) never
+reduce.  nf keeps the live terms apart from the finished ones: a heap of
+order words gives the largest live term, an irreducible one moves to the
+remainder, and a fraction-free rescale by the lead coefficient touches only
+the live terms, while the remainder keeps the product of later rescales
+pending.  With cofactors tracked, nf keeps M * P = sum(C_i B_i) + R on the
+numerators and never divides out content, which would rescale M and every
+C_i.  A `MembershipCertificate` from `_reduce` holds the packed C_i and
+builds the cofactor polynomials the first time `cofactors` is read (by
+`verify`, a test or a failure detail); a membership test whose certificate
+is never read builds none.  Membership in an ideal is `ideal_member(p, I)`,
+against the cached `I.gb()`, whose reducer tuples are built once and cached
+beside it; `reduce_poly` on an explicit list is for bases that are not an
+ideal's, such as a single divisor.
 
 Basis cache.  Inside a `basis_cache()` block, `buchberger(ideal, order)`
 keeps the result of every run, keyed by the ring with its order and the set
@@ -78,8 +103,9 @@ import heapq
 import struct
 import time
 from contextlib import contextmanager
+from functools import lru_cache
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 from math import gcd
 from operator import itemgetter
 
@@ -148,7 +174,7 @@ def deadline(seconds):
         _until = saved
 
 
-# ------------------------------------------------------ packed monomials
+# ------------------------------------------------------------ order words
 
 _STRUCT_CODES = {16: "H", 32: "I", 64: "Q"}  # widths struct packs
 _MIN_WIDTH = 16  # bits per field unless the input needs wider ones
@@ -157,47 +183,98 @@ _MIN_WIDTH = 16  # bits per field unless the input needs wider ones
 class _WideFields:
     """`struct.Struct`'s `pack` and `unpack_from` for widths without a code."""
 
-    def __init__(self, nvars, nbytes):
-        self.nvars, self.nbytes = nvars, nbytes
+    def __init__(self, nfields, nbytes):
+        self.nfields, self.nbytes = nfields, nbytes
 
-    def pack(self, *exps):
-        return b"".join(x.to_bytes(self.nbytes, "little") for x in exps)
+    def pack(self, *fields):
+        return b"".join(x.to_bytes(self.nbytes, "little") for x in fields)
 
     def unpack_from(self, data):
         k = self.nbytes
-        return tuple(int.from_bytes(data[i : i + k], "little") for i in range(0, self.nvars * k, k))
+        return tuple(int.from_bytes(data[i : i + k], "little") for i in range(0, self.nfields * k, k))
+
+
+def _getter(indices):
+    """`itemgetter(*indices)`, returning a tuple also for one or no index."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (i,) = indices
+        return lambda t: (t[i],)
+    return lambda t: ()
 
 
 class _Packing:
-    """Exponent vectors of one ring as ints (see the module docstring).
+    """Order words of one ring (see the module docstring).
 
-    Variable k occupies bits [k w, (k + 1) w) for the field width w, whose
-    top bit is a guard that a packed monomial keeps clear, and the total
-    degree sits above every field, from bit `nw`.  A ring without variables
-    keeps one empty field, so that `guard` is never 0.
+    The fields, w bits each, hold from the most significant down: for each
+    word group of the ring's order its degree and then M - x (a graded
+    group) or just x (an ungraded one) for its variables, in the group's
+    order; last, in the lowest field, the total degree.  M = 2^(w - 1) - 1
+    fills a field below its guard bit, so M - x is `M ^ x`.  The exponent
+    word of an order word undoes the complements and keeps only the
+    variable fields and the total degree; divisibility and lcms are read
+    off exponent words.
     """
 
-    def __init__(self, nvars, degree):
-        # twice the input's degree must fit below a guard bit
-        width = _MIN_WIDTH
-        while 2 * degree >= 1 << (width - 1):
-            width *= 2
-        fields = max(nvars, 1)
-        self.width = width
-        self.limit = (1 << (width - 1)) - 1  # largest degree a monomial may reach
-        self.nw = fields * width
-        self._all = (1 << self.nw) - 1  # every field
-        self._ones = self._all // ((1 << width) - 1)  # bit 0 of each field
-        self.guard = self._ones << (width - 1)
-        self._nbytes = (fields + 1) * width // 8  # the fields and the degree
+    def __init__(self, ring, width):
+        n = ring.nvars
+        groups = ring.order.word_groups(ring.variables)
+        # each field, most significant first, as an index into the exponent
+        # tuple extended by the degrees of the groups short of the whole ring
+        # and by the total degree, and whether it holds M - x
+        proper = [pos for graded, pos in groups if graded and len(pos) < n]
+        total = n + len(proper)
+        picks, flipped = [], []
+        for graded, pos in groups:
+            if graded:
+                picks.append(n + proper.index(pos) if len(pos) < n else total)
+                flipped.append(False)
+            picks += pos
+            flipped += [graded] * len(pos)
+        picks.append(total)
+        flipped.append(False)
+        nfields = len(picks)
         code = _STRUCT_CODES.get(width)
         if code:
-            self._fields = struct.Struct("<%d%s" % (nvars, code))
+            fields = struct.Struct("<%d%s" % (nfields, code))
         else:
-            self._fields = _WideFields(nvars, width // 8)
+            fields = _WideFields(nfields, width // 8)
+        self._enc, self._dec = fields.pack, fields.unpack_from
+        # struct reads the fields least significant first
+        lsb = picks[::-1]
+        self._pick = _getter(lsb)
+        slot = {k: i for i, k in enumerate(lsb)}
+        self._vars = _getter(tuple(slot[k] for k in range(n)))
+
+        def mask(values):  # the word with these values in its fields
+            return int.from_bytes(fields.pack(*values), "little")
+
+        variable = [k < n for k in lsb]
+        value = (1 << width) - 1
+        self.width = width
+        self.limit = (1 << (width - 1)) - 1  # largest degree a monomial may reach
+        self.dmask = value  # the total degree, in the lowest field
+        self.flip = mask([self.limit if f else 0 for f in flipped[::-1]])
+        self.one = self.flip  # the word of the monomial 1
+        self.vmask = mask([value if v else 0 for v in variable])
+        self.emask = self.vmask | value
+        # the guard bits of the variable fields and a bit above every field:
+        # `never`, the exponent word of a zero entry, sets that bit in
+        # `e - never` for every exponent word e, so it divides nothing
+        self.never = 1 << nfields * width
+        self.guard = mask([self.limit + 1 if v else 0 for v in variable]) | self.never
+        self._ones = mask([1] * nfields)  # bit 0 of each field
+        self._top = (nfields - 1) * width
+        self._nbytes = nfields * width // 8
+        if proper:
+            sums = [_getter(pos) for pos in proper]
+            self._extend = lambda e: e + tuple([sum(g(e)) for g in sums]) + (sum(e),)
+        else:
+            self._extend = lambda e: e + (sum(e),)
 
     def holds(self, degree):
-        """True iff the width rule admits input of this degree."""
+        """True iff the width rule admits input of this degree (see `_packing`)."""
         return 2 * degree <= self.limit
 
     def overflow(self, degree):
@@ -206,29 +283,58 @@ class _Packing:
         )
 
     def monomial(self, e):
-        return int.from_bytes(self._fields.pack(*e), "little") | sum(e) << self.nw
+        """The order word of an exponent tuple."""
+        return int.from_bytes(self._enc(*self._pick(self._extend(e))), "little") ^ self.flip
 
     def pack(self, terms):
-        """{exponent tuple: c} -> {packed int: c}; `monomial` on each key."""
-        enc, nw = self._fields.pack, self.nw
-        return {int.from_bytes(enc(*e), "little") | sum(e) << nw: c for e, c in terms.items()}
+        """{exponent tuple: c} -> {order word: c}; `monomial` on each key."""
+        enc, pick, extend, flip = self._enc, self._pick, self._extend, self.flip
+        return {
+            int.from_bytes(enc(*pick(extend(e))), "little") ^ flip: c for e, c in terms.items()
+        }
 
     def unpack(self, terms):
-        """{packed int: c} -> {exponent tuple: c}."""
-        dec, nbytes = self._fields.unpack_from, self._nbytes
-        return {dec(m.to_bytes(nbytes, "little")): c for m, c in terms.items()}
+        """{order word: c} -> {exponent tuple: c}."""
+        dec, get, flip, nbytes = self._dec, self._vars, self.flip, self._nbytes
+        return {get(dec((m ^ flip).to_bytes(nbytes, "little"))): c for m, c in terms.items()}
 
     def exponents(self, m):
-        return self._fields.unpack_from(m.to_bytes(self._nbytes, "little"))
+        """The exponent tuple of an order word."""
+        return self._vars(self._dec((m ^ self.flip).to_bytes(self._nbytes, "little")))
+
+    def exponent_word(self, m):
+        """The exponent word of an order word: x in each variable field, the
+        total degree in the lowest field, every other field 0."""
+        return (m ^ self.flip) & self.emask
+
+    def order_word(self, x):
+        """The order word of an exponent word: the group degrees filled in."""
+        return self.monomial(self.exponents(x ^ self.flip))
 
     def lcm(self, a, b):
+        """The lcm of two exponent words, as an exponent word."""
         guard, width = self.guard, self.width
-        m = ((a | guard) - b) & guard  # the guard of field k is set iff a_k >= b_k
+        m = ((a | guard) - b) & guard & self.vmask  # the guard of field k is set iff a_k >= b_k
         m -= m >> (width - 1)  # the value bits of those fields
-        f = (a & m) | (b & (self._all ^ m))
+        f = (a & m) | (b & (self.vmask ^ m))
         # the top field of f * ones sums the fields; the sum is below 2^width
-        deg = (f * self._ones >> (self.nw - width)) & ((1 << width) - 1)
-        return f | deg << self.nw
+        return f | (f * self._ones >> self._top) & self.dmask
+
+
+def _packing_for(ring, degree):
+    """The packing of a ring for input of this degree.
+
+    The field width is 16 bits unless twice the degree does not fit below a
+    guard bit; then it doubles until it does.  A packing holds no state of
+    a computation, so each one is built once and shared.
+    """
+    width = _MIN_WIDTH
+    while 2 * degree >= 1 << (width - 1):
+        width *= 2
+    return _shared_packing(ring, width)
+
+
+_shared_packing = lru_cache(maxsize=256)(_Packing)
 
 
 # ------------------------------------------------------ integer forms
@@ -246,38 +352,53 @@ def _primitive(terms):
 
 
 def _divisors(ring, basis, degree):
-    """The packing of the basis and its (lt, lc, terms, top degree) reducers.
+    """The packing of the basis and its reducers.
 
-    The packing is chosen for the largest of `degree` and the degrees of the
-    basis.  A zero entry gets the leading term `guard`, which fails the guard
-    test against every monomial, so it never reduces.
+    A reducer is (exponent word of lt, lt, lc, terms, top degree), with lt
+    the order word of the leading term.  The packing is chosen for the
+    largest of `degree` and the degrees of the basis.  A zero entry gets the
+    exponent word `never`, which divides no monomial, so it never reduces.
     """
-    pk = _Packing(ring.nvars, max([degree] + [b.total_degree() for b in basis]))
+    pk = _packing_for(ring, max([degree] + [b.total_degree() for b in basis]))
+    dm = pk.dmask
     out = []
     for b in basis:
         if b.is_zero:
-            out.append((pk.guard, 0, {}, 0))
+            out.append((pk.never, 0, 0, {}, 0))
         else:
             terms = pk.pack(b.terms)
-            lt = pk.monomial(b.lm())
-            out.append((lt, terms[lt], terms, max(terms) >> pk.nw))
+            lt = max(terms)
+            out.append((pk.exponent_word(lt), lt, terms[lt], terms, max(map(dm.__and__, terms))))
     return pk, out
 
 
+def _settle(epochs):
+    """The finished terms and the cofactor steps of a normal form.
+
+    `epochs` lists (finished terms, steps, factor) in the order they were
+    opened; every later factor still multiplies the values of an epoch.
+    Returns the terms at the final scale and the steps as (reducer index,
+    shift, multiplier) at the final scale.
+    """
+    terms, steps = {}, []
+    f = 1
+    for done, trail, mw in reversed(epochs):
+        if f == 1:
+            terms.update(done)
+            steps += trail
+        else:
+            terms.update({e: v * f for e, v in done.items()})
+            steps += [(hit, shift, mg * f) for hit, shift, mg in trail]
+        f *= mw
+    return terms, steps
+
+
 class _Engine:
-    """Order-key memo, packing and deadline checks for one computation."""
+    """Packing and deadline checks for one computation."""
 
-    def __init__(self, key_fn, packing):
-        self.key_fn = key_fn
+    def __init__(self, packing):
         self._packing = packing
-        self.memo = {}
         self._tick = -1  # the first check reads the clock
-
-    def key(self, m):
-        got = self.memo.get(m)
-        if got is None:
-            got = self.memo[m] = self.key_fn(self._packing.exponents(m))
-        return got
 
     def check_time(self, every=256):
         """Raise GBTimeout once the active deadline passed.
@@ -291,98 +412,116 @@ class _Engine:
             if time.monotonic() > until:
                 raise GBTimeout(seconds)
 
-    def lead(self, terms):
-        key = self.key
-        best = None
-        bk = None
-        for e in terms:
-            ke = key(e)
-            if bk is None or ke > bk:
-                bk, best = ke, e
-        return best
-
     # -- fraction-free full normal form
 
-    def nf(self, terms, reducers, cofactors=None):
+    def nf(self, terms, reducers, cofactors=False):
         """Normal form of a packed integer term dict against reducers.
 
-        A reducer is (lt, lc, terms, top degree of its terms).  The first
-        reducer in list order whose leading term divides the current term is
-        used.  With `cofactors`, one dict per reducer, the loop also records
-        the multipliers: it returns (result, M) with
-        M * terms = sum(C_i * reducer_i) + result, and never removes content,
-        which would have to rescale M and every C_i.
+        A reducer is (exponent word of lt, lt, lc, terms, top degree of its
+        terms).  The first reducer in list order whose leading term divides
+        the current term is used.  The live terms are kept apart from the
+        finished ones, which no later step can reach: the next term is the
+        largest live one, popped off a heap of negated order words (a word
+        whose term has cancelled is skipped), and a rescale by the lead
+        coefficient touches only the live terms, while each batch of
+        finished terms keeps the product of the later rescales pending.
+
+        With `cofactors` the loop returns (result, M, C) with
+        M * terms = sum(C_i * reducer_i) + result, C one dict of order words
+        per reducer, and never removes content, which would have to rescale
+        M and every C_i.
         """
         pk = self._packing
-        guard, nw, limit = pk.guard, pk.nw, pk.limit
-        work = dict(terms)
-        done = set()
-        key = self.key
-        steps = 0
+        guard, flip, emask, dm, limit = pk.guard, pk.flip, pk.emask, pk.dmask, pk.limit
+        live = dict(terms)
+        heap = [-e for e in live]
+        heapq.heapify(heap)
+        done, trail = {}, []
+        epochs = [(done, trail, 1)]  # see _settle
         M = 1
-        while True:
+        steps = 0
+        while live:
             self.check_time()
-            best = None
-            bk = None
-            for e in work:
-                if e in done:
-                    continue
-                ke = key(e)
-                if bk is None or ke > bk:
-                    bk, best = ke, e
-            if best is None:
-                break
+            best = -heapq.heappop(heap)
+            if best not in live:
+                continue
+            eb = (best ^ flip) & emask
             for hit, red in enumerate(reducers):
-                if not (best - red[0]) & guard:
+                if not (eb - red[0]) & guard:
                     break
             else:
-                done.add(best)
+                done[best] = live.pop(best)
                 continue
-            lte, ltc, td, top = red
+            _, lte, ltc, td, top = red
             shift = best - lte
-            top += shift >> nw
+            top += shift & dm
             if top > limit:
                 raise pk.overflow(top)
-            c = work[best]
+            c = live[best]
             g0 = gcd(c, ltc)
             mw = ltc // g0
             mg = c // g0
             if mw != 1:
-                for k2 in work:
-                    work[k2] *= mw
+                live = {e: v * mw for e, v in live.items()}
+                M *= mw
+                if done or trail:
+                    done, trail = {}, []
+                    epochs.append((done, trail, mw))
+                else:
+                    epochs[-1] = (done, trail, epochs[-1][2] * mw)
             for ge, gc in td.items():
                 ne = ge + shift
-                s = work.get(ne, 0) - mg * gc
-                if s:
-                    work[ne] = s
+                s = live.get(ne)
+                if s is None:
+                    live[ne] = -mg * gc
+                    heapq.heappush(heap, -ne)
                 else:
-                    work.pop(ne, None)
-            if cofactors is None:
-                steps += 1
-                if steps % 64 == 0:
-                    work = _primitive(work)
+                    s -= mg * gc
+                    if s:
+                        live[ne] = s
+                    else:
+                        del live[ne]
+            if cofactors:
+                trail.append((hit, shift, mg))
                 continue
-            if mw != 1:
-                M *= mw
-                for cd in cofactors:
-                    for k2 in cd:
-                        cd[k2] *= mw
-            cd = cofactors[hit]
-            cd[shift] = cd.get(shift, 0) + mg
-        if cofactors is None:
-            return _primitive(work)
-        return work, M
+            steps += 1
+            if steps % 64 == 0:
+                # divide out the content of the live and the finished terms
+                done = _settle(epochs)[0]
+                g = 0
+                for v in chain(live.values(), done.values()):
+                    g = gcd(g, v)
+                    if g == 1:
+                        break
+                if g > 1:
+                    live = {e: v // g for e, v in live.items()}
+                    done = {e: v // g for e, v in done.items()}
+                epochs = [(done, trail, 1)]
+        result, trail = _settle(epochs)
+        if not cofactors:
+            return _primitive(result)
+        cof = [{} for _ in reducers]
+        one = pk.one
+        for hit, shift, mg in trail:
+            cof[hit][shift + one] = mg
+        return result, M, cof
 
     def spoly(self, lcm, e1, c1, t1, e2, c2, t2):
+        """The S-polynomial of two entries, given the exponent word of their lcm."""
         pk = self._packing
-        nw = pk.nw
-        s1 = lcm - e1
-        s2 = lcm - e2
+        dm = pk.dmask
+        dl = lcm & dm
         # fields below 2^(width - 1) add without a carry, so the degree of a
         # sum is the sum of the degrees
-        top = max((max(t1) + s1) >> nw, (max(t2) + s2) >> nw)
+        top = max(
+            max(map(dm.__and__, t1)) + dl - (e1 & dm),
+            max(map(dm.__and__, t2)) + dl - (e2 & dm),
+        )
         if top > pk.limit:
             raise pk.overflow(top)
+        lcm = pk.order_word(lcm)
+        s1 = lcm - e1
+        s2 = lcm - e2
         g0 = gcd(c1, c2)
         m1 = c2 // g0
         m2 = c1 // g0
@@ -408,21 +547,20 @@ class BuchbergerRun:
 
     `entries` lists every basis element found, as (lt, lc, terms, sugar) in
     packed form; `active` maps the index of each entry whose leading term no
-    later entry divides to its (lt, lc, terms, top degree) reducer, in index
-    order: the reducers of the next S-polynomial.
+    later entry divides to its reducer (see `_divisors`), in index order:
+    the reducers of the next S-polynomial.
     """
 
     def __init__(self, ideal, order=None):
         ring = ideal.ring if order is None else ideal.ring.with_order(order)
-        pk = _Packing(ring.nvars, max((g.total_degree() for g in ideal.generators), default=0))
-        eng = _Engine(ring.exp_key, pk)
+        pk = _packing_for(ring, max((g.total_degree() for g in ideal.generators), default=0))
         seen = set()
         seeds = []
         for g in ideal.generators:
             # primitive, with a positive leading coefficient: the seeds, and
             # so the cache key, ignore how each generator is scaled
             terms = _primitive(pk.pack(g.terms))
-            if terms[eng.lead(terms)] < 0:
+            if terms[max(terms)] < 0:
                 terms = {e: -v for e, v in terms.items()}
             fro = frozenset(terms.items())
             if fro in seen:
@@ -430,24 +568,26 @@ class BuchbergerRun:
             seen.add(fro)
             seeds.append(terms)
         # seed deterministically, biggest leading term first
-        seeds.sort(key=lambda t: eng.key(eng.lead(t)), reverse=True)
+        seeds.sort(key=max, reverse=True)
         self.ring = ring
         # the reduced basis depends on nothing else
         self.key = (ring, pk.width, frozenset(seen))
-        self.eng = eng
+        self.eng = _Engine(pk)
         self._packing = pk
         self.entries = []
+        self._exps = []  # the exponent word of each entry's leading term
         self.active = {}
         self._seeds = seeds
-        self._pairs = {}  # live pair (i, j) -> its packed lcm
+        self._pairs = {}  # live pair (i, j) -> the exponent word of its lcm
         self._queue = []  # (sugar, i, j); pairs no longer live are skipped
 
     def complete(self):
         """Process every pair; return the reduced basis as monic polynomials."""
         eng, pk = self.eng, self._packing
+        dm = pk.dmask
         for terms in self._seeds:
-            lt = eng.lead(terms)
-            self._add((lt, terms[lt], terms, max(terms) >> pk.nw))
+            lt = max(terms)
+            self._add((lt, terms[lt], terms, max(map(dm.__and__, terms))))
         f, pairs, queue = self.entries, self._pairs, self._queue
         while queue:
             sug, i, j = heapq.heappop(queue)
@@ -458,27 +598,29 @@ class BuchbergerRun:
             h = eng.spoly(lcm, *f[i][:3], *f[j][:3])
             h = h and eng.nf(h, self.active.values())
             if h:
-                lt = eng.lead(h)
+                lt = max(h)
                 self._add((lt, h[lt], h, sug))
         kept = _interreduce(self.active.values(), eng)
-        return tuple(Polynomial(self.ring, pk.unpack(t), lc) for _, lc, t, _ in kept)
+        return tuple(Polynomial(self.ring, pk.unpack(t), lc) for _, _, lc, t, _ in kept)
 
     def _add(self, entry):
         """Append an entry and apply the Gebauer-Moeller update for it."""
-        f, pairs, pk = self.entries, self._pairs, self._packing
-        guard, nw, lcm = pk.guard, pk.nw, pk.lcm
+        f, ex, pairs, pk = self.entries, self._exps, self._pairs, self._packing
+        guard, dm, lcm = pk.guard, pk.dmask, pk.lcm
         ih = len(f)
         lt_h, lc_h, t_h, sug_h = entry
-        d_h = lt_h >> nw
+        x_h = pk.exponent_word(lt_h)
+        d_h = lt_h & dm
         f.append(entry)
+        ex.append(x_h)
 
         # criterion B: drop (i, j) if lt_h divides its lcm and differs from
         # the lcms of (i, h) and (j, h)
         dead = []
         for (i, j), l in pairs.items():
-            if (l - lt_h) & guard:
+            if (l - x_h) & guard:
                 continue
-            if lcm(f[i][0], lt_h) != l and lcm(f[j][0], lt_h) != l:
+            if lcm(ex[i], x_h) != l and lcm(ex[j], x_h) != l:
                 dead.append((i, j))
         for ij in dead:
             del pairs[ij]
@@ -492,8 +634,8 @@ class BuchbergerRun:
         # dropped; pairs with equal lcms are all kept.
         cands = []
         for ig, red in self.active.items():
-            l = lcm(lt_h, red[0])
-            cands.append((l >> nw, ig, l, l == lt_h + red[0]))
+            l = lcm(x_h, red[0])
+            cands.append((l & dm, ig, l, l == x_h + red[0]))
         cands.sort()
         minimal = []
         queue = self._queue
@@ -505,34 +647,34 @@ class BuchbergerRun:
                 fresh.append(l)
                 if coprime:
                     continue
-                sug = max(f[ig][3] + dl - (f[ig][0] >> nw), sug_h + dl - d_h)
+                sug = max(f[ig][3] + dl - (f[ig][0] & dm), sug_h + dl - d_h)
                 pairs[(ig, ih)] = l
                 heapq.heappush(queue, (sug, ig, ih))
             minimal += fresh
 
         self.active = {
-            ig: red for ig, red in self.active.items() if (red[0] - lt_h) & guard
+            ig: red for ig, red in self.active.items() if (red[0] - x_h) & guard
         }
-        self.active[ih] = (lt_h, lc_h, t_h, max(t_h) >> nw)
+        self.active[ih] = (x_h, lt_h, lc_h, t_h, max(map(dm.__and__, t_h)))
 
 
 def _interreduce(reducers, eng):
     """Minimalize leading terms, then fully reduce tails; canonical order.
 
-    Takes and returns (lt, lc, terms, top degree) reducers, in ascending
-    order of leading term.  No kept leading term divides another, so
-    reduction keeps every leading term, and one pass leaves each tail reduced
-    against all of them.
+    Takes and returns reducers (see `_divisors`), in ascending order of
+    leading term.  No kept leading term divides another, so reduction keeps
+    every leading term, and one pass leaves each tail reduced against all of
+    them.
     """
-    guard, nw = eng._packing.guard, eng._packing.nw
+    guard, dm = eng._packing.guard, eng._packing.dmask
     kept = []
-    for red in sorted(reducers, key=lambda red: eng.key(red[0])):
+    for red in sorted(reducers, key=itemgetter(1)):
         if all((red[0] - k[0]) & guard for k in kept):
             kept.append(red)
     for idx in range(len(kept)):
-        lt = kept[idx][0]
-        t = eng.nf(kept[idx][2], kept[:idx] + kept[idx + 1 :])
-        kept[idx] = (lt, t[lt], t, max(t) >> nw)
+        x, lt = kept[idx][:2]
+        t = eng.nf(kept[idx][3], kept[:idx] + kept[idx + 1 :])
+        kept[idx] = (x, lt, t[lt], t, max(map(dm.__and__, t)))
     return kept
 
 
@@ -575,13 +717,35 @@ def buchberger(ideal, order=None):
 # ------------------------------------------------------------ certificates
 
 
-@dataclass(frozen=True)
 class MembershipCertificate:
-    """Exact identity p = sum(cofactor_i * basis_i) + residue."""
+    """Exact identity p = sum(cofactor_i * basis_i) + residue.
 
-    basis: tuple
-    cofactors: tuple
-    residue: Polynomial
+    A reduction hands over its cofactors packed, as (packing, one dict of
+    order words per basis entry, common denominator M den(p)); `cofactors`
+    builds the polynomials from them the first time it is read, so a
+    membership test whose certificate is never read builds none.
+    """
+
+    __slots__ = ("basis", "residue", "_cofactors", "_packed")
+
+    def __init__(self, basis, cofactors, residue, packed=None):
+        self.basis = tuple(basis)
+        self.residue = residue
+        self._cofactors = None if cofactors is None else tuple(cofactors)
+        self._packed = packed
+
+    @property
+    def cofactors(self):
+        if self._cofactors is None:
+            # the cofactor of b_i = B_i / den(b_i) is C_i den(b_i) / (M den(p))
+            pk, cof, den = self._packed
+            ring = self.residue.ring
+            self._cofactors = tuple(
+                Polynomial(ring, {e: v * b.den for e, v in pk.unpack(cd).items()}, den)
+                for cd, b in zip(cof, self.basis)
+            )
+            self._packed = None
+        return self._cofactors
 
     def verify(self, p):
         acc = p.ring.zero()
@@ -617,18 +781,12 @@ def _reduce(p, basis, divisors):
     pk, reducers = divisors
     if not pk.holds(p.total_degree()):
         pk, reducers = _divisors(ring, basis, p.total_degree())
-    cof = [{} for _ in basis]
     # tracked fraction-free reduction of the numerators: M * P = sum(C_i B_i)
-    # + R with p = P / den(p) and b_i = B_i / den(b_i), so the cofactor of
-    # b_i is C_i den(b_i) / (M den(p)) and the residue R / (M den(p))
-    work, M = _Engine(ring.exp_key, pk).nf(pk.pack(p.terms), reducers, cof)
+    # + R with p = P / den(p), so the residue is R / (M den(p))
+    work, M, cof = _Engine(pk).nf(pk.pack(p.terms), reducers, cofactors=True)
     den = M * p.den
-    cofactors = tuple(
-        Polynomial(ring, {e: v * b.den for e, v in pk.unpack(cd).items()}, den)
-        for cd, b in zip(cof, basis)
-    )
     residue = Polynomial(ring, pk.unpack(work), den)
-    return residue, MembershipCertificate(basis, cofactors, residue)
+    return residue, MembershipCertificate(basis, None, residue, (pk, cof, den))
 
 
 # ------------------------------------------------------------------ ideals
@@ -773,16 +931,24 @@ class _RevLexLast:
 
     last: tuple
 
-    def key_fn(self, variables):
+    def _positions(self, variables):
+        """The variables in the order of comparison, v first."""
         rest = [i for i, x in enumerate(variables) if x not in self.last]
-        rev = tuple(variables.index(x) for x in self.last) + tuple(
+        return tuple(variables.index(x) for x in self.last) + tuple(
             rest[p] for p in _grevlex_positions([variables[i] for i in rest])
         )
+
+    def key_fn(self, variables):
+        rev = self._positions(variables)
 
         def key(exp):
             return (sum(exp), tuple(-exp[p] for p in rev))
 
         return key
+
+    def word_groups(self, variables):
+        """One graded group in the order of comparison (see `Lex.word_groups`)."""
+        return ((True, self._positions(variables)),)
 
 
 def is_nonzerodivisor(I, v):

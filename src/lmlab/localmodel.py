@@ -24,7 +24,7 @@ from math import lcm
 # to bind it so that the tracer's re-binding coverage is exercised
 from .groebner import Ideal, buchberger, eliminate, ideal_equal, \
     ideal_member, is_nonzerodivisor, quotient  # noqa: F401
-from .poly import Block, PolyError, PolyMatrix, PolyRing, RingMap
+from .poly import Block, PolyError, PolyMatrix, PolyRing, Polynomial, RingMap
 from .report import FAIL, PASS, checking
 
 __all__ = [
@@ -108,15 +108,34 @@ def antidiag(ring, size):
 # ------------------------------------------------------------ naive chart
 
 
-def _mat_mul(A, B):
-    """A B for matrices given as lists of rows; zero entries of A are skipped."""
+def _mat_mul(A, B, zero):
+    """A B for matrices given as lists of rows.
+
+    A product with a zero factor is skipped and one by the int 1 is not
+    formed; an entry whose products are all skipped is `zero`.
+    """
     cols = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col) if a) for col in cols] for row in A]
+    return [[_dot(row, col, zero) for col in cols] for row in A]
+
+
+def _dot(row, col, zero):
+    acc = None
+    for a, b in zip(row, col):
+        if a and b:
+            t = b if a.__class__ is int and a == 1 else a * b
+            acc = t if acc is None else acc + t
+    return zero if acc is None else acc
 
 
 def _mat_add(A, B, c=1):
-    """A + c B for matrices given as lists of rows."""
-    return [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    """A + c B for matrices given as lists of rows.
+
+    An entry whose b is zero is a itself, and for c = 1 no product c b is
+    formed.
+    """
+    if c == 1:
+        return [[a + b if b else a for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    return [[a + c * b if b else a for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def _entries(M):
@@ -150,18 +169,19 @@ def _naive_relations(nf, X, Y, pi, L=1):
     Yt = [list(col) for col in zip(*Y)]
     LS1 = [[L * v for v in row] for row in nf.S1]
     LS2 = [[L * v for v in row] for row in nf.S2]
+    zero = pi.ring.zero() if isinstance(pi, Polynomial) else 0
     yield from _entries(_mat_add(Y, Xt))
-    yield from _entries(_mat_mul(Xt, Y))
+    yield from _entries(_mat_mul(Xt, Y, zero))
     yield from _minors2(X)
     yield from _minors2(Y)
-    LS1X, S2X = _mat_mul(LS1, X), _mat_mul(nf.S2, X)
+    LS1X, S2X = _mat_mul(LS1, X, zero), _mat_mul(nf.S2, X, zero)
     SX = _mat_add(LS1X, S2X, pi)
-    yield from _entries(_mat_add(_mat_mul(Xt, LS1X), SX, -2 * pi))
-    yield from _entries(_mat_add(_mat_mul(Xt, S2X), SX, 2))
-    LS2Y, S1Y = _mat_mul(LS2, Y), _mat_mul(nf.S1, Y)
+    yield from _entries(_mat_add(_mat_mul(Xt, LS1X, zero), SX, -2 * pi))
+    yield from _entries(_mat_add(_mat_mul(Xt, S2X, zero), SX, 2))
+    LS2Y, S1Y = _mat_mul(LS2, Y, zero), _mat_mul(nf.S1, Y, zero)
     sy = _mat_add(LS2Y, S1Y, pi)
-    yield from _entries(_mat_add(_mat_mul(Yt, S1Y), sy, 2))
-    yield from _entries(_mat_add(_mat_mul(Yt, LS2Y), sy, -2 * pi))
+    yield from _entries(_mat_add(_mat_mul(Yt, S1Y, zero), sy, 2))
+    yield from _entries(_mat_add(_mat_mul(Yt, LS2Y, zero), sy, -2 * pi))
 
 
 def build_naive_chart_ideal(nf):

@@ -74,6 +74,16 @@ class Lex:
 
         return key
 
+    def word_groups(self, variables):
+        """The layout of the Groebner engine's order words for this order.
+
+        A tuple of (graded, positions) groups, most significant first: a
+        graded group stores its degree, then M - x for each position, and
+        an ungraded one x for each position.  Lex is one ungraded group in
+        ring order.
+        """
+        return ((False, tuple(range(len(variables)))),)
+
     def __eq__(self, other):
         return isinstance(other, Lex)
 
@@ -96,6 +106,11 @@ class GrevLex:
             return (sum(exp), tuple(-exp[p] for p in rev))
 
         return key
+
+    def word_groups(self, variables):
+        """One graded group, the variables in the order the key negates them
+        (see `Lex.word_groups`)."""
+        return ((True, _grevlex_positions(variables)),)
 
     def __eq__(self, other):
         return isinstance(other, GrevLex)
@@ -137,6 +152,17 @@ class Block:
             )
 
         return key
+
+    def word_groups(self, variables):
+        """The groups of the order on the eliminated variables, then those of
+        the order on the others (see `Lex.word_groups`)."""
+        elim = set(self.eliminated)
+        out = ()
+        for order, inside in ((self.order1, True), (self.order2, False)):
+            pos = tuple(i for i, v in enumerate(variables) if (v in elim) == inside)
+            groups = order.word_groups(tuple(variables[i] for i in pos))
+            out += tuple((graded, tuple(pos[p] for p in g)) for graded, g in groups)
+        return out
 
     def __eq__(self, other):
         return (
@@ -271,6 +297,10 @@ class Polynomial:
     @property
     def is_zero(self):
         return not self.terms
+
+    def __bool__(self):
+        # zero is falsy, as for int and Fraction
+        return bool(self.terms)
 
     def _sorted_exps(self):
         if self._st is None:

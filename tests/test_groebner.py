@@ -586,3 +586,37 @@ def test_ideal_file_errors_name_the_physical_line(case):
     assert str(err.value).startswith(message), str(err.value)
     assert str(err.value).endswith("(at position %d)" % column)
     assert err.value.position == column
+
+
+def test_certificates_build_their_cofactors_when_read():
+    R = PolyRing(["x", "y", "pi"])
+    I = Ideal(R, ["x^2 - pi", "2*x*y + 1", "y^3 - 3*pi"])
+    basis = list(I.gb())
+    rng = random.Random(11)
+    for _ in range(8):
+        p = R.poly(
+            {
+                (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 2)): Fraction(
+                    rng.randint(-4, 4), rng.randint(1, 3)
+                )
+                for _ in range(5)
+            }
+        )
+        for q in (p, p * basis[0] - 3 * p * basis[-1]):
+            member, cert = ideal_member(q, I)
+            assert member == (q != p) == cert.is_member
+            certs = [cert, reduce_poly(q, basis)[1], reduce_poly(q, basis[::-1] + [R.zero()])[1]]
+            for cert in certs:
+                # the packed cofactors are materialized once, on first read
+                assert cert._cofactors is None
+                assert cert.verify(q)
+                first = cert.cofactors
+                assert cert.cofactors is first and len(first) == len(cert.basis)
+    # a certificate built with explicit cofactors, as a reference
+    # implementation builds one, holds them as given
+    x, y = R.var("x"), R.var("y")
+    p = x**2 * y
+    cert = groebner.MembershipCertificate((x**2 - R.var("pi"), x), (y, R.zero()), R.var("pi") * y)
+    assert cert.cofactors == (y, R.zero())
+    assert cert.verify(p) and not cert.is_member
+    assert not cert.verify(p + 1)

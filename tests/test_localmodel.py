@@ -13,6 +13,8 @@ from lmlab.groebner import Ideal, deadline, ideal_contains, ideal_equal, ideal_m
 from lmlab.lattice import normal_form
 import lmlab.localmodel
 from lmlab.localmodel import (
+    _mat_add,
+    _mat_mul,
     _naive_relations,
     _oracle_failures,
     _rank_one_samples,
@@ -29,7 +31,7 @@ from lmlab.localmodel import (
     verify_presentation,
     x_ring,
 )
-from lmlab.poly import PolyRing, RingMap, parse_poly
+from lmlab.poly import Polynomial, PolyRing, RingMap, parse_poly
 from lmlab.report import checking
 from lmlab.suite import report_payload, run_check, strip_timings
 
@@ -341,6 +343,29 @@ def test_relations_at_y_equal_minus_x_transpose_and_none_is_zero(d, delta):
     Xx = named_matrix(xr.var, "x", d)
     at_minus_xt = _naive_relations(nf, Xx, [[-v for v in col] for col in zip(*Xx)], xr.var("pi"))
     assert list(at_minus_xt) == [y_to_minus_xt(g) for g in naive.ideal.generators]
+
+
+@pytest.mark.parametrize("d,delta", GRID)
+def test_relations_are_ring_elements_with_zero_factors_skipped(d, delta):
+    # every relation over the big ring, and every image under the section,
+    # is a Polynomial of that ring, zero ones included, never the int 0
+    nf = normal_form(d, delta)
+    big = big_ring(nf)
+    X, Y = (named_matrix(big.var, stem, d) for stem in "xy")
+    relations = list(_naive_relations(nf, X, Y, big.var("pi")))
+    assert all(type(r) is Polynomial and r.ring == big for r in relations)
+    psi = block_substitution(nf)
+    X, Y = (named_matrix(psi.images.__getitem__, stem, d) for stem in "xy")
+    images = list(_naive_relations(nf, X, Y, psi.images["pi"]))
+    assert all(type(r) is Polynomial and r.ring == psi.target for r in images)
+    assert any(r.is_zero for r in images)
+    # a zero row of S gives zero entries of the ring, and zero is falsy
+    zero = big.zero()
+    S1X = _mat_mul(nf.S1, named_matrix(big.var, "x", d), zero)
+    assert all(type(v) is Polynomial for row in S1X for v in row)
+    for s_row, row in zip(nf.S1, S1X):
+        assert all(bool(v) == any(s_row) for v in row)
+    assert _mat_add([[zero]], [[zero]], big.var("pi")) == [[zero]]
 
 
 @pytest.mark.parametrize("corrupt", [None, "diagonal", "scaled"])

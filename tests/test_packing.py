@@ -1,12 +1,17 @@
-"""Packed monomials in the Groebner engine.
+"""Order words in the Groebner engine.
 
-The engine stores each exponent vector as one int (`groebner._Packing`).  The
-reference is the tuple-monomial code the engine used before, copied
-unchanged: packed products, shifts, divisibility, lcms, degrees and order
-keys must agree with it.  The field width is chosen from the input, so large
-exponents still reduce, and a run that outgrows its fields raises PolyError
-instead of wrapping.
+The engine stores each monomial as one int, its order word, whose integer
+order is the ring's monomial order (`groebner._Packing`, built by
+`groebner._packing_for`).  The references are the ring's tuple key `exp_key`
+and the tuple-monomial code the engine used before, copied unchanged: the
+order of words, products, shifts, divisibility, lcms and degrees must agree
+with them for every order kind.
+The field width is chosen from the input, so large exponents still reduce,
+and a run that outgrows its fields raises PolyError instead of wrapping.
 """
+
+import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -49,10 +54,25 @@ def _mask(e):
     return m
 
 
-# -------------------------------------------------------------------- tests
+# -------------------------------------------------------------------- orders
 
 _VARIABLES = ["x", "y", "pi", "z", "w"]
-_ORDERS = [Lex(), GrevLex(), Block(["y", "z"]), Block(["x"], Lex(), GrevLex())]
+_PLAIN = [Lex(), GrevLex()]
+# every order kind: the plain orders, a block order for each pair of
+# sub-orders, and the order of the nonzerodivisor test
+_ORDERS = _PLAIN + [Block(["y", "z"], o1, o2) for o1, o2 in product(_PLAIN, repeat=2)]
+_ORDERS += [groebner._RevLexLast(("z", "x")), groebner._RevLexLast(("pi",))]
+
+
+def _ring(n, order):
+    """The first n variables under the order, restricted to them."""
+    variables = _VARIABLES[:n]
+    if isinstance(order, Block):
+        order = Block([v for v in order.eliminated if v in variables], order.order1, order.order2)
+    elif isinstance(order, groebner._RevLexLast):
+        last = tuple(v for v in order.last if v in variables)
+        order = groebner._RevLexLast(last) if last else GrevLex()
+    return PolyRing(variables, order)
 
 
 @st.composite
@@ -67,48 +87,92 @@ def _monomial_pairs(draw):
     return a, b
 
 
+# -------------------------------------------------------------------- tests
+
+
+@pytest.mark.parametrize("order", _ORDERS, ids=repr)
+def test_word_order_is_the_ring_order(order):
+    rng = random.Random(5)
+    for n in range(1, 6):
+        ring = _ring(n, order)
+        pk = groebner._packing_for(ring, 3 * n)
+        exps = sorted({tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(200)})
+        by_key = sorted(exps, key=ring.exp_key)
+        assert [pk.exponents(w) for w in sorted(map(pk.monomial, exps))] == by_key
+        # the lead term of a packed polynomial is its largest word
+        terms = pk.pack({e: 1 for e in exps})
+        assert pk.exponents(max(terms)) == by_key[-1]
+
+
 @settings(max_examples=300, deadline=None)
 @given(pair=_monomial_pairs(), order=st.sampled_from(_ORDERS))
 def test_packed_operations_match_the_tuple_helpers(pair, order):
     a, b = pair
-    n = len(a)
-    ring = PolyRing(_VARIABLES[:n], order)
-    pk = groebner._Packing(n, max(sum(a), sum(b)))
+    ring = _ring(len(a), order)
+    pk = groebner._packing_for(ring, max(sum(a), sum(b)))
     A, B = pk.monomial(a), pk.monomial(b)
-    guard, nw = pk.guard, pk.nw
+    XA, XB = pk.exponent_word(A), pk.exponent_word(B)
+    guard, dm = pk.guard, pk.dmask
+    # the int order is the ring order, and the words round-trip
+    assert (A < B) == (ring.exp_key(a) < ring.exp_key(b))
+    assert (A == B) == (a == b)
     assert pk.exponents(A) == a
     assert pk.unpack(pk.pack({a: 3, b: -1})) == {a: 3, b: -1}
-    # degree, product and lcm
-    assert A >> nw == sum(a)
-    assert A + B == pk.monomial(_mono_mul(a, b))
-    assert pk.lcm(A, B) == pk.monomial(_mono_lcm(a, b)) == pk.lcm(B, A)
-    # divisibility, and the shift of a division
-    assert (not (B - A) & guard) == _mono_divides(a, b)
-    assert (not (A - B) & guard) == _mono_divides(b, a)
+    assert pk.order_word(XA) == A
+    # the total degree sits in the lowest field of both kinds of word
+    assert A & dm == XA & dm == sum(a)
+    # a product is one addition, less the word of the monomial 1
+    assert pk.monomial((0,) * len(a)) == pk.one
+    assert A + B - pk.one == pk.monomial(_mono_mul(a, b))
+    # divisibility is a guard test on exponent words
+    assert (not (XB - XA) & guard) == _mono_divides(a, b)
+    assert (not (XA - XB) & guard) == _mono_divides(b, a)
     if _mono_divides(a, b):
-        assert B - A == pk.monomial(tuple(y - x for x, y in zip(a, b)))
+        # the shift of a division moves any term by the quotient
+        q = tuple(y - x for x, y in zip(a, b))
+        assert B - A + pk.one == pk.monomial(q)
+        assert pk.one + (B - A) == pk.monomial(q)
+        assert A + (B - A) == B
         assert not _mask(a) & ~_mask(b)
+    # the lcm, its degree and its order word
+    L = pk.lcm(XA, XB)
+    lcm = _mono_lcm(a, b)
+    assert L == pk.lcm(XB, XA) == pk.exponent_word(pk.monomial(lcm))
+    assert L & dm == sum(lcm)
+    assert pk.order_word(L) == pk.monomial(lcm)
     # the product criterion: the lcm is the product iff the supports are disjoint
-    assert (pk.lcm(A, B) == A + B) == (not _mask(a) & _mask(b))
-    # the order key reads the unpacked vector
-    eng = groebner._Engine(ring.exp_key, pk)
-    assert eng.key(A) == ring.exp_key(a)
-    assert (eng.key(A) < eng.key(B)) == (ring.exp_key(a) < ring.exp_key(b))
+    assert (L == XA + XB) == (not _mask(a) & _mask(b))
 
 
 def test_width_is_chosen_from_the_input():
-    assert groebner._Packing(3, 10).width == 16
-    assert groebner._Packing(3, 16383).width == 16
-    assert groebner._Packing(3, 16384).width == 32
-    assert groebner._Packing(3, 40000).width == 32
+    R = PolyRing(["x", "y", "z"])
+    assert groebner._packing_for(R, 10).width == 16
+    assert groebner._packing_for(R, 16383).width == 16
+    assert groebner._packing_for(R, 16384).width == 32
+    assert groebner._packing_for(R, 40000).width == 32
+    # a packing holds no state of a computation and is shared
+    assert groebner._packing_for(R, 10) is groebner._packing_for(R, 3)
+    assert groebner._packing_for(R.with_order(Lex()), 3).flip == 0
     # widths struct has no code for are converted field by field
-    wide = groebner._Packing(2, 2**70)
-    assert wide.width == 128
-    e = (2**70, 5)
-    assert wide.exponents(wide.monomial(e)) == e
-    # a ring without variables keeps a nonzero guard
-    empty = groebner._Packing(0, 0)
-    assert empty.guard and empty.exponents(empty.monomial(())) == ()
+    for order in (Lex(), GrevLex(), Block(["y"])):
+        ring = PolyRing(["x", "y"], order)
+        wide = groebner._packing_for(ring, 2**70)
+        assert wide.width == 128
+        e = (2**70, 5)
+        assert wide.exponents(wide.monomial(e)) == e
+        assert wide.unpack(wide.pack({e: 2, (0, 1): 1})) == {e: 2, (0, 1): 1}
+        exps = [(1, 0), (0, 1), (2, 0), (0, 2**70), e]
+        assert sorted(exps, key=ring.exp_key) == sorted(exps, key=wide.monomial)
+    # a ring without variables has the one monomial 1, and `never`, the
+    # exponent word of a zero basis entry, divides it no more than any other
+    for order in (Lex(), GrevLex()):
+        empty = groebner._packing_for(PolyRing([], order), 0)
+        one = empty.monomial(())
+        assert one == empty.one and empty.exponents(one) == ()
+        assert (empty.exponent_word(one) - empty.never) & empty.guard
+        assert not (empty.exponent_word(one) - empty.exponent_word(one)) & empty.guard
+    pk = groebner._packing_for(R, 4)
+    assert (pk.exponent_word(pk.monomial((4, 4, 4))) - pk.never) & pk.guard
 
 
 def test_exponent_of_40000_reduces():
@@ -160,9 +224,12 @@ def test_outgrowing_the_fields_raises(monkeypatch):
     # a reduction that outgrows them raises too
     with pytest.raises(PolyError, match="overflows the 8-bit"):
         reduce_poly(parse_poly("x^60", R), [parse_poly("x - y^3", R)])
-    # and so does an S-polynomial whose lcm is too large
-    pk = groebner._Packing(2, 0)
-    eng = groebner._Engine(PolyRing(["x", "y"]).exp_key, pk)
+    # and so does an S-polynomial whose lcm is too large, before its order
+    # word is built
+    pk = groebner._packing_for(PolyRing(["x", "y"]), 0)
+    eng = groebner._Engine(pk)
     xs, ys = pk.monomial((100, 0)), pk.monomial((0, 100))
+    lcm = pk.lcm(pk.exponent_word(xs), pk.exponent_word(ys))
+    assert lcm & pk.dmask == 200
     with pytest.raises(PolyError, match="overflows the 8-bit"):
-        eng.spoly(pk.lcm(xs, ys), xs, 1, {xs: 1, 0: 1}, ys, 1, {ys: 1, 0: 1})
+        eng.spoly(lcm, xs, 1, {xs: 1, pk.one: 1}, ys, 1, {ys: 1, pk.one: 1})

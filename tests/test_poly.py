@@ -227,6 +227,14 @@ def test_evaluate_matches_fraction_reference(f, point):
     assert got == reference_evaluate(f, point)
 
 
+def test_zero_is_falsy():
+    # as for int and Fraction: only zero is falsy
+    R = ring("x", "y")
+    assert not R.zero() and not (R.var("x") - R.var("x"))
+    assert R.one() and R.var("y") and R.const(Fraction(-1, 3)) and R.var("x") * 0 + 1
+    assert not R.var("x") * 0
+
+
 def test_evaluate_zero_constant_and_missing_variable():
     R = ring("x", "y")
     point = {"x": Fraction(-2, 3), "y": 0}

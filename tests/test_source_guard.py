@@ -189,3 +189,24 @@ def test_only_naive_relations_reads_the_gram_matrices_in_localmodel():
     ]
     assert readers == {"_naive_relations"}
     assert module_level == []
+
+
+def test_engine_has_one_order_path():
+    # the engine compares monomials as order words, ints whose order is the
+    # ring's; no tuple order key is kept beside them
+    tree = ast.parse((PACKAGE / "groebner.py").read_text(encoding="utf-8"))
+    engine = {"_Engine", "BuchbergerRun", "_interreduce", "_divisors", "_reduce"}
+    found, offenders = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in engine:
+            found.add(node.name)
+            for sub in ast.walk(node):
+                name = getattr(sub, "id", None) or getattr(sub, "attr", None)
+                if name in ("exp_key", "key_fn"):
+                    offenders.append("%s:%d" % (node.name, sub.lineno))
+    assert found == engine
+    assert offenders == []
+
+    from lmlab.groebner import _Engine
+
+    assert not any(hasattr(_Engine, name) for name in ("key", "lead", "memo"))
