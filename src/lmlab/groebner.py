@@ -274,7 +274,7 @@ class _Packing:
             self._extend = lambda e: e + (sum(e),)
 
     def holds(self, degree):
-        """True iff the width rule admits input of this degree (see `_packing`)."""
+        """True iff the width rule admits input of this degree (see `_packing_for`)."""
         return 2 * degree <= self.limit
 
     def overflow(self, degree):
