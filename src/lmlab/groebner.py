@@ -217,9 +217,9 @@ class _Packing:
     off exponent words.
     """
 
-    def __init__(self, ring, width):
-        n = ring.nvars
-        groups = ring.order.word_groups(ring.variables)
+    def __init__(self, variables, order, width):
+        n = len(variables)
+        groups = order.word_groups(variables)
         # each field, most significant first, as an index into the exponent
         # tuple extended by the degrees of the groups short of the whole ring
         # and by the total degree, and whether it holds M - x
@@ -326,15 +326,16 @@ def _packing_for(ring, degree):
 
     The field width is 16 bits unless twice the degree does not fit below a
     guard bit; then it doubles until it does.  A packing holds no state of
-    a computation, so each one is built once and shared.
+    a computation, so the 32 most recently used are kept and shared, keyed
+    by the variables and the order, which keeps no ring alive.
     """
     width = _MIN_WIDTH
     while 2 * degree >= 1 << (width - 1):
         width *= 2
-    return _shared_packing(ring, width)
+    return _shared_packing(ring.variables, ring.order, width)
 
 
-_shared_packing = lru_cache(maxsize=256)(_Packing)
+_shared_packing = lru_cache(maxsize=32)(_Packing)
 
 
 # ------------------------------------------------------ integer forms
