@@ -64,16 +64,17 @@ Reduction.  `reduce_poly` and the Buchberger loop share `_Engine.nf`, which
 reduces numerators against (exponent word of lt, lt, lc, numerators, top
 degree) reducers.  The first reducer in list order whose leading term passes
 the guard test is used, and zero basis entries (exponent word `never`) never
-reduce.  nf keeps the live terms apart from the finished ones: a heap of
-order words gives the largest live term, an irreducible one moves to the
+reduce.  nf keeps the live terms apart from the finished ones: `max` over
+the live terms gives the next one, an irreducible one moves to the
 remainder, and a fraction-free rescale by the lead coefficient touches only
-the live terms, while the remainder keeps the product of later rescales
-pending.  With cofactors tracked, nf keeps M * P = sum(C_i B_i) + R on the
-numerators and never divides out content, which would rescale M and every
-C_i.  A `MembershipCertificate` from `_reduce` holds the packed C_i and
-builds the cofactor polynomials the first time `cofactors` is read (by
-`verify`, a test or a failure detail); a membership test whose certificate
-is never read builds none.  Membership in an ideal is `ideal_member(p, I)`,
+the live terms.  Each finished term and cofactor step keeps the product M
+of the rescales made before it and is multiplied by the later ones, the
+final M over its own, once at the end.  With cofactors tracked, nf keeps
+M * P = sum(C_i B_i) + R on the numerators and never divides out content,
+which would rescale M and every C_i.  A `MembershipCertificate` from
+`_reduce` holds the packed C_i and builds the cofactor polynomials the first
+time `cofactors` is read (by `verify`, a test or a failure detail); a
+membership test whose certificate is never read builds none.  Membership in an ideal is `ideal_member(p, I)`,
 against the cached `I.gb()`, whose reducer tuples are built once and cached
 beside it; `reduce_poly` on an explicit list is for bases that are not an
 ideal's, such as a single divisor.
@@ -103,7 +104,6 @@ import heapq
 import struct
 import time
 from contextlib import contextmanager
-from functools import lru_cache
 from dataclasses import dataclass
 from itertools import chain, groupby
 from math import gcd
@@ -325,17 +325,12 @@ def _packing_for(ring, degree):
     """The packing of a ring for input of this degree.
 
     The field width is 16 bits unless twice the degree does not fit below a
-    guard bit; then it doubles until it does.  A packing holds no state of
-    a computation, so the 32 most recently used are kept and shared, keyed
-    by the variables and the order, which keeps no ring alive.
+    guard bit; then it doubles until it does.
     """
     width = _MIN_WIDTH
     while 2 * degree >= 1 << (width - 1):
         width *= 2
-    return _shared_packing(ring.variables, ring.order, width)
-
-
-_shared_packing = lru_cache(maxsize=32)(_Packing)
+    return _Packing(ring.variables, ring.order, width)
 
 
 # ------------------------------------------------------ integer forms
@@ -373,27 +368,6 @@ def _divisors(ring, basis, degree):
     return pk, out
 
 
-def _settle(epochs):
-    """The finished terms and the cofactor steps of a normal form.
-
-    `epochs` lists (finished terms, steps, factor) in the order they were
-    opened; every later factor still multiplies the values of an epoch.
-    Returns the terms at the final scale and the steps as (reducer index,
-    shift, multiplier) at the final scale.
-    """
-    terms, steps = {}, []
-    f = 1
-    for done, trail, mw in reversed(epochs):
-        if f == 1:
-            terms.update(done)
-            steps += trail
-        else:
-            terms.update({e: v * f for e, v in done.items()})
-            steps += [(hit, shift, mg * f) for hit, shift, mg in trail]
-        f *= mw
-    return terms, steps
-
-
 class _Engine:
     """Packing and deadline checks for one computation."""
 
@@ -422,10 +396,10 @@ class _Engine:
         terms).  The first reducer in list order whose leading term divides
         the current term is used.  The live terms are kept apart from the
         finished ones, which no later step can reach: the next term is the
-        largest live one, popped off a heap of negated order words (a word
-        whose term has cancelled is skipped), and a rescale by the lead
-        coefficient touches only the live terms, while each batch of
-        finished terms keeps the product of the later rescales pending.
+        largest live one, and a rescale by the lead coefficient touches only
+        the live terms.  M is the product of the rescales so far; a finished
+        term and a cofactor step keep the M of their time and are brought to
+        the final scale once, at the end.
 
         With `cofactors` the loop returns (result, M, C) with
         M * terms = sum(C_i * reducer_i) + result, C one dict of order words
@@ -435,23 +409,18 @@ class _Engine:
         pk = self._packing
         guard, flip, emask, dm, limit = pk.guard, pk.flip, pk.emask, pk.dmask, pk.limit
         live = dict(terms)
-        heap = [-e for e in live]
-        heapq.heapify(heap)
-        done, trail = {}, []
-        epochs = [(done, trail, 1)]  # see _settle
+        done, trail = {}, []  # order word -> (value, M); (reducer, shift, mg, M)
         M = 1
         steps = 0
         while live:
             self.check_time()
-            best = -heapq.heappop(heap)
-            if best not in live:
-                continue
+            best = max(live)
             eb = (best ^ flip) & emask
             for hit, red in enumerate(reducers):
                 if not (eb - red[0]) & guard:
                     break
             else:
-                done[best] = live.pop(best)
+                done[best] = (live.pop(best), M)
                 continue
             _, lte, ltc, td, top = red
             shift = best - lte
@@ -465,30 +434,22 @@ class _Engine:
             if mw != 1:
                 live = {e: v * mw for e, v in live.items()}
                 M *= mw
-                if done or trail:
-                    done, trail = {}, []
-                    epochs.append((done, trail, mw))
-                else:
-                    epochs[-1] = (done, trail, epochs[-1][2] * mw)
             for ge, gc in td.items():
                 ne = ge + shift
-                s = live.get(ne)
-                if s is None:
-                    live[ne] = -mg * gc
-                    heapq.heappush(heap, -ne)
+                s = live.get(ne, 0) - mg * gc
+                if s:
+                    live[ne] = s
                 else:
-                    s -= mg * gc
-                    if s:
-                        live[ne] = s
-                    else:
-                        del live[ne]
+                    del live[ne]
             if cofactors:
-                trail.append((hit, shift, mg))
+                trail.append((hit, shift, mg, M))
                 continue
             steps += 1
             if steps % 64 == 0:
-                # divide out the content of the live and the finished terms
-                done = _settle(epochs)[0]
+                # divide out the content of the live and the finished terms,
+                # both at the scale M, which then starts again from 1
+                done = {e: v * (M // m) for e, (v, m) in done.items()}
+                M = 1
                 g = 0
                 for v in chain(live.values(), done.values()):
                     g = gcd(g, v)
@@ -497,14 +458,14 @@ class _Engine:
                 if g > 1:
                     live = {e: v // g for e, v in live.items()}
                     done = {e: v // g for e, v in done.items()}
-                epochs = [(done, trail, 1)]
-        result, trail = _settle(epochs)
+                done = {e: (v, 1) for e, v in done.items()}
+        result = {e: v * (M // m) for e, (v, m) in done.items()}
         if not cofactors:
             return _primitive(result)
         cof = [{} for _ in reducers]
         one = pk.one
-        for hit, shift, mg in trail:
-            cof[hit][shift + one] = mg
+        for hit, shift, mg, m in trail:
+            cof[hit][shift + one] = mg * (M // m)
         return result, M, cof
 
     def spoly(self, lcm, e1, c1, t1, e2, c2, t2):

@@ -59,8 +59,11 @@ def _mask(e):
 _VARIABLES = ["x", "y", "pi", "z", "w"]
 _PLAIN = [Lex(), GrevLex()]
 # every order kind: the plain orders, a block order for each pair of
-# sub-orders, and the order of the nonzerodivisor test
+# sub-orders, and the order of the nonzerodivisor test; the block order on
+# x also eliminates every variable of the one-variable ring, whose words
+# then hold an always-empty graded group just above the total degree
 _ORDERS = _PLAIN + [Block(["y", "z"], o1, o2) for o1, o2 in product(_PLAIN, repeat=2)]
+_ORDERS += [Block(["x"], Lex(), GrevLex())]
 _ORDERS += [groebner._RevLexLast(("z", "x")), groebner._RevLexLast(("pi",))]
 
 
@@ -102,6 +105,14 @@ def test_word_order_is_the_ring_order(order):
         # the lead term of a packed polynomial is its largest word
         terms = pk.pack({e: 1 for e in exps})
         assert pk.exponents(max(terms)) == by_key[-1]
+        # divisibility and lcms on every layout, borrows out of the total
+        # degree included
+        some = exps[:: max(1, len(exps) // 30)]
+        for a, b in product(some, repeat=2):
+            XA, XB = (pk.exponent_word(pk.monomial(e)) for e in (a, b))
+            assert (not (XB - XA) & pk.guard) == _mono_divides(a, b)
+            lcm = pk.monomial(_mono_lcm(a, b))
+            assert pk.lcm(XA, XB) == pk.exponent_word(lcm)
 
 
 @settings(max_examples=300, deadline=None)
@@ -150,8 +161,6 @@ def test_width_is_chosen_from_the_input():
     assert groebner._packing_for(R, 16383).width == 16
     assert groebner._packing_for(R, 16384).width == 32
     assert groebner._packing_for(R, 40000).width == 32
-    # a packing holds no state of a computation and is shared
-    assert groebner._packing_for(R, 10) is groebner._packing_for(R, 3)
     assert groebner._packing_for(R.with_order(Lex()), 3).flip == 0
     # widths struct has no code for are converted field by field
     for order in (Lex(), GrevLex(), Block(["y"])):
