@@ -74,10 +74,11 @@ M * P = sum(C_i B_i) + R on the numerators and never divides out content,
 which would rescale M and every C_i.  A `MembershipCertificate` from
 `_reduce` holds the packed C_i and builds the cofactor polynomials the first
 time `cofactors` is read (by `verify`, a test or a failure detail); a
-membership test whose certificate is never read builds none.  Membership in an ideal is `ideal_member(p, I)`,
-against the cached `I.gb()`, whose reducer tuples are built once and cached
-beside it; `reduce_poly` on an explicit list is for bases that are not an
-ideal's, such as a single divisor.
+membership test whose certificate is never read builds none.  Membership
+in an ideal is `ideal_member(p, I)`, against the cached `I.gb()`, whose
+reducer tuples are built once and cached beside it; `reduce_poly` on an
+explicit list is for bases that are not an ideal's, such as a single
+divisor.
 
 Basis cache.  Inside a `basis_cache()` block, `buchberger(ideal, order)`
 keeps the result of every run, keyed by the ring with its order and the set
