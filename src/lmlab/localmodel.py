@@ -341,13 +341,14 @@ def _oracle_failures(nf, psi, count, seed):
     """The number of rank-one samples at which psi does not kill the naive chart.
 
     Each sample is Z = a b^t with pi = -T(Z)/2.  The section is evaluated once
-    there, into the numeric matrix X of its x-images; Y = -X^t, as
-    block_substitution defines it.  With L the lcm of the denominators of pi
-    and of X, _naive_relations is then evaluated in integers on
-    (L X, -(L X)^t, L pi): exact, and zero exactly when the relation is.  psi
-    is a ring map, so a relation is nonzero there exactly when psi of that
-    generator is nonzero at the sample: the count equals that of evaluating
-    every image psi(g).
+    there, into the numeric matrix X of its x-images: the point is normalised
+    once by PolyRing.point, and every image is evaluated at it with
+    Polynomial.at.  Y = -X^t, as block_substitution defines it.  With L the
+    lcm of the denominators of pi and of X, _naive_relations is then
+    evaluated in integers on (L X, -(L X)^t, L pi): exact, and zero exactly
+    when the relation is.  psi is a ring map, so a relation is nonzero there
+    exactly when psi of that generator is nonzero at the sample: the count
+    equals that of evaluating every image psi(g).
     """
     delta, m = nf.delta, nf.d - nf.delta
     T = trace_form(nf, psi.target)
@@ -358,7 +359,8 @@ def _oracle_failures(nf, psi, count, seed):
                   for i in range(1, delta + 1) for j in range(1, m + 1)}
         assign["pi"] = 0
         pi = assign["pi"] = -T.evaluate(assign) / 2
-        X = [[img.evaluate(assign) for img in row] for row in x_images]
+        point = psi.target.point(assign)
+        X = [[img.at(point) for img in row] for row in x_images]
         L = lcm(pi.denominator, *(v.denominator for row in X for v in row))
         Xn = [[v.numerator * (L // v.denominator) for v in row] for row in X]
         Yn = [[-v for v in col] for col in zip(*Xn)]

@@ -7,6 +7,15 @@ polynomial has den 1.  That form is canonical, so equal polynomials have equal
 `terms` and `den`, and all arithmetic runs on ints.  `coefficient`, `lc` and
 `sorted_terms` give the coefficients as `fractions.Fraction`.  All values are
 immutable after construction and safe to share.
+
+A product adds exponent tuples with `map(operator.add, ...)`.  When one
+factor is a single term, the product is one dict comprehension: a monomial
+maps distinct exponents to distinct exponents and nonzero ints have nonzero
+products, so no term collides or cancels.  Sums and differences share one
+merge loop.  `PolyRing.point` normalises a rational point once, to a common
+denominator and integer numerators; `Polynomial.at` evaluates at it in
+integers, so many polynomials can share one point, and `evaluate` is `at` of
+the point of its dict.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import add
 
 __all__ = [
     "PolyError",
@@ -240,6 +250,18 @@ class PolyRing:
             den,
         )
 
+    def point(self, assignment):
+        """A rational point, given as a dict from variable name, normalised once
+        for `Polynomial.at`: the common denominator of its coordinates and
+        their integer numerators over it, in ring order."""
+        vals = []
+        for v in self.variables:
+            if v not in assignment:
+                raise UnknownVariableError(v)
+            vals.append(Fraction(assignment[v]))
+        den = lcm(*(q.denominator for q in vals))
+        return den, [q.numerator * (den // q.denominator) for q in vals]
+
     def with_order(self, order):
         if order == self.order:
             return self
@@ -340,24 +362,29 @@ class Polynomial:
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise PolyError("ring mismatch")
             return other
         if isinstance(other, (int, Fraction)):
             return self.ring.const(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _merge(self, other, sign):
+        """self + sign * other, for sign 1 or -1.
+
+        The numerators of the factor with more terms are copied, scaled to
+        the common denominator, and those of the other are added into them.
+        """
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        big, small = self, other
-        if len(big.terms) < len(small.terms):
-            big, small = small, big
-        den = lcm(big.den, small.den)
-        mb, ms = den // big.den, den // small.den
-        out = {e: v * mb for e, v in big.terms.items()} if mb != 1 else dict(big.terms)
-        for exp, c in small.terms.items():
+        den = lcm(self.den, other.den)
+        big, mb = self.terms, den // self.den
+        small, ms = other.terms, sign * (den // other.den)
+        if len(big) < len(small):
+            big, mb, small, ms = small, ms, big, mb
+        out = {e: v * mb for e, v in big.items()} if mb != 1 else dict(big)
+        for exp, c in small.items():
             c *= ms
             s = out.get(exp)
             if s is None:
@@ -370,16 +397,16 @@ class Polynomial:
                     del out[exp]
         return Polynomial(self.ring, out, den)
 
+    def __add__(self, other):
+        return self._merge(other, 1)
+
     __radd__ = __add__
 
     def __neg__(self):
         return Polynomial(self.ring, {e: -c for e, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._merge(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -395,13 +422,19 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = {}
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1:
+            # a monomial times b: distinct exponents stay distinct and nonzero
+            # numerators have nonzero products, so nothing collides or cancels
+            ((e1, c1),) = a.items()
+            out = {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in b.items()}
+            return Polynomial(self.ring, out, self.den * other.den)
+        out = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                exp = tuple(map(sum, zip(e1, e2)))
+                exp = tuple(map(add, e1, e2))
                 s = out.get(exp)
                 if s is None:
                     out[exp] = c1 * c2
@@ -448,19 +481,17 @@ class Polynomial:
         return Polynomial(self.ring, out, self.den)
 
     def evaluate(self, assignment):
-        """Evaluate at a rational point given as a dict from variable name.
+        """Evaluate at a rational point given as a dict from variable name."""
+        return self.at(self.ring.point(assignment))
+
+    def at(self, point):
+        """The value, a Fraction, at a point made by `self.ring.point`.
 
         The sum is taken in integers over the point's common denominator;
         each term is brought to the top degree by powers of that denominator,
         and one Fraction is built at the end.
         """
-        vals = []
-        for v in self.ring.variables:
-            if v not in assignment:
-                raise UnknownVariableError(v)
-            vals.append(Fraction(assignment[v]))
-        den = lcm(*(q.denominator for q in vals))
-        nums = [q.numerator * (den // q.denominator) for q in vals]
+        den, nums = point
         top = max(map(sum, self.terms), default=0)
         den_pow = [den**k for k in range(top + 1)]
         total = 0

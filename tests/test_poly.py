@@ -6,9 +6,12 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lmlab.lattice import normal_form
+from lmlab.localmodel import _rank_one_samples, big_ring, block_substitution, trace_form
 from lmlab.poly import (
     Lex,
     ParseError,
+    PolyError,
     PolyMatrix,
     PolyRing,
     Polynomial,
@@ -477,9 +480,14 @@ scalars = st.one_of(st.integers(-6, 6), mixed_coeffs)
 
 @st.composite
 def mixed_polys(draw):
+    # single terms are drawn on their own too, so that products take the
+    # monomial branch of __mul__ from either side
     R = PolyRing(["x", "y", "pi"])
     exps = st.tuples(*[st.integers(0, 3)] * 3)
-    return R.poly(draw(st.dictionaries(exps, mixed_coeffs, max_size=5)))
+    return R.poly(draw(st.one_of(
+        st.dictionaries(exps, mixed_coeffs, min_size=1, max_size=1),
+        st.dictionaries(exps, mixed_coeffs, max_size=5),
+    )))
 
 
 @settings(max_examples=100, deadline=None)
@@ -520,3 +528,63 @@ def test_arithmetic_matches_fraction_reference(f, g, c):
         assert (f * c) * (1 / Fraction(c)) == f
     point = {"x": Fraction(-3, 4), "y": 2, "pi": Fraction(5, 6)}
     assert f.evaluate(point) == reference_evaluate(f, point)
+
+
+# -- products and evaluation at the scale of the za1 rings
+
+
+def test_products_in_the_big_ring_match_fraction_reference():
+    R = big_ring(normal_form(6, 3))
+    assert R.nvars == 73
+    mono = parse_poly("-3/4*pi*x_1_6*y_2_3^2", R)
+    p = parse_poly("1/2*x_1_6^2 - 5/3*pi*y_6_6 + 7*x_2_1*y_2_3 - 2/9", R)
+    q = parse_poly("1/2*x_1_6^2 + 5/3*pi*y_6_6 - 1/3*x_2_1", R)
+    rm, rp, rq = (FractionPolynomial.of(f) for f in (mono, p, q))
+    assert_matches(mono * p, rm * rp)
+    assert_matches(p * mono, rm * rp)
+    assert_matches(mono * mono, rm * rm)
+    assert len((mono * p).terms) == len(p.terms)
+    # the cross terms of 1/2*x_1_6^2 and 5/3*pi*y_6_6 cancel to zero
+    pq = p * q
+    assert_matches(pq, rp * rq)
+    assert parse_poly("pi*x_1_6^2*y_6_6", R).lm() not in pq.terms
+
+
+def test_shared_point_evaluates_every_x_image_as_the_reference():
+    nf = normal_form(6, 3)
+    psi = block_substitution(nf)
+    R = psi.target
+    T = trace_form(nf, R)
+    (a, b), = _rank_one_samples(nf, 1, 7)
+    assign = {"z_%d_%d" % (i + 1, j + 1): ai * bj
+              for i, ai in enumerate(a) for j, bj in enumerate(b)}
+    assign["pi"] = 0
+    assign["pi"] = -T.evaluate(assign) / 2
+    point = R.point(assign)
+    images = [img for name, img in psi.images.items() if name.startswith("x_")]
+    assert len(images) == 36
+    for img in images:
+        got = img.at(point)
+        assert type(got) is Fraction
+        assert got == img.evaluate(assign) == reference_evaluate(img, assign)
+
+
+def test_point_names_a_missing_variable():
+    R = ring("x", "y", "pi")
+    with pytest.raises(UnknownVariableError) as err:
+        R.point({"x": 1, "pi": Fraction(1, 2)})
+    assert err.value.name == "y"
+
+
+def test_coerce_accepts_an_equal_ring_and_rejects_another_order():
+    R = ring("x", "y")
+    same = ring("x", "y")
+    assert same is not R and same == R
+    x, y = R.var("x"), same.var("y")
+    assert x + y == parse_poly("x + y", R)
+    assert x - y == parse_poly("x - y", R)
+    assert x * y == parse_poly("x*y", R)
+    lex_y = ring("x", "y", order=Lex()).var("y")
+    for op in (x.__add__, x.__sub__, x.__mul__):
+        with pytest.raises(PolyError, match="ring mismatch"):
+            op(lex_y)
