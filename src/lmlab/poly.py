@@ -372,7 +372,7 @@ class Polynomial:
     def _merge(self, other, sign):
         """self + sign * other, for sign 1 or -1.
 
-        The numerators of the factor with more terms are copied, scaled to
+        The numerators of the summand with more terms are copied, scaled to
         the common denominator, and those of the other are added into them.
         """
         other = self._coerce(other)
