@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import PolyError, PolyMatrix
+from .poly import PolyError
 
 __all__ = ["LatticeError", "LatticeNormalForm", "normal_form", "quad_forms", "gram_matrix"]
 
@@ -133,16 +133,10 @@ def normal_form(d, delta):
 
 
 def gram_matrix(nf, ring):
-    """S = S1 + pi*S2 as a PolyMatrix over a ring containing pi."""
+    """S = S1 + pi*S2 as a list of rows over a ring containing pi."""
     pi = ring.var("pi")
-    rows = []
-    for i in range(nf.d):
-        row = []
-        for j in range(nf.d):
-            e = ring.const(nf.S1[i][j]) + pi * nf.S2[i][j]
-            row.append(e)
-        rows.append(row)
-    return PolyMatrix.from_rows(rows)
+    return [[ring.const(a) + pi * b for a, b in zip(r1, r2)]
+            for r1, r2 in zip(nf.S1, nf.S2)]
 
 
 def _half_form(ring, mat, positions, var):

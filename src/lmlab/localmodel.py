@@ -17,14 +17,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 
 # buchberger is not called here, but bench/test_bench.py requires this module
 # to bind it so that the tracer's re-binding coverage is exercised
 from .groebner import Ideal, buchberger, eliminate, ideal_equal, \
     ideal_member, is_nonzerodivisor, quotient  # noqa: F401
-from .poly import Block, PolyError, PolyMatrix, PolyRing, RingMap
+from .poly import Block, PolyError, PolyRing, RingMap, minors
 from .report import FAIL, PASS, checking
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "z_ring",
     "big_ring",
     "z_matrix",
-    "antidiag",
     "build_naive_chart_ideal",
     "trace_form",
     "build_U_ideals",
@@ -83,26 +81,15 @@ def x_ring(nf):
 
 
 def z_matrix(nf, ring):
-    return PolyMatrix.from_rows(
-        [
-            [ring.var("z_%d_%d" % (i, j)) for j in range(1, nf.d - nf.delta + 1)]
-            for i in range(1, nf.delta + 1)
-        ]
-    )
+    """The delta x (d - delta) matrix Z of the chart variables, as a list of rows."""
+    return [[ring.var("z_%d_%d" % (i, j)) for j in range(1, nf.d - nf.delta + 1)]
+            for i in range(1, nf.delta + 1)]
 
 
 def named_matrix(entry, stem, d):
     """The d x d matrix, as a list of rows, of entry("stem_a_b")."""
     return [[entry("%s_%d_%d" % (stem, a, b)) for b in range(1, d + 1)]
             for a in range(1, d + 1)]
-
-
-def antidiag(ring, size):
-    rows = [
-        [ring.one() if i + j == size - 1 else ring.zero() for j in range(size)]
-        for i in range(size)
-    ]
-    return PolyMatrix.from_rows(rows)
 
 
 # ------------------------------------------------------------ naive chart
@@ -142,13 +129,6 @@ def _entries(M):
     return (v for row in M for v in row)
 
 
-def _minors2(M):
-    """The 2x2 minors of M, rows then columns in lexicographic order."""
-    for r, r2 in combinations(M, 2):
-        for j, j2 in combinations(range(len(r)), 2):
-            yield r[j] * r2[j2] - r[j2] * r2[j]
-
-
 def _naive_relations(nf, X, Y, pi, L=1):
     """The naive chart relations on (pi, X, Y), in generator order.
 
@@ -172,8 +152,8 @@ def _naive_relations(nf, X, Y, pi, L=1):
     zero = pi * 0  # the ring's zero, or the int 0
     yield from _entries(_mat_add(Y, Xt))
     yield from _entries(_mat_mul(Xt, Y, zero))
-    yield from _minors2(X)
-    yield from _minors2(Y)
+    yield from minors(X, 2)
+    yield from minors(Y, 2)
     LS1X, S2X = _mat_mul(LS1, X, zero), _mat_mul(nf.S2, X, zero)
     SX = _mat_add(LS1X, S2X, pi)
     yield from _entries(_mat_add(_mat_mul(Xt, LS1X, zero), SX, -2 * pi))
@@ -201,18 +181,19 @@ def _diagonal_block(nf, Z):
     Same parity: Z = [B1|B2] and A = B2 J B1^t Jdelta.  Mixed parity:
     Z = [B1|E|B2], whose middle column E is X column d // 2 + 1 (left out of
     Delta), and A = (B2 J B1^t + E E^t / 2) Jdelta.  J is the antidiagonal
-    of the width of B1 and B2, Jdelta that of size delta.
+    of the width of B1 and B2, Jdelta that of size delta.  A product with an
+    antidiagonal on the right reverses the columns.
     """
-    ring, delta, m = Z.ring, nf.delta, nf.d - nf.delta
+    m = nf.d - nf.delta
     side = m // 2
-    J = antidiag(ring, side)
-    B1 = Z.submatrix(range(delta), range(side))
-    B2 = Z.submatrix(range(delta), range(m - side, m))
-    inner = B2 * J * B1.transpose()
+    zero = Z[0][0] * 0  # the ring's zero
+    B1t = list(zip(*(row[:side] for row in Z)))
+    B2J = [row[m - side :][::-1] for row in Z]
+    inner = _mat_mul(B2J, B1t, zero)
     if nf.parity_case == "II":
-        E = Z.submatrix(range(delta), [side])
-        inner = inner + (E * E.transpose()) * HALF
-    return inner * antidiag(ring, delta)
+        E = [[row[side]] for row in Z]
+        inner = _mat_add(inner, _mat_mul(E, list(zip(*E)), zero), HALF)
+    return [row[::-1] for row in inner]
 
 
 def trace_form(nf, ring=None):
@@ -223,9 +204,10 @@ def trace_form(nf, ring=None):
     T = ring.zero()
     for i in range(1, delta + 1):
         for j in range(1, m + 1):
-            T = T + Z[i - 1, m - j] * Z[delta - i, j - 1]
+            T = T + Z[i - 1][m - j] * Z[delta - i][j - 1]
     T = T * HALF
-    if T != _diagonal_block(nf, Z).trace():
+    A = _diagonal_block(nf, Z)
+    if T != sum(A[i][i] for i in range(delta)):
         raise PolyError(
             "closed trace formula disagrees with the block formula at (%d,%d)"
             % (nf.d, nf.delta)
@@ -235,8 +217,6 @@ def trace_form(nf, ring=None):
 
 def build_U_ideals(nf):
     """Reduced presentations: U = (minors, T+2pi); small = (minors, (T+2pi).Z)."""
-    from .poly import minors
-
     ring = z_ring(nf)
     Z = z_matrix(nf, ring)
     T = trace_form(nf, ring)
@@ -250,7 +230,7 @@ def build_U_ideals(nf):
     small = ChartPresentation(
         name="u-naive-small[%d,%d]" % (nf.d, nf.delta),
         ring=ring,
-        ideal=Ideal(ring, mins + [quad * e for e in Z.entries]),
+        ideal=Ideal(ring, mins + [quad * e for e in _entries(Z)]),
     )
     return U, small
 
@@ -261,15 +241,13 @@ def build_DT_ideal(nf):
     The displayed sum equals 2 T(Z), so the ideal must coincide with the
     reduced chart ideal; equality is asserted by Groebner comparison.
     """
-    from .poly import minors
-
     ring = z_ring(nf)
     Z = z_matrix(nf, ring)
     delta, m = nf.delta, nf.d - nf.delta
     sig = ring.zero()
     for i in range(1, delta + 1):
         for j in range(1, m + 1):
-            sig = sig + Z[i - 1, m - j] * Z[delta - i, j - 1]
+            sig = sig + Z[i - 1][m - j] * Z[delta - i][j - 1]
     gens = minors(Z, 2) + [sig + 4 * ring.var("pi")]
     DT = ChartPresentation(
         name="dt[%d,%d]" % (nf.d, nf.delta),
@@ -286,13 +264,17 @@ def build_DT_ideal(nf):
 
 
 def _psi_x_images(nf, ring):
-    """Images of every x entry under the section into the Z variables."""
+    """Images of every x entry under the section into the Z variables.
+
+    D = -Jm Z^t Jdelta Z / 2 and C = -Jm Z^t Jdelta A / 2, with Jm and Jdelta
+    the antidiagonals of sizes d - delta and delta: Jm on the left reverses
+    the rows of Z^t, Jdelta on the right its columns.
+    """
     Z = z_matrix(nf, ring)
-    Jm = antidiag(ring, nf.d - nf.delta)
-    Jdelta = antidiag(ring, nf.delta)
     A = _diagonal_block(nf, Z)
-    D = Jm * Z.transpose() * Jdelta * Z * (-HALF)
-    C = Jm * Z.transpose() * Jdelta * A * (-HALF)
+    W = [[-HALF * v for v in col[::-1]] for col in reversed(list(zip(*Z)))]
+    D = _mat_mul(W, Z, ring.zero())
+    C = _mat_mul(W, A, ring.zero())
 
     pos_d = {a: i for i, a in enumerate(nf.Delta)}
     pos_c = {b: j for j, b in enumerate(nf.DeltaC)}
@@ -300,9 +282,9 @@ def _psi_x_images(nf, ring):
     for a in range(1, nf.d + 1):
         for b in range(1, nf.d + 1):
             if a in pos_d:
-                img = Z[pos_d[a], pos_c[b]] if b in pos_c else A[pos_d[a], pos_d[b]]
+                img = Z[pos_d[a]][pos_c[b]] if b in pos_c else A[pos_d[a]][pos_d[b]]
             else:
-                img = D[pos_c[a], pos_c[b]] if b in pos_c else C[pos_c[a], pos_d[b]]
+                img = D[pos_c[a]][pos_c[b]] if b in pos_c else C[pos_c[a]][pos_d[b]]
             images[(a, b)] = img
     return images
 

@@ -34,7 +34,6 @@ __all__ = [
     "Block",
     "PolyRing",
     "Polynomial",
-    "PolyMatrix",
     "RingMap",
     "parse_poly",
     "jacobian",
@@ -698,143 +697,44 @@ def parse_poly(text, ring):
 
 
 # --------------------------------------------------------------- matrices
-
-
-class PolyMatrix:
-    """A rows x cols matrix of polynomials sharing one ring, row-major."""
-
-    __slots__ = ("rows", "cols", "entries", "ring")
-
-    def __init__(self, rows, cols, entries):
-        entries = list(entries)
-        if len(entries) != rows * cols:
-            raise PolyError("entry count does not match shape")
-        if not entries:
-            raise PolyError("empty matrix")
-        ring = entries[0].ring
-        for e in entries:
-            if e.ring != ring:
-                raise PolyError("matrix entries must share one ring")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-        self.ring = ring
-
-    @classmethod
-    def from_rows(cls, rows_of_entries):
-        rows = len(rows_of_entries)
-        cols = len(rows_of_entries[0])
-        flat = [e for row in rows_of_entries for e in row]
-        return cls(rows, cols, flat)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def row(self, i):
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def transpose(self):
-        out = [self[i, j] for j in range(self.cols) for i in range(self.rows)]
-        return PolyMatrix(self.cols, self.rows, out)
-
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise PolyError("shape mismatch")
-        return PolyMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)]
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return PolyMatrix(self.rows, self.cols, [-a for a in self.entries])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return PolyMatrix(self.rows, self.cols, [a * other for a in self.entries])
-        if self.cols != other.rows:
-            raise PolyError("shape mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = self.ring.zero()
-                for k in range(self.cols):
-                    e = ri[k]
-                    if not e.is_zero:
-                        f = other[k, j]
-                        if not f.is_zero:
-                            acc = acc + e * f
-                out.append(acc)
-        return PolyMatrix(self.rows, other.cols, out)
-
-    __rmul__ = __mul__
-
-    def trace(self):
-        if self.rows != self.cols:
-            raise PolyError("trace of non-square matrix")
-        acc = self.ring.zero()
-        for i in range(self.rows):
-            acc = acc + self[i, i]
-        return acc
-
-    def det(self):
-        if self.rows != self.cols:
-            raise PolyError("determinant of non-square matrix")
-        return _det(self, list(range(self.rows)), list(range(self.cols)))
-
-    def submatrix(self, rows, cols):
-        out = [self[i, j] for i in rows for j in cols]
-        return PolyMatrix(len(rows), len(cols), out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyMatrix)
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        body = "; ".join(
-            ", ".join(str(e) for e in self.row(i)) for i in range(self.rows)
-        )
-        return "PolyMatrix[%s]" % body
+# A matrix is a list of rows, of polynomials or, where a caller evaluates at a
+# point, of ints.
 
 
 def _det(m, rows, cols):
-    # cofactor expansion along the first row; fine at chart scale
+    # cofactor expansion along the first row, ending at a d - b c; fine at
+    # chart scale.  The sum starts from an entry times 0, so int rows work too
+    r0 = m[rows[0]]
     if len(rows) == 1:
-        return m[rows[0], cols[0]]
-    acc = m.ring.zero()
-    r0 = rows[0]
+        return r0[cols[0]]
+    if len(rows) == 2:
+        r1 = m[rows[1]]
+        return r0[cols[0]] * r1[cols[1]] - r0[cols[1]] * r1[cols[0]]
+    acc = r0[cols[0]] * 0
     rest = rows[1:]
     for k, c in enumerate(cols):
-        e = m[r0, c]
-        if e.is_zero:
+        e = r0[c]
+        if not e:
             continue
-        sub = _det(m, rest, cols[:k] + cols[k + 1 :])
-        term = e * sub
+        term = e * _det(m, rest, cols[:k] + cols[k + 1 :])
         acc = acc + (term if k % 2 == 0 else -term)
     return acc
 
 
 def minors(m, k):
-    """All k x k minors, row-index lexicographic then column-index lexicographic."""
-    if k < 1 or k > min(m.rows, m.cols):
-        if k > min(m.rows, m.cols):
-            return []
+    """All k x k minors of the rows m, row-index lexicographic then
+    column-index lexicographic; none when k exceeds either side."""
+    if k < 1:
         raise PolyError("minor size out of range")
-    out = []
-    for rs in combinations(range(m.rows), k):
-        for cs in combinations(range(m.cols), k):
-            out.append(_det(m, list(rs), list(cs)))
-    return out
+    return [
+        _det(m, rs, cs)
+        for rs in combinations(range(len(m)), k)
+        for cs in combinations(range(len(m[0])), k)
+    ]
 
 
 def jacobian(polys, variables):
-    """Matrix of formal partials, entry (i, j) = d polys[i] / d variables[j]."""
+    """Rows of formal partials, entry (i, j) = d polys[i] / d variables[j]."""
     polys = list(polys)
     variables = list(variables)
     if not polys or not variables:
@@ -843,8 +743,7 @@ def jacobian(polys, variables):
     for v in variables:
         if v not in ring.index:
             raise UnknownVariableError(v)
-    rows = [[p.derivative(v) for v in variables] for p in polys]
-    return PolyMatrix.from_rows(rows)
+    return [[p.derivative(v) for v in variables] for p in polys]
 
 
 # ------------------------------------------------------------- ring maps

@@ -56,6 +56,8 @@ class SuiteConfig:
     def validate(self):
         if not self.grid:
             raise ConfigError("empty grid")
+        if not self.checks:
+            raise ConfigError("empty check list")
         for d, delta in self.grid:
             if d < 5:
                 raise ConfigError("d >= 5 required, got %d:%d" % (d, delta))
@@ -314,7 +316,7 @@ def run_suite(config):
     if config.jobs > 1:
         # a worker that dies breaks the pool: its instance, and every one
         # still waiting, gets one error report per check
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(grid))) as pool:
             futures = [pool.submit(run_instance, *task) for task in tasks]
             chunks = []
             for (d, delta), fut in zip(grid, futures):

@@ -151,6 +151,18 @@ def test_suite_rejects_non_integer_grid():
     assert "Traceback" not in out.stderr
 
 
+# a run that checks nothing must not report success
+@pytest.mark.parametrize(
+    "args",
+    [("suite", "--grid", "5:1", "--checks", ","), ("verify", ",", "--d", "5", "--delta", "1")],
+)
+def test_empty_check_list_exits_64(args):
+    out = run_cli(*args)
+    assert out.returncode == 64, (out.stdout, out.stderr)
+    assert "empty check list" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_verify_rejects_non_integer_pivot():
     out = run_cli("verify", "za1", "--d", "5", "--delta", "1", "--pivot", "a,b")
     assert out.returncode == 64
@@ -315,6 +327,35 @@ def test_suite_submits_largest_instances_first(monkeypatch):
     assert submitted == [(6, 3), (6, 2), (5, 2), (5, 1)]
     # the configured grid order is what the report records
     assert payload["config"]["grid"] == ["5:1", "6:2", "5:2", "6:3"]
+
+
+def test_suite_starts_no_more_workers_than_instances(monkeypatch):
+    import concurrent.futures
+
+    import lmlab.suite as suite
+
+    workers = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(suite, "ProcessPoolExecutor", RecordingPool)
+    run_suite(SuiteConfig(grid=[(5, 1)], checks=["dt-equals-u"], jobs=8))
+    run_suite(SuiteConfig(grid=[(5, 1), (5, 2)], checks=["dt-equals-u"], jobs=8))
+    run_suite(SuiteConfig(grid=[(5, 1), (5, 2), (6, 1)], checks=["dt-equals-u"], jobs=2))
+    assert workers == [1, 2, 2]
 
 
 def test_every_check_reports_a_timeout_at_its_own_instance(monkeypatch):

@@ -33,7 +33,7 @@ from lmlab.localmodel import (
     z_matrix,
     z_ring,
 )
-from lmlab.poly import Block, Lex, ParseError, PolyError, PolyMatrix, PolyRing, minors, parse_poly
+from lmlab.poly import Block, Lex, ParseError, PolyError, PolyRing, minors, parse_poly
 from lmlab.suite import run_check
 
 
@@ -75,9 +75,7 @@ def test_buchberger_principal_monic():
 
 def test_minors_2x4_self_groebner():
     R = PolyRing(["z_%d_%d" % (i, j) for i in (1, 2) for j in range(1, 5)])
-    Z = PolyMatrix.from_rows(
-        [[R.var("z_%d_%d" % (i, j)) for j in range(1, 5)] for i in (1, 2)]
-    )
+    Z = [[R.var("z_%d_%d" % (i, j)) for j in range(1, 5)] for i in (1, 2)]
     mins = minors(Z, 2)
     basis, _ = buchberger(Ideal(R, mins))
     assert len(basis) == 6
@@ -122,7 +120,7 @@ def test_sum_ideal_equals_doubled_trace_ideal(d, delta):
     sig = ring.zero()
     for i in range(1, delta + 1):
         for j in range(1, m + 1):
-            sig = sig + Z[i - 1, m - j] * Z[delta - i, j - 1]
+            sig = sig + Z[i - 1][m - j] * Z[delta - i][j - 1]
     T = trace_form(nf, ring)
     assert ideal_equal(
         Ideal(ring, [sig + 4 * ring.var("pi")]),

@@ -12,7 +12,6 @@ from lmlab.poly import (
     Lex,
     ParseError,
     PolyError,
-    PolyMatrix,
     PolyRing,
     Polynomial,
     RingMap,
@@ -258,33 +257,31 @@ def test_evaluate_zero_constant_and_missing_variable():
 def test_jacobian_examples():
     R = ring("u", "v", "pi")
     J = jacobian([R.var("u") * R.var("v") - R.var("pi")], ["u", "v", "pi"])
-    assert J.row(0) == [R.var("v"), R.var("u"), R.const(-1)]
+    assert J[0] == [R.var("v"), R.var("u"), R.const(-1)]
 
     R2 = ring("x", "y")
     J2 = jacobian([R2.var("x") ** 2 + R2.var("y") ** 2], ["x", "y"])
-    assert J2.row(0) == [2 * R2.var("x"), 2 * R2.var("y")]
+    assert J2[0] == [2 * R2.var("x"), 2 * R2.var("y")]
 
 
 def test_jacobian_trace_form_entry():
     # T for the (5,1) chart: z_1_1 z_1_4 + z_1_2 z_1_3; derivative wrt z_1_1
     R = ring("pi", "z_1_1", "z_1_2", "z_1_3", "z_1_4")
     T = parse_poly("z_1_1*z_1_4 + z_1_2*z_1_3", R)
-    assert jacobian([T], ["z_1_1"]).row(0) == [R.var("z_1_4")]
+    assert jacobian([T], ["z_1_1"])[0] == [R.var("z_1_4")]
 
 
 @settings(max_examples=20, deadline=None)
 @given(polys(), polys())
 def test_jacobian_linearity(f, g):
     vs = ["x", "y", "pi"]
-    a = jacobian([f + g], vs)
-    b = jacobian([f], vs) + jacobian([g], vs)
-    assert a == b
+    [a] = jacobian([f + g], vs)
+    [bf], [bg] = jacobian([f], vs), jacobian([g], vs)
+    assert a == [u + v for u, v in zip(bf, bg)]
 
 
 def _generic(ring_obj, names):
-    return PolyMatrix.from_rows(
-        [[ring_obj.var(n) for n in row] for row in names]
-    )
+    return [[ring_obj.var(n) for n in row] for row in names]
 
 
 def test_minors_generic_2x2():
@@ -292,19 +289,33 @@ def test_minors_generic_2x2():
     m = _generic(R, [["a", "b"], ["c", "d"]])
     [det] = minors(m, 2)
     assert det == R.var("a") * R.var("d") - R.var("b") * R.var("c")
+    # the za1 oracle takes minors of int rows
+    assert minors([[3, 5], [7, 2]], 2) == [3 * 2 - 5 * 7]
+
+
+def test_minors_3x3_int_determinant():
+    # expansion along the first row skips its zero entry
+    [det] = minors([[2, 0, 1], [1, 3, 2], [1, 1, 4]], 3)
+    assert det == 2 * (3 * 4 - 2 * 1) + 1 * (1 * 1 - 3 * 1)
+    assert type(det) is int
+
+
+def test_minors_size_out_of_range():
+    assert minors([[1, 2], [3, 4]], 3) == []
+    with pytest.raises(PolyError):
+        minors([[1, 2], [3, 4]], 0)
 
 
 def test_minors_of_single_row_empty():
     R = PolyRing(["z_1_%d" % j for j in range(1, 5)])
-    m = PolyMatrix.from_rows([[R.var("z_1_%d" % j) for j in range(1, 5)]])
+    m = [[R.var("z_1_%d" % j) for j in range(1, 5)]]
     assert minors(m, 2) == []
+    assert minors([[1, 2, 3, 4]], 2) == []
 
 
 def test_minors_count_2x4():
     R = PolyRing(["z_%d_%d" % (i, j) for i in (1, 2) for j in range(1, 5)])
-    m = PolyMatrix.from_rows(
-        [[R.var("z_%d_%d" % (i, j)) for j in range(1, 5)] for i in (1, 2)]
-    )
+    m = [[R.var("z_%d_%d" % (i, j)) for j in range(1, 5)] for i in (1, 2)]
     assert len(minors(m, 2)) == 6
 
 

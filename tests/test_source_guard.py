@@ -210,3 +210,20 @@ def test_engine_has_one_order_path():
     from lmlab.groebner import _Engine
 
     assert not any(hasattr(_Engine, name) for name in ("key", "lead", "memo"))
+
+
+def test_lists_of_rows_are_the_only_matrix_form():
+    # a matrix is a list of rows everywhere; poly.minors is the one routine
+    # for its minors, on polynomial and int entries alike
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and "matrix" in node.name.lower():
+                offenders.append("%s:%d" % (path.name, node.lineno))
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and "minor" in node.name.lower()
+                and path.name != "poly.py"
+            ):
+                offenders.append("%s:%d" % (path.name, node.lineno))
+    assert offenders == []
