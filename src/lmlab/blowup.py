@@ -68,13 +68,11 @@ def build_B_blowup_charts():
     r1 = PolyRing(["pi", "u", "v", "x"])
     chart1 = ChartPresentation(
         name="b-blowup-I",
-        ring=r1,
         ideal=Ideal(r1, [r1.var("u") * r1.var("v") - r1.var("pi")]),
     )
     r2 = PolyRing(["pi", "w1", "w2", "y"])
     chart2 = ChartPresentation(
         name="b-blowup-II",
-        ring=r2,
         ideal=Ideal(r2, [r2.var("w1") * r2.var("w2") * r2.var("y") ** 2 + r2.var("pi")]),
     )
 
@@ -151,7 +149,6 @@ def build_DT_blowup_chart(nf, s, t):
     amb_eq = 4 * amb.var("pi") + zsq * rs_amb * cs_amb
     ambient = ChartPresentation(
         name="dt-blowup-ambient[%d,%d]@%d,%d" % (nf.d, nf.delta, s, t),
-        ring=amb,
         ideal=Ideal(amb, rel + [amb_eq]),
     )
 
@@ -175,7 +172,6 @@ def build_DT_blowup_chart(nf, s, t):
     red_eq = 4 * red.var("pi") + red.var(zv) ** 2 * row_sum * col_sum
     reduced = ChartPresentation(
         name="dt-blowup[%d,%d]@%d,%d" % (nf.d, nf.delta, s, t),
-        ring=red,
         ideal=Ideal(red, [red_eq]),
     )
 
@@ -231,7 +227,6 @@ def build_M_chart(nf, s, t):
         kgens.append(full.var("y_%d" % j) - lam * q1y * full.var("x_%d" % flip[j - 1]))
     full_cp = ChartPresentation(
         name="m-chart-full[%d,%d]@x%d,y%d" % (nf.d, nf.delta, s, t),
-        ring=full,
         ideal=Ideal(full, [eq] + kgens),
     )
 
@@ -240,7 +235,6 @@ def build_M_chart(nf, s, t):
     q1r = q1_form(nf, red, var="y")
     red_cp = ChartPresentation(
         name="m-chart[%d,%d]@x%d,y%d" % (nf.d, nf.delta, s, t),
-        ring=red,
         ideal=Ideal(
             red,
             [
@@ -270,7 +264,7 @@ def _pivot_to_z(nf, s, t):
         raise LatticeError("pivot s=%d is not an N position" % s)
     if t not in nf.DeltaC:
         raise LatticeError("pivot t=%d is not an M position" % t)
-    return nf.delta_pos(s), nf.deltac_pos(t)
+    return nf.Delta.index(s) + 1, nf.DeltaC.index(t) + 1
 
 
 def chart_match(nf, s, t):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .poly import PolyError
 
-__all__ = ["LatticeError", "LatticeNormalForm", "normal_form", "quad_forms", "gram_matrix"]
+__all__ = ["LatticeError", "LatticeNormalForm", "normal_form", "quad_forms"]
 
 
 class LatticeError(PolyError):
@@ -39,13 +39,6 @@ class LatticeNormalForm:
     @property
     def delta_star(self):
         return min(self.delta, self.d - self.delta)
-
-    def delta_pos(self, i):
-        """1-based position of global index i inside sorted Delta."""
-        return self.Delta.index(i) + 1
-
-    def deltac_pos(self, j):
-        return self.DeltaC.index(j) + 1
 
     @property
     def z_cells(self):
@@ -130,13 +123,6 @@ def normal_form(d, delta):
         S2=tuple(tuple(row) for row in S2),
         incl_flip=flip,
     )
-
-
-def gram_matrix(nf, ring):
-    """S = S1 + pi*S2 as a list of rows over a ring containing pi."""
-    pi = ring.var("pi")
-    return [[ring.const(a) + pi * b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(nf.S1, nf.S2)]
 
 
 def _half_form(ring, mat, positions, var):

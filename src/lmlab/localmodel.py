@@ -46,11 +46,14 @@ HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class ChartPresentation:
-    """A named affine chart: its ring and ideal."""
+    """A named affine chart, given by its ideal."""
 
     name: str
-    ring: PolyRing
     ideal: Ideal
+
+    @property
+    def ring(self):
+        return self.ideal.ring
 
 
 # -------------------------------------------------------------- ring setup
@@ -170,7 +173,6 @@ def build_naive_chart_ideal(nf):
     X, Y = (named_matrix(ring.var, stem, nf.d) for stem in "xy")
     return ChartPresentation(
         name="u-naive[%d,%d]" % (nf.d, nf.delta),
-        ring=ring,
         ideal=Ideal(ring, _naive_relations(nf, X, Y, ring.var("pi"))),
     )
 
@@ -196,18 +198,23 @@ def _diagonal_block(nf, Z):
     return [row[::-1] for row in inner]
 
 
+def _closed_sum(Z):
+    """The sum of Z[i][m-1-j] Z[delta-1-i][j] over every entry, which is 2 T(Z)."""
+    delta, m = len(Z), len(Z[0])
+    acc = Z[0][0].ring.zero()
+    for i in range(delta):
+        for j in range(m):
+            acc = acc + Z[i][m - 1 - j] * Z[delta - 1 - i][j]
+    return acc
+
+
 def trace_form(nf, ring=None):
     """The trace quadric T(Z), cross-checked against the trace of the block A."""
     ring = ring or z_ring(nf)
-    delta, m = nf.delta, nf.d - nf.delta
     Z = z_matrix(nf, ring)
-    T = ring.zero()
-    for i in range(1, delta + 1):
-        for j in range(1, m + 1):
-            T = T + Z[i - 1][m - j] * Z[delta - i][j - 1]
-    T = T * HALF
+    T = _closed_sum(Z) * HALF
     A = _diagonal_block(nf, Z)
-    if T != sum(A[i][i] for i in range(delta)):
+    if T != sum(A[i][i] for i in range(nf.delta)):
         raise PolyError(
             "closed trace formula disagrees with the block formula at (%d,%d)"
             % (nf.d, nf.delta)
@@ -224,12 +231,10 @@ def build_U_ideals(nf):
     mins = minors(Z, 2)
     U = ChartPresentation(
         name="u[%d,%d]" % (nf.d, nf.delta),
-        ring=ring,
         ideal=Ideal(ring, mins + [quad]),
     )
     small = ChartPresentation(
         name="u-naive-small[%d,%d]" % (nf.d, nf.delta),
-        ring=ring,
         ideal=Ideal(ring, mins + [quad * e for e in _entries(Z)]),
     )
     return U, small
@@ -243,15 +248,9 @@ def build_DT_ideal(nf):
     """
     ring = z_ring(nf)
     Z = z_matrix(nf, ring)
-    delta, m = nf.delta, nf.d - nf.delta
-    sig = ring.zero()
-    for i in range(1, delta + 1):
-        for j in range(1, m + 1):
-            sig = sig + Z[i - 1][m - j] * Z[delta - i][j - 1]
-    gens = minors(Z, 2) + [sig + 4 * ring.var("pi")]
+    gens = minors(Z, 2) + [_closed_sum(Z) + 4 * ring.var("pi")]
     DT = ChartPresentation(
         name="dt[%d,%d]" % (nf.d, nf.delta),
-        ring=ring,
         ideal=Ideal(ring, gens),
     )
     U, _ = build_U_ideals(nf)

@@ -33,7 +33,6 @@ __all__ = [
     "verify_fiber_decomposition",
     "verify_divisor_multiplicities_on_blowup_charts",
     "verify_linked_chart",
-    "torus_scaling_identity",
 ]
 
 
@@ -42,13 +41,6 @@ class LinkedChart:
     chart: ChartPresentation
     q1: object
     q2: object
-
-
-def linked_chart_ring(nf):
-    names = ["pi", "u", "v"]
-    names += ["x_%d" % i for i in nf.DeltaC]
-    names += ["y_%d" % j for j in nf.Delta]
-    return PolyRing(names)
 
 
 def build_linked_chart_ideal(nf, i, j):
@@ -61,7 +53,10 @@ def build_linked_chart_ideal(nf, i, j):
         raise LatticeError("pin index i=%d is not an M position" % i)
     if j not in nf.Delta:
         raise LatticeError("pin index j=%d is not an N position" % j)
-    ring = linked_chart_ring(nf)
+    names = ["pi", "u", "v"]
+    names += ["x_%d" % a for a in nf.DeltaC]
+    names += ["y_%d" % b for b in nf.Delta]
+    ring = PolyRing(names)
     q1 = q1_form(nf, ring, var="x")
     q2 = q2_form(nf, ring, var="y")
     u, v = ring.var("u"), ring.var("v")
@@ -73,7 +68,6 @@ def build_linked_chart_ideal(nf, i, j):
     ]
     chart = ChartPresentation(
         name="v[%d,%d]@x%d,y%d" % (nf.d, nf.delta, i, j),
-        ring=ring,
         ideal=Ideal(ring, gens),
     )
     return LinkedChart(chart=chart, q1=q1, q2=q2)
@@ -88,7 +82,6 @@ def build_basic_scheme():
     ]
     return ChartPresentation(
         name="basic-scheme",
-        ring=ring,
         ideal=Ideal(ring, gens),
     )
 
@@ -197,32 +190,3 @@ def verify_divisor_multiplicities_on_blowup_charts():
         if not (ok1 and ok2 and not_cubed):
             report.status = FAIL
     return report
-
-
-def torus_scaling_identity(nf, i, j):
-    """The unpinned chart equation rescales by lam*mu under the torus action.
-
-    Checked as a polynomial identity in a ring with adjoined units:
-    sigma(u Q1 + v Q2) - lam*mu*(u Q1 + v Q2) lies in the relations ideal
-    (lam*lam_inv - 1, mu*mu_inv - 1).
-    """
-    base = linked_chart_ring(nf)
-    ext = base.extend(["lam", "mu", "lam_inv", "mu_inv"])
-    q1 = q1_form(nf, ext, var="x")
-    q2 = q2_form(nf, ext, var="y")
-    eq = ext.var("u") * q1 + ext.var("v") * q2
-    images = {v: ext.var(v) for v in ext.variables}
-    lam, mu = ext.var("lam"), ext.var("mu")
-    for a in nf.DeltaC:
-        images["x_%d" % a] = lam * ext.var("x_%d" % a)
-    for b in nf.Delta:
-        images["y_%d" % b] = mu * ext.var("y_%d" % b)
-    images["u"] = ext.var("lam_inv") * mu * ext.var("u")
-    images["v"] = lam * ext.var("mu_inv") * ext.var("v")
-    sigma = RingMap(ext, ext, images)
-    units = Ideal(
-        ext,
-        [lam * ext.var("lam_inv") - 1, mu * ext.var("mu_inv") - 1],
-    )
-    diff = sigma(eq) - lam * mu * eq
-    return ideal_member(diff, units)[0]

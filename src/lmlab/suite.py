@@ -180,9 +180,7 @@ def _check_quadbu_smooth(nf, mode, seed, pivots):
 
     reports = []
     rel = nf.d - 4 if nf.delta_star >= 2 else nf.d - 3
-    m = nf.d - nf.delta
-    todo = pivots or [(s, t) for s in range(1, nf.delta + 1) for t in range(1, m + 1)]
-    for s, t in todo:
+    for s, t in pivots or [ij for ij, _ in nf.z_cells]:
         instance = {"d": nf.d, "delta": nf.delta, "pivot": [s, t]}
         with checking("quadbu-smooth", instance) as rep:
             bc = build_DT_blowup_chart(nf, s, t)
@@ -195,9 +193,7 @@ def _check_quadbu_smooth(nf, mode, seed, pivots):
 
 
 def _m_pivots(nf, pivots):
-    if pivots:
-        return pivots
-    return [(s, t) for s in nf.Delta for t in nf.DeltaC]
+    return pivots or [ab for _, ab in nf.z_cells]
 
 
 def _check_affine_chart(nf, mode, seed, pivots):

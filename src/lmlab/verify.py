@@ -1,12 +1,10 @@
-"""Smoothness certification by Jacobian criteria.
+"""Smoothness certification by the relative Jacobian criterion.
 
-Absolute smoothness: the singular locus cut out by the c x c minors of the
-Jacobian (c the codimension) must be empty modulo the ideal.  Relative
-smoothness over the model rings Z[u,x,y]/(u^2xy - pi) and Z[u,x]/(u^2x - pi):
-after adjoining the model coordinates along their defining assignments, the
-relation must be a member and the relative Jacobian must have full rank
-everywhere on the chart.  Where no single assignment works, a chart may
-instead be certified on an explicit Zariski cover whose unit-ideal
+A chart is smooth over the model ring Z[u,x,y]/(u^2xy - pi) or
+Z[u,x]/(u^2x - pi) when, after adjoining the model coordinates along their
+defining assignments, the relation is a member and the relative Jacobian has
+full rank everywhere on the chart.  Where no single assignment works, a chart
+may instead be certified on an explicit Zariski cover whose unit-ideal
 certificate is checked: each piece carries its own assignment, and is
 certified smooth over the model ring along that assignment.
 """
@@ -28,7 +26,6 @@ __all__ = [
     "model_cover_for_chart",
     "model_target_for_chart",
     "smooth_on_cover",
-    "smooth_over_base",
     "smooth_over_model",
 ]
 
@@ -200,39 +197,6 @@ def model_cover_for_chart(nf, bchart):
     return pieces
 
 
-def smooth_over_base(ideal, expected_dim=None):
-    """Absolute Jacobian criterion over the coefficient field.
-
-    With c = (number of variables) - dim V(I), the chart is smooth iff the
-    ideal plus the c x c minors of the Jacobian of its reduced basis is the
-    unit ideal.
-    """
-    instance = {"ring": ",".join(ideal.ring.variables)}
-    with checking("smooth-base", instance) as report:
-        basis = ideal.gb()
-        dim = krull_dim(ideal)
-        c = ideal.ring.nvars - dim
-        report.details["dim"] = dim
-        report.details["codim"] = c
-        if expected_dim is not None:
-            report.details["expected_dim"] = expected_dim
-            if dim != expected_dim:
-                report.status = FAIL
-                return report
-        if c == 0:
-            return report
-        jac = jacobian(list(basis), list(ideal.ring.variables))
-        mins = minors(jac, c)
-        total = Ideal(ideal.ring, list(ideal.generators) + mins)
-        ok, _ = ideal_member(ideal.ring.one(), total)
-        report.details["singular_locus_empty"] = ok
-        if not ok:
-            report.status = FAIL
-            gb = total.gb()
-            report.details["witness"] = str(gb[0]) if gb else "0"
-    return report
-
-
 def smooth_over_model(chart, target, rel_dim):
     """Relative smoothness of a chart over a model ring.
 
@@ -289,7 +253,6 @@ def _piece_chart(chart, piece):
     gens += [ring.var(t) * f.cast(ring) - 1 for t, f in piece.inverses]
     return ChartPresentation(
         name="%s on D(%s)" % (chart.name, piece.h),
-        ring=ring,
         ideal=Ideal(ring, gens),
     )
 

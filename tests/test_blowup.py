@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from lmlab.blowup import (
+    _pivot_to_z,
     build_B_blowup_charts,
     build_DT_blowup_chart,
     build_M_chart,
@@ -138,7 +139,7 @@ def test_chart_match_negative_control_wrong_dictionary():
     # the index pairing instead
     nf = normal_form(6, 2)
     s, t = 3, 1
-    sz, tz = nf.delta_pos(s), nf.deltac_pos(t)
+    sz, tz = _pivot_to_z(nf, s, t)
     bchart = build_DT_blowup_chart(nf, sz, tz)
     mchart = build_M_chart(nf, s, t)
     bring, mring = bchart.chart.ring, mchart.reduced.ring
@@ -162,7 +163,7 @@ def test_swapped_roles_on_square_z_is_a_symmetry():
     # form in sorted-position coordinates
     nf = normal_form(6, 3)
     s, t = 2, 1
-    sz, tz = nf.delta_pos(s), nf.deltac_pos(t)
+    sz, tz = _pivot_to_z(nf, s, t)
     bchart = build_DT_blowup_chart(nf, sz, tz)
     mchart = build_M_chart(nf, s, t)
     bring, mring = bchart.chart.ring, mchart.reduced.ring

@@ -446,7 +446,6 @@ def test_flatness_counterexample():
     ring = PolyRing(["pi", "z_1_1"])
     bad = ChartPresentation(
         name="pi-torsion",
-        ring=ring,
         ideal=Ideal(ring, ["pi*z_1_1"]),
     )
     rep = flatness_and_dimension(bad, 1)

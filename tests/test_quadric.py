@@ -8,7 +8,6 @@ from lmlab.quadric import (
     basic_scheme_map,
     build_basic_scheme,
     build_linked_chart_ideal,
-    torus_scaling_identity,
     verify_divisor_multiplicities_on_blowup_charts,
     verify_fiber_decomposition,
     verify_linked_chart,
@@ -110,9 +109,3 @@ def test_pi_not_in_y_cubed_directly():
     cube = Ideal(ring, list(chart.generators) + [ring.var("y") ** 3])
     ok, _ = ideal_member(ring.var("pi"), cube)
     assert not ok
-
-
-@pytest.mark.parametrize("d,delta", [(5, 1), (6, 2), (6, 3)])
-def test_torus_scaling_shadow(d, delta):
-    nf = normal_form(d, delta)
-    assert torus_scaling_identity(nf, nf.DeltaC[0], nf.Delta[0])

@@ -1,40 +1,18 @@
-"""Jacobian smoothness certificates, absolute and relative."""
+"""Relative Jacobian smoothness certificates."""
 
 from dataclasses import replace
 
-from lmlab.blowup import build_DT_blowup_chart, build_M_chart
-from lmlab.groebner import Ideal
+from lmlab.blowup import build_DT_blowup_chart
 from lmlab.lattice import normal_form
-from lmlab.poly import PolyRing, RingMap
+from lmlab.poly import RingMap
 from lmlab.verify import (
     ModelTarget,
     _model_target,
     model_cover_for_chart,
     model_target_for_chart,
     smooth_on_cover,
-    smooth_over_base,
     smooth_over_model,
 )
-
-
-def test_uv_pi_smooth_absolutely():
-    R = PolyRing(["pi", "u", "v"])
-    rep = smooth_over_base(Ideal(R, ["u*v - pi"]))
-    assert rep.status == "pass"
-
-
-def test_special_fiber_fails_at_origin():
-    R = PolyRing(["u", "v"])
-    rep = smooth_over_base(Ideal(R, ["u*v"]))
-    assert rep.status == "fail"
-    assert not rep.details["singular_locus_empty"]
-
-
-def test_reduced_m_chart_smooth_absolutely():
-    nf = normal_form(5, 1)
-    mc = build_M_chart(nf, 3, 1)
-    rep = smooth_over_base(mc.reduced.ideal)
-    assert rep.status == "pass"
 
 
 def test_smooth_over_ux_model_5_1():
@@ -82,15 +60,6 @@ def test_middle_pivot_rank_drop_is_detected():
     assert rep.status == "fail"
     assert rep.details["relation_member"]
     assert not rep.details["full_rank"]
-
-
-def test_smooth_base_agrees_on_model_smooth_chart():
-    # base-change sanity: a chart smooth over a model whose total space is
-    # smooth is smooth absolutely
-    nf = normal_form(5, 1)
-    bc = build_DT_blowup_chart(nf, 1, 1)
-    rep = smooth_over_base(bc.chart.ideal)
-    assert rep.status == "pass"
 
 
 def _twisted(piece, bchart):

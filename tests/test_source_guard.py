@@ -227,3 +227,24 @@ def test_lists_of_rows_are_the_only_matrix_form():
             ):
                 offenders.append("%s:%d" % (path.name, node.lineno))
     assert offenders == []
+
+
+def test_every_public_function_has_a_caller():
+    # a public module-level function or class stays only while the package
+    # or the acceptance suite refers to it by name; `__all__` strings do not
+    # count
+    sources = sorted(PACKAGE.glob("*.py")) + [Path(__file__).with_name("test_acceptance.py")]
+    public, used = {}, set()
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body if path.parent == PACKAGE else ():
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+                public[node.name] = "%s:%d" % (path.name, node.lineno)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert sorted(loc for name, loc in public.items() if name not in used) == []
