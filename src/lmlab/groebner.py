@@ -508,6 +508,11 @@ class _Engine:
 class BuchbergerRun:
     """One Buchberger computation, run to completion by `complete`.
 
+    The seeds are the distinct primitive forms of the generators.  They join
+    in ascending order of leading term, each first reduced against the
+    entries so far (Gebauer & Moeller, JSC 1988): a seed that reduces to zero
+    adds no entry, and any other joins reduced, with the sugar of its own
+    degree.  The cache key `key` is taken from the unreduced seeds.
     `entries` lists every basis element found, as (lt, lc, terms, sugar) in
     packed form; `active` maps the index of each entry whose leading term no
     later entry divides to its reducer (see `_divisors`), in index order:
@@ -530,8 +535,9 @@ class BuchbergerRun:
                 continue
             seen.add(fro)
             seeds.append(terms)
-        # seed deterministically, biggest leading term first
-        seeds.sort(key=max, reverse=True)
+        # seed deterministically, smallest leading term first; a stable sort,
+        # so seeds with equal leading terms keep the generators' order
+        seeds.sort(key=max)
         self.ring = ring
         # the reduced basis depends on nothing else
         self.key = (ring, pk.width, frozenset(seen))
@@ -549,8 +555,11 @@ class BuchbergerRun:
         eng, pk = self.eng, self._packing
         dm = pk.dmask
         for terms in self._seeds:
-            lt = max(terms)
-            self._add((lt, terms[lt], terms, max(map(dm.__and__, terms))))
+            h = eng.nf(terms, self.active.values())
+            if h:
+                lt = max(h)
+                # the sugar is the degree of the unreduced seed
+                self._add((lt, h[lt], h, max(map(dm.__and__, terms))))
         f, pairs, queue = self.entries, self._pairs, self._queue
         while queue:
             sug, i, j = heapq.heappop(queue)

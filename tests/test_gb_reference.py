@@ -2,9 +2,12 @@
 
 The first reference is the pair update and selection loop the engine had
 before its pairs were kept in a heap with cached lcms and support masks,
-copied unchanged together with the reduction it called.  The engine must
-process the same pairs in the same order, so a complete run must end with the
-same entry list and the same active set.  The engine's entries hold packed
+copied unchanged together with the reduction it called.  Its seed step
+follows the engine's: the seeds join in ascending order of leading term
+(a stable sort), each reduced against the entries so far, a seed that
+reduces to zero is skipped, and the others keep the sugar of the unreduced
+seed.  The engine must process the same pairs in the same order, so a
+complete run must end with the same entry list and the same active set.  The engine's entries hold packed
 monomials, so they are decoded before the comparison.  Unbounded runs on
 random ideals can take minutes, so the random draws keep the reference's
 degree bound as a filter: a draw is kept only if the bounded reference run
@@ -21,10 +24,15 @@ list order, so the residue and every cofactor must be equal.
 The third is the nonzerodivisor test the checks used before
 `is_nonzerodivisor`: v is a nonzerodivisor on R/I iff I contains (I : v).
 The two must give the same verdict.
+
+Last, since the reduced basis is unique, padding a generator set with
+redundant generators (scaled ones, monomial multiples and sums) must leave
+the basis that `buchberger` returns unchanged.
 """
 
 import time
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -250,15 +258,20 @@ def _groebner_int(int_gens, eng, degree_bound=None):
             continue
         seen[fro] = True
         seeds.append(terms)
-    # seed deterministically, biggest leading term first
-    seeds.sort(key=lambda t: eng.key(eng.lead(t)), reverse=True)
+    # seed deterministically, smallest leading term first; the sort is
+    # stable, so seeds with equal leading terms keep the generators' order
+    seeds.sort(key=lambda t: eng.key(eng.lead(t)))
 
     G = set()
     B = {}
     partial = False
     for terms in seeds:
-        lt = eng.lead(terms)
-        entry = (lt, terms[lt], terms, max(sum(e) for e in terms))
+        # reduced against the entries so far, with the sugar of the seed
+        h = eng.nf(terms, [f[g][:3] for g in sorted(G)])
+        if not h:
+            continue
+        lt = eng.lead(h)
+        entry = (lt, h[lt], h, max(sum(e) for e in terms))
         ih = len(f)
         f.append(entry)
         G, B = _update(f, G, B, ih, eng)
@@ -433,16 +446,21 @@ def test_same_run_on_U_and_small(d, delta):
     assert_same_run(small.ideal)
 
 
-def test_same_run_on_x_ring_ideal_under_the_elimination_order():
-    # the basis that complete-mode za1 computes: Y = -X^t, then the block
-    # order on the non-Z entries in x_ring order
+def _elimination_ideal_at_5_1():
+    """The ideal H and the order of the basis that complete-mode za1 computes
+    at 5:1: Y = -X^t, then the block order on the non-Z entries in x_ring
+    order."""
     nf = normal_form(5, 1)
     xr = x_ring(nf)
     X = named_matrix(xr.var, "x", nf.d)
     H = list(_naive_relations(nf, X, [[-v for v in col] for col in zip(*X)], xr.var("pi")))
     z_entries = {"x_%d_%d" % ab for _, ab in nf.z_cells}
     targets = [v for v in xr.variables if v != "pi" and v not in z_entries]
-    assert_same_run(Ideal(xr, H), order=Block(targets))
+    return Ideal(xr, H), Block(targets)
+
+
+def test_same_run_on_x_ring_ideal_under_the_elimination_order():
+    assert_same_run(*_elimination_ideal_at_5_1())
 
 
 def test_same_run_on_block_elimination_of_M_chart():
@@ -613,3 +631,49 @@ def test_same_nzd_verdict_on_small_ideals(gens, order, k, zero_divisor):
     if zero_divisor:
         ideal = with_zero_divisor(ideal, v)
     assert_same_nzd_verdict(ideal, v)
+
+
+# ---------------------------------------------------------- redundant seeds
+
+
+def _padded(gens, scale, monomial, pairs):
+    """The generators, then each scaled and each times the monomial, then
+    the sum of each given pair of them: the same ideal, with redundant
+    seeds."""
+    return (
+        list(gens)
+        + [g * scale for g in gens]
+        + [g * monomial for g in gens]
+        + [gens[i] + gens[j] for i, j in pairs]
+    )
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    gens=st.lists(_ml_polys, min_size=1, max_size=4),
+    order=_orders,
+    scale=_coeffs,
+    monomial=_ml_exponents,
+    rnd=st.randoms(use_true_random=False),
+)
+def test_redundant_seeds_leave_the_basis(gens, order, scale, monomial, rnd):
+    R = PolyRing(["x", "y", "z"], order)
+    gens = [R.poly({e: Fraction(c) for e, c in g.items()}) for g in gens]
+    pairs = combinations(range(len(gens)), 2)
+    pad = _padded(gens, scale, R.poly({monomial: Fraction(1)}), pairs)
+    rnd.shuffle(pad)
+    assert buchberger(Ideal(R, pad))[0] == buchberger(Ideal(R, gens))[0]
+
+
+def test_redundant_seeds_leave_the_elimination_basis_at_5_1():
+    ideal, order = _elimination_ideal_at_5_1()
+    run = BuchbergerRun(ideal, order)
+    basis = run.complete()
+    # 325 generators give 224 seeds; each reduced against the entries so far,
+    # they leave no entry beyond the 25 of the reduced basis
+    assert (len(ideal.generators), len(run._seeds)) == (325, 224)
+    assert len(run.entries) == len(basis) == 25
+    gens = list(ideal.generators)
+    neighbours = zip(range(len(gens) - 1), range(1, len(gens)))
+    pad = _padded(gens, Fraction(-3, 2), ideal.ring.var("pi"), neighbours)
+    assert buchberger(Ideal(ideal.ring, pad[::-1]), order)[0] == basis

@@ -367,6 +367,20 @@ def test_short_reduction_reads_the_deadline():
     assert r == R.one()
 
 
+def test_seed_reduction_reads_the_deadline():
+    # y and x have coprime leading terms, so their one pair is pruned, and
+    # the seed x + y reduces to zero: the run forms no S-polynomial, and only
+    # the reductions of its seeds can read the clock
+    R = PolyRing(["x", "y"])
+    I = Ideal(R, ["x", "y", "x + y"])
+    run = groebner.BuchbergerRun(I)
+    assert run.complete() == (R.var("y"), R.var("x"))
+    assert len(run.entries) == 2
+    with pytest.raises(GBTimeout), deadline(1e-9):
+        time.sleep(0.001)
+        buchberger(I)
+
+
 def test_budget_reaches_every_reduction(monkeypatch):
     # the generator check of Ideal.gb and the exact divisions of quotient
     # reduce under the enclosing deadline
