@@ -27,6 +27,7 @@ from .report import FAIL, checking
 __all__ = [
     "BlowupChart",
     "MChart",
+    "affine_chart",
     "build_B_blowup_charts",
     "build_DT_blowup_chart",
     "build_M_chart",
@@ -210,8 +211,8 @@ def build_M_chart(nf, s, t):
 
     The full ideal carries the eliminable coordinate relations: the M-side x
     coordinates are -lambda Q2 times a flipped y, the N-side y coordinates
-    lambda Q1 times a flipped x.  Eliminating them must give exactly the
-    reduced hypersurface lambda^2 Q2(x) Q1(y) + pi with the two pins.
+    lambda Q1 times a flipped x.  The reduced ideal is the hypersurface
+    lambda^2 Q2(x) Q1(y) + pi with the two pins.
     """
     _pivot_to_z(nf, s, t)  # raises LatticeError for a pivot outside Delta x DeltaC
     flip = nf.incl_flip
@@ -244,15 +245,27 @@ def build_M_chart(nf, s, t):
             ],
         ),
     )
-
-    removed = ["x_%d" % i for i in nf.DeltaC] + ["y_%d" % j for j in nf.Delta]
-    E = eliminate(full_cp.ideal, removed)
-    Ecast = Ideal(red, [g.cast(red) for g in E.generators])
-    if not ideal_equal(Ecast, red_cp.ideal):
-        raise PolyError(
-            "full/reduced resolution charts disagree after elimination at (%d,%d)" % (s, t)
-        )
     return MChart(full=full_cp, reduced=red_cp)
+
+
+def affine_chart(nf, s, t):
+    """The full resolution chart eliminates to the reduced one.
+
+    Eliminating the M-side x and the N-side y coordinates from the full ideal
+    must give exactly the reduced hypersurface lambda^2 Q2(x) Q1(y) + pi with
+    the two pins.
+    """
+    instance = {"d": nf.d, "delta": nf.delta, "pivot": [s, t]}
+    with checking("affine-chart", instance) as report:
+        mchart = build_M_chart(nf, s, t)
+        removed = ["x_%d" % i for i in nf.DeltaC] + ["y_%d" % j for j in nf.Delta]
+        E = eliminate(mchart.full.ideal, removed)
+        red = mchart.reduced.ring
+        ok = ideal_equal(Ideal(red, [g.cast(red) for g in E.generators]), mchart.reduced.ideal)
+        report.details["elimination_equality"] = ok
+        if not ok:
+            report.status = FAIL
+    return report
 
 
 # ------------------------------------------------------------- chart match

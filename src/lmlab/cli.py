@@ -114,8 +114,7 @@ def cmd_build(args):
     elif args.object == "u-naive-small":
         chart = build_U_ideals(nf)[1]
     else:
-        with deadline(args.timeout_s):
-            chart = build_DT_ideal(nf)
+        chart = build_DT_ideal(nf)
     _write(args.out, write_ideal_text(chart.ideal))
     return EXIT_OK
 
@@ -212,7 +211,6 @@ def build_parser():
     add_instance(p)
     p.add_argument("--object", choices=_OBJECTS, required=True)
     p.add_argument("--out", default="-", help="output path (default stdout)")
-    add_timeout(p)
     p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("gb", help="reduced Groebner basis of a .ideal file")

@@ -119,11 +119,15 @@ def _check_za1(nf, mode, seed, pivots):
 
 
 def _check_dt_equals_u(nf, mode, seed, pivots):
-    from .localmodel import build_DT_ideal
+    # DT's displayed sum is 2 T(Z), so DT must equal U; a Groebner comparison proves it
+    from .groebner import ideal_equal
+    from .localmodel import build_DT_ideal, build_U_ideals
 
     with checking("dt-equals-u", {"d": nf.d, "delta": nf.delta}) as rep:
-        build_DT_ideal(nf)
-        rep.unit_notes.append("displayed sum equals 2*(trace quadric + 2 pi)")
+        if ideal_equal(build_DT_ideal(nf).ideal, build_U_ideals(nf)[0].ideal):
+            rep.unit_notes.append("displayed sum equals 2*(trace quadric + 2 pi)")
+        else:
+            rep.status = FAIL
     return [rep]
 
 
@@ -197,16 +201,9 @@ def _m_pivots(nf, pivots):
 
 
 def _check_affine_chart(nf, mode, seed, pivots):
-    from .blowup import build_M_chart
+    from .blowup import affine_chart
 
-    reports = []
-    for s, t in _m_pivots(nf, pivots):
-        instance = {"d": nf.d, "delta": nf.delta, "pivot": [s, t]}
-        with checking("affine-chart", instance) as rep:
-            build_M_chart(nf, s, t)
-            rep.details["elimination_equality"] = True
-        reports.append(rep)
-    return reports
+    return [affine_chart(nf, s, t) for s, t in _m_pivots(nf, pivots)]
 
 
 def _check_chart_match(nf, mode, seed, pivots):

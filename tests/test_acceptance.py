@@ -15,7 +15,6 @@ import time
 from lmlab.groebner import Ideal, buchberger, krull_dim
 from lmlab.lattice import normal_form
 from lmlab.localmodel import (
-    build_DT_ideal,
     build_U_ideals,
     flatness_and_dimension,
     verify_annihilator,
@@ -23,7 +22,7 @@ from lmlab.localmodel import (
     z_matrix,
 )
 from lmlab.poly import minors
-from lmlab.suite import SuiteConfig, run_suite, strip_timings
+from lmlab.suite import SuiteConfig, run_check, run_suite, strip_timings
 
 GRID = [(5, 1), (5, 2), (6, 1), (6, 2), (6, 3), (7, 2), (7, 3)]
 
@@ -70,9 +69,11 @@ def test_criterion_03_dt_equals_u():
     ok = True
     for d, delta in GRID:
         t0 = time.monotonic()
-        build_DT_ideal(normal_form(d, delta))  # raises on GB inequality
+        (rep,) = run_check("dt-equals-u", d, delta)
         dt = time.monotonic() - t0
         assert dt <= 5.0, (d, delta, dt)
+        assert rep.status == "pass", (d, delta, rep.details)
+        ok = ok and rep.status == "pass"
     announce(3, "determinantal chart GB-equal to the reduced chart on all of G", ok)
 
 
@@ -152,7 +153,7 @@ def test_criterion_07_smooth_over_model_every_pivot():
 
 def test_criterion_08_resolution_charts():
     from lmlab.blowup import (
-        build_M_chart,
+        affine_chart,
         chart_match,
         exceptional_locus,
         linking_multipliers,
@@ -163,7 +164,9 @@ def test_criterion_08_resolution_charts():
         nf = normal_form(d, delta)
         for s in nf.Delta:
             for t in nf.DeltaC:
-                build_M_chart(nf, s, t)  # raises if full/reduced disagree
+                rep = affine_chart(nf, s, t)
+                assert rep.status == "pass", (d, delta, s, t, rep.details)
+                assert rep.details["elimination_equality"] is True
                 rep = chart_match(nf, s, t)
                 assert rep.status == "pass" and rep.details["unit_4"], (d, delta, s, t)
                 rep = exceptional_locus(nf, s, t)

@@ -227,7 +227,6 @@ def test_env_timeout_is_read():
 
 
 _BUDGET_COMMANDS = {
-    "build": ["build", "--d", "5", "--delta", "1", "--object", "dt"],
     "gb": ["gb", "{ideal}"],
     "verify": ["verify", "dt-equals-u", "--d", "5", "--delta", "1"],
     "suite": ["suite", "--grid", "5:1", "--checks", "dt-equals-u"],
@@ -387,6 +386,58 @@ def test_every_check_reports_a_timeout_at_its_own_instance(monkeypatch):
         + [("flatness-dims", ("chart",))] * 2
     )
     assert len({(r.check, json.dumps(r.instance, sort_keys=True)) for r in reports}) == 31
+
+
+def test_a_failed_chart_proof_fails_its_own_claim(monkeypatch):
+    # the M-chart elimination and DT = U are proved by the checks that report
+    # them, so a failed proof is a `fail` of that claim, not an `error` report
+    # that replaces every claim of the check
+    from lmlab import blowup, groebner
+    from lmlab.suite import run_instance
+
+    real = blowup.ideal_equal
+
+    def unequal_in_affine_chart(I, J):
+        return False if sys._getframe(1).f_code.co_name == "affine_chart" else real(I, J)
+
+    monkeypatch.setattr(blowup, "ideal_equal", unequal_in_affine_chart)
+    reports = run_instance(["affine-chart", "chart-match", "exceptional"], 5, 1)
+    affine = [rep for rep in reports if rep.check == "affine-chart"]
+    assert [rep.instance["pivot"] for rep in affine] == [
+        list(ab) for _, ab in normal_form(5, 1).z_cells
+    ]
+    assert all(rep.status == "fail" for rep in affine)
+    assert all(rep.details == {"elimination_equality": False} for rep in affine)
+    assert all(rep.status == "pass" for rep in reports if rep.check != "affine-chart")
+    assert all("error" not in rep.details for rep in reports)
+
+    monkeypatch.setattr(groebner, "ideal_equal", lambda I, J: False)
+    (rep,) = run_instance(["dt-equals-u"], 5, 1)
+    assert (rep.check, rep.status, rep.unit_notes) == ("dt-equals-u", "fail", [])
+    assert "error" not in rep.details
+
+
+def test_builders_make_no_groebner_call(monkeypatch, tmp_path, capsys):
+    from lmlab import cli, groebner
+    from lmlab.blowup import build_M_chart
+
+    def no_run(self):
+        raise AssertionError("a chart builder ran Buchberger")
+
+    monkeypatch.setattr(groebner.BuchbergerRun, "complete", no_run)
+    nf = normal_form(5, 1)
+    for _, (s, t) in nf.z_cells:
+        build_M_chart(nf, s, t)
+    build_DT_ideal(nf)
+    path = tmp_path / "dt.ideal"
+    with pytest.raises(SystemExit) as done:
+        cli.main(["build", "--d", "5", "--delta", "1", "--object", "dt", "--out", str(path)])
+    assert done.value.code == 0
+    assert len(read_ideal_text(path.read_text()).generators) == 1
+    # with nothing to budget, build takes no budget
+    with pytest.raises(SystemExit):
+        cli.main(["build", "--help"])
+    assert "--timeout-s" not in capsys.readouterr().out
 
 
 def test_budget_covers_every_operation_of_a_check(monkeypatch):

@@ -21,7 +21,6 @@ from lmlab.localmodel import (
     _verify_complete,
     big_ring,
     block_substitution,
-    build_DT_ideal,
     build_naive_chart_ideal,
     build_U_ideals,
     flatness_and_dimension,
@@ -126,7 +125,9 @@ def test_small_ideal_vanishes_at_origin():
 
 @pytest.mark.parametrize("d,delta", [(5, 1), (6, 2), (7, 3)])
 def test_dt_equals_u(d, delta):
-    build_DT_ideal(normal_form(d, delta))  # raises on GB inequality
+    (rep,) = run_check("dt-equals-u", d, delta)
+    assert rep.status == "pass", rep.details
+    assert rep.unit_notes == ["displayed sum equals 2*(trace quadric + 2 pi)"]
 
 
 def test_U_ideal_plus_Z_is_Z_plus_pi():
