@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .groebner import Ideal, buchberger, deadline, read_ideal_text, write_ideal_text
@@ -15,7 +16,6 @@ from .suite import (
     CHECK_NAMES,
     ConfigError,
     SuiteConfig,
-    default_timeout,
     dump_payload,
     exit_code,
     report_payload,
@@ -196,7 +196,9 @@ def build_parser():
         p.add_argument("--delta", type=int, required=True, help="lattice invariant, 1 <= delta <= d/2")
 
     def add_timeout(p):
-        p.add_argument("--timeout-s", type=timeout_value, default=default_timeout(),
+        # a string default goes through timeout_value only for the chosen command
+        p.add_argument("--timeout-s", type=timeout_value,
+                       default=os.environ.get("LMLAB_TIMEOUT_S") or None,
                        help="Groebner budget for each check (env LMLAB_TIMEOUT_S)")
 
     def add_common(p):

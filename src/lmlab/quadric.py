@@ -171,15 +171,30 @@ def verify_fiber_decomposition():
 
 
 def verify_divisor_multiplicities_on_blowup_charts():
-    """Branch multiplicities of pi on the two blow-up charts of B."""
+    """Branch multiplicities of pi on the two blow-up charts of B.
+
+    The charts are first proved to be blow-up charts: each substitution kills
+    B's ideal modulo the chart equation, and the blown-up center becomes
+    principal, (w1, v) = (v) and (w2, u) = (u) on I, (u, w2) = (w2) on II.
+    """
     from .blowup import build_B_blowup_charts
 
     with checking("b-blowup", {"scheme": "basic"}) as report:
-        chart1, chart2 = build_B_blowup_charts()
-        r1 = chart1.ring
+        charts = build_B_blowup_charts()
+        (chart1, map1), (chart2, map2) = charts
+        r1, r2 = chart1.ring, chart2.ring
+        gens = build_basic_scheme().ideal.generators
+        unkilled = [chart.name for chart, fmap in charts
+                    if not all(ideal_member(fmap(g), chart.ideal)[0] for g in gens)]
+        centers = ((map1, "w1", r1.var("v")), (map1, "w2", r1.var("u")), (map2, "u", r2.var("w2")))
+        not_principal = [str(fmap(w)) for fmap, w, c in centers
+                         if not ideal_equal(Ideal(c.ring, [fmap(w), c]), Ideal(c.ring, [c]))]
+        if unkilled:
+            report.details["substitution_failures"] = unkilled
+        if not_principal:
+            report.details["center_not_principal"] = not_principal
         ok1 = ideal_member(r1.var("pi") - r1.var("u") * r1.var("v"), chart1.ideal)[0]
         report.details["chart_I_pi_eq_uv"] = ok1
-        r2 = chart2.ring
         prod = r2.var("w1") * r2.var("w2") * r2.var("y") ** 2
         ok2 = ideal_member(r2.var("pi") + prod, chart2.ideal)[0]
         report.details["chart_II_pi_eq_-w1w2y2"] = ok2
@@ -187,6 +202,6 @@ def verify_divisor_multiplicities_on_blowup_charts():
         not_cubed = not ideal_member(r2.var("pi"), cube)[0]
         report.details["pi_not_in_y_cubed"] = not_cubed
         report.unit_notes.append("multiplicities (1,1,2): pi = u*v and pi = -w1*w2*y^2")
-        if not (ok1 and ok2 and not_cubed):
+        if unkilled or not_principal or not (ok1 and ok2 and not_cubed):
             report.status = FAIL
     return report

@@ -16,7 +16,6 @@ check runs in its own `deadline()` block.
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -102,11 +101,6 @@ def timeout_value(value):
                       "must be a number of seconds > 0, got %r" % (value,))
 
 
-def default_timeout():
-    env = os.environ.get("LMLAB_TIMEOUT_S")
-    return timeout_value(env) if env else None
-
-
 def _wrap_error(check, instance, exc):
     status, key = exception_status(exc)
     return VerificationReport(check, instance, status, details={key: str(exc)})
@@ -180,6 +174,7 @@ def _check_b_blowup(nf, mode, seed, pivots):
 
 def _check_quadbu_smooth(nf, mode, seed, pivots):
     from .blowup import build_DT_blowup_chart
+    from .groebner import Ideal, eliminate, ideal_equal
     from .verify import model_target_for_chart, smooth_over_model
 
     reports = []
@@ -188,10 +183,18 @@ def _check_quadbu_smooth(nf, mode, seed, pivots):
         instance = {"d": nf.d, "delta": nf.delta, "pivot": [s, t]}
         with checking("quadbu-smooth", instance) as rep:
             bc = build_DT_blowup_chart(nf, s, t)
-            tgt = model_target_for_chart(nf, bc)
-            chart_rep = smooth_over_model(bc.chart, tgt, rel)
-            rep.status = chart_rep.status
-            rep.details.update(chart_rep.details, target=tgt.kind)
+            # eliminating the dependent bu variables (the ambient ones not in
+            # the reduced ring) must recover the reduced chart
+            red = bc.chart.ring
+            E = eliminate(bc.ambient.ideal, set(bc.ambient.ring.variables) - set(red.variables))
+            if not ideal_equal(Ideal(red, [g.cast(red) for g in E.generators]), bc.chart.ideal):
+                rep.status = FAIL
+                rep.details["ambient_elimination"] = False
+            else:
+                tgt = model_target_for_chart(nf, bc)
+                chart_rep = smooth_over_model(bc.chart, tgt, rel)
+                rep.status = chart_rep.status
+                rep.details.update(chart_rep.details, target=tgt.kind)
         reports.append(rep)
     return reports
 

@@ -17,12 +17,17 @@ from lmlab.groebner import Ideal, ideal_equal, ideal_member, quotient, reduce_po
 from lmlab.lattice import LatticeError, normal_form
 from lmlab.localmodel import flatness_and_dimension
 from lmlab.poly import RingMap, parse_poly
+from lmlab.quadric import build_basic_scheme
 
 
 def test_b_blowup_charts_build_and_membership():
-    chart1, chart2 = build_B_blowup_charts()
+    (chart1, map1), (chart2, map2) = build_B_blowup_charts()
     assert [str(g) for g in chart1.ideal.generators] == ["u*v - pi"]
     assert [str(g) for g in chart2.ideal.generators] == ["w1*w2*y^2 + pi"]
+    b = build_basic_scheme()
+    for chart, fmap in ((chart1, map1), (chart2, map2)):
+        assert fmap.source.variables == b.ring.variables and fmap.target is chart.ring
+        assert all(ideal_member(fmap(g), chart.ideal)[0] for g in b.ideal.generators)
 
 
 def test_dt_blowup_5_1_reduced_equation():

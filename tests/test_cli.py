@@ -250,6 +250,16 @@ def test_invalid_budget_exits_64(tmp_path, command, budget):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["lattice", "--d", "5", "--delta", "1"],
+    ["build", "--d", "5", "--delta", "1", "--object", "dt"],
+])
+def test_commands_without_a_budget_ignore_the_budget_variable(args):
+    # only the chosen command converts LMLAB_TIMEOUT_S, and these take no budget
+    out = run_cli(*args, env={"LMLAB_TIMEOUT_S": "nan"})
+    assert out.returncode == 0, out.stderr
+
+
 def test_suite_json_determinism(tmp_path):
     config = SuiteConfig(grid=[(5, 1)], checks=["dt-equals-u", "annihilator"], seed=7)
     code1, payload1 = run_suite(config)
@@ -389,10 +399,13 @@ def test_every_check_reports_a_timeout_at_its_own_instance(monkeypatch):
 
 
 def test_a_failed_chart_proof_fails_its_own_claim(monkeypatch):
-    # the M-chart elimination and DT = U are proved by the checks that report
-    # them, so a failed proof is a `fail` of that claim, not an `error` report
-    # that replaces every claim of the check
-    from lmlab import blowup, groebner
+    # every chart proof is made by the check that reports it, so a failed
+    # proof is a `fail` of that claim, not an `error` report that replaces
+    # every claim of the check
+    import dataclasses
+
+    from lmlab import blowup, groebner, localmodel, quadric
+    from lmlab.groebner import Ideal
     from lmlab.suite import run_instance
 
     real = blowup.ideal_equal
@@ -403,9 +416,8 @@ def test_a_failed_chart_proof_fails_its_own_claim(monkeypatch):
     monkeypatch.setattr(blowup, "ideal_equal", unequal_in_affine_chart)
     reports = run_instance(["affine-chart", "chart-match", "exceptional"], 5, 1)
     affine = [rep for rep in reports if rep.check == "affine-chart"]
-    assert [rep.instance["pivot"] for rep in affine] == [
-        list(ab) for _, ab in normal_form(5, 1).z_cells
-    ]
+    nf = normal_form(5, 1)
+    assert [rep.instance["pivot"] for rep in affine] == [list(ab) for _, ab in nf.z_cells]
     assert all(rep.status == "fail" for rep in affine)
     assert all(rep.details == {"elimination_equality": False} for rep in affine)
     assert all(rep.status == "pass" for rep in reports if rep.check != "affine-chart")
@@ -416,19 +428,65 @@ def test_a_failed_chart_proof_fails_its_own_claim(monkeypatch):
     assert (rep.check, rep.status, rep.unit_notes) == ("dt-equals-u", "fail", [])
     assert "error" not in rep.details
 
+    # the ambient blow-up chart does not eliminate to the reduced one: each
+    # pivot fails, and its smoothness is not claimed
+    reports = run_instance(["quadbu-smooth"], 5, 1)
+    assert [rep.instance["pivot"] for rep in reports] == [list(ij) for ij, _ in nf.z_cells]
+    assert all(rep.status == "fail" for rep in reports)
+    assert all(rep.details == {"ambient_elimination": False} for rep in reports)
+    monkeypatch.undo()
+
+    # a substitution that does not kill B on chart I, and no principal center
+    real_b = blowup.build_B_blowup_charts
+
+    def wrong_chart_I():
+        (chart1, map1), chart_II = real_b()
+        r1 = chart1.ring
+        wrong = dataclasses.replace(chart1, ideal=Ideal(r1, [r1.var("u") - r1.var("pi")]))
+        return (wrong, map1), chart_II
+
+    monkeypatch.setattr(blowup, "build_B_blowup_charts", wrong_chart_I)
+    monkeypatch.setattr(quadric, "ideal_equal", lambda I, J: False)
+    (rep,) = run_instance(["b-blowup"], 5, 1)
+    assert (rep.check, rep.instance["scheme"], rep.status) == ("b-blowup", "basic", "fail")
+    assert rep.details["substitution_failures"] == ["b-blowup-I"]
+    assert rep.details["center_not_principal"] == ["v*x", "-u*x", "-w2*y"]
+    assert "error" not in rep.details
+    monkeypatch.undo()
+
+    # a closed trace formula that is not the block trace fails za1 alone
+    real_sum = localmodel._closed_sum
+    monkeypatch.setattr(localmodel, "_closed_sum", lambda Z: 2 * real_sum(Z))
+    reports = run_instance(["za1", "dt-equals-u", "annihilator", "flatness-dims"], 5, 1)
+    (za1,) = [rep for rep in reports if rep.check == "za1"]
+    assert (za1.instance["mode"], za1.status, za1.details["block_trace"]) == ("sound", "fail", False)
+    assert [rep.status for rep in reports if rep.check != "za1"] == ["pass"] * 4
+    assert [rep.instance["chart"] for rep in reports if rep.check == "flatness-dims"] == [
+        "u[5,1]", "segre-cone"
+    ]
+    assert all("error" not in rep.details for rep in reports)
+
 
 def test_builders_make_no_groebner_call(monkeypatch, tmp_path, capsys):
-    from lmlab import cli, groebner
-    from lmlab.blowup import build_M_chart
+    from lmlab import cli, groebner, localmodel
+    from lmlab.blowup import build_B_blowup_charts, build_DT_blowup_chart, build_M_chart
 
     def no_run(self):
         raise AssertionError("a chart builder ran Buchberger")
 
     monkeypatch.setattr(groebner.BuchbergerRun, "complete", no_run)
     nf = normal_form(5, 1)
-    for _, (s, t) in nf.z_cells:
+    for (i, j), (s, t) in nf.z_cells:
         build_M_chart(nf, s, t)
+        build_DT_blowup_chart(nf, i, j)
     build_DT_ideal(nf)
+    build_B_blowup_charts()
+
+    def no_block(nf, Z):
+        raise AssertionError("trace_form built the diagonal block")
+
+    monkeypatch.setattr(localmodel, "_diagonal_block", no_block)
+    assert str(localmodel.trace_form(nf)) == "z_1_2*z_1_3 + z_1_1*z_1_4"
     path = tmp_path / "dt.ideal"
     with pytest.raises(SystemExit) as done:
         cli.main(["build", "--d", "5", "--delta", "1", "--object", "dt", "--out", str(path)])

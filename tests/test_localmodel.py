@@ -94,8 +94,13 @@ def test_trace_form_examples():
 
 @pytest.mark.parametrize("d,delta", GRID)
 def test_trace_form_block_cross_check(d, delta):
-    # trace_form raises internally if the closed and block formulas disagree
-    trace_form(normal_form(d, delta))
+    # za1 proves that the closed formula equals the trace of the section's
+    # diagonal block
+    nf = normal_form(d, delta)
+    psi = block_substitution(nf)
+    assert trace_form(nf, psi.target) == sum(psi.images["x_%d_%d" % (a, a)] for a in nf.Delta)
+    rep = verify_presentation(nf)
+    assert rep.status == "pass" and "block_trace" not in rep.details
 
 
 def test_U_ideal_5_1_single_quadric():

@@ -92,6 +92,19 @@ def test_claim_modules_test_membership_through_ideal_member():
     assert offenders == []
 
 
+def test_claim_modules_raise_only_on_bad_input():
+    # a failed proof is a `fail` of its claim; the only exception these
+    # modules raise is LatticeError, for bad input
+    offenders = []
+    for name in ("blowup.py", "localmodel.py", "quadric.py", "verify.py"):
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if not (isinstance(exc, ast.Name) and exc.id == "LatticeError"):
+                    offenders.append("%s:%d" % (name, node.lineno))
+    assert offenders == []
+
+
 def test_groebner_does_not_import_fractions():
     # the engine reads Polynomial's integer numerators and denominator
     tree = ast.parse((PACKAGE / "groebner.py").read_text(encoding="utf-8"))
