@@ -10,18 +10,20 @@ model chart with the resolution by additional lines.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import wraps
 
 from .groebner import (
     Ideal,
+    eliminates_to,
     ideal_equal,
     ideal_member,
-    eliminate,
     is_nonzerodivisor,
 )
 from .lattice import LatticeError, q1_form, q2_form
 from .localmodel import ChartPresentation
-from .poly import PolyRing, RingMap
+from .poly import Block, PolyRing, Polynomial, RingMap
 from .report import FAIL, checking
 
 __all__ = [
@@ -32,6 +34,7 @@ __all__ = [
     "build_DT_blowup_chart",
     "build_M_chart",
     "chart_match",
+    "chart_memo",
     "exceptional_locus",
     "linking_multipliers",
 ]
@@ -49,6 +52,46 @@ class BlowupChart:
 class MChart:
     full: ChartPresentation
     reduced: ChartPresentation
+    eliminated: tuple  # the M-side x and N-side y coordinates, in ring order
+    q2x: Polynomial  # Q2(x) and Q1(y) in the full ring
+    q1y: Polynomial
+
+
+# --------------------------------------------------------- one chart per pivot
+
+_charts = None  # (builder, nf, s, t) -> chart, inside chart_memo()
+
+
+@contextmanager
+def chart_memo():
+    """Within the block, each chart builder builds a chart once per (nf, s, t).
+
+    Later calls return the same object, so the Groebner bases and reducers
+    that its ideals cache are shared too.  The block starts empty, and
+    leaving it, also by an exception, restores whatever was active before.
+    The suite opens one block per instance, beside `basis_cache()`.
+    """
+    global _charts
+    saved, _charts = _charts, {}
+    try:
+        yield
+    finally:
+        _charts = saved
+
+
+def _once_per_memo(builder):
+    """The builder, returning inside `chart_memo()` one chart per (nf, s, t)."""
+
+    @wraps(builder)
+    def build(nf, s, t):
+        if _charts is None:
+            return builder(nf, s, t)
+        key = (builder.__name__, nf, s, t)
+        if key not in _charts:
+            _charts[key] = builder(nf, s, t)
+        return _charts[key]
+
+    return build
 
 
 # ----------------------------------------------- blow-up of the basic scheme
@@ -104,6 +147,7 @@ def build_B_blowup_charts():
 # --------------------------------------------- blow-up charts of the chart
 
 
+@_once_per_memo
 def build_DT_blowup_chart(nf, s, t):
     """Blow-up chart of the determinantal chart at the pivot entry (s, t).
 
@@ -168,32 +212,29 @@ def build_DT_blowup_chart(nf, s, t):
 # --------------------------------------------------- resolution charts
 
 
-def m_chart_rings(nf):
-    d = nf.d
-    full = PolyRing(
-        ["pi", "lambda"]
-        + ["x_%d" % i for i in range(1, d + 1)]
-        + ["y_%d" % j for j in range(1, d + 1)]
-    )
-    red = PolyRing(
-        ["pi", "lambda"]
-        + ["x_%d" % i for i in nf.Delta]
-        + ["y_%d" % j for j in nf.DeltaC]
-    )
-    return full, red
-
-
+@_once_per_memo
 def build_M_chart(nf, s, t):
     """Resolution chart pinned at x_s = 1 (s in Delta), y_t = 1 (t in DeltaC).
 
     The full ideal carries the eliminable coordinate relations: the M-side x
     coordinates are -lambda Q2 times a flipped y, the N-side y coordinates
-    lambda Q1 times a flipped x.  The reduced ideal is the hypersurface
-    lambda^2 Q2(x) Q1(y) + pi with the two pins.
+    lambda Q1 times a flipped x.  Those are the `eliminated` coordinates, and
+    the full ring is ordered to eliminate them (`Block(eliminated)`), so that
+    the elimination and the membership tests in the full ideal share one
+    basis.  The reduced ideal is the hypersurface lambda^2 Q2(x) Q1(y) + pi
+    with the two pins.
     """
     _pivot_to_z(nf, s, t)  # raises LatticeError for a pivot outside Delta x DeltaC
-    flip = nf.incl_flip
-    full, red = m_chart_rings(nf)
+    d, flip = nf.d, nf.incl_flip
+    names = (
+        ["pi", "lambda"]
+        + ["x_%d" % i for i in range(1, d + 1)]
+        + ["y_%d" % j for j in range(1, d + 1)]
+    )
+    removed = {"x_%d" % i for i in nf.DeltaC} | {"y_%d" % j for j in nf.Delta}
+    eliminated = tuple(v for v in names if v in removed)
+    full = PolyRing(names, Block(eliminated))
+    red = PolyRing([v for v in names if v not in removed])
     lam = full.var("lambda")
     q2x = q2_form(nf, full, var="x")
     q1y = q1_form(nf, full, var="y")
@@ -222,7 +263,7 @@ def build_M_chart(nf, s, t):
             ],
         ),
     )
-    return MChart(full=full_cp, reduced=red_cp)
+    return MChart(full_cp, red_cp, eliminated, q2x, q1y)
 
 
 def affine_chart(nf, s, t):
@@ -235,10 +276,7 @@ def affine_chart(nf, s, t):
     instance = {"d": nf.d, "delta": nf.delta, "pivot": [s, t]}
     with checking("affine-chart", instance) as report:
         mchart = build_M_chart(nf, s, t)
-        removed = ["x_%d" % i for i in nf.DeltaC] + ["y_%d" % j for j in nf.Delta]
-        E = eliminate(mchart.full.ideal, removed)
-        red = mchart.reduced.ring
-        ok = ideal_equal(Ideal(red, [g.cast(red) for g in E.generators]), mchart.reduced.ideal)
+        ok = eliminates_to(mchart.full.ideal, mchart.eliminated, mchart.reduced.ideal)
         report.details["elimination_equality"] = ok
         if not ok:
             report.status = FAIL
@@ -349,9 +387,7 @@ def exceptional_locus(nf, s, t):
         ring = mchart.full.ring
         lam = ring.var("lambda")
         with_lam = Ideal(ring, list(mchart.full.ideal.generators) + [lam])
-        expected = [lam, ring.var("pi")]
-        expected += [ring.var("x_%d" % i) for i in nf.DeltaC]
-        expected += [ring.var("y_%d" % j) for j in nf.Delta]
+        expected = [lam, ring.var("pi")] + [ring.var(v) for v in mchart.eliminated]
         expected += [ring.var("x_%d" % s) - 1, ring.var("y_%d" % t) - 1]
         expected_ideal = Ideal(ring, expected)
         ok_locus = ideal_equal(with_lam, expected_ideal)
@@ -377,7 +413,8 @@ def linking_multipliers(nf, s, t):
     The inclusion of the lattice into its dual flips indices, M coordinates
     plainly and N coordinates with a pi scaling; both composite conditions
     i(x) = u y and j(pi y) = v x must reduce to zero in the full chart ideal,
-    together with u v = pi.
+    together with u v = pi.  The tests run against the full chart's basis
+    under its elimination order, the one `affine_chart` eliminates with.
     """
     instance = {"d": nf.d, "delta": nf.delta, "pivot": [s, t]}
     with checking("chart-match", instance) as report:
@@ -386,10 +423,8 @@ def linking_multipliers(nf, s, t):
         d = nf.d
         lam = ring.var("lambda")
         pi = ring.var("pi")
-        q2x = q2_form(nf, ring, var="x")
-        q1y = q1_form(nf, ring, var="y")
-        u = -q2x * lam
-        v = q1y * lam
+        u = -mchart.q2x * lam
+        v = mchart.q1y * lam
         ideal = mchart.full.ideal
         failures = []
         for j in range(1, d + 1):

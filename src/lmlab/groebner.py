@@ -91,12 +91,24 @@ restores the previous state.  The cache sits inside `buchberger` so that
 share it.  The suite opens one block per instance.
 
 Nonzerodivisors.  `is_nonzerodivisor(I, v)` needs no ideal quotient.  It
-homogenizes the grevlex basis of I with a fresh h and computes the reduced
-basis of I^h under graded reverse lex with v last and h next to last; v is a
-nonzerodivisor on R/I iff v divides none of its leading monomials (Bayer and
-Stillman: in(J : v) = in(J) : v for homogeneous J and v last; v is a
-nonzerodivisor on S/I^h iff on R/I).  v last is what the criterion needs;
-h next to last halves the run on the resolution charts against h after pi.
+first substitutes away every variable that a generator solves for.  While
+some generator is g = c x + f, with c a nonzero constant, x not v, f free of
+x and g of degree at least 2, the first such generator (and in it the first
+such x in ring order) is dropped, x becomes -f/c in the other generators,
+and x leaves the ring.  Each step is the isomorphism R/I -> R'/I' that sends
+x to -f/c and every other variable to itself: R/(g) is isomorphic to R' =
+Q[the other variables], and the images of the other generators generate I'
+(I' is I when nothing is substituted).  It fixes v, so v is a nonzerodivisor
+on R/I iff on R'/I'.  A linear g, such as a pin x - 1, stays: a leading term
+of degree 1 costs a run next to nothing, and staying in R lets the test
+share the grevlex basis of I with the other claims on I.  The test then
+homogenizes the grevlex basis of I' with a fresh h and computes the reduced
+basis of I'^h under graded reverse lex with v last and h next to last; v is
+a nonzerodivisor on R'/I' iff v divides none of its leading monomials (Bayer
+and Stillman: in(J : v) = in(J) : v for homogeneous J and v last; v is a
+nonzerodivisor on S/I'^h iff on R'/I').  v last is what the criterion needs.
+h goes next to last: on the full resolution charts, before they were
+substituted down, that halved the run against h after pi.
 """
 
 from __future__ import annotations
@@ -135,6 +147,7 @@ __all__ = [
     "ideal_equal",
     "ideal_contains",
     "eliminate",
+    "eliminates_to",
     "quotient",
     "is_nonzerodivisor",
     "radical_member",
@@ -854,6 +867,14 @@ def eliminate(I, vars_to_remove):
     return Ideal(sub, kept)
 
 
+def eliminates_to(I, removed, J):
+    """True iff eliminating the variables `removed` from I gives exactly J.
+
+    J lives in a ring of the variables of I that are not removed.
+    """
+    return ideal_equal(Ideal(J.ring, eliminate(I, removed).generators), J)
+
+
 def _fresh_name(ring, stem):
     name = stem
     k = 0
@@ -923,17 +944,79 @@ class _RevLexLast:
         return ((True, self._positions(variables)),)
 
 
+def _linear_variable(g, keep):
+    """Index of the first variable x in ring order, other than the one at
+    index `keep`, with g = c x + f for a constant c and f free of x, if g
+    has degree at least 2; else None."""
+    if g.total_degree() < 2:
+        return None
+    used = [0] * g.ring.nvars
+    for e in g.terms:
+        for i, a in enumerate(e):
+            if a:
+                used[i] += 1
+    found = [e.index(1) for e in g.terms if sum(e) == 1]
+    return min((i for i in found if i != keep and used[i] == 1), default=None)
+
+
+def _substitute(q, i, image):
+    """q with the variable at index i replaced by `image`, which is free of it."""
+    parts = {}
+    for e, c in q.terms.items():
+        parts.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1 :]] = c
+    if list(parts) == [0]:
+        return q
+    out = q.ring.zero()
+    for a, terms in parts.items():
+        out = out + Polynomial(q.ring, terms, q.den) * image**a
+    return out
+
+
+def _solve_linear(I, keep):
+    """I with every variable that a generator solves for substituted away.
+
+    While some generator is c x + f (see `_linear_variable`, with x not the
+    variable named `keep`), the first one in generator order is dropped, x
+    becomes -f/c in the others, and x leaves the ring.  Returns I itself when
+    no generator has that form, else an ideal of the variables left (in
+    grevlex).  The module docstring says why this keeps the nonzerodivisor
+    verdict for `keep`, and why linear generators stay.
+    """
+    ring = I.ring
+    keep = ring.index[keep]
+    gens = list(I.generators)
+    solved = set()
+    k = 0
+    while k < len(gens):
+        i = _linear_variable(gens[k], keep)
+        if i is None:
+            k += 1
+            continue
+        g = gens.pop(k)
+        x = tuple(int(j == i) for j in range(ring.nvars))
+        # g = (c x + f) / den, so x = -f / c
+        image = Polynomial(ring, {e: -v for e, v in g.terms.items() if e != x}, g.terms[x])
+        gens = [h for h in (_substitute(q, i, image) for q in gens) if h]
+        solved.add(ring.variables[i])
+        k = 0
+    if not solved:
+        return I
+    return Ideal(ring.restrict([v for v in ring.variables if v not in solved]), gens)
+
+
 def is_nonzerodivisor(I, v):
     """True iff the variable v is a nonzerodivisor on R/I.
 
     Decided from the leading monomials of the complete reduced basis of the
-    homogenization I^h, without an ideal quotient; the module docstring
+    homogenization I^h, without an ideal quotient, after the variables that
+    the generators solve for are substituted away; the module docstring
     gives the argument.
     """
     v = v.cast(I.ring)
     if len(v.terms) != 1 or v.total_degree() != 1 or v.lc() != 1:
         raise PolyError("nonzerodivisor test needs a variable, got %s" % v)
     (name,) = v.variables_used()
+    I = _solve_linear(I, name)
     basis = _basis_under(I, GrevLex())
     h = _fresh_name(I.ring, "h")
     ring = PolyRing(I.ring.variables + (h,), _RevLexLast((name, h)))

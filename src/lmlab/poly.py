@@ -507,6 +507,9 @@ class Polynomial:
         """Re-express in a ring containing all used variables (by name)."""
         if ring == self.ring:
             return self
+        if ring.variables == self.ring.variables:
+            # only the order differs: the exponent tuples stay as they are
+            return Polynomial(ring, self.terms, self.den)
         pos = []
         for v in self.ring.variables:
             pos.append(ring.index.get(v, -1))

@@ -6,8 +6,9 @@ fiber of the linked quadric), b-blowup (basic-scheme blow-up multiplicities),
 quadbu-smooth (relative smoothness of blow-up charts), affine-chart,
 chart-match, exceptional (resolution charts), annihilator, flatness-dims.
 
-The checks of one instance run together, in one `basis_cache()` block, so
-that they share every Groebner basis they compute; `run_suite` runs one task
+The checks of one instance run together, in one `basis_cache()` and one
+`chart_memo()` block, so that they share every Groebner basis they compute
+and build each resolution and blow-up chart once; `run_suite` runs one task
 per instance, and `--jobs` spreads the instances over worker processes.
 `timeout_s` is the Groebner budget of one named check at one instance: each
 check runs in its own `deadline()` block.
@@ -174,7 +175,7 @@ def _check_b_blowup(nf, mode, seed, pivots):
 
 def _check_quadbu_smooth(nf, mode, seed, pivots):
     from .blowup import build_DT_blowup_chart
-    from .groebner import Ideal, eliminate, ideal_equal
+    from .groebner import eliminates_to
     from .verify import model_target_for_chart, smooth_over_model
 
     reports = []
@@ -185,9 +186,8 @@ def _check_quadbu_smooth(nf, mode, seed, pivots):
             bc = build_DT_blowup_chart(nf, s, t)
             # eliminating the dependent bu variables (the ambient ones not in
             # the reduced ring) must recover the reduced chart
-            red = bc.chart.ring
-            E = eliminate(bc.ambient.ideal, set(bc.ambient.ring.variables) - set(red.variables))
-            if not ideal_equal(Ideal(red, [g.cast(red) for g in E.generators]), bc.chart.ideal):
+            dependent = set(bc.ambient.ring.variables) - set(bc.chart.ring.variables)
+            if not eliminates_to(bc.ambient.ideal, dependent, bc.chart.ideal):
                 rep.status = FAIL
                 rep.details["ambient_elimination"] = False
             else:
@@ -265,7 +265,8 @@ def run_check(check, d, delta, mode="sound", timeout_s=None, seed=7, pivots=None
 
 
 def run_instance(checks, d, delta, mode="sound", timeout_s=None, seed=7, pivots=None):
-    """Reports of the named checks at one instance, sharing one basis cache.
+    """Reports of the named checks at one instance, sharing one basis cache
+    and one chart per pivot (`chart_memo`).
 
     A timeout inside a claim is already that claim's `timeout` report.  Any
     other exception ends its check with one report built by `_wrap_error`,
@@ -273,10 +274,11 @@ def run_instance(checks, d, delta, mode="sound", timeout_s=None, seed=7, pivots=
     range, bad input rather than a failed check, and it propagates to the
     caller.
     """
+    from .blowup import chart_memo
     from .groebner import basis_cache
 
     reports = []
-    with basis_cache():
+    with basis_cache(), chart_memo():
         for check in checks:
             try:
                 reports += run_check(check, d, delta, mode, timeout_s, seed, pivots)

@@ -298,3 +298,71 @@ def test_chart_match_beyond_acceptance_instances(d, delta):
     assert rep.status == "pass", (d, delta, rep.details)
     rep = linking_multipliers(nf, s, t)
     assert rep.status == "pass", (d, delta, rep.details)
+
+
+def test_resolution_checks_build_each_chart_once_and_no_graded_basis_of_the_full_chart(
+    monkeypatch,
+):
+    import lmlab.blowup as blowup
+    import lmlab.groebner as groebner
+    from lmlab.blowup import chart_memo
+    from lmlab.poly import Block, GrevLex
+    from lmlab.suite import run_instance
+
+    rings = []
+    real_init = groebner.BuchbergerRun.__init__
+
+    def spy_init(self, ideal, order=None):
+        real_init(self, ideal, order)
+        rings.append(self.ring)
+
+    built = {"M": [], "DT": []}
+
+    def spy(kind, real):
+        def build(*args):
+            chart = real(*args)
+            built[kind].append(chart)
+            return chart
+
+        return build
+
+    monkeypatch.setattr(groebner.BuchbergerRun, "__init__", spy_init)
+    monkeypatch.setattr(blowup, "build_M_chart", spy("M", blowup.build_M_chart))
+    monkeypatch.setattr(blowup, "build_DT_blowup_chart", spy("DT", blowup.build_DT_blowup_chart))
+    nf = normal_form(5, 2)
+    pivots = len(nf.z_cells)
+    checks = ["affine-chart", "chart-match", "exceptional"]
+    reports = run_instance(checks, 5, 2)
+    assert all(rep.status == "pass" for rep in reports)
+
+    # the full chart's basis is the elimination basis: no grevlex run, and
+    # no homogenized nonzerodivisor run, has all of its variables
+    full = set(built["M"][0].full.ring.variables)
+    in_full = [r for r in rings if full <= set(r.variables)]
+    assert in_full and all(isinstance(r.order, Block) for r in in_full)
+    assert not any(isinstance(r.order, (GrevLex, groebner._RevLexLast)) for r in in_full)
+
+    # four builds of each M chart (affine-chart, chart-match, linking and
+    # exceptional) and one of each DT chart, all of one object per pivot
+    # (each id keeps its chart alive, so that a later chart cannot reuse it)
+    first = {kind: {id(c): c for c in charts} for kind, charts in built.items()}
+    assert (len(built["M"]), len(first["M"])) == (4 * pivots, pivots)
+    assert (len(built["DT"]), len(first["DT"])) == (pivots, pivots)
+
+    # the next instance starts with no chart
+    for charts in built.values():
+        charts.clear()
+    run_instance(checks, 5, 2)
+    for kind, charts in built.items():
+        again = {id(c) for c in charts}
+        assert len(again) == pivots and again.isdisjoint(first[kind])
+
+    # the memo is on only inside its block
+    monkeypatch.undo()
+    s, t = nf.z_cells[0][0]
+    assert build_DT_blowup_chart(nf, s, t) is not build_DT_blowup_chart(nf, s, t)
+    with chart_memo():
+        assert build_DT_blowup_chart(nf, s, t) is build_DT_blowup_chart(nf, s, t)
+        with chart_memo():
+            assert build_M_chart(nf, 2, 1) is build_M_chart(nf, 2, 1)
+    assert build_M_chart(nf, 2, 1) is not build_M_chart(nf, 2, 1)

@@ -48,6 +48,7 @@ from lmlab.groebner import (
     MembershipCertificate,
     buchberger,
     ideal_contains,
+    ideal_equal,
     is_nonzerodivisor,
     quotient,
 )
@@ -631,6 +632,45 @@ def test_same_nzd_verdict_on_small_ideals(gens, order, k, zero_divisor):
     if zero_divisor:
         ideal = with_zero_divisor(ideal, v)
     assert_same_nzd_verdict(ideal, v)
+
+
+_solved_parts = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3), st.integers(-3, 3).filter(bool), max_size=2
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    gens=st.lists(_ml_polys, min_size=0, max_size=2),
+    f=_solved_parts,
+    c=st.integers(-3, 3).filter(bool),
+    order=_orders,
+    solved=st.integers(0, 3),
+    k=st.integers(0, 3),
+    zero_divisor=st.booleans(),
+)
+def test_same_nzd_verdict_after_substitution(gens, f, c, order, solved, k, zero_divisor):
+    # generators c*x + f, with f free of x and of degree at least 2, are
+    # substituted away unless x is the variable under test
+    assume(solved != k)
+    R = PolyRing(["w", "x", "y", "z"], order)
+    others = [n for n in R.variables if n != R.variables[solved]]
+
+    def poly(terms, names):
+        return R.poly({
+            tuple(e[names.index(n)] if n in names else 0 for n in R.variables): Fraction(a)
+            for e, a in terms.items()
+        })
+
+    f = {e: a for e, a in f.items() if e != (1, 1, 0)}  # so that nothing cancels
+    tail = poly(f, others) + R.var(others[0]) * R.var(others[1])
+    ideal = Ideal(R, [c * R.var(R.variables[solved]) + tail])
+    ideal = Ideal(R, list(ideal.generators) + [poly(g, ["x", "y", "z"]) for g in gens])
+    v = R.var(R.variables[k])
+    if zero_divisor:
+        ideal = with_zero_divisor(ideal, v)
+    assert len(groebner._solve_linear(ideal, R.variables[k]).ring.variables) < 4
+    assert is_nonzerodivisor(ideal, v) == ideal_equal(quotient(ideal, v), ideal)
 
 
 # ---------------------------------------------------------- redundant seeds

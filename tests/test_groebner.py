@@ -632,3 +632,61 @@ def test_certificates_build_their_cofactors_when_read():
     assert cert.cofactors == (y, R.zero())
     assert cert.verify(p) and not cert.is_member
     assert not cert.verify(p + 1)
+
+
+# ------------------------------------------- substitution before the nzd test
+
+
+def _solved(gens, names, keep):
+    R = PolyRing(names)
+    ideal = Ideal(R, gens)
+    small = groebner._solve_linear(ideal, keep)
+    want = ideal_equal(quotient(ideal, R.var(keep)), ideal)
+    assert groebner.is_nonzerodivisor(ideal, R.var(keep)) == want
+    return small, want
+
+
+def test_the_tested_variable_is_never_substituted():
+    # x solves x - y^2 and x + y*z, but x is the variable under test
+    for gens in (["x - y^2"], ["x + y*z"]):
+        small, nzd = _solved(gens, ["x", "y", "z"], "x")
+        assert small.ring.variables == ("x", "y", "z") and nzd
+    # y = -x^2 solves the second generator; x, the one under test, stays
+    small, nzd = _solved(["x*z", "y + x^2"], ["x", "y", "z"], "x")
+    assert small.ring.variables == ("x", "z")
+    assert [str(g) for g in small.generators] == ["x*z"] and not nzd
+
+
+def test_a_variable_in_a_nonlinear_term_is_not_substituted():
+    # x occurs in x and in x*y, z only squared: nothing is solved
+    small, nzd = _solved(["x + x*y + z^2"], ["x", "y", "z"], "z")
+    assert small.ring.variables == ("x", "y", "z") and nzd
+    small, nzd = _solved(["x + x*y + z^2", "y*z"], ["x", "y", "z"], "z")
+    assert small.ring.variables == ("x", "y", "z") and not nzd
+
+
+def test_linear_generators_stay():
+    # a pin such as y - 1 keeps its variable, and the ring of the ideal
+    ideal = Ideal(PolyRing(["x", "y", "z"]), ["y - 1", "x - z"])
+    assert groebner._solve_linear(ideal, "z") is ideal
+
+
+def test_substitution_follows_a_chain():
+    # x = y^2 leaves y - z, which is linear and stays
+    small, nzd = _solved(["x - y^2", "y - z"], ["x", "y", "z"], "z")
+    assert small.ring.variables == ("y", "z")
+    assert [str(g) for g in small.generators] == ["y - z"] and nzd
+    # x = y^2 turns the first generator into y + z^2, which then solves y
+    gens = ["y + x*y*z - y^3*z + z^2", "x - y^2"]
+    small, nzd = _solved(gens, ["x", "y", "z"], "z")
+    assert small.ring.variables == ("z",) and small.generators == () and nzd
+    small, nzd = _solved(gens + ["z*(z - 3)"], ["x", "y", "z"], "z")
+    assert small.ring.variables == ("z",) and not nzd
+
+
+def test_a_substitution_can_give_the_unit_ideal():
+    # x = y^2 sends the second generator to -1: R/I is the zero ring, on
+    # which every element is a nonzerodivisor
+    small, nzd = _solved(["x - y^2", "x - y^2 - 1"], ["x", "y", "z"], "z")
+    assert small.ring.variables == ("y", "z")
+    assert [str(g) for g in small.generators] == ["-1"] and nzd

@@ -610,3 +610,18 @@ def test_coerce_accepts_an_equal_ring_and_rejects_another_order():
     for op in (x.__add__, x.__sub__, x.__mul__):
         with pytest.raises(PolyError, match="ring mismatch"):
             op(lex_y)
+
+
+def test_cast_to_another_order_keeps_the_terms():
+    # a ring with the same variables in the same order, under another order:
+    # the exponent tuples are reused, and only the ordering of terms changes
+    R = PolyRing(["x", "y", "z"])
+    p = parse_poly("x*y^2 - 3/2*z^3 + y", R)
+    lex = R.with_order(Lex())
+    q = p.cast(lex)
+    assert q.ring is lex and q.terms is p.terms and q.den == p.den
+    assert str(q) == "x*y^2 + y - 3/2*z^3"
+    assert q.cast(R) == p and str(q.cast(R)) == str(p)
+    # a reordered variable list still rebuilds every exponent
+    swapped = p.cast(PolyRing(["z", "y", "x"]))
+    assert swapped.terms is not p.terms and str(swapped) == "-3/2*z^3 + y^2*x + y"
