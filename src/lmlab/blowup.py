@@ -10,7 +10,6 @@ model chart with the resolution by additional lines.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import wraps
 
@@ -20,6 +19,7 @@ from .groebner import (
     ideal_equal,
     ideal_member,
     is_nonzerodivisor,
+    once,
 )
 from .lattice import LatticeError, q1_form, q2_form
 from .localmodel import ChartPresentation
@@ -34,7 +34,6 @@ __all__ = [
     "build_DT_blowup_chart",
     "build_M_chart",
     "chart_match",
-    "chart_memo",
     "exceptional_locus",
     "linking_multipliers",
 ]
@@ -59,37 +58,17 @@ class MChart:
 
 # --------------------------------------------------------- one chart per pivot
 
-_charts = None  # (builder, nf, s, t) -> chart, inside chart_memo()
-
-
-@contextmanager
-def chart_memo():
-    """Within the block, each chart builder builds a chart once per (nf, s, t).
-
-    Later calls return the same object, so the Groebner bases and reducers
-    that its ideals cache are shared too.  The block starts empty, and
-    leaving it, also by an exception, restores whatever was active before.
-    The suite opens one block per instance, beside `basis_cache()`.
-    """
-    global _charts
-    saved, _charts = _charts, {}
-    try:
-        yield
-    finally:
-        _charts = saved
-
 
 def _once_per_memo(builder):
-    """The builder, returning inside `chart_memo()` one chart per (nf, s, t)."""
+    """The builder, building inside `groebner.memo()` one chart per (nf, s, t).
+
+    Later calls return the same object, so the Groebner bases and reducers
+    that its ideals cache are shared too.
+    """
 
     @wraps(builder)
     def build(nf, s, t):
-        if _charts is None:
-            return builder(nf, s, t)
-        key = (builder.__name__, nf, s, t)
-        if key not in _charts:
-            _charts[key] = builder(nf, s, t)
-        return _charts[key]
+        return once((builder.__name__, nf, s, t), lambda: builder(nf, s, t))
 
     return build
 

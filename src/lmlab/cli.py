@@ -57,11 +57,7 @@ def _parse_checks(text):
             checks.append(item)
         else:
             raise ConfigError("unknown check %r" % item)
-    out = []
-    for c in checks:
-        if c not in out:
-            out.append(c)
-    return out
+    return list(dict.fromkeys(checks))
 
 
 def _parse_pivot(text):
@@ -227,8 +223,9 @@ def build_parser():
     add_instance(p)
     p.add_argument("--mode", choices=("sound", "complete"), default="sound")
     p.add_argument("--pivot", default="all",
-                   help="s,t (chart pivots use matrix indices for quadbu-smooth, "
-                   "lattice positions for the resolution checks) or all")
+                   help="s,t or all; s,t is the row and column of Z for quadbu-smooth "
+                   "and lattice positions for the resolution checks, so it takes "
+                   "checks of one kind only")
     p.add_argument("--json", help="write the JSON report here")
     add_common(p)
     p.set_defaults(fn=cmd_verify)
@@ -248,27 +245,19 @@ def build_parser():
 
 def main(argv=None):
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-    except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        sys.exit(EXIT_USAGE)
+        args = build_parser().parse_args(argv)
+        code = args.fn(args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; the contract wants 64
-        if exc.code not in (0, None):
-            sys.exit(EXIT_USAGE)
-        raise
-    try:
-        code = args.fn(args)
-    except (ConfigError, LatticeError, ParseError) as exc:
+        if exc.code in (0, None):
+            raise
+        code = EXIT_USAGE
+    except (ConfigError, LatticeError, ParseError, OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         code = EXIT_USAGE
     except PolyError as exc:
         print("error: %s" % exc, file=sys.stderr)
         code = EXIT_FAIL
-    except (OSError, UnicodeDecodeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        code = EXIT_USAGE
     sys.exit(code)
 
 

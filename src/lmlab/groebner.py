@@ -80,15 +80,17 @@ reducer tuples are built once and cached beside it; `reduce_poly` on an
 explicit list is for bases that are not an ideal's, such as a single
 divisor.
 
-Basis cache.  Inside a `basis_cache()` block, `buchberger(ideal, order)`
-keeps the result of every run, keyed by the ring with its order and the set
-of the generators' primitive integer forms (numerators divided by their
-content, signed so that the leading coefficient is positive): the reduced
-basis is unique, so the generators' order, scaling and repetition do not
-matter.  A run that times out is never stored, and leaving the block
-restores the previous state.  The cache sits inside `buchberger` so that
-`Ideal.gb`, `eliminate`, `intersect`, `radical_member` and `krull_dim` all
-share it.  The suite opens one block per instance.
+Instance memo.  Inside a `memo()` block, `once(key, make)` returns the first
+value `make()` gave for the key, and outside one it calls `make()` each time;
+a `make()` that raises (a GBTimeout, a bad pivot's LatticeError) stores
+nothing, and leaving the block restores the previous memo.  `buchberger`
+keys a run by its ring with the order, the packing width and the set of the
+generators' primitive integer forms (numerators over their content, leading
+coefficient positive): the reduced basis is unique, so the generators'
+order, scaling and repetition do not matter, and `Ideal.gb`, `eliminate`,
+`intersect`, `radical_member` and `krull_dim` all share it.  `blowup`'s
+chart builders key a chart by (builder name, nf, s, t).  The suite opens one
+block per instance.
 
 Nonzerodivisors.  `is_nonzerodivisor(I, v)` needs no ideal quotient.  It
 first substitutes away every variable that a generator solves for.  While
@@ -139,9 +141,10 @@ __all__ = [
     "GBTimeout",
     "Ideal",
     "MembershipCertificate",
-    "basis_cache",
     "buchberger",
     "deadline",
+    "memo",
+    "once",
     "reduce_poly",
     "ideal_member",
     "ideal_equal",
@@ -525,7 +528,7 @@ class BuchbergerRun:
     in ascending order of leading term, each first reduced against the
     entries so far (Gebauer & Moeller, JSC 1988): a seed that reduces to zero
     adds no entry, and any other joins reduced, with the sugar of its own
-    degree.  The cache key `key` is taken from the unreduced seeds.
+    degree.  The memo key `key` is taken from the unreduced seeds.
     `entries` lists every basis element found, as (lt, lc, terms, sugar) in
     packed form; `active` maps the index of each entry whose leading term no
     later entry divides to its reducer (see `_divisors`), in index order:
@@ -539,7 +542,7 @@ class BuchbergerRun:
         seeds = []
         for g in ideal.generators:
             # primitive, with a positive leading coefficient: the seeds, and
-            # so the cache key, ignore how each generator is scaled
+            # so the memo key, ignore how each generator is scaled
             terms = _primitive(pk.pack(g.terms))
             if terms[max(terms)] < 0:
                 terms = {e: -v for e, v in terms.items()}
@@ -663,22 +666,34 @@ def _interreduce(reducers, eng):
     return kept
 
 
-_cache = None  # key of a complete run -> its result, inside basis_cache()
+_memo = None  # key -> value made once, inside memo()
 
 
 @contextmanager
-def basis_cache():
-    """Within the block, `buchberger` computes each complete basis once.
+def memo():
+    """Within the block, `once` makes each value once per key.
 
     The block starts empty, and leaving it, also by an exception, restores
     whatever was active before.
     """
-    global _cache
-    saved, _cache = _cache, {}
+    global _memo
+    saved, _memo = _memo, {}
     try:
         yield
     finally:
-        _cache = saved
+        _memo = saved
+
+
+def once(key, make):
+    """`make()`, made once per key inside `memo()` and on each call outside it.
+
+    A `make()` that raises stores nothing.
+    """
+    if _memo is None:
+        return make()
+    if key not in _memo:
+        _memo[key] = make()
+    return _memo[key]
 
 
 def buchberger(ideal, order=None):
@@ -686,17 +701,11 @@ def buchberger(ideal, order=None):
 
     Returns (tuple of monic polys, False).  Every run is complete, so the
     second value is always False; it stays because the benchmark tracer
-    (`bench/tracer.py`) reads it.  Inside `basis_cache()` the basis is looked
-    up by the ring and the set of the generators' primitive integer forms; a
-    run that times out stores nothing.
+    (`bench/tracer.py`) reads it.  Inside `memo()` a basis is computed once
+    per ring and set of the generators' primitive integer forms.
     """
     run = BuchbergerRun(ideal, order)
-    if _cache is None:
-        return run.complete(), False
-    got = _cache.get(run.key)
-    if got is None:
-        got = _cache[run.key] = run.complete()
-    return got, False
+    return once(run.key, run.complete), False
 
 
 # ------------------------------------------------------------ certificates
@@ -1061,21 +1070,20 @@ def krull_dim(I):
         if not any(m <= s for m in minimal):
             minimal.append(s)
 
-    memo = {}
+    found = {}
 
     def search(excluded):
         live = [s for s in minimal if not (s & excluded)]
         if not live:
             return n - len(excluded)
-        key = excluded
-        got = memo.get(key)
+        got = found.get(excluded)
         if got is not None:
             return got
         s = min(live, key=lambda s: (len(s), sorted(s)))
         best = -1
         for v in sorted(s):
             best = max(best, search(excluded | frozenset([v])))
-        memo[key] = best
+        found[excluded] = best
         return best
 
     return search(frozenset())

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .poly import PolyError
 
-__all__ = ["LatticeError", "LatticeNormalForm", "normal_form", "quad_forms"]
+__all__ = ["LatticeError", "LatticeNormalForm", "check_admissible", "normal_form", "quad_forms"]
 
 
 class LatticeError(PolyError):
@@ -60,8 +60,8 @@ def _case_tag(d, delta):
     return 3 if delta % 2 == 0 else 4
 
 
-def normal_form(d, delta):
-    """The unique split normal form for admissible (d, delta)."""
+def check_admissible(d, delta):
+    """Raise LatticeError unless d >= 5 and 1 <= delta <= d/2."""
     if d < 5:
         raise LatticeError("d >= 5 required, got d=%d" % d)
     if delta < 1:
@@ -72,6 +72,11 @@ def normal_form(d, delta):
             "replace the form by a multiple and swap the lattice with its dual"
             % (delta, d)
         )
+
+
+def normal_form(d, delta):
+    """The unique split normal form for admissible (d, delta)."""
+    check_admissible(d, delta)
     case = _case_tag(d, delta)
     n = d // 2
     r = delta // 2

@@ -6,10 +6,10 @@ fiber of the linked quadric), b-blowup (basic-scheme blow-up multiplicities),
 quadbu-smooth (relative smoothness of blow-up charts), affine-chart,
 chart-match, exceptional (resolution charts), annihilator, flatness-dims.
 
-The checks of one instance run together, in one `basis_cache()` and one
-`chart_memo()` block, so that they share every Groebner basis they compute
-and build each resolution and blow-up chart once; `run_suite` runs one task
-per instance, and `--jobs` spreads the instances over worker processes.
+The checks of one instance run together, in one `groebner.memo()` block, so
+that they share every Groebner basis they compute and build each resolution
+and blow-up chart once; `run_suite` runs one task per instance, and `--jobs`
+spreads the instances over worker processes.
 `timeout_s` is the Groebner budget of one named check at one instance: each
 check runs in its own `deadline()` block.
 """
@@ -20,7 +20,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .lattice import LatticeError, normal_form
+from .lattice import LatticeError, check_admissible, normal_form
 from .report import FAIL, VerificationReport, checking, exception_status
 
 __all__ = [
@@ -58,13 +58,15 @@ class SuiteConfig:
             raise ConfigError("empty grid")
         if not self.checks:
             raise ConfigError("empty check list")
+        seen = set()
         for d, delta in self.grid:
-            if d < 5:
-                raise ConfigError("d >= 5 required, got %d:%d" % (d, delta))
-            if not (1 <= delta <= d // 2):
-                raise ConfigError(
-                    "1 <= delta <= d/2 required, got %d:%d" % (d, delta)
-                )
+            if (d, delta) in seen:
+                raise ConfigError("instance %d:%d repeated in the grid" % (d, delta))
+            seen.add((d, delta))
+            try:
+                check_admissible(d, delta)
+            except LatticeError as exc:
+                raise ConfigError("%d:%d: %s" % (d, delta, exc)) from None
         for c in self.checks:
             if c not in CHECK_NAMES:
                 raise ConfigError("unknown check %r" % c)
@@ -180,7 +182,7 @@ def _check_quadbu_smooth(nf, mode, seed, pivots):
 
     reports = []
     rel = nf.d - 4 if nf.delta_star >= 2 else nf.d - 3
-    for s, t in pivots or [ij for ij, _ in nf.z_cells]:
+    for s, t in pivots:
         instance = {"d": nf.d, "delta": nf.delta, "pivot": [s, t]}
         with checking("quadbu-smooth", instance) as rep:
             bc = build_DT_blowup_chart(nf, s, t)
@@ -199,21 +201,17 @@ def _check_quadbu_smooth(nf, mode, seed, pivots):
     return reports
 
 
-def _m_pivots(nf, pivots):
-    return pivots or [ab for _, ab in nf.z_cells]
-
-
 def _check_affine_chart(nf, mode, seed, pivots):
     from .blowup import affine_chart
 
-    return [affine_chart(nf, s, t) for s, t in _m_pivots(nf, pivots)]
+    return [affine_chart(nf, s, t) for s, t in pivots]
 
 
 def _check_chart_match(nf, mode, seed, pivots):
     from .blowup import chart_match, linking_multipliers
 
     reports = []
-    for s, t in _m_pivots(nf, pivots):
+    for s, t in pivots:
         reports.append(chart_match(nf, s, t))
         link = linking_multipliers(nf, s, t)
         link.instance = dict(link.instance)
@@ -225,7 +223,7 @@ def _check_chart_match(nf, mode, seed, pivots):
 def _check_exceptional(nf, mode, seed, pivots):
     from .blowup import exceptional_locus
 
-    return [exceptional_locus(nf, s, t) for s, t in _m_pivots(nf, pivots)]
+    return [exceptional_locus(nf, s, t) for s, t in pivots]
 
 
 _CHECKS = {
@@ -243,6 +241,11 @@ _CHECKS = {
 
 CHECK_NAMES = tuple(_CHECKS)
 
+# the checks that run per pivot, each with the half of an `nf.z_cells` entry
+# ((i, j), (a, b)) that it takes: 0 for the row and column (i, j) of the Z
+# entry, 1 for its lattice positions (a, b)
+_PIVOT_HALF = {"quadbu-smooth": 0, "affine-chart": 1, "chart-match": 1, "exceptional": 1}
+
 # module-level CLI spellings for groups of checks
 CHECK_ALIASES = {
     "linked-quadric": ("linked-fiber",),
@@ -255,30 +258,36 @@ CHECK_ALIASES = {
 def run_check(check, d, delta, mode="sound", timeout_s=None, seed=7, pivots=None):
     """All reports for one named check at one grid instance.
 
-    timeout_s budgets every Groebner operation of the check together.
+    timeout_s budgets every Groebner operation of the check together.  A
+    check in _PIVOT_HALF runs at the given pivots, or else at every pivot.
     """
     from .groebner import deadline
 
     nf = normal_form(d, delta)
+    if check in _PIVOT_HALF and not pivots:
+        pivots = [cell[_PIVOT_HALF[check]] for cell in nf.z_cells]
     with deadline(timeout_s):
         return _CHECKS[check](nf, mode, seed, pivots)
 
 
 def run_instance(checks, d, delta, mode="sound", timeout_s=None, seed=7, pivots=None):
-    """Reports of the named checks at one instance, sharing one basis cache
-    and one chart per pivot (`chart_memo`).
+    """Reports of the named checks at one instance, in one `groebner.memo()`
+    block: they share each Groebner basis and each chart of a pivot.
 
-    A timeout inside a claim is already that claim's `timeout` report.  Any
+    Explicit pivots need checks that all take a pivot in one convention
+    (_PIVOT_HALF); else ConfigError is raised before any check runs.  A
+    timeout inside a claim is already that claim's `timeout` report.  Any
     other exception ends its check with one report built by `_wrap_error`,
     except a `LatticeError` under explicit pivots: that is a pivot out of
     range, bad input rather than a failed check, and it propagates to the
     caller.
     """
-    from .blowup import chart_memo
-    from .groebner import basis_cache
+    from .groebner import memo
 
+    if pivots:
+        _check_pivot_convention(checks)
     reports = []
-    with basis_cache(), chart_memo():
+    with memo():
         for check in checks:
             try:
                 reports += run_check(check, d, delta, mode, timeout_s, seed, pivots)
@@ -287,6 +296,15 @@ def run_instance(checks, d, delta, mode="sound", timeout_s=None, seed=7, pivots=
                     raise
                 reports.append(_wrap_error(check, {"d": d, "delta": delta}, exc))
     return reports
+
+
+def _check_pivot_convention(checks):
+    halves = {_PIVOT_HALF.get(c) for c in checks}
+    if None in halves:
+        raise ConfigError("a pivot applies only to %s" % ", ".join(_PIVOT_HALF))
+    if len(halves) > 1:
+        raise ConfigError("a pivot is the row and column of Z for quadbu-smooth and "
+                          "lattice positions for the other checks: run them apart")
 
 
 def _sort_key(rep):

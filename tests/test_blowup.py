@@ -305,7 +305,7 @@ def test_resolution_checks_build_each_chart_once_and_no_graded_basis_of_the_full
 ):
     import lmlab.blowup as blowup
     import lmlab.groebner as groebner
-    from lmlab.blowup import chart_memo
+    from lmlab.groebner import memo
     from lmlab.poly import Block, GrevLex
     from lmlab.suite import run_instance
 
@@ -361,8 +361,32 @@ def test_resolution_checks_build_each_chart_once_and_no_graded_basis_of_the_full
     monkeypatch.undo()
     s, t = nf.z_cells[0][0]
     assert build_DT_blowup_chart(nf, s, t) is not build_DT_blowup_chart(nf, s, t)
-    with chart_memo():
+    with memo():
         assert build_DT_blowup_chart(nf, s, t) is build_DT_blowup_chart(nf, s, t)
-        with chart_memo():
+        with memo():
             assert build_M_chart(nf, 2, 1) is build_M_chart(nf, 2, 1)
     assert build_M_chart(nf, 2, 1) is not build_M_chart(nf, 2, 1)
+
+
+def test_builders_and_buchberger_share_one_memo():
+    import lmlab.groebner as groebner
+    from lmlab.groebner import buchberger, memo
+
+    nf = normal_form(5, 2)
+    s, t = nf.z_cells[0][1]
+    with memo():
+        chart = build_M_chart(nf, s, t)
+        basis, _ = buchberger(chart.full.ideal)
+        held = dict(groebner._memo)
+        assert {type(key[0]) for key in held} == {str, type(chart.full.ring)}
+        # a bad pivot raises on every call and stores nothing
+        for _ in range(2):
+            with pytest.raises(LatticeError):
+                build_M_chart(nf, 9, 9)
+        assert groebner._memo == held
+        with memo():
+            assert build_M_chart(nf, s, t) is not chart
+        # leaving the inner block restores the outer chart and basis
+        assert build_M_chart(nf, s, t) is chart
+        assert buchberger(chart.full.ideal)[0] is basis
+    assert groebner._memo is None

@@ -11,7 +11,7 @@ import pytest
 from lmlab.groebner import read_ideal_text, write_ideal_text
 from lmlab.lattice import normal_form
 from lmlab.localmodel import build_DT_ideal
-from lmlab.suite import SuiteConfig, run_suite, strip_timings
+from lmlab.suite import ConfigError, SuiteConfig, run_suite, strip_timings
 
 
 def run_cli(*args, env=None):
@@ -184,6 +184,45 @@ def test_verify_out_of_range_pivot(check, code):
     else:
         assert "pivot s=9 is not an N position" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+# a pivot is the row and column of Z for quadbu-smooth and lattice positions
+# for the resolution checks: a pivot given to checks that take none, or to
+# checks of both kinds, exits 64 before any check runs
+@pytest.mark.parametrize(
+    "check,d,delta,pivot,message",
+    [
+        ("all", 6, 2, "1,1", "applies only to quadbu-smooth, affine-chart"),
+        ("all", 6, 2, "3,1", "applies only to quadbu-smooth, affine-chart"),
+        ("za1", 5, 1, "9,9", "applies only to quadbu-smooth, affine-chart"),
+        ("quadbu-smooth,affine-chart", 6, 2, "1,1", "run them apart"),
+    ],
+)
+def test_verify_rejects_a_pivot_of_the_wrong_kind(check, d, delta, pivot, message):
+    out = run_cli("verify", check, "--d", str(d), "--delta", str(delta), "--pivot", pivot)
+    assert out.returncode == 64, (out.stdout, out.stderr)
+    assert message in out.stderr
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+
+
+def test_verify_resolution_checks_take_a_lattice_pivot():
+    out = run_cli("verify", "blowup", "--d", "6", "--delta", "2", "--pivot", "3,1")
+    assert out.returncode == 0, (out.stdout, out.stderr)
+    rows = out.stdout.splitlines()
+    assert [row.split()[0] for row in rows] == [
+        "affine-chart", "chart-match", "chart-match", "exceptional"
+    ]
+    assert all('"pivot": [3, 1]' in row and row.endswith("pass") for row in rows)
+
+
+def test_a_repeated_instance_exits_64():
+    out = run_cli("suite", "--grid", "5:1,5:1", "--checks", "dt-equals-u")
+    assert out.returncode == 64, (out.stdout, out.stderr)
+    assert "5:1 repeated" in out.stderr
+    assert out.stdout == ""
+    with pytest.raises(ConfigError, match="5:1 repeated"):
+        run_suite(SuiteConfig(grid=[(5, 1), (6, 1), (5, 1)], checks=["dt-equals-u"]))
 
 
 def test_verify_command_exit_zero(tmp_path):

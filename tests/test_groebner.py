@@ -10,7 +10,6 @@ import lmlab.groebner as groebner
 from lmlab.groebner import (
     GBTimeout,
     Ideal,
-    basis_cache,
     deadline,
     buchberger,
     eliminate,
@@ -19,6 +18,7 @@ from lmlab.groebner import (
     ideal_member,
     intersect,
     krull_dim,
+    memo,
     quotient,
     radical_member,
     read_ideal_text,
@@ -264,7 +264,7 @@ def test_complete_mode_reports_timeout_of_its_elimination_basis(monkeypatch):
 
 
 def test_complete_mode_runs_one_elimination_basis(monkeypatch):
-    # outside basis_cache(): the grevlex basis of the small ideal, then the
+    # outside memo(): the grevlex basis of the small ideal, then the
     # one block-order basis that decides surjectivity and the contraction
     runs = _count_runs(monkeypatch)
     (report,) = run_check("za1", 5, 1, mode="complete")
@@ -467,7 +467,7 @@ def test_basis_cache_ignores_generator_order_scale_and_duplicates(monkeypatch):
     R = _CACHE_RING
     gens = [parse_poly(g, R) for g in _CACHE_GENS]
     variant = [gens[2] * 3, gens[0] * Fraction(-1, 2), gens[1], gens[2]]
-    with basis_cache():
+    with memo():
         first = buchberger(Ideal(R, gens))
         again = buchberger(Ideal(R, variant))
         assert len(runs) == 1
@@ -494,7 +494,7 @@ def test_basis_cache_keeps_the_generator_check_of_every_ideal(monkeypatch):
         return real(p, basis, divisors)
 
     monkeypatch.setattr(groebner, "_reduce", spy)
-    with basis_cache():
+    with memo():
         for _ in range(2):
             Ideal(_CACHE_RING, _CACHE_GENS).gb()
     assert len(runs) == 1
@@ -506,7 +506,7 @@ def test_basis_cache_is_off_outside_the_block(monkeypatch):
     I = Ideal(_CACHE_RING, _CACHE_GENS)
     buchberger(I)
     buchberger(I)
-    with basis_cache():
+    with memo():
         buchberger(I)
     buchberger(I)
     assert len(runs) == 4
@@ -515,7 +515,7 @@ def test_basis_cache_is_off_outside_the_block(monkeypatch):
 def test_basis_cache_stores_nothing_after_a_timeout(monkeypatch):
     runs = _count_runs(monkeypatch)
     _, small = build_U_ideals(normal_form(5, 1))
-    with basis_cache():
+    with memo():
         with pytest.raises(GBTimeout), deadline(1e-9):
             buchberger(small.ideal)
         basis, partial = buchberger(small.ideal)
@@ -529,15 +529,15 @@ def test_basis_cache_block_restores_the_prior_state_on_error(monkeypatch):
     runs = _count_runs(monkeypatch)
     I = Ideal(_CACHE_RING, _CACHE_GENS)
     with pytest.raises(RuntimeError):
-        with basis_cache():
+        with memo():
             buchberger(I)
             raise RuntimeError("check crashed")
     buchberger(I)
     assert len(runs) == 2
-    with basis_cache():
+    with memo():
         buchberger(I)
         with pytest.raises(RuntimeError):
-            with basis_cache():
+            with memo():
                 buchberger(I)
                 raise RuntimeError("check crashed")
         # the outer block's basis is still there

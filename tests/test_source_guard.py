@@ -261,3 +261,18 @@ def test_every_public_function_has_a_caller():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     assert sorted(loc for name, loc in public.items() if name not in used) == []
+
+
+def test_the_package_has_three_context_managers():
+    # one Groebner budget (groebner.deadline), one instance memo
+    # (groebner.memo) and one claim report (report.checking)
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name in ("__enter__", "__aenter__"):
+                found.append("%s:%d" % (path.name, node.lineno))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    if "contextmanager" in ast.unparse(dec):
+                        found.append(node.name)
+    assert sorted(found) == ["checking", "deadline", "memo"]
