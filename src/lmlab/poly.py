@@ -711,8 +711,13 @@ def _det(m, rows, cols):
     if len(rows) == 1:
         return r0[cols[0]]
     if len(rows) == 2:
+        # a product with a zero factor is not formed; with both skipped the
+        # minor is an entry times 0: the int 0, or the ring's zero
         r1 = m[rows[1]]
-        return r0[cols[0]] * r1[cols[1]] - r0[cols[1]] * r1[cols[0]]
+        a, b, c, d = r0[cols[0]], r0[cols[1]], r1[cols[0]], r1[cols[1]]
+        if b and c:
+            return a * d - b * c if a and d else -(b * c)
+        return a * d if a and d else a * 0
     acc = r0[cols[0]] * 0
     rest = rows[1:]
     for k, c in enumerate(cols):

@@ -92,6 +92,17 @@ def test_gram_matrix_structure(d, delta):
     assert det == pi_pow or det == -pi_pow
 
 
+@pytest.mark.parametrize(
+    "d,delta", [(d, delta) for d in range(5, 12) for delta in range(1, d // 2 + 1)]
+)
+def test_gram_blocks_are_symmetric(d, delta):
+    # localmodel forms the four quadratic parts X^t S X and Y^t S Y from
+    # their upper triangles, which needs S1 and S2 symmetric
+    nf = normal_form(d, delta)
+    for S in (nf.S1, nf.S2):
+        assert [list(row) for row in S] == [list(col) for col in zip(*S)]
+
+
 @pytest.mark.parametrize("d,delta", GRID)
 def test_restricted_blocks_are_perfect(d, delta):
     nf = normal_form(d, delta)

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from lmlab.groebner import Ideal, deadline, ideal_contains, ideal_equal, ideal_m
 from lmlab.lattice import normal_form
 import lmlab.localmodel
 from lmlab.localmodel import (
+    _entries,
     _mat_add,
     _mat_mul,
     _naive_relations,
@@ -30,7 +32,7 @@ from lmlab.localmodel import (
     verify_presentation,
     x_ring,
 )
-from lmlab.poly import Polynomial, PolyRing, RingMap, parse_poly
+from lmlab.poly import Polynomial, PolyRing, RingMap, minors, parse_poly
 from lmlab.report import checking
 from lmlab.suite import report_payload, run_check, strip_timings
 
@@ -305,6 +307,141 @@ def test_integer_relations_are_scaled_fraction_relations(d, delta):
         assert len(exact) == len(ks)
         assert all(type(v) is int for v in scaled)
         assert scaled == [L**k * v for k, v in zip(ks, exact)]
+
+
+def reference_naive_relations(nf, X, Y, pi, L=1):
+    """_naive_relations as it was before it reused the minors of X at
+    Y = -X^t and formed the quadratic parts from their upper triangles,
+    copied unchanged: the reference for its values."""
+    Xt = [list(col) for col in zip(*X)]
+    Yt = [list(col) for col in zip(*Y)]
+    LS1 = [[L * v for v in row] for row in nf.S1]
+    LS2 = [[L * v for v in row] for row in nf.S2]
+    zero = pi * 0  # the ring's zero, or the int 0
+    yield from _entries(_mat_add(Y, Xt))
+    yield from _entries(_mat_mul(Xt, Y, zero))
+    yield from minors(X, 2)
+    yield from minors(Y, 2)
+    LS1X, S2X = _mat_mul(LS1, X, zero), _mat_mul(nf.S2, X, zero)
+    SX = _mat_add(LS1X, S2X, pi)
+    yield from _entries(_mat_add(_mat_mul(Xt, LS1X, zero), SX, -2 * pi))
+    yield from _entries(_mat_add(_mat_mul(Xt, S2X, zero), SX, 2))
+    LS2Y, S1Y = _mat_mul(LS2, Y, zero), _mat_mul(nf.S1, Y, zero)
+    sy = _mat_add(LS2Y, S1Y, pi)
+    yield from _entries(_mat_add(_mat_mul(Yt, S1Y, zero), sy, 2))
+    yield from _entries(_mat_add(_mat_mul(Yt, LS2Y, zero), sy, -2 * pi))
+
+
+def minus_transpose(X):
+    return [[-v for v in col] for col in zip(*X)]
+
+
+def section_matrices(nf, corrupt):
+    """(X, Y, pi) of block_substitution, of corrupted_section(nf, corrupt),
+    or, for corrupt == "one-y", of the section with pi added to y_1_2 alone,
+    so that Y != -X^t."""
+    psi = block_substitution(nf) if corrupt in (None, "one-y") else corrupted_section(nf, corrupt)
+    X, Y = (named_matrix(psi.images.__getitem__, stem, nf.d) for stem in "xy")
+    pi = psi.images["pi"]
+    if corrupt == "one-y":
+        Y[0][1] = Y[0][1] + pi
+    return X, Y, pi
+
+
+@pytest.mark.parametrize("d,delta", [(5, 1), (6, 2), (6, 3)])
+def test_relations_equal_the_reference_at_random_points(d, delta):
+    # independent (X, Y), and (X, -X^t) in Fractions and in scaled ints
+    nf = normal_form(d, delta)
+    rng = random.Random(10000 * d + delta)
+    for _ in range(3):
+        pi = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        X, Y = random_matrix(rng, d, 6), random_matrix(rng, d, 6)
+        for Y in (Y, minus_transpose(X)):
+            assert list(_naive_relations(nf, X, Y, pi)) == list(reference_naive_relations(nf, X, Y, pi))
+        L = math.lcm(pi.denominator, *(v.denominator for row in X for v in row))
+        Xn, Ln = [[int(v * L) for v in row] for row in X], int(pi * L)
+        scaled = list(_naive_relations(nf, Xn, minus_transpose(Xn), Ln, L))
+        assert all(type(v) is int for v in scaled)
+        assert scaled == list(reference_naive_relations(nf, Xn, minus_transpose(Xn), Ln, L))
+
+
+@pytest.mark.parametrize("corrupt", [None, "diagonal", "scaled", "one-y"])
+@pytest.mark.parametrize("d,delta", [(5, 1), (6, 2), (6, 3)])
+def test_relations_on_sections_equal_the_reference(d, delta, corrupt):
+    nf = normal_form(d, delta)
+    X, Y, pi = section_matrices(nf, corrupt)
+    assert (Y == minus_transpose(X)) == (corrupt != "one-y")
+    assert list(_naive_relations(nf, X, Y, pi)) == list(reference_naive_relations(nf, X, Y, pi))
+
+
+@pytest.mark.parametrize("where", ["section", "x_ring"])
+@pytest.mark.parametrize("d,delta", [(5, 1), (6, 2), (6, 3)])
+def test_y_minors_at_minus_x_transpose_are_the_x_minor_objects(d, delta, where):
+    # the minor of -X^t at rows (i, j) and columns (k, l) is the X-minor at
+    # rows (k, l) and columns (i, j), yielded again as the same object; the
+    # Y + X^t block is the ring's zero
+    nf = normal_form(d, delta)
+    if where == "section":
+        X, Y, pi = section_matrices(nf, None)
+    else:
+        xr = x_ring(nf)
+        X = named_matrix(xr.var, "x", d)
+        Y, pi = minus_transpose(X), xr.var("pi")
+    relations = list(_naive_relations(nf, X, Y, pi))
+    pairs = list(combinations(range(d), 2))
+    n = len(pairs)
+    x_minors = relations[2 * d * d : 2 * d * d + n * n]
+    y_minors = relations[2 * d * d + n * n : 2 * d * d + 2 * n * n]
+    for r in range(n):
+        for c in range(n):
+            assert y_minors[r * n + c] is x_minors[c * n + r]
+    assert all(type(v) is Polynomial and v.is_zero for v in relations[: d * d])
+
+
+@pytest.mark.parametrize("d,delta,calls", [(6, 2, 375), (6, 3, 381)])
+def test_za1_reduces_each_image_object_once(monkeypatch, d, delta, calls):
+    # 600 and 606 nonzero images, each reduced before; a memo by id that
+    # does not hold its images reuses the ids of freed ones and skips real
+    # reductions; the count holds no image, so that it pins none
+    reduced = [0]
+
+    def counting(p, ideal):
+        reduced[0] += 1
+        return ideal_member(p, ideal)
+
+    monkeypatch.setattr(lmlab.localmodel, "ideal_member", counting)
+    [rep] = run_check("za1", d, delta)
+    assert rep.status == "pass"
+    assert rep.details["reduced_to_zero"] == rep.details["generators"]
+    assert reduced[0] == calls
+
+
+def test_a_failing_repeated_image_is_named_at_its_x_minor(monkeypatch):
+    # an X-minor image that comes again as a Y-minor fails at its first
+    # occurrence, under the X-minor generator
+    d, delta = 6, 2
+    nf = normal_form(d, delta)
+    X, Y, pi = section_matrices(nf, None)
+    relations = list(_naive_relations(nf, X, Y, pi))
+    start = 2 * d * d
+    k = next(i for i in range(start, start + math.comb(d, 2) ** 2) if not relations[i].is_zero)
+    target = relations[k]
+    assert sum(r is target for r in relations) >= 2
+
+    class Failed:
+        residue = target
+
+    def failing(p, ideal):
+        # by value, so the repeat fails as well if it is reduced
+        return (False, Failed()) if p == target else ideal_member(p, ideal)
+
+    monkeypatch.setattr(lmlab.localmodel, "ideal_member", failing)
+    rep = verify_presentation(nf)
+    assert rep.status == "fail"
+    assert rep.details["offending_generator"] == str(build_naive_chart_ideal(nf).ideal.generators[k])
+    assert "x_" in rep.details["offending_generator"] and "y_" not in rep.details["offending_generator"]
+    assert rep.details["residue"] == str(target)
+    assert rep.details["reduced_to_zero"] == k
 
 
 @lru_cache(maxsize=None)

@@ -293,6 +293,23 @@ def test_minors_generic_2x2():
     assert minors([[3, 5], [7, 2]], 2) == [3 * 2 - 5 * 7]
 
 
+@pytest.mark.parametrize("zeros", range(16))
+def test_minors_2x2_with_zero_entries(zeros):
+    # the leaf skips a product with a zero factor, and still returns a d - b c
+    # as the type of its rows: the int 0 for int rows, the ring's zero for
+    # polynomial rows
+    R = ring("a", "b", "c", "d")
+    ints = [3, 5, 7, 2]
+    polys = [R.var(v) + 1 for v in "abcd"]
+    for values, zero in ((ints, 0), (polys, R.zero())):
+        a, b, c, d = (zero if zeros >> k & 1 else v for k, v in enumerate(values))
+        [det] = minors([[a, b], [c, d]], 2)
+        assert det == a * d - b * c
+        assert type(det) is type(values[0])
+        if type(det) is Polynomial:
+            assert det.ring == R
+
+
 def test_minors_3x3_int_determinant():
     # expansion along the first row skips its zero entry
     [det] = minors([[2, 0, 1], [1, 3, 2], [1, 1, 4]], 3)
