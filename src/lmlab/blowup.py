@@ -6,10 +6,18 @@ resolution by additional lines (multiplier variable lambda, pinned vector
 coordinates).  chart_match verifies the two descriptions agree up to the
 explicit unit 4, which is exactly what identifies the blow-up of the local
 model chart with the resolution by additional lines.
+
+Renaming the rows and columns of Z so that the Gram pairing is kept is an
+isomorphism between the charts of two pivots of the same class (is the
+pivot on the middle row?, on the middle column?).  `_transfers` checks,
+generator for generator, that it maps every input of the pivot checks at one
+pivot onto those at another, so that a `pass` at the first holds at the
+second.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import wraps
 
@@ -274,6 +282,31 @@ def _pivot_to_z(nf, s, t):
     return nf.Delta.index(s) + 1, nf.DeltaC.index(t) + 1
 
 
+def _dictionaries(nf, s, t, bchart, mchart):
+    """The images of chart_match's dictionary D and of its inverse, as dicts.
+
+    D sends the pivot z to lambda, the column entries bu_i_t to the Delta x
+    coordinates and the row entries bu_s_j to the DeltaC y coordinates; the
+    inverse sends the pinned coordinates back to 1.
+    """
+    sz, tz = _pivot_to_z(nf, s, t)
+    bring, mring = bchart.chart.ring, mchart.reduced.ring
+    fwd = {"pi": mring.var("pi"), bchart.z_var: mring.var("lambda")}
+    for i, a in enumerate(nf.Delta, start=1):
+        if i != sz:
+            fwd["bu_%d_%d" % (i, tz)] = mring.var("x_%d" % a)
+    for j, b in enumerate(nf.DeltaC, start=1):
+        if j != tz:
+            fwd["bu_%d_%d" % (sz, j)] = mring.var("y_%d" % b)
+
+    bwd = {"pi": bring.var("pi"), "lambda": bring.var(bchart.z_var)}
+    for i, a in enumerate(nf.Delta, start=1):
+        bwd["x_%d" % a] = bring.one() if i == sz else bring.var("bu_%d_%d" % (i, tz))
+    for j, b in enumerate(nf.DeltaC, start=1):
+        bwd["y_%d" % b] = bring.one() if j == tz else bring.var("bu_%d_%d" % (sz, j))
+    return fwd, bwd
+
+
 def chart_match(nf, s, t):
     """Three-way dictionary match between the two chart descriptions.
 
@@ -290,21 +323,8 @@ def chart_match(nf, s, t):
         mchart = build_M_chart(nf, s, t)
         bring = bchart.chart.ring
         mring = mchart.reduced.ring
-
-        fwd = {"pi": mring.var("pi"), bchart.z_var: mring.var("lambda")}
-        for i, a in enumerate(nf.Delta, start=1):
-            if i != sz:
-                fwd["bu_%d_%d" % (i, tz)] = mring.var("x_%d" % a)
-        for j, b in enumerate(nf.DeltaC, start=1):
-            if j != tz:
-                fwd["bu_%d_%d" % (sz, j)] = mring.var("y_%d" % b)
+        fwd, bwd = _dictionaries(nf, s, t, bchart, mchart)
         D = RingMap(bring, mring, fwd)
-
-        bwd = {"pi": bring.var("pi"), "lambda": bring.var(bchart.z_var)}
-        for i, a in enumerate(nf.Delta, start=1):
-            bwd["x_%d" % a] = bring.one() if i == sz else bring.var("bu_%d_%d" % (i, tz))
-        for j, b in enumerate(nf.DeltaC, start=1):
-            bwd["y_%d" % b] = bring.one() if j == tz else bring.var("bu_%d_%d" % (sz, j))
         Dinv = RingMap(mring, bring, bwd)
 
         b_eq = bchart.chart.ideal.generators[0]
@@ -424,3 +444,94 @@ def linking_multipliers(nf, s, t):
             report.details["failed_coordinates"] = failures
         report.unit_notes.append("u = -Q2(x) lambda, v = Q1(y) lambda")
     return report
+
+
+# ------------------------------------------------- one proof per pivot class
+
+
+def _transfers(nf, r, p):
+    """Whether the pivot checks' `pass` at the Z pivot r holds at the Z pivot p.
+
+    The renaming phi swaps the pair of r's row with the pair of p's row, and
+    likewise for the columns, so it keeps the pairings i <-> delta + 1 - i and
+    j <-> d - delta + 1 - j and sends r to p; it acts on the lattice
+    positions through `nf.z_cells` and fixes pi and lambda.  The answer is
+    True iff phi maps every input of the checks at r exactly onto the one at
+    p: the DT blow-up chart, ambient and reduced, its row and column sums
+    and its pivot variable, the M chart, full and reduced, its eliminated
+    set, Q2(x) and Q1(y); and iff phi commutes with `incl_flip` and with
+    chart_match's dictionaries.  Generator lists are compared as multisets,
+    those of the reduced charts in order.  phi renames by permuting exponent
+    tuples.  Decided once per (nf, r, p) inside `groebner.memo()`.
+    """
+
+    def swap(n, a, b):
+        # the permutation of 1..n, as a dict, that swaps the pair of a under
+        # i <-> n + 1 - i with that of b, a to b; None when only one of a, b
+        # is the middle position, which every such permutation fixes
+        a2, b2 = n + 1 - a, n + 1 - b
+        if (a == a2) != (b == b2):
+            return None
+        perm = {i: i for i in range(1, n + 1)}
+        perm.update({a: b, b: a, a2: b2, b2: a2})
+        return perm
+
+    def decide():
+        rows = swap(nf.delta, r[0], p[0])
+        cols = swap(nf.d - nf.delta, r[1], p[1])
+        if rows is None or cols is None:
+            return False
+        pos = {nf.Delta[i - 1]: nf.Delta[k - 1] for i, k in rows.items()}
+        pos.update({nf.DeltaC[j - 1]: nf.DeltaC[k - 1] for j, k in cols.items()})
+        flip = nf.incl_flip
+        if any(pos[flip[a - 1]] != flip[pos[a] - 1] for a in pos):
+            return False
+        bnames = {"pi": "pi", "z_%d_%d" % r: "z_%d_%d" % p}
+        for i, k in rows.items():
+            for j, l in cols.items():
+                bnames["bu_%d_%d" % (i, j)] = "bu_%d_%d" % (k, l)
+        mnames = {"pi": "pi", "lambda": "lambda"}
+        for a, c in pos.items():
+            mnames["x_%d" % a], mnames["y_%d" % a] = "x_%d" % c, "y_%d" % c
+
+        def renaming(names, source, target):
+            images = [names.get(v) for v in source.variables]
+            if set(images) != set(target.variables) or len(images) != target.nvars:
+                return None
+            at = {v: k for k, v in enumerate(images)}
+            take = [at[v] for v in target.variables]
+            return lambda f: Polynomial(
+                target, {tuple(map(e.__getitem__, take)): c for e, c in f.terms.items()}, f.den
+            )
+
+        lattice = dict(nf.z_cells)
+        br, bp = build_DT_blowup_chart(nf, *r), build_DT_blowup_chart(nf, *p)
+        mr, mp = build_M_chart(nf, *lattice[r]), build_M_chart(nf, *lattice[p])
+        amb = renaming(bnames, br.ambient.ring, bp.ambient.ring)
+        bred = renaming(bnames, br.chart.ring, bp.chart.ring)
+        full = renaming(mnames, mr.full.ring, mp.full.ring)
+        mred = renaming(mnames, mr.reduced.ring, mp.reduced.ring)
+        if None in (amb, bred, full, mred):
+            return False
+        fwd_r, bwd_r = _dictionaries(nf, *lattice[r], br, mr)
+        fwd_p, bwd_p = _dictionaries(nf, *lattice[p], bp, mp)
+
+        def gens(cp):
+            return cp.ideal.generators
+
+        return (
+            Counter(map(amb, gens(br.ambient))) == Counter(gens(bp.ambient))
+            and tuple(map(bred, gens(br.chart))) == gens(bp.chart)
+            and bred(br.row_sum) == bp.row_sum
+            and bred(br.col_sum) == bp.col_sum
+            and bnames.get(br.z_var) == bp.z_var
+            and Counter(map(full, gens(mr.full))) == Counter(gens(mp.full))
+            and tuple(map(mred, gens(mr.reduced))) == gens(mp.reduced)
+            and {mnames[v] for v in mr.eliminated} == set(mp.eliminated)
+            and full(mr.q2x) == mp.q2x
+            and full(mr.q1y) == mp.q1y
+            and {bnames[v]: mred(f) for v, f in fwd_r.items()} == fwd_p
+            and {mnames[v]: bred(f) for v, f in bwd_r.items()} == bwd_p
+        )
+
+    return once(("transfers", nf, r, p), decide)

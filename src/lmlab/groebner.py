@@ -1072,21 +1072,21 @@ def krull_dim(I):
 
     found = {}
 
-    def search(excluded):
-        live = [s for s in minimal if not (s & excluded)]
+    def search(excluded, live):
+        # live: the minimal supports disjoint from excluded, still in the
+        # order of `minimal`, so the first is the least
         if not live:
             return n - len(excluded)
         got = found.get(excluded)
         if got is not None:
             return got
-        s = min(live, key=lambda s: (len(s), sorted(s)))
         best = -1
-        for v in sorted(s):
-            best = max(best, search(excluded | frozenset([v])))
+        for v in sorted(live[0]):
+            best = max(best, search(excluded | {v}, [s for s in live if v not in s]))
         found[excluded] = best
         return best
 
-    return search(frozenset())
+    return search(frozenset(), minimal)
 
 
 # --------------------------------------------------------- .ideal format

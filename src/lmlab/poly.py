@@ -706,7 +706,8 @@ def parse_poly(text, ring):
 
 def _det(m, rows, cols):
     # cofactor expansion along the first row, ending at a d - b c; fine at
-    # chart scale.  The sum starts from an entry times 0, so int rows work too
+    # chart scale.  The sum starts from an entry times 0, so int rows work
+    # too; an entry or a sub-determinant that is zero adds no term
     r0 = m[rows[0]]
     if len(rows) == 1:
         return r0[cols[0]]
@@ -724,7 +725,10 @@ def _det(m, rows, cols):
         e = r0[c]
         if not e:
             continue
-        term = e * _det(m, rest, cols[:k] + cols[k + 1 :])
+        sub = _det(m, rest, cols[:k] + cols[k + 1 :])
+        if not sub:
+            continue
+        term = e * sub
         acc = acc + (term if k % 2 == 0 else -term)
     return acc
 

@@ -10,18 +10,25 @@ The checks of one instance run together, in one `groebner.memo()` block, so
 that they share every Groebner basis they compute and build each resolution
 and blow-up chart once; `run_suite` runs one task per instance, and `--jobs`
 spreads the instances over worker processes.
+The four checks that run per pivot prove their claims once per pivot class
+(is the pivot on the middle row of Z?, on its middle column?): a `pass` of
+the class's first pivot is copied to each other pivot of the class that
+`blowup._transfers` accepts, and every other pivot, and every class whose
+first pivot does not pass, is proven pivot by pivot (`_by_pivot_class`).
 `timeout_s` is the Groebner budget of one named check at one instance: each
 check runs in its own `deadline()` block.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .lattice import LatticeError, check_admissible, normal_form
-from .report import FAIL, VerificationReport, checking, exception_status
+from .report import FAIL, PASS, VerificationReport, checking, exception_status
 
 __all__ = [
     "ConfigError",
@@ -109,13 +116,13 @@ def _wrap_error(check, instance, exc):
     return VerificationReport(check, instance, status, details={key: str(exc)})
 
 
-def _check_za1(nf, mode, seed, pivots):
+def _check_za1(nf, mode, seed):
     from .localmodel import verify_presentation
 
     return [verify_presentation(nf, mode=mode, seed=seed)]
 
 
-def _check_dt_equals_u(nf, mode, seed, pivots):
+def _check_dt_equals_u(nf, mode, seed):
     # DT's displayed sum is 2 T(Z), so DT must equal U; a Groebner comparison proves it
     from .groebner import ideal_equal
     from .localmodel import build_DT_ideal, build_U_ideals
@@ -128,7 +135,7 @@ def _check_dt_equals_u(nf, mode, seed, pivots):
     return [rep]
 
 
-def _check_flatness_dims(nf, mode, seed, pivots):
+def _check_flatness_dims(nf, mode, seed):
     from .groebner import Ideal, krull_dim
     from .localmodel import build_U_ideals, flatness_and_dimension, z_matrix
     from .poly import minors
@@ -148,13 +155,13 @@ def _check_flatness_dims(nf, mode, seed, pivots):
     return [rep_u, rep_c]
 
 
-def _check_annihilator(nf, mode, seed, pivots):
+def _check_annihilator(nf, mode, seed):
     from .localmodel import verify_annihilator
 
     return [verify_annihilator(nf)]
 
 
-def _check_linked_fiber(nf, mode, seed, pivots):
+def _check_linked_fiber(nf, mode, seed):
     from .quadric import verify_fiber_decomposition, verify_linked_chart
 
     reports = []
@@ -167,7 +174,7 @@ def _check_linked_fiber(nf, mode, seed, pivots):
     return reports
 
 
-def _check_b_blowup(nf, mode, seed, pivots):
+def _check_b_blowup(nf, mode, seed):
     from .quadric import verify_divisor_multiplicities_on_blowup_charts
 
     rep = verify_divisor_multiplicities_on_blowup_charts()
@@ -175,55 +182,88 @@ def _check_b_blowup(nf, mode, seed, pivots):
     return [rep]
 
 
-def _check_quadbu_smooth(nf, mode, seed, pivots):
+def _quadbu_smooth_at(nf, s, t):
     from .blowup import build_DT_blowup_chart
     from .groebner import eliminates_to
     from .verify import model_target_for_chart, smooth_over_model
 
-    reports = []
     rel = nf.d - 4 if nf.delta_star >= 2 else nf.d - 3
-    for s, t in pivots:
-        instance = {"d": nf.d, "delta": nf.delta, "pivot": [s, t]}
-        with checking("quadbu-smooth", instance) as rep:
-            bc = build_DT_blowup_chart(nf, s, t)
-            # eliminating the dependent bu variables (the ambient ones not in
-            # the reduced ring) must recover the reduced chart
-            dependent = set(bc.ambient.ring.variables) - set(bc.chart.ring.variables)
-            if not eliminates_to(bc.ambient.ideal, dependent, bc.chart.ideal):
-                rep.status = FAIL
-                rep.details["ambient_elimination"] = False
-            else:
-                tgt = model_target_for_chart(nf, bc)
-                chart_rep = smooth_over_model(bc.chart, tgt, rel)
-                rep.status = chart_rep.status
-                rep.details.update(chart_rep.details, target=tgt.kind)
-        reports.append(rep)
-    return reports
+    instance = {"d": nf.d, "delta": nf.delta, "pivot": [s, t]}
+    with checking("quadbu-smooth", instance) as rep:
+        bc = build_DT_blowup_chart(nf, s, t)
+        # eliminating the dependent bu variables (the ambient ones not in
+        # the reduced ring) must recover the reduced chart
+        dependent = set(bc.ambient.ring.variables) - set(bc.chart.ring.variables)
+        if not eliminates_to(bc.ambient.ideal, dependent, bc.chart.ideal):
+            rep.status = FAIL
+            rep.details["ambient_elimination"] = False
+        else:
+            tgt = model_target_for_chart(nf, bc)
+            chart_rep = smooth_over_model(bc.chart, tgt, rel)
+            rep.status = chart_rep.status
+            rep.details.update(chart_rep.details, target=tgt.kind)
+    return [rep]
 
 
-def _check_affine_chart(nf, mode, seed, pivots):
+def _affine_chart_at(nf, s, t):
     from .blowup import affine_chart
 
-    return [affine_chart(nf, s, t) for s, t in pivots]
+    return [affine_chart(nf, s, t)]
 
 
-def _check_chart_match(nf, mode, seed, pivots):
+def _chart_match_at(nf, s, t):
     from .blowup import chart_match, linking_multipliers
 
-    reports = []
-    for s, t in pivots:
-        reports.append(chart_match(nf, s, t))
-        link = linking_multipliers(nf, s, t)
-        link.instance = dict(link.instance)
-        link.instance["part"] = "linking"
-        reports.append(link)
-    return reports
+    match = chart_match(nf, s, t)
+    link = linking_multipliers(nf, s, t)
+    link.instance = dict(link.instance, part="linking")
+    return [match, link]
 
 
-def _check_exceptional(nf, mode, seed, pivots):
+def _exceptional_at(nf, s, t):
     from .blowup import exceptional_locus
 
-    return [exceptional_locus(nf, s, t) for s, t in pivots]
+    return [exceptional_locus(nf, s, t)]
+
+
+def _by_pivot_class(nf, pivots, half, prove):
+    """The reports of `prove(nf, s, t)` at each pivot, with one proof per class.
+
+    The class of a pivot is (is its Z row the middle row?, is its Z column
+    the middle column?); a lattice pivot reaches Z through `nf.z_cells`.
+    The first pivot of a class, in the given order, represents it and is
+    proven.  At a later pivot p of a class whose representative r passed
+    every report, r's reports are copied with the pivot set to p if
+    `blowup._transfers` accepts the renaming from r to p; otherwise p is
+    proven.  So no fail, timeout or error is ever copied.  A pivot outside
+    Z is proven, and its builder raises LatticeError.
+    """
+    from .blowup import _transfers
+
+    to_z = {cell[half]: cell[0] for cell in nf.z_cells}
+    first = {}  # class -> (its representative in Z, its reports if all passed)
+    reports = []
+    for s, t in pivots:
+        t0 = time.monotonic()
+        z = to_z.get((s, t))
+        if z is None:
+            reports += prove(nf, s, t)
+            continue
+        cls = (2 * z[0] == nf.delta + 1, 2 * z[1] == nf.d - nf.delta + 1)
+        rep_z, passed = first.get(cls, (None, None))
+        if passed and _transfers(nf, rep_z, z):
+            ms = int((time.monotonic() - t0) * 1000)
+            for rep in passed:
+                moved = copy.deepcopy(rep)
+                moved.instance["pivot"] = [s, t]
+                moved.runtime_ms = ms
+                reports.append(moved)
+            continue
+        proven = prove(nf, s, t)
+        if cls not in first:
+            first[cls] = (z, proven if all(r.status == PASS for r in proven) else None)
+        reports += proven
+    return reports
 
 
 _CHECKS = {
@@ -231,10 +271,10 @@ _CHECKS = {
     "dt-equals-u": _check_dt_equals_u,
     "linked-fiber": _check_linked_fiber,
     "b-blowup": _check_b_blowup,
-    "quadbu-smooth": _check_quadbu_smooth,
-    "affine-chart": _check_affine_chart,
-    "chart-match": _check_chart_match,
-    "exceptional": _check_exceptional,
+    "quadbu-smooth": _quadbu_smooth_at,
+    "affine-chart": _affine_chart_at,
+    "chart-match": _chart_match_at,
+    "exceptional": _exceptional_at,
     "annihilator": _check_annihilator,
     "flatness-dims": _check_flatness_dims,
 }
@@ -243,7 +283,9 @@ CHECK_NAMES = tuple(_CHECKS)
 
 # the checks that run per pivot, each with the half of an `nf.z_cells` entry
 # ((i, j), (a, b)) that it takes: 0 for the row and column (i, j) of the Z
-# entry, 1 for its lattice positions (a, b)
+# entry, 1 for its lattice positions (a, b).  In _CHECKS such a check is the
+# proof at one pivot, (nf, s, t) -> reports; every other check is
+# (nf, mode, seed) -> reports
 _PIVOT_HALF = {"quadbu-smooth": 0, "affine-chart": 1, "chart-match": 1, "exceptional": 1}
 
 # module-level CLI spellings for groups of checks
@@ -259,15 +301,18 @@ def run_check(check, d, delta, mode="sound", timeout_s=None, seed=7, pivots=None
     """All reports for one named check at one grid instance.
 
     timeout_s budgets every Groebner operation of the check together.  A
-    check in _PIVOT_HALF runs at the given pivots, or else at every pivot.
+    check in _PIVOT_HALF runs at the given pivots, or else at every pivot,
+    with one proof per pivot class (`_by_pivot_class`).
     """
     from .groebner import deadline
 
     nf = normal_form(d, delta)
-    if check in _PIVOT_HALF and not pivots:
-        pivots = [cell[_PIVOT_HALF[check]] for cell in nf.z_cells]
     with deadline(timeout_s):
-        return _CHECKS[check](nf, mode, seed, pivots)
+        if check not in _PIVOT_HALF:
+            return _CHECKS[check](nf, mode, seed)
+        half = _PIVOT_HALF[check]
+        pivots = pivots or [cell[half] for cell in nf.z_cells]
+        return _by_pivot_class(nf, pivots, half, _CHECKS[check])
 
 
 def run_instance(checks, d, delta, mode="sound", timeout_s=None, seed=7, pivots=None):

@@ -1,6 +1,7 @@
 """Blow-up charts, resolution charts, and their matching."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -342,12 +343,17 @@ def test_resolution_checks_build_each_chart_once_and_no_graded_basis_of_the_full
     assert in_full and all(isinstance(r.order, Block) for r in in_full)
     assert not any(isinstance(r.order, (GrevLex, groebner._RevLexLast)) for r in in_full)
 
-    # four builds of each M chart (affine-chart, chart-match, linking and
-    # exceptional) and one of each DT chart, all of one object per pivot
-    # (each id keeps its chart alive, so that a later chart cannot reuse it)
+    # 5:2 has two pivot classes.  A class representative is proven: four
+    # builds of its M chart (affine-chart, chart-match, linking and
+    # exceptional) and one of its DT chart (chart-match).  Each other pivot
+    # is decided once for all three checks, and the decision builds both
+    # charts at the representative and at the pivot.  All builds are of one
+    # object per pivot (each id keeps its chart alive, so that a later chart
+    # cannot reuse it)
+    classes, others = 2, pivots - 2
     first = {kind: {id(c): c for c in charts} for kind, charts in built.items()}
-    assert (len(built["M"]), len(first["M"])) == (4 * pivots, pivots)
-    assert (len(built["DT"]), len(first["DT"])) == (pivots, pivots)
+    assert (len(built["M"]), len(first["M"])) == (4 * classes + 2 * others, pivots)
+    assert (len(built["DT"]), len(first["DT"])) == (classes + 2 * others, pivots)
 
     # the next instance starts with no chart
     for charts in built.values():
@@ -390,3 +396,163 @@ def test_builders_and_buchberger_share_one_memo():
         assert build_M_chart(nf, s, t) is chart
         assert buchberger(chart.full.ideal)[0] is basis
     assert groebner._memo is None
+
+
+# ------------------------------------------------- one proof per pivot class
+
+G = [(5, 1), (5, 2), (6, 1), (6, 2), (6, 3), (7, 2), (7, 3)]
+PIVOT_CHECKS = ["quadbu-smooth", "affine-chart", "chart-match", "exceptional"]
+
+
+def _pivot_class(nf, z):
+    return (2 * z[0] == nf.delta + 1, 2 * z[1] == nf.d - nf.delta + 1)
+
+
+def _representatives(nf):
+    reps = {}
+    for z, _ in nf.z_cells:
+        reps.setdefault(_pivot_class(nf, z), z)
+    return reps
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 8, 9])
+def test_the_renaming_maps_each_representative_onto_every_pivot_of_its_class(d):
+    from lmlab.blowup import _transfers
+    from lmlab.groebner import memo
+
+    for delta in range(1, d // 2 + 1):
+        nf = normal_form(d, delta)
+        reps = _representatives(nf)
+        with memo():
+            for z, _ in nf.z_cells:
+                assert _transfers(nf, reps[_pivot_class(nf, z)], z), (d, delta, z)
+    if d == 6:
+        # 10:5 is the largest instance the classes were counted at
+        nf = normal_form(10, 5)
+        assert (len(nf.z_cells), len(_representatives(nf))) == (25, 4)
+
+
+def test_no_renaming_joins_pivots_of_different_classes():
+    from itertools import permutations
+
+    from lmlab.blowup import _transfers
+
+    # a permutation of 1..n that keeps i <-> n + 1 - i fixes the middle
+    for n in range(1, 8, 2):
+        for perm in permutations(range(1, n + 1)):
+            image = dict(zip(range(1, n + 1), perm))
+            if all(image[n + 1 - i] == n + 1 - image[i] for i in image):
+                assert image[(n + 1) // 2] == (n + 1) // 2
+    classes = 0
+    for d, delta in G:
+        nf = normal_form(d, delta)
+        cells = [z for z, _ in nf.z_cells]
+        classes += len(_representatives(nf))
+        for r in cells:
+            for p in cells:
+                if _pivot_class(nf, r) != _pivot_class(nf, p):
+                    assert not _transfers(nf, r, p), (d, delta, r, p)
+    assert classes == 14
+
+
+def _spy_proofs(monkeypatch):
+    import lmlab.suite as suite
+
+    proven = []
+    for check in PIVOT_CHECKS:
+        real = suite._CHECKS[check]
+
+        def prove(nf, s, t, check=check, real=real):
+            proven.append((check, nf.d, nf.delta, (s, t)))
+            return real(nf, s, t)
+
+        monkeypatch.setitem(suite._CHECKS, check, prove)
+    return proven
+
+
+def _stripped(reports):
+    out = []
+    for rep in reports:
+        rep = rep.to_dict()
+        rep["runtime_ms"] = 0
+        out.append(rep)
+    return out
+
+
+def test_a_pivot_whose_chart_differs_is_proven_directly(monkeypatch):
+    import lmlab.blowup as blowup
+    from lmlab.groebner import Ideal
+    from lmlab.localmodel import ChartPresentation
+    from lmlab.suite import run_instance
+
+    nf = normal_form(6, 2)  # one class of 8 pivots
+    checks = ["affine-chart", "chart-match", "exceptional"]
+    clean = _stripped(run_instance(checks, 6, 2))
+    bad = nf.z_cells[5][1]
+    real = blowup.build_M_chart
+
+    def doubled(cp):
+        ring = cp.ring
+        images = {v: ring.var(v) for v in ring.variables}
+        images["pi"] = 2 * ring.var("pi")
+        twice = RingMap(ring, ring, images)
+        return ChartPresentation(cp.name, Ideal(ring, [twice(g) for g in cp.ideal.generators]))
+
+    def build(nf, s, t):
+        chart = real(nf, s, t)
+        if (s, t) != bad:
+            return chart
+        return dataclasses.replace(chart, full=doubled(chart.full), reduced=doubled(chart.reduced))
+
+    monkeypatch.setattr(blowup, "build_M_chart", build)
+    proven = _spy_proofs(monkeypatch)
+    changed = _stripped(run_instance(checks, 6, 2))
+    rep = nf.z_cells[0][1]
+    assert proven == [(c, 6, 2, p) for c in checks for p in (rep, bad)]
+
+    at_bad = [r for r in changed if tuple(r["instance"]["pivot"]) == bad]
+    assert {r["status"] for r in at_bad} == {"pass", "fail"}
+    # chart-match and its linking report fail at 2 pi; those are direct proofs
+    assert [r["check"] for r in at_bad if r["status"] == "fail"] == ["chart-match"] * 2
+    assert [r for r in changed if r not in at_bad] == [
+        r for r in clean if tuple(r["instance"]["pivot"]) != bad
+    ]
+
+
+def test_refused_transfers_give_the_same_reports_on_g(monkeypatch):
+    import lmlab.blowup as blowup
+    from lmlab.suite import SuiteConfig, dump_payload, run_suite, strip_timings
+
+    def payload():
+        proven.clear()
+        _, out = run_suite(SuiteConfig(grid=G, checks=PIVOT_CHECKS))
+        return dump_payload(strip_timings(out)), set(proven)
+
+    proven = _spy_proofs(monkeypatch)
+    moved, proven_moved = payload()
+    monkeypatch.setattr(blowup, "_transfers", lambda nf, r, p: False)
+    direct, proven_direct = payload()
+    assert moved == direct
+    assert len(proven_direct) == 4 * 54 and len(proven_moved) < len(proven_direct)
+    # no fail is copied: the 14 quadbu-smooth middle pivots are each proven
+    fails = [
+        (r["check"], r["instance"]["d"], r["instance"]["delta"], tuple(r["instance"]["pivot"]))
+        for r in json.loads(moved)["reports"]
+        if r["status"] != "pass"
+    ]
+    assert len(fails) == 14 and set(fails) <= proven_moved
+
+
+def test_explicit_pivots_form_classes_among_themselves(monkeypatch):
+    from lmlab.suite import run_instance
+
+    nf = normal_form(6, 2)
+    proven = _spy_proofs(monkeypatch)
+    first, second = nf.z_cells[5][1], nf.z_cells[2][1]
+    reports = run_instance(["exceptional"], 6, 2, pivots=[first, second])
+    assert proven == [("exceptional", 6, 2, first)]
+    assert [r.instance["pivot"] for r in reports] == [list(first), list(second)]
+    assert _stripped(reports[1:]) == _stripped([exceptional_locus(nf, *second)])
+    # a pivot out of range still raises, after the pivots before it ran
+    with pytest.raises(LatticeError, match="not an N position"):
+        run_instance(["exceptional"], 6, 2, pivots=[first, (9, 9)])

@@ -215,6 +215,82 @@ def test_krull_dim_examples():
     assert krull_dim(U.ideal) == 4
 
 
+def reference_krull_dim(I):
+    # krull_dim as it was before its search passed the surviving minimal
+    # supports down to each child call, kept verbatim as the reference
+    basis = I.gb()
+    n = I.ring.nvars
+    if not basis:
+        return n
+    supports = []
+    for g in basis:
+        if g.total_degree() == 0:
+            return -1
+        supports.append(frozenset(i for i, e in enumerate(g.lm()) if e))
+    # keep only minimal supports
+    supports = sorted(set(supports), key=lambda s: (len(s), sorted(s)))
+    minimal = []
+    for s in supports:
+        if not any(m <= s for m in minimal):
+            minimal.append(s)
+
+    found = {}
+
+    def search(excluded):
+        live = [s for s in minimal if not (s & excluded)]
+        if not live:
+            return n - len(excluded)
+        got = found.get(excluded)
+        if got is not None:
+            return got
+        s = min(live, key=lambda s: (len(s), sorted(s)))
+        best = -1
+        for v in sorted(s):
+            best = max(best, search(excluded | frozenset([v])))
+        found[excluded] = best
+        return best
+
+    return search(frozenset())
+
+
+def test_krull_dim_equals_the_reference_on_the_checks_bases(monkeypatch):
+    # every ideal whose dimension flatness-dims and quadbu-smooth (through
+    # smooth_over_model) take on G, each pivot proven on its own
+    import lmlab.blowup as blowup
+    import lmlab.verify as verify
+    from lmlab.suite import run_instance
+
+    seen = []
+
+    def spy(I):
+        seen.append(I)
+        return krull_dim(I)
+
+    monkeypatch.setattr(groebner, "krull_dim", spy)
+    monkeypatch.setattr(verify, "krull_dim", spy)
+    monkeypatch.setattr(blowup, "_transfers", lambda nf, r, p: False)
+    for d, delta in [(5, 1), (5, 2), (6, 1), (6, 2), (6, 3), (7, 2), (7, 3)]:
+        run_instance(["flatness-dims", "quadbu-smooth"], d, delta)
+    # flatness-dims: U and the Segre cone; quadbu-smooth: one chart per pivot
+    assert len(seen) == 2 * 7 + 54
+    for I in seen:
+        assert krull_dim(I) == reference_krull_dim(I)
+
+
+def test_krull_dim_equals_the_reference_on_random_monomial_supports():
+    rng = random.Random(26)
+    R = PolyRing(["x%d" % i for i in range(9)])
+    for _ in range(200):
+        gens = []
+        for _ in range(rng.randint(0, 8)):
+            exp = [0] * R.nvars
+            for i in rng.sample(range(R.nvars), rng.randint(1, 4)):
+                exp[i] = rng.randint(1, 2)
+            gens.append(R.poly({tuple(exp): 1}))
+        I = Ideal(R, gens)
+        assert krull_dim(I) == reference_krull_dim(I)
+
+
 def test_reduced_gb_unique_under_shuffle():
     nf = normal_form(6, 2)
     _, small = build_U_ideals(nf)

@@ -1,6 +1,8 @@
 """Parser, printing, and polynomial algebra tests."""
 
+import random
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import gcd
 
 import pytest
@@ -315,6 +317,49 @@ def test_minors_3x3_int_determinant():
     [det] = minors([[2, 0, 1], [1, 3, 2], [1, 1, 4]], 3)
     assert det == 2 * (3 * 4 - 2 * 1) + 1 * (1 * 1 - 3 * 1)
     assert type(det) is int
+
+
+def _leibniz(m, zero):
+    total = zero
+    for perm in permutations(range(len(m))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_minors_with_zero_entries_and_zero_sub_determinants(k):
+    # the cofactor expansion skips an entry whose sub-determinant is zero,
+    # and still returns the type of its rows: the int 0 for int rows, the
+    # ring's zero for polynomial rows
+    rng = random.Random(k)
+    R = ring("a", "b", "c")
+    for trial in range(60):
+        ints = [[rng.choice([0, 0, 0, 1, -1, 2, 3]) for _ in range(k)] for _ in range(k)]
+        if trial % 3 == 0:
+            ints[-1] = list(ints[-2])  # equal rows: zero sub-determinants
+        if trial == 0:
+            ints = [[0] * k for _ in range(k)]
+        polys = [
+            [v * (R.var(rng.choice("abc")) + rng.choice([0, 1])) if v else R.zero() for v in row]
+            for row in ints
+        ]
+        for rows, zero in ((ints, 0), (polys, R.zero())):
+            [det] = minors(rows, k)
+            assert det == _leibniz(rows, zero)
+            assert type(det) is type(rows[0][0] * 0)
+            if type(det) is Polynomial:
+                assert det.ring == R
+            # the (k - 1) x (k - 1) minors, each against its own submatrix
+            want = [
+                _leibniz([[rows[i][j] for j in cs] for i in rs], zero)
+                for rs in combinations(range(k), k - 1)
+                for cs in combinations(range(k), k - 1)
+            ]
+            assert minors(rows, k - 1) == want
 
 
 def test_minors_size_out_of_range():
