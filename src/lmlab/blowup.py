@@ -30,7 +30,6 @@ from .groebner import (
     once,
 )
 from .lattice import LatticeError, q1_form, q2_form
-from .localmodel import ChartPresentation
 from .poly import Block, PolyRing, Polynomial, RingMap
 from .report import FAIL, checking
 
@@ -48,8 +47,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BlowupChart:
-    chart: ChartPresentation
-    ambient: ChartPresentation
+    chart: Ideal
+    ambient: Ideal
     z_var: str
     row_sum: object
     col_sum: object
@@ -57,8 +56,8 @@ class BlowupChart:
 
 @dataclass(frozen=True)
 class MChart:
-    full: ChartPresentation
-    reduced: ChartPresentation
+    full: Ideal
+    reduced: Ideal
     eliminated: tuple  # the M-side x and N-side y coordinates, in ring order
     q2x: Polynomial  # Q2(x) and Q1(y) in the full ring
     q1y: Polynomial
@@ -96,15 +95,9 @@ def build_B_blowup_charts():
     b = build_basic_scheme()
 
     r1 = PolyRing(["pi", "u", "v", "x"])
-    chart1 = ChartPresentation(
-        name="b-blowup-I",
-        ideal=Ideal(r1, [r1.var("u") * r1.var("v") - r1.var("pi")]),
-    )
+    chart1 = Ideal(r1, [r1.var("u") * r1.var("v") - r1.var("pi")])
     r2 = PolyRing(["pi", "w1", "w2", "y"])
-    chart2 = ChartPresentation(
-        name="b-blowup-II",
-        ideal=Ideal(r2, [r2.var("w1") * r2.var("w2") * r2.var("y") ** 2 + r2.var("pi")]),
-    )
+    chart2 = Ideal(r2, [r2.var("w1") * r2.var("w2") * r2.var("y") ** 2 + r2.var("pi")])
 
     map1 = RingMap(
         b.ring,
@@ -163,10 +156,7 @@ def build_DT_blowup_chart(nf, s, t):
         cs_amb = cs_amb + amb.var(bu(s, j)) * amb.var(bu(s, m + 1 - j))
     zsq = amb.var(zv) ** 2
     amb_eq = 4 * amb.var("pi") + zsq * rs_amb * cs_amb
-    ambient = ChartPresentation(
-        name="dt-blowup-ambient[%d,%d]@%d,%d" % (nf.d, nf.delta, s, t),
-        ideal=Ideal(amb, rel + [amb_eq]),
-    )
+    ambient = Ideal(amb, rel + [amb_eq])
 
     free = [bu(i, t) for i in range(1, delta + 1) if i != s]
     free += [bu(s, j) for j in range(1, m + 1) if j != t]
@@ -186,12 +176,8 @@ def build_DT_blowup_chart(nf, s, t):
     row_sum = proj(rs_amb)
     col_sum = proj(cs_amb)
     red_eq = 4 * red.var("pi") + red.var(zv) ** 2 * row_sum * col_sum
-    reduced = ChartPresentation(
-        name="dt-blowup[%d,%d]@%d,%d" % (nf.d, nf.delta, s, t),
-        ideal=Ideal(red, [red_eq]),
-    )
     return BlowupChart(
-        chart=reduced, ambient=ambient, z_var=zv,
+        chart=Ideal(red, [red_eq]), ambient=ambient, z_var=zv,
         row_sum=row_sum, col_sum=col_sum,
     )
 
@@ -209,7 +195,8 @@ def build_M_chart(nf, s, t):
     the full ring is ordered to eliminate them (`Block(eliminated)`), so that
     the elimination and the membership tests in the full ideal share one
     basis.  The reduced ideal is the hypersurface lambda^2 Q2(x) Q1(y) + pi
-    with the two pins.
+    with the two pins: none of those generators uses an eliminated
+    coordinate, so the full ring's are taken into the reduced ring.
     """
     _pivot_to_z(nf, s, t)  # raises LatticeError for a pivot outside Delta x DeltaC
     d, flip = nf.d, nf.incl_flip
@@ -231,26 +218,8 @@ def build_M_chart(nf, s, t):
         kgens.append(full.var("x_%d" % i) + lam * q2x * full.var("y_%d" % flip[i - 1]))
     for j in nf.Delta:
         kgens.append(full.var("y_%d" % j) - lam * q1y * full.var("x_%d" % flip[j - 1]))
-    full_cp = ChartPresentation(
-        name="m-chart-full[%d,%d]@x%d,y%d" % (nf.d, nf.delta, s, t),
-        ideal=Ideal(full, [eq] + kgens),
-    )
-
-    lam_r = red.var("lambda")
-    q2r = q2_form(nf, red, var="x")
-    q1r = q1_form(nf, red, var="y")
-    red_cp = ChartPresentation(
-        name="m-chart[%d,%d]@x%d,y%d" % (nf.d, nf.delta, s, t),
-        ideal=Ideal(
-            red,
-            [
-                lam_r**2 * q2r * q1r + red.var("pi"),
-                red.var("x_%d" % s) - 1,
-                red.var("y_%d" % t) - 1,
-            ],
-        ),
-    )
-    return MChart(full_cp, red_cp, eliminated, q2x, q1y)
+    return MChart(Ideal(full, [eq] + kgens), Ideal(red, [eq] + kgens[:2]),
+                  eliminated, q2x, q1y)
 
 
 def affine_chart(nf, s, t):
@@ -263,7 +232,7 @@ def affine_chart(nf, s, t):
     instance = {"d": nf.d, "delta": nf.delta, "pivot": [s, t]}
     with checking("affine-chart", instance) as report:
         mchart = build_M_chart(nf, s, t)
-        ok = eliminates_to(mchart.full.ideal, mchart.eliminated, mchart.reduced.ideal)
+        ok = eliminates_to(mchart.full, mchart.eliminated, mchart.reduced)
         report.details["elimination_equality"] = ok
         if not ok:
             report.status = FAIL
@@ -327,11 +296,11 @@ def chart_match(nf, s, t):
         D = RingMap(bring, mring, fwd)
         Dinv = RingMap(mring, bring, bwd)
 
-        b_eq = bchart.chart.ideal.generators[0]
+        b_eq = bchart.chart.generators[0]
         img = D(b_eq)
-        ok_fwd, fwd_cert = ideal_member(img, mchart.reduced.ideal)
+        ok_fwd, fwd_cert = ideal_member(img, mchart.reduced)
         # the explicit unit: D(blow-up equation) = 4 (pi + lambda^2 Q2 Q1) mod pins
-        m_eq = mchart.reduced.ideal.generators[0]
+        m_eq = mchart.reduced.generators[0]
         pins = Ideal(
             mring, [mring.var("x_%d" % s) - 1, mring.var("y_%d" % t) - 1]
         )
@@ -340,8 +309,8 @@ def chart_match(nf, s, t):
             report.unit_notes.append("forward image equals 4*(chart equation) modulo pins")
 
         ok_bwd = True
-        for g in mchart.reduced.ideal.generators:
-            ok_bwd, cert = ideal_member(Dinv(g), bchart.chart.ideal)
+        for g in mchart.reduced.generators:
+            ok_bwd, cert = ideal_member(Dinv(g), bchart.chart)
             if not ok_bwd:
                 report.details["bwd_residue"] = str(cert.residue)
                 break
@@ -349,14 +318,14 @@ def chart_match(nf, s, t):
         ok_comp = True
         for v in mring.variables:
             diff = D(Dinv(mring.var(v))) - mring.var(v)
-            ok_comp, cert = ideal_member(diff, mchart.reduced.ideal)
+            ok_comp, cert = ideal_member(diff, mchart.reduced)
             if not ok_comp:
                 report.details["composite_m_residue"] = str(cert.residue)
                 break
         if ok_comp:
             for v in bring.variables:
                 diff = Dinv(D(bring.var(v))) - bring.var(v)
-                ok_comp, cert = ideal_member(diff, bchart.chart.ideal)
+                ok_comp, cert = ideal_member(diff, bchart.chart)
                 if not ok_comp:
                     report.details["composite_b_residue"] = str(cert.residue)
                     break
@@ -385,7 +354,7 @@ def exceptional_locus(nf, s, t):
         mchart = build_M_chart(nf, s, t)
         ring = mchart.full.ring
         lam = ring.var("lambda")
-        with_lam = Ideal(ring, list(mchart.full.ideal.generators) + [lam])
+        with_lam = Ideal(ring, list(mchart.full.generators) + [lam])
         expected = [lam, ring.var("pi")] + [ring.var(v) for v in mchart.eliminated]
         expected += [ring.var("x_%d" % s) - 1, ring.var("y_%d" % t) - 1]
         expected_ideal = Ideal(ring, expected)
@@ -399,7 +368,7 @@ def exceptional_locus(nf, s, t):
                 if not ok:
                     report.details["witness"] = str(cert.residue)
                     break
-        ok_nzd = is_nonzerodivisor(mchart.full.ideal, lam)
+        ok_nzd = is_nonzerodivisor(mchart.full, lam)
         report.details["lambda_nonzerodivisor"] = ok_nzd
         if not (ok_locus and ok_nzd):
             report.status = FAIL
@@ -424,7 +393,7 @@ def linking_multipliers(nf, s, t):
         pi = ring.var("pi")
         u = -mchart.q2x * lam
         v = mchart.q1y * lam
-        ideal = mchart.full.ideal
+        ideal = mchart.full
         failures = []
         for j in range(1, d + 1):
             flip = ring.var("x_%d" % nf.incl_flip[j - 1])
@@ -516,17 +485,14 @@ def _transfers(nf, r, p):
         fwd_r, bwd_r = _dictionaries(nf, *lattice[r], br, mr)
         fwd_p, bwd_p = _dictionaries(nf, *lattice[p], bp, mp)
 
-        def gens(cp):
-            return cp.ideal.generators
-
         return (
-            Counter(map(amb, gens(br.ambient))) == Counter(gens(bp.ambient))
-            and tuple(map(bred, gens(br.chart))) == gens(bp.chart)
+            Counter(map(amb, br.ambient.generators)) == Counter(bp.ambient.generators)
+            and tuple(map(bred, br.chart.generators)) == bp.chart.generators
             and bred(br.row_sum) == bp.row_sum
             and bred(br.col_sum) == bp.col_sum
             and bnames.get(br.z_var) == bp.z_var
-            and Counter(map(full, gens(mr.full))) == Counter(gens(mp.full))
-            and tuple(map(mred, gens(mr.reduced))) == gens(mp.reduced)
+            and Counter(map(full, mr.full.generators)) == Counter(mp.full.generators)
+            and tuple(map(mred, mr.reduced.generators)) == mp.reduced.generators
             and {mnames[v] for v in mr.eliminated} == set(mp.eliminated)
             and full(mr.q2x) == mp.q2x
             and full(mr.q1y) == mp.q1y

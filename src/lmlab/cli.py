@@ -8,7 +8,7 @@ import os
 import sys
 
 from .groebner import Ideal, buchberger, deadline, read_ideal_text, write_ideal_text
-from .lattice import LatticeError, format_matrix, normal_form, quad_forms
+from .lattice import LatticeError, format_matrix, normal_form, q1_form, q2_form
 from .poly import ParseError, PolyError, PolyRing
 from .report import PASS
 from .suite import (
@@ -83,7 +83,7 @@ def _write(path, text):
 def cmd_lattice(args):
     nf = normal_form(args.d, args.delta)
     ring = PolyRing(["pi"] + ["x_%d" % i for i in range(1, nf.d + 1)])
-    q1, q2 = quad_forms(nf, ring)
+    q1, q2 = q1_form(nf, ring), q2_form(nf, ring)
     print("case (%d)  d=%d delta=%d  parity %s" % (nf.case_tag, nf.d, nf.delta, nf.parity_case))
     print("Delta  = {%s}" % ", ".join(str(i) for i in nf.Delta))
     print("DeltaC = {%s}" % ", ".join(str(i) for i in nf.DeltaC))
@@ -111,7 +111,7 @@ def cmd_build(args):
         chart = build_U_ideals(nf)[1]
     else:
         chart = build_DT_ideal(nf)
-    _write(args.out, write_ideal_text(chart.ideal))
+    _write(args.out, write_ideal_text(chart))
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .poly import PolyError
 
-__all__ = ["LatticeError", "LatticeNormalForm", "check_admissible", "normal_form", "quad_forms"]
+__all__ = ["LatticeError", "LatticeNormalForm", "check_admissible", "normal_form"]
 
 
 class LatticeError(PolyError):
@@ -151,11 +151,6 @@ def q1_form(nf, ring, var="x"):
 def q2_form(nf, ring, var="x"):
     """Halved pi-normalized form on the N positions, over Delta."""
     return _half_form(ring, nf.S2, nf.Delta, var)
-
-
-def quad_forms(nf, ring, var="x"):
-    """Both halved forms; the ring must contain `var_i` for every position."""
-    return q1_form(nf, ring, var), q2_form(nf, ring, var)
 
 
 def format_matrix(mat):

@@ -20,7 +20,6 @@ has reduced to zero is not reduced again.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
@@ -32,7 +31,6 @@ from .poly import Block, PolyRing, RingMap, minors
 from .report import FAIL, PASS, checking
 
 __all__ = [
-    "ChartPresentation",
     "z_ring",
     "big_ring",
     "z_matrix",
@@ -47,18 +45,6 @@ __all__ = [
 ]
 
 HALF = Fraction(1, 2)
-
-
-@dataclass(frozen=True)
-class ChartPresentation:
-    """A named affine chart, given by its ideal."""
-
-    name: str
-    ideal: Ideal
-
-    @property
-    def ring(self):
-        return self.ideal.ring
 
 
 # -------------------------------------------------------------- ring setup
@@ -203,10 +189,7 @@ def build_naive_chart_ideal(nf):
     """The naive chart ideal: the relations of _naive_relations on (X, Y)."""
     ring = big_ring(nf)
     X, Y = (named_matrix(ring.var, stem, nf.d) for stem in "xy")
-    return ChartPresentation(
-        name="u-naive[%d,%d]" % (nf.d, nf.delta),
-        ideal=Ideal(ring, _naive_relations(nf, X, Y, ring.var("pi"))),
-    )
+    return Ideal(ring, _naive_relations(nf, X, Y, ring.var("pi")))
 
 
 def _diagonal_block(nf, Z):
@@ -252,15 +235,7 @@ def build_U_ideals(nf):
     T = trace_form(nf, ring)
     quad = T + 2 * ring.var("pi")
     mins = minors(Z, 2)
-    U = ChartPresentation(
-        name="u[%d,%d]" % (nf.d, nf.delta),
-        ideal=Ideal(ring, mins + [quad]),
-    )
-    small = ChartPresentation(
-        name="u-naive-small[%d,%d]" % (nf.d, nf.delta),
-        ideal=Ideal(ring, mins + [quad * e for e in _entries(Z)]),
-    )
-    return U, small
+    return Ideal(ring, mins + [quad]), Ideal(ring, mins + [quad * e for e in _entries(Z)])
 
 
 def build_DT_ideal(nf):
@@ -268,10 +243,7 @@ def build_DT_ideal(nf):
     ring = z_ring(nf)
     Z = z_matrix(nf, ring)
     gens = minors(Z, 2) + [_closed_sum(Z) + 4 * ring.var("pi")]
-    return ChartPresentation(
-        name="dt[%d,%d]" % (nf.d, nf.delta),
-        ideal=Ideal(ring, gens),
-    )
+    return Ideal(ring, gens)
 
 
 # ------------------------------------------------------ block substitution
@@ -392,11 +364,11 @@ def verify_presentation(nf, mode="sound", seed=7):
         # images that reduced to zero, by id; holding each one keeps its id
         # from passing to a later image
         passed = {}
-        for g, img in zip(naive.ideal.generators, images, strict=True):
+        for g, img in zip(naive.generators, images, strict=True):
             if img.is_zero or passed.get(id(img)) is img:
                 reduced_zero += 1
                 continue
-            ok, cert = ideal_member(img, small.ideal)
+            ok, cert = ideal_member(img, small)
             if ok:
                 passed[id(img)] = img
                 reduced_zero += 1
@@ -405,7 +377,7 @@ def verify_presentation(nf, mode="sound", seed=7):
                 report.details["offending_generator"] = str(g)
                 report.details["residue"] = str(cert.residue)
                 break
-        report.details["generators"] = len(naive.ideal.generators)
+        report.details["generators"] = len(naive.generators)
         report.details["reduced_to_zero"] = reduced_zero
 
         if report.status == PASS:
@@ -472,7 +444,7 @@ def _verify_complete(nf, psi, small, report):
     )
     bad = []
     for g in E.generators:
-        if not ideal_member(rename(g), small.ideal)[0]:
+        if not ideal_member(rename(g), small)[0]:
             bad.append(str(g))
     report.details["contraction_generators"] = len(E.generators)
     if bad:
@@ -488,7 +460,7 @@ def verify_annihilator(nf):
         ring = small.ring
         T = trace_form(nf, ring)
         quad = T + 2 * ring.var("pi")
-        ann = quotient(small.ideal, quad)
+        ann = quotient(small, quad)
         zideal = Ideal(ring, [ring.var(v) for v in ring.variables if v != "pi"])
         if not ideal_equal(ann, zideal):
             report.status = FAIL
@@ -498,14 +470,16 @@ def verify_annihilator(nf):
     return report
 
 
-def flatness_and_dimension(cp, expected_rel_dim):
-    """pi-nonzerodivisor proxy for flatness plus the Krull dimension count."""
+def flatness_and_dimension(chart, expected_rel_dim):
+    """pi-nonzerodivisor proxy for flatness plus the Krull dimension count.
+
+    The report's instance is empty; the caller names the chart.
+    """
     from .groebner import krull_dim
 
-    with checking("flatness-dims", {"chart": cp.name}) as report:
-        ring = cp.ring
-        flat = is_nonzerodivisor(cp.ideal, ring.var("pi"))
-        dim = krull_dim(cp.ideal)
+    with checking("flatness-dims", {}) as report:
+        flat = is_nonzerodivisor(chart, chart.ring.var("pi"))
+        dim = krull_dim(chart)
         report.details["flat"] = flat
         report.details["dim"] = dim
         report.details["expected_dim"] = expected_rel_dim + 1

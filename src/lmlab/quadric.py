@@ -21,7 +21,6 @@ from .groebner import (
     radical_member,
 )
 from .lattice import LatticeError, q1_form, q2_form
-from .localmodel import ChartPresentation
 from .poly import PolyRing, RingMap
 from .report import FAIL, checking
 
@@ -38,7 +37,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LinkedChart:
-    chart: ChartPresentation
+    chart: Ideal
     q1: object
     q2: object
 
@@ -66,11 +65,7 @@ def build_linked_chart_ideal(nf, i, j):
         ring.var("x_%d" % i) - 1,
         ring.var("y_%d" % j) - 1,
     ]
-    chart = ChartPresentation(
-        name="v[%d,%d]@x%d,y%d" % (nf.d, nf.delta, i, j),
-        ideal=Ideal(ring, gens),
-    )
-    return LinkedChart(chart=chart, q1=q1, q2=q2)
+    return LinkedChart(chart=Ideal(ring, gens), q1=q1, q2=q2)
 
 
 def build_basic_scheme():
@@ -80,13 +75,10 @@ def build_basic_scheme():
         ring.var("u") * ring.var("v") - ring.var("pi"),
         ring.var("u") * ring.var("w1") + ring.var("v") * ring.var("w2"),
     ]
-    return ChartPresentation(
-        name="basic-scheme",
-        ideal=Ideal(ring, gens),
-    )
+    return Ideal(ring, gens)
 
 
-def basic_scheme_map(nf, linked):
+def basic_scheme_map(linked):
     """The smooth map from a pinned chart to B: w1 -> Q1, w2 -> Q2."""
     b = build_basic_scheme()
     ring = linked.chart.ring
@@ -108,15 +100,14 @@ def verify_linked_chart(nf, i, j):
     instance = {"d": nf.d, "delta": nf.delta, "pin_x": i, "pin_y": j}
     with checking("linked-fiber", instance) as report:
         linked = build_linked_chart_ideal(nf, i, j)
-        ring = linked.chart.ring
-        ideal = linked.chart.ideal
-        flat = is_nonzerodivisor(ideal, ring.var("pi"))
+        chart = linked.chart
+        flat = is_nonzerodivisor(chart, chart.ring.var("pi"))
         report.details["flat"] = flat
         b = build_basic_scheme()
-        fmap = basic_scheme_map(nf, linked)
+        fmap = basic_scheme_map(linked)
         mapped_ok = True
-        for g in b.ideal.generators:
-            ok, cert = ideal_member(fmap(g), ideal)
+        for g in b.generators:
+            ok, cert = ideal_member(fmap(g), chart)
             if not ok:
                 mapped_ok = False
                 report.details["residue"] = str(cert.residue)
@@ -183,9 +174,10 @@ def verify_divisor_multiplicities_on_blowup_charts():
         charts = build_B_blowup_charts()
         (chart1, map1), (chart2, map2) = charts
         r1, r2 = chart1.ring, chart2.ring
-        gens = build_basic_scheme().ideal.generators
-        unkilled = [chart.name for chart, fmap in charts
-                    if not all(ideal_member(fmap(g), chart.ideal)[0] for g in gens)]
+        gens = build_basic_scheme().generators
+        names = ("b-blowup-I", "b-blowup-II")
+        unkilled = [name for name, (chart, fmap) in zip(names, charts)
+                    if not all(ideal_member(fmap(g), chart)[0] for g in gens)]
         centers = ((map1, "w1", r1.var("v")), (map1, "w2", r1.var("u")), (map2, "u", r2.var("w2")))
         not_principal = [str(fmap(w)) for fmap, w, c in centers
                          if not ideal_equal(Ideal(c.ring, [fmap(w), c]), Ideal(c.ring, [c]))]
@@ -193,12 +185,12 @@ def verify_divisor_multiplicities_on_blowup_charts():
             report.details["substitution_failures"] = unkilled
         if not_principal:
             report.details["center_not_principal"] = not_principal
-        ok1 = ideal_member(r1.var("pi") - r1.var("u") * r1.var("v"), chart1.ideal)[0]
+        ok1 = ideal_member(r1.var("pi") - r1.var("u") * r1.var("v"), chart1)[0]
         report.details["chart_I_pi_eq_uv"] = ok1
         prod = r2.var("w1") * r2.var("w2") * r2.var("y") ** 2
-        ok2 = ideal_member(r2.var("pi") + prod, chart2.ideal)[0]
+        ok2 = ideal_member(r2.var("pi") + prod, chart2)[0]
         report.details["chart_II_pi_eq_-w1w2y2"] = ok2
-        cube = Ideal(r2, list(chart2.ideal.generators) + [r2.var("y") ** 3])
+        cube = Ideal(r2, list(chart2.generators) + [r2.var("y") ** 3])
         not_cubed = not ideal_member(r2.var("pi"), cube)[0]
         report.details["pi_not_in_y_cubed"] = not_cubed
         report.unit_notes.append("multiplicities (1,1,2): pi = u*v and pi = -w1*w2*y^2")

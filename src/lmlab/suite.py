@@ -128,7 +128,7 @@ def _check_dt_equals_u(nf, mode, seed):
     from .localmodel import build_DT_ideal, build_U_ideals
 
     with checking("dt-equals-u", {"d": nf.d, "delta": nf.delta}) as rep:
-        if ideal_equal(build_DT_ideal(nf).ideal, build_U_ideals(nf)[0].ideal):
+        if ideal_equal(build_DT_ideal(nf), build_U_ideals(nf)[0]):
             rep.unit_notes.append("displayed sum equals 2*(trace quadric + 2 pi)")
         else:
             rep.status = FAIL
@@ -142,7 +142,7 @@ def _check_flatness_dims(nf, mode, seed):
 
     U, _ = build_U_ideals(nf)
     rep_u = flatness_and_dimension(U, nf.d - 2)
-    rep_u.instance.update({"d": nf.d, "delta": nf.delta})
+    rep_u.instance.update(d=nf.d, delta=nf.delta, chart="u[%d,%d]" % (nf.d, nf.delta))
     ring = U.ring
     cone = Ideal(ring, minors(z_matrix(nf, ring), 2))
     instance = {"d": nf.d, "delta": nf.delta, "chart": "segre-cone"}
@@ -194,7 +194,7 @@ def _quadbu_smooth_at(nf, s, t):
         # eliminating the dependent bu variables (the ambient ones not in
         # the reduced ring) must recover the reduced chart
         dependent = set(bc.ambient.ring.variables) - set(bc.chart.ring.variables)
-        if not eliminates_to(bc.ambient.ideal, dependent, bc.chart.ideal):
+        if not eliminates_to(bc.ambient, dependent, bc.chart):
             rep.status = FAIL
             rep.details["ambient_elimination"] = False
         else:

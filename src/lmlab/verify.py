@@ -16,7 +16,6 @@ from fractions import Fraction
 from itertools import product
 
 from .groebner import Ideal, _fresh_name, ideal_member, krull_dim
-from .localmodel import ChartPresentation
 from .poly import Block, PolyRing, RingMap, jacobian, minors
 from .report import FAIL, PASS, TIMEOUT, checking
 
@@ -208,9 +207,9 @@ def smooth_over_model(chart, target, rel_dim):
     full-rank test certifies a smooth projection of the stated relative
     dimension.
     """
-    with checking("quadbu-smooth", {"chart": chart.name}) as report:
+    with checking("quadbu-smooth", {}) as report:
         ext = target.map.target
-        gens = [g.cast(ext) for g in chart.ideal.generators]
+        gens = [g.cast(ext) for g in chart.generators]
         for mv in target.model_vars:
             gens.append(ext.var(mv) - target.map(mv))
         I_ext = Ideal(ext, gens)
@@ -249,12 +248,9 @@ def _piece_chart(chart, piece):
     if not piece.inverses:
         return chart
     ring = chart.ring.extend([t for t, _ in piece.inverses])
-    gens = [g.cast(ring) for g in chart.ideal.generators]
+    gens = [g.cast(ring) for g in chart.generators]
     gens += [ring.var(t) * f.cast(ring) - 1 for t, f in piece.inverses]
-    return ChartPresentation(
-        name="%s on D(%s)" % (chart.name, piece.h),
-        ideal=Ideal(ring, gens),
-    )
+    return Ideal(ring, gens)
 
 
 def smooth_on_cover(chart, pieces, rel_dim):
@@ -268,10 +264,10 @@ def smooth_on_cover(chart, pieces, rel_dim):
     the assignments of different pieces need not agree on overlaps.  A
     one-piece cover returns that piece's report unchanged.
     """
-    with checking("cover-smooth", {"chart": chart.name}) as report:
+    with checking("cover-smooth", {}) as report:
         report.details["pieces"] = len(pieces)
         one = chart.ring.one()
-        cover = Ideal(chart.ring, list(chart.ideal.generators) + [p.h for p in pieces])
+        cover = Ideal(chart.ring, list(chart.generators) + [p.h for p in pieces])
         ok, cert = ideal_member(one, cover)
         ok = ok and cert.verify(one)
         report.details["cover_unit"] = ok

@@ -213,8 +213,8 @@ def test_criterion_10_determinism():
 
     nf = normal_form(6, 2)
     _, small = build_U_ideals(nf)
-    reference = list(small.ideal.gb())
-    gens = list(small.ideal.generators)
+    reference = list(small.gb())
+    gens = list(small.generators)
     rng = random.Random(7)
     for _ in range(2):
         rng.shuffle(gens)

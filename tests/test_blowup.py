@@ -15,20 +15,20 @@ from lmlab.blowup import (
     linking_multipliers,
 )
 from lmlab.groebner import Ideal, ideal_equal, ideal_member, quotient, reduce_poly
-from lmlab.lattice import LatticeError, normal_form
+from lmlab.lattice import LatticeError, normal_form, q1_form, q2_form
 from lmlab.localmodel import flatness_and_dimension
-from lmlab.poly import RingMap, parse_poly
+from lmlab.poly import PolyRing, RingMap, parse_poly
 from lmlab.quadric import build_basic_scheme
 
 
 def test_b_blowup_charts_build_and_membership():
     (chart1, map1), (chart2, map2) = build_B_blowup_charts()
-    assert [str(g) for g in chart1.ideal.generators] == ["u*v - pi"]
-    assert [str(g) for g in chart2.ideal.generators] == ["w1*w2*y^2 + pi"]
+    assert [str(g) for g in chart1.generators] == ["u*v - pi"]
+    assert [str(g) for g in chart2.generators] == ["w1*w2*y^2 + pi"]
     b = build_basic_scheme()
     for chart, fmap in ((chart1, map1), (chart2, map2)):
         assert fmap.source.variables == b.ring.variables and fmap.target is chart.ring
-        assert all(ideal_member(fmap(g), chart.ideal)[0] for g in b.ideal.generators)
+        assert all(ideal_member(fmap(g), chart)[0] for g in b.generators)
 
 
 def test_dt_blowup_5_1_reduced_equation():
@@ -39,7 +39,7 @@ def test_dt_blowup_5_1_reduced_equation():
     expect = Ideal(
         ring, ["2*pi + z_1_1^2*bu_1_4 + z_1_1^2*bu_1_2*bu_1_3"]
     )
-    assert ideal_equal(bc.chart.ideal, expect)
+    assert ideal_equal(bc.chart, expect)
     assert str(bc.row_sum) == "1"
 
 
@@ -50,7 +50,7 @@ def test_dt_blowup_6_2_unit_four():
     expect = parse_poly(
         "4*pi + 4*z_1_1^2*bu_2_1*bu_1_4 + 4*z_1_1^2*bu_2_1*bu_1_2*bu_1_3", ring
     )
-    assert bc.chart.ideal.generators[0] == expect
+    assert bc.chart.generators[0] == expect
 
 
 def test_dt_blowup_pivot_out_of_range():
@@ -73,7 +73,7 @@ def test_ambient_chart_contains_displayed_relations():
     nf = normal_form(6, 2)
     bc = build_DT_blowup_chart(nf, 2, 3)
     amb = bc.ambient.ring
-    gens = list(bc.ambient.ideal.generators)
+    gens = list(bc.ambient.generators)
     assert parse_poly("bu_2_3 - 1", amb) in gens
     # homogeneous relation family present for every matrix position
     assert parse_poly("bu_1_1 - bu_2_1*bu_1_3", amb) in gens
@@ -92,7 +92,7 @@ def test_m_chart_5_1_reduced_ideal():
             "y_1 - 1",
         ],
     )
-    assert ideal_equal(mc.reduced.ideal, expect)
+    assert ideal_equal(mc.reduced, expect)
 
 
 def test_m_chart_5_1_k_generator_flip():
@@ -101,7 +101,7 @@ def test_m_chart_5_1_k_generator_flip():
     mc = build_M_chart(nf, 3, 1)
     ring = mc.full.ring
     p = parse_poly("x_1 + 1/2*lambda*y_5", ring)
-    ok, _ = ideal_member(p, mc.full.ideal)
+    ok, _ = ideal_member(p, mc.full)
     assert ok
 
 
@@ -112,7 +112,36 @@ def test_m_chart_6_2_reduced_equation():
     expect = parse_poly(
         "lambda^2*x_3*x_4*y_2*y_5 + lambda^2*x_3*x_4*y_1*y_6 + pi", ring
     )
-    assert mc.reduced.ideal.generators[0] == expect
+    assert mc.reduced.generators[0] == expect
+
+
+def _reduced_ring_generators(nf, s, t):
+    # the reduced M chart built on its own in the reduced ring, with its
+    # own Q1 and Q2: the reference for the generators taken from the full ring
+    names = ["pi", "lambda"] + ["x_%d" % i for i in range(1, nf.d + 1)]
+    names += ["y_%d" % j for j in range(1, nf.d + 1)]
+    removed = {"x_%d" % i for i in nf.DeltaC} | {"y_%d" % j for j in nf.Delta}
+    red = PolyRing([v for v in names if v not in removed])
+    q2 = q2_form(nf, red, var="x")
+    q1 = q1_form(nf, red, var="y")
+    eq = red.var("lambda") ** 2 * q2 * q1 + red.var("pi")
+    return red, [eq, red.var("x_%d" % s) - 1, red.var("y_%d" % t) - 1]
+
+
+def test_m_chart_reduced_generators_match_the_reduced_ring_construction():
+    pivots = 0
+    for d in range(5, 10):
+        for delta in range(1, d // 2 + 1):
+            nf = normal_form(d, delta)
+            for _, (s, t) in nf.z_cells:
+                reduced = build_M_chart(nf, s, t).reduced
+                red, expect = _reduced_ring_generators(nf, s, t)
+                assert reduced.ring == red
+                assert [(g.ring, g.terms, g.den) for g in reduced.generators] == [
+                    (g.ring, g.terms, g.den) for g in expect
+                ], (d, delta, s, t)
+                pivots += 1
+    assert pivots == 170
 
 
 def test_m_chart_pivot_validation():
@@ -158,8 +187,8 @@ def test_chart_match_negative_control_wrong_dictionary():
     for j, b in zip(cols, reversed(targets)):
         bad["bu_%d_%d" % (sz, j)] = mring.var("y_%d" % b)
     D_bad = RingMap(bring, mring, bad)
-    img = D_bad(bchart.chart.ideal.generators[0])
-    nf_img, _ = reduce_poly(img, list(mchart.reduced.ideal.gb()))
+    img = D_bad(bchart.chart.generators[0])
+    nf_img, _ = reduce_poly(img, list(mchart.reduced.gb()))
     assert not nf_img.is_zero
 
 
@@ -181,8 +210,8 @@ def test_swapped_roles_on_square_z_is_a_symmetry():
         if j != tz:
             swapped["bu_%d_%d" % (sz, j)] = mring.var("x_%d" % nf.Delta[j - 1])
     D_swap = RingMap(bring, mring, swapped)
-    img = D_swap(bchart.chart.ideal.generators[0])
-    nf_img, _ = reduce_poly(img, list(mchart.reduced.ideal.gb()))
+    img = D_swap(bchart.chart.generators[0])
+    nf_img, _ = reduce_poly(img, list(mchart.reduced.gb()))
     assert nf_img.is_zero
 
 
@@ -228,8 +257,8 @@ def test_lambda_nonzerodivisor():
     nf = normal_form(6, 2)
     mc = build_M_chart(nf, 3, 1)
     lam = mc.full.ring.var("lambda")
-    q = quotient(mc.full.ideal, lam)
-    assert ideal_equal(q, mc.full.ideal)
+    q = quotient(mc.full, lam)
+    assert ideal_equal(q, mc.full)
 
 
 @pytest.mark.parametrize("d,delta", [(5, 1), (6, 2), (6, 1), (6, 3)])
@@ -242,15 +271,13 @@ def test_linking_multipliers(d, delta):
 
 
 def test_linking_uv_equals_pi_on_reduced_chart():
-    from lmlab.lattice import q1_form, q2_form
-
     nf = normal_form(6, 2)
     mc = build_M_chart(nf, 3, 1)
     ring = mc.reduced.ring
     lam = ring.var("lambda")
     u = -q2_form(nf, ring, var="x") * lam
     v = q1_form(nf, ring, var="y") * lam
-    ok, _ = ideal_member(u * v - ring.var("pi"), mc.reduced.ideal)
+    ok, _ = ideal_member(u * v - ring.var("pi"), mc.reduced)
     assert ok
 
 
@@ -259,7 +286,7 @@ def test_charts_cover():
     nf = normal_form(6, 2)
     mc = build_M_chart(nf, 3, 1)
     ring = mc.full.ring
-    gens = list(mc.full.ideal.generators) + [ring.var("x_%d" % i) for i in nf.Delta]
+    gens = list(mc.full.generators) + [ring.var("x_%d" % i) for i in nf.Delta]
     ok, _ = ideal_member(ring.one(), Ideal(ring, gens))
     assert ok
 
@@ -382,7 +409,7 @@ def test_builders_and_buchberger_share_one_memo():
     s, t = nf.z_cells[0][1]
     with memo():
         chart = build_M_chart(nf, s, t)
-        basis, _ = buchberger(chart.full.ideal)
+        basis, _ = buchberger(chart.full)
         held = dict(groebner._memo)
         assert {type(key[0]) for key in held} == {str, type(chart.full.ring)}
         # a bad pivot raises on every call and stores nothing
@@ -394,7 +421,7 @@ def test_builders_and_buchberger_share_one_memo():
             assert build_M_chart(nf, s, t) is not chart
         # leaving the inner block restores the outer chart and basis
         assert build_M_chart(nf, s, t) is chart
-        assert buchberger(chart.full.ideal)[0] is basis
+        assert buchberger(chart.full)[0] is basis
     assert groebner._memo is None
 
 
@@ -482,7 +509,6 @@ def _stripped(reports):
 def test_a_pivot_whose_chart_differs_is_proven_directly(monkeypatch):
     import lmlab.blowup as blowup
     from lmlab.groebner import Ideal
-    from lmlab.localmodel import ChartPresentation
     from lmlab.suite import run_instance
 
     nf = normal_form(6, 2)  # one class of 8 pivots
@@ -491,12 +517,12 @@ def test_a_pivot_whose_chart_differs_is_proven_directly(monkeypatch):
     bad = nf.z_cells[5][1]
     real = blowup.build_M_chart
 
-    def doubled(cp):
-        ring = cp.ring
+    def doubled(chart):
+        ring = chart.ring
         images = {v: ring.var(v) for v in ring.variables}
         images["pi"] = 2 * ring.var("pi")
         twice = RingMap(ring, ring, images)
-        return ChartPresentation(cp.name, Ideal(ring, [twice(g) for g in cp.ideal.generators]))
+        return Ideal(ring, [twice(g) for g in chart.generators])
 
     def build(nf, s, t):
         chart = real(nf, s, t)

@@ -443,8 +443,8 @@ def assert_same_run(ideal, order=None, degree_bound=None):
 @pytest.mark.parametrize("d,delta", GRID)
 def test_same_run_on_U_and_small(d, delta):
     U, small = build_U_ideals(normal_form(d, delta))
-    assert_same_run(U.ideal)
-    assert_same_run(small.ideal)
+    assert_same_run(U)
+    assert_same_run(small)
 
 
 def _elimination_ideal_at_5_1():
@@ -467,7 +467,7 @@ def test_same_run_on_x_ring_ideal_under_the_elimination_order():
 def test_same_run_on_block_elimination_of_M_chart():
     nf = normal_form(6, 2)
     s, t = nf.Delta[0], nf.DeltaC[0]
-    ideal = build_M_chart(nf, s, t).full.ideal
+    ideal = build_M_chart(nf, s, t).full
     removed = {"x_%d" % i for i in nf.DeltaC} | {"y_%d" % j for j in nf.Delta}
     order = Block([v for v in ideal.ring.variables if v in removed])
     assert_same_run(ideal, order=order)
@@ -507,8 +507,8 @@ def test_same_reduction_of_za1_images():
     nf = normal_form(6, 2)
     psi = block_substitution(nf)
     _, small = build_U_ideals(nf)
-    basis = list(small.ideal.gb())
-    images = [psi(g) for g in build_naive_chart_ideal(nf).ideal.generators]
+    basis = list(small.gb())
+    images = [psi(g) for g in build_naive_chart_ideal(nf).generators]
     images = [img for img in images if not img.is_zero]
     # a variable added to each image leaves a nonzero residue
     shifted = [img + img.ring.var(img.ring.variables[k % 5]) for k, img in enumerate(images[:40])]
@@ -580,7 +580,7 @@ def test_same_nzd_verdict_for_lambda_at_every_pivot(d, delta):
     nf = normal_form(d, delta)
     for s in nf.Delta:
         for t in nf.DeltaC:
-            ideal = build_M_chart(nf, s, t).full.ideal
+            ideal = build_M_chart(nf, s, t).full
             lam = ideal.ring.var("lambda")
             assert assert_same_nzd_verdict(ideal, lam), (s, t)
             assert not assert_same_nzd_verdict(with_zero_divisor(ideal, lam), lam), (s, t)
@@ -590,9 +590,9 @@ def test_same_nzd_verdict_for_lambda_at_every_pivot(d, delta):
 def test_same_nzd_verdict_for_pi_on_linked_pins_and_flatness_chart(d, delta):
     nf = normal_form(d, delta)
     U, _ = build_U_ideals(nf)
-    ideals = [U.ideal]
+    ideals = [U]
     ideals += [
-        build_linked_chart_ideal(nf, i, j).chart.ideal for i in nf.DeltaC for j in nf.Delta
+        build_linked_chart_ideal(nf, i, j).chart for i in nf.DeltaC for j in nf.Delta
     ]
     for ideal in ideals:
         pi = ideal.ring.var("pi")

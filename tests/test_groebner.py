@@ -94,7 +94,7 @@ def test_membership_trivial_unit():
 def test_membership_no_linear_part():
     nf51 = normal_form(5, 1)
     _, small = build_U_ideals(nf51)
-    ok, _ = ideal_member(small.ring.var("z_1_1"), small.ideal)
+    ok, _ = ideal_member(small.ring.var("z_1_1"), small)
     assert not ok
 
 
@@ -212,7 +212,7 @@ def test_krull_dim_examples():
 
     nf51 = normal_form(5, 1)
     U, _ = build_U_ideals(nf51)
-    assert krull_dim(U.ideal) == 4
+    assert krull_dim(U) == 4
 
 
 def reference_krull_dim(I):
@@ -294,8 +294,8 @@ def test_krull_dim_equals_the_reference_on_random_monomial_supports():
 def test_reduced_gb_unique_under_shuffle():
     nf = normal_form(6, 2)
     _, small = build_U_ideals(nf)
-    gens = list(small.ideal.generators)
-    reference = small.ideal.gb()
+    gens = list(small.generators)
+    reference = small.gb()
     rng = random.Random(7)
     for _ in range(3):
         shuffled = gens[:]
@@ -364,10 +364,10 @@ def test_eliminate_reuses_the_basis_of_an_ideal_in_its_order(monkeypatch):
 def test_ideal_file_roundtrip():
     nf = normal_form(5, 1)
     U, _ = build_U_ideals(nf)
-    text = write_ideal_text(U.ideal)
+    text = write_ideal_text(U)
     back = read_ideal_text(text)
-    assert back.ring == U.ideal.ring
-    assert set(str(g) for g in back.generators) == set(str(g) for g in U.ideal.generators)
+    assert back.ring == U.ring
+    assert set(str(g) for g in back.generators) == set(str(g) for g in U.generators)
     assert write_ideal_text(back) == text
 
 
@@ -408,7 +408,7 @@ def test_ideal_file_block_order_roundtrip():
 def test_gb_is_reduced():
     nf = normal_form(6, 2)
     _, small = build_U_ideals(nf)
-    basis = small.ideal.gb()
+    basis = small.gb()
     for i, g in enumerate(basis):
         assert g.lc() == 1
         for j, h in enumerate(basis):
@@ -423,10 +423,10 @@ def test_timeout_raises_and_is_typed():
     nf = normal_form(7, 3)
     _, small = build_U_ideals(nf)
     with pytest.raises(GBTimeout), deadline(1e-9):
-        buchberger(small.ideal)
+        buchberger(small)
     # an inner block with a later deadline does not extend the outer one
     with pytest.raises(GBTimeout), deadline(1e-9), deadline(60):
-        buchberger(small.ideal)
+        buchberger(small)
 
 
 def test_short_reduction_reads_the_deadline():
@@ -593,12 +593,12 @@ def test_basis_cache_stores_nothing_after_a_timeout(monkeypatch):
     _, small = build_U_ideals(normal_form(5, 1))
     with memo():
         with pytest.raises(GBTimeout), deadline(1e-9):
-            buchberger(small.ideal)
-        basis, partial = buchberger(small.ideal)
-        assert buchberger(small.ideal) == (basis, partial)
+            buchberger(small)
+        basis, partial = buchberger(small)
+        assert buchberger(small) == (basis, partial)
     assert len(runs) == 2
     assert not partial
-    assert basis == buchberger(small.ideal)[0]
+    assert basis == buchberger(small)[0]
 
 
 def test_basis_cache_block_restores_the_prior_state_on_error(monkeypatch):
@@ -626,7 +626,7 @@ def test_ideal_file_rational_coefficients_roundtrip():
     from lmlab.blowup import build_M_chart
 
     mc = build_M_chart(nf, 3, 1)
-    text = write_ideal_text(mc.reduced.ideal)
+    text = write_ideal_text(mc.reduced)
     assert "1/2" in text
     back = read_ideal_text(text)
     assert write_ideal_text(back) == text

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lmlab.lattice import LatticeError, normal_form, quad_forms
+from lmlab.lattice import LatticeError, normal_form, q1_form, q2_form
 from lmlab.poly import PolyRing, minors
 
 GRID = [(5, 1), (5, 2), (6, 1), (6, 2), (6, 3), (7, 2), (7, 3)]
@@ -116,7 +116,7 @@ def test_restricted_blocks_are_perfect(d, delta):
 def test_quad_forms_recover_blocks(d, delta):
     nf = normal_form(d, delta)
     ring = x_ring(d)
-    q1, q2 = quad_forms(nf, ring)
+    q1, q2 = q1_form(nf, ring), q2_form(nf, ring)
     for q, mat, positions in ((q1, nf.S1, nf.DeltaC), (q2, nf.S2, nf.Delta)):
         for i in positions:
             for j in positions:
@@ -137,13 +137,13 @@ def _exp(ring, powers):
 def test_quad_form_examples():
     nf = normal_form(5, 1)
     ring = x_ring(5)
-    q1, q2 = quad_forms(nf, ring)
+    q1, q2 = q1_form(nf, ring), q2_form(nf, ring)
     assert q2 == ring.var("x_3") ** 2 * Fraction(1, 2)
     assert q1 == ring.var("x_1") * ring.var("x_5") + ring.var("x_2") * ring.var("x_4")
 
     nf = normal_form(6, 2)
     ring = x_ring(6)
-    q1, q2 = quad_forms(nf, ring)
+    q1, q2 = q1_form(nf, ring), q2_form(nf, ring)
     assert q2 == ring.var("x_3") * ring.var("x_4")
     assert q1 == ring.var("x_1") * ring.var("x_6") + ring.var("x_2") * ring.var("x_5")
 

@@ -59,7 +59,7 @@ def za1_sound_payloads():
 def test_naive_generator_count_5_1():
     nf = normal_form(5, 1)
     chart = build_naive_chart_ideal(nf)
-    assert len(chart.ideal.generators) == 350
+    assert len(chart.generators) == 350
 
 
 def test_naive_entry_example_5_1():
@@ -67,7 +67,7 @@ def test_naive_entry_example_5_1():
     chart = build_naive_chart_ideal(nf)
     ring = chart.ring
     expected = parse_poly("2*x_1_1*x_5_1 + 2*x_2_1*x_4_1 - 2*pi*x_5_1", ring)
-    assert expected in chart.ideal.generators
+    assert expected in chart.generators
 
 
 def test_worst_point_kills_all_generators():
@@ -78,7 +78,7 @@ def test_worst_point_kills_all_generators():
     images = {v: tgt.zero() for v in chart.ring.variables}
     images["pi"] = tgt.var("pi")
     to_pt = RingMap(chart.ring, tgt, images)
-    for g in chart.ideal.generators:
+    for g in chart.generators:
         assert to_pt(g).is_zero
 
 
@@ -108,15 +108,15 @@ def test_trace_form_block_cross_check(d, delta):
 def test_U_ideal_5_1_single_quadric():
     nf = normal_form(5, 1)
     U, small = build_U_ideals(nf)
-    assert len(U.ideal.generators) == 1
-    assert str(U.ideal.generators[0]) == "z_1_2*z_1_3 + z_1_1*z_1_4 + 2*pi"
-    assert len(small.ideal.generators) == 4
+    assert len(U.generators) == 1
+    assert str(U.generators[0]) == "z_1_2*z_1_3 + z_1_1*z_1_4 + 2*pi"
+    assert len(small.generators) == 4
 
 
 def test_U_ideal_6_2_counts():
     nf = normal_form(6, 2)
     U, _ = build_U_ideals(nf)
-    assert len(U.ideal.generators) == 7  # six minors plus the quadric
+    assert len(U.generators) == 7  # six minors plus the quadric
 
 
 def test_small_ideal_vanishes_at_origin():
@@ -126,7 +126,7 @@ def test_small_ideal_vanishes_at_origin():
     images = {v: tgt.zero() for v in small.ring.variables}
     images["pi"] = tgt.var("pi")
     to_pt = RingMap(small.ring, tgt, images)
-    for g in small.ideal.generators:
+    for g in small.generators:
         assert to_pt(g).is_zero
 
 
@@ -142,7 +142,7 @@ def test_U_ideal_plus_Z_is_Z_plus_pi():
     U, _ = build_U_ideals(nf)
     ring = U.ring
     zvars = [ring.var(v) for v in ring.variables if v != "pi"]
-    lhs = Ideal(ring, list(U.ideal.generators) + zvars)
+    lhs = Ideal(ring, list(U.generators) + zvars)
     rhs = Ideal(ring, zvars + [ring.var("pi")])
     assert ideal_equal(lhs, rhs)
 
@@ -154,7 +154,7 @@ def test_quad_times_entry_in_U_ideal():
     quad = trace_form(nf, ring) + 2 * ring.var("pi")
     for v in ring.variables:
         if v != "pi":
-            ok, _ = ideal_member(quad * ring.var(v), U.ideal)
+            ok, _ = ideal_member(quad * ring.var(v), U)
             assert ok
 
 
@@ -274,7 +274,7 @@ def test_matrix_relations_are_the_naive_generators(d, delta):
     # at random points (pi, X, Y) the relations are the generators' values,
     # generator by generator
     nf = normal_form(d, delta)
-    gens = build_naive_chart_ideal(nf).ideal.generators
+    gens = build_naive_chart_ideal(nf).generators
     rng = random.Random(100 * d + delta)
     for _ in range(2):
         pi = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
@@ -438,7 +438,7 @@ def test_a_failing_repeated_image_is_named_at_its_x_minor(monkeypatch):
     monkeypatch.setattr(lmlab.localmodel, "ideal_member", failing)
     rep = verify_presentation(nf)
     assert rep.status == "fail"
-    assert rep.details["offending_generator"] == str(build_naive_chart_ideal(nf).ideal.generators[k])
+    assert rep.details["offending_generator"] == str(build_naive_chart_ideal(nf).generators[k])
     assert "x_" in rep.details["offending_generator"] and "y_" not in rep.details["offending_generator"]
     assert rep.details["residue"] == str(target)
     assert rep.details["reduced_to_zero"] == k
@@ -448,7 +448,7 @@ def test_a_failing_repeated_image_is_named_at_its_x_minor(monkeypatch):
 def section_and_images(d, delta, corrupt):
     nf = normal_form(d, delta)
     psi = corrupted_section(nf, corrupt) if corrupt else block_substitution(nf)
-    return psi, [psi(g) for g in build_naive_chart_ideal(nf).ideal.generators]
+    return psi, [psi(g) for g in build_naive_chart_ideal(nf).generators]
 
 
 @pytest.mark.parametrize("corrupt", [None, "diagonal", "scaled"])
@@ -474,7 +474,7 @@ def test_relations_at_y_equal_minus_x_transpose_and_none_is_zero(d, delta):
     Y = named_matrix(big.var, "y", d)
     relations = list(_naive_relations(nf, X, Y, big.var("pi")))
     assert not any(r.is_zero for r in relations)
-    assert relations == list(naive.ideal.generators)
+    assert relations == list(naive.generators)
 
     xr = x_ring(nf)
     images = {"pi": xr.var("pi")}
@@ -485,7 +485,7 @@ def test_relations_at_y_equal_minus_x_transpose_and_none_is_zero(d, delta):
     y_to_minus_xt = RingMap(big, xr, images)
     Xx = named_matrix(xr.var, "x", d)
     at_minus_xt = _naive_relations(nf, Xx, [[-v for v in col] for col in zip(*Xx)], xr.var("pi"))
-    assert list(at_minus_xt) == [y_to_minus_xt(g) for g in naive.ideal.generators]
+    assert list(at_minus_xt) == [y_to_minus_xt(g) for g in naive.generators]
 
 
 @pytest.mark.parametrize("d,delta", GRID)
@@ -571,9 +571,9 @@ def test_annihilator_sanity_strict_containment():
     nf = normal_form(5, 1)
     _, small = build_U_ideals(nf)
     ring = small.ring
-    q = quotient(small.ideal, ring.var("z_1_1"))
-    assert ideal_contains(q, small.ideal)
-    assert not ideal_contains(small.ideal, q)
+    q = quotient(small, ring.var("z_1_1"))
+    assert ideal_contains(q, small)
+    assert not ideal_contains(small, q)
 
 
 def test_flatness_and_dimension_examples():
@@ -584,13 +584,8 @@ def test_flatness_and_dimension_examples():
 
 
 def test_flatness_counterexample():
-    from lmlab.localmodel import ChartPresentation
-
     ring = PolyRing(["pi", "z_1_1"])
-    bad = ChartPresentation(
-        name="pi-torsion",
-        ideal=Ideal(ring, ["pi*z_1_1"]),
-    )
+    bad = Ideal(ring, ["pi*z_1_1"])
     rep = flatness_and_dimension(bad, 1)
     assert rep.status == "fail"
     assert rep.details["flat"] is False

@@ -19,7 +19,7 @@ GRID = [(5, 1), (5, 2), (6, 1), (6, 2), (6, 3), (7, 2), (7, 3)]
 def test_linked_chart_5_1_generators():
     nf = normal_form(5, 1)
     lc = build_linked_chart_ideal(nf, 1, 3)
-    gens = [str(g) for g in lc.chart.ideal.generators]
+    gens = [str(g) for g in lc.chart.generators]
     assert "u*v - pi" in gens
     assert "x_1 - 1" in gens and "y_3 - 1" in gens
     assert any(g.startswith("u*x_2*x_4 + u*x_1*x_5 + 1/2*v*y_3^2") for g in gens)
@@ -29,7 +29,7 @@ def test_linked_chart_5_1_elimination_up_to_unit():
     # eliminating the second multiplier leaves -2 u^2 Q1 = pi, up to the unit 2
     nf = normal_form(5, 1)
     lc = build_linked_chart_ideal(nf, 1, 3)
-    E = eliminate(lc.chart.ideal, ["v"])
+    E = eliminate(lc.chart, ["v"])
     expect = Ideal(
         E.ring, ["2*u^2*x_2*x_4 + 2*u^2*x_1*x_5 + pi", "x_1 - 1", "y_3 - 1"]
     )
@@ -48,25 +48,25 @@ def test_linked_chart_6_2_contains_displayed_equations():
     nf = normal_form(6, 2)
     lc = build_linked_chart_ideal(nf, 1, 3)
     ring = lc.chart.ring
-    ok, _ = ideal_member(ring.var("u") * ring.var("v") - ring.var("pi"), lc.chart.ideal)
+    ok, _ = ideal_member(ring.var("u") * ring.var("v") - ring.var("pi"), lc.chart)
     assert ok
-    ok, _ = ideal_member(ring.var("u") * lc.q1 + ring.var("v") * lc.q2, lc.chart.ideal)
+    ok, _ = ideal_member(ring.var("u") * lc.q1 + ring.var("v") * lc.q2, lc.chart)
     assert ok
 
 
 def test_basic_scheme_shape():
     b = build_basic_scheme()
-    assert [str(g) for g in b.ideal.generators] == ["u*v - pi", "u*w1 + v*w2"]
-    assert krull_dim(b.ideal) == 3
+    assert [str(g) for g in b.generators] == ["u*v - pi", "u*w1 + v*w2"]
+    assert krull_dim(b) == 3
 
 
 def test_basic_scheme_map_membership():
     nf = normal_form(6, 2)
     lc = build_linked_chart_ideal(nf, 1, 3)
     b = build_basic_scheme()
-    fmap = basic_scheme_map(nf, lc)
-    for g in b.ideal.generators:
-        ok, _ = ideal_member(fmap(g), lc.chart.ideal)
+    fmap = basic_scheme_map(lc)
+    for g in b.generators:
+        ok, _ = ideal_member(fmap(g), lc.chart)
         assert ok
 
 
@@ -83,7 +83,7 @@ def test_linked_chart_flatness_all_pins(d, delta):
 def test_linked_chart_dimension(d, delta):
     nf = normal_form(d, delta)
     lc = build_linked_chart_ideal(nf, nf.DeltaC[0], nf.Delta[0])
-    assert krull_dim(lc.chart.ideal) == d - 1
+    assert krull_dim(lc.chart) == d - 1
 
 
 def test_fiber_decomposition():

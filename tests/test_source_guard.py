@@ -171,8 +171,10 @@ def test_tuple_monomial_helpers_are_gone():
 def test_removed_chart_helpers_stay_gone():
     # the naive relations have one definition, _naive_relations; the numeric
     # copy, the Y = -X^t ring map and the constant-matrix and subset helpers
-    # that the old constructions needed are gone
-    gone = {"_naive_relation_values", "_y_elimination_map", "int_matrix", "_subsets"}
+    # that the old constructions needed are gone.  A chart is its Ideal, with
+    # no named wrapper, and Q1, Q2 are formed by q1_form and q2_form alone
+    gone = {"_naive_relation_values", "_y_elimination_map", "int_matrix", "_subsets",
+            "ChartPresentation", "quad_forms"}
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -261,6 +263,30 @@ def test_every_public_function_has_a_caller():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     assert sorted(loc for name, loc in public.items() if name not in used) == []
+
+
+def test_every_parameter_of_a_public_function_is_read():
+    # a public module-level function reads each of its parameters, in its
+    # own body or in a function nested in it; an argument it ignores is one
+    # its callers need not build
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if func.name[0] == "_":
+                continue
+            args = func.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            read = {
+                node.id
+                for stmt in func.body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            offenders += ["%s:%s(%s)" % (path.name, func.name, p) for p in params if p not in read]
+    assert offenders == []
 
 
 def test_the_package_has_three_context_managers():
