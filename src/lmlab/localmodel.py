@@ -8,13 +8,21 @@ All charts live over Q[pi, ...] with the special fiber at pi = 0.
 The naive relations on (X, Y) are defined once, in _naive_relations, over
 any ring.  A ring map commutes with them, so za1 evaluates that one function
 wherever it needs them: on the variables of the big ring for the naive
-ideal, on the section's images for sound mode, in integers for the rank-one
-oracle, and at Y = -X^t in x_ring for complete mode.  The last three have
-Y = -X^t, which _naive_relations tests by value: there the minors of Y are
-those of X, transposed, and are not computed again.  The four quadratic
-forms are symmetric, as S1 and S2 are, so only their upper triangles are
-formed.  Sound mode reduces each image object once: a repeated object that
-has reduced to zero is not reduced again.
+ideal, on the normal forms of the section's entries for sound mode, in
+integers for the rank-one oracle, and at Y = -X^t in x_ring for complete
+mode.  The last three have Y = -X^t, which _naive_relations tests by value:
+there the minors of Y are those of X, transposed, and are not computed
+again.  The four quadratic forms are symmetric, as S1 and S2 are, so only
+their upper triangles are formed.
+
+Sound mode first reduces the section's d^2 x-images modulo the small ideal
+(and its y-images too, if they are not -X^t).  An entry and its normal form
+differ by a member of the ideal, so the relations at the normal forms lie in
+the ideal exactly when the images psi(g) do, and have the same normal form
+as they have: the proof and any failing residue are those of the images
+themselves, from much smaller polynomials.  Each relation object is reduced
+once: a repeated object that has reduced to zero is not reduced again.  The
+rank-one oracle still evaluates the section itself.
 """
 
 from __future__ import annotations
@@ -134,6 +142,10 @@ def _mat_add(A, B, c=1):
 
 def _entries(M):
     return (v for row in M for v in row)
+
+
+def _minus_transpose(M):
+    return [[-v for v in col] for col in zip(*M)]
 
 
 def _naive_relations(nf, X, Y, pi, L=1):
@@ -331,10 +343,26 @@ def _oracle_failures(nf, psi, count, seed):
         X = [[img.at(point) for img in row] for row in x_images]
         L = lcm(pi.denominator, *(v.denominator for row in X for v in row))
         Xn = [[v.numerator * (L // v.denominator) for v in row] for row in X]
-        Yn = [[-v for v in col] for col in zip(*Xn)]
-        if any(_naive_relations(nf, Xn, Yn, pi.numerator * (L // pi.denominator), L)):
+        if any(_naive_relations(nf, Xn, _minus_transpose(Xn), pi.numerator * (L // pi.denominator), L)):
             bad += 1
     return bad
+
+
+def _section_residues(nf, psi, small):
+    """The normal forms modulo `small` of the section's X and Y, as lists of rows.
+
+    Each entry differs from its image by a member of `small`, so every
+    relation at the normal forms differs from psi of its generator by a
+    member too: the two lie in `small` together and share one normal form.
+    Y is reduced as -(reduced X)^t when the section's own Y is -X^t by value,
+    and entry by entry otherwise, so a section that breaks Y = -X^t is still
+    reduced as it is.
+    """
+    X, Y = (named_matrix(psi.images.__getitem__, stem, nf.d) for stem in "xy")
+    Xr = [[ideal_member(v, small)[1].residue for v in row] for row in X]
+    if Y == _minus_transpose(X):
+        return Xr, _minus_transpose(Xr)
+    return Xr, [[ideal_member(v, small)[1].residue for v in row] for row in Y]
 
 
 ORACLE_SAMPLES = 20
@@ -345,8 +373,10 @@ def verify_presentation(nf, mode="sound", seed=7):
 
     First, trace_form's T must be the trace of the section's block A (the
     x_a_a images, a in Delta).  sound: every generator maps into (minors,
-    (T+2pi) Z) by Groebner reduction, and a seeded rank-one evaluation oracle
-    re-checks the images exactly (see _oracle_failures).  complete: also prove
+    (T+2pi) Z), by Groebner reduction of its relation at the section's
+    reduced entries (see _section_residues), and a seeded rank-one
+    evaluation oracle re-checks the section's own images exactly (see
+    _oracle_failures).  complete: also prove
     the section onto and contract the naive ideal onto the Z subring, both
     from one complete basis under an elimination order (see _verify_complete).
     """
@@ -358,7 +388,7 @@ def verify_presentation(nf, mode="sound", seed=7):
             report.status = FAIL
             report.details["block_trace"] = False
         _, small = build_U_ideals(nf)
-        X, Y = (named_matrix(psi.images.__getitem__, stem, nf.d) for stem in "xy")
+        X, Y = _section_residues(nf, psi, small)
         images = _naive_relations(nf, X, Y, psi.images["pi"])
         reduced_zero = 0
         # images that reduced to zero, by id; holding each one keeps its id
@@ -412,7 +442,7 @@ def _verify_complete(nf, psi, small, report):
     """
     xr = x_ring(nf)
     X = named_matrix(xr.var, "x", nf.d)
-    H = _naive_relations(nf, X, [[-v for v in col] for col in zip(*X)], xr.var("pi"))
+    H = _naive_relations(nf, X, _minus_transpose(X), xr.var("pi"))
     to_x = _z_to_x_map(nf, xr)
     z_of_x = {"x_%d_%d" % ab: "z_%d_%d" % ij for ij, ab in nf.z_cells}
     targets = [v for v in xr.variables if v != "pi" and v not in z_of_x]

@@ -20,6 +20,7 @@ from lmlab.localmodel import (
     _naive_relations,
     _oracle_failures,
     _rank_one_samples,
+    _section_residues,
     _verify_complete,
     big_ring,
     block_substitution,
@@ -398,10 +399,11 @@ def test_y_minors_at_minus_x_transpose_are_the_x_minor_objects(d, delta, where):
     assert all(type(v) is Polynomial and v.is_zero for v in relations[: d * d])
 
 
-@pytest.mark.parametrize("d,delta,calls", [(6, 2, 375), (6, 3, 381)])
+@pytest.mark.parametrize("d,delta,calls", [(6, 2, 371), (6, 3, 427)])
 def test_za1_reduces_each_image_object_once(monkeypatch, d, delta, calls):
-    # 600 and 606 nonzero images, each reduced before; a memo by id that
-    # does not hold its images reuses the ids of freed ones and skips real
+    # the 36 x-entries, then the 335 and 391 distinct objects among the 510
+    # and 616 nonzero images at their normal forms; a memo by id that does
+    # not hold its images reuses the ids of freed ones and skips real
     # reductions; the count holds no image, so that it pins none
     reduced = [0]
 
@@ -421,8 +423,9 @@ def test_a_failing_repeated_image_is_named_at_its_x_minor(monkeypatch):
     # occurrence, under the X-minor generator
     d, delta = 6, 2
     nf = normal_form(d, delta)
-    X, Y, pi = section_matrices(nf, None)
-    relations = list(_naive_relations(nf, X, Y, pi))
+    psi = block_substitution(nf)
+    X, Y = _section_residues(nf, psi, build_U_ideals(nf)[1])
+    relations = list(_naive_relations(nf, X, Y, psi.images["pi"]))
     start = 2 * d * d
     k = next(i for i in range(start, start + math.comb(d, 2) ** 2) if not relations[i].is_zero)
     target = relations[k]
@@ -442,6 +445,109 @@ def test_a_failing_repeated_image_is_named_at_its_x_minor(monkeypatch):
     assert "x_" in rep.details["offending_generator"] and "y_" not in rep.details["offending_generator"]
     assert rep.details["residue"] == str(target)
     assert rep.details["reduced_to_zero"] == k
+
+
+def sound_section(nf, corrupt):
+    """block_substitution, corrupted_section(nf, corrupt), or, for "one-y",
+    the section with pi added to y_1_2 alone, so that Y != -X^t."""
+    if corrupt != "one-y":
+        return corrupted_section(nf, corrupt) if corrupt else block_substitution(nf)
+    psi = block_substitution(nf)
+    pi = psi.images["pi"]
+    return RingMap(psi.source, psi.target, dict(psi.images, y_1_2=psi.images["y_1_2"] + pi))
+
+
+def reference_sound_report(nf, psi, seed=7):
+    """verify_presentation's sound mode before it reduced the section's
+    entries first, copied unchanged with the section passed in: every image
+    psi(g) is reduced in generator order, each object once."""
+    instance = {"d": nf.d, "delta": nf.delta, "mode": "sound"}
+    with checking("za1", instance) as report:
+        naive = build_naive_chart_ideal(nf)
+        if trace_form(nf, psi.target) != sum(psi.images["x_%d_%d" % (a, a)] for a in nf.Delta):
+            report.status = "fail"
+            report.details["block_trace"] = False
+        _, small = build_U_ideals(nf)
+        X, Y = (named_matrix(psi.images.__getitem__, stem, nf.d) for stem in "xy")
+        images = _naive_relations(nf, X, Y, psi.images["pi"])
+        reduced_zero = 0
+        passed = {}
+        for g, img in zip(naive.generators, images, strict=True):
+            if img.is_zero or passed.get(id(img)) is img:
+                reduced_zero += 1
+                continue
+            ok, cert = ideal_member(img, small)
+            if ok:
+                passed[id(img)] = img
+                reduced_zero += 1
+            else:
+                report.status = "fail"
+                report.details["offending_generator"] = str(g)
+                report.details["residue"] = str(cert.residue)
+                break
+        report.details["generators"] = len(naive.generators)
+        report.details["reduced_to_zero"] = reduced_zero
+
+        if report.status == "pass":
+            bad = _oracle_failures(nf, psi, 20, seed)
+            report.details["oracle_samples"] = 20
+            if bad:
+                report.status = "fail"
+                report.details["oracle_failures"] = bad
+    return report
+
+
+@pytest.mark.parametrize("corrupt", ["diagonal", "scaled", "one-y"])
+@pytest.mark.parametrize("d,delta", [(5, 1), (5, 2), (6, 2), (6, 3)])
+def test_a_wrong_section_fails_as_its_direct_reduction_does(monkeypatch, d, delta, corrupt):
+    # reducing the entries first must not hide a wrong section or change
+    # how it fails: the report equals that of reducing every psi(g) itself
+    nf = normal_form(d, delta)
+    psi = sound_section(nf, corrupt)
+    expected = reference_sound_report(nf, psi)
+    monkeypatch.setattr(lmlab.localmodel, "block_substitution", lambda nf: psi)
+    rep = verify_presentation(nf, mode="sound")
+    assert rep.status == "fail" and "offending_generator" in rep.details
+    assert strip_timings(report_payload([rep])) == strip_timings(report_payload([expected]))
+
+
+@pytest.mark.parametrize("d,delta", [(6, 2), (6, 3)])
+def test_each_section_entry_is_certified_to_its_normal_form(d, delta):
+    # psi(x_ab) = sum(c_i b_i) + its residue over small.gb(), and no term of
+    # the residue is divisible by a leading term of the basis
+    nf = normal_form(d, delta)
+    psi = block_substitution(nf)
+    _, small = build_U_ideals(nf)
+    X, Y = _section_residues(nf, psi, small)
+    leads = [b.lm() for b in small.gb()]
+    for row, reduced in zip(named_matrix(psi.images.__getitem__, "x", d), X):
+        for v, r in zip(row, reduced):
+            _, cert = ideal_member(v, small)
+            assert cert.verify(v)
+            assert cert.residue == r
+            assert not any(all(a >= b for a, b in zip(e, lt)) for e in r.terms for lt in leads)
+    assert Y == minus_transpose(X)
+
+
+@pytest.mark.parametrize("corrupt", [None, "diagonal", "one-y"])
+def test_relations_at_the_normal_forms_share_each_image_normal_form(corrupt):
+    # at 5:2, psi(g) and the relation at the reduced entries have one
+    # normal form modulo the small ideal, for every generator g
+    nf = normal_form(5, 2)
+    psi = sound_section(nf, corrupt)
+    _, small = build_U_ideals(nf)
+    X, Y = _section_residues(nf, psi, small)
+    at_residues = _naive_relations(nf, X, Y, psi.images["pi"])
+    for g, rel in zip(build_naive_chart_ideal(nf).generators, at_residues, strict=True):
+        assert ideal_member(psi(g), small)[1].residue == ideal_member(rel, small)[1].residue
+
+
+@pytest.mark.parametrize("d,delta", [(d, delta) for d in (8, 9) for delta in range(1, 5)])
+def test_presentation_sound_at_d_8_and_9(d, delta):
+    [rep] = run_check("za1", d, delta, mode="sound")
+    assert rep.status == "pass"
+    assert rep.details["reduced_to_zero"] == rep.details["generators"]
+    assert rep.details["oracle_samples"] == 20 and "oracle_failures" not in rep.details
 
 
 @lru_cache(maxsize=None)
@@ -523,8 +629,13 @@ def test_matrix_oracle_matches_per_image_oracle(d, delta, seed, corrupt):
 
 
 def test_oracle_fail_branch(monkeypatch):
-    # with every reduction forced to zero only the oracle can catch the section
-    monkeypatch.setattr(lmlab.localmodel, "ideal_member", lambda p, ideal: (True, None))
+    # with every reduction forced to zero only the oracle can catch the
+    # section; each entry's residue is the entry itself
+    class Kept:
+        def __init__(self, p):
+            self.residue = p
+
+    monkeypatch.setattr(lmlab.localmodel, "ideal_member", lambda p, ideal: (True, Kept(p)))
     monkeypatch.setattr(lmlab.localmodel, "block_substitution", corrupted_section)
     rep = verify_presentation(normal_form(5, 1), mode="sound")
     assert rep.status == "fail"
