@@ -80,6 +80,15 @@ reducer tuples are built once and cached beside it; `reduce_poly` on an
 explicit list is for bases that are not an ideal's, such as a single
 divisor.
 
+Basis check.  `Ideal.gb` checks every new ideal against its basis, also
+when `buchberger` found that basis in the memo: each distinct primitive form
+of its generators, normalized as the seeds of a run are, must reduce to
+zero.  The check reads only whether a residue is zero, so it reduces without
+cofactors, on one engine under the enclosing deadline; the reducers of the
+basis are packed again, wider, when a generator does not fit them.
+`ideal_contains` tests the generators of one ideal against the basis of
+another the same way.
+
 Instance memo.  Inside a `memo()` block, `once(key, make)` returns the first
 value `make()` gave for the key, and outside one it calls `make()` each time;
 a `make()` that raises (a GBTimeout, a bad pivot's LatticeError) stores
@@ -364,6 +373,27 @@ def _primitive(terms):
     return {e: v // g for e, v in terms.items()}
 
 
+def _primitive_forms(pk, generators):
+    """The distinct primitive forms of nonzero generators, packed by `pk`.
+
+    A form is the numerators over their content, with a positive leading
+    coefficient, so it ignores how a generator is scaled.  Returns the set
+    of the forms as frozensets of their items, and the forms in the order
+    of their first generators.
+    """
+    seen = set()
+    forms = []
+    for g in generators:
+        terms = _primitive(pk.pack(g.terms))
+        if terms[max(terms)] < 0:
+            terms = {e: -v for e, v in terms.items()}
+        fro = frozenset(terms.items())
+        if fro not in seen:
+            seen.add(fro)
+            forms.append(terms)
+    return seen, forms
+
+
 def _divisors(ring, basis, degree):
     """The packing of the basis and its reducers.
 
@@ -538,19 +568,8 @@ class BuchbergerRun:
     def __init__(self, ideal, order=None):
         ring = ideal.ring if order is None else ideal.ring.with_order(order)
         pk = _packing_for(ring, max((g.total_degree() for g in ideal.generators), default=0))
-        seen = set()
-        seeds = []
-        for g in ideal.generators:
-            # primitive, with a positive leading coefficient: the seeds, and
-            # so the memo key, ignore how each generator is scaled
-            terms = _primitive(pk.pack(g.terms))
-            if terms[max(terms)] < 0:
-                terms = {e: -v for e, v in terms.items()}
-            fro = frozenset(terms.items())
-            if fro in seen:
-                continue
-            seen.add(fro)
-            seeds.append(terms)
+        # the seeds, and so the memo key, ignore how each generator is scaled
+        seen, seeds = _primitive_forms(pk, ideal.generators)
         # seed deterministically, smallest leading term first; a stable sort,
         # so seeds with equal leading terms keep the generators' order
         seeds.sort(key=max)
@@ -813,10 +832,8 @@ class Ideal:
         if self._gb is None:
             basis, _ = buchberger(self)
             divisors = _divisors(self.ring, basis, 0)
-            for g in self.generators:
-                r, _ = _reduce(g, basis, divisors)
-                if not r.is_zero:
-                    raise PolyError("internal error: generator fails to reduce")
+            if not _all_reduce(self.ring, self.generators, basis, divisors):
+                raise PolyError("internal error: generator fails to reduce")
             self._gb, self._divisors = basis, divisors
         return self._gb
 
@@ -825,6 +842,22 @@ class Ideal:
             len(self.generators),
             ", ".join(self.ring.variables),
         )
+
+
+def _all_reduce(ring, polys, basis, divisors):
+    """True iff every nonzero poly of the ring reduces to zero against the basis.
+
+    Each distinct primitive form (see `_primitive_forms`) is reduced once,
+    without cofactors, against `divisors`, the `_divisors` of the basis,
+    packed again wider if a poly does not fit them; one engine reads the
+    enclosing deadline.
+    """
+    pk, reducers = divisors
+    degree = max((p.total_degree() for p in polys), default=0)
+    if not pk.holds(degree):
+        pk, reducers = _divisors(ring, basis, degree)
+    eng = _Engine(pk)
+    return not any(eng.nf(terms, reducers) for terms in _primitive_forms(pk, polys)[1])
 
 
 def ideal_member(p, ideal):
@@ -837,11 +870,7 @@ def ideal_member(p, ideal):
 def ideal_contains(big, small):
     """True iff every generator of `small` lies in `big`."""
     basis = big.gb()
-    for g in small.generators:
-        r, _ = _reduce(g.cast(big.ring), basis, big._divisors)
-        if not r.is_zero:
-            return False
-    return True
+    return _all_reduce(big.ring, [g.cast(big.ring) for g in small.generators], basis, big._divisors)
 
 
 def ideal_equal(I, J):

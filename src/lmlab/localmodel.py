@@ -16,13 +16,15 @@ again.  The four quadratic forms are symmetric, as S1 and S2 are, so only
 their upper triangles are formed.
 
 Sound mode first reduces the section's d^2 x-images modulo the small ideal
-(and its y-images too, if they are not -X^t).  An entry and its normal form
-differ by a member of the ideal, so the relations at the normal forms lie in
-the ideal exactly when the images psi(g) do, and have the same normal form
-as they have: the proof and any failing residue are those of the images
-themselves, from much smaller polynomials.  Each relation object is reduced
-once: a repeated object that has reduced to zero is not reduced again.  The
-rank-one oracle still evaluates the section itself.
+(and its y-images too, if they are not -X^t); an entry below the degree of
+every leading term of its basis is already a normal form and is kept as it
+is.  An entry and its normal form differ by a member of the ideal, so the
+relations at the normal forms lie in the ideal exactly when the images
+psi(g) do, and have the same normal form as they have: the proof and any
+failing residue are those of the images themselves, from much smaller
+polynomials.  Each relation value is reduced once: a value equal to one
+that has reduced to zero is not reduced again.  The rank-one oracle still
+evaluates the section itself.
 """
 
 from __future__ import annotations
@@ -101,10 +103,16 @@ def _mat_mul(A, B, zero):
     """A B for matrices given as lists of rows.
 
     A product with a zero factor is skipped and one by the int 1 is not
-    formed; an entry whose products are all skipped is `zero`.
+    formed; an entry whose products are all skipped is `zero`.  The nonzero
+    entries of each row of A are collected once (S1 and S2 are 0/1 partial
+    permutations).
     """
-    cols = list(zip(*B))
-    return [[_dot(row, col, zero) for col in cols] for row in A]
+    n = len(B[0])
+    out = []
+    for row in A:
+        nz = _nonzero(row, B)
+        out.append([_dot(nz, j, zero) for j in range(n)])
+    return out
 
 
 def _sym_mul(A, B, zero):
@@ -112,19 +120,27 @@ def _sym_mul(A, B, zero):
 
     Only the entries with j >= i are formed; each is also entry (j, i).
     """
-    cols = list(zip(*B))
-    P = [[zero] * len(cols) for _ in A]
+    n = len(B[0])
+    P = [[zero] * n for _ in A]
     for i, row in enumerate(A):
-        for j in range(i, len(cols)):
-            P[i][j] = P[j][i] = _dot(row, cols[j], zero)
+        nz = _nonzero(row, B)
+        for j in range(i, n):
+            P[i][j] = P[j][i] = _dot(nz, j, zero)
     return P
 
 
-def _dot(row, col, zero):
+def _nonzero(row, B):
+    """(a is the int 1, a, row k of B) for each nonzero entry a = row[k]."""
+    return [(a.__class__ is int and a == 1, a, B[k]) for k, a in enumerate(row) if a]
+
+
+def _dot(nz, j, zero):
+    """Entry j of the row of a product, from the `_nonzero` triples of its row."""
     acc = None
-    for a, b in zip(row, col):
-        if a and b:
-            t = b if a.__class__ is int and a == 1 else a * b
+    for one, a, brow in nz:
+        b = brow[j]
+        if b:
+            t = b if one else a * b
             acc = t if acc is None else acc + t
     return zero if acc is None else acc
 
@@ -359,10 +375,16 @@ def _section_residues(nf, psi, small):
     reduced as it is.
     """
     X, Y = (named_matrix(psi.images.__getitem__, stem, nf.d) for stem in "xy")
-    Xr = [[ideal_member(v, small)[1].residue for v in row] for row in X]
+    # an entry below the degree of every leading term is its own normal form
+    low = min(sum(b.lm()) for b in small.gb())
+
+    def residue(v):
+        return v if v.total_degree() < low else ideal_member(v, small)[1].residue
+
+    Xr = [[residue(v) for v in row] for row in X]
     if Y == _minus_transpose(X):
         return Xr, _minus_transpose(Xr)
-    return Xr, [[ideal_member(v, small)[1].residue for v in row] for row in Y]
+    return Xr, [[residue(v) for v in row] for row in Y]
 
 
 ORACLE_SAMPLES = 20
@@ -391,16 +413,14 @@ def verify_presentation(nf, mode="sound", seed=7):
         X, Y = _section_residues(nf, psi, small)
         images = _naive_relations(nf, X, Y, psi.images["pi"])
         reduced_zero = 0
-        # images that reduced to zero, by id; holding each one keeps its id
-        # from passing to a later image
-        passed = {}
+        passed = set()  # the values that reduced to zero
         for g, img in zip(naive.generators, images, strict=True):
-            if img.is_zero or passed.get(id(img)) is img:
+            if img.is_zero or img in passed:
                 reduced_zero += 1
                 continue
             ok, cert = ideal_member(img, small)
             if ok:
-                passed[id(img)] = img
+                passed.add(img)
                 reduced_zero += 1
             else:
                 report.status = FAIL

@@ -411,16 +411,19 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # a Polynomial is tested first: isinstance against Fraction goes
+        # through its ABC machinery
+        if not isinstance(other, Polynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             if not other:
                 return self.ring.zero()
             n = other.numerator
             return Polynomial(
                 self.ring, {e: k * n for e, k in self.terms.items()}, self.den * other.denominator
             )
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.ring is not self.ring and other.ring != self.ring:
+            raise PolyError("ring mismatch")
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
@@ -735,9 +738,23 @@ def _det(m, rows, cols):
 
 def minors(m, k):
     """All k x k minors of the rows m, row-index lexicographic then
-    column-index lexicographic; none when k exceeds either side."""
+    column-index lexicographic; none when k exceeds either side.
+
+    The 2 x 2 minors are formed here, over each pair of rows, as `_det`
+    forms them."""
     if k < 1:
         raise PolyError("minor size out of range")
+    if k == 2:
+        cols = list(combinations(range(len(m[0]) if m else 0), 2))
+        out = []
+        for r0, r1 in combinations(m, 2):
+            for i, j in cols:
+                a, b, c, d = r0[i], r0[j], r1[i], r1[j]
+                if b and c:
+                    out.append(a * d - b * c if a and d else -(b * c))
+                else:
+                    out.append(a * d if a and d else a * 0)
+        return out
     return [
         _det(m, rs, cs)
         for rs in combinations(range(len(m)), k)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import copy
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .lattice import LatticeError, check_admissible, normal_form
@@ -375,6 +374,10 @@ def run_suite(config):
         for d, delta in grid
     ]
     if config.jobs > 1:
+        # imported here: a serial run, and the start-up of every command,
+        # need not load concurrent.futures and multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # a worker that dies breaks the pool: its instance, and every one
         # still waiting, gets one error report per check
         with ProcessPoolExecutor(max_workers=min(config.jobs, len(grid))) as pool:

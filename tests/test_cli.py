@@ -345,10 +345,23 @@ def test_suite_reports_a_crashed_worker(monkeypatch):
         assert "terminated abruptly" in r["details"]["error"]
 
 
+def test_cli_start_up_loads_no_process_pool():
+    # the pool is imported only by a suite run with more than one job
+    import lmlab
+
+    src = os.path.dirname(os.path.dirname(lmlab.__file__))
+    code = (
+        "import sys; sys.path.insert(0, %r); import lmlab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('concurrent', 'multiprocessing')))" % src
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_suite_submits_largest_instances_first(monkeypatch):
     import concurrent.futures
-
-    import lmlab.suite as suite
 
     submitted = []
 
@@ -368,7 +381,7 @@ def test_suite_submits_largest_instances_first(monkeypatch):
             fut.set_result(fn(checks, d, delta, *rest))
             return fut
 
-    monkeypatch.setattr(suite, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     grid = [(5, 1), (6, 2), (5, 2), (6, 3)]
     code, payload = run_suite(SuiteConfig(grid=grid, checks=["dt-equals-u"], jobs=2))
     assert code == 0
@@ -379,8 +392,6 @@ def test_suite_submits_largest_instances_first(monkeypatch):
 
 def test_suite_starts_no_more_workers_than_instances(monkeypatch):
     import concurrent.futures
-
-    import lmlab.suite as suite
 
     workers = []
 
@@ -399,7 +410,7 @@ def test_suite_starts_no_more_workers_than_instances(monkeypatch):
             fut.set_result(fn(*args))
             return fut
 
-    monkeypatch.setattr(suite, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     run_suite(SuiteConfig(grid=[(5, 1)], checks=["dt-equals-u"], jobs=8))
     run_suite(SuiteConfig(grid=[(5, 1), (5, 2)], checks=["dt-equals-u"], jobs=8))
     run_suite(SuiteConfig(grid=[(5, 1), (5, 2), (6, 1)], checks=["dt-equals-u"], jobs=2))

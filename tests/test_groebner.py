@@ -457,10 +457,37 @@ def test_seed_reduction_reads_the_deadline():
         buchberger(I)
 
 
+def _spy_nf(monkeypatch):
+    """The enclosing budget and the `cofactors` flag of every `_Engine.nf` call."""
+    calls = []
+    real = groebner._Engine.nf
+
+    def spy(self, terms, reducers, cofactors=False):
+        calls.append((groebner._until and groebner._until[1], cofactors))
+        return real(self, terms, reducers, cofactors)
+
+    monkeypatch.setattr(groebner._Engine, "nf", spy)
+    return calls
+
+
 def test_budget_reaches_every_reduction(monkeypatch):
     # the generator check of Ideal.gb and the exact divisions of quotient
-    # reduce under the enclosing deadline
-    import lmlab.groebner as groebner
+    # reduce under the enclosing deadline.  Inside memo() a second ideal of
+    # the same generators finds its basis made, so every reduction of its
+    # gb() is the check's
+    R = PolyRing(["x", "y"])
+    gens = ["x^2 - y", "x*y - 1"]
+    with memo():
+        Ideal(R, gens).gb()
+        checks = _spy_nf(monkeypatch)
+        with deadline(60):
+            Ideal(R, gens).gb()
+        assert checks == [(60, False), (60, False)]
+        # and a spent budget stops the check itself
+        with pytest.raises(GBTimeout), deadline(1e-9):
+            time.sleep(0.001)
+            Ideal(R, gens).gb()
+    monkeypatch.undo()
 
     real = groebner._reduce
     budgets = []
@@ -470,12 +497,6 @@ def test_budget_reaches_every_reduction(monkeypatch):
         return real(p, basis, divisors)
 
     monkeypatch.setattr(groebner, "_reduce", spy)
-    R = PolyRing(["x", "y"])
-    I = Ideal(R, ["x^2 - y", "x*y - 1"])
-    with deadline(60):
-        I.gb()
-    assert budgets == [60, 60]
-    budgets.clear()
     with deadline(60):
         quotient(Ideal(R, ["x^2*y", "x*y^2"]), R.var("x"))
     assert budgets and set(budgets) == {60}
@@ -562,19 +583,51 @@ def test_basis_cache_ignores_generator_order_scale_and_duplicates(monkeypatch):
 
 def test_basis_cache_keeps_the_generator_check_of_every_ideal(monkeypatch):
     runs = _count_runs(monkeypatch)
-    checked = []
-    real = groebner._reduce
-
-    def spy(p, basis, divisors):
-        checked.append(p)
-        return real(p, basis, divisors)
-
-    monkeypatch.setattr(groebner, "_reduce", spy)
     with memo():
+        Ideal(_CACHE_RING, _CACHE_GENS).gb()
+        # the basis is made: every reduction from here on is a check's
+        checked = _spy_nf(monkeypatch)
         for _ in range(2):
             Ideal(_CACHE_RING, _CACHE_GENS).gb()
     assert len(runs) == 1
-    assert len(checked) == 2 * len(_CACHE_GENS)
+    # each ideal reduces each of its generators, without cofactors
+    assert checked == [(None, False)] * (2 * len(_CACHE_GENS))
+
+
+def test_generator_check_reduces_each_distinct_primitive_form_once(monkeypatch):
+    R = _CACHE_RING
+    gens = [parse_poly(g, R) for g in _CACHE_GENS]
+    variant = [gens[0], gens[1] * Fraction(-1, 2), gens[2], gens[0] * 3, gens[1], gens[0]]
+    with memo():
+        Ideal(R, gens).gb()
+        checked = _spy_nf(monkeypatch)
+        assert Ideal(R, variant).gb() == Ideal(R, gens).gb()
+    assert len(checked) == 2 * len(gens)
+
+
+@pytest.mark.parametrize("copies", ["once", "twice", "scaled", "twice, once scaled"])
+def test_generator_check_catches_a_lost_basis_entry(monkeypatch, copies):
+    # x^2 - y and y^3 - z have coprime leading terms, so they are their own
+    # reduced basis; a basis that loses x^2 - y leaves it unreduced, however
+    # often and however scaled it appears among the generators
+    R = PolyRing(["x", "y", "z"])
+    lost, kept = parse_poly("x^2 - y", R), parse_poly("y^3 - z", R)
+    gens = {
+        "once": [kept, lost],
+        "twice": [lost, kept, lost],
+        "scaled": [kept, lost * Fraction(-3, 2)],
+        "twice, once scaled": [lost * 2, kept, lost],
+    }[copies]
+    assert set(Ideal(R, gens).gb()) == {lost, kept}
+    real = groebner.buchberger
+
+    def lossy(ideal, order=None):
+        basis, partial = real(ideal, order)
+        return tuple(b for b in basis if b != lost), partial
+
+    monkeypatch.setattr(groebner, "buchberger", lossy)
+    with pytest.raises(PolyError, match="generator fails to reduce"):
+        Ideal(R, gens).gb()
 
 
 def test_basis_cache_is_off_outside_the_block(monkeypatch):

@@ -21,6 +21,7 @@ from lmlab.localmodel import (
     _oracle_failures,
     _rank_one_samples,
     _section_residues,
+    _sym_mul,
     _verify_complete,
     big_ring,
     block_substitution,
@@ -399,12 +400,12 @@ def test_y_minors_at_minus_x_transpose_are_the_x_minor_objects(d, delta, where):
     assert all(type(v) is Polynomial and v.is_zero for v in relations[: d * d])
 
 
-@pytest.mark.parametrize("d,delta,calls", [(6, 2, 371), (6, 3, 427)])
+@pytest.mark.parametrize("d,delta,calls", [(6, 2, 224), (6, 3, 301)])
 def test_za1_reduces_each_image_object_once(monkeypatch, d, delta, calls):
-    # the 36 x-entries, then the 335 and 391 distinct objects among the 510
-    # and 616 nonzero images at their normal forms; a memo by id that does
-    # not hold its images reuses the ids of freed ones and skips real
-    # reductions; the count holds no image, so that it pins none
+    # the 28 and 27 of the 36 x-entries that reach the degree of a leading
+    # term of the small ideal, then the 196 and 274 distinct values among the
+    # 510 and 616 nonzero images at their normal forms; the count holds no
+    # image, so that it pins none
     reduced = [0]
 
     def counting(p, ideal):
@@ -615,6 +616,29 @@ def test_relations_are_ring_elements_with_zero_factors_skipped(d, delta):
     for s_row, row in zip(nf.S1, S1X):
         assert all(bool(v) == any(s_row) for v in row)
     assert _mat_add([[zero]], [[zero]], big.var("pi")) == [[zero]]
+
+
+def _dense_product(A, B, zero):
+    return [[sum((a * b for a, b in zip(row, col)), zero) for col in zip(*B)] for row in A]
+
+
+@pytest.mark.parametrize("d,delta", [(5, 1), (5, 2), (6, 3)])
+def test_products_equal_the_dense_product(d, delta):
+    # _mat_mul and _sym_mul walk only the nonzero entries of each left row;
+    # their products must be the dense ones, on ints and on polynomials with
+    # zero and one entries, for the S-matrices and for full matrices
+    nf = normal_form(d, delta)
+    rng = random.Random(d * 10 + delta)
+    R = PolyRing(["a", "b", "pi"])
+    entries = [0, 1, R.zero(), R.one(), R.var("a"), R.var("b") + 3, R.var("a") * R.var("pi")]
+    for zero, choices in ((0, [0, 0, 1, -1, 3]), (R.zero(), entries)):
+        X, Y = ([[rng.choice(choices) for _ in range(d)] for _ in range(d)] for _ in "XY")
+        Xt = [list(col) for col in zip(*X)]
+        for A, B in ((nf.S1, X), (nf.S2, Y), (Xt, Y), (X, nf.S2)):
+            assert _mat_mul(A, B, zero) == _dense_product(A, B, zero)
+        for S in (nf.S1, nf.S2, [[3 * v for v in row] for row in nf.S1]):
+            SX = _mat_mul(S, X, zero)
+            assert _sym_mul(Xt, SX, zero) == _dense_product(Xt, SX, zero)
 
 
 @pytest.mark.parametrize("corrupt", [None, "diagonal", "scaled"])

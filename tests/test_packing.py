@@ -18,7 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lmlab.groebner as groebner
-from lmlab.groebner import BuchbergerRun, Ideal, buchberger, ideal_member, reduce_poly
+from lmlab.groebner import (
+    BuchbergerRun,
+    Ideal,
+    buchberger,
+    ideal_contains,
+    ideal_member,
+    reduce_poly,
+)
 from lmlab.poly import Block, GrevLex, Lex, PolyError, PolyRing, parse_poly
 
 
@@ -201,6 +208,20 @@ def test_exponent_of_40000_reduces():
     member, cert = ideal_member(x**40000 - y**20000, I)
     assert member and cert.verify(x**40000 - y**20000)
     assert not ideal_member(x**40001 - y**20000, I)[0]
+
+
+def test_generator_check_packs_wider_than_its_basis():
+    # the basis (y - 1, x - 1) fits 16-bit fields and its reducers are
+    # cached so; the check of the generator x^40000 - y packs them wider
+    R = PolyRing(["x", "y"])
+    x, y = R.var("x"), R.var("y")
+    I = Ideal(R, ["x^40000 - y", "x - 1", "2*x - 2"])
+    assert I.gb() == (y - 1, x - 1)
+    assert I._divisors[0].width == 16
+    # and so does ideal_contains, which tests generators the same way
+    J = Ideal(R, ["x^2 - y"])
+    assert ideal_contains(J, Ideal(R, [x**40000 - y**20000, x**2 - y]))
+    assert not ideal_contains(J, Ideal(R, [x**2 - y, x**40001 - y**20000]))
 
 
 def test_zero_entries_never_reduce():

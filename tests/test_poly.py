@@ -312,6 +312,32 @@ def test_minors_2x2_with_zero_entries(zeros):
             assert det.ring == R
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (3, 4), (4, 3), (5, 5)])
+def test_two_by_two_minors_are_the_cofactor_determinants(shape):
+    # minors(m, 2) forms its minors over row pairs; each must be _det's, of
+    # the same type: the int 0 for int rows, the ring's zero for polynomial
+    # rows, also where the rows hold 0 and 1 entries
+    from lmlab.poly import _det
+
+    rng = random.Random(sum(shape))
+    R = ring("a", "b", "c")
+    entries = [R.zero(), R.one(), R.var("a"), R.var("b") - 2, R.var("a") * R.var("c")]
+    nrows, ncols = shape
+    for _ in range(40):
+        ints = [[rng.choice([0, 0, 1, -1, 2]) for _ in range(ncols)] for _ in range(nrows)]
+        polys = [[rng.choice(entries) for _ in range(ncols)] for _ in range(nrows)]
+        for rows in (ints, polys):
+            got = minors(rows, 2)
+            want = [
+                _det(rows, rs, cs)
+                for rs in combinations(range(nrows), 2)
+                for cs in combinations(range(ncols), 2)
+            ]
+            assert got == want
+            assert [type(v) for v in got] == [type(v) for v in want]
+    assert minors([], 2) == [] and minors([[R.var("a"), 1]], 2) == []
+
+
 def test_minors_3x3_int_determinant():
     # expansion along the first row skips its zero entry
     [det] = minors([[2, 0, 1], [1, 3, 2], [1, 1, 4]], 3)
