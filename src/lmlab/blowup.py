@@ -24,6 +24,7 @@ from functools import wraps
 from .groebner import (
     Ideal,
     eliminates_to,
+    first_nonmember,
     ideal_equal,
     ideal_member,
     is_nonzerodivisor,
@@ -31,7 +32,7 @@ from .groebner import (
 )
 from .lattice import LatticeError, q1_form, q2_form
 from .poly import Block, PolyRing, Polynomial, RingMap
-from .report import FAIL, checking
+from .report import checking
 
 __all__ = [
     "BlowupChart",
@@ -83,44 +84,21 @@ def _once_per_memo(builder):
 # ----------------------------------------------- blow-up of the basic scheme
 
 
-def build_B_blowup_charts():
-    """Both blow-up charts of the basic scheme, each with its substitution map.
+def build_B_blowup_charts(b):
+    """Both blow-up charts of the basic scheme b, each with its substitution map.
 
     Chart I is uv = pi with w1 = v x, w2 = -u x; chart II is w1 w2 y^2 = -pi
     with u = -y w2, v = w1 y.  Returns ((chart I, map I), (chart II, map II)),
-    each map from the basic scheme's ring to the chart's.
+    each map from b's ring to the chart's.
     """
-    from .quadric import build_basic_scheme
-
-    b = build_basic_scheme()
-
     r1 = PolyRing(["pi", "u", "v", "x"])
-    chart1 = Ideal(r1, [r1.var("u") * r1.var("v") - r1.var("pi")])
+    pi, u, v, x = map(r1.var, r1.variables)
+    chart1 = Ideal(r1, [u * v - pi])
+    map1 = RingMap(b.ring, r1, {"pi": pi, "u": u, "v": v, "w1": v * x, "w2": -u * x})
     r2 = PolyRing(["pi", "w1", "w2", "y"])
-    chart2 = Ideal(r2, [r2.var("w1") * r2.var("w2") * r2.var("y") ** 2 + r2.var("pi")])
-
-    map1 = RingMap(
-        b.ring,
-        r1,
-        {
-            "pi": r1.var("pi"),
-            "u": r1.var("u"),
-            "v": r1.var("v"),
-            "w1": r1.var("v") * r1.var("x"),
-            "w2": -r1.var("u") * r1.var("x"),
-        },
-    )
-    map2 = RingMap(
-        b.ring,
-        r2,
-        {
-            "pi": r2.var("pi"),
-            "u": -r2.var("y") * r2.var("w2"),
-            "v": r2.var("w1") * r2.var("y"),
-            "w1": r2.var("w1"),
-            "w2": r2.var("w2"),
-        },
-    )
+    pi, w1, w2, y = map(r2.var, r2.variables)
+    chart2 = Ideal(r2, [w1 * w2 * y ** 2 + pi])
+    map2 = RingMap(b.ring, r2, {"pi": pi, "u": -y * w2, "v": w1 * y, "w1": w1, "w2": w2})
     return (chart1, map1), (chart2, map2)
 
 
@@ -148,38 +126,29 @@ def build_DT_blowup_chart(nf, s, t):
         for j in range(1, m + 1):
             rel.append(amb.var(bu(i, j)) - amb.var(bu(s, j)) * amb.var(bu(i, t)))
     rel.append(amb.var(bu(s, t)) - 1)
-    rs_amb = amb.zero()
-    for i in range(1, delta + 1):
-        rs_amb = rs_amb + amb.var(bu(i, t)) * amb.var(bu(delta + 1 - i, t))
-    cs_amb = amb.zero()
-    for j in range(1, m + 1):
-        cs_amb = cs_amb + amb.var(bu(s, j)) * amb.var(bu(s, m + 1 - j))
+    rs_amb = _paired_sum(lambda i: amb.var(bu(i, t)), delta, amb)
+    cs_amb = _paired_sum(lambda j: amb.var(bu(s, j)), m, amb)
     zsq = amb.var(zv) ** 2
     amb_eq = 4 * amb.var("pi") + zsq * rs_amb * cs_amb
     ambient = Ideal(amb, rel + [amb_eq])
 
+    # the sums read only the pivot's column and row, whose entries are the
+    # pivot 1 and free variables of the reduced chart
     free = [bu(i, t) for i in range(1, delta + 1) if i != s]
     free += [bu(s, j) for j in range(1, m + 1) if j != t]
     red = PolyRing(["pi", zv] + free)
-    sub = {"pi": red.var("pi"), zv: red.var(zv)}
-    for i in range(1, delta + 1):
-        for j in range(1, m + 1):
-            if i == s and j == t:
-                sub[bu(i, j)] = red.one()
-            elif i == s:
-                sub[bu(i, j)] = red.var(bu(s, j))
-            elif j == t:
-                sub[bu(i, j)] = red.var(bu(i, t))
-            else:
-                sub[bu(i, j)] = red.var(bu(s, j)) * red.var(bu(i, t))
-    proj = RingMap(amb, red, sub)
-    row_sum = proj(rs_amb)
-    col_sum = proj(cs_amb)
+    row_sum = _paired_sum(lambda i: red.one() if i == s else red.var(bu(i, t)), delta, red)
+    col_sum = _paired_sum(lambda j: red.one() if j == t else red.var(bu(s, j)), m, red)
     red_eq = 4 * red.var("pi") + red.var(zv) ** 2 * row_sum * col_sum
     return BlowupChart(
         chart=Ideal(red, [red_eq]), ambient=ambient, z_var=zv,
         row_sum=row_sum, col_sum=col_sum,
     )
+
+
+def _paired_sum(entry, n, ring):
+    """The sum of entry(k) entry(n + 1 - k) over k = 1..n, in ring."""
+    return sum((entry(k) * entry(n + 1 - k) for k in range(1, n + 1)), ring.zero())
 
 
 # --------------------------------------------------- resolution charts
@@ -232,10 +201,8 @@ def affine_chart(nf, s, t):
     instance = {"d": nf.d, "delta": nf.delta, "pivot": [s, t]}
     with checking("affine-chart", instance) as report:
         mchart = build_M_chart(nf, s, t)
-        ok = eliminates_to(mchart.full, mchart.eliminated, mchart.reduced)
-        report.details["elimination_equality"] = ok
-        if not ok:
-            report.status = FAIL
+        report.require("elimination_equality",
+                       eliminates_to(mchart.full, mchart.eliminated, mchart.reduced))
     return report
 
 
@@ -296,48 +263,29 @@ def chart_match(nf, s, t):
         D = RingMap(bring, mring, fwd)
         Dinv = RingMap(mring, bring, bwd)
 
-        b_eq = bchart.chart.generators[0]
-        img = D(b_eq)
-        ok_fwd, fwd_cert = ideal_member(img, mchart.reduced)
+        img = D(bchart.chart.generators[0])
+        fwd = first_nonmember([img], mchart.reduced)
         # the explicit unit: D(blow-up equation) = 4 (pi + lambda^2 Q2 Q1) mod pins
         m_eq = mchart.reduced.generators[0]
-        pins = Ideal(
-            mring, [mring.var("x_%d" % s) - 1, mring.var("y_%d" % t) - 1]
-        )
+        pins = Ideal(mring, [mring.var("x_%d" % s) - 1, mring.var("y_%d" % t) - 1])
         unit_ok = ideal_member(img - 4 * m_eq, pins)[0]
         if unit_ok:
             report.unit_notes.append("forward image equals 4*(chart equation) modulo pins")
-
-        ok_bwd = True
-        for g in mchart.reduced.generators:
-            ok_bwd, cert = ideal_member(Dinv(g), bchart.chart)
-            if not ok_bwd:
-                report.details["bwd_residue"] = str(cert.residue)
-                break
-
-        ok_comp = True
-        for v in mring.variables:
-            diff = D(Dinv(mring.var(v))) - mring.var(v)
-            ok_comp, cert = ideal_member(diff, mchart.reduced)
-            if not ok_comp:
-                report.details["composite_m_residue"] = str(cert.residue)
-                break
-        if ok_comp:
-            for v in bring.variables:
-                diff = Dinv(D(bring.var(v))) - bring.var(v)
-                ok_comp, cert = ideal_member(diff, bchart.chart)
-                if not ok_comp:
-                    report.details["composite_b_residue"] = str(cert.residue)
-                    break
-
-        report.details["forward"] = ok_fwd
-        report.details["backward"] = ok_bwd
-        report.details["composite_identity"] = ok_comp
-        report.details["unit_4"] = unit_ok
-        if not (ok_fwd and ok_bwd and ok_comp and unit_ok):
-            report.status = FAIL
-            if not ok_fwd:
-                report.details["fwd_residue"] = str(fwd_cert.residue)
+        bwd = first_nonmember((Dinv(g) for g in mchart.reduced.generators), bchart.chart)
+        comp_m = first_nonmember(
+            (D(Dinv(mring.var(v))) - mring.var(v) for v in mring.variables), mchart.reduced
+        )
+        comp_b = None if comp_m else first_nonmember(
+            (Dinv(D(bring.var(v))) - bring.var(v) for v in bring.variables), bchart.chart
+        )
+        for key, miss in (("fwd_residue", fwd), ("bwd_residue", bwd),
+                          ("composite_m_residue", comp_m), ("composite_b_residue", comp_b)):
+            if miss is not None:
+                report.details[key] = str(miss.residue)
+        report.require("forward", fwd is None)
+        report.require("backward", bwd is None)
+        report.require("composite_identity", comp_m is None and comp_b is None)
+        report.require("unit_4", unit_ok)
     return report
 
 
@@ -358,20 +306,14 @@ def exceptional_locus(nf, s, t):
         expected = [lam, ring.var("pi")] + [ring.var(v) for v in mchart.eliminated]
         expected += [ring.var("x_%d" % s) - 1, ring.var("y_%d" % t) - 1]
         expected_ideal = Ideal(ring, expected)
-        ok_locus = ideal_equal(with_lam, expected_ideal)
-        free_dim = (nf.delta - 1) + (nf.d - nf.delta - 1)
-        report.details["locus_is_product_chart"] = ok_locus
-        report.details["free_variables"] = free_dim
-        if not ok_locus:
-            for g in expected_ideal.generators:
-                ok, cert = ideal_member(g, with_lam)
-                if not ok:
-                    report.details["witness"] = str(cert.residue)
-                    break
-        ok_nzd = is_nonzerodivisor(mchart.full, lam)
-        report.details["lambda_nonzerodivisor"] = ok_nzd
-        if not (ok_locus and ok_nzd):
-            report.status = FAIL
+        report.details["free_variables"] = (nf.delta - 1) + (nf.d - nf.delta - 1)
+        if not report.require("locus_is_product_chart", ideal_equal(with_lam, expected_ideal)):
+            miss = first_nonmember(expected_ideal.generators, with_lam) or first_nonmember(
+                with_lam.generators, expected_ideal
+            )
+            if miss is not None:
+                report.details["witness"] = str(miss.residue)
+        report.require("lambda_nonzerodivisor", is_nonzerodivisor(mchart.full, lam))
     return report
 
 
@@ -409,8 +351,7 @@ def linking_multipliers(nf, s, t):
             failures.append("uv-pi")
         report.details["coordinates_checked"] = 2 * d + 1
         if failures:
-            report.status = FAIL
-            report.details["failed_coordinates"] = failures
+            report.fail("failed_coordinates", failures)
         report.unit_notes.append("u = -Q2(x) lambda, v = Q1(y) lambda")
     return report
 

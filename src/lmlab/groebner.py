@@ -76,9 +76,10 @@ which would rescale M and every C_i.  A `MembershipCertificate` from
 time `cofactors` is read (by `verify`, a test or a failure detail); a
 membership test whose certificate is never read builds none.  Membership
 in an ideal is `ideal_member(p, I)`, against the cached `I.gb()`, whose
-reducer tuples are built once and cached beside it; `reduce_poly` on an
-explicit list is for bases that are not an ideal's, such as a single
-divisor.
+reducer tuples are built once and cached beside it, and
+`first_nonmember(polys, I)` is the certificate of the first of polys that
+it finds outside I, or None; `reduce_poly` on an explicit list is for bases
+that are not an ideal's, such as a single divisor.
 
 Basis check.  `Ideal.gb` checks every new ideal against its basis, also
 when `buchberger` found that basis in the memo: each distinct primitive form
@@ -156,6 +157,7 @@ __all__ = [
     "once",
     "reduce_poly",
     "ideal_member",
+    "first_nonmember",
     "ideal_equal",
     "ideal_contains",
     "eliminate",
@@ -865,6 +867,19 @@ def ideal_member(p, ideal):
     basis = ideal.gb()
     residue, cert = _reduce(p.cast(ideal.ring), basis, ideal._divisors)
     return residue.is_zero, cert
+
+
+def first_nonmember(polys, ideal):
+    """The certificate of the first of `polys` outside `ideal`, or None.
+
+    `polys` is consumed lazily and only up to that first non-member, whose
+    nonzero residue is a claim's witness.
+    """
+    for p in polys:
+        ok, cert = ideal_member(p, ideal)
+        if not ok:
+            return cert
+    return None
 
 
 def ideal_contains(big, small):

@@ -35,7 +35,7 @@ from math import comb, lcm
 
 # buchberger is not called here, but bench/test_bench.py requires this module
 # to bind it so that the tracer's re-binding coverage is exercised
-from .groebner import Ideal, buchberger, eliminate, ideal_equal, \
+from .groebner import Ideal, buchberger, eliminate, first_nonmember, ideal_equal, \
     ideal_member, is_nonzerodivisor, quotient  # noqa: F401
 from .poly import Block, PolyRing, RingMap, minors
 from .report import FAIL, PASS, checking
@@ -407,8 +407,7 @@ def verify_presentation(nf, mode="sound", seed=7):
         naive = build_naive_chart_ideal(nf)
         psi = block_substitution(nf)
         if trace_form(nf, psi.target) != sum(psi.images["x_%d_%d" % (a, a)] for a in nf.Delta):
-            report.status = FAIL
-            report.details["block_trace"] = False
+            report.fail("block_trace", False)
         _, small = build_U_ideals(nf)
         X, Y = _section_residues(nf, psi, small)
         images = _naive_relations(nf, X, Y, psi.images["pi"])
@@ -423,8 +422,7 @@ def verify_presentation(nf, mode="sound", seed=7):
                 passed.add(img)
                 reduced_zero += 1
             else:
-                report.status = FAIL
-                report.details["offending_generator"] = str(g)
+                report.fail("offending_generator", str(g))
                 report.details["residue"] = str(cert.residue)
                 break
         report.details["generators"] = len(naive.generators)
@@ -434,8 +432,7 @@ def verify_presentation(nf, mode="sound", seed=7):
             bad = _oracle_failures(nf, psi, ORACLE_SAMPLES, seed)
             report.details["oracle_samples"] = ORACLE_SAMPLES
             if bad:
-                report.status = FAIL
-                report.details["oracle_failures"] = bad
+                report.fail("oracle_failures", bad)
 
         if report.status == PASS and mode == "complete":
             _verify_complete(nf, psi, small, report)
@@ -481,8 +478,7 @@ def _verify_complete(nf, psi, small, report):
     # relation, and pi maps to itself
     report.details["surjectivity_trivial"] = len(z_of_x) + nf.d * nf.d + 1
     if failures:
-        report.status = FAIL
-        report.details["surjectivity_failures"] = failures
+        report.fail("surjectivity_failures", failures)
         return
 
     # contraction: eliminate every non-Z matrix entry, land inside the small ideal
@@ -492,14 +488,10 @@ def _verify_complete(nf, psi, small, report):
         small.ring,
         {v: small.ring.var(z_of_x.get(v, v)) for v in E.ring.variables},
     )
-    bad = []
-    for g in E.generators:
-        if not ideal_member(rename(g), small)[0]:
-            bad.append(str(g))
+    bad = [str(g) for g in E.generators if not ideal_member(rename(g), small)[0]]
     report.details["contraction_generators"] = len(E.generators)
     if bad:
-        report.status = FAIL
-        report.details["contraction_failures"] = bad
+        report.fail("contraction_failures", bad)
 
 
 def verify_annihilator(nf):
@@ -513,10 +505,12 @@ def verify_annihilator(nf):
         ann = quotient(small, quad)
         zideal = Ideal(ring, [ring.var(v) for v in ring.variables if v != "pi"])
         if not ideal_equal(ann, zideal):
-            report.status = FAIL
-            # the computed annihilator generators are the witness
-            report.details["annihilator"] = [str(g) for g in ann.generators]
-            report.details["witness"] = str(ann.generators[0]) if ann.generators else "0"
+            report.fail("annihilator", [str(g) for g in ann.generators])
+            miss = first_nonmember(zideal.generators, ann) or first_nonmember(
+                ann.generators, zideal
+            )
+            if miss is not None:
+                report.details["witness"] = str(miss.residue)
     return report
 
 
@@ -528,11 +522,10 @@ def flatness_and_dimension(chart, expected_rel_dim):
     from .groebner import krull_dim
 
     with checking("flatness-dims", {}) as report:
-        flat = is_nonzerodivisor(chart, chart.ring.var("pi"))
+        report.require("flat", is_nonzerodivisor(chart, chart.ring.var("pi")))
         dim = krull_dim(chart)
-        report.details["flat"] = flat
         report.details["dim"] = dim
         report.details["expected_dim"] = expected_rel_dim + 1
-        if not flat or dim != expected_rel_dim + 1:
+        if dim != expected_rel_dim + 1:
             report.status = FAIL
     return report

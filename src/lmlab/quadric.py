@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .groebner import (
     Ideal,
+    first_nonmember,
     ideal_contains,
     ideal_equal,
     ideal_member,
@@ -22,7 +23,7 @@ from .groebner import (
 )
 from .lattice import LatticeError, q1_form, q2_form
 from .poly import PolyRing, RingMap
-from .report import FAIL, checking
+from .report import checking
 
 __all__ = [
     "LinkedChart",
@@ -78,42 +79,27 @@ def build_basic_scheme():
     return Ideal(ring, gens)
 
 
-def basic_scheme_map(linked):
-    """The smooth map from a pinned chart to B: w1 -> Q1, w2 -> Q2."""
-    b = build_basic_scheme()
-    ring = linked.chart.ring
-    return RingMap(
-        b.ring,
-        ring,
-        {
-            "pi": ring.var("pi"),
-            "u": ring.var("u"),
-            "v": ring.var("v"),
-            "w1": linked.q1,
-            "w2": linked.q2,
-        },
-    )
+def basic_scheme_map(b, linked):
+    """The smooth map from a pinned chart to the basic scheme b: w1 -> Q1, w2 -> Q2."""
+    images = {v: linked.chart.ring.var(v) for v in ("pi", "u", "v")}
+    return RingMap(b.ring, linked.chart.ring, dict(images, w1=linked.q1, w2=linked.q2))
 
 
 def verify_linked_chart(nf, i, j):
-    """Flatness proxy plus the B-map membership for one pinned chart."""
+    """Flatness proxy plus the B-map membership for one pinned chart.
+
+    `residue` is that of the first generator of B not mapped into the chart.
+    """
     instance = {"d": nf.d, "delta": nf.delta, "pin_x": i, "pin_y": j}
     with checking("linked-fiber", instance) as report:
         linked = build_linked_chart_ideal(nf, i, j)
         chart = linked.chart
-        flat = is_nonzerodivisor(chart, chart.ring.var("pi"))
-        report.details["flat"] = flat
+        report.require("flat", is_nonzerodivisor(chart, chart.ring.var("pi")))
         b = build_basic_scheme()
-        fmap = basic_scheme_map(linked)
-        mapped_ok = True
-        for g in b.generators:
-            ok, cert = ideal_member(fmap(g), chart)
-            if not ok:
-                mapped_ok = False
-                report.details["residue"] = str(cert.residue)
-        report.details["b_map_member"] = mapped_ok
-        if not (flat and mapped_ok):
-            report.status = FAIL
+        fmap = basic_scheme_map(b, linked)
+        miss = first_nonmember((fmap(g) for g in b.generators), chart)
+        if not report.require("b_map_member", miss is None):
+            report.details["residue"] = str(miss.residue)
     return report
 
 
@@ -136,7 +122,7 @@ def verify_fiber_decomposition():
             and ideal_member(u * v, F)[0]
             and ideal_contains(rad, F)
         )
-        report.details["radical_identity"] = ok_rad
+        report.require("radical_identity", ok_rad)
         # explicit square certificate for u*w1
         cert = (u * w1) ** 2 - (u * w1 * (u * w1 + v * w2) - w1 * w2 * (u * v))
         if cert.is_zero:
@@ -144,8 +130,7 @@ def verify_fiber_decomposition():
         primes = intersect(
             intersect(Ideal(ring, [u, v]), Ideal(ring, [w1, v])), Ideal(ring, [w2, u])
         )
-        ok_primes = ideal_equal(rad, primes)
-        report.details["prime_intersection"] = ok_primes
+        report.require("prime_intersection", ideal_equal(rad, primes))
         primary = intersect(
             intersect(
                 Ideal(ring, [u**2, u * v, v**2, u * w1 + v * w2]),
@@ -153,11 +138,8 @@ def verify_fiber_decomposition():
             ),
             Ideal(ring, [w2, u]),
         )
-        ok_primary = ideal_equal(F, primary)
-        report.details["primary_intersection"] = ok_primary
+        report.require("primary_intersection", ideal_equal(F, primary))
         report.unit_notes.append("div(pi) = 2(Z0) + (Z1) + (Z2) via the primary factor")
-        if not (ok_rad and ok_primes and ok_primary):
-            report.status = FAIL
     return report
 
 
@@ -171,29 +153,25 @@ def verify_divisor_multiplicities_on_blowup_charts():
     from .blowup import build_B_blowup_charts
 
     with checking("b-blowup", {"scheme": "basic"}) as report:
-        charts = build_B_blowup_charts()
+        b = build_basic_scheme()
+        charts = build_B_blowup_charts(b)
         (chart1, map1), (chart2, map2) = charts
         r1, r2 = chart1.ring, chart2.ring
-        gens = build_basic_scheme().generators
         names = ("b-blowup-I", "b-blowup-II")
         unkilled = [name for name, (chart, fmap) in zip(names, charts)
-                    if not all(ideal_member(fmap(g), chart)[0] for g in gens)]
+                    if first_nonmember((fmap(g) for g in b.generators), chart) is not None]
         centers = ((map1, "w1", r1.var("v")), (map1, "w2", r1.var("u")), (map2, "u", r2.var("w2")))
         not_principal = [str(fmap(w)) for fmap, w, c in centers
                          if not ideal_equal(Ideal(c.ring, [fmap(w), c]), Ideal(c.ring, [c]))]
         if unkilled:
-            report.details["substitution_failures"] = unkilled
+            report.fail("substitution_failures", unkilled)
         if not_principal:
-            report.details["center_not_principal"] = not_principal
-        ok1 = ideal_member(r1.var("pi") - r1.var("u") * r1.var("v"), chart1)[0]
-        report.details["chart_I_pi_eq_uv"] = ok1
+            report.fail("center_not_principal", not_principal)
+        report.require("chart_I_pi_eq_uv",
+                       ideal_member(r1.var("pi") - r1.var("u") * r1.var("v"), chart1)[0])
         prod = r2.var("w1") * r2.var("w2") * r2.var("y") ** 2
-        ok2 = ideal_member(r2.var("pi") + prod, chart2)[0]
-        report.details["chart_II_pi_eq_-w1w2y2"] = ok2
+        report.require("chart_II_pi_eq_-w1w2y2", ideal_member(r2.var("pi") + prod, chart2)[0])
         cube = Ideal(r2, list(chart2.generators) + [r2.var("y") ** 3])
-        not_cubed = not ideal_member(r2.var("pi"), cube)[0]
-        report.details["pi_not_in_y_cubed"] = not_cubed
+        report.require("pi_not_in_y_cubed", not ideal_member(r2.var("pi"), cube)[0])
         report.unit_notes.append("multiplicities (1,1,2): pi = u*v and pi = -w1*w2*y^2")
-        if unkilled or not_principal or not (ok1 and ok2 and not_cubed):
-            report.status = FAIL
     return report

@@ -1,4 +1,11 @@
-"""Machine-readable pass/fail records for single chart-level claims."""
+"""Machine-readable pass/fail records for single chart-level claims.
+
+A claim states each of its requirements once.  `require(key, ok)` records a
+boolean requirement and fails the claim when it does not hold; `fail(key,
+value)` records a key that appears only on failure, with what went wrong.
+A report's status follows from those calls alone: `checking` infers nothing
+from its details.
+"""
 
 from __future__ import annotations
 
@@ -34,6 +41,19 @@ class VerificationReport:
             "details": dict(self.details),
         }
 
+    def require(self, key, ok):
+        """Record the requirement `key` as `ok`, failing the claim if it is not; returns ok."""
+        self.details[key] = ok
+        if not ok:
+            self.status = FAIL
+        return ok
+
+    def fail(self, key, value):
+        """Record what failed under `key` and fail the claim."""
+        self.details[key] = value
+        self.status = FAIL
+
+
 def exception_status(exc):
     """(status, details key) for a check ended by `exc`."""
     if isinstance(exc, GBTimeout):
@@ -45,8 +65,9 @@ def exception_status(exc):
 def checking(check, instance):
     """A `pass` report for one claim, timed and closed over its body.
 
-    The body fills in details and lowers the status.  A `GBTimeout` from the
-    body ends the claim with status `timeout` and `details["timeout"]`; any
+    The body fills in details and lowers the status through `require` and
+    `fail`.  A `GBTimeout` from the body ends the claim with status `timeout`
+    and `details["timeout"]`, beside the details recorded before it; any
     other exception propagates.  `runtime_ms` is set on every exit, an early
     `return` from inside the block included.
     """

@@ -194,8 +194,7 @@ def _quadbu_smooth_at(nf, s, t):
         # the reduced ring) must recover the reduced chart
         dependent = set(bc.ambient.ring.variables) - set(bc.chart.ring.variables)
         if not eliminates_to(bc.ambient, dependent, bc.chart):
-            rep.status = FAIL
-            rep.details["ambient_elimination"] = False
+            rep.fail("ambient_elimination", False)
         else:
             tgt = model_target_for_chart(nf, bc)
             chart_rep = smooth_over_model(bc.chart, tgt, rel)

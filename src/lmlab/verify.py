@@ -216,30 +216,26 @@ def smooth_over_model(chart, target, rel_dim):
         g = len(I_ext.generators)
 
         ok_rel, rel_cert = ideal_member(target.relation.cast(ext), I_ext)
-        report.details["relation_member"] = ok_rel
-        if not ok_rel:
+        if not report.require("relation_member", ok_rel):
             report.details["relation_residue"] = str(rel_cert.residue)
 
         dim = krull_dim(I_ext)
-        ci = dim == ext.nvars - g
-        report.details["complete_intersection"] = ci
+        report.require("complete_intersection", dim == ext.nvars - g)
         # the model scheme is a hypersurface in (pi, model vars), so its
         # absolute dimension equals the model variable count
         actual_rel_dim = dim - len(target.model_vars)
         report.details["rel_dim"] = actual_rel_dim
         report.details["expected_rel_dim"] = rel_dim
+        if actual_rel_dim != rel_dim:
+            report.status = FAIL
 
         fiber_vars = [v for v in ext.variables if v not in target.model_vars]
         jac = jacobian(list(I_ext.generators), fiber_vars)
         mins = minors(jac, g)
         total = Ideal(ext, list(I_ext.generators) + mins)
-        ok_rank, _ = ideal_member(ext.one(), total)
-        report.details["full_rank"] = ok_rank
-        if not (ok_rel and ci and ok_rank and actual_rel_dim == rel_dim):
-            report.status = FAIL
-            if not ok_rank:
-                gb = total.gb()
-                report.details["witness"] = str(gb[0]) if gb else "0"
+        if not report.require("full_rank", ideal_member(ext.one(), total)[0]):
+            gb = total.gb()
+            report.details["witness"] = str(gb[0]) if gb else "0"
     return report
 
 
@@ -269,10 +265,7 @@ def smooth_on_cover(chart, pieces, rel_dim):
         one = chart.ring.one()
         cover = Ideal(chart.ring, list(chart.generators) + [p.h for p in pieces])
         ok, cert = ideal_member(one, cover)
-        ok = ok and cert.verify(one)
-        report.details["cover_unit"] = ok
-        if not ok:
-            report.status = FAIL
+        if not report.require("cover_unit", ok and cert.verify(one)):
             return report
         piece_reports = [
             smooth_over_model(_piece_chart(chart, p), p.target, rel_dim)

@@ -22,10 +22,10 @@ from lmlab.quadric import build_basic_scheme
 
 
 def test_b_blowup_charts_build_and_membership():
-    (chart1, map1), (chart2, map2) = build_B_blowup_charts()
+    b = build_basic_scheme()
+    (chart1, map1), (chart2, map2) = build_B_blowup_charts(b)
     assert [str(g) for g in chart1.generators] == ["u*v - pi"]
     assert [str(g) for g in chart2.generators] == ["w1*w2*y^2 + pi"]
-    b = build_basic_scheme()
     for chart, fmap in ((chart1, map1), (chart2, map2)):
         assert fmap.source.variables == b.ring.variables and fmap.target is chart.ring
         assert all(ideal_member(fmap(g), chart)[0] for g in b.generators)
@@ -233,7 +233,7 @@ def test_exceptional_witness_search_gets_the_budget(monkeypatch):
     import lmlab.blowup as blowup
     import lmlab.groebner as groebner
 
-    real = blowup.ideal_member
+    real = groebner.ideal_member
     budgets = []
 
     def spy(p, ideal):
@@ -243,14 +243,31 @@ def test_exceptional_witness_search_gets_the_budget(monkeypatch):
     nf = normal_form(5, 1)
     mchart = build_M_chart(nf, 3, 1)
     monkeypatch.setattr(blowup, "build_M_chart", lambda nf, s, t: mchart)
-    # a locus that compares unequal sends the check into its witness search,
-    # one membership test per expected generator
-    monkeypatch.setattr(blowup, "ideal_member", spy)
+    # a locus that compares unequal sends the check into its witness search
+    # both ways, one membership test per generator of the expected locus and
+    # one per generator of the full chart with lambda
+    monkeypatch.setattr(groebner, "ideal_member", spy)
     monkeypatch.setattr(blowup, "ideal_equal", lambda I, J: False)
     with groebner.deadline(60):
         rep = exceptional_locus(nf, 3, 1)
     assert rep.status == "fail"
-    assert budgets == [60] * (nf.d + 4)
+    assert budgets == [60] * (2 * (nf.d + 4))
+
+
+def test_exceptional_witness_is_searched_both_ways(monkeypatch):
+    import lmlab.blowup as blowup
+
+    # x_4 in the chart makes the locus too small: every expected generator
+    # lies in it, and the witness is found the other way
+    nf = normal_form(6, 2)
+    mchart = build_M_chart(nf, 3, 1)
+    ring = mchart.full.ring
+    full = Ideal(ring, list(mchart.full.generators) + [ring.var("x_4")])
+    monkeypatch.setattr(blowup, "build_M_chart",
+                        lambda nf, s, t: dataclasses.replace(mchart, full=full))
+    rep = exceptional_locus(nf, 3, 1)
+    assert rep.status == "fail" and rep.details["locus_is_product_chart"] is False
+    assert rep.details["witness"] == "x_4"
 
 
 def test_lambda_nonzerodivisor():

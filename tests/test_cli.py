@@ -483,8 +483,8 @@ def test_a_failed_chart_proof_fails_its_own_claim(monkeypatch):
     # a substitution that does not kill B on chart I, and no principal center
     real_b = blowup.build_B_blowup_charts
 
-    def wrong_chart_I():
-        (chart1, map1), chart_II = real_b()
+    def wrong_chart_I(b):
+        (chart1, map1), chart_II = real_b(b)
         r1 = chart1.ring
         wrong = Ideal(r1, [r1.var("u") - r1.var("pi")])
         return (wrong, map1), chart_II
@@ -514,6 +514,7 @@ def test_a_failed_chart_proof_fails_its_own_claim(monkeypatch):
 def test_builders_make_no_groebner_call(monkeypatch, tmp_path, capsys):
     from lmlab import cli, groebner, localmodel
     from lmlab.blowup import build_B_blowup_charts, build_DT_blowup_chart, build_M_chart
+    from lmlab.quadric import build_basic_scheme
 
     def no_run(self):
         raise AssertionError("a chart builder ran Buchberger")
@@ -524,7 +525,7 @@ def test_builders_make_no_groebner_call(monkeypatch, tmp_path, capsys):
         build_M_chart(nf, s, t)
         build_DT_blowup_chart(nf, i, j)
     build_DT_ideal(nf)
-    build_B_blowup_charts()
+    build_B_blowup_charts(build_basic_scheme())
 
     def no_block(nf, Z):
         raise AssertionError("trace_form built the diagonal block")

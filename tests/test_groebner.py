@@ -13,6 +13,7 @@ from lmlab.groebner import (
     deadline,
     buchberger,
     eliminate,
+    first_nonmember,
     ideal_contains,
     ideal_equal,
     ideal_member,
@@ -819,3 +820,25 @@ def test_a_substitution_can_give_the_unit_ideal():
     small, nzd = _solved(["x - y^2", "x - y^2 - 1"], ["x", "y", "z"], "z")
     assert small.ring.variables == ("y", "z")
     assert [str(g) for g in small.generators] == ["-1"] and nzd
+
+
+def test_first_nonmember_is_the_first_miss_of_ideal_member():
+    R = PolyRing(["x", "y", "z"])
+    I = Ideal(R, ["x^2 - y*z", "x*y - z^2"])
+    members = [parse_poly(f, R) for f in ("x^2 - y*z", "x^3 - x*y*z", "0")]
+    assert first_nonmember(members, I) is None
+    assert first_nonmember([], I) is None
+
+    misses = [parse_poly(f, R) for f in ("x + z", "y^2")]
+    taken = []
+
+    def lazily():
+        for p in members + misses:
+            taken.append(p)
+            yield p
+        raise AssertionError("consumed past the first non-member")
+
+    cert = first_nonmember(lazily(), I)
+    assert taken == members + misses[:1]
+    assert cert.residue == ideal_member(misses[0], I)[1].residue
+    assert not cert.is_member and cert.verify(misses[0])

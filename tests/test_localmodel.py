@@ -702,6 +702,20 @@ def test_annihilator_examples():
     assert verify_annihilator(normal_form(6, 2)).status == "pass"
 
 
+@pytest.mark.parametrize("change", ["larger", "smaller"])
+def test_annihilator_witness_is_a_non_member(monkeypatch, change):
+    # the witness lies outside the other ideal, whichever way the two differ
+    nf = normal_form(5, 1)
+    ring = build_U_ideals(nf)[1].ring
+    zvars = [ring.var(v) for v in ring.variables if v != "pi"]
+    ann = zvars + [ring.var("pi")] if change == "larger" else zvars[1:]
+    monkeypatch.setattr(lmlab.localmodel, "quotient", lambda I, f: Ideal(ring, ann))
+    rep = verify_annihilator(nf)
+    assert rep.status == "fail"
+    assert rep.details["annihilator"] == [str(g) for g in ann]
+    assert rep.details["witness"] == ("pi" if change == "larger" else str(zvars[0]))
+
+
 def test_annihilator_sanity_strict_containment():
     nf = normal_form(5, 1)
     _, small = build_U_ideals(nf)

@@ -64,10 +64,31 @@ def test_basic_scheme_map_membership():
     nf = normal_form(6, 2)
     lc = build_linked_chart_ideal(nf, 1, 3)
     b = build_basic_scheme()
-    fmap = basic_scheme_map(lc)
+    fmap = basic_scheme_map(b, lc)
     for g in b.generators:
         ok, _ = ideal_member(fmap(g), lc.chart)
         assert ok
+
+
+def test_linked_chart_residue_is_the_first_failing_generator(monkeypatch):
+    import lmlab.quadric as quadric
+    from lmlab.poly import RingMap
+
+    # pi -> pi + 1 breaks uv - pi and w1 -> Q1 + 1 breaks u w1 + v w2, with
+    # different residues: the report names the first
+    nf = normal_form(6, 2)
+    lc = build_linked_chart_ideal(nf, 1, 3)
+    b = build_basic_scheme()
+    ring = lc.chart.ring
+    images = {"pi": ring.var("pi") + 1, "u": ring.var("u"), "v": ring.var("v"),
+              "w1": lc.q1 + 1, "w2": lc.q2}
+    wrong = RingMap(b.ring, ring, images)
+    residues = [str(ideal_member(wrong(g), lc.chart)[1].residue) for g in b.generators]
+    assert "0" not in residues and residues[0] != residues[1]
+    monkeypatch.setattr(quadric, "basic_scheme_map", lambda *args: wrong)
+    rep = verify_linked_chart(nf, 1, 3)
+    assert rep.status == "fail" and rep.details["b_map_member"] is False
+    assert rep.details["residue"] == residues[0]
 
 
 @pytest.mark.parametrize("d,delta", [(5, 1), (6, 2), (6, 3)])

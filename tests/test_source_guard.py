@@ -302,3 +302,59 @@ def test_the_package_has_three_context_managers():
                     if "contextmanager" in ast.unparse(dec):
                         found.append(node.name)
     assert sorted(found) == ["checking", "deadline", "memo"]
+
+
+def test_every_module_level_import_is_used():
+    # a name imported at module level is read somewhere in its module, or
+    # listed in its `__all__`, unless the import statement carries
+    # `# noqa: F401`
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(elt.value for elt in node.value.elts)
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if "# noqa: F401" in "\n".join(lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    offenders.append("%s:%d %s" % (path.name, node.lineno, name))
+    assert offenders == []
+
+
+def test_a_status_is_set_to_fail_directly_only_without_a_key():
+    # a requirement is stated once, by `report.require` or `report.fail`;
+    # a claim sets `FAIL` itself only where no details key states the
+    # requirement: DT = U, the two dimension counts of flatness-dims, the
+    # relative dimension of a smooth chart, and a cover's roll-up
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "report.py":
+            continue
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Attribute) and t.attr == "status"
+                            for t in node.targets)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "FAIL"
+                ):
+                    found.append(func.name)
+    assert sorted(found) == sorted([
+        "_check_dt_equals_u", "_check_flatness_dims", "flatness_and_dimension",
+        "smooth_over_model", "smooth_on_cover",
+    ])
