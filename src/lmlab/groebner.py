@@ -30,21 +30,29 @@ order word XOR `flip`, masked to the variable fields and the total degree.
 Then a divides b iff `not (b - a) & guard`, since a field of b below that of a
 borrows and sets its guard bit; the lcm reads which field is larger off the
 guard bits of `(a | guard) - b`, and sums its fields for the degree.  The
-group degrees are filled in, by repacking, only when an lcm becomes the
-shift of an S-polynomial.  The width w is 16 bits unless twice the largest
+group degrees are filled in, each summed off one product as the lcm's
+degree is, only when an lcm becomes the shift of an S-polynomial or a
+pair's selection key.  The width w is 16 bits unless twice the largest
 degree of the input does not fit below a guard; then it doubles until it
-does.  Every reduction step and S-polynomial checks that the degree of the
-terms it makes stays below 2^(w - 1); past that it raises PolyError, so no
-field ever wraps.  Exponent tuples are packed (`struct` and `itemgetter`, with
-the group degrees summed) and unpacked only at the edges: the seeds of a
+does.  A packing depends on nothing but the variables, the order and the
+width, so the last 1,024 made are shared.  Every reduction step and
+S-polynomial checks that the degree of the terms it makes stays below
+2^(w - 1); past that it raises PolyError, so no field ever wraps.  Exponent
+tuples are packed (`struct` and `itemgetter`, with the group degrees
+summed) and unpacked only at the edges: the seeds of a
 run, the reducers of a basis (`_divisors`), the polynomial that `_reduce`
 reduces, and the polynomials that `BuchbergerRun.complete` returns and
 certificates build.  Nothing in the engine reads the tuple key `exp_key`.
 
 Pairs (Gebauer & Moeller, JSC 1988).  A pair (i, j), i < j, of basis
-entries waits in a heap keyed by (sugar, i, j) and is selected smallest key
-first, until no pair is left.  It stores the exponent word of its lcm when
-it is created.  When entry h joins:
+entries waits in a heap keyed by (selection key, i, j) and is selected
+smallest key first, until no pair is left.  It stores the exponent word of
+its lcm when it is created.  The selection key is the pair's sugar when the
+order is one graded word group, degree-compatible (grevlex, `_RevLexLast`).
+For any other order (lex, every block order) it is the order word of the
+lcm, Buchberger's normal strategy: there sugar stops tracking degree, and
+selecting by it can walk down a Euclid-like chain of remainders whose
+coefficients grow without bound.  When entry h joins:
 
 - criterion B drops a waiting pair (i, j) if lt(h) divides lcm(i, j) and
   that lcm differs from lcm(i, h) and from lcm(j, h);
@@ -130,6 +138,7 @@ import struct
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, groupby
 from math import gcd
 from operator import itemgetter
@@ -300,6 +309,15 @@ class _Packing:
             self._extend = lambda e: e + tuple([sum(g(e)) for g in sums]) + (sum(e),)
         else:
             self._extend = lambda e: e + (sum(e),)
+        # each graded group's variable fields, and the shift of its degree field
+        self._groups = [
+            (
+                mask([value if k in pos else 0 for k in lsb]),
+                slot[n + proper.index(pos) if len(pos) < n else total] * width,
+            )
+            for graded, pos in groups
+            if graded
+        ]
 
     def holds(self, degree):
         """True iff the width rule admits input of this degree (see `_packing_for`)."""
@@ -336,8 +354,15 @@ class _Packing:
         return (m ^ self.flip) & self.emask
 
     def order_word(self, x):
-        """The order word of an exponent word: the group degrees filled in."""
-        return self.monomial(self.exponents(x ^ self.flip))
+        """The order word of an exponent word: the group degrees filled in.
+
+        A group's degree is the sum of its variable fields, read off the top
+        field of their product with `_ones` as in `lcm`.
+        """
+        ones, top, dm = self._ones, self._top, self.dmask
+        for gmask, shift in self._groups:
+            x |= ((x & gmask) * ones >> top & dm) << shift
+        return x ^ self.flip
 
     def lcm(self, a, b):
         """The lcm of two exponent words, as an exponent word."""
@@ -358,7 +383,11 @@ def _packing_for(ring, degree):
     width = _MIN_WIDTH
     while 2 * degree >= 1 << (width - 1):
         width *= 2
-    return _Packing(ring.variables, ring.order, width)
+    return _packing(ring.variables, ring.order, width)
+
+
+# a packing holds nothing but its layout, so the recent ones are shared
+_packing = lru_cache(maxsize=1024)(_Packing)
 
 
 # ------------------------------------------------------ integer forms
@@ -585,7 +614,9 @@ class BuchbergerRun:
         self.active = {}
         self._seeds = seeds
         self._pairs = {}  # live pair (i, j) -> the exponent word of its lcm
-        self._queue = []  # (sugar, i, j); pairs no longer live are skipped
+        self._queue = []  # (selection key, i, j, sugar); dead pairs are skipped
+        # sugar for an order of one graded word group, else the normal strategy
+        self._normal = [graded for graded, _ in ring.order.word_groups(ring.variables)] != [True]
 
     def complete(self):
         """Process every pair; return the reduced basis as monic polynomials."""
@@ -599,7 +630,7 @@ class BuchbergerRun:
                 self._add((lt, h[lt], h, max(map(dm.__and__, terms))))
         f, pairs, queue = self.entries, self._pairs, self._queue
         while queue:
-            sug, i, j = heapq.heappop(queue)
+            _, i, j, sug = heapq.heappop(queue)
             lcm = pairs.pop((i, j), None)
             if lcm is None:
                 continue
@@ -647,7 +678,7 @@ class BuchbergerRun:
             cands.append((l & dm, ig, l, l == x_h + red[0]))
         cands.sort()
         minimal = []
-        queue = self._queue
+        queue, normal = self._queue, self._normal
         for dl, group in groupby(cands, key=itemgetter(0)):
             fresh = []
             for _, ig, l, coprime in group:
@@ -658,7 +689,7 @@ class BuchbergerRun:
                     continue
                 sug = max(f[ig][3] + dl - (f[ig][0] & dm), sug_h + dl - d_h)
                 pairs[(ig, ih)] = l
-                heapq.heappush(queue, (sug, ig, ih))
+                heapq.heappush(queue, (pk.order_word(l) if normal else sug, ig, ih, sug))
             minimal += fresh
 
         self.active = {

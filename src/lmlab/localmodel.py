@@ -8,7 +8,8 @@ All charts live over Q[pi, ...] with the special fiber at pi = 0.
 The naive relations on (X, Y) are defined once, in _naive_relations, over
 any ring.  A ring map commutes with them, so za1 evaluates that one function
 wherever it needs them: on the variables of the big ring for the naive
-ideal, on the normal forms of the section's entries for sound mode, in
+ideal, on the normal forms of the section's entries for sound mode (and
+of the retraction's for complete mode), in
 integers for the rank-one oracle, and at Y = -X^t in x_ring for complete
 mode.  The last three have Y = -X^t, which _naive_relations tests by value:
 there the minors of Y are those of X, transposed, and are not computed
@@ -23,8 +24,20 @@ relations at the normal forms lie in the ideal exactly when the images
 psi(g) do, and have the same normal form as they have: the proof and any
 failing residue are those of the images themselves, from much smaller
 polynomials.  Each relation value is reduced once: a value equal to one
-that has reduced to zero is not reduced again.  The rank-one oracle still
-evaluates the section itself.
+that has reduced to zero is not reduced again; the entries, likewise, are
+reduced once per distinct value.  The rank-one oracle still evaluates the
+section itself.
+
+Complete mode computes no basis over x_ring.  The naive relations at
+Y = -X^t in x_ring solve every non-Z entry round by round (two rounds at
+every 5 <= d <= 12), each by a generator c x + f with f in the Z entries
+and the earlier rounds; the solutions compose to a retraction phi onto
+Q[pi, Z] whose kernel lies in the ideal H of those relations, so H meets
+Q[pi, Z] in the ideal of phi(H).
+That ideal lies in the small ideal by sound mode's proof at the normal forms
+of phi(X), and contains it by one basis in Q[pi, Z] of the low-degree part
+of phi(H).  Then the section is onto exactly where phi(X) and psi(X) have
+one normal form (see _verify_complete).
 """
 
 from __future__ import annotations
@@ -32,12 +45,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import comb, lcm
+from operator import mul
 
 # buchberger is not called here, but bench/test_bench.py requires this module
 # to bind it so that the tracer's re-binding coverage is exercised
-from .groebner import Ideal, buchberger, eliminate, first_nonmember, ideal_equal, \
+from .groebner import Ideal, buchberger, first_nonmember, ideal_contains, ideal_equal, \
     ideal_member, is_nonzerodivisor, quotient  # noqa: F401
-from .poly import Block, PolyRing, RingMap, minors
+from .lattice import LatticeError
+from .poly import PolyRing, RingMap, minors
 from .report import FAIL, PASS, checking
 
 __all__ = [
@@ -364,7 +379,27 @@ def _oracle_failures(nf, psi, count, seed):
     return bad
 
 
-def _section_residues(nf, psi, small):
+def _residues(M, small, nfs):
+    """The normal forms modulo `small` of a matrix's entries, as lists of rows.
+
+    `nfs` maps each value reduced so far to its normal form, so a value is
+    reduced once however many entries, or calls, hold it.  An entry below the
+    degree of every leading term of the basis is its own normal form.
+    """
+    low = min(sum(b.lm()) for b in small.gb())
+
+    def residue(v):
+        if v.total_degree() < low:
+            return v
+        r = nfs.get(v)
+        if r is None:
+            r = nfs[v] = ideal_member(v, small)[1].residue
+        return r
+
+    return [[residue(v) for v in row] for row in M]
+
+
+def _section_residues(nf, psi, small, nfs=None):
     """The normal forms modulo `small` of the section's X and Y, as lists of rows.
 
     Each entry differs from its image by a member of `small`, so every
@@ -372,19 +407,38 @@ def _section_residues(nf, psi, small):
     member too: the two lie in `small` together and share one normal form.
     Y is reduced as -(reduced X)^t when the section's own Y is -X^t by value,
     and entry by entry otherwise, so a section that breaks Y = -X^t is still
-    reduced as it is.
+    reduced as it is.  `nfs` is the value memo of `_residues`.
     """
+    nfs = {} if nfs is None else nfs
     X, Y = (named_matrix(psi.images.__getitem__, stem, nf.d) for stem in "xy")
-    # an entry below the degree of every leading term is its own normal form
-    low = min(sum(b.lm()) for b in small.gb())
-
-    def residue(v):
-        return v if v.total_degree() < low else ideal_member(v, small)[1].residue
-
-    Xr = [[residue(v) for v in row] for row in X]
+    Xr = _residues(X, small, nfs)
     if Y == _minus_transpose(X):
         return Xr, _minus_transpose(Xr)
-    return Xr, [[residue(v) for v in row] for row in Y]
+    return Xr, _residues(Y, small, nfs)
+
+
+def _prove_relations(nf, X, Y, pi, small, passed):
+    """Prove the naive relations at (pi, X, Y) members of `small`, in generator order.
+
+    `passed` holds the values proven to lie in `small`, and the key
+    (pi, X, Y), the matrices as tuples of rows, of each point at which every
+    relation was proven: such a point is not evaluated again.  A zero value,
+    or one in `passed`, is proven already; any other is reduced, and joins
+    `passed` when it reduces to zero, so each value is reduced once.
+    Returns None when every relation is proven, else the index of the first
+    that is not (the number proven before it) and its certificate.
+    """
+    key = (pi, tuple(map(tuple, X)), tuple(map(tuple, Y)))
+    if key in passed:
+        return None
+    for k, img in enumerate(_naive_relations(nf, X, Y, pi)):
+        if not (img.is_zero or img in passed):
+            ok, cert = ideal_member(img, small)
+            if not ok:
+                return k, cert
+            passed.add(img)
+    passed.add(key)
+    return None
 
 
 ORACLE_SAMPLES = 20
@@ -398,9 +452,10 @@ def verify_presentation(nf, mode="sound", seed=7):
     (T+2pi) Z), by Groebner reduction of its relation at the section's
     reduced entries (see _section_residues), and a seeded rank-one
     evaluation oracle re-checks the section's own images exactly (see
-    _oracle_failures).  complete: also prove
-    the section onto and contract the naive ideal onto the Z subring, both
-    from one complete basis under an elimination order (see _verify_complete).
+    _oracle_failures).  complete: also prove that the naive ideal contracts
+    to exactly the small ideal in Q[pi, Z] and that the section is onto, from
+    a retraction solved off the naive relations and memberships in Q[pi, Z]
+    (see _verify_complete); no basis over x_ring is computed.
     """
     instance = {"d": nf.d, "delta": nf.delta, "mode": mode}
     with checking("za1", instance) as report:
@@ -409,22 +464,14 @@ def verify_presentation(nf, mode="sound", seed=7):
         if trace_form(nf, psi.target) != sum(psi.images["x_%d_%d" % (a, a)] for a in nf.Delta):
             report.fail("block_trace", False)
         _, small = build_U_ideals(nf)
-        X, Y = _section_residues(nf, psi, small)
-        images = _naive_relations(nf, X, Y, psi.images["pi"])
-        reduced_zero = 0
-        passed = set()  # the values that reduced to zero
-        for g, img in zip(naive.generators, images, strict=True):
-            if img.is_zero or img in passed:
-                reduced_zero += 1
-                continue
-            ok, cert = ideal_member(img, small)
-            if ok:
-                passed.add(img)
-                reduced_zero += 1
-            else:
-                report.fail("offending_generator", str(g))
-                report.details["residue"] = str(cert.residue)
-                break
+        nfs, passed = {}, set()
+        X, Y = _section_residues(nf, psi, small, nfs)
+        failed = _prove_relations(nf, X, Y, psi.images["pi"], small, passed)
+        reduced_zero = len(naive.generators)
+        if failed:
+            reduced_zero, cert = failed
+            report.fail("offending_generator", str(naive.generators[reduced_zero]))
+            report.details["residue"] = str(cert.residue)
         report.details["generators"] = len(naive.generators)
         report.details["reduced_to_zero"] = reduced_zero
 
@@ -435,41 +482,137 @@ def verify_presentation(nf, mode="sound", seed=7):
                 report.fail("oracle_failures", bad)
 
         if report.status == PASS and mode == "complete":
-            _verify_complete(nf, psi, small, report)
+            _verify_complete(nf, psi, small, report, nfs, passed)
     return report
 
 
-def _z_to_x_map(nf, target):
-    zr = z_ring(nf)
+def _solving_chain(H, ring, known):
+    """For each target, a generator of H that solves for it, round by round.
+
+    A generator solves for x when x occurs in it only as a term c x (c a
+    nonzero rational) and each other variable it uses is pi, a name in
+    `known` or a target of an earlier round.  The support of each distinct
+    generator with a linear term, and its variables of that form, are read
+    once.  Returns the rounds, each a dict from target name to
+    (generator, c); the first generator in H order wins, and a target in no
+    round is unsolved.
+    """
+    index = {}  # id of a generator -> (generator, support, {i: c of x_i})
+    for g in H:
+        # only a generator with a linear term can solve for a variable
+        if id(g) in index or not any(sum(e) == 1 for e in g.terms):
+            continue
+        support, units, nonlinear = set(), {}, set()
+        for e, c in g.terms.items():
+            used = [i for i, k in enumerate(e) if k]
+            support.update(used)
+            if len(used) == 1 and e[used[0]] == 1:
+                units[used[0]] = Fraction(c, g.den)
+            else:
+                nonlinear.update(used)
+        index[id(g)] = (g, support, {i: c for i, c in units.items() if i not in nonlinear})
+    done = {ring.index[v] for v in known} | {ring.index["pi"]}
+    rounds = []
+    while True:
+        found = {}
+        for g, support, units in index.values():
+            rest = support - done
+            if len(rest) == 1:
+                (i,) = rest
+                if i in units and i not in found:
+                    found[i] = (g, units[i])
+        if not found:
+            return rounds
+        rounds.append({ring.variables[i]: gc for i, gc in found.items()})
+        done.update(found)
+
+
+def _retraction(nf, xr, rounds, target):
+    """The images in `target` = Q[pi, Z] of the retraction phi that the rounds solve.
+
+    phi fixes pi and sends each Z-position entry to its z variable; a target
+    solved by c x + f goes to -phi(f)/c, where f uses only the variables of
+    earlier rounds.  Each x - phi(x) lies in the ideal of the generators.
+    """
     images = {"pi": target.var("pi")}
     for (i, j), (a, b) in nf.z_cells:
-        images["z_%d_%d" % (i, j)] = target.var("x_%d_%d" % (a, b))
-    return RingMap(zr, target, images)
+        images["x_%d_%d" % (a, b)] = target.var("z_%d_%d" % (i, j))
+    for found in rounds:
+        phi = RingMap(xr, target, images)
+        for name, (g, c) in found.items():
+            images[name] = phi(g - c * xr.var(name)) * (-1 / c)
+    return images
 
 
-def _verify_complete(nf, psi, small, report):
-    """Surjectivity of the section and the contraction, from one basis.
+def _verify_complete(nf, psi, small, report, nfs=None, passed=None):
+    """The naive ideal contracts to `small` in Q[pi, Z], and the section is onto.
 
-    H is the naive ideal with Y = -X^t, _naive_relations evaluated at
-    (X, -X^t) in x_ring, under the block order on the non-Z entries in x_ring
-    order, which is how `eliminate` orders them.  The section is onto iff
-    every target x_ab - psi(x_ab) lies in H, which a complete basis decides;
-    the same basis gives the contraction of H onto Q[pi, Z] (the Elimination
-    Theorem), which must lie in the small ideal.
+    H is the naive ideal at Y = -X^t, _naive_relations evaluated at (X, -X^t)
+    in x_ring, and E its intersection with Q[pi, Z], the Z-position entries
+    read as Z.  Every target x (a non-Z entry) must be solved by a generator
+    c x + f of H (see _solving_chain), or the claim fails under
+    `unsolved_targets`.  The solutions compose to a retraction phi onto
+    Q[pi, Z] with each x - phi(x) in H, so phi(H) lies in H and E is the
+    ideal of phi(H).  Then:
+
+    - E in small: the relations at the normal forms of phi(X) modulo `small`
+      reduce to zero, sound mode's proof with its value memo `nfs` and its
+      `passed` values (`contraction_failures` names the first relation of H
+      that fails);
+    - small in E: every generator of `small` lies in the ideal of the phi(g)
+      of weighted degree at most 3, by one basis in Q[pi, Z]
+      (`unreached_small_generators` lists those that do not).
+
+    With E = small, x - psi(x) lies in H iff phi(x) - psi(x) lies in
+    `small`, that is, iff phi(x) and psi(x) have one normal form; a target
+    where they differ is a surjectivity failure.  E's reduced basis is
+    `small.gb()` renamed, since the renaming of z_ij to its x entry keeps
+    the variable order.
     """
+    nfs = {} if nfs is None else nfs
+    passed = set() if passed is None else passed
     xr = x_ring(nf)
     X = named_matrix(xr.var, "x", nf.d)
-    H = _naive_relations(nf, X, _minus_transpose(X), xr.var("pi"))
-    to_x = _z_to_x_map(nf, xr)
+    H = list(_naive_relations(nf, X, _minus_transpose(X), xr.var("pi")))
+    report.details["x_ring_generators"] = sum(1 for g in H if not g.is_zero)
     z_of_x = {"x_%d_%d" % ab: "z_%d_%d" % ij for ij, ab in nf.z_cells}
     targets = [v for v in xr.variables if v != "pi" and v not in z_of_x]
-    HI = Ideal(xr.with_order(Block(targets)), H)
-    report.details["x_ring_generators"] = len(HI.generators)
+    rounds = _solving_chain(H, xr, z_of_x)
+    unsolved = sorted(set(targets).difference(*rounds))
+    if unsolved:
+        report.fail("unsolved_targets", unsolved)
+        return
+    phi = _retraction(nf, xr, rounds, small.ring)
 
+    # E in small
+    Xphi = _residues(named_matrix(phi.__getitem__, "x", nf.d), small, nfs)
+    failed = _prove_relations(nf, Xphi, _minus_transpose(Xphi), phi["pi"], small, passed)
+    if failed:
+        report.fail("contraction_failures", [str(H[failed[0]])])
+        return
+
+    # small in E, from the images of weighted degree at most 3
+    weight = [max(phi[v].total_degree(), 0) for v in xr.variables]
+    to_z = RingMap(xr, small.ring, phi)
+    seen, low = set(), []
+    for g in H:
+        if g.is_zero or id(g) in seen:
+            continue
+        seen.add(id(g))
+        if max(sum(map(mul, weight, e)) for e in g.terms) <= 3:
+            low.append(to_z(g))
+    reached = Ideal(small.ring, low)
+    if not ideal_contains(reached, small):
+        report.fail("unreached_small_generators",
+                    [str(g) for g in small.generators if not ideal_member(g, reached)[0]])
+        return
+
+    Xpsi, _ = _section_residues(nf, psi, small, nfs)
     failures = sorted(
         name
-        for name in targets
-        if not ideal_member(xr.var(name) - to_x(psi.images[name]), HI)[0]
+        for row in zip(named_matrix(str, "x", nf.d), Xphi, Xpsi)
+        for name, u, v in zip(*row)
+        if name not in z_of_x and u != v
     )
     report.details["surjectivity_certified"] = len(targets) - len(failures)
     report.details["surjectivity_targets"] = len(targets)
@@ -481,17 +624,10 @@ def _verify_complete(nf, psi, small, report):
         report.fail("surjectivity_failures", failures)
         return
 
-    # contraction: eliminate every non-Z matrix entry, land inside the small ideal
-    E = eliminate(HI, targets)
-    rename = RingMap(
-        E.ring,
-        small.ring,
-        {v: small.ring.var(z_of_x.get(v, v)) for v in E.ring.variables},
-    )
-    bad = [str(g) for g in E.generators if not ideal_member(rename(g), small)[0]]
-    report.details["contraction_generators"] = len(E.generators)
-    if bad:
-        report.fail("contraction_failures", bad)
+    at = [xr.index[v] for v in z_of_x]
+    if at != sorted(at):
+        raise LatticeError("the Z positions of the normal form are not in x_ring order")
+    report.details["contraction_generators"] = len(small.gb())
 
 
 def verify_annihilator(nf):

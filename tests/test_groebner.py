@@ -34,7 +34,7 @@ from lmlab.localmodel import (
     z_matrix,
     z_ring,
 )
-from lmlab.poly import Block, Lex, ParseError, PolyError, PolyRing, minors, parse_poly
+from lmlab.poly import Block, GrevLex, Lex, ParseError, PolyError, PolyRing, minors, parse_poly
 from lmlab.suite import run_check
 
 
@@ -325,15 +325,20 @@ def test_certificate_soundness_random():
 
 
 def test_complete_mode_reports_timeout_of_its_elimination_basis(monkeypatch):
+    # every run after the first, sound mode's basis of the small ideal, gets
+    # no budget: the basis in Q[pi, Z] that shows the small ideal lies in the
+    # contraction times out
     real = groebner.BuchbergerRun.complete
+    runs = []
 
-    def tiny_block_budget(self):
-        if not isinstance(self.ring.order, Block):
+    def tiny_budget_after_the_first(self):
+        runs.append(self)
+        if len(runs) == 1:
             return real(self)
         with deadline(1e-9):
             return real(self)
 
-    monkeypatch.setattr(groebner.BuchbergerRun, "complete", tiny_block_budget)
+    monkeypatch.setattr(groebner.BuchbergerRun, "complete", tiny_budget_after_the_first)
     report = verify_presentation(normal_form(5, 1), mode="complete")
     assert report.status == "timeout"
     assert "timeout" in report.details
@@ -341,12 +346,21 @@ def test_complete_mode_reports_timeout_of_its_elimination_basis(monkeypatch):
 
 
 def test_complete_mode_runs_one_elimination_basis(monkeypatch):
-    # outside memo(): the grevlex basis of the small ideal, then the
-    # one block-order basis that decides surjectivity and the contraction
-    runs = _count_runs(monkeypatch)
+    # outside memo(): the grevlex basis of the small ideal, then the one
+    # grevlex basis in Q[pi, Z] that shows the small ideal lies in the
+    # contraction; no run is over x_ring
+    runs = []
+    real = groebner.BuchbergerRun.complete
+
+    def recording(self):
+        runs.append((type(self.ring.order).__name__, self.ring.variables))
+        return real(self)
+
+    monkeypatch.setattr(groebner.BuchbergerRun, "complete", recording)
     (report,) = run_check("za1", 5, 1, mode="complete")
     assert report.status == "pass"
-    assert runs == ["GrevLex", "Block"]
+    zr = z_ring(normal_form(5, 1)).variables
+    assert runs == [("GrevLex", zr), ("GrevLex", zr)]
 
 
 def test_eliminate_reuses_the_basis_of_an_ideal_in_its_order(monkeypatch):
@@ -842,3 +856,29 @@ def test_first_nonmember_is_the_first_miss_of_ideal_member():
     assert taken == members + misses[:1]
     assert cert.residue == ideal_member(misses[0], I)[1].residue
     assert not cert.is_member and cert.verify(misses[0])
+
+
+# quotient(I, z) of the ideal I = (2y - 3wx^2z^2 - 2xz + wx, 3yz + 2x + 1,
+# 2xy - 3xz - z, wz - 7z) in Q[w, x, y, z]
+_LEX_STALL_GENS = [
+    "w - 7",
+    "y*z + 2/3*x + 1/3",
+    "x*y - 3/2*x*z - 1/2*z",
+    "x*z^2 + 1/3*z^2 + 4/9*x^2 + 2/9*x",
+    "3/7*y^2 + 3/4*z^3 - 3/14*z^2 + x^2*z + 1/2*x*z + 3/4*z + 3/7*x + 3/14",
+    "y^3 + 5/6*y - 7/12*z^2 + 3/2*x*z + 2/3*z - 7/9*x^2 - 7/18*x - 7/12",
+    "3/14*y - 1/4*z^2 - 3/14*x*z + x^3 + 1/6*x^2 + 7/12*x",
+    "-4/63*y + z^4 - 2/7*z^3 + 7/9*z^2 - 8/63*x*z + 2/21*z - 8/27*x^2 + 8/27*x",
+]
+
+
+def test_block_order_with_a_lex_block_finishes_its_basis():
+    # selecting pairs by sugar under this order walked down a chain of
+    # remainders in x alone with coefficients of over a million bits; the
+    # normal strategy finishes in milliseconds
+    R = PolyRing(["w", "x", "y", "z"], Block(["y", "z"], Lex(), GrevLex()))
+    ideal = Ideal(R, _LEX_STALL_GENS)
+    with deadline(5):
+        basis = ideal.gb()
+    assert sorted(g.total_degree() for g in basis) == [1, 8, 8, 9]
+    assert str(basis[0]) == "w - 7"

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from lmlab.groebner import Ideal, deadline, ideal_contains, ideal_equal, ideal_member, quotient
+from lmlab.groebner import Ideal, deadline, eliminate, ideal_contains, ideal_equal, ideal_member, quotient
 from lmlab.lattice import normal_form
 import lmlab.localmodel
 from lmlab.localmodel import (
@@ -34,7 +34,7 @@ from lmlab.localmodel import (
     verify_presentation,
     x_ring,
 )
-from lmlab.poly import Polynomial, PolyRing, RingMap, minors, parse_poly
+from lmlab.poly import Block, Polynomial, PolyRing, RingMap, minors, parse_poly
 from lmlab.report import checking
 from lmlab.suite import report_payload, run_check, strip_timings
 
@@ -400,12 +400,12 @@ def test_y_minors_at_minus_x_transpose_are_the_x_minor_objects(d, delta, where):
     assert all(type(v) is Polynomial and v.is_zero for v in relations[: d * d])
 
 
-@pytest.mark.parametrize("d,delta,calls", [(6, 2, 224), (6, 3, 301)])
+@pytest.mark.parametrize("d,delta,calls", [(6, 2, 218), (6, 3, 298)])
 def test_za1_reduces_each_image_object_once(monkeypatch, d, delta, calls):
-    # the 28 and 27 of the 36 x-entries that reach the degree of a leading
-    # term of the small ideal, then the 196 and 274 distinct values among the
-    # 510 and 616 nonzero images at their normal forms; the count holds no
-    # image, so that it pins none
+    # the 22 and 24 distinct values among the 28 and 27 of the 36 x-entries
+    # that reach the degree of a leading term of the small ideal, then the
+    # 196 and 274 distinct values among the 510 and 616 nonzero images at
+    # their normal forms; the count holds no image, so that it pins none
     reduced = [0]
 
     def counting(p, ideal):
@@ -745,6 +745,126 @@ def test_timeout_surfaces_in_report():
         rep = verify_presentation(normal_form(6, 2), mode="sound")
     assert rep.status == "timeout"
     assert "timeout" in rep.details
+
+
+
+@pytest.mark.parametrize("corrupt", ["diagonal", "scaled", "one-y"])
+@pytest.mark.parametrize("d,delta", [(5, 1), (6, 2)])
+def test_complete_mode_fails_a_wrong_section(monkeypatch, d, delta, corrupt):
+    nf = normal_form(d, delta)
+    psi = sound_section(nf, corrupt)
+    monkeypatch.setattr(lmlab.localmodel, "block_substitution", lambda nf: psi)
+    rep = verify_presentation(nf, mode="complete")
+    assert rep.status == "fail"
+    if corrupt == "one-y":
+        return
+    # on its own the complete half fails such a section at its wrong x entries
+    _, small = build_U_ideals(nf)
+    with checking("za1", {"d": d, "delta": delta, "mode": "complete"}) as alone:
+        _verify_complete(nf, psi, small, alone)
+    assert alone.status == "fail"
+    failures = alone.details["surjectivity_failures"]
+    assert failures and all(name in psi.images for name in failures)
+    if corrupt == "diagonal":
+        a = next(a for a in range(1, d + 1) if (a, a) not in {ab for _, ab in nf.z_cells})
+        assert failures == ["x_%d_%d" % (a, a)]
+
+
+@pytest.mark.parametrize("d,delta", [(5, 1), (6, 2)])
+def test_contraction_generators_count_the_elimination_basis(d, delta):
+    # the earlier route: eliminate every target from H under the block order
+    # on the targets in x_ring order; the count of its basis in Q[pi, Z] is
+    # the count complete mode reads off the small ideal's basis, and the
+    # eliminated ideal is the small ideal, renamed
+    nf = normal_form(d, delta)
+    xr = x_ring(nf)
+    X = named_matrix(xr.var, "x", d)
+    H = Ideal(xr, _naive_relations(nf, X, [[-v for v in col] for col in zip(*X)], xr.var("pi")))
+    z_of_x = {"x_%d_%d" % ab: "z_%d_%d" % ij for ij, ab in nf.z_cells}
+    targets = [v for v in xr.variables if v != "pi" and v not in z_of_x]
+    E = eliminate(Ideal(xr.with_order(Block(targets)), H.generators), targets)
+    [rep] = run_check("za1", d, delta, mode="complete")
+    assert rep.status == "pass"
+    assert len(E.generators) == rep.details["contraction_generators"]
+    _, small = build_U_ideals(nf)
+    rename = RingMap(E.ring, small.ring, {v: small.ring.var(z_of_x.get(v, v)) for v in E.ring.variables})
+    assert ideal_equal(Ideal(small.ring, [rename(g) for g in E.generators]), small)
+
+
+def _x_ring_relations_changed(change):
+    """_naive_relations, with each x_ring relation r replaced by change(r)."""
+    real = lmlab.localmodel._naive_relations
+
+    def changed(nf, X, Y, pi, L=1):
+        if pi.ring != x_ring(nf):
+            yield from real(nf, X, Y, pi, L)
+            return
+        for r in real(nf, X, Y, pi, L):
+            yield change(r)
+
+    return changed
+
+
+def _complete_half_alone(nf):
+    _, small = build_U_ideals(nf)
+    with checking("za1", {"d": nf.d, "delta": nf.delta, "mode": "complete"}) as rep:
+        _verify_complete(nf, block_substitution(nf), small, rep)
+    return rep
+
+
+
+def test_complete_mode_fails_a_target_no_generator_solves(monkeypatch):
+    # x_1_1^2 added to every relation that uses x_1_1: none solves for it
+    nf = normal_form(5, 1)
+    assert (1, 1) not in {ab for _, ab in nf.z_cells}
+    v = x_ring(nf).var("x_1_1")
+    monkeypatch.setattr(lmlab.localmodel, "_naive_relations", _x_ring_relations_changed(
+        lambda r: r + v * v if "x_1_1" in r.variables_used() else r))
+    rep = _complete_half_alone(nf)
+    assert rep.status == "fail"
+    assert "x_1_1" in rep.details["unsolved_targets"]
+    assert rep.details["unsolved_targets"] == sorted(rep.details["unsolved_targets"])
+    assert "surjectivity_certified" not in rep.details
+    assert "contraction_generators" not in rep.details
+
+def test_complete_mode_fails_a_relation_outside_the_small_ideal(monkeypatch):
+    # 1 added to every relation that uses x_1_1 moves the retraction off the
+    # section, and a relation at the moved entries leaves the small ideal
+    nf = normal_form(5, 1)
+    monkeypatch.setattr(lmlab.localmodel, "_naive_relations", _x_ring_relations_changed(
+        lambda r: r + 1 if "x_1_1" in r.variables_used() else r))
+    rep = _complete_half_alone(nf)
+    assert rep.status == "fail"
+    [name] = rep.details["contraction_failures"]
+    assert "x_" in name
+    assert "surjectivity_certified" not in rep.details
+
+
+def test_complete_mode_fails_when_the_small_ideal_is_not_reached(monkeypatch):
+    # every relation without a linear term times pi: the chain still solves
+    # every target, but pi times a minor of Z does not give the minor
+    nf = normal_form(6, 2)
+    monkeypatch.setattr(lmlab.localmodel, "_naive_relations", _x_ring_relations_changed(
+        lambda r: r if any(sum(e) == 1 for e in r.terms) else r * r.ring.var("pi")))
+    rep = _complete_half_alone(nf)
+    assert rep.status == "fail"
+    unreached = rep.details["unreached_small_generators"]
+    _, small = build_U_ideals(nf)
+    minors_of_z = {str(m) for m in minors(lmlab.localmodel.z_matrix(nf, small.ring), 2)}
+    assert unreached and set(unreached) <= {str(g) for g in small.generators}
+    assert minors_of_z & set(unreached)
+    assert "surjectivity_certified" not in rep.details
+
+
+def test_z_positions_keep_the_x_ring_order():
+    # complete mode reads the contraction's basis off the small ideal's, which
+    # needs the renaming of z_ij to its x entry to keep the variable order
+    for d in range(5, 13):
+        for delta in range(1, d // 2 + 1):
+            nf = normal_form(d, delta)
+            xr = x_ring(nf)
+            at = [xr.index["x_%d_%d" % ab] for _, ab in nf.z_cells]
+            assert at == sorted(at), (d, delta)
 
 
 if __name__ == "__main__":

@@ -358,3 +358,16 @@ def test_a_status_is_set_to_fail_directly_only_without_a_key():
         "_check_dt_equals_u", "_check_flatness_dims", "flatness_and_dimension",
         "smooth_over_model", "smooth_on_cover",
     ])
+
+
+def test_localmodel_imports_no_elimination():
+    # complete-mode za1 proves its contraction from a retraction and
+    # memberships in Q[pi, Z], with no elimination basis over x_ring
+    tree = ast.parse((PACKAGE / "localmodel.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert imported.isdisjoint({"eliminate", "Block"})
