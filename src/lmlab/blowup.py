@@ -410,8 +410,8 @@ def _transfers(nf, r, p):
                 return None
             at = {v: k for k, v in enumerate(images)}
             take = [at[v] for v in target.variables]
-            return lambda f: Polynomial(
-                target, {tuple(map(e.__getitem__, take)): c for e, c in f.terms.items()}, f.den
+            return lambda f: target.from_numerators(
+                {tuple(map(e.__getitem__, take)): c for e, c in f.numerators().items()}, f.den
             )
 
         lattice = dict(nf.z_cells)

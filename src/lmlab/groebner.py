@@ -8,10 +8,10 @@ certificates.
 
 Order words (Monagan & Pearce, CASC 2007).  Inside the engine each monomial
 is one int, its order word, whose integer order is the ring's monomial order,
-so the leading term of a term dict is its `max`.  The word has fields of w
-bits; the top bit of each is a guard bit that a monomial keeps clear, and
-M = 2^(w - 1) - 1 fills the rest.  Each order names its layout
-(`word_groups`, beside its `key_fn`), from the most significant field down:
+so the leading term of a term dict is its `max`.  The layout is that of
+`poly._Packing`: fields of w bits, each with a guard bit on top that a
+monomial keeps clear and M = 2^(w - 1) - 1 below it.  Each order names its
+word groups (`word_groups`), from the most significant field down:
 
 - lex: x_1, ..., x_n in ring order;
 - grevlex: the degree, then M - x for each variable from the smallest up
@@ -37,12 +37,15 @@ degree of the input does not fit below a guard; then it doubles until it
 does.  A packing depends on nothing but the variables, the order and the
 width, so the last 1,024 made are shared.  Every reduction step and
 S-polynomial checks that the degree of the terms it makes stays below
-2^(w - 1); past that it raises PolyError, so no field ever wraps.  Exponent
-tuples are packed (`struct` and `itemgetter`, with the group degrees
-summed) and unpacked only at the edges: the seeds of a
-run, the reducers of a basis (`_divisors`), the polynomial that `_reduce`
-reduces, and the polynomials that `BuchbergerRun.complete` returns and
-certificates build.  Nothing in the engine reads the tuple key `exp_key`.
+2^(w - 1); past that it raises PolyError, so no field ever wraps.  A
+polynomial's words are grevlex words of the same width rule (see `poly`),
+so on a grevlex ring the engine's packing is the polynomial's, and it takes
+`Polynomial.terms` as they are and builds its results from its own words.
+Under another order or width the words are converted (`_Packing.convert`,
+through exponent tuples) at the edges only: the seeds of a run, the
+reducers of a basis (`_divisors`) and the polynomial that `_reduce` reduces
+(all through `_words`), and the polynomials that `BuchbergerRun.complete`
+returns and certificates build (`_polynomial`).  Nothing in the engine compares exponent tuples.
 
 Pairs (Gebauer & Moeller, JSC 1988).  A pair (i, j), i < j, of basis
 entries waits in a heap keyed by (selection key, i, j) and is selected
@@ -134,11 +137,9 @@ substituted down, that halved the run against h after pi.
 from __future__ import annotations
 
 import heapq
-import struct
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, groupby
 from math import gcd
 from operator import itemgetter
@@ -153,7 +154,10 @@ from .poly import (
     Polynomial,
     UnknownVariableError,
     parse_poly,
+    _MIN_WIDTH,
     _grevlex_positions,
+    _packing,
+    _width,
 )
 
 __all__ = [
@@ -213,181 +217,28 @@ def deadline(seconds):
 
 # ------------------------------------------------------------ order words
 
-_STRUCT_CODES = {16: "H", 32: "I", 64: "Q"}  # widths struct packs
-_MIN_WIDTH = 16  # bits per field unless the input needs wider ones
-
-
-class _WideFields:
-    """`struct.Struct`'s `pack` and `unpack_from` for widths without a code."""
-
-    def __init__(self, nfields, nbytes):
-        self.nfields, self.nbytes = nfields, nbytes
-
-    def pack(self, *fields):
-        return b"".join(x.to_bytes(self.nbytes, "little") for x in fields)
-
-    def unpack_from(self, data):
-        k = self.nbytes
-        return tuple(int.from_bytes(data[i : i + k], "little") for i in range(0, self.nfields * k, k))
-
-
-def _getter(indices):
-    """`itemgetter(*indices)`, returning a tuple also for one or no index."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    if indices:
-        (i,) = indices
-        return lambda t: (t[i],)
-    return lambda t: ()
-
-
-class _Packing:
-    """Order words of one ring (see the module docstring).
-
-    The fields, w bits each, hold from the most significant down: for each
-    word group of the ring's order its degree and then M - x (a graded
-    group) or just x (an ungraded one) for its variables, in the group's
-    order; last, in the lowest field, the total degree.  M = 2^(w - 1) - 1
-    fills a field below its guard bit, so M - x is `M ^ x`.  The exponent
-    word of an order word undoes the complements and keeps only the
-    variable fields and the total degree; divisibility and lcms are read
-    off exponent words.
-    """
-
-    def __init__(self, variables, order, width):
-        n = len(variables)
-        groups = order.word_groups(variables)
-        # each field, most significant first, as an index into the exponent
-        # tuple extended by the degrees of the groups short of the whole ring
-        # and by the total degree, and whether it holds M - x
-        proper = [pos for graded, pos in groups if graded and len(pos) < n]
-        total = n + len(proper)
-        picks, flipped = [], []
-        for graded, pos in groups:
-            if graded:
-                picks.append(n + proper.index(pos) if len(pos) < n else total)
-                flipped.append(False)
-            picks += pos
-            flipped += [graded] * len(pos)
-        picks.append(total)
-        flipped.append(False)
-        nfields = len(picks)
-        code = _STRUCT_CODES.get(width)
-        if code:
-            fields = struct.Struct("<%d%s" % (nfields, code))
-        else:
-            fields = _WideFields(nfields, width // 8)
-        self._enc, self._dec = fields.pack, fields.unpack_from
-        # struct reads the fields least significant first
-        lsb = picks[::-1]
-        self._pick = _getter(lsb)
-        slot = {k: i for i, k in enumerate(lsb)}
-        self._vars = _getter(tuple(slot[k] for k in range(n)))
-
-        def mask(values):  # the word with these values in its fields
-            return int.from_bytes(fields.pack(*values), "little")
-
-        variable = [k < n for k in lsb]
-        value = (1 << width) - 1
-        self.width = width
-        self.limit = (1 << (width - 1)) - 1  # largest degree a monomial may reach
-        self.dmask = value  # the total degree, in the lowest field
-        self.flip = mask([self.limit if f else 0 for f in flipped[::-1]])
-        self.one = self.flip  # the word of the monomial 1
-        self.vmask = mask([value if v else 0 for v in variable])
-        self.emask = self.vmask | value
-        # the guard bits of the variable fields and a bit above every field:
-        # `never`, the exponent word of a zero entry, sets that bit in
-        # `e - never` for every exponent word e, so it divides nothing
-        self.never = 1 << nfields * width
-        self.guard = mask([self.limit + 1 if v else 0 for v in variable]) | self.never
-        self._ones = mask([1] * nfields)  # bit 0 of each field
-        self._top = (nfields - 1) * width
-        self._nbytes = nfields * width // 8
-        if proper:
-            sums = [_getter(pos) for pos in proper]
-            self._extend = lambda e: e + tuple([sum(g(e)) for g in sums]) + (sum(e),)
-        else:
-            self._extend = lambda e: e + (sum(e),)
-        # each graded group's variable fields, and the shift of its degree field
-        self._groups = [
-            (
-                mask([value if k in pos else 0 for k in lsb]),
-                slot[n + proper.index(pos) if len(pos) < n else total] * width,
-            )
-            for graded, pos in groups
-            if graded
-        ]
-
-    def holds(self, degree):
-        """True iff the width rule admits input of this degree (see `_packing_for`)."""
-        return 2 * degree <= self.limit
-
-    def overflow(self, degree):
-        return PolyError(
-            "degree %d overflows the %d-bit exponent fields" % (degree, self.width)
-        )
-
-    def monomial(self, e):
-        """The order word of an exponent tuple."""
-        return int.from_bytes(self._enc(*self._pick(self._extend(e))), "little") ^ self.flip
-
-    def pack(self, terms):
-        """{exponent tuple: c} -> {order word: c}; `monomial` on each key."""
-        enc, pick, extend, flip = self._enc, self._pick, self._extend, self.flip
-        return {
-            int.from_bytes(enc(*pick(extend(e))), "little") ^ flip: c for e, c in terms.items()
-        }
-
-    def unpack(self, terms):
-        """{order word: c} -> {exponent tuple: c}."""
-        dec, get, flip, nbytes = self._dec, self._vars, self.flip, self._nbytes
-        return {get(dec((m ^ flip).to_bytes(nbytes, "little"))): c for m, c in terms.items()}
-
-    def exponents(self, m):
-        """The exponent tuple of an order word."""
-        return self._vars(self._dec((m ^ self.flip).to_bytes(self._nbytes, "little")))
-
-    def exponent_word(self, m):
-        """The exponent word of an order word: x in each variable field, the
-        total degree in the lowest field, every other field 0."""
-        return (m ^ self.flip) & self.emask
-
-    def order_word(self, x):
-        """The order word of an exponent word: the group degrees filled in.
-
-        A group's degree is the sum of its variable fields, read off the top
-        field of their product with `_ones` as in `lcm`.
-        """
-        ones, top, dm = self._ones, self._top, self.dmask
-        for gmask, shift in self._groups:
-            x |= ((x & gmask) * ones >> top & dm) << shift
-        return x ^ self.flip
-
-    def lcm(self, a, b):
-        """The lcm of two exponent words, as an exponent word."""
-        guard, width = self.guard, self.width
-        m = ((a | guard) - b) & guard & self.vmask  # the guard of field k is set iff a_k >= b_k
-        m -= m >> (width - 1)  # the value bits of those fields
-        f = (a & m) | (b & (self.vmask ^ m))
-        # the top field of f * ones sums the fields; the sum is below 2^width
-        return f | (f * self._ones >> self._top) & self.dmask
-
-
 def _packing_for(ring, degree):
     """The packing of a ring for input of this degree.
 
     The field width is 16 bits unless twice the degree does not fit below a
-    guard bit; then it doubles until it does.
+    guard bit; then it doubles until it does (`poly._width`).  Under grevlex
+    it is the packing of the ring's polynomials of that degree.
     """
-    width = _MIN_WIDTH
-    while 2 * degree >= 1 << (width - 1):
-        width *= 2
-    return _packing(ring.variables, ring.order, width)
+    return _packing(ring.variables, ring.order, _width(degree, _MIN_WIDTH))
 
 
-# a packing holds nothing but its layout, so the recent ones are shared
-_packing = lru_cache(maxsize=1024)(_Packing)
+def _words(p, pk):
+    """The numerators of p in the order words of pk, a packing of its
+    variables: `p.terms` itself when p is packed by pk."""
+    return p.terms if p.packing is pk else p.packing.convert(p.terms, pk)
+
+
+def _polynomial(ring, pk, terms, den):
+    """The polynomial of the ring with numerators `terms`, in the order words
+    of pk, over den; they are converted only when pk is not the packing of
+    the ring's polynomials of their degree."""
+    own = ring.packing_for(max(map(pk.dmask.__and__, terms), default=0))
+    return Polynomial(ring, terms if pk is own else pk.convert(terms, own), den, own)
 
 
 # ------------------------------------------------------ integer forms
@@ -415,7 +266,7 @@ def _primitive_forms(pk, generators):
     seen = set()
     forms = []
     for g in generators:
-        terms = _primitive(pk.pack(g.terms))
+        terms = _primitive(_words(g, pk))
         if terms[max(terms)] < 0:
             terms = {e: -v for e, v in terms.items()}
         fro = frozenset(terms.items())
@@ -440,7 +291,7 @@ def _divisors(ring, basis, degree):
         if b.is_zero:
             out.append((pk.never, 0, 0, {}, 0))
         else:
-            terms = pk.pack(b.terms)
+            terms = _words(b, pk)
             lt = max(terms)
             out.append((pk.exponent_word(lt), lt, terms[lt], terms, max(map(dm.__and__, terms))))
     return pk, out
@@ -641,7 +492,7 @@ class BuchbergerRun:
                 lt = max(h)
                 self._add((lt, h[lt], h, sug))
         kept = _interreduce(self.active.values(), eng)
-        return tuple(Polynomial(self.ring, pk.unpack(t), lc) for _, _, lc, t, _ in kept)
+        return tuple(_polynomial(self.ring, pk, t, lc) for _, _, lc, t, _ in kept)
 
     def _add(self, entry):
         """Append an entry and apply the Gebauer-Moeller update for it."""
@@ -787,7 +638,7 @@ class MembershipCertificate:
             pk, cof, den = self._packed
             ring = self.residue.ring
             self._cofactors = tuple(
-                Polynomial(ring, {e: v * b.den for e, v in pk.unpack(cd).items()}, den)
+                _polynomial(ring, pk, {e: v * b.den for e, v in cd.items()}, den)
                 for cd, b in zip(cof, self.basis)
             )
             self._packed = None
@@ -829,9 +680,9 @@ def _reduce(p, basis, divisors):
         pk, reducers = _divisors(ring, basis, p.total_degree())
     # tracked fraction-free reduction of the numerators: M * P = sum(C_i B_i)
     # + R with p = P / den(p), so the residue is R / (M den(p))
-    work, M, cof = _Engine(pk).nf(pk.pack(p.terms), reducers, cofactors=True)
+    work, M, cof = _Engine(pk).nf(_words(p, pk), reducers, cofactors=True)
     den = M * p.den
-    residue = Polynomial(ring, pk.unpack(work), den)
+    residue = _polynomial(ring, pk, work, den)
     return residue, MembershipCertificate(basis, None, residue, (pk, cof, den))
 
 
@@ -1015,14 +866,6 @@ class _RevLexLast:
             rest[p] for p in _grevlex_positions([variables[i] for i in rest])
         )
 
-    def key_fn(self, variables):
-        rev = self._positions(variables)
-
-        def key(exp):
-            return (sum(exp), tuple(-exp[p] for p in rev))
-
-        return key
-
     def word_groups(self, variables):
         """One graded group in the order of comparison (see `Lex.word_groups`)."""
         return ((True, self._positions(variables)),)
@@ -1034,25 +877,26 @@ def _linear_variable(g, keep):
     has degree at least 2; else None."""
     if g.total_degree() < 2:
         return None
+    exps = g.numerators()
     used = [0] * g.ring.nvars
-    for e in g.terms:
+    for e in exps:
         for i, a in enumerate(e):
             if a:
                 used[i] += 1
-    found = [e.index(1) for e in g.terms if sum(e) == 1]
+    found = [e.index(1) for e in exps if sum(e) == 1]
     return min((i for i in found if i != keep and used[i] == 1), default=None)
 
 
 def _substitute(q, i, image):
     """q with the variable at index i replaced by `image`, which is free of it."""
     parts = {}
-    for e, c in q.terms.items():
+    for e, c in q.numerators().items():
         parts.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1 :]] = c
     if list(parts) == [0]:
         return q
     out = q.ring.zero()
     for a, terms in parts.items():
-        out = out + Polynomial(q.ring, terms, q.den) * image**a
+        out = out + q.ring.from_numerators(terms, q.den) * image**a
     return out
 
 
@@ -1077,9 +921,10 @@ def _solve_linear(I, keep):
             k += 1
             continue
         g = gens.pop(k)
+        exps = g.numerators()
         x = tuple(int(j == i) for j in range(ring.nvars))
         # g = (c x + f) / den, so x = -f / c
-        image = Polynomial(ring, {e: -v for e, v in g.terms.items() if e != x}, g.terms[x])
+        image = ring.from_numerators({e: -v for e, v in exps.items() if e != x}, exps[x])
         gens = [h for h in (_substitute(q, i, image) for q in gens) if h]
         solved.add(ring.variables[i])
         k = 0
@@ -1107,9 +952,8 @@ def is_nonzerodivisor(I, v):
     gens = []
     for g in basis:
         deg = g.total_degree()
-        gens.append(
-            Polynomial(ring, {e + (deg - sum(e),): c for e, c in g.terms.items()}, g.den)
-        )
+        terms = {e + (deg - sum(e),): c for e, c in g.numerators().items()}
+        gens.append(ring.from_numerators(terms, g.den))
     hbasis, _ = buchberger(Ideal(ring, gens))
     k = ring.index[name]
     return not any(b.lm()[k] for b in hbasis)
@@ -1183,8 +1027,8 @@ def write_ideal_text(ideal):
         )
     else:
         lines.append("order %s" % order.name)
-    key = ideal.ring.exp_key
-    for g in sorted(ideal.generators, key=lambda g: key(g.lm())):
+    pk = _packing_for(ideal.ring, max((g.total_degree() for g in ideal.generators), default=0))
+    for g in sorted(ideal.generators, key=lambda g: pk.monomial(g.lm())):
         lines.append("gen %s" % g)
     return "\n".join(lines) + "\n"
 

@@ -500,10 +500,13 @@ def _solving_chain(H, ring, known):
     index = {}  # id of a generator -> (generator, support, {i: c of x_i})
     for g in H:
         # only a generator with a linear term can solve for a variable
-        if id(g) in index or not any(sum(e) == 1 for e in g.terms):
+        if id(g) in index:
+            continue
+        exps = g.numerators()
+        if not any(sum(e) == 1 for e in exps):
             continue
         support, units, nonlinear = set(), {}, set()
-        for e, c in g.terms.items():
+        for e, c in exps.items():
             used = [i for i, k in enumerate(e) if k]
             support.update(used)
             if len(used) == 1 and e[used[0]] == 1:
@@ -599,7 +602,7 @@ def _verify_complete(nf, psi, small, report, nfs=None, passed=None):
         if g.is_zero or id(g) in seen:
             continue
         seen.add(id(g))
-        if max(sum(map(mul, weight, e)) for e in g.terms) <= 3:
+        if max(sum(map(mul, weight, e)) for e in g.numerators()) <= 3:
             low.append(to_z(g))
     reached = Ideal(small.ring, low)
     if not ideal_contains(reached, small):
@@ -608,18 +611,31 @@ def _verify_complete(nf, psi, small, report, nfs=None, passed=None):
         return
 
     Xpsi, _ = _section_residues(nf, psi, small, nfs)
-    failures = sorted(
+    wrong_x = [
         name
         for row in zip(named_matrix(str, "x", nf.d), Xphi, Xpsi)
         for name, u, v in zip(*row)
         if name not in z_of_x and u != v
-    )
-    report.details["surjectivity_certified"] = len(targets) - len(failures)
+    ]
+    # a y entry is certified by its linear relation y + x^t only where the
+    # section sends it to minus the image of the transposed x entry
+    wrong_y = [
+        name
+        for row in zip(
+            named_matrix(str, "y", nf.d),
+            named_matrix(psi.images.__getitem__, "y", nf.d),
+            _minus_transpose(named_matrix(psi.images.__getitem__, "x", nf.d)),
+        )
+        for name, u, v in zip(*row)
+        if u != v
+    ]
+    failures = sorted(wrong_x + wrong_y)
+    report.details["surjectivity_certified"] = len(targets) - len(wrong_x)
     report.details["surjectivity_targets"] = len(targets)
     # the remaining big-ring variables are certified exactly: the Z-position
-    # entries are fixed by the section, the skew block reduces by its linear
-    # relation, and pi maps to itself
-    report.details["surjectivity_trivial"] = len(z_of_x) + nf.d * nf.d + 1
+    # entries are fixed by the section, the y entries at minus the transposed
+    # x images reduce by their linear relation, and pi maps to itself
+    report.details["surjectivity_trivial"] = len(z_of_x) + nf.d * nf.d - len(wrong_y) + 1
     if failures:
         report.fail("surjectivity_failures", failures)
         return

@@ -1,29 +1,53 @@
 """Sparse multivariate polynomials over Q with exact arbitrary-precision arithmetic.
 
 A polynomial is integer numerators over one common denominator: `terms` maps
-each exponent tuple (aligned with the ring's variable list) to a nonzero int,
-and `den` is a positive int sharing no factor with all of them; the zero
-polynomial has den 1.  That form is canonical, so equal polynomials have equal
-`terms` and `den`, and all arithmetic runs on ints.  `coefficient`, `lc` and
-`sorted_terms` give the coefficients as `fractions.Fraction`.  All values are
+each monomial, as one int, its order word, to a nonzero int, and `den` is a
+positive int sharing no factor with all of them; the zero polynomial has
+den 1.  That form is canonical, so equal polynomials have equal `terms` and
+`den`, and all arithmetic runs on ints.  `coefficient`, `lc` and
+`sorted_terms` give the coefficients as `fractions.Fraction`;
+`numerators` gives the numerators by exponent tuple, and
+`PolyRing.from_numerators` builds a polynomial from them.  All values are
 immutable after construction and safe to share.
 
-A product adds exponent tuples with `map(operator.add, ...)`.  When one
-factor is a single term, the product is one dict comprehension: a monomial
-maps distinct exponents to distinct exponents and nonzero ints have nonzero
-products, so no term collides or cancels.  Sums and differences share one
-merge loop.  `PolyRing.point` normalises a rational point once, to a common
-denominator and integer numerators; `Polynomial.at` evaluates at it in
-integers, so many polynomials can share one point, and `evaluate` is `at` of
-the point of its dict.
+Order words (Monagan & Pearce, CASC 2007).  A `_Packing` stores each
+monomial of a list of variables as one int whose integer order is a
+monomial order; its docstring gives the layout.  The words of a polynomial
+are graded reverse lex words of its ring's variables, whatever the ring's
+order, in `packing`: 16-bit fields unless twice its degree does not fit
+below a guard bit, then the width doubles until it does (`_width`), the
+Groebner engine's rule.  So the engine takes `terms` as they are on a
+grevlex ring, and the width is fixed by the degree: equal polynomials have
+equal words, and `==` and `hash` compare words without decoding them.  A
+product of larger degree than its factors' fields hold is formed in wider
+ones, a sum or a derivative whose degree drops gets narrower ones, and no
+field ever wraps.  Rings that differ only in their order share their
+words, so `cast` between them reuses `terms`.  The top field of a grevlex
+word is the total degree, so the largest word is the grevlex leading term
+and has the largest degree (`total_degree`).  A ring under another order
+sorts the words by those of its own order (`lm`, `sorted_terms`).
+
+A product adds words: the word of m1 m2 is w1 + w2 - one, with one the word
+of the monomial 1.  When one factor is a single term, the product is one
+dict comprehension: a monomial maps distinct words to distinct words and
+nonzero ints have nonzero products, so no term collides or cancels.  Sums
+and differences share one merge loop.  `derivative` and `variables_used`
+read the variable fields in place; printing, `numerators`, `cast` to other
+variables and `RingMap.apply` decode words to exponent tuples.
+`PolyRing.point` normalises a rational point once, to a common denominator
+and integer numerators; `Polynomial.at` evaluates at it in integers,
+decoding the polynomial on its first call only, so many polynomials can
+share one point, and `evaluate` is `at` of the point of its dict.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
-from operator import add
+from operator import attrgetter, itemgetter
 
 __all__ = [
     "PolyError",
@@ -77,14 +101,8 @@ class Lex:
 
     name = "lex"
 
-    def key_fn(self, variables):
-        def key(exp):
-            return exp
-
-        return key
-
     def word_groups(self, variables):
-        """The layout of the Groebner engine's order words for this order.
+        """The layout of this order's words (see `_Packing`).
 
         A tuple of (graded, positions) groups, most significant first: a
         graded group stores its degree, then M - x for each position, and
@@ -108,17 +126,9 @@ class GrevLex:
 
     name = "grevlex"
 
-    def key_fn(self, variables):
-        rev = _grevlex_positions(variables)
-
-        def key(exp):
-            return (sum(exp), tuple(-exp[p] for p in rev))
-
-        return key
-
     def word_groups(self, variables):
-        """One graded group, the variables in the order the key negates them
-        (see `Lex.word_groups`)."""
+        """One graded group, the variables from the smallest up (grevlex is
+        lex on (deg, -x_n, ..., -x_1)), so pi first (see `Lex.word_groups`)."""
         return ((True, _grevlex_positions(variables)),)
 
     def __eq__(self, other):
@@ -144,23 +154,6 @@ class Block:
         self.eliminated = tuple(eliminated)
         self.order1 = order1 or GrevLex()
         self.order2 = order2 or GrevLex()
-
-    def key_fn(self, variables):
-        elim = set(self.eliminated)
-        first = tuple(v for v in variables if v in elim)
-        second = tuple(v for v in variables if v not in elim)
-        pos1 = tuple(i for i, v in enumerate(variables) if v in elim)
-        pos2 = tuple(i for i, v in enumerate(variables) if v not in elim)
-        key1 = self.order1.key_fn(first)
-        key2 = self.order2.key_fn(second)
-
-        def key(exp):
-            return (
-                key1(tuple(exp[p] for p in pos1)),
-                key2(tuple(exp[p] for p in pos2)),
-            )
-
-        return key
 
     def word_groups(self, variables):
         """The groups of the order on the eliminated variables, then those of
@@ -192,13 +185,228 @@ class Block:
         )
 
 
+# ------------------------------------------------------------- order words
+
+_STRUCT_CODES = {16: "H", 32: "I", 64: "Q"}  # widths struct packs
+_MIN_WIDTH = 16  # bits per field unless the degree needs wider ones
+
+
+def _width(degree, least=_MIN_WIDTH):
+    """The field width for monomials of this degree: `least` bits unless
+    twice the degree does not fit below a guard bit; then it doubles until
+    it does."""
+    width = least
+    while 2 * degree >= 1 << (width - 1):
+        width *= 2
+    return width
+
+
+class _WideFields:
+    """`struct.Struct`'s `pack` and `unpack_from` for widths without a code."""
+
+    def __init__(self, nfields, nbytes):
+        self.nfields, self.nbytes = nfields, nbytes
+
+    def pack(self, *fields):
+        return b"".join(x.to_bytes(self.nbytes, "little") for x in fields)
+
+    def unpack_from(self, data):
+        k = self.nbytes
+        return tuple(int.from_bytes(data[i : i + k], "little") for i in range(0, self.nfields * k, k))
+
+
+def _getter(indices):
+    """`itemgetter(*indices)`, returning a tuple also for one or no index."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (i,) = indices
+        return lambda t: (t[i],)
+    return lambda t: ()
+
+
+class _Packing:
+    """The order words of one list of variables under one order and width.
+
+    The fields, w bits each, hold from the most significant down: for each
+    word group of the order (`word_groups`) its degree and then M - x (a
+    graded group) or just x (an ungraded one) for its variables, in the
+    group's order; last, in the lowest field, the total degree.  The top bit
+    of each field is a guard bit that a monomial keeps clear, and
+    M = 2^(w - 1) - 1 fills the rest, so M - x is `M ^ x`, and XOR with
+    `flip` (M in every complemented field) undoes the complements.  The
+    degree fields cannot change the order, since the fields of the
+    variables decide every comparison of distinct monomials.  A product is
+    one addition less the word of the monomial 1 (`one`, which is `flip`).
+    The exponent word of an order word undoes the complements and keeps
+    only the variable fields and the total degree; the Groebner engine reads
+    divisibility and lcms off exponent words.  Exponent tuples are packed
+    with `struct` and `itemgetter`, the group degrees summed.
+    """
+
+    def __init__(self, variables, order, width):
+        n = len(variables)
+        self.key = (variables, order, width)
+        groups = order.word_groups(variables)
+        # each field, most significant first, as an index into the exponent
+        # tuple extended by the degrees of the groups short of the whole ring
+        # and by the total degree, and whether it holds M - x
+        proper = [pos for graded, pos in groups if graded and len(pos) < n]
+        total = n + len(proper)
+        picks, flipped = [], []
+        for graded, pos in groups:
+            if graded:
+                picks.append(n + proper.index(pos) if len(pos) < n else total)
+                flipped.append(False)
+            picks += pos
+            flipped += [graded] * len(pos)
+        picks.append(total)
+        flipped.append(False)
+        nfields = len(picks)
+        code = _STRUCT_CODES.get(width)
+        if code:
+            fields = struct.Struct("<%d%s" % (nfields, code))
+        else:
+            fields = _WideFields(nfields, width // 8)
+        self._enc, self._dec = fields.pack, fields.unpack_from
+        # struct reads the fields least significant first
+        lsb = picks[::-1]
+        self._pick = _getter(lsb)
+        slot = {k: i for i, k in enumerate(lsb)}
+        self._vars = _getter(tuple(slot[k] for k in range(n)))
+
+        def mask(values):  # the word with these values in its fields
+            return int.from_bytes(fields.pack(*values), "little")
+
+        variable = [k < n for k in lsb]
+        value = (1 << width) - 1
+        self.width = width
+        self.limit = (1 << (width - 1)) - 1  # largest degree a monomial may reach
+        self.dmask = value  # the total degree, in the lowest field
+        self.shifts = tuple(slot[k] * width for k in range(n))  # of each variable's field
+        self.flip = mask([self.limit if f else 0 for f in flipped[::-1]])
+        self.one = self.flip  # the word of the monomial 1
+        self.vmask = mask([value if v else 0 for v in variable])
+        self.emask = self.vmask | value
+        # the guard bits of the variable fields and a bit above every field:
+        # `never`, the exponent word of a zero entry, sets that bit in
+        # `e - never` for every exponent word e, so it divides nothing
+        self.never = 1 << nfields * width
+        self.guard = mask([self.limit + 1 if v else 0 for v in variable]) | self.never
+        self._ones = mask([1] * nfields)  # bit 0 of each field
+        self._top = (nfields - 1) * width
+        self._nbytes = nfields * width // 8
+        if proper:
+            sums = [_getter(pos) for pos in proper]
+            self._extend = lambda e: e + tuple([sum(g(e)) for g in sums]) + (sum(e),)
+        else:
+            self._extend = lambda e: e + (sum(e),)
+        # each graded group's variable fields, and the shift of its degree field
+        self._groups = [
+            (
+                mask([value if k in pos else 0 for k in lsb]),
+                slot[n + proper.index(pos) if len(pos) < n else total] * width,
+            )
+            for graded, pos in groups
+            if graded
+        ]
+
+    def holds(self, degree):
+        """True iff the engine's width rule admits input of this degree
+        (see `groebner._packing_for`)."""
+        return 2 * degree <= self.limit
+
+    def overflow(self, degree):
+        return PolyError(
+            "degree %d overflows the %d-bit exponent fields" % (degree, self.width)
+        )
+
+    def monomial(self, e):
+        """The order word of an exponent tuple."""
+        return int.from_bytes(self._enc(*self._pick(self._extend(e))), "little") ^ self.flip
+
+    def pack(self, terms):
+        """{exponent tuple: c} -> {order word: c}; `monomial` on each key.
+
+        A monomial of degree past `limit` raises PolyError.
+        """
+        top = max(map(sum, terms), default=0)
+        if top > self.limit:
+            raise self.overflow(top)
+        enc, pick, extend, flip = self._enc, self._pick, self._extend, self.flip
+        return {
+            int.from_bytes(enc(*pick(extend(e))), "little") ^ flip: c for e, c in terms.items()
+        }
+
+    def unpack(self, terms):
+        """{order word: c} -> {exponent tuple: c}."""
+        dec, get, flip, nbytes = self._dec, self._vars, self.flip, self._nbytes
+        return {get(dec((m ^ flip).to_bytes(nbytes, "little"))): c for m, c in terms.items()}
+
+    def exponents(self, m):
+        """The exponent tuple of an order word."""
+        return self._vars(self._dec((m ^ self.flip).to_bytes(self._nbytes, "little")))
+
+    def convert(self, terms, other):
+        """{order word: c} -> the same terms in the words of `other`, a
+        packing of the same variables; a degree past its `limit` raises
+        PolyError.  The dict itself when the layouts are equal."""
+        if other is self or other.key == self.key:
+            return terms
+        top = max(map(self.dmask.__and__, terms), default=0)
+        if top > other.limit:
+            raise other.overflow(top)
+        dec, get, flip, nbytes = self._dec, self._vars, self.flip, self._nbytes
+        enc, pick, extend, oflip = other._enc, other._pick, other._extend, other.flip
+        return {
+            int.from_bytes(enc(*pick(extend(get(dec((m ^ flip).to_bytes(nbytes, "little")))))), "little")
+            ^ oflip: c
+            for m, c in terms.items()
+        }
+
+    def exponent_word(self, m):
+        """The exponent word of an order word: x in each variable field, the
+        total degree in the lowest field, every other field 0."""
+        return (m ^ self.flip) & self.emask
+
+    def order_word(self, x):
+        """The order word of an exponent word: the group degrees filled in.
+
+        A group's degree is the sum of its variable fields, read off the top
+        field of their product with `_ones` as in `lcm`.
+        """
+        ones, top, dm = self._ones, self._top, self.dmask
+        for gmask, shift in self._groups:
+            x |= ((x & gmask) * ones >> top & dm) << shift
+        return x ^ self.flip
+
+    def lcm(self, a, b):
+        """The lcm of two exponent words, as an exponent word."""
+        guard, width = self.guard, self.width
+        m = ((a | guard) - b) & guard & self.vmask  # the guard of field k is set iff a_k >= b_k
+        m -= m >> (width - 1)  # the value bits of those fields
+        f = (a & m) | (b & (self.vmask ^ m))
+        # the top field of f * ones sums the fields; the sum is below 2^width
+        return f | (f * self._ones >> self._top) & self.dmask
+
+
+# a packing holds nothing but its layout, so the recent ones are shared
+_packing = lru_cache(maxsize=1024)(_Packing)
+
+
 # ------------------------------------------------------------------ rings
 
 
 class PolyRing:
-    """A polynomial ring over Q: an ordered variable list plus monomial order."""
+    """A polynomial ring over Q: an ordered variable list plus monomial order.
 
-    __slots__ = ("variables", "order", "index", "exp_key", "_hash", "_zero_exp")
+    `packing`, built on first use, holds the words of the ring's
+    polynomials up to degree 2^14 - 1: graded reverse lex on its variables,
+    16-bit fields, whatever the order.  A polynomial of larger degree has
+    the words of `packing_for` its degree.
+    """
+
+    __slots__ = ("variables", "order", "index", "_hash", "packing")
 
     def __init__(self, variables, order=None):
         variables = tuple(variables)
@@ -212,9 +420,31 @@ class PolyRing:
         self.variables = variables
         self.order = order if order is not None else GrevLex()
         self.index = {v: i for i, v in enumerate(variables)}
-        self.exp_key = self.order.key_fn(variables)
-        self._zero_exp = (0,) * len(variables)
         self._hash = hash((variables, self.order))
+
+    def __getattr__(self, name):
+        # called only while the slot is empty: build it on first use
+        if name != "packing":
+            raise AttributeError(name)
+        self.packing = _packing(self.variables, GrevLex(), _MIN_WIDTH)
+        return self.packing
+
+    def packing_for(self, degree):
+        """The packing of the ring's polynomials of this total degree:
+        `packing` unless twice the degree passes its limit, else the grevlex
+        packing as wide as `_width` says."""
+        pk = self.packing
+        if 2 * degree <= pk.limit:
+            return pk
+        return _packing(self.variables, GrevLex(), _width(degree))
+
+    def _sort_key(self, pk):
+        """None under grevlex, where the words of pk sort in the ring order;
+        else the key that maps them to the words of the ring's order."""
+        if isinstance(self.order, GrevLex):
+            return None
+        own = _packing(self.variables, self.order, pk.width)
+        return lambda m: own.monomial(pk.exponents(m))
 
     @property
     def nvars(self):
@@ -224,29 +454,35 @@ class PolyRing:
         return Polynomial(self, {}, 1)
 
     def one(self):
-        return Polynomial(self, {self._zero_exp: 1}, 1)
+        return Polynomial(self, {self.packing.one: 1}, 1)
 
     def const(self, c):
         c = Fraction(c)
         if c == 0:
             return self.zero()
-        return Polynomial(self, {self._zero_exp: c.numerator}, c.denominator)
+        return Polynomial(self, {self.packing.one: c.numerator}, c.denominator)
 
     def var(self, name):
         if name not in self.index:
             raise UnknownVariableError(name)
-        exp = [0] * self.nvars
-        exp[self.index[name]] = 1
-        return Polynomial(self, {tuple(exp): 1}, 1)
+        pk = self.packing
+        # one more in both degree fields, the top and the lowest, and one
+        # less in the field M - x of the variable
+        word = pk.one + (1 << pk._top) + 1 - (1 << pk.shifts[self.index[name]])
+        return Polynomial(self, {word: 1}, 1)
+
+    def from_numerators(self, numerators, den=1):
+        """The polynomial of a dict from exponent tuple to nonzero int numerator,
+        over the denominator `den`."""
+        pk = self.packing_for(max(map(sum, numerators), default=0))
+        return Polynomial(self, pk.pack(numerators), den, pk)
 
     def poly(self, terms):
         """The polynomial of a dict from exponent to rational coefficient."""
         coeffs = {tuple(exp): Fraction(c) for exp, c in terms.items()}
         den = lcm(*(c.denominator for c in coeffs.values()))
-        return Polynomial(
-            self,
-            {e: c.numerator * (den // c.denominator) for e, c in coeffs.items() if c},
-            den,
+        return self.from_numerators(
+            {e: c.numerator * (den // c.denominator) for e, c in coeffs.items() if c}, den
         )
 
     def point(self, assignment):
@@ -294,13 +530,16 @@ class Polynomial:
     """Immutable sparse polynomial: integer numerators `terms` over `den`.
 
     The constructor makes the pair canonical (den > 0, no common factor of
-    den and all numerators, den 1 for zero); `terms` must map each exponent
-    to a nonzero int and `den` must be a nonzero int.
+    den and all numerators, den 1 for zero); `terms` must map the word of
+    each monomial in `packing` to a nonzero int, and `den` must be a
+    nonzero int.  `packing` is a grevlex packing of the ring's variables,
+    `ring.packing` if None; a wider one than `ring.packing_for` the degree
+    is narrowed, so that equal polynomials have equal words.
     """
 
-    __slots__ = ("ring", "terms", "den", "_st")
+    __slots__ = ("ring", "terms", "den", "packing", "_st", "_num", "_factors")
 
-    def __init__(self, ring, terms, den):
+    def __init__(self, ring, terms, den, packing=None):
         if den != 1:
             g = gcd(den, *terms.values())
             if den < 0:
@@ -308,10 +547,19 @@ class Polynomial:
             if g != 1:
                 terms = {e: v // g for e, v in terms.items()}
                 den //= g
+        if packing is None:
+            packing = ring.packing
+        elif packing.width != _MIN_WIDTH:
+            own = ring.packing_for(max(terms, default=0) & packing.dmask)
+            if own is not packing:
+                terms, packing = packing.convert(terms, own), own
         self.ring = ring
         self.terms = terms
         self.den = den
+        self.packing = packing
         self._st = None
+        self._num = None
+        self._factors = None
 
     # -- basic structure
 
@@ -323,39 +571,56 @@ class Polynomial:
         # zero is falsy, as for int and Fraction
         return bool(self.terms)
 
-    def _sorted_exps(self):
+    def _sorted_words(self):
         if self._st is None:
-            self._st = sorted(self.terms, key=self.ring.exp_key, reverse=True)
+            key = self.ring._sort_key(self.packing)
+            self._st = sorted(self.terms, key=key, reverse=True)
         return self._st
+
+    def _lead(self):
+        """The word of the leading term."""
+        if not self.terms:
+            raise PolyError("zero polynomial has no leading term")
+        key = self.ring._sort_key(self.packing)
+        return max(self.terms) if key is None else max(self.terms, key=key)
+
+    def numerators(self):
+        """The numerators over `den` by exponent tuple.
+
+        The terms are decoded on the first call and the dict is kept, and
+        shared, for the next: it must not be changed.
+        """
+        if self._num is None:
+            self._num = self.packing.unpack(self.terms)
+        return self._num
 
     def sorted_terms(self):
         """(exponent, Fraction coefficient) pairs in descending ring order."""
-        terms, den = self.terms, self.den
-        return [(e, Fraction(terms[e], den)) for e in self._sorted_exps()]
+        terms, den, exponents = self.terms, self.den, self.packing.exponents
+        return [(exponents(m), Fraction(terms[m], den)) for m in self._sorted_words()]
 
     def lm(self):
-        if not self.terms:
-            raise PolyError("zero polynomial has no leading term")
-        return self._sorted_exps()[0]
+        return self.packing.exponents(self._lead())
 
     def lc(self):
-        return Fraction(self.terms[self.lm()], self.den)
+        return Fraction(self.terms[self._lead()], self.den)
 
     def total_degree(self):
+        # the largest word, the grevlex leading term, has the largest degree
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) & self.packing.dmask
 
     def coefficient(self, exp):
-        return Fraction(self.terms.get(tuple(exp), 0), self.den)
+        return Fraction(self.numerators().get(tuple(exp), 0), self.den)
 
     def variables_used(self):
-        used = set()
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e:
-                    used.add(self.ring.variables[i])
-        return used
+        pk = self.packing
+        flip, dm = pk.flip, pk.dmask
+        seen = 0  # a variable's field is nonzero here iff some term has it
+        for m in self.terms:
+            seen |= m ^ flip
+        return {v for v, s in zip(self.ring.variables, pk.shifts) if seen >> s & dm}
 
     # -- arithmetic
 
@@ -372,14 +637,20 @@ class Polynomial:
         """self + sign * other, for sign 1 or -1.
 
         The numerators of the summand with more terms are copied, scaled to
-        the common denominator, and those of the other are added into them.
+        the common denominator, and those of the other are added into them,
+        in the words of the wider packing of the two.
         """
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        pk = self.packing
+        big, small = self.terms, other.terms
+        if other.packing is not pk:
+            if other.packing.width > pk.width:
+                pk = other.packing
+            big, small = self.packing.convert(big, pk), other.packing.convert(small, pk)
         den = lcm(self.den, other.den)
-        big, mb = self.terms, den // self.den
-        small, ms = other.terms, sign * (den // other.den)
+        mb, ms = den // self.den, sign * (den // other.den)
         if len(big) < len(small):
             big, mb, small, ms = small, ms, big, mb
         out = {e: v * mb for e, v in big.items()} if mb != 1 else dict(big)
@@ -394,7 +665,7 @@ class Polynomial:
                     out[exp] = s
                 else:
                     del out[exp]
-        return Polynomial(self.ring, out, den)
+        return Polynomial(self.ring, out, den, pk)
 
     def __add__(self, other):
         return self._merge(other, 1)
@@ -402,7 +673,9 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()}, self.den)
+        return Polynomial(
+            self.ring, {e: -c for e, c in self.terms.items()}, self.den, self.packing
+        )
 
     def __sub__(self, other):
         return self._merge(other, -1)
@@ -420,33 +693,56 @@ class Polynomial:
                 return self.ring.zero()
             n = other.numerator
             return Polynomial(
-                self.ring, {e: k * n for e, k in self.terms.items()}, self.den * other.denominator
+                self.ring,
+                {e: k * n for e, k in self.terms.items()},
+                self.den * other.denominator,
+                self.packing,
             )
         if other.ring is not self.ring and other.ring != self.ring:
             raise PolyError("ring mismatch")
         a, b = self.terms, other.terms
+        if not a or not b:
+            return self.ring.zero()
+        pk = self.packing
+        dm = pk.dmask
+        # a word's lowest field is its degree, and the largest word, the
+        # grevlex leading term, has the largest; the degree of a product is
+        # the sum of the degrees
+        top = (max(a) & dm) + (max(b) & dm)
+        if other.packing is not pk or 2 * top > pk.limit:
+            # mixed widths, or a product too large for these fields, which
+            # must never wrap: both factors in the product's own packing
+            pk = self.ring.packing_for(self.total_degree() + other.total_degree())
+            a, b = self.packing.convert(a, pk), other.packing.convert(b, pk)
+        one = pk.one
         if len(a) > len(b):
             a, b = b, a
         if len(a) == 1:
-            # a monomial times b: distinct exponents stay distinct and nonzero
+            # a monomial times b: distinct words stay distinct and nonzero
             # numerators have nonzero products, so nothing collides or cancels
-            ((e1, c1),) = a.items()
-            out = {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in b.items()}
-            return Polynomial(self.ring, out, self.den * other.den)
+            ((w1, c1),) = a.items()
+            w1 -= one
+            if len(b) == 1:
+                ((w2, c2),) = b.items()
+                out = {w1 + w2: c1 * c2}
+            else:
+                out = {w1 + w2: c1 * c2 for w2, c2 in b.items()}
+            return Polynomial(self.ring, out, self.den * other.den, pk)
         out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                exp = tuple(map(add, e1, e2))
-                s = out.get(exp)
+        for w1, c1 in a.items():
+            w1 -= one
+            for w2, c2 in b.items():
+                w = w1 + w2
+                s = out.get(w)
                 if s is None:
-                    out[exp] = c1 * c2
+                    out[w] = c1 * c2
                 else:
                     s += c1 * c2
                     if s:
-                        out[exp] = s
+                        out[w] = s
                     else:
-                        del out[exp]
-        return Polynomial(self.ring, out, self.den * other.den)
+                        del out[w]
+        return Polynomial(self.ring, out, self.den * other.den, pk)
 
     __rmul__ = __mul__
 
@@ -466,7 +762,7 @@ class Polynomial:
         if self.is_zero:
             return self
         # (terms / den) / (terms[lm] / den) = terms / terms[lm]
-        return Polynomial(self.ring, self.terms, self.terms[self.lm()])
+        return Polynomial(self.ring, self.terms, self.terms[self._lead()], self.packing)
 
     # -- calculus and evaluation
 
@@ -474,13 +770,18 @@ class Polynomial:
         i = self.ring.index.get(varname)
         if i is None:
             raise UnknownVariableError(varname)
-        # distinct exponents with exp[i] > 0 have distinct derivatives
+        pk = self.packing
+        shift, limit, dm = pk.shifts[i], pk.limit, pk.dmask
+        # x_i - 1 raises its field M - x_i by one; both degree fields, the
+        # top and the lowest, drop by one
+        step = (1 << shift) - (1 << pk._top) - 1
+        # distinct monomials with x_i > 0 have distinct derivatives
         out = {}
-        for exp, c in self.terms.items():
-            e = exp[i]
+        for m, c in self.terms.items():
+            e = (m >> shift & dm) ^ limit
             if e:
-                out[exp[:i] + (e - 1,) + exp[i + 1 :]] = c * e
-        return Polynomial(self.ring, out, self.den)
+                out[m + step] = c * e
+        return Polynomial(self.ring, out, self.den, pk)
 
     def evaluate(self, assignment):
         """Evaluate at a rational point given as a dict from variable name."""
@@ -491,18 +792,24 @@ class Polynomial:
 
         The sum is taken in integers over the point's common denominator;
         each term is brought to the top degree by powers of that denominator,
-        and one Fraction is built at the end.
+        and one Fraction is built at the end.  The terms are decoded on the
+        first call, to (numerator, degree, (index, exponent) of each
+        variable in it), and kept for the next: the oracle evaluates each
+        image at many points.
         """
+        factors = self._factors
+        if factors is None:
+            factors = self._factors = [
+                (c, sum(e), tuple((i, k) for i, k in enumerate(e) if k))
+                for e, c in self.numerators().items()
+            ]
         den, nums = point
-        top = max(map(sum, self.terms), default=0)
+        top = max(self.total_degree(), 0)
         den_pow = [den**k for k in range(top + 1)]
         total = 0
-        for exp, t in self.terms.items():
-            deg = 0
-            for n, e in zip(nums, exp):
-                if e:
-                    t *= n**e
-                    deg += e
+        for t, deg, used in factors:
+            for i, k in used:
+                t *= nums[i] ** k
             total += t * den_pow[top - deg]
         return Fraction(total, self.den * den_pow[top])
 
@@ -511,13 +818,13 @@ class Polynomial:
         if ring == self.ring:
             return self
         if ring.variables == self.ring.variables:
-            # only the order differs: the exponent tuples stay as they are
-            return Polynomial(ring, self.terms, self.den)
+            # only the order differs: the words stay as they are
+            return Polynomial(ring, self.terms, self.den, self.packing)
         pos = []
         for v in self.ring.variables:
             pos.append(ring.index.get(v, -1))
         out = {}
-        for exp, c in self.terms.items():
+        for exp, c in self.numerators().items():
             nexp = [0] * ring.nvars
             for i, e in enumerate(exp):
                 if e:
@@ -525,7 +832,7 @@ class Polynomial:
                         raise UnknownVariableError(self.ring.variables[i])
                     nexp[pos[i]] = e
             out[tuple(nexp)] = c
-        return Polynomial(ring, out, self.den)
+        return ring.from_numerators(out, self.den)
 
     # -- comparisons and printing
 
@@ -535,9 +842,12 @@ class Polynomial:
                 other = self.ring.const(other)
             else:
                 return NotImplemented
+        # rings of the same variables share their words, and the packing of
+        # a polynomial is fixed by its degree
         return (
             self.ring.variables == other.ring.variables
             and self.den == other.den
+            and self.packing.width == other.packing.width
             and self.terms == other.terms
         )
 
@@ -810,7 +1120,7 @@ class RingMap:
             raise PolyError("polynomial not in the map's source ring")
         # the image of each monomial, then their sum over one denominator
         images = []
-        for exp, c in p.terms.items():
+        for exp, c in p.numerators().items():
             t = None
             for i, e in enumerate(exp):
                 if e:
@@ -818,12 +1128,14 @@ class RingMap:
                     t = q if t is None else t * q
             images.append((c, t if t is not None else self.target.one()))
         den = lcm(*(t.den for _, t in images))
+        # in the words of the widest image; a narrower one is converted
+        pk = max((t.packing for _, t in images), key=attrgetter("width"), default=self.target.packing)
         out = {}
         for c, t in images:
             k = c * (den // t.den)
-            for e, v in t.terms.items():
+            for e, v in t.packing.convert(t.terms, pk).items():
                 out[e] = out.get(e, 0) + k * v
-        return Polynomial(self.target, {e: v for e, v in out.items() if v}, den * p.den)
+        return Polynomial(self.target, {e: v for e, v in out.items() if v}, den * p.den, pk)
 
     def __call__(self, p):
         if isinstance(p, str):

@@ -148,7 +148,7 @@ def _sum_cover(S):
     """
     if S.is_zero:
         return None
-    if S.total_degree() == 0 or any(sum(e) == 1 for e in S.terms):
+    if S.total_degree() == 0 or any(sum(e) == 1 for e in S.numerators()):
         return [((), None)]
     pairs = _quadric_pairs(S)
     if pairs is None:

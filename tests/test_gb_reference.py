@@ -65,6 +65,7 @@ from lmlab.localmodel import (
 )
 from lmlab.quadric import build_linked_chart_ideal
 from lmlab.poly import Block, GrevLex, Lex, PolyError, PolyRing, parse_poly
+from reference_orders import exp_key
 
 GRID = [(5, 1), (5, 2), (6, 1), (6, 2), (6, 3), (7, 2), (7, 3)]
 
@@ -329,7 +330,7 @@ def _int_clear(p):
         g = gcd(g, v)
     if g > 1:
         terms = {e: v // g for e, v in terms.items()}
-    key = p.ring.exp_key
+    key = exp_key(p.ring)
     lead = max(terms, key=key)
     sign = 1
     if terms[lead] < 0:
@@ -340,7 +341,7 @@ def _int_clear(p):
 
 def reference(ideal, order=None, degree_bound=None):
     ring = ideal.ring if order is None else ideal.ring.with_order(order)
-    eng = _Engine(ring.exp_key)
+    eng = _Engine(exp_key(ring))
     int_gens = [_int_clear(g.cast(ring))[0] for g in ideal.generators]
     return _groebner_int(int_gens, eng, degree_bound, isinstance(ring.order, (Lex, Block)))
 
@@ -356,7 +357,7 @@ def reduce_poly(p, basis):
     for b in basis:
         if b.ring != ring:
             raise PolyError("ring mismatch between polynomial and basis")
-    eng = _Engine(ring.exp_key)
+    eng = _Engine(exp_key(ring))
     reducers = []
     scales = []
     for b in basis:

@@ -319,7 +319,7 @@ def test_certificate_soundness_random():
         )
         nf, cert = reduce_poly(p, list(basis))
         assert cert.verify(p)
-        for term_exp in nf.terms:
+        for term_exp in nf.numerators():
             for g in basis:
                 assert not all(a >= b for a, b in zip(term_exp, g.lm()))
 
@@ -430,7 +430,7 @@ def test_gb_is_reduced():
             if i == j:
                 continue
             # no head divides another head, tails fully reduced
-            for exp in g.terms:
+            for exp in g.numerators():
                 assert not all(a >= b for a, b in zip(exp, h.lm()))
 
 

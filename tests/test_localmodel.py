@@ -526,7 +526,7 @@ def test_each_section_entry_is_certified_to_its_normal_form(d, delta):
             _, cert = ideal_member(v, small)
             assert cert.verify(v)
             assert cert.residue == r
-            assert not any(all(a >= b for a, b in zip(e, lt)) for e in r.terms for lt in leads)
+            assert not any(all(a >= b for a, b in zip(e, lt)) for e in r.numerators() for lt in leads)
     assert Y == minus_transpose(X)
 
 
@@ -689,7 +689,9 @@ def test_complete_mode_fails_a_section_that_misses_one_entry(corrupt):
         _verify_complete(nf, psi, small, rep)
     if corrupt:
         assert rep.status == "fail"
-        assert rep.details["surjectivity_failures"] == ["x_1_1"]
+        # y_1_1 still goes to minus the old x_1_1 image, no longer to minus
+        # the transposed x image, so it is not certified either
+        assert rep.details["surjectivity_failures"] == ["x_1_1", "y_1_1"]
         assert "contraction_generators" not in rep.details
     else:
         assert rep.status == "pass"
@@ -756,9 +758,7 @@ def test_complete_mode_fails_a_wrong_section(monkeypatch, d, delta, corrupt):
     monkeypatch.setattr(lmlab.localmodel, "block_substitution", lambda nf: psi)
     rep = verify_presentation(nf, mode="complete")
     assert rep.status == "fail"
-    if corrupt == "one-y":
-        return
-    # on its own the complete half fails such a section at its wrong x entries
+    # on its own the complete half fails such a section at its wrong entries
     _, small = build_U_ideals(nf)
     with checking("za1", {"d": d, "delta": delta, "mode": "complete"}) as alone:
         _verify_complete(nf, psi, small, alone)
@@ -768,6 +768,9 @@ def test_complete_mode_fails_a_wrong_section(monkeypatch, d, delta, corrupt):
     if corrupt == "diagonal":
         a = next(a for a in range(1, d + 1) if (a, a) not in {ab for _, ab in nf.z_cells})
         assert failures == ["x_%d_%d" % (a, a)]
+    if corrupt == "one-y":
+        # the x images are right; y_1_2 alone is not minus its transposed x image
+        assert failures == ["y_1_2"]
 
 
 @pytest.mark.parametrize("d,delta", [(5, 1), (6, 2)])
@@ -845,7 +848,7 @@ def test_complete_mode_fails_when_the_small_ideal_is_not_reached(monkeypatch):
     # every target, but pi times a minor of Z does not give the minor
     nf = normal_form(6, 2)
     monkeypatch.setattr(lmlab.localmodel, "_naive_relations", _x_ring_relations_changed(
-        lambda r: r if any(sum(e) == 1 for e in r.terms) else r * r.ring.var("pi")))
+        lambda r: r if any(sum(e) == 1 for e in r.numerators()) else r * r.ring.var("pi")))
     rep = _complete_half_alone(nf)
     assert rep.status == "fail"
     unreached = rep.details["unreached_small_generators"]

@@ -2,8 +2,9 @@
 
 import random
 from fractions import Fraction
+from operator import add
 from itertools import combinations, permutations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from lmlab.lattice import normal_form
 from lmlab.localmodel import _rank_one_samples, big_ring, block_substitution, trace_form
 from lmlab.poly import (
+    Block,
+    GrevLex,
     Lex,
     ParseError,
     PolyError,
@@ -24,6 +27,7 @@ from lmlab.poly import (
     monomial_str,
     parse_poly,
 )
+from reference_orders import exp_key
 
 
 def ring(*names, order=None):
@@ -451,7 +455,7 @@ class FractionPolynomial:
         return cls(p.ring, dict(p.sorted_terms()))
 
     def sorted_terms(self):
-        key = self.ring.exp_key
+        key = exp_key(self.ring)
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
     def __add__(self, other):
@@ -599,7 +603,7 @@ def mixed_polys(draw):
 )
 def test_constructor_makes_the_pair_canonical(numerators, den):
     R = PolyRing(["x", "y"])
-    p = Polynomial(R, numerators, den)
+    p = Polynomial(R, R.packing.pack(numerators), den)
     assert_canonical(p)
     assert p == R.poly({e: Fraction(v, den) for e, v in numerators.items()})
     assert all(p.coefficient(e) == Fraction(v, den) for e, v in numerators.items())
@@ -664,7 +668,7 @@ def test_products_in_the_big_ring_match_fraction_reference():
     # the cross terms of 1/2*x_1_6^2 and 5/3*pi*y_6_6 cancel to zero
     pq = p * q
     assert_matches(pq, rp * rq)
-    assert exps_poly(R, {"pi*x_1_6^2*y_6_6": 1}).lm() not in pq.terms
+    assert exps_poly(R, {"pi*x_1_6^2*y_6_6": 1}).lm() not in pq.numerators()
 
 
 def test_shared_point_evaluates_every_x_image_as_the_reference():
@@ -713,3 +717,181 @@ def test_cast_to_another_order_keeps_the_terms():
     # a reordered variable list still rebuilds every exponent
     swapped = p.cast(PolyRing(["z", "y", "x"]))
     assert swapped.terms is not p.terms and str(swapped) == "-3/2*z^3 + y^2*x + y"
+
+
+# -- order words, against the tuple-keyed representation they replaced
+
+
+class TuplePolynomial:
+    """Integer numerators by exponent tuple over one denominator.
+
+    The constructor, `_merge` and `__mul__` are Polynomial's as they were
+    before its terms were keyed by order words, copied unchanged apart from
+    building this class; the order of terms is the tuple key of the ring's
+    order (`reference_orders.exp_key`).
+    """
+
+    def __init__(self, ring, terms, den):
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if den < 0:
+                g = -g
+            if g != 1:
+                terms = {e: v // g for e, v in terms.items()}
+                den //= g
+        self.ring = ring
+        self.terms = terms
+        self.den = den
+
+    def _merge(self, other, sign):
+        den = lcm(self.den, other.den)
+        big, mb = self.terms, den // self.den
+        small, ms = other.terms, sign * (den // other.den)
+        if len(big) < len(small):
+            big, mb, small, ms = small, ms, big, mb
+        out = {e: v * mb for e, v in big.items()} if mb != 1 else dict(big)
+        for exp, c in small.items():
+            c *= ms
+            s = out.get(exp)
+            if s is None:
+                out[exp] = c
+            else:
+                s += c
+                if s:
+                    out[exp] = s
+                else:
+                    del out[exp]
+        return TuplePolynomial(self.ring, out, den)
+
+    def __add__(self, other):
+        return self._merge(other, 1)
+
+    def __sub__(self, other):
+        return self._merge(other, -1)
+
+    def __mul__(self, other):
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            ((e1, c1),) = a.items()
+            out = {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in b.items()}
+            return TuplePolynomial(self.ring, out, self.den * other.den)
+        out = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                exp = tuple(map(add, e1, e2))
+                s = out.get(exp)
+                if s is None:
+                    out[exp] = c1 * c2
+                else:
+                    s += c1 * c2
+                    if s:
+                        out[exp] = s
+                    else:
+                        del out[exp]
+        return TuplePolynomial(self.ring, out, self.den * other.den)
+
+    def __pow__(self, n):
+        result = TuplePolynomial(self.ring, {(0,) * self.ring.nvars: 1}, 1)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def sorted_terms(self):
+        key = exp_key(self.ring)
+        return [(e, Fraction(self.terms[e], self.den)) for e in sorted(self.terms, key=key, reverse=True)]
+
+    def lm(self):
+        return max(self.terms, key=exp_key(self.ring))
+
+    def __str__(self):
+        return str(FractionPolynomial(self.ring, dict(self.sorted_terms())))
+
+
+def assert_same(p, ref):
+    assert p.ring is ref.ring
+    assert (p.numerators(), p.den) == (ref.terms, ref.den)
+    assert_canonical(p)
+
+
+_WORD_RINGS = [
+    PolyRing(["x", "y", "pi"], order)
+    for order in (Lex(), GrevLex(), Block(["y"]), Block(["x", "pi"], Lex(), GrevLex()))
+]
+
+
+@st.composite
+def numerator_pairs(draw, ring):
+    # now and then an exponent whose products need words wider than 16 bits
+    exps = st.tuples(*[st.one_of(st.integers(0, 3), st.just(9000))] * ring.nvars)
+    nums = draw(st.one_of(
+        st.dictionaries(exps, st.integers(-9, 9).filter(bool), min_size=1, max_size=1),
+        st.dictionaries(exps, st.integers(-9, 9).filter(bool), max_size=5),
+    ))
+    den = draw(st.integers(1, 12))
+    return Polynomial(ring, ring.packing.pack(nums), den), TuplePolynomial(ring, nums, den)
+
+
+@st.composite
+def word_cases(draw):
+    ring = draw(st.sampled_from(_WORD_RINGS))
+    return ring, draw(numerator_pairs(ring)), draw(numerator_pairs(ring))
+
+
+@settings(max_examples=100, deadline=None)
+@given(word_cases(), st.integers(0, 3), st.sampled_from(_WORD_RINGS))
+def test_order_words_match_the_tuple_reference(case, n, other):
+    ring, (f, rf), (g, rg) = case
+    assert_same(f, rf)
+    assert_same(f + g, rf + rg)
+    assert_same(f - g, rf - rg)
+    assert_same(f * g, rf * rg)
+    assert_same(g * f, rf * rg)
+    assert_same(f**n, rf**n)
+    for p, ref in ((f, rf), (f * g, rf * rg)):
+        assert p.sorted_terms() == ref.sorted_terms()
+        assert str(p) == str(ref)
+        if ref.terms:
+            assert p.lm() == ref.lm()
+            assert p.lc() == Fraction(ref.terms[ref.lm()], ref.den)
+            assert p.total_degree() == max(map(sum, ref.terms))
+        # another order of the same variables keeps the words: equality and
+        # the hash are those of the polynomial, and the terms sort anew
+        q = p.cast(other)
+        assert q.terms is p.terms
+        assert q == p and hash(q) == hash(p)
+        assert q.sorted_terms() == TuplePolynomial(other, ref.terms, ref.den).sorted_terms()
+        assert q.cast(ring) == p and str(q.cast(ring)) == str(p)
+
+
+def test_a_product_past_the_field_limit_widens():
+    # 16-bit words hold degree 2^14 - 1; a larger product gets wider words,
+    # as the Groebner engine's would, and never wraps into another word
+    R = ring("x", "y")
+    x, y = R.var("x"), R.var("y")
+    assert R.packing.width == 16 and R.packing.limit == 2**15 - 1
+    top = x ** (2**14 - 1)
+    assert top.packing is R.packing
+    for wide, lm, width in (
+        (top * x, (2**14, 0), 32),  # two monomials
+        (y * (top + y), (2**14 - 1, 1), 32),  # a monomial and a sum
+        ((top + y) * (x + 1), (2**14, 0), 32),  # two sums
+        (x ** (2**31), (2**31, 0), 64),
+    ):
+        assert wide.packing.width == width
+        assert wide.lm() == lm and wide.total_degree() == sum(lm)
+    assert ((top + y) * (x + 1)).numerators() == {
+        (2**14, 0): 1, (2**14 - 1, 0): 1, (1, 1): 1, (0, 1): 1
+    }
+    # a polynomial's words are fixed by its degree: a wide sum or
+    # derivative whose degree drops is narrowed, so equality and the hash
+    # see one set of words
+    narrowed = (top * x + y) - top * x
+    assert narrowed.packing is R.packing and narrowed == y and hash(narrowed) == hash(y)
+    assert (top * x).derivative("x") == 2**14 * top
+    assert (x**20000) ** 2 == x**40000 and hash((x**20000) ** 2) == hash(x**40000)
+    assert str(x**40000 - y) == "x^40000 - y"
+    # a ring map sums images of mixed widths in the widest
+    m = RingMap(R, R, {"x": x**10000, "y": y + 1})
+    assert m(x**2 + x * y) == x**20000 + x**10000 * y + x**10000

@@ -132,11 +132,12 @@ def test_private_polynomial_state_stays_in_poly():
 
 
 def test_packed_monomials_stay_inside_groebner():
-    # the engine packs exponent vectors at its edges; every other module, and
-    # every polynomial it returns, sees exponent tuples
+    # poly builds the packings of order words and the engine shares them;
+    # every other module reads exponent tuples, through `numerators`, also
+    # of the polynomials the engine returns
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "groebner.py":
+        if path.name in ("groebner.py", "poly.py"):
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             name = getattr(node, "id", None) or getattr(node, "attr", None)
@@ -153,7 +154,7 @@ def test_packed_monomials_stay_inside_groebner():
     _, cert = ideal_member(p, I)
     polys = list(I.gb()) + [cert.residue] + list(cert.cofactors)
     polys += list(reduce_poly(p, list(I.gb()))[1].cofactors)
-    assert all(type(e) is tuple and len(e) == 3 for f in polys for e in f.terms)
+    assert all(type(e) is tuple and len(e) == 3 for f in polys for e in f.numerators())
 
 
 def test_tuple_monomial_helpers_are_gone():
@@ -225,6 +226,54 @@ def test_engine_has_one_order_path():
     from lmlab.groebner import _Engine
 
     assert not any(hasattr(_Engine, name) for name in ("key", "lead", "memo"))
+
+    # polynomials add and compare the same words: no tuple order key, and no
+    # exponent tuples added with `operator.add`, on their arithmetic path
+    tree = ast.parse((PACKAGE / "poly.py").read_text(encoding="utf-8"))
+    arithmetic = {"Polynomial", "RingMap"}
+    found, offenders = set(), []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in arithmetic:
+            found.add(node.name)
+            for sub in ast.walk(node):
+                name = getattr(sub, "id", None) or getattr(sub, "attr", None)
+                if name in ("exp_key", "key_fn", "add"):
+                    offenders.append("%s:%d" % (node.name, sub.lineno))
+    assert found == arithmetic
+    assert offenders == []
+
+    from lmlab.poly import PolyRing
+
+    assert not hasattr(PolyRing(["x"]), "exp_key")
+
+
+def test_grevlex_bases_and_memberships_convert_no_term(monkeypatch):
+    # on a grevlex ring the engine packs at the polynomials' own width, so
+    # it takes their words as they are and returns its own
+    from lmlab import poly
+    from lmlab.groebner import Ideal, ideal_member
+    from lmlab.poly import Lex, PolyRing, parse_poly
+
+    R = PolyRing(["x", "y", "z"])
+    gens = ["x^2 - y*z", "x*y - z^2", "y^3 - z"]
+    p = parse_poly("x^3*y + z", R)
+    calls = []
+    for name in ("convert", "pack", "unpack", "exponents"):
+        method = getattr(poly._Packing, name)
+
+        def spy(self, *args, _method=method, _name=name):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(poly._Packing, name, spy)
+    I = Ideal(R, gens)
+    I.gb()
+    member, cert = ideal_member(p, I)
+    assert not member and cert.verify(p)
+    assert calls == []
+    # under another order the engine converts
+    Ideal(R.with_order(Lex()), gens).gb()
+    assert "convert" in calls
 
 
 def test_lists_of_rows_are_the_only_matrix_form():
