@@ -41,21 +41,23 @@ S-polynomial checks that the degree of the terms it makes stays below
 polynomial's words are grevlex words of the same width rule (see `poly`),
 so on a grevlex ring the engine's packing is the polynomial's, and it takes
 `Polynomial.terms` as they are and builds its results from its own words.
-Under another order or width the words are converted (`_Packing.convert`,
-through exponent tuples) at the edges only: the seeds of a run, the
-reducers of a basis (`_divisors`) and the polynomial that `_reduce` reduces
-(all through `_words`), and the polynomials that `BuchbergerRun.complete`
-returns and certificates build (`_polynomial`).  Nothing in the engine compares exponent tuples.
+Under another order or width, `_Packing.convert` puts the words of its input
+into the engine's packing, and the `Polynomial` constructor puts the
+engine's words into the polynomial's own.  Nothing in the engine compares
+exponent tuples.
 
 Pairs (Gebauer & Moeller, JSC 1988).  A pair (i, j), i < j, of basis
-entries waits in a heap keyed by (selection key, i, j) and is selected
-smallest key first, until no pair is left.  It stores the exponent word of
-its lcm when it is created.  The selection key is the pair's sugar when the
-order is one graded word group, degree-compatible (grevlex, `_RevLexLast`).
-For any other order (lex, every block order) it is the order word of the
-lcm, Buchberger's normal strategy: there sugar stops tracking degree, and
-selecting by it can walk down a Euclid-like chain of remainders whose
-coefficients grow without bound.  When entry h joins:
+entries waits in a heap keyed by (order word of its lcm, i, j) and is
+selected smallest key first, until no pair is left: Buchberger's normal
+strategy, under every order.  The pair stores the exponent word of its lcm
+when it is created.  Under grevlex and `_RevLexLast` the top field of an
+order word is its degree, so the selection is degree-first there.  The
+engine once selected by the degree a pair would have after homogenizing
+(Giovini, Mora, Niesi, Robbiano and Traverso, ISSAC 1991).  Under grevlex
+that differs only on inhomogeneous input, and it measured no gain on the
+charts; under lex and block orders it stops tracking degree, and selecting
+by it walked down a Euclid-like chain of remainders whose coefficients grew
+without bound.  When entry h joins:
 
 - criterion B drops a waiting pair (i, j) if lt(h) divides lcm(i, j) and
   that lcm differs from lcm(i, h) and from lcm(j, h);
@@ -227,20 +229,6 @@ def _packing_for(ring, degree):
     return _packing(ring.variables, ring.order, _width(degree, _MIN_WIDTH))
 
 
-def _words(p, pk):
-    """The numerators of p in the order words of pk, a packing of its
-    variables: `p.terms` itself when p is packed by pk."""
-    return p.terms if p.packing is pk else p.packing.convert(p.terms, pk)
-
-
-def _polynomial(ring, pk, terms, den):
-    """The polynomial of the ring with numerators `terms`, in the order words
-    of pk, over den; they are converted only when pk is not the packing of
-    the ring's polynomials of their degree."""
-    own = ring.packing_for(max(map(pk.dmask.__and__, terms), default=0))
-    return Polynomial(ring, terms if pk is own else pk.convert(terms, own), den, own)
-
-
 # ------------------------------------------------------ integer forms
 
 
@@ -266,7 +254,7 @@ def _primitive_forms(pk, generators):
     seen = set()
     forms = []
     for g in generators:
-        terms = _primitive(_words(g, pk))
+        terms = _primitive(g.packing.convert(g.terms, pk))
         if terms[max(terms)] < 0:
             terms = {e: -v for e, v in terms.items()}
         fro = frozenset(terms.items())
@@ -291,7 +279,7 @@ def _divisors(ring, basis, degree):
         if b.is_zero:
             out.append((pk.never, 0, 0, {}, 0))
         else:
-            terms = _words(b, pk)
+            terms = b.packing.convert(b.terms, pk)
             lt = max(terms)
             out.append((pk.exponent_word(lt), lt, terms[lt], terms, max(map(dm.__and__, terms))))
     return pk, out
@@ -439,12 +427,11 @@ class BuchbergerRun:
     The seeds are the distinct primitive forms of the generators.  They join
     in ascending order of leading term, each first reduced against the
     entries so far (Gebauer & Moeller, JSC 1988): a seed that reduces to zero
-    adds no entry, and any other joins reduced, with the sugar of its own
-    degree.  The memo key `key` is taken from the unreduced seeds.
-    `entries` lists every basis element found, as (lt, lc, terms, sugar) in
-    packed form; `active` maps the index of each entry whose leading term no
-    later entry divides to its reducer (see `_divisors`), in index order:
-    the reducers of the next S-polynomial.
+    adds no entry, and any other joins reduced.  The memo key `key` is taken
+    from the unreduced seeds.  `entries` lists every basis element found as
+    its reducer (see `_divisors`); `active` maps the index of each entry
+    whose leading term no later entry divides to that same tuple, in index
+    order: the reducers of the next S-polynomial.
     """
 
     def __init__(self, ideal, order=None):
@@ -461,49 +448,42 @@ class BuchbergerRun:
         self.eng = _Engine(pk)
         self._packing = pk
         self.entries = []
-        self._exps = []  # the exponent word of each entry's leading term
         self.active = {}
         self._seeds = seeds
         self._pairs = {}  # live pair (i, j) -> the exponent word of its lcm
-        self._queue = []  # (selection key, i, j, sugar); dead pairs are skipped
-        # sugar for an order of one graded word group, else the normal strategy
-        self._normal = [graded for graded, _ in ring.order.word_groups(ring.variables)] != [True]
+        self._queue = []  # (order word of the lcm, i, j); dead pairs are skipped
 
     def complete(self):
         """Process every pair; return the reduced basis as monic polynomials."""
-        eng, pk = self.eng, self._packing
-        dm = pk.dmask
+        eng = self.eng
         for terms in self._seeds:
             h = eng.nf(terms, self.active.values())
             if h:
-                lt = max(h)
-                # the sugar is the degree of the unreduced seed
-                self._add((lt, h[lt], h, max(map(dm.__and__, terms))))
+                self._add(h)
         f, pairs, queue = self.entries, self._pairs, self._queue
         while queue:
-            _, i, j, sug = heapq.heappop(queue)
+            _, i, j = heapq.heappop(queue)
             lcm = pairs.pop((i, j), None)
             if lcm is None:
                 continue
             eng.check_time(every=1)
-            h = eng.spoly(lcm, *f[i][:3], *f[j][:3])
+            h = eng.spoly(lcm, *f[i][1:4], *f[j][1:4])
             h = h and eng.nf(h, self.active.values())
             if h:
-                lt = max(h)
-                self._add((lt, h[lt], h, sug))
+                self._add(h)
         kept = _interreduce(self.active.values(), eng)
-        return tuple(_polynomial(self.ring, pk, t, lc) for _, _, lc, t, _ in kept)
+        return tuple(Polynomial(self.ring, t, lc, self._packing) for _, _, lc, t, _ in kept)
 
-    def _add(self, entry):
-        """Append an entry and apply the Gebauer-Moeller update for it."""
-        f, ex, pairs, pk = self.entries, self._exps, self._pairs, self._packing
+    def _add(self, h):
+        """Append the entry of the reduced terms h and apply the
+        Gebauer-Moeller update for it."""
+        f, pairs, pk = self.entries, self._pairs, self._packing
         guard, dm, lcm = pk.guard, pk.dmask, pk.lcm
         ih = len(f)
-        lt_h, lc_h, t_h, sug_h = entry
+        lt_h = max(h)
         x_h = pk.exponent_word(lt_h)
-        d_h = lt_h & dm
+        entry = (x_h, lt_h, h[lt_h], h, max(map(dm.__and__, h)))
         f.append(entry)
-        ex.append(x_h)
 
         # criterion B: drop (i, j) if lt_h divides its lcm and differs from
         # the lcms of (i, h) and (j, h)
@@ -511,7 +491,7 @@ class BuchbergerRun:
         for (i, j), l in pairs.items():
             if (l - x_h) & guard:
                 continue
-            if lcm(ex[i], x_h) != l and lcm(ex[j], x_h) != l:
+            if lcm(f[i][0], x_h) != l and lcm(f[j][0], x_h) != l:
                 dead.append((i, j))
         for ij in dead:
             del pairs[ij]
@@ -529,8 +509,8 @@ class BuchbergerRun:
             cands.append((l & dm, ig, l, l == x_h + red[0]))
         cands.sort()
         minimal = []
-        queue, normal = self._queue, self._normal
-        for dl, group in groupby(cands, key=itemgetter(0)):
+        queue = self._queue
+        for _, group in groupby(cands, key=itemgetter(0)):
             fresh = []
             for _, ig, l, coprime in group:
                 if any(not (l - lm) & guard for lm in minimal):
@@ -538,15 +518,14 @@ class BuchbergerRun:
                 fresh.append(l)
                 if coprime:
                     continue
-                sug = max(f[ig][3] + dl - (f[ig][0] & dm), sug_h + dl - d_h)
                 pairs[(ig, ih)] = l
-                heapq.heappush(queue, (pk.order_word(l) if normal else sug, ig, ih, sug))
+                heapq.heappush(queue, (pk.order_word(l), ig, ih))
             minimal += fresh
 
         self.active = {
             ig: red for ig, red in self.active.items() if (red[0] - x_h) & guard
         }
-        self.active[ih] = (x_h, lt_h, lc_h, t_h, max(map(dm.__and__, t_h)))
+        self.active[ih] = entry
 
 
 def _interreduce(reducers, eng):
@@ -638,7 +617,7 @@ class MembershipCertificate:
             pk, cof, den = self._packed
             ring = self.residue.ring
             self._cofactors = tuple(
-                _polynomial(ring, pk, {e: v * b.den for e, v in cd.items()}, den)
+                Polynomial(ring, {e: v * b.den for e, v in cd.items()}, den, pk)
                 for cd, b in zip(cof, self.basis)
             )
             self._packed = None
@@ -680,9 +659,9 @@ def _reduce(p, basis, divisors):
         pk, reducers = _divisors(ring, basis, p.total_degree())
     # tracked fraction-free reduction of the numerators: M * P = sum(C_i B_i)
     # + R with p = P / den(p), so the residue is R / (M den(p))
-    work, M, cof = _Engine(pk).nf(_words(p, pk), reducers, cofactors=True)
+    work, M, cof = _Engine(pk).nf(p.packing.convert(p.terms, pk), reducers, cofactors=True)
     den = M * p.den
-    residue = _polynomial(ring, pk, work, den)
+    residue = Polynomial(ring, work, den, pk)
     return residue, MembershipCertificate(basis, None, residue, (pk, cof, den))
 
 

@@ -532,9 +532,10 @@ class Polynomial:
     The constructor makes the pair canonical (den > 0, no common factor of
     den and all numerators, den 1 for zero); `terms` must map the word of
     each monomial in `packing` to a nonzero int, and `den` must be a
-    nonzero int.  `packing` is a grevlex packing of the ring's variables,
-    `ring.packing` if None; a wider one than `ring.packing_for` the degree
-    is narrowed, so that equal polynomials have equal words.
+    nonzero int.  `packing` is any packing of the ring's variables, of any
+    order and width, `ring.packing` if None; words in any other than
+    `ring.packing_for` their degree are converted into it, so that equal
+    polynomials have equal words.
     """
 
     __slots__ = ("ring", "terms", "den", "packing", "_st", "_num", "_factors")
@@ -549,8 +550,10 @@ class Polynomial:
                 den //= g
         if packing is None:
             packing = ring.packing
-        elif packing.width != _MIN_WIDTH:
-            own = ring.packing_for(max(terms, default=0) & packing.dmask)
+        elif packing is not ring.packing:
+            # under a block order or _RevLexLast the largest word need not
+            # have the largest degree
+            own = ring.packing_for(max(map(packing.dmask.__and__, terms), default=0))
             if own is not packing:
                 terms, packing = packing.convert(terms, own), own
         self.ring = ring

@@ -4,16 +4,17 @@ The first reference is the pair update and selection loop the engine had
 before its pairs were kept in a heap with cached lcms and support masks,
 copied unchanged together with the reduction it called.  Its seed step
 follows the engine's: the seeds join in ascending order of leading term
-(a stable sort), each reduced against the entries so far, a seed that
-reduces to zero is skipped, and the others keep the sugar of the unreduced
-seed.  Its selection follows the engine's rule: the pair of least sugar
-under grevlex, and the pair of least lcm in the order (the normal strategy)
-under lex and block orders, with ties broken by the pair's indices.  The engine must process the same pairs in the same order, so a
-complete run must end with the same entry list and the same active set.  The engine's entries hold packed
-monomials, so they are decoded before the comparison.  Unbounded runs on
-random ideals can take minutes, so the random draws keep the reference's
-degree bound as a filter: a draw is kept only if the bounded reference run
-left no pair, that is, if it is the complete run.
+(a stable sort), each reduced against the entries so far, and a seed that
+reduces to zero is skipped.  Its selection follows the engine's rule, the
+normal strategy under every order: the pair of least lcm in the order, with
+ties broken by the pair's indices.  The engine must process the same pairs
+in the same order, so a complete run must end with the same entry list and
+the same active set.  An entry is (lt, lt, lc, terms, top degree), the
+engine's reducer tuple; the engine's entries hold packed monomials, so they
+are decoded before the comparison.  Unbounded runs on random ideals can
+take minutes, so the random draws keep the reference's degree bound as a
+filter: a draw is kept only if the bounded reference run selected no pair
+whose lcm has a larger degree, that is, if it is the complete run.
 
 The second is `reduce_poly` as it was before it shared the engine's
 reduction loop and memoised the integer form of each basis polynomial,
@@ -203,15 +204,8 @@ class _Engine:
 
 
 def _update(f, G, B, ih, eng):
-    """Gebauer-Moeller pair update; G active indices, B dict pair -> sugar."""
-    lt_h, _, _, sug_h = f[ih]
-    deg = sum
-
-    def pair_sugar(i, j):
-        lti, _, _, si = f[i]
-        ltj, _, _, sj = f[j]
-        l = _mono_lcm(lti, ltj)
-        return max(si + deg(l) - deg(lti), sj + deg(l) - deg(ltj))
+    """Gebauer-Moeller pair update; G active indices, B dict pair -> lcm."""
+    lt_h = f[ih][0]
 
     C = sorted(G)
     D = []
@@ -231,29 +225,36 @@ def _update(f, G, B, ih, eng):
     E = [ig for ig in D if _mono_mul(lt_h, f[ig][0]) != lcm_h[ig]]
 
     B_new = {}
-    for (i, j), sug in sorted(B.items()):
+    for (i, j), l in sorted(B.items()):
         lti, ltj = f[i][0], f[j][0]
-        l = _mono_lcm(lti, ltj)
         if (
             not _mono_divides(lt_h, l)
             or _mono_lcm(lti, lt_h) == l
             or _mono_lcm(ltj, lt_h) == l
         ):
-            B_new[(i, j)] = sug
+            B_new[(i, j)] = l
     for ig in sorted(E):
         i, j = min(ig, ih), max(ig, ih)
-        B_new[(i, j)] = pair_sugar(i, j)
+        B_new[(i, j)] = _mono_lcm(f[i][0], f[j][0])
 
     G_new = {ig for ig in G if not _mono_divides(lt_h, f[ig][0])}
     G_new.add(ih)
     return G_new, B_new
 
 
-def _groebner_int(int_gens, eng, degree_bound=None, normal=False):
+def _entry(h, eng):
+    """The entry of reduced terms h: (lt, lt, lc, terms, top degree)."""
+    lt = eng.lead(h)
+    return (lt, lt, h[lt], h, max(sum(e) for e in h))
+
+
+def _groebner_int(int_gens, eng, degree_bound=None):
     """Run Buchberger; return (entries list, active index list, partial flag).
 
-    With `normal` the pair of least lcm in the order is selected first, else
-    the pair of least sugar.
+    The pair of least lcm in the order is selected first.  The run stops,
+    partial, at the first selected pair whose lcm has a degree above
+    `degree_bound`: it can no longer be the complete run, and on the
+    truncated basis the reductions that follow can grow without bound.
     """
     f = []
     seen = {}
@@ -272,44 +273,33 @@ def _groebner_int(int_gens, eng, degree_bound=None, normal=False):
 
     G = set()
     B = {}
-    partial = False
     for terms in seeds:
-        # reduced against the entries so far, with the sugar of the seed
-        h = eng.nf(terms, [f[g][:3] for g in sorted(G)])
+        # reduced against the entries so far
+        h = eng.nf(terms, [f[g][1:4] for g in sorted(G)])
         if not h:
             continue
-        lt = eng.lead(h)
-        entry = (lt, h[lt], h, max(sum(e) for e in terms))
         ih = len(f)
-        f.append(entry)
+        f.append(_entry(h, eng))
         G, B = _update(f, G, B, ih, eng)
 
     while B:
         eng.check_time(every=1)
-        if normal:
-            (i, j) = min(B, key=lambda ij: (eng.key(_mono_lcm(f[ij[0]][0], f[ij[1]][0])), ij))
-        else:
-            (i, j) = min(B, key=lambda ij: (B[ij], ij))
-        sug = B.pop((i, j))
-        if degree_bound is not None and sug > degree_bound:
-            partial = True
-            continue
-        lti, lci, ti, _ = f[i]
-        ltj, lcj, tj, _ = f[j]
-        s = eng.spoly(lti, lci, ti, ltj, lcj, tj)
+        (i, j) = min(B, key=lambda ij: (eng.key(B[ij]), ij))
+        lcm = B.pop((i, j))
+        if degree_bound is not None and sum(lcm) > degree_bound:
+            return f, sorted(G), True
+        s = eng.spoly(*f[i][1:4], *f[j][1:4])
         if not s:
             continue
-        reducers = [f[g][:3] for g in sorted(G)]
+        reducers = [f[g][1:4] for g in sorted(G)]
         h = eng.nf(s, reducers)
         if not h:
             continue
-        lt = eng.lead(h)
-        entry = (lt, h[lt], h, sug)
         ih = len(f)
-        f.append(entry)
+        f.append(_entry(h, eng))
         G, B = _update(f, G, B, ih, eng)
 
-    return f, sorted(G), partial
+    return f, sorted(G), False
 
 
 def _int_clear(p):
@@ -343,7 +333,7 @@ def reference(ideal, order=None, degree_bound=None):
     ring = ideal.ring if order is None else ideal.ring.with_order(order)
     eng = _Engine(exp_key(ring))
     int_gens = [_int_clear(g.cast(ring))[0] for g in ideal.generators]
-    return _groebner_int(int_gens, eng, degree_bound, isinstance(ring.order, (Lex, Block)))
+    return _groebner_int(int_gens, eng, degree_bound)
 
 
 def reduce_poly(p, basis):
@@ -445,9 +435,13 @@ def assert_same_run(ideal, order=None, degree_bound=None):
     run.complete()
     # the engine packs each exponent vector into an int; decode before comparing
     pk = run._packing
-    entries = [(pk.exponents(lt), lc, pk.unpack(t), s) for lt, lc, t, s in run.entries]
+    entries = [
+        (pk.exponents(pk.order_word(x)), pk.exponents(lt), lc, pk.unpack(t), top)
+        for x, lt, lc, t, top in run.entries
+    ]
     assert entries == f
     assert sorted(run.active) == active
+    assert all(run.active[i] is run.entries[i] for i in active)
 
 
 @pytest.mark.parametrize("d,delta", GRID)
