@@ -9,8 +9,8 @@ The naive relations on (X, Y) are defined once, in _naive_relations, over
 any ring.  A ring map commutes with them, so za1 evaluates that one function
 wherever it needs them: on the variables of the big ring for the naive
 ideal, on the normal forms of the section's entries for sound mode (and
-of the retraction's for complete mode), in
-integers for the rank-one oracle, and at Y = -X^t in x_ring for complete
+of the retraction's for complete mode), over the product ring of the
+samples for the rank-one oracle, and at Y = -X^t in x_ring for complete
 mode.  The last three have Y = -X^t, which _naive_relations tests by value:
 there the minors of Y are those of X, transposed, and are not computed
 again.  The four quadratic forms are symmetric, as S1 and S2 are, so only
@@ -44,8 +44,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb, lcm
-from operator import mul
+from itertools import repeat
+from math import comb, gcd, lcm
+from operator import add, floordiv, mul, neg, sub
 
 # buchberger is not called here, but bench/test_bench.py requires this module
 # to bind it so that the tracer's re-binding coverage is exercised
@@ -349,35 +350,127 @@ def _rank_one_samples(nf, count, seed):
     return samples
 
 
+class _Zn:
+    """An element of the product ring Z^n: `v`, a list of one int per sample.
+
+    +, - and * act coordinatewise, also against an int, and so does
+    negation.  It is true when some coordinate is nonzero, so
+    _naive_relations and minors skip a product only where it is zero at
+    every sample.  The coordinates are a list, not a tuple: the interpreter
+    keeps up to 2,000 freed tuples of each length up to 20 for reuse, which
+    the oracle's thousands of short-lived elements would fill.
+    """
+
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = v
+
+    def __add__(self, other):
+        if other.__class__ is _Zn:
+            return _Zn(list(map(add, self.v, other.v)))
+        return _Zn(list(map(add, self.v, repeat(other))))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if other.__class__ is _Zn:
+            return _Zn(list(map(sub, self.v, other.v)))
+        return _Zn(list(map(sub, self.v, repeat(other))))
+
+    def __rsub__(self, other):
+        return _Zn(list(map(sub, repeat(other), self.v)))
+
+    def __mul__(self, other):
+        if other.__class__ is _Zn:
+            return _Zn(list(map(mul, self.v, other.v)))
+        return _Zn(list(map(mul, self.v, repeat(other))))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return _Zn(list(map(neg, self.v)))
+
+    def __bool__(self):
+        return any(self.v)
+
+
+def _scaled_at_samples(ring, X, points):
+    """(L X, L pi, L) over Z^n, for a matrix X over `ring` and n points of
+    `ring.point`, with L_s the least positive int that clears X and pi at
+    point s.
+
+    With D_s the common denominator of point s, K the largest degree of the
+    entries (at least 1) and c the lcm of their denominators, c D_s^K clears
+    them all: each entry times it is summed in ints, term by term, from
+    the products of the points' numerators.  Every coordinate is then
+    divided by the gcd of its values there and c D_s^K, which leaves L_s.
+    """
+    dens, nums = zip(*points)
+    coords = [_Zn(list(v)) for v in zip(*nums)]  # the numerators of each variable
+    top = max(1, *(v.total_degree() for v in _entries(X)))
+    c = lcm(*(v.den for v in _entries(X)))
+    den_pow = [_Zn([1] * len(dens))]
+    for _ in range(top):
+        den_pow.append(den_pow[-1] * _Zn(list(dens)))
+    monomials = {}
+
+    def scaled(p):
+        acc = den_pow[0] * 0
+        for e, k in p.numerators().items():
+            t = monomials.get(e)
+            if t is None:
+                t = den_pow[top - sum(e)]
+                for x, j in zip(coords, e):
+                    for _ in range(j):
+                        t = t * x
+                monomials[e] = t
+            acc = acc + t * (k * (c // p.den))
+        return acc
+
+    LX = [[scaled(v) for v in row] for row in X]
+    pi = den_pow[top - 1] * coords[ring.index["pi"]] * c
+    L = den_pow[top] * c
+    g = list(map(gcd, L.v, pi.v, *(v.v for v in _entries(LX))))
+    return ([[_Zn(list(map(floordiv, v.v, g))) for v in row] for row in LX],
+            _Zn(list(map(floordiv, pi.v, g))), _Zn(list(map(floordiv, L.v, g))))
+
+
 def _oracle_failures(nf, psi, count, seed):
     """The number of rank-one samples at which psi does not kill the naive chart.
 
-    Each sample is Z = a b^t with pi = -T(Z)/2.  The section is evaluated once
-    there, into the numeric matrix X of its x-images: the point is normalised
-    once by PolyRing.point, and every image is evaluated at it with
-    Polynomial.at.  Y = -X^t, as block_substitution defines it.  With L the
-    lcm of the denominators of pi and of X, _naive_relations is then
-    evaluated in integers on (L X, -(L X)^t, L pi): exact, and zero exactly
-    when the relation is.  psi is a ring map, so a relation is nonzero there
-    exactly when psi of that generator is nonzero at the sample: the count
-    equals that of evaluating every image psi(g).
+    Each sample is Z = a b^t with pi = -T(Z)/2, normalised once by
+    PolyRing.point.  The samples are evaluated together, over the product
+    ring Z^n of the n samples (_Zn): psi's x-images become the matrix L X,
+    with L_s the least positive int that clears X and pi at sample s (see
+    _scaled_at_samples), and Y = -X^t, as block_substitution defines it.
+    _naive_relations on (L X, -(L X)^t, L pi) at L then holds at each
+    coordinate s the ints that it gives at sample s alone: each relation
+    times a power of L_s != 0, zero exactly when the relation is.  psi is a
+    ring map, so a relation is nonzero at a sample exactly when psi of that
+    generator is: a sample fails iff some relation is nonzero at its
+    coordinate, and the count equals that of evaluating every image psi(g)
+    at every sample.
     """
     delta, m = nf.delta, nf.d - nf.delta
-    T = trace_form(nf, psi.target)
-    x_images = named_matrix(psi.images.__getitem__, "x", nf.d)
-    bad = 0
+    ring = psi.target
+    T = trace_form(nf, ring)
+    points = []
     for a, b in _rank_one_samples(nf, count, seed):
         assign = {"z_%d_%d" % (i, j): a[i - 1] * b[j - 1]
                   for i in range(1, delta + 1) for j in range(1, m + 1)}
         assign["pi"] = 0
-        pi = assign["pi"] = -T.evaluate(assign) / 2
-        point = psi.target.point(assign)
-        X = [[img.at(point) for img in row] for row in x_images]
-        L = lcm(pi.denominator, *(v.denominator for row in X for v in row))
-        Xn = [[v.numerator * (L // v.denominator) for v in row] for row in X]
-        if any(_naive_relations(nf, Xn, _minus_transpose(Xn), pi.numerator * (L // pi.denominator), L)):
-            bad += 1
-    return bad
+        assign["pi"] = -T.evaluate(assign) / 2
+        points.append(ring.point(assign))
+    X = named_matrix(psi.images.__getitem__, "x", nf.d)
+    LX, pi, L = _scaled_at_samples(ring, X, points)
+    failed = set()
+    for r in _naive_relations(nf, LX, _minus_transpose(LX), pi, L):
+        if r:
+            failed.update(s for s, v in enumerate(r.v) if v)
+            if len(failed) == len(points):
+                break
+    return len(failed)
 
 
 def _residues(M, small, nfs):

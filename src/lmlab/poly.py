@@ -28,12 +28,15 @@ and has the largest degree (`total_degree`).  A ring under another order
 sorts the words by those of its own order (`lm`, `sorted_terms`).
 
 A product adds words: the word of m1 m2 is w1 + w2 - one, with one the word
-of the monomial 1.  When one factor is a single term, the product is one
-dict comprehension: a monomial maps distinct words to distinct words and
-nonzero ints have nonzero products, so no term collides or cancels.  Sums
-and differences share one merge loop.  `derivative` and `variables_used`
-read the variable fields in place; printing, `numerators`, `cast` to other
-variables and `RingMap.apply` decode words to exponent tuples.
+of the monomial 1.  Two single terms of one ring and packing multiply
+first, with no other test, when twice their degree fits the fields.  When
+one factor is a single term, the product is one dict comprehension: a
+monomial maps distinct words to distinct words and nonzero ints have
+nonzero products, so no term collides or cancels.  Sums and differences
+share one merge loop, which forms no common denominator when both are 1.
+`derivative` and `variables_used` read the variable fields in place;
+printing, `numerators`, `cast` to other variables and `RingMap.apply`
+decode words to exponent tuples.
 `PolyRing.point` normalises a rational point once, to a common denominator
 and integer numerators; `Polynomial.at` evaluates at it in integers,
 decoding the polynomial on its first call only, so many polynomials can
@@ -510,7 +513,8 @@ class PolyRing:
         return PolyRing(kept, GrevLex())
 
     def __eq__(self, other):
-        return (
+        # most comparisons are of a ring with itself: no variable is compared
+        return self is other or (
             isinstance(other, PolyRing)
             and self.variables == other.variables
             and self.order == other.order
@@ -643,17 +647,21 @@ class Polynomial:
         the common denominator, and those of the other are added into them,
         in the words of the wider packing of the two.
         """
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not Polynomial or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         pk = self.packing
         big, small = self.terms, other.terms
         if other.packing is not pk:
             if other.packing.width > pk.width:
                 pk = other.packing
             big, small = self.packing.convert(big, pk), other.packing.convert(small, pk)
-        den = lcm(self.den, other.den)
-        mb, ms = den // self.den, sign * (den // other.den)
+        if self.den == 1 == other.den:
+            den, mb, ms = 1, 1, sign
+        else:
+            den = lcm(self.den, other.den)
+            mb, ms = den // self.den, sign * (den // other.den)
         if len(big) < len(small):
             big, mb, small, ms = small, ms, big, mb
         out = {e: v * mb for e, v in big.items()} if mb != 1 else dict(big)
@@ -687,6 +695,19 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
+        if (
+            other.__class__ is Polynomial
+            and len(self.terms) == 1 == len(other.terms)
+            and other.ring is self.ring
+            and other.packing is self.packing
+        ):
+            # two monomials, as in every product of the naive relations on
+            # variables: one word sum, when twice its degree fits the fields
+            ((w1, c1),) = self.terms.items()
+            ((w2, c2),) = other.terms.items()
+            pk = self.packing
+            if 2 * ((w1 & pk.dmask) + (w2 & pk.dmask)) <= pk.limit:
+                return Polynomial(self.ring, {w1 + w2 - pk.one: c1 * c2}, self.den * other.den, pk)
         # a Polynomial is tested first: isinstance against Fraction goes
         # through its ABC machinery
         if not isinstance(other, Polynomial):
@@ -797,8 +818,8 @@ class Polynomial:
         each term is brought to the top degree by powers of that denominator,
         and one Fraction is built at the end.  The terms are decoded on the
         first call, to (numerator, degree, (index, exponent) of each
-        variable in it), and kept for the next: the oracle evaluates each
-        image at many points.
+        variable in it), and kept for the next: the oracle evaluates the
+        trace form at each of its samples.
         """
         factors = self._factors
         if factors is None:

@@ -14,6 +14,7 @@ from lmlab.groebner import Ideal, deadline, eliminate, ideal_contains, ideal_equ
 from lmlab.lattice import normal_form
 import lmlab.localmodel
 from lmlab.localmodel import (
+    _Zn,
     _entries,
     _mat_add,
     _mat_mul,
@@ -21,6 +22,7 @@ from lmlab.localmodel import (
     _oracle_failures,
     _rank_one_samples,
     _section_residues,
+    _scaled_at_samples,
     _sym_mul,
     _verify_complete,
     big_ring,
@@ -367,6 +369,75 @@ def test_relations_equal_the_reference_at_random_points(d, delta):
         assert scaled == list(reference_naive_relations(nf, Xn, minus_transpose(Xn), Ln, L))
 
 
+def product_ring_batch(nf, rng, n, skew_everywhere):
+    """n samples (X, Y, pi, L) of ints: sample 0 all zero, sample 1 with X
+    of rank one, the rest random with zeros among their entries.  Y = -X^t
+    at every sample, or, unless skew_everywhere, only at sample 0 and the
+    odd ones."""
+    d = nf.d
+    samples = []
+    for s in range(n):
+        if s == 0:
+            X, pi = [[0] * d for _ in range(d)], 0
+        elif s == 1:
+            a, b = ([rng.choice([0, rng.randint(-4, 4)]) for _ in range(d)] for _ in "ab")
+            X, pi = [[ai * bj for bj in b] for ai in a], rng.randint(-4, 4)
+        else:
+            X = [[rng.choice([0, 0, rng.randint(-5, 5)]) for _ in range(d)] for _ in range(d)]
+            pi = rng.randint(-5, 5)
+        if skew_everywhere or s % 2 or s == 0:
+            Y = minus_transpose(X)
+        else:
+            Y = [[rng.choice([0, rng.randint(-5, 5)]) for _ in range(d)] for _ in range(d)]
+        samples.append((X, Y, pi, rng.choice([-3, -2, -1, 1, 2, 5])))
+    return samples
+
+
+@pytest.mark.parametrize("d,delta", [(5, 1), (6, 3), (7, 3)])
+def test_relations_over_the_product_ring_are_the_per_sample_relations(d, delta):
+    # _naive_relations over Z^n holds at each coordinate the integer that it
+    # gives at that sample alone, with Y = -X^t at every sample (the skew
+    # branch) and at only some of them (the general one)
+    nf = normal_form(d, delta)
+    rng = random.Random(100 * d + delta)
+    n = 7
+
+    def batched(*entries):
+        return _Zn(list(entries))
+
+    for skew_everywhere in (True, False):
+        samples = product_ring_batch(nf, rng, n, skew_everywhere)
+        X, Y = ([[batched(*(S[k][i][j] for S in Ms)) for j in range(d)] for i in range(d)]
+                for k, Ms in ((0, samples), (1, samples)))
+        pi, L = (batched(*(sample[k] for sample in samples)) for k in (2, 3))
+        got = [tuple(r.v) for r in _naive_relations(nf, X, Y, pi, L)]
+        per_sample = [list(_naive_relations(nf, *sample)) for sample in samples]
+        assert got == [tuple(col) for col in zip(*per_sample)]
+        # the skew block is zero at every coordinate exactly when Y = -X^t
+        # at every sample
+        assert any(map(any, got[: d * d])) != skew_everywhere
+        # the all-zero sample kills every relation, the random ones do not,
+        # and some relation vanishes at some samples and not at others
+        assert not any(v[0] for v in got) and all(any(v[s] for v in got) for s in range(2, n))
+        assert any(0 in v and any(v) for v in got)
+
+
+def test_product_ring_truth_value_and_operations():
+    # an element is false iff every coordinate is 0; the operations act
+    # coordinatewise, also against an int from either side
+    assert not _Zn([0, 0, 0]) and not _Zn([])
+    assert all(_Zn(v) for v in ([1, 0, 0], [0, 0, -2], [0, 7, 0]))
+    a, b = _Zn([2, 0, -3]), _Zn([5, 4, 0])
+    cases = [
+        (a + b, (7, 4, -3)), (a - b, (-3, -4, -3)), (a * b, (10, 0, 0)), (-a, (-2, 0, 3)),
+        (a + 1, (3, 1, -2)), (1 + a, (3, 1, -2)), (a - 1, (1, -1, -4)), (1 - a, (-1, 1, 4)),
+        (a * -2, (-4, 0, 6)), (-2 * a, (-4, 0, 6)), (a * 0, (0, 0, 0)),
+    ]
+    for got, want in cases:
+        assert type(got) is _Zn and tuple(got.v) == want and bool(got) == any(want)
+    assert (a.v, b.v) == ([2, 0, -3], [5, 4, 0])
+
+
 @pytest.mark.parametrize("corrupt", [None, "diagonal", "scaled", "one-y"])
 @pytest.mark.parametrize("d,delta", [(5, 1), (6, 2), (6, 3)])
 def test_relations_on_sections_equal_the_reference(d, delta, corrupt):
@@ -642,14 +713,41 @@ def test_products_equal_the_dense_product(d, delta):
 
 
 @pytest.mark.parametrize("corrupt", [None, "diagonal", "scaled"])
-@pytest.mark.parametrize("seed", [7, 11])
-@pytest.mark.parametrize("d,delta", [(5, 1), (5, 2), (6, 2)])
+@pytest.mark.parametrize("seed", [7, 11, 13])
+@pytest.mark.parametrize("d,delta", [(5, 1), (5, 2), (6, 2), (6, 3), (7, 3)])
 def test_matrix_oracle_matches_per_image_oracle(d, delta, seed, corrupt):
     nf = normal_form(d, delta)
     psi, images = section_and_images(d, delta, corrupt)
     bad = _oracle_failures(nf, psi, 20, seed)
     assert bad == reference_oracle_failures(nf, images, 20, seed)
     assert (bad > 0) == (corrupt is not None)
+
+
+@pytest.mark.parametrize("corrupt", [None, "diagonal"])
+@pytest.mark.parametrize("d,delta", [(5, 1), (6, 3)])
+def test_scaled_samples_are_the_per_sample_integers(d, delta, corrupt):
+    # coordinate s of (L X, L pi, L) is sample s on its own: L the lcm of the
+    # denominators of pi and of the x-images' values there, as the oracle
+    # computed it one sample at a time (the diagonal section puts pi into X)
+    nf = normal_form(d, delta)
+    psi = corrupted_section(nf, corrupt) if corrupt else block_substitution(nf)
+    R = psi.target
+    T = trace_form(nf, R)
+    X = named_matrix(psi.images.__getitem__, "x", d)
+    points = []
+    for a, b in _rank_one_samples(nf, 20, 7):
+        assign = {"z_%d_%d" % (i + 1, j + 1): ai * bj
+                  for i, ai in enumerate(a) for j, bj in enumerate(b)}
+        assign["pi"] = 0
+        assign["pi"] = -T.evaluate(assign) / 2
+        points.append(R.point(assign))
+    LX, Lpi, L = _scaled_at_samples(R, X, points)
+    for s, point in enumerate(points):
+        pi = Fraction(point[1][R.index["pi"]], point[0])
+        Xs = [[img.at(point) for img in row] for row in X]
+        Ls = math.lcm(pi.denominator, *(v.denominator for row in Xs for v in row))
+        assert (L.v[s], Lpi.v[s]) == (Ls, pi * Ls)
+        assert [[v.v[s] for v in row] for row in LX] == [[v * Ls for v in row] for row in Xs]
 
 
 def test_oracle_fail_branch(monkeypatch):

@@ -698,6 +698,15 @@ def test_coerce_accepts_an_equal_ring_and_rejects_another_order():
     assert x + y == parse_poly("x + y", R)
     assert x - y == parse_poly("x - y", R)
     assert x * y == parse_poly("x*y", R)
+    # sums and differences with denominators other than 1, across the two
+    # ring objects and within one
+    f, g = parse_poly("1/2*x - 5/3*y^2", R), parse_poly("3/4*y^2 + 1/6", same)
+    assert str(f + g) == "-11/12*y^2 + 1/2*x + 1/6"
+    assert str(f - g) == "-29/12*y^2 + 1/2*x - 1/6"
+    assert str(g - f) == "29/12*y^2 - 1/2*x + 1/6"
+    assert (f + g).ring is R and (g + f).ring is same
+    assert f + parse_poly("5/3*y^2 - 1/2*x", R) == 0
+    assert str(x + 3 * y - parse_poly("3*y - 1/2", same)) == "x + 1/2"
     lex_y = ring("x", "y", order=Lex()).var("y")
     for op in (x.__add__, x.__sub__, x.__mul__):
         with pytest.raises(PolyError, match="ring mismatch"):
@@ -884,6 +893,17 @@ def test_a_product_past_the_field_limit_widens():
     assert ((top + y) * (x + 1)).numerators() == {
         (2**14, 0): 1, (2**14 - 1, 0): 1, (1, 1): 1, (0, 1): 1
     }
+    # two one-term polynomials of one ring and packing whose degree sum
+    # passes 16,383 leave the monomial fast path for the widening one
+    for (e1, c1), (e2, c2) in (
+        (((9000, 2), Fraction(-3, 4)), ((7382, 0), Fraction(10, 9))),
+        (((2**14 - 1, 0), Fraction(1)), ((0, 1), Fraction(-7, 2))),
+    ):
+        f, g = R.poly({e1: c1}), R.poly({e2: c2})
+        assert f.packing is g.packing is R.packing
+        rf, rg = (TuplePolynomial(R, p.numerators(), p.den) for p in (f, g))
+        assert_same(f * g, rf * rg)
+        assert (f * g).packing.width == 32
     # a polynomial's words are fixed by its degree: a wide sum or
     # derivative whose degree drops is narrowed, so equality and the hash
     # see one set of words
