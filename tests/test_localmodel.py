@@ -402,14 +402,11 @@ def test_relations_over_the_product_ring_are_the_per_sample_relations(d, delta):
     rng = random.Random(100 * d + delta)
     n = 7
 
-    def batched(*entries):
-        return _Zn(list(entries))
-
     for skew_everywhere in (True, False):
         samples = product_ring_batch(nf, rng, n, skew_everywhere)
-        X, Y = ([[batched(*(S[k][i][j] for S in Ms)) for j in range(d)] for i in range(d)]
-                for k, Ms in ((0, samples), (1, samples)))
-        pi, L = (batched(*(sample[k] for sample in samples)) for k in (2, 3))
+        X, Y = ([[_Zn([S[k][i][j] for S in samples]) for j in range(d)] for i in range(d)]
+                for k in (0, 1))
+        pi, L = (_Zn([S[k] for S in samples]) for k in (2, 3))
         got = [tuple(r.v) for r in _naive_relations(nf, X, Y, pi, L)]
         per_sample = [list(_naive_relations(nf, *sample)) for sample in samples]
         assert got == [tuple(col) for col in zip(*per_sample)]
@@ -435,6 +432,7 @@ def test_product_ring_truth_value_and_operations():
     ]
     for got, want in cases:
         assert type(got) is _Zn and tuple(got.v) == want and bool(got) == any(want)
+    # no operation changes its operands
     assert (a.v, b.v) == ([2, 0, -3], [5, 4, 0])
 
 
