@@ -371,8 +371,9 @@ def _transfers(nf, r, p):
     and its pivot variable, the M chart, full and reduced, its eliminated
     set, Q2(x) and Q1(y); and iff phi commutes with `incl_flip` and with
     chart_match's dictionaries.  Generator lists are compared as multisets,
-    those of the reduced charts in order.  phi renames by permuting exponent
-    tuples.  Decided once per (nf, r, p) inside `groebner.memo()`.
+    those of the reduced charts in order.  phi renames by moving the fields
+    of the order words (`PolyRing.renaming`).  Decided once per (nf, r, p)
+    inside `groebner.memo()`.
     """
 
     def swap(n, a, b):
@@ -404,23 +405,13 @@ def _transfers(nf, r, p):
         for a, c in pos.items():
             mnames["x_%d" % a], mnames["y_%d" % a] = "x_%d" % c, "y_%d" % c
 
-        def renaming(names, source, target):
-            images = [names.get(v) for v in source.variables]
-            if set(images) != set(target.variables) or len(images) != target.nvars:
-                return None
-            at = {v: k for k, v in enumerate(images)}
-            take = [at[v] for v in target.variables]
-            return lambda f: target.from_numerators(
-                {tuple(map(e.__getitem__, take)): c for e, c in f.numerators().items()}, f.den
-            )
-
         lattice = dict(nf.z_cells)
         br, bp = build_DT_blowup_chart(nf, *r), build_DT_blowup_chart(nf, *p)
         mr, mp = build_M_chart(nf, *lattice[r]), build_M_chart(nf, *lattice[p])
-        amb = renaming(bnames, br.ambient.ring, bp.ambient.ring)
-        bred = renaming(bnames, br.chart.ring, bp.chart.ring)
-        full = renaming(mnames, mr.full.ring, mp.full.ring)
-        mred = renaming(mnames, mr.reduced.ring, mp.reduced.ring)
+        amb = br.ambient.ring.renaming(bp.ambient.ring, bnames)
+        bred = br.chart.ring.renaming(bp.chart.ring, bnames)
+        full = mr.full.ring.renaming(mp.full.ring, mnames)
+        mred = mr.reduced.ring.renaming(mp.reduced.ring, mnames)
         if None in (amb, bred, full, mred):
             return False
         fwd_r, bwd_r = _dictionaries(nf, *lattice[r], br, mr)

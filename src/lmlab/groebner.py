@@ -69,9 +69,11 @@ Deadline.  Inside a `deadline(seconds)` block the Groebner operations
 (`buchberger`, `reduce_poly` and everything built on them) share one budget,
 counted from the block's start: once it is spent, the next deadline check
 (before each S-pair, and every 256 steps of a reduction) raises GBTimeout and
-the computation is abandoned.  A nested block can shorten the deadline but
-never extend it, and leaving a block restores the previous one.  The suite
-opens one block per named check and instance.
+the computation is abandoned.  `check_deadline` is that one check, also for
+exact loops outside the engine (za1's relations under its two ring maps).
+A nested block can shorten the deadline but never extend it, and leaving a
+block restores the previous one.  The suite opens one block per named check
+and instance.
 
 Reduction.  `reduce_poly` and the Buchberger loop share `_Engine.nf`, which
 reduces numerators against (exponent word of lt, lt, lc, numerators, top
@@ -168,6 +170,7 @@ __all__ = [
     "MembershipCertificate",
     "buchberger",
     "deadline",
+    "check_deadline",
     "memo",
     "once",
     "reduce_poly",
@@ -215,6 +218,12 @@ def deadline(seconds):
         yield
     finally:
         _until = saved
+
+
+def check_deadline():
+    """Raise GBTimeout once the active deadline has passed."""
+    if _until is not None and time.monotonic() > _until[0]:
+        raise GBTimeout(_until[1])
 
 
 # ------------------------------------------------------------ order words
@@ -300,9 +309,7 @@ class _Engine:
         """
         self._tick += 1
         if _until is not None and self._tick % every == 0:
-            until, seconds = _until
-            if time.monotonic() > until:
-                raise GBTimeout(seconds)
+            check_deadline()
 
     # -- fraction-free full normal form
 

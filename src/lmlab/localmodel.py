@@ -8,36 +8,33 @@ All charts live over Q[pi, ...] with the special fiber at pi = 0.
 The naive relations on (X, Y) are defined once, in _naive_relations, over
 any ring.  A ring map commutes with them, so za1 evaluates that one function
 wherever it needs them: on the variables of the big ring for the naive
-ideal, on the normal forms of the section's entries for sound mode (and
-of the retraction's for complete mode), over the product ring of the
-samples for the rank-one oracle, and at Y = -X^t in x_ring for complete
-mode.  The last three have Y = -X^t, which _naive_relations tests by value:
-there the minors of Y are those of X, transposed, and are not computed
-again.  The four quadratic forms are symmetric, as S1 and S2 are, so only
-their upper triangles are formed.
+ideal, at the section's entries under two ring maps, over the product ring
+of the samples for the rank-one oracle, and at Y = -X^t in x_ring for
+complete mode.  Where Y = -X^t by value, the minors of Y are those of X,
+transposed, and are not computed again; the four quadratic forms are
+symmetric, so only their upper triangles are formed.
 
-Sound mode first reduces the section's d^2 x-images modulo the small ideal
-(and its y-images too, if they are not -X^t); an entry below the degree of
-every leading term of its basis is already a normal form and is kept as it
-is.  An entry and its normal form differ by a member of the ideal, so the
-relations at the normal forms lie in the ideal exactly when the images
-psi(g) do, and have the same normal form as they have: the proof and any
-failing residue are those of the images themselves, from much smaller
-polynomials.  Each relation value is reduced once: a value equal to one
-that has reduced to zero is not reduced again; the entries, likewise, are
-reduced once per distinct value.  The rank-one oracle still evaluates the
-section itself.
+Membership in small = (minors of Z, q Z), q = T + 2 pi, needs no basis.
+small = (Z) meet U with U = (minors, q): for c q + m in (Z), m in the
+minors, c lies in the prime (Z), as q does not.  f lies in U iff
+f(-T/2, Z) lies in the ideal of the minors, the kernel of the Segre map
+z_ij -> u_i v_j (Hochster and Eagon, Amer. J. Math. 93, 1971; De Concini,
+Eisenbud and Procesi, Invent. Math. 56, 1980), under which T = ab/2 with
+a = sum u_i u_{delta+1-i} and b = sum v_j v_{m+1-j}.  So f lies in small
+iff f(pi, Z = 0) = 0 and f(pi = -ab/4, Z = u v^t) = 0, or, with u doubled,
+f(pi = -ab, Z = 2 u v^t) = 0 (_small_maps): both maps then have integer
+coefficients, and the argument divides only by 2.  Sound mode maps the
+section's entries once and evaluates the relations there, passing over
+Z = 0 where X and Y vanish, as every naive relation lies in (X, Y); only a
+failing relation gets small's basis, for the normal form in its report.
 
 Complete mode computes no basis over x_ring.  The naive relations at
-Y = -X^t in x_ring solve every non-Z entry round by round (two rounds at
-every 5 <= d <= 12), each by a generator c x + f with f in the Z entries
-and the earlier rounds; the solutions compose to a retraction phi onto
-Q[pi, Z] whose kernel lies in the ideal H of those relations, so H meets
-Q[pi, Z] in the ideal of phi(H).
-That ideal lies in the small ideal by sound mode's proof at the normal forms
-of phi(X), and contains it by one basis in Q[pi, Z] of the low-degree part
-of phi(H).  Then the section is onto exactly where phi(X) and psi(X) have
-one normal form (see _verify_complete).
+Y = -X^t in x_ring solve every non-Z entry round by round, each by a
+generator c x + f with f in the Z entries and the earlier rounds; the
+solutions compose to a retraction phi onto Q[pi, Z] whose kernel lies in
+the ideal H of those relations, so H meets Q[pi, Z] in the ideal of
+phi(H), which the same two maps and a linear span compare with small (see
+_verify_complete).
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ from operator import add, floordiv, mul, neg, sub
 # buchberger is not called here, but bench/test_bench.py requires this module
 # to bind it so that the tracer's re-binding coverage is exercised
 from .groebner import buchberger  # noqa: F401
-from .groebner import Ideal, first_nonmember, ideal_contains, ideal_equal, ideal_member, \
+from .groebner import Ideal, check_deadline, first_nonmember, ideal_equal, ideal_member, \
     is_nonzerodivisor, quotient
 from .lattice import LatticeError
 from .poly import PolyRing, RingMap, minors
@@ -473,66 +470,72 @@ def _oracle_failures(nf, psi, count, seed):
     return len(failed)
 
 
-def _residues(M, small, nfs):
-    """The normal forms modulo `small` of a matrix's entries, as lists of rows.
+def _small_maps(nf, ring):
+    """The two ring maps out of `ring` = Q[pi, Z] whose kernels meet in small.
 
-    `nfs` maps each value reduced so far to its normal form, so a value is
-    reduced once however many entries, or calls, hold it.  An entry below the
-    degree of every leading term of the basis is its own normal form.
+    The first sets Z = 0, into Q[pi].  The second is the Segre
+    parametrization Z = 2 u v^t, pi = -ab, into Q[u, v], with
+    a = sum u_i u_{delta+1-i} and b = sum v_j v_{m+1-j}, m = d - delta: there
+    T(Z) = 2ab, so T + 2 pi goes to 0.  The factor 2, an automorphism of
+    Q[u, v] away, keeps every coefficient of both maps an integer.
     """
-    low = min(sum(b.lm()) for b in small.gb())
+    delta, m = nf.delta, nf.d - nf.delta
+    line = PolyRing(["pi"])
+    at_zero = dict.fromkeys(ring.variables, line.zero())
+    at_zero["pi"] = line.var("pi")
+    uv = PolyRing(["u_%d" % i for i in range(1, delta + 1)] + ["v_%d" % j for j in range(1, m + 1)])
+    u = [uv.var("u_%d" % i) for i in range(1, delta + 1)]
+    v = [uv.var("v_%d" % j) for j in range(1, m + 1)]
+    a = sum((x * y for x, y in zip(u, reversed(u))), uv.zero())
+    b = sum((x * y for x, y in zip(v, reversed(v))), uv.zero())
+    segre = {"z_%d_%d" % (i + 1, j + 1): 2 * x * y
+             for i, x in enumerate(u) for j, y in enumerate(v)}
+    segre["pi"] = -(a * b)
+    return RingMap(ring, line, at_zero), RingMap(ring, uv, segre)
 
-    def residue(v):
-        if v.total_degree() < low:
-            return v
-        r = nfs.get(v)
-        if r is None:
-            r = nfs[v] = ideal_member(v, small)[1].residue
-        return r
 
-    return [[residue(v) for v in row] for row in M]
+def _mapped(maps, M):
+    """The matrix M, as a list of rows, under each of the maps."""
+    return [[[f(v) for v in row] for row in M] for f in maps]
 
 
-def _section_residues(nf, psi, small, nfs=None):
-    """The normal forms modulo `small` of the section's X and Y, as lists of rows.
+def _first_outside_small(nf, points):
+    """The index of the first naive relation at the points outside small, or None.
 
-    Each entry differs from its image by a member of `small`, so every
-    relation at the normal forms differs from psi of its generator by a
-    member too: the two lie in `small` together and share one normal form.
-    Y is reduced as -(reduced X)^t when the section's own Y is -X^t by value,
-    and entry by entry otherwise, so a section that breaks Y = -X^t is still
-    reduced as it is.  `nfs` is the value memo of `_residues`.
+    `points` holds (X, Y, pi) under each of the two maps of _small_maps: a
+    relation lies in small iff it is zero under both.  A point where X and Y
+    are zero is passed over, since every naive relation lies in (X, Y).  The
+    active groebner deadline is checked before each relation.
     """
-    nfs = {} if nfs is None else nfs
-    X, Y = (named_matrix(psi.images.__getitem__, stem, nf.d) for stem in "xy")
-    Xr = _residues(X, small, nfs)
-    if Y == _minus_transpose(X):
-        return Xr, _minus_transpose(Xr)
-    return Xr, _residues(Y, small, nfs)
-
-
-def _prove_relations(nf, X, Y, pi, small, passed):
-    """Prove the naive relations at (pi, X, Y) members of `small`, in generator order.
-
-    `passed` holds the values proven to lie in `small`, and the key
-    (pi, X, Y), the matrices as tuples of rows, of each point at which every
-    relation was proven: such a point is not evaluated again.  A zero value,
-    or one in `passed`, is proven already; any other is reduced, and joins
-    `passed` when it reduces to zero, so each value is reduced once.
-    Returns None when every relation is proven, else the index of the first
-    that is not (the number proven before it) and its certificate.
-    """
-    key = (pi, tuple(map(tuple, X)), tuple(map(tuple, Y)))
-    if key in passed:
-        return None
-    for k, img in enumerate(_naive_relations(nf, X, Y, pi)):
-        if not (img.is_zero or img in passed):
-            ok, cert = ideal_member(img, small)
-            if not ok:
-                return k, cert
-            passed.add(img)
-    passed.add(key)
+    runs = [_naive_relations(nf, X, Y, pi) for X, Y, pi in points
+            if any(_entries(X)) or any(_entries(Y))]
+    for k, values in enumerate(zip(*runs)):
+        check_deadline()
+        if any(values):
+            return k
     return None
+
+
+def _outside_span(vectors, targets):
+    """The targets outside the Q-linear span of `vectors`, polynomials of one ring.
+
+    Row reduction: each kept row leads with a monomial that no other kept
+    row leads with.
+    """
+    rows = {}  # leading monomial -> the row
+
+    def reduce(p):
+        while p and p.lm() in rows:
+            check_deadline()
+            row = rows[p.lm()]
+            p = p - row * (p.lc() / row.lc())
+        return p
+
+    for p in vectors:
+        p = reduce(p)
+        if p:
+            rows[p.lm()] = p
+    return [t for t in targets if reduce(t)]
 
 
 ORACLE_SAMPLES = 20
@@ -542,14 +545,14 @@ def verify_presentation(nf, mode="sound", seed=7):
     """Check that the section kills the naive chart ideal, then some.
 
     First, trace_form's T must be the trace of the section's block A (the
-    x_a_a images, a in Delta).  sound: every generator maps into (minors,
-    (T+2pi) Z), by Groebner reduction of its relation at the section's
-    reduced entries (see _section_residues), and a seeded rank-one
-    evaluation oracle re-checks the section's own images exactly (see
-    _oracle_failures).  complete: also prove that the naive ideal contracts
-    to exactly the small ideal in Q[pi, Z] and that the section is onto, from
-    a retraction solved off the naive relations and memberships in Q[pi, Z]
-    (see _verify_complete); no basis over x_ring is computed.
+    x_a_a images, a in Delta).  sound: every generator maps into small, by
+    the naive relations at the section's x-images (and y-images, unless
+    Y = -X^t by value) under the two maps of _small_maps; a failing one is
+    reported with the normal form of its image modulo small's basis.  A
+    seeded rank-one evaluation oracle re-checks the section's own images
+    exactly (see _oracle_failures).  complete: also prove that the naive
+    ideal contracts to exactly small in Q[pi, Z] and that the section is
+    onto (see _verify_complete).
     """
     instance = {"d": nf.d, "delta": nf.delta, "mode": mode}
     with checking("za1", instance) as report:
@@ -558,14 +561,18 @@ def verify_presentation(nf, mode="sound", seed=7):
         if trace_form(nf, psi.target) != sum(psi.images["x_%d_%d" % (a, a)] for a in nf.Delta):
             report.fail("block_trace", False)
         _, small = build_U_ideals(nf)
-        nfs, passed = {}, set()
-        X, Y = _section_residues(nf, psi, small, nfs)
-        failed = _prove_relations(nf, X, Y, psi.images["pi"], small, passed)
+        maps = _small_maps(nf, psi.target)
+        X, Y = (named_matrix(psi.images.__getitem__, stem, nf.d) for stem in "xy")
+        skew = Y == _minus_transpose(X)
+        mapped = _mapped(maps, X)
+        mapped_y = [_minus_transpose(M) for M in mapped] if skew else _mapped(maps, Y)
+        pis = [f(psi.images["pi"]) for f in maps]
+        failed = _first_outside_small(nf, zip(mapped, mapped_y, pis))
         reduced_zero = len(naive.generators)
-        if failed:
-            reduced_zero, cert = failed
-            report.fail("offending_generator", str(naive.generators[reduced_zero]))
-            report.details["residue"] = str(cert.residue)
+        if failed is not None:
+            reduced_zero, g = failed, naive.generators[failed]
+            report.fail("offending_generator", str(g))
+            report.details["residue"] = str(ideal_member(psi(g), small)[1].residue)
         report.details["generators"] = len(naive.generators)
         report.details["reduced_to_zero"] = reduced_zero
 
@@ -576,7 +583,7 @@ def verify_presentation(nf, mode="sound", seed=7):
                 report.fail("oracle_failures", bad)
 
         if report.status == PASS and mode == "complete":
-            _verify_complete(nf, psi, small, report, nfs, passed)
+            _verify_complete(nf, psi, small, report, (maps, mapped) if skew else None)
     return report
 
 
@@ -641,7 +648,7 @@ def _retraction(nf, xr, rounds, target):
     return images
 
 
-def _verify_complete(nf, psi, small, report, nfs=None, passed=None):
+def _verify_complete(nf, psi, small, report, proof=None):
     """The naive ideal contracts to `small` in Q[pi, Z], and the section is onto.
 
     H is the naive ideal at Y = -X^t, _naive_relations evaluated at (X, -X^t)
@@ -649,25 +656,23 @@ def _verify_complete(nf, psi, small, report, nfs=None, passed=None):
     read as Z.  Every target x (a non-Z entry) must be solved by a generator
     c x + f of H (see _solving_chain), or the claim fails under
     `unsolved_targets`.  The solutions compose to a retraction phi onto
-    Q[pi, Z] with each x - phi(x) in H, so phi(H) lies in H and E is the
-    ideal of phi(H).  Then:
+    Q[pi, Z] with each x - phi(x) in H, so E is the ideal of phi(H).  phi(X)
+    goes through the maps of _small_maps; an entry with phi(x) = psi(x)
+    takes psi's images from `proof`, sound mode's (maps, mapped psi(X)) when
+    it proved the relations at (psi(X), -psi(X)^t), else mapped here.  Then:
 
-    - E in small: the relations at the normal forms of phi(X) modulo `small`
-      reduce to zero, sound mode's proof with its value memo `nfs` and its
-      `passed` values (`contraction_failures` names the first relation of H
-      that fails);
-    - small in E: every generator of `small` lies in the ideal of the phi(g)
-      of weighted degree at most 3, by one basis in Q[pi, Z]
-      (`unreached_small_generators` lists those that do not).
+    - E in small: by sound mode's proof if no map separates phi(X) from
+      psi(X), else by the relations at the mapped phi(X)
+      (`contraction_failures` names the first relation of H that fails);
+    - small in E: each generator of `small` lies in the Q-linear span of the
+      phi(g) of weighted degree at most 3, or in their ideal by its basis
+      (`unreached_small_generators` lists those in neither);
+    - onto: with E = small, x - psi(x) lies in H iff no map separates phi(x)
+      from psi(x) (`surjectivity_failures`).
 
-    With E = small, x - psi(x) lies in H iff phi(x) - psi(x) lies in
-    `small`, that is, iff phi(x) and psi(x) have one normal form; a target
-    where they differ is a surjectivity failure.  E's reduced basis is
-    `small.gb()` renamed, since the renaming of z_ij to its x entry keeps
-    the variable order.
+    E's reduced basis is `small.gb()` renamed, since the renaming of z_ij to
+    its x entry keeps the variable order; `contraction_generators` counts it.
     """
-    nfs = {} if nfs is None else nfs
-    passed = set() if passed is None else passed
     xr = x_ring(nf)
     X = named_matrix(xr.var, "x", nf.d)
     H = list(_naive_relations(nf, X, _minus_transpose(X), xr.var("pi")))
@@ -680,13 +685,29 @@ def _verify_complete(nf, psi, small, report, nfs=None, passed=None):
         report.fail("unsolved_targets", unsolved)
         return
     phi = _retraction(nf, xr, rounds, small.ring)
+    Xpsi = named_matrix(psi.images.__getitem__, "x", nf.d)
+    if proof is None:
+        maps = _small_maps(nf, small.ring)
+        at_psi = _mapped(maps, Xpsi)
+    else:
+        maps, at_psi = proof
+    at_phi = [
+        [[w if u == v else f(u) for u, v, w in zip(*rows)]
+         for rows in zip(named_matrix(phi.__getitem__, "x", nf.d), Xpsi, M)]
+        for f, M in zip(maps, at_psi)
+    ]
+    names = list(_entries(named_matrix(str, "x", nf.d)))
+    moved = {name for M, N in zip(at_phi, at_psi)
+             for name, u, v in zip(names, _entries(M), _entries(N)) if u != v}
 
     # E in small
-    Xphi = _residues(named_matrix(phi.__getitem__, "x", nf.d), small, nfs)
-    failed = _prove_relations(nf, Xphi, _minus_transpose(Xphi), phi["pi"], small, passed)
-    if failed:
-        report.fail("contraction_failures", [str(H[failed[0]])])
-        return
+    if proof is None or moved:
+        pis = [f(phi["pi"]) for f in maps]
+        points = [(M, _minus_transpose(M), p) for M, p in zip(at_phi, pis)]
+        failed = _first_outside_small(nf, points)
+        if failed is not None:
+            report.fail("contraction_failures", [str(H[failed])])
+            return
 
     # small in E, from the images of weighted degree at most 3
     weight = [max(phi[v].total_degree(), 0) for v in xr.variables]
@@ -698,19 +719,15 @@ def _verify_complete(nf, psi, small, report, nfs=None, passed=None):
         seen.add(id(g))
         if max(sum(map(mul, weight, e)) for e in g.numerators()) <= 3:
             low.append(to_z(g))
-    reached = Ideal(small.ring, low)
-    if not ideal_contains(reached, small):
-        report.fail("unreached_small_generators",
-                    [str(g) for g in small.generators if not ideal_member(g, reached)[0]])
-        return
+    outside = _outside_span(low, small.generators)
+    if outside:
+        reached = Ideal(small.ring, low)
+        unreached = [str(g) for g in outside if not ideal_member(g, reached)[0]]
+        if unreached:
+            report.fail("unreached_small_generators", unreached)
+            return
 
-    Xpsi, _ = _section_residues(nf, psi, small, nfs)
-    wrong_x = [
-        name
-        for row in zip(named_matrix(str, "x", nf.d), Xphi, Xpsi)
-        for name, u, v in zip(*row)
-        if name not in z_of_x and u != v
-    ]
+    wrong_x = [name for name in names if name in moved and name not in z_of_x]
     # a y entry is certified by its linear relation y + x^t only where the
     # section sends it to minus the image of the transposed x entry
     wrong_y = [
@@ -718,7 +735,7 @@ def _verify_complete(nf, psi, small, report, nfs=None, passed=None):
         for row in zip(
             named_matrix(str, "y", nf.d),
             named_matrix(psi.images.__getitem__, "y", nf.d),
-            _minus_transpose(named_matrix(psi.images.__getitem__, "x", nf.d)),
+            _minus_transpose(Xpsi),
         )
         for name, u, v in zip(*row)
         if u != v

@@ -500,6 +500,37 @@ class PolyRing:
         den = lcm(*(q.denominator for q in vals))
         return den, [q.numerator * (den // q.denominator) for q in vals]
 
+    def renaming(self, target, names):
+        """The isomorphism onto `target` that renames each variable v to
+        names[v], as a function on polynomials; None unless `names` maps the
+        variables one to one onto those of `target`.  The words of both are
+        grevlex words of as many variables, so it moves their fields as they
+        are, complements and degrees included, and decodes no monomial.
+        """
+        images = [names.get(v) for v in self.variables]
+        if set(images) != set(target.variables) or len(images) != target.nvars:
+            return None
+        at = {v: i for i, v in enumerate(images)}
+        movers = {}  # width -> (target packing, the field permutation)
+
+        def rename(f):
+            if f.ring != self:
+                raise PolyError("polynomial not in the renamed ring")
+            pk, w = f.packing, f.packing.width
+            if w not in movers:
+                to = _packing(target.variables, GrevLex(), w)
+                perm = list(range(pk._nbytes * 8 // w))
+                for k, v in enumerate(target.variables):
+                    perm[to.shifts[k] // w] = pk.shifts[at[v]] // w
+                movers[w] = to, _getter(perm)
+            to, get = movers[w]
+            dec, enc, n = pk._dec, to._enc, pk._nbytes
+            terms = {int.from_bytes(enc(*get(dec(m.to_bytes(n, "little")))), "little"): c
+                     for m, c in f.terms.items()}
+            return Polynomial(target, terms, f.den, to)
+
+        return rename
+
     def with_order(self, order):
         if order == self.order:
             return self

@@ -424,7 +424,19 @@ def test_every_check_reports_a_timeout_at_its_own_instance(monkeypatch):
     def out_of_time(self):
         raise groebner.GBTimeout(60)
 
+    class Expired:
+        # each reading of the Groebner clock is an hour after the last, so
+        # the shared deadline has passed at the first check after its start:
+        # za1 passes computing no basis, and its relation loop reads it
+        now = 0.0
+
+        @classmethod
+        def monotonic(cls):
+            cls.now += 3600.0
+            return cls.now
+
     monkeypatch.setattr(groebner.BuchbergerRun, "complete", out_of_time)
+    monkeypatch.setattr(groebner, "time", Expired)
     reports = run_instance(CHECK_NAMES, 5, 1, timeout_s=60)
     assert len(reports) == 31
     for rep in reports:

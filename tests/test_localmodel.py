@@ -16,13 +16,16 @@ import lmlab.localmodel
 from lmlab.localmodel import (
     _Zn,
     _entries,
+    _first_outside_small,
+    _mapped,
     _mat_add,
     _mat_mul,
     _naive_relations,
     _oracle_failures,
+    _outside_span,
     _rank_one_samples,
-    _section_residues,
     _scaled_at_samples,
+    _small_maps,
     _sym_mul,
     _verify_complete,
     big_ring,
@@ -469,51 +472,101 @@ def test_y_minors_at_minus_x_transpose_are_the_x_minor_objects(d, delta, where):
     assert all(type(v) is Polynomial and v.is_zero for v in relations[: d * d])
 
 
-@pytest.mark.parametrize("d,delta,calls", [(6, 2, 218), (6, 3, 298)])
-def test_za1_reduces_each_image_object_once(monkeypatch, d, delta, calls):
-    # the 22 and 24 distinct values among the 28 and 27 of the 36 x-entries
-    # that reach the degree of a leading term of the small ideal, then the
-    # 196 and 274 distinct values among the 510 and 616 nonzero images at
-    # their normal forms; the count holds no image, so that it pins none
-    reduced = [0]
+@pytest.mark.parametrize("d,delta", [(6, 2), (6, 3)])
+def test_a_passing_sound_za1_computes_no_groebner_basis(monkeypatch, d, delta):
+    # the two ring maps decide every relation: a passing sound za1 runs no
+    # Buchberger, asks for no basis and tests no membership
+    from lmlab import groebner
 
-    def counting(p, ideal):
-        reduced[0] += 1
-        return ideal_member(p, ideal)
+    calls = []
 
-    monkeypatch.setattr(lmlab.localmodel, "ideal_member", counting)
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(groebner, "buchberger", spy("buchberger", groebner.buchberger))
+    monkeypatch.setattr(groebner.Ideal, "gb", spy("gb", groebner.Ideal.gb))
+    monkeypatch.setattr(lmlab.localmodel, "ideal_member", spy("ideal_member", ideal_member))
     [rep] = run_check("za1", d, delta)
     assert rep.status == "pass"
     assert rep.details["reduced_to_zero"] == rep.details["generators"]
-    assert reduced[0] == calls
+    assert calls == []
+
+
+@pytest.mark.parametrize("d,delta", [(5, 1), (6, 2)])
+def test_a_passing_complete_za1_computes_only_the_small_basis(monkeypatch, d, delta):
+    # small in E comes from the span of the low images, so the one basis is
+    # small's, for contraction_generators, and no membership is tested
+    from lmlab import groebner
+
+    runs, members = [], []
+    real = groebner.buchberger
+
+    def counted(ideal, *args, **kwargs):
+        runs.append(ideal)
+        return real(ideal, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    monkeypatch.setattr(lmlab.localmodel, "ideal_member", lambda *args: members.append(args))
+    [rep] = run_check("za1", d, delta, mode="complete")
+    assert rep.status == "pass"
+    [small] = runs
+    assert small.generators == build_U_ideals(normal_form(d, delta))[1].generators
+    assert rep.details["contraction_generators"] == len(small.gb())
+    assert members == []
+
+
+def test_outside_span_is_linear_algebra_over_q():
+    R = PolyRing(["x", "y", "z"])
+    x, y, z = (R.var(v) for v in "xyz")
+    vectors = [x * y + Fraction(1, 3) * z, 2 * x - y, y * y, x * y]
+    inside = [z, x * Fraction(2, 7) - y * Fraction(1, 7) + 5 * y * y, R.zero()]
+    outside = [x, x * z, R.one()]
+    assert _outside_span(vectors, inside + outside) == outside
+    assert _outside_span([], inside) == inside[:2]
 
 
 def test_a_failing_repeated_image_is_named_at_its_x_minor(monkeypatch):
-    # an X-minor image that comes again as a Y-minor fails at its first
-    # occurrence, under the X-minor generator
+    # a section with X = E_12 + E_34, nilpotent of rank two, and Y = -X^t:
+    # every relation before the minors is zero, and the first nonzero minor,
+    # an X-minor image that comes again as a Y-minor, fails at its first
+    # occurrence, under the X-minor generator, with the residue of its image;
+    # only that one image is reduced
     d, delta = 6, 2
     nf = normal_form(d, delta)
     psi = block_substitution(nf)
-    X, Y = _section_residues(nf, psi, build_U_ideals(nf)[1])
-    relations = list(_naive_relations(nf, X, Y, psi.images["pi"]))
+    R = psi.target
+    images = {"pi": R.var("pi")}
+    for a in range(1, d + 1):
+        for b in range(1, d + 1):
+            x = R.one() if (a, b) in ((1, 2), (3, 4)) else R.zero()
+            images["x_%d_%d" % (a, b)], images["y_%d_%d" % (b, a)] = x, -x
+    section = RingMap(psi.source, R, images)
+    X, Y = (named_matrix(images.__getitem__, stem, d) for stem in "xy")
+    relations = list(_naive_relations(nf, X, Y, images["pi"]))
+    k = next(i for i, r in enumerate(relations) if not r.is_zero)
     start = 2 * d * d
-    k = next(i for i in range(start, start + math.comb(d, 2) ** 2) if not relations[i].is_zero)
+    assert start <= k < start + math.comb(d, 2) ** 2
     target = relations[k]
     assert sum(r is target for r in relations) >= 2
 
-    class Failed:
-        residue = target
+    reduced = []
 
-    def failing(p, ideal):
-        # by value, so the repeat fails as well if it is reduced
-        return (False, Failed()) if p == target else ideal_member(p, ideal)
+    def counting(p, ideal):
+        reduced.append(p)
+        return ideal_member(p, ideal)
 
-    monkeypatch.setattr(lmlab.localmodel, "ideal_member", failing)
+    monkeypatch.setattr(lmlab.localmodel, "ideal_member", counting)
+    monkeypatch.setattr(lmlab.localmodel, "block_substitution", lambda nf: section)
     rep = verify_presentation(nf)
     assert rep.status == "fail"
     assert rep.details["offending_generator"] == str(build_naive_chart_ideal(nf).generators[k])
     assert "x_" in rep.details["offending_generator"] and "y_" not in rep.details["offending_generator"]
-    assert rep.details["residue"] == str(target)
+    assert reduced == [target]
+    assert rep.details["residue"] == str(ideal_member(target, build_U_ideals(nf)[1])[1].residue)
+    assert rep.details["residue"] != "0"
     assert rep.details["reduced_to_zero"] == k
 
 
@@ -581,6 +634,12 @@ def test_a_wrong_section_fails_as_its_direct_reduction_does(monkeypatch, d, delt
     assert strip_timings(report_payload([rep])) == strip_timings(report_payload([expected]))
 
 
+def section_residues(nf, psi, small):
+    """The normal forms modulo `small` of the section's X and Y, as lists of rows."""
+    return [[[ideal_member(v, small)[1].residue for v in row]
+             for row in named_matrix(psi.images.__getitem__, stem, nf.d)] for stem in "xy"]
+
+
 @pytest.mark.parametrize("d,delta", [(6, 2), (6, 3)])
 def test_each_section_entry_is_certified_to_its_normal_form(d, delta):
     # psi(x_ab) = sum(c_i b_i) + its residue over small.gb(), and no term of
@@ -588,7 +647,7 @@ def test_each_section_entry_is_certified_to_its_normal_form(d, delta):
     nf = normal_form(d, delta)
     psi = block_substitution(nf)
     _, small = build_U_ideals(nf)
-    X, Y = _section_residues(nf, psi, small)
+    X, Y = section_residues(nf, psi, small)
     leads = [b.lm() for b in small.gb()]
     for row, reduced in zip(named_matrix(psi.images.__getitem__, "x", d), X):
         for v, r in zip(row, reduced):
@@ -606,10 +665,98 @@ def test_relations_at_the_normal_forms_share_each_image_normal_form(corrupt):
     nf = normal_form(5, 2)
     psi = sound_section(nf, corrupt)
     _, small = build_U_ideals(nf)
-    X, Y = _section_residues(nf, psi, small)
+    X, Y = section_residues(nf, psi, small)
     at_residues = _naive_relations(nf, X, Y, psi.images["pi"])
     for g, rel in zip(build_naive_chart_ideal(nf).generators, at_residues, strict=True):
         assert ideal_member(psi(g), small)[1].residue == ideal_member(rel, small)[1].residue
+
+
+UP_TO_7 = [(d, delta) for d in (5, 6, 7) for delta in range(1, d // 2 + 1)]
+
+
+def two_map_verdict(maps, f):
+    """True iff f maps to zero under both maps of _small_maps."""
+    return not any(m(f) for m in maps)
+
+
+@pytest.mark.parametrize("d,delta", UP_TO_7)
+def test_two_maps_decide_every_relation_as_the_basis_does(d, delta):
+    # at the true, diagonal, scaled and one-y sections, and at one with
+    # q = T + 2 pi added at x_1_1 (and taken from y_1_1), a naive relation is
+    # zero under both maps iff its image lies in small by the basis, and
+    # _first_outside_small names the first that does not; the q section
+    # fails only at Z = 0, since q is zero under the Segre map.  Every
+    # relation vanishes at X = Y = 0, which lets sound mode pass over that
+    # point
+    nf = normal_form(d, delta)
+    _, small = build_U_ideals(nf)
+    naive = build_naive_chart_ideal(nf)
+    line = PolyRing(["pi"])
+    at_zero = {v: line.zero() for v in naive.ring.variables}
+    at_zero["pi"] = line.var("pi")
+    assert not any(RingMap(naive.ring, line, at_zero)(g) for g in naive.generators)
+
+    maps = _small_maps(nf, small.ring)
+    member = {}
+    for corrupt in (None, "diagonal", "scaled", "one-y", "q"):
+        if corrupt == "q":
+            psi = block_substitution(nf)
+            q = trace_form(nf, psi.target) + 2 * psi.images["pi"]
+            psi = RingMap(psi.source, psi.target, dict(
+                psi.images, x_1_1=psi.images["x_1_1"] + q, y_1_1=psi.images["y_1_1"] - q))
+        else:
+            psi = sound_section(nf, corrupt)
+        X, Y = (named_matrix(psi.images.__getitem__, stem, d) for stem in "xy")
+        pi = psi.images["pi"]
+        points = [(MX, MY, f(pi)) for f, MX, MY in zip(maps, _mapped(maps, X), _mapped(maps, Y))]
+        verdicts = [not any(values) for values in zip(*(_naive_relations(nf, *p) for p in points))]
+        expected = []
+        for img in _naive_relations(nf, X, Y, pi):
+            if img not in member:
+                member[img] = ideal_member(img, small)[0]
+            expected.append(member[img])
+        assert len(verdicts) == len(naive.generators)
+        assert verdicts == expected
+        first = next((k for k, ok in enumerate(expected) if not ok), None)
+        assert _first_outside_small(nf, points) == first
+        assert (first is None) == (corrupt is None)
+        if corrupt == "q":
+            segre = _naive_relations(nf, *points[1])
+            assert not any(segre)
+
+
+@pytest.mark.parametrize("d,delta", UP_TO_7)
+def test_two_maps_decide_membership_of_random_polynomials(d, delta):
+    # seeded polynomials in Q[pi, Z]: combinations of small's generators are
+    # members by both tests, and random polynomials, and members moved by a
+    # term outside small, get one verdict from the maps and from the basis
+    nf = normal_form(d, delta)
+    _, small = build_U_ideals(nf)
+    ring = small.ring
+    maps = _small_maps(nf, ring)
+    rng = random.Random(1000 * d + delta)
+    variables = [ring.var(v) for v in ring.variables]
+
+    def random_poly(degree, terms):
+        f = ring.zero()
+        for _ in range(terms):
+            t = ring.const(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+            for _ in range(rng.randint(0, degree)):
+                t = t * rng.choice(variables)
+            f = f + t
+        return f
+
+    gens = small.generators
+    members = [sum((g * random_poly(2, 3) for g in rng.sample(gens, min(3, len(gens)))), ring.zero())
+               for _ in range(6)]
+    pi, z = variables[0], variables[1:]
+    moved = [f + rng.choice([pi, rng.choice(z) ** 2, rng.choice(z) * pi]) for f in members]
+    others = [random_poly(3, 4) for _ in range(6)]
+    for f in members:
+        assert two_map_verdict(maps, f) and ideal_member(f, small)[0]
+    verdicts = [(two_map_verdict(maps, f), ideal_member(f, small)[0]) for f in moved + others]
+    assert all(a == b for a, b in verdicts)
+    assert not any(a for a, _ in verdicts[: len(moved)])
 
 
 @pytest.mark.parametrize("d,delta", [(d, delta) for d in (8, 9) for delta in range(1, 5)])
@@ -749,13 +896,9 @@ def test_scaled_samples_are_the_per_sample_integers(d, delta, corrupt):
 
 
 def test_oracle_fail_branch(monkeypatch):
-    # with every reduction forced to zero only the oracle can catch the
-    # section; each entry's residue is the entry itself
-    class Kept:
-        def __init__(self, p):
-            self.residue = p
-
-    monkeypatch.setattr(lmlab.localmodel, "ideal_member", lambda p, ideal: (True, Kept(p)))
+    # with the two-map proof forced to pass only the oracle can catch the
+    # section
+    monkeypatch.setattr(lmlab.localmodel, "_first_outside_small", lambda nf, points: None)
     monkeypatch.setattr(lmlab.localmodel, "block_substitution", corrupted_section)
     rep = verify_presentation(normal_form(5, 1), mode="sound")
     assert rep.status == "fail"

@@ -915,3 +915,31 @@ def test_a_product_past_the_field_limit_widens():
     # a ring map sums images of mixed widths in the widest
     m = RingMap(R, R, {"x": x**10000, "y": y + 1})
     assert m(x**2 + x * y) == x**20000 + x**10000 * y + x**10000
+
+
+@pytest.mark.parametrize("order", [GrevLex(), Lex(), Block(["a", "b"])])
+def test_renaming_moves_word_fields_as_the_ring_map_renames(order):
+    # a renaming onto a ring of other names, other order and another place
+    # for pi equals the ring map that sends each variable to its new name, at
+    # 16-bit and wider words; a map that is not one to one onto the target's
+    # variables is no renaming
+    R = PolyRing(["a", "pi", "b", "c"], order)
+    S = PolyRing(["pi", "w", "u", "t"])
+    names = {"a": "u", "pi": "pi", "b": "t", "c": "w"}
+    rename = R.renaming(S, names)
+    ring_map = RingMap(R, S, {v: S.var(n) for v, n in names.items()})
+    rng = random.Random(5)
+    for top in (5, 5, 2**14, 2**31):
+        f = R.poly({tuple(rng.randint(0, top) for _ in range(4)): Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6))
+                    for _ in range(6)})
+        f = f + R.const(Fraction(7, 3))
+        g = rename(f)
+        assert g == ring_map(f) and g.ring == S
+        assert g.packing.width == f.packing.width
+        assert str(g) == str(ring_map(f))
+    assert rename(R.zero()).is_zero
+    with pytest.raises(PolyError):
+        rename(S.var("u"))
+    assert R.renaming(S, dict(names, c="u")) is None
+    assert R.renaming(S, {"a": "u", "pi": "pi", "b": "t"}) is None
+    assert R.renaming(PolyRing(["pi", "w", "u", "t", "s"]), names) is None
