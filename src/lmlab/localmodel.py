@@ -178,7 +178,21 @@ def _minus_transpose(M):
     return [[-v for v in col] for col in zip(*M)]
 
 
-def _naive_relations(nf, X, Y, pi, L=1):
+def _rank_at_most_one(M):
+    """Whether the matrix M, as a list of rows over a domain, has rank at most one.
+
+    With a the first nonzero entry, at (p, q), it has iff every 2x2 minor
+    through that entry vanishes, M[i][j] a = M[i][q] M[p][j]: then each row
+    is M[i][q] / a times row p.
+    """
+    for p, row in enumerate(M):
+        for q, a in enumerate(row):
+            if a:
+                return all(v * a == r[q] * row[j] for r in M for j, v in enumerate(r))
+    return True
+
+
+def _naive_relations(nf, X, Y, pi, L=1, domain=False):
     """The naive chart relations on (pi, X, Y), in generator order.
 
     X and Y are lists of rows over any ring that holds pi.  Yields the
@@ -198,7 +212,9 @@ def _naive_relations(nf, X, Y, pi, L=1):
     the ring's zero, and the minors of Y as the X-minor objects, transposed
     (the minor of -X^t at rows (i, j) and columns (k, l) is that of X at rows
     (k, l) and columns (i, j)).  S1 and S2 are symmetric, so X^t (L S1 X),
-    X^t (S2 X), Y^t (S1 Y) and Y^t (L S2 Y) are formed by _sym_mul.
+    X^t (S2 X), Y^t (S1 Y) and Y^t (L S2 Y) are formed by _sym_mul.  Over a
+    domain (`domain`), the minors of a matrix that _rank_at_most_one accepts
+    are yielded as the ring's zero and not formed.
     """
     d = len(X)
     Xt = [list(col) for col in zip(*X)]
@@ -210,13 +226,13 @@ def _naive_relations(nf, X, Y, pi, L=1):
     skew = not any(_entries(skew_sum))
     yield from ([zero] * (d * d) if skew else _entries(skew_sum))
     yield from _entries(_mat_mul(Xt, Y, zero))
-    mx = minors(X, 2)
+    n = comb(d, 2)
+    mx = [zero] * (n * n) if domain and _rank_at_most_one(X) else minors(X, 2)
     yield from mx
     if skew:
-        n = comb(d, 2)
         yield from (mx[c * n + r] for r in range(n) for c in range(n))
     else:
-        yield from minors(Y, 2)
+        yield from [zero] * (n * n) if domain and _rank_at_most_one(Y) else minors(Y, 2)
     LS1X, S2X = _mat_mul(LS1, X, zero), _mat_mul(nf.S2, X, zero)
     SX = _mat_add(LS1X, S2X, pi)
     yield from _entries(_mat_add(_sym_mul(Xt, LS1X, zero), SX, -2 * pi))
@@ -503,11 +519,12 @@ def _first_outside_small(nf, points):
     """The index of the first naive relation at the points outside small, or None.
 
     `points` holds (X, Y, pi) under each of the two maps of _small_maps: a
-    relation lies in small iff it is zero under both.  A point where X and Y
-    are zero is passed over, since every naive relation lies in (X, Y).  The
-    active groebner deadline is checked before each relation.
+    relation lies in small iff it is zero under both.  Both maps go to
+    domains, so a matrix of rank at most one has no minor to form.  A point
+    where X and Y are zero is passed over, since every naive relation lies
+    in (X, Y).  The active groebner deadline is checked before each relation.
     """
-    runs = [_naive_relations(nf, X, Y, pi) for X, Y, pi in points
+    runs = [_naive_relations(nf, X, Y, pi, domain=True) for X, Y, pi in points
             if any(_entries(X)) or any(_entries(Y))]
     for k, values in enumerate(zip(*runs)):
         check_deadline()

@@ -23,6 +23,7 @@ from lmlab.localmodel import (
     _naive_relations,
     _oracle_failures,
     _outside_span,
+    _rank_at_most_one,
     _rank_one_samples,
     _scaled_at_samples,
     _small_maps,
@@ -528,6 +529,24 @@ def test_outside_span_is_linear_algebra_over_q():
     assert _outside_span([], inside) == inside[:2]
 
 
+def test_rank_at_most_one_is_the_vanishing_of_every_minor():
+    # over the domains Z and Q[x, y]: rank-one products with zero entries,
+    # their sums, the zero matrix and random matrices
+    rng = random.Random(3)
+    R = PolyRing(["x", "y"])
+    polys = [R.zero(), R.one(), R.var("x"), R.var("y") - 2, R.var("x") * R.var("y") + 1]
+    for entries in ([0, 0, 0, 1, -2, 3], polys):
+        for _ in range(60):
+            n, m = rng.randint(1, 4), rng.randint(1, 4)
+            u = [rng.choice(entries) for _ in range(n)]
+            v = [rng.choice(entries) for _ in range(m)]
+            M = [[a * b for b in v] for a in u]
+            assert _rank_at_most_one(M)
+            other = [[rng.choice(entries) for _ in range(m)] for _ in range(n)]
+            for N in (other, [[a + b for a, b in zip(r, s)] for r, s in zip(M, other)]):
+                assert _rank_at_most_one(N) == (not any(minors(N, 2)))
+
+
 def test_a_failing_repeated_image_is_named_at_its_x_minor(monkeypatch):
     # a section with X = E_12 + E_34, nilpotent of rank two, and Y = -X^t:
     # every relation before the minors is zero, and the first nonzero minor,
@@ -632,6 +651,9 @@ def test_a_wrong_section_fails_as_its_direct_reduction_does(monkeypatch, d, delt
     rep = verify_presentation(nf, mode="sound")
     assert rep.status == "fail" and "offending_generator" in rep.details
     assert strip_timings(report_payload([rep])) == strip_timings(report_payload([expected]))
+    # complete mode fails it the same way, before its own claims
+    complete = verify_presentation(nf, mode="complete")
+    assert (complete.status, complete.details) == (rep.status, rep.details)
 
 
 def section_residues(nf, psi, small):
@@ -1037,11 +1059,11 @@ def _x_ring_relations_changed(change):
     """_naive_relations, with each x_ring relation r replaced by change(r)."""
     real = lmlab.localmodel._naive_relations
 
-    def changed(nf, X, Y, pi, L=1):
+    def changed(nf, X, Y, pi, *args, **kwargs):
         if pi.ring != x_ring(nf):
-            yield from real(nf, X, Y, pi, L)
+            yield from real(nf, X, Y, pi, *args, **kwargs)
             return
-        for r in real(nf, X, Y, pi, L):
+        for r in real(nf, X, Y, pi, *args, **kwargs):
             yield change(r)
 
     return changed
