@@ -181,9 +181,9 @@ def _minus_transpose(M):
 def _rank_at_most_one(M):
     """Whether the matrix M, as a list of rows over a domain, has rank at most one.
 
-    With a the first nonzero entry, at (p, q), it has iff every 2x2 minor
-    through that entry vanishes, M[i][j] a = M[i][q] M[p][j]: then each row
-    is M[i][q] / a times row p.
+    With a the first nonzero entry, at (p, q), that holds iff every 2x2
+    minor through that entry vanishes, M[i][j] a = M[i][q] M[p][j]: then each
+    row is M[i][q] / a times row p.
     """
     for p, row in enumerate(M):
         for q, a in enumerate(row):
@@ -492,8 +492,9 @@ def _small_maps(nf, ring):
     The first sets Z = 0, into Q[pi].  The second is the Segre
     parametrization Z = 2 u v^t, pi = -ab, into Q[u, v], with
     a = sum u_i u_{delta+1-i} and b = sum v_j v_{m+1-j}, m = d - delta: there
-    T(Z) = 2ab, so T + 2 pi goes to 0.  The factor 2, an automorphism of
-    Q[u, v] away, keeps every coefficient of both maps an integer.
+    T(Z) = 2ab, so T + 2 pi goes to 0.  The factor 2 doubles u, an
+    automorphism of Q[u, v] that keeps the kernel, and makes every
+    coefficient of both maps an integer.
     """
     delta, m = nf.delta, nf.d - nf.delta
     line = PolyRing(["pi"])
