@@ -12,17 +12,17 @@ isomorphism between the charts of two pivots of the same class (is the
 pivot on the middle row?, on the middle column?).  `_transfers` checks,
 generator for generator, that it maps every input of the pivot checks at one
 pivot onto those at another, so that a `pass` at the first holds at the
-second.
+second; `_pins_transfer` does so for the pinned charts of the linked quadric.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import wraps
 
 from .groebner import (
     Ideal,
+    _once_per_memo,
     eliminates_to,
     first_nonmember,
     ideal_equal,
@@ -32,6 +32,7 @@ from .groebner import (
 )
 from .lattice import LatticeError, q1_form, q2_form
 from .poly import Block, PolyRing, Polynomial, RingMap
+from .quadric import build_linked_chart_ideal
 from .report import checking
 
 __all__ = [
@@ -62,23 +63,6 @@ class MChart:
     eliminated: tuple  # the M-side x and N-side y coordinates, in ring order
     q2x: Polynomial  # Q2(x) and Q1(y) in the full ring
     q1y: Polynomial
-
-
-# --------------------------------------------------------- one chart per pivot
-
-
-def _once_per_memo(builder):
-    """The builder, building inside `groebner.memo()` one chart per (nf, s, t).
-
-    Later calls return the same object, so the Groebner bases and reducers
-    that its ideals cache are shared too.
-    """
-
-    @wraps(builder)
-    def build(nf, s, t):
-        return once((builder.__name__, nf, s, t), lambda: builder(nf, s, t))
-
-    return build
 
 
 # ----------------------------------------------- blow-up of the basic scheme
@@ -359,51 +343,51 @@ def linking_multipliers(nf, s, t):
 # ------------------------------------------------- one proof per pivot class
 
 
+def _renaming(nf, r, p, *fixed):
+    """(rows, cols, names) of the renaming phi from the Z pivot r to p, or
+    None across classes or if phi does not commute with `incl_flip`.  phi
+    swaps the pair of r's row (i <-> n + 1 - i) with that of p's row, and
+    likewise for the columns; `names` renames x_a and y_a by its action on
+    the lattice positions, and fixes `fixed`."""
+    perms = []
+    for n, a, b in ((nf.delta, r[0], p[0]), (nf.d - nf.delta, r[1], p[1])):
+        a2, b2 = n + 1 - a, n + 1 - b
+        if (a == a2) != (b == b2):  # every such permutation fixes the middle
+            return None
+        perms.append({**{i: i for i in range(1, n + 1)}, a: b, b: a, a2: b2, b2: a2})
+    rows, cols = perms
+    pos = {nf.Delta[i - 1]: nf.Delta[k - 1] for i, k in rows.items()}
+    pos.update({nf.DeltaC[j - 1]: nf.DeltaC[k - 1] for j, k in cols.items()})
+    if any(pos[nf.incl_flip[a - 1]] != nf.incl_flip[pos[a] - 1] for a in pos):
+        return None
+    names = {v: v for v in fixed}
+    for a, c in pos.items():
+        names["x_%d" % a], names["y_%d" % a] = "x_%d" % c, "y_%d" % c
+    return rows, cols, names
+
+
 def _transfers(nf, r, p):
     """Whether the pivot checks' `pass` at the Z pivot r holds at the Z pivot p.
 
-    The renaming phi swaps the pair of r's row with the pair of p's row, and
-    likewise for the columns, so it keeps the pairings i <-> delta + 1 - i and
-    j <-> d - delta + 1 - j and sends r to p; it acts on the lattice
-    positions through `nf.z_cells` and fixes pi and lambda.  The answer is
-    True iff phi maps every input of the checks at r exactly onto the one at
-    p: the DT blow-up chart, ambient and reduced, its row and column sums
-    and its pivot variable, the M chart, full and reduced, its eliminated
-    set, Q2(x) and Q1(y); and iff phi commutes with `incl_flip` and with
-    chart_match's dictionaries.  Generator lists are compared as multisets,
-    those of the reduced charts in order.  phi renames by moving the fields
-    of the order words (`PolyRing.renaming`).  Decided once per (nf, r, p)
-    inside `groebner.memo()`.
+    True iff `_renaming` gives a phi, fixing pi and lambda, that maps every
+    input of the checks at r exactly onto the one at p: the DT blow-up chart,
+    ambient and reduced, its row and column sums and its pivot variable, the
+    M chart, full and reduced, its eliminated set, Q2(x) and Q1(y); and iff
+    phi commutes with chart_match's dictionaries.
+    Generator lists are compared as multisets, those of the reduced charts
+    in order.  phi renames by moving the fields of the order words
+    (`PolyRing.renaming`).  Decided once per (nf, r, p) inside `memo()`.
     """
 
-    def swap(n, a, b):
-        # the permutation of 1..n, as a dict, that swaps the pair of a under
-        # i <-> n + 1 - i with that of b, a to b; None when only one of a, b
-        # is the middle position, which every such permutation fixes
-        a2, b2 = n + 1 - a, n + 1 - b
-        if (a == a2) != (b == b2):
-            return None
-        perm = {i: i for i in range(1, n + 1)}
-        perm.update({a: b, b: a, a2: b2, b2: a2})
-        return perm
-
     def decide():
-        rows = swap(nf.delta, r[0], p[0])
-        cols = swap(nf.d - nf.delta, r[1], p[1])
-        if rows is None or cols is None:
+        moved = _renaming(nf, r, p, "pi", "lambda")
+        if moved is None:
             return False
-        pos = {nf.Delta[i - 1]: nf.Delta[k - 1] for i, k in rows.items()}
-        pos.update({nf.DeltaC[j - 1]: nf.DeltaC[k - 1] for j, k in cols.items()})
-        flip = nf.incl_flip
-        if any(pos[flip[a - 1]] != flip[pos[a] - 1] for a in pos):
-            return False
+        rows, cols, mnames = moved
         bnames = {"pi": "pi", "z_%d_%d" % r: "z_%d_%d" % p}
         for i, k in rows.items():
             for j, l in cols.items():
                 bnames["bu_%d_%d" % (i, j)] = "bu_%d_%d" % (k, l)
-        mnames = {"pi": "pi", "lambda": "lambda"}
-        for a, c in pos.items():
-            mnames["x_%d" % a], mnames["y_%d" % a] = "x_%d" % c, "y_%d" % c
 
         lattice = dict(nf.z_cells)
         br, bp = build_DT_blowup_chart(nf, *r), build_DT_blowup_chart(nf, *p)
@@ -433,3 +417,21 @@ def _transfers(nf, r, p):
         )
 
     return once(("transfers", nf, r, p), decide)
+
+
+def _pins_transfer(nf, r, p):
+    """Whether linked-fiber's `pass` at the pin of the Z pivot r holds at p's.
+
+    The Z entry at lattice position (a, b) pins x_b = 1 and y_a = 1.  True
+    iff `_renaming`'s phi, fixing pi, u and v, maps the chart generators at
+    r onto p's as a multiset, and Q1 and Q2 onto p's: an isomorphism over
+    Q[pi] that commutes with the maps to the basic scheme.  No DT or M chart.
+    """
+    moved = _renaming(nf, r, p, "pi", "u", "v")
+    if moved is None:
+        return False
+    lattice = dict(nf.z_cells)
+    lr, lp = (build_linked_chart_ideal(nf, b, a) for a, b in (lattice[r], lattice[p]))
+    phi = lr.chart.ring.renaming(lp.chart.ring, moved[2])  # never None: a permutation
+    same = Counter(map(phi, lr.chart.generators)) == Counter(lp.chart.generators)
+    return same and (phi(lr.q1), phi(lr.q2)) == (lp.q1, lp.q2)

@@ -144,6 +144,7 @@ import heapq
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import wraps
 from itertools import chain, groupby
 from math import gcd
 from operator import itemgetter
@@ -583,6 +584,18 @@ def once(key, make):
     if key not in _memo:
         _memo[key] = make()
     return _memo[key]
+
+
+def _once_per_memo(builder):
+    """The builder, building inside `memo()` one value per tuple of arguments:
+    later calls share its object, and the bases and reducers its ideals cache.
+    """
+
+    @wraps(builder)
+    def build(*args):
+        return once((builder.__name__,) + args, lambda: builder(*args))
+
+    return build
 
 
 def buchberger(ideal, order=None):

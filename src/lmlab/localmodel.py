@@ -48,8 +48,8 @@ from operator import add, floordiv, mul, neg, sub
 # buchberger is not called here, but bench/test_bench.py requires this module
 # to bind it so that the tracer's re-binding coverage is exercised
 from .groebner import buchberger  # noqa: F401
-from .groebner import Ideal, check_deadline, first_nonmember, ideal_equal, ideal_member, \
-    is_nonzerodivisor, quotient
+from .groebner import Ideal, _once_per_memo, check_deadline, first_nonmember, ideal_equal, \
+    ideal_member, is_nonzerodivisor, quotient
 from .lattice import LatticeError
 from .poly import PolyRing, RingMap, minors
 from .report import FAIL, PASS, checking
@@ -286,8 +286,12 @@ def trace_form(nf, ring=None):
     return _closed_sum(z_matrix(nf, ring or z_ring(nf))) * HALF
 
 
+@_once_per_memo
 def build_U_ideals(nf):
-    """Reduced presentations: U = (minors, T+2pi); small = (minors, (T+2pi).Z)."""
+    """Reduced presentations: U = (minors, T+2pi); small = (minors, (T+2pi).Z).
+
+    Built once per nf inside `groebner.memo()`.
+    """
     ring = z_ring(nf)
     Z = z_matrix(nf, ring)
     T = trace_form(nf, ring)

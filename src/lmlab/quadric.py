@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .groebner import (
     Ideal,
+    _once_per_memo,
     first_nonmember,
     ideal_contains,
     ideal_equal,
@@ -43,11 +44,13 @@ class LinkedChart:
     q2: object
 
 
+@_once_per_memo
 def build_linked_chart_ideal(nf, i, j):
     """The pinned affine chart of the linked quadric at x_i = 1, y_j = 1.
 
     Generators: uv - pi, u Q1(x) + v Q2(y), x_i - 1, y_j - 1, with Q2 the
     halved pi-normalized form (the displayed chart equation absorbs a unit).
+    Built once per (nf, i, j) inside `groebner.memo()`.
     """
     if i not in nf.DeltaC:
         raise LatticeError("pin index i=%d is not an M position" % i)

@@ -15,6 +15,9 @@ The four checks that run per pivot prove their claims once per pivot class
 the class's first pivot is copied to each other pivot of the class that
 `blowup._transfers` accepts, and every other pivot, and every class whose
 first pivot does not pass, is proven pivot by pivot (`_by_pivot_class`).
+The pins x_i = 1, y_j = 1 of linked-fiber, the lattice positions (j, i),
+take the same loop with `blowup._pins_transfer`.  `run_suite` proves each
+claim on the basic scheme, which names no instance, once (`_instance_free`).
 `timeout_s` is the Groebner budget of one named check at one instance: each
 check runs in its own `deadline()` block.
 """
@@ -24,7 +27,7 @@ from __future__ import annotations
 import copy
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .lattice import LatticeError, check_admissible, normal_form
 from .report import FAIL, PASS, VerificationReport, checking, exception_status
@@ -44,6 +47,7 @@ __all__ = [
 ]
 
 REPORT_VERSION = "1"
+_kept = None  # inside run_suite: claim -> its first `pass` (`_instance_free`)
 
 
 class ConfigError(Exception):
@@ -161,24 +165,30 @@ def _check_annihilator(nf, mode, seed):
 
 
 def _check_linked_fiber(nf, mode, seed):
+    from .blowup import _pins_transfer
     from .quadric import verify_fiber_decomposition, verify_linked_chart
 
-    reports = []
-    basic = verify_fiber_decomposition()
-    basic.instance.update({"d": nf.d, "delta": nf.delta})
-    reports.append(basic)
-    for i in nf.DeltaC:
-        for j in nf.Delta:
-            reports.append(verify_linked_chart(nf, i, j))
-    return reports
+    pins = [(j, i) for i in nf.DeltaC for j in nf.Delta]  # lattice positions
+    return [_instance_free(verify_fiber_decomposition, nf)] + _by_pivot_class(
+        nf, pins, 1, lambda nf, j, i: [verify_linked_chart(nf, i, j)], _pins_transfer,
+        lambda j, i: {"pin_x": i, "pin_y": j})
 
 
 def _check_b_blowup(nf, mode, seed):
     from .quadric import verify_divisor_multiplicities_on_blowup_charts
 
-    rep = verify_divisor_multiplicities_on_blowup_charts()
+    return [_instance_free(verify_divisor_multiplicities_on_blowup_charts, nf)]
+
+
+def _instance_free(claim, nf):
+    """The report of `claim()`, which names no instance, stamped with nf's;
+    inside `run_suite` later instances get a copy of its first `pass`."""
+    kept = (_kept or {}).get(claim)
+    rep = copy.deepcopy(kept) if kept else claim()
+    if _kept is not None and not kept and rep.status == PASS:
+        _kept[claim] = replace(copy.deepcopy(rep), runtime_ms=0)
     rep.instance.update({"d": nf.d, "delta": nf.delta})
-    return [rep]
+    return rep
 
 
 def _quadbu_smooth_at(nf, s, t):
@@ -224,20 +234,19 @@ def _exceptional_at(nf, s, t):
     return [exceptional_locus(nf, s, t)]
 
 
-def _by_pivot_class(nf, pivots, half, prove):
+def _by_pivot_class(nf, pivots, half, prove, transfers, place):
     """The reports of `prove(nf, s, t)` at each pivot, with one proof per class.
 
     The class of a pivot is (is its Z row the middle row?, is its Z column
     the middle column?); a lattice pivot reaches Z through `nf.z_cells`.
     The first pivot of a class, in the given order, represents it and is
     proven.  At a later pivot p of a class whose representative r passed
-    every report, r's reports are copied with the pivot set to p if
-    `blowup._transfers` accepts the renaming from r to p; otherwise p is
-    proven.  So no fail, timeout or error is ever copied.  A pivot outside
-    Z is proven, and its builder raises LatticeError.
+    every report, r's reports are copied, with the instance fields
+    `place(*p)` that name the pivot, if `transfers(nf, r, p)` accepts the
+    renaming from r to p on Z; otherwise p is proven.  So no fail, timeout
+    or error is ever copied.  A pivot outside Z is proven, and its builder
+    raises LatticeError.
     """
-    from .blowup import _transfers
-
     to_z = {cell[half]: cell[0] for cell in nf.z_cells}
     first = {}  # class -> (its representative in Z, its reports if all passed)
     reports = []
@@ -249,11 +258,11 @@ def _by_pivot_class(nf, pivots, half, prove):
             continue
         cls = (2 * z[0] == nf.delta + 1, 2 * z[1] == nf.d - nf.delta + 1)
         rep_z, passed = first.get(cls, (None, None))
-        if passed and _transfers(nf, rep_z, z):
+        if passed and transfers(nf, rep_z, z):
             ms = int((time.monotonic() - t0) * 1000)
             for rep in passed:
                 moved = copy.deepcopy(rep)
-                moved.instance["pivot"] = [s, t]
+                moved.instance.update(place(s, t))
                 moved.runtime_ms = ms
                 reports.append(moved)
             continue
@@ -308,9 +317,12 @@ def run_check(check, d, delta, mode="sound", timeout_s=None, seed=7, pivots=None
     with deadline(timeout_s):
         if check not in _PIVOT_HALF:
             return _CHECKS[check](nf, mode, seed)
+        from .blowup import _transfers
+
         half = _PIVOT_HALF[check]
         pivots = pivots or [cell[half] for cell in nf.z_cells]
-        return _by_pivot_class(nf, pivots, half, _CHECKS[check])
+        return _by_pivot_class(nf, pivots, half, _CHECKS[check], _transfers,
+                               lambda s, t: {"pivot": [s, t]})
 
 
 def run_instance(checks, d, delta, mode="sound", timeout_s=None, seed=7, pivots=None):
@@ -361,7 +373,9 @@ def _sort_key(rep):
 
 
 def run_suite(config):
-    """Run the configured checks; returns (exit_code, payload dict)."""
+    """Run the configured checks; returns (exit_code, payload dict).  A claim
+    that names no instance is proven once per call and per worker."""
+    global _kept
     config.validate()
     grid = list(config.grid)
     if config.jobs > 1:
@@ -372,24 +386,28 @@ def run_suite(config):
         (config.checks, d, delta, config.mode, config.timeout_s, config.seed)
         for d, delta in grid
     ]
-    if config.jobs > 1:
-        # imported here: a serial run, and the start-up of every command,
-        # need not load concurrent.futures and multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    saved, _kept = _kept, {}
+    try:
+        if config.jobs > 1:
+            # imported here: a serial run, and the start-up of every command,
+            # need not load concurrent.futures and multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-        # a worker that dies breaks the pool: its instance, and every one
-        # still waiting, gets one error report per check
-        with ProcessPoolExecutor(max_workers=min(config.jobs, len(grid))) as pool:
-            futures = [pool.submit(run_instance, *task) for task in tasks]
-            chunks = []
-            for (d, delta), fut in zip(grid, futures):
-                try:
-                    chunks.append(fut.result())
-                except Exception as exc:
-                    instance = {"d": d, "delta": delta}
-                    chunks.append([_wrap_error(c, instance, exc) for c in config.checks])
-    else:
-        chunks = [run_instance(*task) for task in tasks]
+            # a worker that dies breaks the pool: its instance, and every one
+            # still waiting, gets one error report per check
+            with ProcessPoolExecutor(max_workers=min(config.jobs, len(grid))) as pool:
+                futures = [pool.submit(run_instance, *task) for task in tasks]
+                chunks = []
+                for (d, delta), fut in zip(grid, futures):
+                    try:
+                        chunks.append(fut.result())
+                    except Exception as exc:
+                        instance = {"d": d, "delta": delta}
+                        chunks.append([_wrap_error(c, instance, exc) for c in config.checks])
+        else:
+            chunks = [run_instance(*task) for task in tasks]
+    finally:
+        _kept = saved
     payload = report_payload([r for chunk in chunks for r in chunk], config)
     return exit_code(payload["summary"]), payload
 

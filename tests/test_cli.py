@@ -310,8 +310,10 @@ def test_suite_json_determinism(tmp_path):
 
 
 def test_suite_parallel_matches_serial():
-    serial = SuiteConfig(grid=[(5, 1)], checks=["flatness-dims", "b-blowup"], jobs=1)
-    parallel = SuiteConfig(grid=[(5, 1)], checks=["flatness-dims", "b-blowup"], jobs=2)
+    # each forked worker keeps its own first pass of the instance-free claims
+    checks = ["flatness-dims", "b-blowup", "linked-fiber"]
+    serial = SuiteConfig(grid=[(5, 1), (5, 2)], checks=checks, jobs=1)
+    parallel = SuiteConfig(grid=[(5, 1), (5, 2)], checks=checks, jobs=2)
     _, p1 = run_suite(serial)
     _, p2 = run_suite(parallel)
     a, b = strip_timings(p1), strip_timings(p2)

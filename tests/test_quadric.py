@@ -130,3 +130,165 @@ def test_pi_not_in_y_cubed_directly():
     cube = Ideal(ring, list(chart.generators) + [ring.var("y") ** 3])
     ok, _ = ideal_member(ring.var("pi"), cube)
     assert not ok
+
+
+# ------------------------------------------- one proof per pin class, per run
+
+
+def _spy(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def _stripped(reports):
+    return [dict(rep.to_dict(), runtime_ms=0) for rep in reports]
+
+
+def _direct_pins(nf):
+    return [verify_linked_chart(nf, i, j) for i in nf.DeltaC for j in nf.Delta]
+
+
+def test_linked_fiber_proves_each_pin_class_once(monkeypatch):
+    import lmlab.blowup as blowup
+    import lmlab.quadric as quadric
+    from lmlab.suite import SuiteConfig, run_check, run_suite
+
+    def no_chart(*args):
+        raise AssertionError("linked-fiber built a DT or M chart")
+
+    direct = {(d, delta): _stripped(_direct_pins(normal_form(d, delta))) for d, delta in GRID}
+    monkeypatch.setattr(blowup, "build_DT_blowup_chart", no_chart)
+    monkeypatch.setattr(blowup, "build_M_chart", no_chart)
+    proven = _spy(monkeypatch, quadric, "verify_linked_chart")
+    for (d, delta), classes in zip(GRID, (1, 2, 2)):
+        proven.clear()
+        reports = run_check("linked-fiber", d, delta)
+        assert len(proven) == classes, (d, delta)
+        # every copied pin report equals the direct one, in the same order
+        assert _stripped(reports[1:]) == direct[d, delta]
+    proven.clear()
+    _, payload = run_suite(SuiteConfig(grid=GRID, checks=["linked-fiber"]))
+    pins = [r for r in payload["reports"] if "pin_x" in r["instance"]]
+    assert (len(pins), len(proven)) == (54, 14)
+    assert all(r["status"] == "pass" for r in pins)
+
+
+def test_a_renaming_that_ignores_the_permutation_proves_every_pin(monkeypatch):
+    import lmlab.blowup as blowup
+    import lmlab.quadric as quadric
+    from lmlab.suite import run_check
+
+    real = blowup._renaming
+    monkeypatch.setattr(blowup, "_renaming", lambda nf, r, p, *fixed: real(nf, r, r, *fixed))
+    proven = _spy(monkeypatch, quadric, "verify_linked_chart")
+    for d, delta in [(5, 2), (6, 2)]:
+        nf = normal_form(d, delta)
+        proven.clear()
+        reports = run_check("linked-fiber", d, delta)
+        assert len(proven) == len(nf.z_cells), (d, delta)
+        assert _stripped(reports[1:]) == _stripped(_direct_pins(nf))
+
+
+@pytest.mark.parametrize("part", ["chart", "q1"])
+def test_a_corrupted_linked_chart_is_proven_at_its_own_pin(monkeypatch, part):
+    import dataclasses
+
+    import lmlab.blowup as blowup
+    import lmlab.quadric as quadric
+    from lmlab.poly import RingMap
+    from lmlab.suite import run_check
+
+    nf = normal_form(6, 2)  # one class of 8 pins
+    clean = _stripped(run_check("linked-fiber", 6, 2)[1:])
+    bad = (nf.DeltaC[2], nf.Delta[1])
+    real = quadric.build_linked_chart_ideal
+
+    def build(nf, i, j):
+        linked = real(nf, i, j)
+        if (i, j) != bad:
+            return linked
+        # pi doubled in the chart, or Q1 moved off the chart's own form
+        if part == "q1":
+            return dataclasses.replace(linked, q1=linked.q1 + 1)
+        ring = linked.chart.ring
+        images = {v: ring.var(v) for v in ring.variables}
+        images["pi"] = 2 * ring.var("pi")
+        twice = RingMap(ring, ring, images)
+        chart = Ideal(ring, [twice(g) for g in linked.chart.generators])
+        return dataclasses.replace(linked, chart=chart)
+
+    monkeypatch.setattr(quadric, "build_linked_chart_ideal", build)
+    monkeypatch.setattr(blowup, "build_linked_chart_ideal", build)
+    proven = _spy(monkeypatch, quadric, "verify_linked_chart")
+    reports = run_check("linked-fiber", 6, 2)[1:]
+    assert [args[1:] for args in proven] == [(nf.DeltaC[0], nf.Delta[0]), bad]
+    # the bad pin fails with the residue of its own chart; every other pin
+    # keeps its clean report
+    own = verify_linked_chart(nf, *bad)
+    assert own.status == "fail" and own.details["residue"] != "0"
+
+    def at(reports, pin):
+        return [r for r in reports if (r["instance"]["pin_x"], r["instance"]["pin_y"]) == pin]
+
+    changed = _stripped(reports)
+    assert at(changed, bad) == _stripped([own])
+    assert [r for r in changed if r not in at(changed, bad)] == [
+        r for r in clean if r not in at(clean, bad)
+    ]
+
+
+THREE = [(5, 1), (5, 2), (6, 1)]
+INSTANCE_FREE = ["verify_fiber_decomposition", "verify_divisor_multiplicities_on_blowup_charts"]
+
+
+def test_instance_free_claims_are_proven_once_per_suite_run(monkeypatch):
+    import lmlab.quadric as quadric
+    import lmlab.suite as suite
+    from lmlab.suite import SuiteConfig, report_payload, run_instance, run_suite, strip_timings
+
+    checks = ["linked-fiber", "b-blowup"]
+    direct = [r for d, delta in THREE for r in run_instance(checks, d, delta)]
+    spies = [_spy(monkeypatch, quadric, name) for name in INSTANCE_FREE]
+    _, first = run_suite(SuiteConfig(grid=THREE, checks=checks))
+    assert [len(calls) for calls in spies] == [1, 1]
+    # a second call proves them again: nothing is kept across calls
+    _, second = run_suite(SuiteConfig(grid=THREE, checks=checks))
+    assert [len(calls) for calls in spies] == [2, 2]
+    assert suite._kept is None
+    # each instance's copy is stamped with its own d and delta
+    expected = strip_timings(report_payload(direct))["reports"]
+    assert strip_timings(first)["reports"] == strip_timings(second)["reports"] == expected
+    # plain run_instance calls prove every time
+    for d, delta in THREE:
+        run_instance(checks, d, delta)
+    assert [len(calls) for calls in spies] == [5, 5]
+
+
+def test_a_failing_instance_free_claim_is_not_kept(monkeypatch):
+    import lmlab.quadric as quadric
+    from lmlab.suite import SuiteConfig, run_suite
+
+    real = quadric.verify_fiber_decomposition
+    calls = []
+
+    def first_fails():
+        calls.append(1)
+        rep = real()
+        if len(calls) == 1:
+            rep.fail("radical_identity", False)
+        return rep
+
+    monkeypatch.setattr(quadric, "verify_fiber_decomposition", first_fails)
+    code, payload = run_suite(SuiteConfig(grid=THREE, checks=["linked-fiber"]))
+    basic = [r for r in payload["reports"] if "scheme" in r["instance"]]
+    assert [(r["instance"]["d"], r["instance"]["delta"], r["status"]) for r in basic] == [
+        (5, 1, "fail"), (5, 2, "pass"), (6, 1, "pass")
+    ]
+    assert code == 1 and len(calls) == 2

@@ -442,3 +442,24 @@ def test_localmodel_imports_no_elimination():
         for alias in node.names
     }
     assert imported.isdisjoint({"eliminate", "Block"})
+
+
+def test_no_function_cache_but_the_packings():
+    # a result or a report that functools caches would survive from one
+    # run_suite call, and one benchmark pass, to the next; the one such
+    # cache is poly._packing, of structural packing objects
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if path.name == "poly.py" and (
+                isinstance(stmt, ast.ImportFrom) and stmt.module == "functools"
+                or isinstance(stmt, ast.Assign)
+                and [ast.unparse(t) for t in stmt.targets] == ["_packing"]
+            ):
+                continue
+            for node in ast.walk(stmt):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                name = name or getattr(node, "name", None)
+                if name in ("cache", "lru_cache"):
+                    offenders.append("%s:%d" % (path.name, node.lineno))
+    assert offenders == []
