@@ -17,8 +17,7 @@ second; `_pins_transfer` does so for the pinned charts of the linked quadric.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .groebner import (
     Ideal,
@@ -31,7 +30,7 @@ from .groebner import (
     once,
 )
 from .lattice import LatticeError, q1_form, q2_form
-from .poly import Block, PolyRing, Polynomial, RingMap
+from .poly import Block, PolyRing, RingMap
 from .quadric import build_linked_chart_ideal
 from .report import checking
 
@@ -47,22 +46,14 @@ __all__ = [
     "linking_multipliers",
 ]
 
-@dataclass(frozen=True)
-class BlowupChart:
-    chart: Ideal
-    ambient: Ideal
-    z_var: str
-    row_sum: object
-    col_sum: object
+class BlowupChart(namedtuple("BlowupChart", "chart ambient z_var row_sum col_sum")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MChart:
-    full: Ideal
-    reduced: Ideal
-    eliminated: tuple  # the M-side x and N-side y coordinates, in ring order
-    q2x: Polynomial  # Q2(x) and Q1(y) in the full ring
-    q1y: Polynomial
+# eliminated: the M-side x and N-side y coordinates, in ring order;
+# q2x, q1y: Q2(x) and Q1(y) in the full ring
+class MChart(namedtuple("MChart", "full reduced eliminated q2x q1y")):
+    __slots__ = ()
 
 
 # ----------------------------------------------- blow-up of the basic scheme

@@ -142,8 +142,8 @@ from __future__ import annotations
 
 import heapq
 import time
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import wraps
 from itertools import chain, groupby
 from math import gcd
@@ -848,15 +848,14 @@ def quotient(I, f):
     return Ideal(I.ring, gens)
 
 
-@dataclass(frozen=True)
-class _RevLexLast:
+class _RevLexLast(namedtuple("_RevLexLast", "last")):
     """Graded reverse lex with the named variables weighted least, in turn.
 
     `_RevLexLast(("v", "h"))` compares v last and h next to last; the other
     variables keep their grevlex weights.  Private to `is_nonzerodivisor`.
     """
 
-    last: tuple
+    __slots__ = ()
 
     def _positions(self, variables):
         """The variables in the order of comparison, v first."""

@@ -8,7 +8,7 @@ the pi-modified summand N, DeltaC its complement spanning M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .poly import PolyError
@@ -20,16 +20,10 @@ class LatticeError(PolyError):
     pass
 
 
-@dataclass(frozen=True)
-class LatticeNormalForm:
-    d: int
-    delta: int
-    case_tag: int
-    Delta: tuple
-    DeltaC: tuple
-    S1: tuple
-    S2: tuple
-    incl_flip: tuple  # incl_flip[i - 1]: the index the inclusion pairs with i (sigma)
+# incl_flip[i - 1]: the index the inclusion pairs with i (sigma)
+class LatticeNormalForm(namedtuple("LatticeNormalForm",
+                                   "d delta case_tag Delta DeltaC S1 S2 incl_flip")):
+    __slots__ = ()
 
     @property
     def parity_case(self):

@@ -9,7 +9,7 @@ for w1, w2 (the Gram-matrix names S, T are renamed w1, w2 here).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .groebner import (
     Ideal,
@@ -37,11 +37,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LinkedChart:
-    chart: Ideal
-    q1: object
-    q2: object
+class LinkedChart(namedtuple("LinkedChart", "chart q1 q2")):
+    __slots__ = ()
 
 
 @_once_per_memo

@@ -4,14 +4,14 @@ A claim states each of its requirements once.  `require(key, ok)` records a
 boolean requirement and fails the claim when it does not hold; `fail(key,
 value)` records a key that appears only on failure, with what went wrong.
 A report's status follows from those calls alone: `checking` infers nothing
-from its details.
+from its details.  A report is a plain object with an instance `__dict__`:
+`copy.deepcopy` and the pickling of `--jobs` results take their default path.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 from .groebner import GBTimeout
 
@@ -20,15 +20,15 @@ FAIL = "fail"
 TIMEOUT = "timeout"
 
 
-@dataclass
 class VerificationReport:
-    check: str
-    instance: dict
-    status: str
-    unit_notes: list = field(default_factory=list)
-    certificates: list = field(default_factory=list)
-    runtime_ms: int = 0
-    details: dict = field(default_factory=dict)
+    def __init__(self, check, instance, status, details=None):
+        self.check = check
+        self.instance = instance
+        self.status = status
+        self.unit_notes = []
+        self.certificates = []
+        self.runtime_ms = 0
+        self.details = {} if details is None else details
 
     def to_dict(self):
         return {

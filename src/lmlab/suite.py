@@ -19,15 +19,14 @@ The pins x_i = 1, y_j = 1 of linked-fiber, the lattice positions (j, i),
 take the same loop with `blowup._pins_transfer`.  `run_suite` proves each
 claim on the basic scheme, which names no instance, once (`_instance_free`).
 `timeout_s` is the Groebner budget of one named check at one instance: each
-check runs in its own `deadline()` block.
+check runs in its own `deadline()` block.  Importing the module loads neither
+`json`, which only the payload functions read, nor the process pool.
 """
 
 from __future__ import annotations
 
 import copy
-import json
 import time
-from dataclasses import dataclass, field, replace
 
 from .lattice import LatticeError, check_admissible, normal_form
 from .report import FAIL, PASS, VerificationReport, checking, exception_status
@@ -54,14 +53,14 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
 class SuiteConfig:
-    grid: list
-    checks: list = field(default_factory=lambda: list(CHECK_NAMES))
-    mode: str = "sound"
-    timeout_s: float = None
-    seed: int = 7
-    jobs: int = 1
+    def __init__(self, grid, checks=None, mode="sound", timeout_s=None, seed=7, jobs=1):
+        self.grid = grid
+        self.checks = list(CHECK_NAMES) if checks is None else checks
+        self.mode = mode
+        self.timeout_s = timeout_s
+        self.seed = seed
+        self.jobs = jobs
 
     def validate(self):
         if not self.grid:
@@ -186,7 +185,8 @@ def _instance_free(claim, nf):
     kept = (_kept or {}).get(claim)
     rep = copy.deepcopy(kept) if kept else claim()
     if _kept is not None and not kept and rep.status == PASS:
-        _kept[claim] = replace(copy.deepcopy(rep), runtime_ms=0)
+        _kept[claim] = copy.deepcopy(rep)
+        _kept[claim].runtime_ms = 0
     rep.instance.update({"d": nf.d, "delta": nf.delta})
     return rep
 
@@ -363,6 +363,8 @@ def _check_pivot_convention(checks):
 
 
 def _sort_key(rep):
+    import json
+
     inst = rep["instance"]
     return (
         rep["check"],
@@ -396,7 +398,7 @@ def run_suite(config):
             # a worker that dies breaks the pool: its instance, and every one
             # still waiting, gets one error report per check
             with ProcessPoolExecutor(max_workers=min(config.jobs, len(grid))) as pool:
-                futures = [pool.submit(run_instance, *task) for task in tasks]
+                futures = [pool.submit(_run_in_worker, *task) for task in tasks]
                 chunks = []
                 for (d, delta), fut in zip(grid, futures):
                     try:
@@ -410,6 +412,16 @@ def run_suite(config):
         _kept = saved
     payload = report_payload([r for chunk in chunks for r in chunk], config)
     return exit_code(payload["summary"]), payload
+
+
+def _run_in_worker(*task):
+    """`run_instance(*task)` in a pool worker.  A forked worker inherits the
+    open store of `_instance_free`; a spawned one opens its own, which lives
+    as long as the worker, and so no longer than the pool of its run."""
+    global _kept
+    if _kept is None:
+        _kept = {}
+    return run_instance(*task)
 
 
 def exit_code(summary):
@@ -437,6 +449,8 @@ def report_payload(reports, config=None):
 
 def strip_timings(payload):
     """Copy of a payload with runtime fields zeroed, for byte comparisons."""
+    import json
+
     clone = json.loads(json.dumps(payload))
     for r in clone.get("reports", []):
         r["runtime_ms"] = 0
@@ -444,4 +458,6 @@ def strip_timings(payload):
 
 
 def dump_payload(payload):
+    import json
+
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -11,7 +11,7 @@ certified smooth over the model ring along that assignment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
@@ -32,13 +32,10 @@ __all__ = [
 MODEL_VARS = {"uxy": ("u", "x", "y"), "ux": ("u", "x")}
 
 
-@dataclass(frozen=True)
-class ModelTarget:
-    """A model ring relation plus the assignment of its variables into a chart."""
+class ModelTarget(namedtuple("ModelTarget", "kind relation map")):
+    """A model relation, of kind "uxy" or "ux", and its variables' assignment into a chart."""
 
-    kind: str  # "uxy" | "ux"
-    relation: object
-    map: RingMap
+    __slots__ = ()
 
     @property
     def model_vars(self):
@@ -95,8 +92,7 @@ def model_target_for_chart(nf, bchart):
     return _model_target(kind, ext, _model_images(kind, bchart, ext))
 
 
-@dataclass(frozen=True)
-class CoverPiece:
+class CoverPiece(namedtuple("CoverPiece", "ring inverses target")):
     """An open piece D(h) of a chart together with its model assignment.
 
     `inverses` pairs each factor f of h with the name of a new variable t that
@@ -104,9 +100,7 @@ class CoverPiece:
     lives in it extended by these variables and the model variables.
     """
 
-    ring: PolyRing
-    inverses: tuple
-    target: ModelTarget
+    __slots__ = ()
 
     @property
     def h(self):

@@ -1,6 +1,5 @@
 """Blow-up charts, resolution charts, and their matching."""
 
-import dataclasses
 import json
 
 import pytest
@@ -264,7 +263,7 @@ def test_exceptional_witness_is_searched_both_ways(monkeypatch):
     ring = mchart.full.ring
     full = Ideal(ring, list(mchart.full.generators) + [ring.var("x_4")])
     monkeypatch.setattr(blowup, "build_M_chart",
-                        lambda nf, s, t: dataclasses.replace(mchart, full=full))
+                        lambda nf, s, t: mchart._replace(full=full))
     rep = exceptional_locus(nf, 3, 1)
     assert rep.status == "fail" and rep.details["locus_is_product_chart"] is False
     assert rep.details["witness"] == "x_4"
@@ -320,7 +319,7 @@ def test_case_2_linking_failure_is_reported():
     # of the inclusion read off the Gram matrix, exactly the two middle-pair
     # coordinates are unprovable, and the check reports it
     nf = normal_form(6, 3)
-    nf = dataclasses.replace(nf, incl_flip=tuple(range(nf.d, 0, -1)))
+    nf = nf._replace(incl_flip=tuple(range(nf.d, 0, -1)))
     rep = linking_multipliers(nf, 2, 1)
     assert rep.status == "fail"
     assert set(rep.details["failed_coordinates"]) == {"i(x)_4", "j(piy)_3"}
@@ -545,7 +544,7 @@ def test_a_pivot_whose_chart_differs_is_proven_directly(monkeypatch):
         chart = real(nf, s, t)
         if (s, t) != bad:
             return chart
-        return dataclasses.replace(chart, full=doubled(chart.full), reduced=doubled(chart.reduced))
+        return chart._replace(full=doubled(chart.full), reduced=doubled(chart.reduced))
 
     monkeypatch.setattr(blowup, "build_M_chart", build)
     proven = _spy_proofs(monkeypatch)
@@ -599,3 +598,12 @@ def test_explicit_pivots_form_classes_among_themselves(monkeypatch):
     # a pivot out of range still raises, after the pivots before it ran
     with pytest.raises(LatticeError, match="not an N position"):
         run_instance(["exceptional"], 6, 2, pivots=[first, (9, 9)])
+
+
+def test_m_charts_are_frozen():
+    nf = normal_form(5, 1)
+    s, t = nf.z_cells[0][1]
+    chart = build_M_chart(nf, s, t)
+    with pytest.raises(AttributeError):
+        chart.full = chart.reduced
+    assert chart.full is not chart.reduced

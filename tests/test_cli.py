@@ -322,6 +322,44 @@ def test_suite_parallel_matches_serial():
     assert a["summary"] == b["summary"]
 
 
+def test_spawned_workers_match_serial(monkeypatch):
+    # a spawned worker starts without the parent's store of instance-free
+    # claims and opens its own
+    import concurrent.futures
+
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def spawning(max_workers):
+        return real(max_workers=max_workers, mp_context=multiprocessing.get_context("spawn"))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawning)
+    checks = ["linked-fiber", "b-blowup"]
+    _, serial = run_suite(SuiteConfig(grid=[(5, 1), (5, 2)], checks=checks))
+    _, spawned = run_suite(SuiteConfig(grid=[(5, 1), (5, 2)], checks=checks, jobs=2))
+    a, b = strip_timings(serial), strip_timings(spawned)
+    assert a["reports"] == b["reports"]
+    assert a["summary"] == b["summary"] == {"pass": 14, "fail": 0, "uncertified": 0, "timeout": 0}
+
+
+def test_a_worker_opens_a_missing_store_and_keeps_an_open_one(monkeypatch):
+    import lmlab.suite as suite
+
+    seen = []
+
+    def run_instance(*task):
+        seen.append((task, suite._kept))
+        return ["report"]
+
+    monkeypatch.setattr(suite, "run_instance", run_instance)
+    monkeypatch.setattr(suite, "_kept", None)
+    assert suite._run_in_worker(["b-blowup"], 5, 1) == ["report"]
+    assert seen == [((["b-blowup"], 5, 1), {})]
+    store = {"claim": "its first pass"}
+    monkeypatch.setattr(suite, "_kept", store)
+    suite._run_in_worker(["b-blowup"], 5, 2)
+    assert seen[1][1] is store and store == {"claim": "its first pass"}
+
+
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="the patched check reaches the workers only when they are forked",

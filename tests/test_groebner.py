@@ -372,6 +372,18 @@ def test_eliminate_reuses_the_basis_of_an_ideal_in_its_order(monkeypatch):
     assert runs == ["Block"]
 
 
+def test_rev_lex_last_orders_compare_and_hash_by_value():
+    # the packing cache keys on the order: equal orders share one packing
+    from lmlab.poly import _packing
+
+    a, b = groebner._RevLexLast(("v", "h")), groebner._RevLexLast(("v", "h"))
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != groebner._RevLexLast(("h", "v")) and a != GrevLex()
+    names = ("x", "v", "h")
+    assert _packing(names, a, 16) is _packing(names, b, 16)
+
+
 # -- .ideal serialization
 
 

@@ -174,3 +174,13 @@ def test_z_cells_follow_delta_and_its_complement(d, delta):
         # row by row: row i of Z is Delta[i - 1], column j is DeltaC[j - 1]
         assert (i, j) == (k // m + 1, k % m + 1)
         assert (a, b) == (nf.Delta[i - 1], nf.DeltaC[j - 1])
+
+
+def test_normal_forms_are_frozen_and_compare_and_hash_by_value():
+    a, b = normal_form(6, 1), normal_form(6, 1)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != normal_form(6, 2)
+    with pytest.raises(AttributeError):
+        a.delta = 2
+    assert a.delta == 1

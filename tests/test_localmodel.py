@@ -1131,5 +1131,31 @@ def test_z_positions_keep_the_x_ring_order():
             assert at == sorted(at), (d, delta)
 
 
+def test_one_memo_builds_u_once_for_za1_and_dt_equals_u(monkeypatch):
+    # each check gets its own normal form from run_check; the memo, keyed
+    # on the normal form, finds the first check's U under the second's
+    # because equal normal forms hash equal
+    from lmlab import groebner, suite
+    from lmlab.suite import run_instance
+
+    forms, built = [], []
+    real_form, raw = suite.normal_form, lmlab.localmodel.build_U_ideals.__wrapped__
+
+    def normal_form_spy(d, delta):
+        forms.append(real_form(d, delta))
+        return forms[-1]
+
+    def build_U_ideals(nf):
+        built.append(nf)
+        return raw(nf)
+
+    monkeypatch.setattr(suite, "normal_form", normal_form_spy)
+    monkeypatch.setattr(lmlab.localmodel, "build_U_ideals", groebner._once_per_memo(build_U_ideals))
+    reports = run_instance(["za1", "dt-equals-u"], 6, 1)
+    assert [(r.check, r.status) for r in reports] == [("za1", "pass"), ("dt-equals-u", "pass")]
+    assert len(forms) == 2 and forms[0] is not forms[1]
+    assert len(built) == 1
+
+
 if __name__ == "__main__":
     ZA1_SOUND_GOLDEN.write_text(za1_sound_payloads())

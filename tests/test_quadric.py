@@ -198,8 +198,6 @@ def test_a_renaming_that_ignores_the_permutation_proves_every_pin(monkeypatch):
 
 @pytest.mark.parametrize("part", ["chart", "q1"])
 def test_a_corrupted_linked_chart_is_proven_at_its_own_pin(monkeypatch, part):
-    import dataclasses
-
     import lmlab.blowup as blowup
     import lmlab.quadric as quadric
     from lmlab.poly import RingMap
@@ -216,13 +214,13 @@ def test_a_corrupted_linked_chart_is_proven_at_its_own_pin(monkeypatch, part):
             return linked
         # pi doubled in the chart, or Q1 moved off the chart's own form
         if part == "q1":
-            return dataclasses.replace(linked, q1=linked.q1 + 1)
+            return linked._replace(q1=linked.q1 + 1)
         ring = linked.chart.ring
         images = {v: ring.var(v) for v in ring.variables}
         images["pi"] = 2 * ring.var("pi")
         twice = RingMap(ring, ring, images)
         chart = Ideal(ring, [twice(g) for g in linked.chart.generators])
-        return dataclasses.replace(linked, chart=chart)
+        return linked._replace(chart=chart)
 
     monkeypatch.setattr(quadric, "build_linked_chart_ideal", build)
     monkeypatch.setattr(blowup, "build_linked_chart_ideal", build)

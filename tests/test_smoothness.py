@@ -1,7 +1,5 @@
 """Relative Jacobian smoothness certificates."""
 
-from dataclasses import replace
-
 from lmlab.blowup import build_DT_blowup_chart
 from lmlab.lattice import normal_form
 from lmlab.poly import RingMap
@@ -122,7 +120,7 @@ def test_twisted_piece_needs_its_twist():
     images["pi"] = ext.var("pi")
     plain = ModelTarget(last.target.kind, last.target.relation,
                         RingMap(last.target.map.source, ext, images))
-    rep = smooth_on_cover(bc.chart, pieces[:-1] + [replace(last, target=plain)], nf.d - 4)
+    rep = smooth_on_cover(bc.chart, pieces[:-1] + [last._replace(target=plain)], nf.d - 4)
     assert rep.status == "fail"
     assert rep.details["cover_unit"]
     reports = rep.details["piece_reports"]
@@ -135,7 +133,7 @@ def test_sum_of_other_shape_gets_no_cover():
     nf = normal_form(5, 2)
     bc = build_DT_blowup_chart(nf, 1, 2)
     b = bc.chart.ring.var("bu_1_1")
-    assert model_cover_for_chart(nf, replace(bc, col_sum=bc.col_sum + b**2)) == []
+    assert model_cover_for_chart(nf, bc._replace(col_sum=bc.col_sum + b**2)) == []
     rep = smooth_on_cover(bc.chart, [], nf.d - 4)
     assert rep.status == "fail"
     assert rep.details["cover_unit"] is False

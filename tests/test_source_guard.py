@@ -1,6 +1,8 @@
 """Source-level guards on the package layout."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import lmlab
@@ -463,3 +465,44 @@ def test_no_function_cache_but_the_packings():
                 if name in ("cache", "lru_cache"):
                     offenders.append("%s:%d" % (path.name, node.lineno))
     assert offenders == []
+
+
+def test_no_module_imports_dataclasses():
+    # records are namedtuple subclasses or plain classes: `dataclasses`
+    # loads `inspect`, and each decoration execs generated code
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                offenders.append("%s:%d" % (path.name, node.lineno))
+    assert offenders == []
+
+
+def test_start_up_loads_no_heavy_module():
+    # a fresh interpreter imports what the benchmark's set-up probe imports,
+    # then the command line; against the modules a bare `python -I` holds,
+    # neither loads dataclasses, inspect or a process pool, and only the
+    # command line loads json
+    code = (
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "sys.path.insert(0, %r)\n"
+        "from lmlab import blowup, lattice, localmodel, quadric, suite, verify\n"
+        "probe = set(sys.modules) - bare\n"
+        "import lmlab.cli\n"
+        "print(sorted(probe))\n"
+        "print(sorted(set(sys.modules) - bare - probe))\n"
+    ) % str(PACKAGE.parent)
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    probe, cli = (set(ast.literal_eval(line)) for line in out.stdout.splitlines())
+    assert "lmlab.suite" in probe and "lmlab.cli" in cli
+    heavy = ("dataclasses", "inspect", "concurrent", "multiprocessing")
+    assert sorted(m for m in probe | cli if m.split(".")[0] in heavy) == []
+    assert sorted(m for m in probe if m.split(".")[0] == "json") == []
