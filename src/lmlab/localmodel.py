@@ -12,7 +12,9 @@ ideal, at the section's entries under two ring maps, over the product ring
 of the samples for the rank-one oracle, and at Y = -X^t in x_ring for
 complete mode.  Where Y = -X^t by value, the minors of Y are those of X,
 transposed, and are not computed again; the four quadratic forms are
-symmetric, so only their upper triangles are formed.
+symmetric, so only their upper triangles are formed.  At the Segre point
+and at the oracle's samples X has rank one, and each block is decided from
+its factors a X = c r^t before it is formed (see _naive_relations).
 
 Membership in small = (minors of Z, q Z), q = T + 2 pi, needs no basis.
 small = (Z) meet U with U = (minors, q): for c q + m in (Z), m in the
@@ -178,18 +180,67 @@ def _minus_transpose(M):
     return [[-v for v in col] for col in zip(*M)]
 
 
-def _rank_at_most_one(M):
-    """Whether the matrix M, as a list of rows over a domain, has rank at most one.
+def _rank_one(M):
+    """Factors (a, c, r) with a M = c r^t if the matrix M has rank at most one, else None.
 
-    With a the first nonzero entry, at (p, q), that holds iff every 2x2
-    minor through that entry vanishes, M[i][j] a = M[i][q] M[p][j]: then each
-    row is M[i][q] / a times row p.
+    M is a list of rows over a domain.  With a = M[p][q] the first nonzero
+    entry, c column q and r row p, the rank is at most one iff every 2x2
+    minor through that entry vanishes, M[i][j] a = M[i][q] M[p][j]: then
+    each row is M[i][q] / a times row p.  The zero matrix gives its entry,
+    column and row through (0, 0), all zero.
+
+    Over Z^n (_Zn entries) each sample is factored on its own int matrix and
+    the factors are gathered, so a is 0 exactly at the samples where M is
+    zero; a sample of rank two gives None.
     """
+    if M[0][0].__class__ is _Zn:
+        m, per = len(M[0]), []
+        for vals in zip(*(v.v for v in _entries(M))):
+            f = _rank_one([vals[k : k + m] for k in range(0, len(vals), m)])
+            if f is None:
+                return None
+            per.append(f)
+        a, c, r = zip(*per)
+        return _Zn(list(a)), [_Zn(list(v)) for v in zip(*c)], [_Zn(list(v)) for v in zip(*r)]
     for p, row in enumerate(M):
         for q, a in enumerate(row):
             if a:
-                return all(v * a == r[q] * row[j] for r in M for j, v in enumerate(r))
-    return True
+                c = [r[q] for r in M]
+                if all(v * a == ci * rj for ci, r in zip(c, M) for rj, v in zip(row, r)):
+                    return a, c, row
+                return None
+    return M[0][0], [r[0] for r in M], M[0]
+
+
+def _quadratic_blocks(A, P, Q, pi, forms, f, zero):
+    """The entries of A^t (M A) + k N A with N = P + pi Q, for each (M, k) in
+    `forms`, M being P or Q.
+
+    P A, Q A and N A = P A + pi Q A are formed once, on first use, and
+    A^t (M A) by _sym_mul.  Given factors f = (a, c, r) of A, a A = c r^t
+    over a domain, a block B is decided first: a^2 B = w r^t with
+    w = (c^t M c) r + k a N c.  If w = 0 then B = 0, yielded as the ring's
+    zero and not formed; else a != 0, and r holds a as an entry, so B != 0.
+    Over Z^n this holds at each sample.
+    """
+    formed = None
+    if f is not None:
+        a, c, r = f
+        col = [[v] for v in c]
+        PC, QC = _mat_mul(P, col, zero), _mat_mul(Q, col, zero)  # columns
+        NC = _mat_add(PC, QC, pi)
+    for M, k in forms:
+        if f is not None:
+            s = _mat_mul([c], PC if M is P else QC, zero)[0][0]
+            ka = k * a
+            if not any(s * ri + ka * ni for ri, (ni,) in zip(r, NC)):
+                yield from repeat(zero, len(A) * len(A))
+                continue
+        if formed is None:
+            PA, QA = _mat_mul(P, A, zero), _mat_mul(Q, A, zero)
+            formed = [list(col) for col in zip(*A)], _mat_add(PA, QA, pi)
+        At, NA = formed
+        yield from _entries(_mat_add(_sym_mul(At, PA if M is P else QA, zero), NA, k))
 
 
 def _naive_relations(nf, X, Y, pi, L=1, domain=False):
@@ -212,35 +263,44 @@ def _naive_relations(nf, X, Y, pi, L=1, domain=False):
     the ring's zero, and the minors of Y as the X-minor objects, transposed
     (the minor of -X^t at rows (i, j) and columns (k, l) is that of X at rows
     (k, l) and columns (i, j)).  S1 and S2 are symmetric, so X^t (L S1 X),
-    X^t (S2 X), Y^t (S1 Y) and Y^t (L S2 Y) are formed by _sym_mul.  Over a
-    domain (`domain`), the minors of a matrix that _rank_at_most_one accepts
-    are yielded as the ring's zero and not formed.
+    X^t (S2 X), Y^t (S1 Y) and Y^t (L S2 Y) are formed by _sym_mul.
+
+    Over a domain, or over Z^n (`domain`), a matrix of rank at most one is
+    factored once by _rank_one, a X = c r^t, and each block of a factored
+    matrix is decided from a short vector before it is formed: its minors
+    are zero; X^t Y is zero iff c . c' = 0, with (a', c', r') the factors of
+    Y (a a' X^t Y = (c . c') r r'^t), which are (a, -r, c) at Y = -X^t; and
+    each quadratic block by _quadratic_blocks.  A block decided zero is
+    yielded as the ring's zero; every other block is formed as without
+    `domain`, so the values are the same either way.
     """
     d = len(X)
     Xt = [list(col) for col in zip(*X)]
-    Yt = [list(col) for col in zip(*Y)]
     LS1 = [[L * v for v in row] for row in nf.S1]
     LS2 = [[L * v for v in row] for row in nf.S2]
     zero = pi * 0  # the ring's zero, or the int 0
     skew_sum = _mat_add(Y, Xt)
     skew = not any(_entries(skew_sum))
     yield from ([zero] * (d * d) if skew else _entries(skew_sum))
-    yield from _entries(_mat_mul(Xt, Y, zero))
+    fx = _rank_one(X) if domain else None
+    if skew:
+        fy = None if fx is None else (fx[0], [-v for v in fx[2]], fx[1])
+    else:
+        fy = _rank_one(Y) if domain else None
+    factored = fx is not None and fy is not None
+    if factored and not _mat_mul([fx[1]], [[v] for v in fy[1]], zero)[0][0]:
+        yield from repeat(zero, d * d)
+    else:
+        yield from _entries(_mat_mul(Xt, Y, zero))
     n = comb(d, 2)
-    mx = [zero] * (n * n) if domain and _rank_at_most_one(X) else minors(X, 2)
+    mx = minors(X, 2) if fx is None else [zero] * (n * n)
     yield from mx
     if skew:
         yield from (mx[c * n + r] for r in range(n) for c in range(n))
     else:
-        yield from [zero] * (n * n) if domain and _rank_at_most_one(Y) else minors(Y, 2)
-    LS1X, S2X = _mat_mul(LS1, X, zero), _mat_mul(nf.S2, X, zero)
-    SX = _mat_add(LS1X, S2X, pi)
-    yield from _entries(_mat_add(_sym_mul(Xt, LS1X, zero), SX, -2 * pi))
-    yield from _entries(_mat_add(_sym_mul(Xt, S2X, zero), SX, 2))
-    LS2Y, S1Y = _mat_mul(LS2, Y, zero), _mat_mul(nf.S1, Y, zero)
-    sy = _mat_add(LS2Y, S1Y, pi)
-    yield from _entries(_mat_add(_sym_mul(Yt, S1Y, zero), sy, 2))
-    yield from _entries(_mat_add(_sym_mul(Yt, LS2Y, zero), sy, -2 * pi))
+        yield from minors(Y, 2) if fy is None else repeat(zero, n * n)
+    yield from _quadratic_blocks(X, LS1, nf.S2, pi, ((LS1, -2 * pi), (nf.S2, 2)), fx, zero)
+    yield from _quadratic_blocks(Y, LS2, nf.S1, pi, ((nf.S1, 2), (LS2, -2 * pi)), fy, zero)
 
 
 def build_naive_chart_ideal(nf):
@@ -453,24 +513,10 @@ def _scaled_at_samples(ring, X, points):
             _Zn(list(map(floordiv, pi.v, g))), _Zn(list(map(floordiv, L.v, g))))
 
 
-def _oracle_failures(nf, psi, count, seed):
-    """The number of rank-one samples at which psi does not kill the naive chart.
-
-    Each sample is Z = a b^t with pi = -T(Z)/2, normalised once by
-    PolyRing.point.  The samples are evaluated together, over the product
-    ring Z^n of the n samples (_Zn): psi's x-images become the matrix L X,
-    with L_s the least positive int that clears X and pi at sample s (see
-    _scaled_at_samples), and Y = -X^t, as block_substitution defines it.
-    _naive_relations on (L X, -(L X)^t, L pi) at L then holds at each
-    coordinate s the ints that it gives at sample s alone: each relation
-    times a power of L_s != 0, zero exactly when the relation is.  psi is a
-    ring map, so a relation is nonzero at a sample exactly when psi of that
-    generator is: a sample fails iff some relation is nonzero at its
-    coordinate, and the count equals that of evaluating every image psi(g)
-    at every sample.
-    """
+def _oracle_points(nf, ring, count, seed):
+    """The rank-one samples Z = a b^t with pi = -T(Z)/2, each normalised once
+    by `ring`.point."""
     delta, m = nf.delta, nf.d - nf.delta
-    ring = psi.target
     T = trace_form(nf, ring)
     points = []
     for a, b in _rank_one_samples(nf, count, seed):
@@ -479,10 +525,31 @@ def _oracle_failures(nf, psi, count, seed):
         assign["pi"] = 0
         assign["pi"] = -T.evaluate(assign) / 2
         points.append(ring.point(assign))
+    return points
+
+
+def _oracle_failures(nf, psi, count, seed):
+    """The number of rank-one samples at which psi does not kill the naive chart.
+
+    The samples are those of _oracle_points, evaluated together over the
+    product ring Z^n of the n samples (_Zn): psi's x-images become the
+    matrix L X, with L_s the least positive int that clears X and pi at
+    sample s (see _scaled_at_samples), and Y = -X^t, as block_substitution
+    defines it.  _naive_relations on (L X, -(L X)^t, L pi) at L then holds
+    at each coordinate s the ints that it gives at sample s alone: each
+    relation times a power of L_s != 0, zero exactly when the relation is.
+    Each coordinate is a domain, so the blocks are decided from factors
+    taken sample by sample (`domain`).  psi is a ring map, so a relation is
+    nonzero at a sample exactly when psi of that generator is: a sample
+    fails iff some relation is nonzero at its coordinate, and the count
+    equals that of evaluating every image psi(g) at every sample.
+    """
+    ring = psi.target
+    points = _oracle_points(nf, ring, count, seed)
     X = named_matrix(psi.images.__getitem__, "x", nf.d)
     LX, pi, L = _scaled_at_samples(ring, X, points)
     failed = set()
-    for r in _naive_relations(nf, LX, _minus_transpose(LX), pi, L):
+    for r in _naive_relations(nf, LX, _minus_transpose(LX), pi, L, domain=True):
         if r:
             failed.update(s for s, v in enumerate(r.v) if v)
             if len(failed) == len(points):
@@ -525,9 +592,10 @@ def _first_outside_small(nf, points):
 
     `points` holds (X, Y, pi) under each of the two maps of _small_maps: a
     relation lies in small iff it is zero under both.  Both maps go to
-    domains, so a matrix of rank at most one has no minor to form.  A point
-    where X and Y are zero is passed over, since every naive relation lies
-    in (X, Y).  The active groebner deadline is checked before each relation.
+    domains, so the blocks of a matrix of rank at most one are decided from
+    its factors (`domain` of _naive_relations).  A point where X and Y are
+    zero is passed over, since every naive relation lies in (X, Y).  The
+    active groebner deadline is checked before each relation.
     """
     runs = [_naive_relations(nf, X, Y, pi, domain=True) for X, Y, pi in points
             if any(_entries(X)) or any(_entries(Y))]
@@ -572,9 +640,12 @@ def verify_presentation(nf, mode="sound", seed=7):
     Y = -X^t by value) under the two maps of _small_maps; a failing one is
     reported with the normal form of its image modulo small's basis.  A
     seeded rank-one evaluation oracle re-checks the section's own images
-    exactly (see _oracle_failures).  complete: also prove that the naive
-    ideal contracts to exactly small in Q[pi, Z] and that the section is
-    onto (see _verify_complete).
+    exactly (see _oracle_failures).  Under the Segre map and at the oracle's
+    samples the section's X has rank one, so each block of the relations is
+    decided there from the factors of X and formed only if it is nonzero;
+    the values, and so the report, are those of forming every block.
+    complete: also prove that the naive ideal contracts to exactly small in
+    Q[pi, Z] and that the section is onto (see _verify_complete).
     """
     instance = {"d": nf.d, "delta": nf.delta, "mode": mode}
     with checking("za1", instance) as report:

@@ -22,8 +22,9 @@ from lmlab.localmodel import (
     _mat_mul,
     _naive_relations,
     _oracle_failures,
+    _oracle_points,
     _outside_span,
-    _rank_at_most_one,
+    _rank_one,
     _rank_one_samples,
     _scaled_at_samples,
     _small_maps,
@@ -529,9 +530,18 @@ def test_outside_span_is_linear_algebra_over_q():
     assert _outside_span([], inside) == inside[:2]
 
 
+def assert_factors(M, f):
+    """a M == c r^t for the factors f = (a, c, r) of M."""
+    a, c, r = f
+    assert len(c) == len(M) and len(r) == len(M[0])
+    assert [[a * v for v in row] for row in M] == [[ci * rj for rj in r] for ci in c]
+
+
 def test_rank_at_most_one_is_the_vanishing_of_every_minor():
     # over the domains Z and Q[x, y]: rank-one products with zero entries,
-    # their sums, the zero matrix and random matrices
+    # their sums, the zero matrix and random matrices.  _rank_one gives
+    # factors iff every 2x2 minor vanishes, and then a M == c r^t, with a
+    # the first nonzero entry (0 for the zero matrix)
     rng = random.Random(3)
     R = PolyRing(["x", "y"])
     polys = [R.zero(), R.one(), R.var("x"), R.var("y") - 2, R.var("x") * R.var("y") + 1]
@@ -541,10 +551,40 @@ def test_rank_at_most_one_is_the_vanishing_of_every_minor():
             u = [rng.choice(entries) for _ in range(n)]
             v = [rng.choice(entries) for _ in range(m)]
             M = [[a * b for b in v] for a in u]
-            assert _rank_at_most_one(M)
             other = [[rng.choice(entries) for _ in range(m)] for _ in range(n)]
-            for N in (other, [[a + b for a, b in zip(r, s)] for r, s in zip(M, other)]):
-                assert _rank_at_most_one(N) == (not any(minors(N, 2)))
+            for N in (M, other, [[a + b for a, b in zip(r, s)] for r, s in zip(M, other)]):
+                f = _rank_one(N)
+                assert (f is not None) == (not any(minors(N, 2)))
+                if f is not None:
+                    assert_factors(N, f)
+                    assert f[0] == next((v for v in _entries(N) if v), N[0][0])
+            assert _rank_one(M) is not None
+    zero = [[0] * 3 for _ in range(2)]
+    assert _rank_one(zero) == (0, [0, 0], [0, 0, 0])
+
+
+def test_rank_one_over_the_product_ring_factors_each_sample():
+    # per-sample pivots: the samples' first nonzero entries sit at different
+    # places, one sample is zero, and no entry is nonzero at every sample;
+    # the gathered factors hold coordinatewise, and one sample of rank two
+    # gives None
+    samples = [
+        [[0, 0, 0], [0, 2, -4], [0, 1, -2]],
+        [[3, 0, 6], [0, 0, 0], [-1, 0, -2]],
+        [[0] * 3 for _ in range(3)],
+        [[0, 0, 0], [0, 0, 0], [0, 0, 5]],
+    ]
+
+    def gather(samples):
+        return [[_Zn([S[i][j] for S in samples]) for j in range(3)] for i in range(3)]
+
+    M = gather(samples)
+    assert not any(all(v.v) for v in _entries(M))
+    a, c, r = _rank_one(M)
+    assert a.v == [2, 3, 0, 5]
+    for s, S in enumerate(samples):
+        assert_factors(S, (a.v[s], [v.v[s] for v in c], [v.v[s] for v in r]))
+    assert _rank_one(gather(samples + [[[1, 0, 0], [0, 1, 0], [0, 0, 0]]])) is None
 
 
 def test_a_failing_repeated_image_is_named_at_its_x_minor(monkeypatch):
@@ -745,6 +785,99 @@ def test_two_maps_decide_every_relation_as_the_basis_does(d, delta):
         if corrupt == "q":
             segre = _naive_relations(nf, *points[1])
             assert not any(segre)
+
+
+def values(relations):
+    """The relations as comparable values: the coordinates of a _Zn."""
+    return [r.v if type(r) is _Zn else r for r in relations]
+
+
+@pytest.mark.parametrize("d,delta", UP_TO_7)
+def test_blocks_decided_from_factors_equal_the_formed_blocks(d, delta):
+    # at the true, diagonal, scaled and one-y sections, under the Segre map
+    # and over the oracle's Z^n (X and Y scaled together), the relations
+    # with blocks decided from the rank-one factors are those formed entry
+    # by entry, value for value
+    nf = normal_form(d, delta)
+    for corrupt in (None, "diagonal", "scaled", "one-y"):
+        psi = sound_section(nf, corrupt)
+        ring = psi.target
+        X, Y = (named_matrix(psi.images.__getitem__, stem, d) for stem in "xy")
+        segre = _small_maps(nf, ring)[1]
+        SX, SY = _mapped([segre], X) + _mapped([segre], Y)
+        LXY, Lpi, L = _scaled_at_samples(ring, X + Y, _oracle_points(nf, ring, 20, 7))
+        for args in ((SX, SY, segre(psi.images["pi"])), (LXY[:d], LXY[d:], Lpi, L)):
+            formed = values(_naive_relations(nf, *args))
+            assert values(_naive_relations(nf, *args, domain=True)) == formed
+            assert any(_naive_relations(nf, *args, domain=True)) == (corrupt is not None)
+
+
+def test_a_rank_one_block_with_a_nonzero_vector_is_formed(monkeypatch):
+    # X = c r^t over Q with Y = -X^t: the minors are decided zero, and a
+    # quadratic block is formed by _sym_mul exactly when it is nonzero.  In
+    # the first case all four blocks are nonzero.  In the second, at 5:1
+    # with c = e_3 and pi = 0, S1 c = 0 and so N c = 0 on the X side: the
+    # block with M = S2 is nonzero by its term (c^t S2 c) r alone, and the
+    # one with M = L S1 is zero
+    nf = normal_form(5, 1)
+    calls = []
+    real = lmlab.localmodel._sym_mul
+    monkeypatch.setattr(lmlab.localmodel, "_sym_mul", lambda *a: calls.append(1) or real(*a))
+    for c, r, pi, nonzero in (
+        ([1, 0, -2, Fraction(1, 3), 4], [0, 3, 1, -1, 2], Fraction(5, 2), [True] * 4),
+        ([0, 0, 1, 0, 0], [2, -1, 3, 0, 1], Fraction(0), [False, True, True, True]),
+    ):
+        X = [[Fraction(ci * rj) for rj in r] for ci in c]
+        Y = minus_transpose(X)
+        formed = list(_naive_relations(nf, X, Y, pi))
+        del calls[:]
+        assert list(_naive_relations(nf, X, Y, pi, domain=True)) == formed
+        quadratic = formed[2 * 25 + 2 * 100 :]
+        assert [any(quadratic[k * 25 : (k + 1) * 25]) for k in range(4)] == nonzero
+        assert len(calls) == sum(nonzero)
+
+
+def test_blocks_over_z_n_with_a_rank_two_and_a_zero_sample_are_formed():
+    # one sample of rank two makes _rank_one give None, so every block is
+    # formed; the all-zero sample is zero in every relation, and each
+    # coordinate is the relation at that sample alone
+    nf = normal_form(5, 2)
+    d = 5
+    rank_one = [[i * j - j for j in range(d)] for i in range(d)]
+    rank_two = [[int(i == j < 2) for j in range(d)] for i in range(d)]
+    zero = [[0] * d for _ in range(d)]
+    samples = [(M, minus_transpose(M), p, k)
+               for M, p, k in ((rank_one, 3, 2), (rank_two, -1, 1), (zero, 0, 5))]
+    X, Y = ([[_Zn([S[k][i][j] for S in samples]) for j in range(d)] for i in range(d)] for k in (0, 1))
+    pi, L = (_Zn([S[k] for S in samples]) for k in (2, 3))
+    assert _rank_one(X) is None
+    got = values(_naive_relations(nf, X, Y, pi, L, domain=True))
+    assert got == values(_naive_relations(nf, X, Y, pi, L))
+    per_sample = [list(_naive_relations(nf, *S)) for S in samples]
+    assert got == [list(col) for col in zip(*per_sample)]
+    assert not any(v[2] for v in got) and any(v[1] for v in got)
+
+
+@pytest.mark.parametrize("d,delta", [(6, 3), (7, 3)])
+def test_a_passing_sound_za1_forms_blocks_only_for_the_naive_ideal(monkeypatch, d, delta):
+    # build_naive_chart_ideal forms the four quadratic blocks and the minors
+    # of X and of Y, build_U_ideals the minors of Z; the Segre run and the
+    # oracle decide every block from the rank-one factors and form none
+    calls = []
+
+    def spy(name):
+        real = getattr(lmlab.localmodel, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(lmlab.localmodel, name, counted)
+
+    spy("_sym_mul")
+    spy("minors")
+    [rep] = run_check("za1", d, delta)
+    assert rep.status == "pass"
+    assert (calls.count("_sym_mul"), calls.count("minors")) == (4, 3)
 
 
 @pytest.mark.parametrize("d,delta", UP_TO_7)
