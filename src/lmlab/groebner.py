@@ -70,7 +70,8 @@ Deadline.  Inside a `deadline(seconds)` block the Groebner operations
 counted from the block's start: once it is spent, the next deadline check
 (before each S-pair, and every 256 steps of a reduction) raises GBTimeout and
 the computation is abandoned.  `check_deadline` is that one check, also for
-exact loops outside the engine (za1's relations under its two ring maps).
+exact loops outside the engine (za1's relations under its two ring maps,
+and each step of `_solve_linear`).
 A nested block can shorten the deadline but never extend it, and leaving a
 block restores the previous one.  The suite opens one block per named check
 and instance.
@@ -118,24 +119,17 @@ chart builders key a chart by (builder name, nf, s, t).  The suite opens one
 block per instance.
 
 Nonzerodivisors.  `is_nonzerodivisor(I, v)` needs no ideal quotient.  It
-first substitutes away every variable that a generator solves for.  While
-some generator is g = c x + f, with c a nonzero constant, x not v, f free of
-x and g of degree at least 2, the first such generator (and in it the first
-such x in ring order) is dropped, x becomes -f/c in the other generators,
-and x leaves the ring.  Each step is the isomorphism R/I -> R'/I' that sends
-x to -f/c and every other variable to itself: R/(g) is isomorphic to R' =
-Q[the other variables], and the images of the other generators generate I'
-(I' is I when nothing is substituted).  It fixes v, so v is a nonzerodivisor
-on R/I iff on R'/I'.  A linear g, such as a pin x - 1, stays: a leading term
-of degree 1 costs a run next to nothing, and staying in R lets the test
-share the grevlex basis of I with the other claims on I.  The test then
+first substitutes away every variable but v that a generator of degree at
+least 2 solves for (`_solve_linear`); the isomorphism fixes v, so v is a
+nonzerodivisor on R/I iff on R'/I'.  A linear g, such as a pin x - 1,
+stays: a leading term of degree 1 costs a run next to nothing, and staying
+in R lets the test share the grevlex basis of I with other claims.  It then
 homogenizes the grevlex basis of I' with a fresh h and computes the reduced
 basis of I'^h under graded reverse lex with v last and h next to last; v is
 a nonzerodivisor on R'/I' iff v divides none of its leading monomials (Bayer
 and Stillman: in(J : v) = in(J) : v for homogeneous J and v last; v is a
 nonzerodivisor on S/I'^h iff on R'/I').  v last is what the criterion needs.
-h goes next to last: on the full resolution charts, before they were
-substituted down, that halved the run against h after pi.
+h goes next to last: that halved the runs on the full resolution charts.
 """
 
 from __future__ import annotations
@@ -180,7 +174,7 @@ __all__ = [
     "ideal_equal",
     "ideal_contains",
     "eliminate",
-    "eliminates_to",
+    "first_unmatched",
     "quotient",
     "is_nonzerodivisor",
     "radical_member",
@@ -776,6 +770,18 @@ def ideal_equal(I, J):
     return ideal_contains(I, Jc) and ideal_contains(Jc, I)
 
 
+def first_unmatched(polys, others):
+    """A generator of the first primitive form (`_primitive_forms`) of
+    `polys`, then of `others`, that the other list lacks, or None: then the
+    two lists, of one ring, generate one ideal.  Zeros are skipped."""
+    sides = [p for p in polys if p], [p for p in others if p]
+    deg = max((p.total_degree() for p in sides[0] + sides[1]), default=0)
+    mine, theirs = ({next(iter(_primitive_forms(_packing_for(p.ring, deg), [p])[0])): p
+                     for p in side} for side in sides)
+    pairs = ((mine, theirs), (theirs, mine))
+    return next((p for a, b in pairs for f, p in a.items() if f not in b), None)
+
+
 def _basis_under(I, order):
     """The reduced basis of I under `order`; the cached `I.gb()` if it is I's."""
     if I.ring.order == order:
@@ -799,14 +805,6 @@ def eliminate(I, vars_to_remove):
         if not (g.variables_used() & set(removed)):
             kept.append(g.cast(sub))
     return Ideal(sub, kept)
-
-
-def eliminates_to(I, removed, J):
-    """True iff eliminating the variables `removed` from I gives exactly J.
-
-    J lives in a ring of the variables of I that are not removed.
-    """
-    return ideal_equal(Ideal(J.ring, eliminate(I, removed).generators), J)
 
 
 def _fresh_name(ring, stem):
@@ -869,22 +867,6 @@ class _RevLexLast(namedtuple("_RevLexLast", "last")):
         return ((True, self._positions(variables)),)
 
 
-def _linear_variable(g, keep):
-    """Index of the first variable x in ring order, other than the one at
-    index `keep`, with g = c x + f for a constant c and f free of x, if g
-    has degree at least 2; else None."""
-    if g.total_degree() < 2:
-        return None
-    exps = g.numerators()
-    used = [0] * g.ring.nvars
-    for e in exps:
-        for i, a in enumerate(e):
-            if a:
-                used[i] += 1
-    found = [e.index(1) for e in exps if sum(e) == 1]
-    return min((i for i in found if i != keep and used[i] == 1), default=None)
-
-
 def _substitute(q, i, image):
     """q with the variable at index i replaced by `image`, which is free of it."""
     parts = {}
@@ -898,28 +880,33 @@ def _substitute(q, i, image):
     return out
 
 
-def _solve_linear(I, keep):
-    """I with every variable that a generator solves for substituted away.
-
-    While some generator is c x + f (see `_linear_variable`, with x not the
-    variable named `keep`), the first one in generator order is dropped, x
-    becomes -f/c in the others, and x leaves the ring.  Returns I itself when
-    no generator has that form, else an ideal of the variables left (in
-    grevlex).  The module docstring says why this keeps the nonzerodivisor
-    verdict for `keep`, and why linear generators stay.
+def _solve_linear(I, keep, linear=False):
+    """I with the variables outside `keep` that generators solve for
+    substituted away: I itself if none is, else an ideal of those left, in
+    grevlex.  While some generator of degree at least 2 (or any, if
+    `linear`) is g = c x + f, c a constant, x not in `keep` and f free of x,
+    the first (and in it the first such x in ring order) is dropped and -f/c
+    replaces x in the others: the isomorphism R/I -> R'/I', R' = Q[the other
+    variables], that fixes the rest.  So once every variable outside `keep`
+    is solved, I' is I intersected with Q[keep].  Each step reads the
+    deadline.
     """
     ring = I.ring
-    keep = ring.index[keep]
+    keep = {ring.index[v] for v in keep}
     gens = list(I.generators)
     solved = set()
     k = 0
     while k < len(gens):
-        i = _linear_variable(gens[k], keep)
+        g = gens[k]
+        exps = g.numerators() if linear or g.total_degree() > 1 else {}
+        found = [e.index(1) for e in exps if sum(e) == 1]
+        i = min((i for i in found if i not in keep and sum(1 for e in exps if e[i]) == 1),
+                default=None)
         if i is None:
             k += 1
             continue
-        g = gens.pop(k)
-        exps = g.numerators()
+        check_deadline()
+        gens.pop(k)
         x = tuple(int(j == i) for j in range(ring.nvars))
         # g = (c x + f) / den, so x = -f / c
         image = ring.from_numerators({e: -v for e, v in exps.items() if e != x}, exps[x])
@@ -936,14 +923,14 @@ def is_nonzerodivisor(I, v):
 
     Decided from the leading monomials of the complete reduced basis of the
     homogenization I^h, without an ideal quotient, after the variables that
-    the generators solve for are substituted away; the module docstring
-    gives the argument.
+    the generators of degree at least 2 solve for are substituted away; the
+    module docstring gives the argument.
     """
     v = v.cast(I.ring)
     if len(v.terms) != 1 or v.total_degree() != 1 or v.lc() != 1:
         raise PolyError("nonzerodivisor test needs a variable, got %s" % v)
     (name,) = v.variables_used()
-    I = _solve_linear(I, name)
+    I = _solve_linear(I, (name,))
     basis = _basis_under(I, GrevLex())
     h = _fresh_name(I.ring, "h")
     ring = PolyRing(I.ring.variables + (h,), _RevLexLast((name, h)))

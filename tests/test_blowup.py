@@ -228,45 +228,141 @@ def test_exceptional_locus_6_2_free_variables():
     assert rep.details["free_variables"] == 4  # P^1 x P^3 chart
 
 
-def test_exceptional_witness_search_gets_the_budget(monkeypatch):
+def _corrupt_m_chart(monkeypatch, nf, s, t, edit):
+    """Make blowup's `build_M_chart` at (nf, s, t) return the chart whose
+    full generators are edit(ring, generators); the reduced chart stays."""
     import lmlab.blowup as blowup
-    import lmlab.groebner as groebner
 
-    real = groebner.ideal_member
-    budgets = []
+    mchart = build_M_chart(nf, s, t)
+    ring = mchart.full.ring
+    full = Ideal(ring, edit(ring, list(mchart.full.generators)))
+    monkeypatch.setattr(blowup, "build_M_chart", lambda nf, s, t: mchart._replace(full=full))
+    return ring
 
-    def spy(p, ideal):
-        budgets.append(groebner._until[1])
-        return real(p, ideal)
 
-    nf = normal_form(5, 1)
-    mchart = build_M_chart(nf, 3, 1)
-    monkeypatch.setattr(blowup, "build_M_chart", lambda nf, s, t: mchart)
-    # a locus that compares unequal sends the check into its witness search
-    # both ways, one membership test per generator of the expected locus and
-    # one per generator of the full chart with lambda
-    monkeypatch.setattr(groebner, "ideal_member", spy)
-    monkeypatch.setattr(blowup, "ideal_equal", lambda I, J: False)
-    with groebner.deadline(60):
-        rep = exceptional_locus(nf, 3, 1)
-    assert rep.status == "fail"
-    assert budgets == [60] * (2 * (nf.d + 4))
+def _solving(ring, gens, name):
+    """Index of the generator that solves for the coordinate `name`."""
+    return next(k for k, g in enumerate(gens) if g.lm() == ring.var(name).lm())
 
 
 def test_exceptional_witness_is_searched_both_ways(monkeypatch):
-    import lmlab.blowup as blowup
-
-    # x_4 in the chart makes the locus too small: every expected generator
-    # lies in it, and the witness is found the other way
+    # x_4 in the chart makes the locus too small: the chart's generator x_4
+    # is outside the expected locus, and is named
     nf = normal_form(6, 2)
-    mchart = build_M_chart(nf, 3, 1)
-    ring = mchart.full.ring
-    full = Ideal(ring, list(mchart.full.generators) + [ring.var("x_4")])
-    monkeypatch.setattr(blowup, "build_M_chart",
-                        lambda nf, s, t: mchart._replace(full=full))
+    _corrupt_m_chart(monkeypatch, nf, 3, 1, lambda ring, gens: gens + [ring.var("x_4")])
     rep = exceptional_locus(nf, 3, 1)
     assert rep.status == "fail" and rep.details["locus_is_product_chart"] is False
-    assert rep.details["witness"] == "x_4"
+    assert rep.details["offending_generator"] == "x_4"
+    # without the generator that solves for y_3 the locus is too large: the
+    # expected coordinate y_3 is missing, and is named the other way
+    monkeypatch.undo()
+    _corrupt_m_chart(monkeypatch, nf, 3, 1,
+                     lambda ring, gens: [g for g in gens if g.lm() != ring.var("y_3").lm()])
+    rep = exceptional_locus(nf, 3, 1)
+    assert rep.status == "fail" and rep.details["locus_is_product_chart"] is False
+    assert rep.details["offending_generator"] == "y_3"
+
+
+def test_exceptional_decides_without_a_basis(monkeypatch):
+    # the check once searched its witness by membership tests under the
+    # check's budget; now it reads each generator at lambda = 0 and
+    # substitutes, so neither a pass nor a fail runs any Groebner operation
+    import lmlab.groebner as groebner
+
+    calls = []
+    real = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger", lambda *a, **k: calls.append(a) or real(*a, **k))
+    nf = normal_form(5, 1)
+    assert exceptional_locus(nf, 3, 1).status == "pass"
+
+    # a solved value that lambda does not divide: x_1 + (1/2) lambda y_5 + y_5
+    def shifted(ring, gens):
+        k = _solving(ring, gens, "x_1")
+        return gens[:k] + [gens[k] + ring.var("y_5")] + gens[k + 1:]
+
+    _corrupt_m_chart(monkeypatch, nf, 3, 1, shifted)
+    rep = exceptional_locus(nf, 3, 1)
+    assert rep.status == "fail"
+    assert rep.details["offending_generator"] == "x_1 + 1/2*lambda*x_3^2*y_5 + y_5"
+    assert (rep.details["locus_is_product_chart"], rep.details["lambda_nonzerodivisor"]) == (
+        False, True)
+    assert calls == []
+
+
+def _affine_with(monkeypatch, edit):
+    from lmlab.blowup import affine_chart
+
+    nf = normal_form(6, 2)
+    monkeypatch.undo()
+    _corrupt_m_chart(monkeypatch, nf, 3, 1, edit)
+    rep = affine_chart(nf, 3, 1)
+    assert rep.status == "fail" and rep.details["elimination_equality"] is False
+    return rep.details["offending_generator"]
+
+
+def test_a_chart_that_is_no_graph_names_the_offending_generator(monkeypatch):
+    # 6:2 at (3, 1) eliminates x_1, x_2, x_5, x_6, y_3 and y_4; each has one
+    # generator that solves for it, such as x_1 + lambda x_3 x_4 y_6
+
+    def replaced(name, new):
+        def edit(ring, gens):
+            gens[_solving(ring, gens, name)] = new(ring)
+            return gens
+        return edit
+
+    var = lambda ring, *names: [ring.var(n) for n in names]
+
+    # a tail that uses the eliminated coordinate itself: x_1 is not solved,
+    # and the generator is left over
+    def own_tail(ring):
+        x1, x4, y6, lam = var(ring, "x_1", "x_4", "y_6", "lambda")
+        return x1 + lam * x1 * x4 * y6
+
+    assert _affine_with(monkeypatch, replaced("x_1", own_tail)) == "lambda*x_1*x_4*y_6 + x_1"
+    # a dropped solving generator: no generator uses y_3, which is named
+    assert _affine_with(monkeypatch, lambda ring, gens: [
+        g for g in gens if g.lm() != ring.var("y_3").lm()]) == "y_3"
+
+    # a chart equation that uses the eliminated x_1 for x_3 in one term:
+    # substituting x_1 leaves an equation that the reduced chart lacks
+    def equation(ring, gens):
+        x1, x3, x4, y1, y2, y5, y6, lam, pi = var(
+            ring, "x_1", "x_3", "x_4", "y_1", "y_2", "y_5", "y_6", "lambda", "pi")
+        return [lam**2 * (x1 * x4 * y2 * y5 + x3 * x4 * y1 * y6) + pi] + gens[1:]
+
+    assert _affine_with(monkeypatch, equation) == (
+        "-lambda^3*x_3*x_4^2*y_2*y_5*y_6 + lambda^2*x_3*x_4*y_1*y_6 + pi")
+    # a tail that uses another eliminated coordinate, solved first, is still
+    # a graph: the elimination holds and passes
+    from lmlab.blowup import affine_chart
+
+    monkeypatch.undo()
+    nf = normal_form(6, 2)
+    _corrupt_m_chart(monkeypatch, nf, 3, 1, lambda ring, gens: [
+        g + ring.var("x_2") if g.lm() == ring.var("x_1").lm() else g for g in gens])
+    assert affine_chart(nf, 3, 1).status == "pass"
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 8, 9])
+def test_every_pivot_eliminates_by_substitution(d):
+    # the suite proves one pivot per class; at every pivot of G9, for the
+    # resolution and the blow-up charts alike, every eliminated variable is
+    # solved and the generators left are the reduced chart's
+    from lmlab.blowup import substitutes_to
+    from lmlab.groebner import _solve_linear, first_unmatched
+    from lmlab.report import VerificationReport
+
+    for delta in range(1, d // 2 + 1):
+        nf = normal_form(d, delta)
+        for (i, j), (s, t) in nf.z_cells:
+            mchart, bchart = build_M_chart(nf, s, t), build_DT_blowup_chart(nf, i, j)
+            for ideal, reduced in ((mchart.full, mchart.reduced), (bchart.ambient, bchart.chart)):
+                left = _solve_linear(ideal, reduced.ring.variables, linear=True)
+                assert set(left.ring.variables) == set(reduced.ring.variables), (d, delta, s, t)
+                left = [g.cast(reduced.ring) for g in left.generators]
+                assert first_unmatched(left, reduced.generators) is None, (d, delta, s, t)
+                rep = VerificationReport("substitution", {}, "pass")
+                assert substitutes_to(rep, ideal, reduced) and rep.details == {}
 
 
 def test_lambda_nonzerodivisor():

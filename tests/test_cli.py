@@ -504,32 +504,65 @@ def test_a_failed_chart_proof_fails_its_own_claim(monkeypatch):
     # every chart proof is made by the check that reports it, so a failed
     # proof is a `fail` of that claim, not an `error` report that replaces
     # every claim of the check
-    from lmlab import blowup, groebner, localmodel, quadric
+    from lmlab import blowup, localmodel, quadric
     from lmlab.groebner import Ideal
     from lmlab.suite import run_instance
 
-    # affine_chart alone proves its elimination with the shared helper
-    monkeypatch.setattr(blowup, "eliminates_to", lambda I, removed, J: False)
-    reports = run_instance(["affine-chart", "chart-match", "exceptional"], 5, 1)
+    # a full resolution chart whose equation uses an eliminated coordinate
+    # (x_1 times lambda^2, so lambda = 0 still gives pi): affine_chart alone
+    # reads the elimination, and fails at every pivot, naming the equation
+    # after x_1 is substituted; exceptional passes
+    real_m = blowup.build_M_chart
+
+    def eq_with_x1(nf, s, t):
+        mchart = real_m(nf, s, t)
+        ring = mchart.full.ring
+        eq, *rest = mchart.full.generators
+        eq = eq + ring.var("lambda") ** 2 * ring.var("x_1")
+        return mchart._replace(full=Ideal(ring, [eq] + rest))
+
+    monkeypatch.setattr(blowup, "build_M_chart", eq_with_x1)
+    reports = run_instance(["affine-chart", "exceptional"], 5, 1)
     affine = [rep for rep in reports if rep.check == "affine-chart"]
     nf = normal_form(5, 1)
     assert [rep.instance["pivot"] for rep in affine] == [list(ab) for _, ab in nf.z_cells]
     assert all(rep.status == "fail" for rep in affine)
-    assert all(rep.details == {"elimination_equality": False} for rep in affine)
+    assert [sorted(rep.details) for rep in affine] == [
+        ["elimination_equality", "offending_generator"]] * len(affine)
+    assert all(rep.details["elimination_equality"] is False for rep in affine)
+    assert all("pi" in rep.details["offending_generator"] for rep in affine)
+    assert "x_1" not in affine[0].details["offending_generator"]
     assert all(rep.status == "pass" for rep in reports if rep.check != "affine-chart")
     assert all("error" not in rep.details for rep in reports)
+    monkeypatch.undo()
 
-    monkeypatch.setattr(groebner, "ideal_equal", lambda I, J: False)
+    # a DT ideal without its last generator is not U
+    real_dt = localmodel.build_DT_ideal
+    monkeypatch.setattr(localmodel, "build_DT_ideal", lambda nf: Ideal(
+        real_dt(nf).ring, real_dt(nf).generators[:-1]))
     (rep,) = run_instance(["dt-equals-u"], 5, 1)
     assert (rep.check, rep.status, rep.unit_notes) == ("dt-equals-u", "fail", [])
     assert "error" not in rep.details
+    monkeypatch.undo()
 
-    # the ambient blow-up chart does not eliminate to the reduced one: each
-    # pivot fails, and its smoothness is not claimed
+    # an ambient blow-up chart without bu_st - 1 leaves the pivot entry
+    # bu_st unsolved: each pivot fails, naming a generator left over that
+    # uses it, and its smoothness is not claimed
+    real_bu = blowup.build_DT_blowup_chart
+
+    def unpinned(nf, s, t):
+        bchart = real_bu(nf, s, t)
+        ring, pivot = bchart.ambient.ring, "bu_%d_%d" % (s, t)
+        gens = [g for g in bchart.ambient.generators if g != ring.var(pivot) - 1]
+        return bchart._replace(ambient=Ideal(ring, gens))
+
+    monkeypatch.setattr(blowup, "build_DT_blowup_chart", unpinned)
     reports = run_instance(["quadbu-smooth"], 5, 1)
     assert [rep.instance["pivot"] for rep in reports] == [list(ij) for ij, _ in nf.z_cells]
     assert all(rep.status == "fail" for rep in reports)
-    assert all(rep.details == {"ambient_elimination": False} for rep in reports)
+    assert [list(rep.details) for rep in reports] == [["offending_generator"]] * len(reports)
+    for rep in reports:
+        assert "bu_%d_%d" % tuple(rep.instance["pivot"]) in rep.details["offending_generator"]
     monkeypatch.undo()
 
     # a substitution that does not kill B on chart I, and no principal center

@@ -684,7 +684,7 @@ def test_same_nzd_verdict_after_substitution(gens, f, c, order, solved, k, zero_
     v = R.var(R.variables[k])
     if zero_divisor:
         ideal = with_zero_divisor(ideal, v)
-    assert len(groebner._solve_linear(ideal, R.variables[k]).ring.variables) < 4
+    assert len(groebner._solve_linear(ideal, (R.variables[k],)).ring.variables) < 4
     assert is_nonzerodivisor(ideal, v) == ideal_equal(quotient(ideal, v), ideal)
 
 

@@ -795,7 +795,7 @@ def test_certificates_build_their_cofactors_when_read():
 def _solved(gens, names, keep):
     R = PolyRing(names)
     ideal = Ideal(R, gens)
-    small = groebner._solve_linear(ideal, keep)
+    small = groebner._solve_linear(ideal, (keep,))
     want = ideal_equal(quotient(ideal, R.var(keep)), ideal)
     assert groebner.is_nonzerodivisor(ideal, R.var(keep)) == want
     return small, want
@@ -823,7 +823,36 @@ def test_a_variable_in_a_nonlinear_term_is_not_substituted():
 def test_linear_generators_stay():
     # a pin such as y - 1 keeps its variable, and the ring of the ideal
     ideal = Ideal(PolyRing(["x", "y", "z"]), ["y - 1", "x - z"])
-    assert groebner._solve_linear(ideal, "z") is ideal
+    assert groebner._solve_linear(ideal, ("z",)) is ideal
+    # unless linear generators are asked for: y - 1 solves y, and x - z
+    # solves x, which leaves the ring of z alone
+    small = groebner._solve_linear(ideal, ("z",), linear=True)
+    assert small.ring.variables == ("z",) and small.generators == ()
+
+
+def test_only_variables_outside_keep_are_solved():
+    # x + y^2 and y - z^2 could solve x and y; keeping y leaves y - z^2
+    # for y, and the substituted first generator is y^2 - ..., now in y
+    R = PolyRing(["x", "y", "z"])
+    ideal = Ideal(R, ["x + y^2", "y - z^2"])
+    small = groebner._solve_linear(ideal, ("y", "z"), linear=True)
+    assert small.ring.variables == ("y", "z")
+    assert [str(g) for g in small.generators] == ["-z^2 + y"]
+    small = groebner._solve_linear(ideal, ("z",), linear=True)
+    assert small.ring.variables == ("z",) and small.generators == ()
+
+
+def test_first_unmatched_compares_primitive_forms_both_ways():
+    from lmlab.groebner import first_unmatched
+
+    R = PolyRing(["x", "y"])
+    p, q, r = (parse_poly(t, R) for t in ("2*x - 4*y", "x^2 - y", "y - 1"))
+    # scaling, order, repetition and zeros do not matter
+    assert first_unmatched([p, q, R.zero()], [-3 * q, Fraction(1, 2) * p, p]) is None
+    # the first of the first list that the second lacks, else the reverse
+    assert first_unmatched([p, r, q], [q, p]) is r
+    assert first_unmatched([p], [q, p, r]) is q
+    assert first_unmatched([], []) is None
 
 
 def test_substitution_follows_a_chain():

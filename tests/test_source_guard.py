@@ -446,6 +446,58 @@ def test_localmodel_imports_no_elimination():
     assert imported.isdisjoint({"eliminate", "Block"})
 
 
+def test_chart_eliminations_use_no_basis_helper():
+    # the resolution and blow-up charts are graphs, eliminated by
+    # substitution (blowup.substitutes_to): the Groebner elimination helper
+    # is gone, and blowup compares no ideals and tests no nonzerodivisor
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "name", None) or getattr(node, "id", None)
+            if (name or getattr(node, "attr", None)) == "eliminates_to":
+                offenders.append("%s:%d" % (path.name, node.lineno))
+    tree = ast.parse((PACKAGE / "blowup.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert offenders == [] and imported.isdisjoint({"ideal_equal", "is_nonzerodivisor"})
+
+
+def test_resolution_and_ambient_charts_run_no_basis(monkeypatch):
+    # affine-chart and exceptional make no buchberger call; quadbu-smooth
+    # runs no basis of the ambient blow-up chart, under any order
+    from lmlab import blowup, groebner
+    from lmlab.suite import run_instance
+
+    runs = []
+    real = groebner.buchberger
+
+    def spy(ideal, *args, **kwargs):
+        runs.append(ideal.ring)
+        return real(ideal, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", spy)
+    reports = run_instance(["affine-chart", "exceptional"], 6, 3)
+    assert reports and all(rep.status == "pass" for rep in reports)
+    assert runs == []
+
+    ambient = []
+    real_bu = blowup.build_DT_blowup_chart
+
+    def built(nf, s, t):
+        chart = real_bu(nf, s, t)
+        ambient.append(set(chart.ambient.ring.variables))
+        return chart
+
+    monkeypatch.setattr(blowup, "build_DT_blowup_chart", built)
+    assert run_instance(["quadbu-smooth"], 6, 3)
+    assert ambient and runs
+    assert not any(set(ring.variables) in ambient for ring in runs)
+
+
 def test_no_function_cache_but_the_packings():
     # a result or a report that functools caches would survive from one
     # run_suite call, and one benchmark pass, to the next; the one such
