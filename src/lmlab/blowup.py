@@ -23,6 +23,7 @@ from .groebner import (
     Ideal,
     _once_per_memo,
     _solve_linear,
+    _substitute,
     first_nonmember,
     first_unmatched,
     ideal_member,
@@ -173,12 +174,9 @@ def substitutes_to(report, ideal, reduced):
     that variable if none does, or one that the other side lacks."""
     left = _solve_linear(ideal, reduced.ring.variables, linear=True)
     unsolved = [v for v in left.ring.variables if v not in reduced.ring.index]
-    if unsolved:
-        miss = next((g for g in left.generators if g.variables_used() & set(unsolved)),
-                    unsolved[0])
-    else:
-        miss = first_unmatched([g.cast(reduced.ring) for g in left.generators],
-                               reduced.generators)
+    miss = next((g for g in left.generators if g.variables_used() & set(unsolved)),
+                unsolved[0] if unsolved else first_unmatched(
+                    [g.cast(reduced.ring) for g in left.generators], reduced.generators))
     if miss is not None:
         report.fail("offending_generator", str(miss))
     return miss is None
@@ -285,27 +283,25 @@ def exceptional_locus(nf, s, t):
     lambda = 0; with the forms of pi, the eliminated coordinates and the
     pins (else one is named, `offending_generator`) it is (lambda, pi,
     eliminated, pins), free polynomial in (delta - 1) + (d - delta - 1)
-    variables.  lambda is a nonzerodivisor if the chart `substitutes_to`
-    the zero ideal of Q[lambda, those variables], a polynomial ring.
+    variables.  Then lambda is a nonzerodivisor if the chart `substitutes_to`
+    the zero ideal of Q[lambda, those variables]: false is "not shown".
     """
     instance = {"d": nf.d, "delta": nf.delta, "pivot": [s, t]}
     with checking("exceptional", instance) as report:
         mchart = build_M_chart(nf, s, t)
         ring = mchart.full.ring
-        k = ring.index["lambda"]
         pins = "x_%d" % s, "y_%d" % t
         free = [v for v in mchart.reduced.ring.variables if v not in ("pi",) + pins]
         # pi, the pins and the eliminated coordinates, those outside `free`
         expected = [ring.var(v) - int(v in pins) for v in ring.variables if v not in free]
         report.details["free_variables"] = (nf.delta - 1) + (nf.d - nf.delta - 1)
-        at_zero = {ring.from_numerators({e: c for e, c in g.numerators().items() if not e[k]},
-                                        g.den): g for g in mchart.full.generators}
+        at_zero = {_substitute(g, ring.index["lambda"], ring.zero()): g for g in mchart.full.generators}
         miss = first_unmatched(at_zero, expected)
         if miss is not None:
             report.fail("offending_generator", str(at_zero.get(miss, miss)))
-        report.require("locus_is_product_chart", miss is None)
-        report.require("lambda_nonzerodivisor",
-                       substitutes_to(report, mchart.full, Ideal(PolyRing(free), [])))
+        if report.require("locus_is_product_chart", miss is None):
+            report.require("lambda_nonzerodivisor",
+                           substitutes_to(report, mchart.full, Ideal(PolyRing(free), [])))
     return report
 
 

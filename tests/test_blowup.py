@@ -253,6 +253,8 @@ def test_exceptional_witness_is_searched_both_ways(monkeypatch):
     rep = exceptional_locus(nf, 3, 1)
     assert rep.status == "fail" and rep.details["locus_is_product_chart"] is False
     assert rep.details["offending_generator"] == "x_4"
+    # lambda is still a nonzerodivisor of Q[free]/(x_4): no verdict is given
+    assert "lambda_nonzerodivisor" not in rep.details
     # without the generator that solves for y_3 the locus is too large: the
     # expected coordinate y_3 is missing, and is named the other way
     monkeypatch.undo()
@@ -261,6 +263,7 @@ def test_exceptional_witness_is_searched_both_ways(monkeypatch):
     rep = exceptional_locus(nf, 3, 1)
     assert rep.status == "fail" and rep.details["locus_is_product_chart"] is False
     assert rep.details["offending_generator"] == "y_3"
+    assert "lambda_nonzerodivisor" not in rep.details
 
 
 def test_exceptional_decides_without_a_basis(monkeypatch):
@@ -284,9 +287,30 @@ def test_exceptional_decides_without_a_basis(monkeypatch):
     rep = exceptional_locus(nf, 3, 1)
     assert rep.status == "fail"
     assert rep.details["offending_generator"] == "x_1 + 1/2*lambda*x_3^2*y_5 + y_5"
-    assert (rep.details["locus_is_product_chart"], rep.details["lambda_nonzerodivisor"]) == (
-        False, True)
+    assert rep.details["locus_is_product_chart"] is False
+    assert "lambda_nonzerodivisor" not in rep.details
     assert calls == []
+
+
+def test_lambda_nonzerodivisor_false_means_not_shown_by_substitution(monkeypatch):
+    # x_1 (1 + lambda x_4 y_6) in place of x_1's solving generator keeps the
+    # locus (it is x_1 at lambda = 0), and lambda is still a nonzerodivisor,
+    # but x_1 is not solved: the claim fails naming that generator
+    nf = normal_form(6, 2)
+
+    def own_tail(ring, gens):
+        k = _solving(ring, gens, "x_1")
+        x1, x4, y6, lam = (ring.var(n) for n in ("x_1", "x_4", "y_6", "lambda"))
+        return gens[:k] + [x1 + lam * x1 * x4 * y6] + gens[k + 1:]
+
+    _corrupt_m_chart(monkeypatch, nf, 3, 1, own_tail)
+    rep = exceptional_locus(nf, 3, 1)
+    assert rep.status == "fail"
+    assert list(rep.details) == ["free_variables", "locus_is_product_chart",
+                                 "offending_generator", "lambda_nonzerodivisor"]
+    assert (rep.details["locus_is_product_chart"], rep.details["lambda_nonzerodivisor"]) == (
+        True, False)
+    assert "x_1*x_4*y_6" in rep.details["offending_generator"]
 
 
 def _affine_with(monkeypatch, edit):

@@ -508,21 +508,23 @@ def test_a_failed_chart_proof_fails_its_own_claim(monkeypatch):
     from lmlab.groebner import Ideal
     from lmlab.suite import run_instance
 
-    # a full resolution chart whose equation uses an eliminated coordinate
-    # (x_1 times lambda^2, so lambda = 0 still gives pi): affine_chart alone
-    # reads the elimination, and fails at every pivot, naming the equation
-    # after x_1 is substituted; exceptional passes
+    # a full resolution chart whose equation gains lambda x_e (x_s - 1), x_e
+    # an eliminated coordinate and x_s - 1 the pin: the ideal and its
+    # lambda = 0 locus are unchanged, but the substituted equation is not
+    # the reduced one, so affine_chart alone fails, at every pivot, naming
+    # it; chart-match and exceptional pass
     real_m = blowup.build_M_chart
 
-    def eq_with_x1(nf, s, t):
+    def eq_with_x_e(nf, s, t):
         mchart = real_m(nf, s, t)
         ring = mchart.full.ring
         eq, *rest = mchart.full.generators
-        eq = eq + ring.var("lambda") ** 2 * ring.var("x_1")
+        x_e, x_s = ring.var("x_%d" % nf.DeltaC[0]), ring.var("x_%d" % s)
+        eq = eq + ring.var("lambda") * x_e * (x_s - 1)
         return mchart._replace(full=Ideal(ring, [eq] + rest))
 
-    monkeypatch.setattr(blowup, "build_M_chart", eq_with_x1)
-    reports = run_instance(["affine-chart", "exceptional"], 5, 1)
+    monkeypatch.setattr(blowup, "build_M_chart", eq_with_x_e)
+    reports = run_instance(["affine-chart", "chart-match", "exceptional"], 5, 1)
     affine = [rep for rep in reports if rep.check == "affine-chart"]
     nf = normal_form(5, 1)
     assert [rep.instance["pivot"] for rep in affine] == [list(ab) for _, ab in nf.z_cells]
@@ -531,7 +533,9 @@ def test_a_failed_chart_proof_fails_its_own_claim(monkeypatch):
         ["elimination_equality", "offending_generator"]] * len(affine)
     assert all(rep.details["elimination_equality"] is False for rep in affine)
     assert all("pi" in rep.details["offending_generator"] for rep in affine)
-    assert "x_1" not in affine[0].details["offending_generator"]
+    x_e = "x_%d" % nf.DeltaC[0]
+    assert all(x_e not in rep.details["offending_generator"] for rep in affine)
+    assert {rep.check for rep in reports} == {"affine-chart", "chart-match", "exceptional"}
     assert all(rep.status == "pass" for rep in reports if rep.check != "affine-chart")
     assert all("error" not in rep.details for rep in reports)
     monkeypatch.undo()
