@@ -50,11 +50,11 @@ from operator import add, floordiv, mul, neg, sub
 # buchberger is not called here, but bench/test_bench.py requires this module
 # to bind it so that the tracer's re-binding coverage is exercised
 from .groebner import buchberger  # noqa: F401
-from .groebner import Ideal, _once_per_memo, check_deadline, first_nonmember, ideal_equal, \
-    ideal_member, is_nonzerodivisor, quotient
+from .groebner import Ideal, _once_per_memo, check_deadline, first_nonmember, first_unmatched, \
+    ideal_equal, ideal_member, quotient
 from .lattice import LatticeError
 from .poly import PolyRing, RingMap, minors
-from .report import FAIL, PASS, checking
+from .report import PASS, checking
 
 __all__ = [
     "z_ring",
@@ -86,18 +86,14 @@ def z_ring(nf):
 
 
 def big_ring(nf):
-    d = nf.d
-    names = ["pi"]
-    names += ["x_%d_%d" % (i, j) for i in range(1, d + 1) for j in range(1, d + 1)]
-    names += ["y_%d_%d" % (i, j) for i in range(1, d + 1) for j in range(1, d + 1)]
-    return PolyRing(names)
+    return x_ring(nf, "xy")
 
 
-def x_ring(nf):
+def x_ring(nf, stems="x"):
+    """Q[pi] and the d x d matrix of variables of each stem, as named_matrix names them."""
     d = nf.d
-    names = ["pi"]
-    names += ["x_%d_%d" % (i, j) for i in range(1, d + 1) for j in range(1, d + 1)]
-    return PolyRing(names)
+    return PolyRing(["pi"] + ["%s_%d_%d" % (stem, i, j) for stem in stems
+                              for i in range(1, d + 1) for j in range(1, d + 1)])
 
 
 def z_matrix(nf, ring):
@@ -364,8 +360,7 @@ def build_DT_ideal(nf):
     """The determinantal chart: minors plus the full sum set to -4 pi."""
     ring = z_ring(nf)
     Z = z_matrix(nf, ring)
-    gens = minors(Z, 2) + [_closed_sum(Z) + 4 * ring.var("pi")]
-    return Ideal(ring, gens)
+    return Ideal(ring, minors(Z, 2) + [_closed_sum(Z) + 4 * ring.var("pi")])
 
 
 # ------------------------------------------------------ block substitution
@@ -870,18 +865,34 @@ def verify_annihilator(nf):
     return report
 
 
-def flatness_and_dimension(chart, expected_rel_dim):
-    """pi-nonzerodivisor proxy for flatness plus the Krull dimension count.
-
-    The report's instance is empty; the caller names the chart.
-    """
-    from .groebner import krull_dim
-
-    with checking("flatness-dims", {}) as report:
-        report.require("flat", is_nonzerodivisor(chart, chart.ring.var("pi")))
-        dim = krull_dim(chart)
-        report.details["dim"] = dim
-        report.details["expected_dim"] = expected_rel_dim + 1
-        if dim != expected_rel_dim + 1:
-            report.status = FAIL
-    return report
+def flatness_and_dimension(nf):
+    """The `flatness-dims` reports of U and of the Segre cone, read off their
+    generators: Q[pi, Z]/U is the Segre ring, of dimension d - 1, with
+    pi = -T/2 (module docstring), so pi is nonzero there, a nonzerodivisor,
+    once T does not vanish under the Segre map; the cone has pi free.  A
+    broken premise (Z has the ring's variables but pi, each once; the
+    generators' primitive forms are the minors, and T + 2 pi for U) claims
+    no flat and no dim, and names its offender under `offending_generator`."""
+    U, _ = build_U_ideals(nf)
+    ring = U.ring
+    Z = z_matrix(nf, ring)
+    mins = minors(Z, 2)
+    names = [str(e) for e in _entries(Z)]
+    free = [v for v in ring.variables if v != "pi"]
+    bad_z = next((n for n in names + free if names.count(n) != 1 or n not in free), None)
+    T = trace_form(nf, ring)
+    reports = []
+    for chart, gens, extra in (("u[%d,%d]" % (nf.d, nf.delta), U.generators,
+                                [T + 2 * ring.var("pi")]), ("segre-cone", mins, [])):
+        with checking("flatness-dims", {"d": nf.d, "delta": nf.delta, "chart": chart}) as report:
+            check_deadline()
+            report.details["expected_dim"] = nf.d - len(extra)
+            miss = bad_z or first_unmatched(gens, mins + extra)
+            if miss is None and extra and not _small_maps(nf, ring)[1](T):
+                miss = extra[0]
+            if miss is not None:
+                report.fail("offending_generator", str(miss))
+            else:
+                report.details.update({"flat": True} if extra else {}, dim=nf.d - len(extra))
+        reports.append(report)
+    return reports

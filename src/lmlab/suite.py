@@ -29,7 +29,7 @@ import copy
 import time
 
 from .lattice import LatticeError, check_admissible, normal_form
-from .report import FAIL, PASS, VerificationReport, checking, exception_status
+from .report import PASS, VerificationReport, checking, exception_status
 
 __all__ = [
     "ConfigError",
@@ -125,36 +125,24 @@ def _check_za1(nf, mode, seed):
 
 
 def _check_dt_equals_u(nf, mode, seed):
-    # DT's displayed sum is 2 T(Z), so DT must equal U; a Groebner comparison proves it
-    from .groebner import ideal_equal
+    # DT's displayed sum is 2 T(Z): DT and U have one generator set up to scaling
+    from .groebner import check_deadline, first_unmatched
     from .localmodel import build_DT_ideal, build_U_ideals
 
     with checking("dt-equals-u", {"d": nf.d, "delta": nf.delta}) as rep:
-        if ideal_equal(build_DT_ideal(nf), build_U_ideals(nf)[0]):
+        check_deadline()
+        miss = first_unmatched(build_DT_ideal(nf).generators, build_U_ideals(nf)[0].generators)
+        if miss is None:
             rep.unit_notes.append("displayed sum equals 2*(trace quadric + 2 pi)")
         else:
-            rep.status = FAIL
+            rep.fail("offending_generator", str(miss))
     return [rep]
 
 
 def _check_flatness_dims(nf, mode, seed):
-    from .groebner import Ideal, krull_dim
-    from .localmodel import build_U_ideals, flatness_and_dimension, z_matrix
-    from .poly import minors
+    from .localmodel import flatness_and_dimension
 
-    U, _ = build_U_ideals(nf)
-    rep_u = flatness_and_dimension(U, nf.d - 2)
-    rep_u.instance.update(d=nf.d, delta=nf.delta, chart="u[%d,%d]" % (nf.d, nf.delta))
-    ring = U.ring
-    cone = Ideal(ring, minors(z_matrix(nf, ring), 2))
-    instance = {"d": nf.d, "delta": nf.delta, "chart": "segre-cone"}
-    with checking("flatness-dims", instance) as rep_c:
-        dim = krull_dim(cone)
-        rep_c.details["dim"] = dim
-        rep_c.details["expected_dim"] = nf.d
-        if dim != nf.d:
-            rep_c.status = FAIL
-    return [rep_u, rep_c]
+    return flatness_and_dimension(nf)
 
 
 def _check_annihilator(nf, mode, seed):

@@ -12,9 +12,10 @@ argument.
 import json
 import time
 
-from lmlab.groebner import Ideal, buchberger, krull_dim
+from lmlab.groebner import Ideal, buchberger, ideal_equal, is_nonzerodivisor, krull_dim
 from lmlab.lattice import normal_form
 from lmlab.localmodel import (
+    build_DT_ideal,
     build_U_ideals,
     flatness_and_dimension,
     verify_annihilator,
@@ -73,20 +74,28 @@ def test_criterion_03_dt_equals_u():
         dt = time.monotonic() - t0
         assert dt <= 5.0, (d, delta, dt)
         assert rep.status == "pass", (d, delta, rep.details)
+        # the Groebner comparison, as a reference beside the generator sets
+        nf = normal_form(d, delta)
+        assert ideal_equal(build_DT_ideal(nf), build_U_ideals(nf)[0]), (d, delta)
         ok = ok and rep.status == "pass"
-    announce(3, "determinantal chart GB-equal to the reduced chart on all of G", ok)
+    announce(3, "determinantal chart equal to the reduced chart on all of G", ok)
 
 
 def test_criterion_04_flatness_dimensions():
     ok = True
     for d, delta in GRID:
         nf = normal_form(d, delta)
+        rep_u, rep_c = flatness_and_dimension(nf)
+        assert rep_u.status == rep_c.status == "pass", (d, delta, rep_u.details, rep_c.details)
+        assert (rep_u.details["flat"], rep_u.details["dim"], rep_c.details["dim"]) == (
+            True, d - 1, d)
+        # the Groebner results, as a reference beside the Segre argument
         U, _ = build_U_ideals(nf)
-        rep = flatness_and_dimension(U, d - 2)
-        assert rep.status == "pass", (d, delta, rep.details)
+        assert is_nonzerodivisor(U, U.ring.var("pi")), (d, delta)
+        assert krull_dim(U) == d - 1, (d, delta)
         cone = Ideal(U.ring, minors(z_matrix(nf, U.ring), 2))
         assert krull_dim(cone) == d, (d, delta)
-        ok = ok and rep.status == "pass"
+        ok = ok and rep_u.status == rep_c.status == "pass"
     announce(4, "pi-nonzerodivisor proxy and dimensions (chart d-1, cone d)", ok)
 
 

@@ -255,8 +255,9 @@ def reference_krull_dim(I):
 
 
 def test_krull_dim_equals_the_reference_on_the_checks_bases(monkeypatch):
-    # every ideal whose dimension flatness-dims and quadbu-smooth (through
-    # smooth_over_model) take on G, each pivot proven on its own
+    # every ideal whose dimension quadbu-smooth (through smooth_over_model)
+    # takes on G, each pivot proven on its own, and U and the Segre cone,
+    # whose dimensions flatness-dims reads off their generators
     import lmlab.blowup as blowup
     import lmlab.verify as verify
     from lmlab.suite import run_instance
@@ -272,8 +273,11 @@ def test_krull_dim_equals_the_reference_on_the_checks_bases(monkeypatch):
     monkeypatch.setattr(blowup, "_transfers", lambda nf, r, p: False)
     for d, delta in [(5, 1), (5, 2), (6, 1), (6, 2), (6, 3), (7, 2), (7, 3)]:
         run_instance(["flatness-dims", "quadbu-smooth"], d, delta)
-    # flatness-dims: U and the Segre cone; quadbu-smooth: one chart per pivot
-    assert len(seen) == 2 * 7 + 54
+        nf = normal_form(d, delta)
+        U, _ = build_U_ideals(nf)
+        seen += [U, Ideal(U.ring, minors(z_matrix(nf, U.ring), 2))]
+    # quadbu-smooth: one chart per pivot; flatness-dims: none
+    assert len(seen) == 54 + 2 * 7
     for I in seen:
         assert krull_dim(I) == reference_krull_dim(I)
 

@@ -10,7 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from lmlab.groebner import Ideal, deadline, eliminate, ideal_contains, ideal_equal, ideal_member, quotient
+from lmlab.groebner import (
+    Ideal,
+    deadline,
+    eliminate,
+    ideal_contains,
+    ideal_equal,
+    ideal_member,
+    is_nonzerodivisor,
+    quotient,
+)
 from lmlab.lattice import normal_form
 import lmlab.localmodel
 from lmlab.localmodel import (
@@ -32,6 +41,7 @@ from lmlab.localmodel import (
     _verify_complete,
     big_ring,
     block_substitution,
+    build_DT_ideal,
     build_naive_chart_ideal,
     build_U_ideals,
     flatness_and_dimension,
@@ -43,7 +53,7 @@ from lmlab.localmodel import (
 )
 from lmlab.poly import Block, Polynomial, PolyRing, RingMap, minors, parse_poly
 from lmlab.report import checking
-from lmlab.suite import report_payload, run_check, strip_timings
+from lmlab.suite import report_payload, run_check, run_instance, strip_timings
 
 GRID = [(5, 1), (5, 2), (6, 1), (6, 2), (6, 3), (7, 2), (7, 3)]
 
@@ -1100,15 +1110,22 @@ def test_annihilator_examples():
 
 @pytest.mark.parametrize("change", ["larger", "smaller"])
 def test_annihilator_witness_is_a_non_member(monkeypatch, change):
-    # the witness lies outside the other ideal, whichever way the two differ
+    # the witness lies outside the other ideal, whichever way the two differ:
+    # small gains q pi, so pi joins the annihilator, or loses q z_1_1, so
+    # z_1_1 leaves it (q = T + 2 pi, a nonzerodivisor)
     nf = normal_form(5, 1)
-    ring = build_U_ideals(nf)[1].ring
+    U, small = build_U_ideals(nf)
+    ring = small.ring
     zvars = [ring.var(v) for v in ring.variables if v != "pi"]
-    ann = zvars + [ring.var("pi")] if change == "larger" else zvars[1:]
-    monkeypatch.setattr(lmlab.localmodel, "quotient", lambda I, f: Ideal(ring, ann))
+    q = trace_form(nf, ring) + 2 * ring.var("pi")
+    if change == "larger":
+        gens, ann = list(small.generators) + [q * ring.var("pi")], zvars + [ring.var("pi")]
+    else:
+        gens, ann = [g for g in small.generators if g != q * zvars[0]], zvars[1:]
+    monkeypatch.setattr(lmlab.localmodel, "build_U_ideals", lambda nf: (U, Ideal(ring, gens)))
     rep = verify_annihilator(nf)
     assert rep.status == "fail"
-    assert rep.details["annihilator"] == [str(g) for g in ann]
+    assert sorted(rep.details["annihilator"]) == sorted(str(g) for g in ann)
     assert rep.details["witness"] == ("pi" if change == "larger" else str(zvars[0]))
 
 
@@ -1123,17 +1140,120 @@ def test_annihilator_sanity_strict_containment():
 
 def test_flatness_and_dimension_examples():
     nf = normal_form(5, 1)
-    U, _ = build_U_ideals(nf)
-    rep = flatness_and_dimension(U, nf.d - 2)
-    assert rep.status == "pass"
+    rep_u, rep_c = flatness_and_dimension(nf)
+    assert (rep_u.status, rep_c.status) == ("pass", "pass")
+    assert (rep_u.instance, rep_u.details) == (
+        {"d": 5, "delta": 1, "chart": "u[5,1]"}, {"expected_dim": 4, "flat": True, "dim": 4})
+    assert (rep_c.instance, rep_c.details) == (
+        {"d": 5, "delta": 1, "chart": "segre-cone"}, {"expected_dim": 5, "dim": 5})
 
 
-def test_flatness_counterexample():
+def test_flatness_counterexample(monkeypatch):
+    # pi z_1_1 is no flat chart: pi is a zerodivisor, by the Groebner
+    # reference, and a U whose quadric is pi z_1_1 claims no flatness
     ring = PolyRing(["pi", "z_1_1"])
     bad = Ideal(ring, ["pi*z_1_1"])
-    rep = flatness_and_dimension(bad, 1)
+    assert is_nonzerodivisor(bad, ring.var("pi")) is False
+
+    nf = normal_form(5, 1)
+    U, small = build_U_ideals(nf)
+    bad_q = U.ring.var("pi") * U.ring.var("z_1_1")
+    monkeypatch.setattr(lmlab.localmodel, "build_U_ideals", lambda nf: (
+        Ideal(U.ring, list(U.generators[:-1]) + [bad_q]), small))
+    rep, _ = flatness_and_dimension(nf)
     assert rep.status == "fail"
-    assert rep.details["flat"] is False
+    assert rep.details == {"expected_dim": 4, "offending_generator": "pi*z_1_1"}
+
+
+def _premise_reports(monkeypatch, build_u=None, z=None, build_dt=None):
+    """dt-equals-u and both flatness-dims reports at 6:2, with U, Z or DT
+    built by the given replacements, the real builder passed first."""
+    for name, new in (("build_U_ideals", build_u), ("z_matrix", z), ("build_DT_ideal", build_dt)):
+        if new is not None:
+            real = getattr(lmlab.localmodel, name)
+            monkeypatch.setattr(lmlab.localmodel, name, lambda *a, real=real, new=new: new(real, *a))
+    return run_instance(["dt-equals-u", "flatness-dims"], 6, 2)
+
+
+def test_a_u_without_one_minor_names_it(monkeypatch):
+    def build_u(real, nf):
+        U, small = real(nf)
+        return Ideal(U.ring, U.generators[1:]), small
+
+    dt, rep_u, rep_c = _premise_reports(monkeypatch, build_u=build_u)
+    lost = str(build_U_ideals(normal_form(6, 2))[0].generators[0])
+    assert [r.status for r in (dt, rep_u, rep_c)] == ["fail", "fail", "pass"]
+    assert dt.details == {"offending_generator": lost} and dt.unit_notes == []
+    assert rep_u.details == {"expected_dim": 5, "offending_generator": lost}
+
+
+def test_a_quadric_that_is_not_t_plus_2pi_is_named(monkeypatch):
+    def build_u(real, nf):
+        U, small = real(nf)
+        pi = U.ring.var("pi")
+        return Ideal(U.ring, list(U.generators[:-1]) + [U.generators[-1] + pi]), small
+
+    dt, rep_u, rep_c = _premise_reports(monkeypatch, build_u=build_u)
+    nf = normal_form(6, 2)
+    ring = build_U_ideals(nf)[0].ring
+    wrong = trace_form(nf, ring) + 3 * ring.var("pi")
+    assert [r.status for r in (dt, rep_u, rep_c)] == ["fail", "fail", "pass"]
+    assert rep_u.details == {"expected_dim": 5, "offending_generator": str(wrong)}
+    # DT's quadric, twice U's, is the first generator that U now lacks
+    assert dt.details["offending_generator"] == str(build_DT_ideal(nf).generators[-1])
+
+
+def test_a_z_with_a_repeated_variable_is_named(monkeypatch):
+    def z(real, nf, ring):
+        Z = real(nf, ring)
+        Z[0][1] = Z[0][0]
+        return Z
+
+    _, rep_u, rep_c = _premise_reports(monkeypatch, z=z)
+    assert [r.status for r in (rep_u, rep_c)] == ["fail", "fail"]
+    assert rep_u.details == {"expected_dim": 5, "offending_generator": "z_1_1"}
+    assert rep_c.details == {"expected_dim": 6, "offending_generator": "z_1_1"}
+
+
+def test_a_dt_with_2pi_in_place_of_4pi_is_named(monkeypatch):
+    def build_dt(real, nf):
+        DT = real(nf)
+        pi = DT.ring.var("pi")
+        return Ideal(DT.ring, list(DT.generators[:-1]) + [DT.generators[-1] - 2 * pi])
+
+    dt, rep_u, rep_c = _premise_reports(monkeypatch, build_dt=build_dt)
+    nf = normal_form(6, 2)
+    ring = build_U_ideals(nf)[0].ring
+    assert (dt.status, rep_u.status, rep_c.status) == ("fail", "pass", "pass")
+    assert dt.details == {"offending_generator": str(2 * trace_form(nf, ring) + 2 * ring.var("pi"))}
+
+
+def test_a_trace_that_vanishes_on_the_segre_ring_is_no_flat_chart(monkeypatch):
+    # T = 0 makes U = (minors, 2 pi): its generators match, but pi is zero
+    # in the quotient, a zerodivisor, as the Groebner reference agrees
+    monkeypatch.setattr(lmlab.localmodel, "trace_form", lambda nf, ring=None: ring.zero())
+    nf = normal_form(6, 2)
+    rep_u, rep_c = flatness_and_dimension(nf)
+    U, _ = build_U_ideals(nf)
+    assert not is_nonzerodivisor(U, U.ring.var("pi"))
+    assert (rep_u.status, rep_c.status) == ("fail", "pass")
+    assert rep_u.details == {"expected_dim": 5, "offending_generator": "2*pi"}
+
+
+def test_dt_equals_u_and_flatness_run_no_basis(monkeypatch):
+    from lmlab import groebner
+
+    runs = []
+    real = groebner.buchberger
+
+    def spy(ideal, *args, **kwargs):
+        runs.append(ideal)
+        return real(ideal, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", spy)
+    reports = run_instance(["dt-equals-u", "flatness-dims"], 7, 3)
+    assert [r.status for r in reports] == ["pass"] * 3
+    assert runs == []
 
 
 def test_timeout_surfaces_in_report():

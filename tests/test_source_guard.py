@@ -409,8 +409,8 @@ def test_every_module_level_import_is_used():
 def test_a_status_is_set_to_fail_directly_only_without_a_key():
     # a requirement is stated once, by `report.require` or `report.fail`;
     # a claim sets `FAIL` itself only where no details key states the
-    # requirement: DT = U, the two dimension counts of flatness-dims, the
-    # relative dimension of a smooth chart, and a cover's roll-up
+    # requirement: the relative dimension of a smooth chart, and a cover's
+    # roll-up
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "report.py":
@@ -427,10 +427,7 @@ def test_a_status_is_set_to_fail_directly_only_without_a_key():
                     and node.value.id == "FAIL"
                 ):
                     found.append(func.name)
-    assert sorted(found) == sorted([
-        "_check_dt_equals_u", "_check_flatness_dims", "flatness_and_dimension",
-        "smooth_over_model", "smooth_on_cover",
-    ])
+    assert sorted(found) == ["smooth_on_cover", "smooth_over_model"]
 
 
 def test_localmodel_imports_no_elimination():
@@ -464,6 +461,19 @@ def test_chart_eliminations_use_no_basis_helper():
         for alias in node.names
     }
     assert offenders == [] and imported.isdisjoint({"ideal_equal", "is_nonzerodivisor"})
+
+
+def test_u_side_checks_import_no_basis_helper():
+    # dt-equals-u and flatness-dims read their claims off the generator
+    # sets: localmodel tests no nonzerodivisor and counts no dimension, and
+    # suite compares no ideals and builds no cone of its own
+    def imported(name):
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        return {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+
+    assert imported("localmodel.py").isdisjoint({"is_nonzerodivisor", "krull_dim"})
+    assert imported("suite.py").isdisjoint({"ideal_equal", "krull_dim", "minors", "z_matrix"})
 
 
 def test_resolution_and_ambient_charts_run_no_basis(monkeypatch):
